@@ -54,15 +54,13 @@ CostEvaluator::Exec CostEvaluator::exec_seconds(const std::string& codelet,
                                                 std::uint64_t footprint,
                                                 std::size_t total_bytes) const {
   Exec out;
-  // 1. The scheduler's own formula: calibrated mean, else power-law. On a
-  //    calibrated footprint this is what dmda would compute online.
-  if (models_.sample_count(codelet, arch, footprint) >= calibration_min_) {
-    if (const std::optional<double> expected =
-            models_.expected(codelet, arch, footprint)) {
-      out.seconds = *expected;
-      out.source = EstimateSource::kCalibrated;
-      return out;
-    }
+  // 1. The calibrated mean: on a calibrated footprint this is what dmda
+  //    computes online.
+  if (const std::optional<double> mean = models_.calibrated_mean(
+          codelet, arch, footprint, calibration_min_)) {
+    out.seconds = *mean;
+    out.source = EstimateSource::kCalibrated;
+    return out;
   }
   // 2. Unobserved size: prefer the cross-validated multi-term model, which
   //    extrapolates additive behaviour the power law cannot express.

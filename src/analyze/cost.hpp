@@ -1,19 +1,21 @@
 // Cost domain of the static analyser (peppher-predict): intervals of
-// virtual seconds plus a per-(component, architecture) execution-time
-// evaluator backed by the runtime's own performance models.
+// virtual seconds plus a per-(component, architecture) evaluator of the
+// placement cost's terms (runtime/placement.hpp) backed by the runtime's
+// own performance models.
 //
-// The evaluator deliberately reuses PerfRegistry::estimate_exec — the exact
-// formula the dmda scheduler applies online — as its first choice, so that
-// on fully-observed sizes the static per-task estimate and the scheduler's
-// estimate agree to round-off (a test pins this). Only at unobserved sizes
-// does it continue to the Extra-P-style multi-term model and the power-law
-// regression.
+// Execution time starts from PerfRegistry::calibrated_mean — the rule the
+// dmda scheduler's estimate applies first — so that on fully-observed
+// sizes the static per-task estimate and the scheduler's estimate agree
+// (a test pins this). Only at unobserved sizes does it continue to the
+// Extra-P-style multi-term model and the power-law regression. Placement
+// fetches are priced by the runtime's hop function (rt::hop_seconds).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "runtime/perfmodel.hpp"
+#include "runtime/placement.hpp"
 #include "runtime/types.hpp"
 #include "sim/device.hpp"
 
@@ -65,8 +67,8 @@ class CostEvaluator {
   /// Extrapolation slack: a queried size outside the observed byte range
   /// by more than this factor is flagged low-confidence (PL072).
   static constexpr double kExtrapolationSlack = 2.0;
-  /// Neutral guess when no history exists, matching the engine's fallback.
-  static constexpr double kNeutralGuessSeconds = 1e-3;
+  /// Neutral guess when no history exists: the engine's own constant.
+  static constexpr double kNeutralGuessSeconds = rt::kNeutralExecSeconds;
 
   CostEvaluator(const sim::MachineConfig& machine,
                 const rt::PerfRegistry& models, std::uint64_t calibration_min)
@@ -94,6 +96,14 @@ class CostEvaluator {
     return sim::transfer_seconds(machine_.link, bytes);
   }
 
+  /// The placement decision's price of that hop for a container read
+  /// `reads` times: the runtime's reuse-amortised hop
+  /// (DataHandle::estimate_fetch_seconds prices the same bytes and reads
+  /// with the same function).
+  double fetch_seconds(std::size_t bytes, double reads) const {
+    return rt::hop_seconds(machine_.link, bytes, rt::reuse_divisor(reads));
+  }
+
   /// Memory capacity (bytes) of the machine's smallest accelerator, or 0
   /// when the machine has none.
   std::size_t device_capacity_bytes() const;
@@ -102,7 +112,7 @@ class CostEvaluator {
   const rt::PerfRegistry& models() const { return models_; }
 
  private:
-  const sim::MachineConfig& machine_;
+  sim::MachineConfig machine_;  ///< a copy: callers may pass a temporary
   const rt::PerfRegistry& models_;
   std::uint64_t calibration_min_;
 };

@@ -93,7 +93,6 @@ struct ArchCost {
   double forced_h2d = 0.0;
   double forced_d2h = 0.0;
   CostEvaluator::Exec exec;
-  double start = 0.0;
   double completion = 0.0;
 };
 
@@ -176,12 +175,9 @@ class Predictor {
   }
 
   /// Total read executions per container across the whole program (loop
-  /// bodies weighted by their trip count, both <if> branches counted). The
-  /// runtime amortises a read-reused operand's fetch volume over its
-  /// observed reuse (DataHandle::estimate_fetch_seconds), which is what
-  /// lets dmda move a loop-invariant operand to the device even though no
-  /// single call's speedup pays for the transfer; this is the static
-  /// counterpart of that observation.
+  /// bodies weighted by their trip count, both <if> branches counted): the
+  /// static counterpart of the reads a runtime handle counts, which the
+  /// placement cost amortises a fetch's volume over.
   void index_reads(const std::vector<desc::CallNode>& block, double weight) {
     for (const desc::CallNode& node : block) {
       switch (node.kind) {
@@ -210,20 +206,6 @@ class Predictor {
           break;
       }
     }
-  }
-
-  /// The reuse-amortised fetch estimate for a forced transfer of `data`:
-  /// the per-transfer link latency in full, the volume divided by the
-  /// container's total read executions clamped to the runtime's cap of 64
-  /// (mirrors DataHandle::estimate_fetch_seconds). Used for *placement*
-  /// only — committed trajectory time always charges the full transfer.
-  double decision_fetch_seconds(const std::string& data,
-                                double full_transfer) const {
-    const auto it = read_weight_.find(data);
-    const double uses = it == read_weight_.end() ? 0.0 : it->second;
-    if (uses <= 1.0) return full_transfer;
-    const double latency = eval_.transfer_seconds(0);
-    return latency + (full_transfer - latency) / std::min(uses, 64.0);
   }
 
   // -- diagnostics ----------------------------------------------------------
@@ -446,16 +428,21 @@ class Predictor {
             [&](const World& w) { return !replica_valid(w.state[c.side]); });
         const double tt = eval_.transfer_seconds(binding.bytes);
         if (all_invalid) {
+          // The placement decision amortises the hop over the container's
+          // total reads like the runtime does; the trajectory pays it all.
+          const auto reads = read_weight_.find(binding.data);
           c.forced_transfer += tt;
-          c.decision_transfer += decision_fetch_seconds(binding.data, tt);
+          c.decision_transfer += eval_.fetch_seconds(
+              binding.bytes,
+              reads == read_weight_.end() ? 0.0 : reads->second);
           (c.side == kDeviceSide ? c.forced_h2d : c.forced_d2h) +=
               static_cast<double>(binding.bytes);
         }
         if (any_invalid) c.possible_transfer += tt;
       }
       c.exec = eval_.exec_seconds(iface->name, arch, footprint, total_bytes);
-      c.start = std::max(s.clock[c.side], deps);
-      c.completion = c.start + c.decision_transfer + c.exec.seconds;
+      c.completion = rt::end_time(s.clock[c.side], deps, c.decision_transfer,
+                                  c.exec.seconds);
       report_model_quality(iface->name, arch, c.exec, node.loc);
       candidates.push_back(c);
     }
@@ -502,7 +489,8 @@ class Predictor {
     // Commit the trajectory. The placement decision amortised reusable
     // fetches, but the run pays each forced transfer once, in full.
     s.clock[chosen->side] =
-        chosen->start + chosen->forced_transfer + chosen->exec.seconds;
+        rt::end_time(s.clock[chosen->side], deps, chosen->forced_transfer,
+                     chosen->exec.seconds);
     s.transfer_time += chosen->forced_transfer;
     (chosen->side == kHostSide ? s.host_exec : s.device_exec) +=
         chosen->exec.seconds;

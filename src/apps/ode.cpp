@@ -446,8 +446,7 @@ RunResult run_direct(const Problem& problem, rt::Arch arch,
     check(!machine.accelerators.empty(), "machine has no accelerator");
     profile = machine.accelerators.front();
   } else if (arch == rt::Arch::kCpuOmp) {
-    profile.peak_gflops *= machine.cpu_cores * 0.9;
-    profile.mem_bandwidth_gbs *= machine.cpu_cores;
+    profile = sim::combined_cpu_profile(machine.cpu_core, machine.cpu_cores);
   }
 
   RunResult result;
@@ -486,6 +485,7 @@ RunResult run_direct(const Problem& problem, rt::Arch arch,
     charge(5.0 * n, 4.0 * vec_bytes);
     rhs_kernel(problem.jacobian.data(), t.data(), k3.data(), n, nullptr);
     charge(2.0 * nn, 4.0 * nn + 2.0 * vec_bytes);
+    a.c2 = 0.0f;
     a.c3 = kA43;
     stage4_kernel(result.y.data(), k1.data(), k2.data(), k3.data(), t.data(), a);
     charge(7.0 * n, 5.0 * vec_bytes);

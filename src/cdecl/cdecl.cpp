@@ -299,8 +299,9 @@ class DeclParser {
   }
 };
 
-/// Strips preprocessor lines and block bodies so parse_header() only sees
-/// declaration-shaped text.
+/// Strips comments, preprocessor lines and block bodies so parse_header()
+/// only sees declaration-shaped text: its ';' split and '<' depth count
+/// must not see the punctuation inside a comment.
 std::string preprocess_header(std::string_view source) {
   std::string out;
   out.reserve(source.size());
@@ -308,6 +309,16 @@ std::string preprocess_header(std::string_view source) {
   int brace_depth = 0;
   while (i < source.size()) {
     char c = source[i];
+    if (source.substr(i, 2) == "//") {  // line comment (keeps the newline)
+      while (i < source.size() && source[i] != '\n') ++i;
+      continue;
+    }
+    if (source.substr(i, 2) == "/*") {  // block comment: one separating space
+      const size_t end = source.find("*/", i + 2);
+      i = end == std::string_view::npos ? source.size() : end + 2;
+      if (brace_depth == 0) out += ' ';
+      continue;
+    }
     if (c == '#') {  // preprocessor line (with \-continuations)
       while (i < source.size()) {
         if (source[i] == '\n' && (i == 0 || source[i - 1] != '\\')) break;

@@ -100,36 +100,6 @@ int narrow_with_table(ComponentNode& component, const DispatchTable& table) {
   return disabled;
 }
 
-sim::DeviceProfile profile_for_arch(const sim::MachineConfig& machine,
-                                    rt::Arch arch) {
-  switch (arch) {
-    case rt::Arch::kCpu:
-      check(machine.cpu_cores > 0, "machine has no CPU cores");
-      return machine.cpu_core;
-    case rt::Arch::kCpuOmp: {
-      check(machine.cpu_cores > 0, "machine has no CPU cores");
-      sim::DeviceProfile p = machine.cpu_core;
-      p.name += "-combined";
-      p.peak_gflops *= machine.cpu_cores * 0.90;
-      p.mem_bandwidth_gbs *= machine.cpu_cores;
-      return p;
-    }
-    case rt::Arch::kCuda:
-    case rt::Arch::kOpenCl: {
-      const sim::DeviceClass wanted = arch == rt::Arch::kCuda
-                                          ? sim::DeviceClass::kCudaGpu
-                                          : sim::DeviceClass::kOpenClGpu;
-      for (const auto& accel : machine.accelerators) {
-        if (accel.device_class == wanted) return accel;
-      }
-      throw Error(ErrorCode::kNotFound,
-                  "machine '" + machine.name + "' has no " + rt::to_string(arch) +
-                      " device");
-    }
-  }
-  throw Error(ErrorCode::kInternal, "unreachable arch");
-}
-
 Predictor history_predictor(const rt::PerfRegistry& registry,
                             const std::string& component_name) {
   return [&registry, component_name](const VariantNode& variant,

@@ -72,12 +72,6 @@ class DispatchTable {
 /// tables. Returns the number of variants disabled.
 int narrow_with_table(ComponentNode& component, const DispatchTable& table);
 
-/// Device profile a variant of the given architecture executes on, within
-/// `machine` (combined-CPU profile for kCpuOmp). Throws if the machine
-/// lacks the architecture.
-sim::DeviceProfile profile_for_arch(const sim::MachineConfig& machine,
-                                    rt::Arch arch);
-
 /// Predictor backed by recorded training history (regression over the
 /// recorded sizes of the component's interface, per architecture).
 Predictor history_predictor(const rt::PerfRegistry& registry,

@@ -14,21 +14,6 @@
 namespace peppher::rt {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Profile of the combined all-CPU-cores worker: linear scaling with a
-/// fork-join efficiency factor, socket bandwidth = per-core share x cores.
-sim::DeviceProfile combined_cpu_profile(const sim::DeviceProfile& core, int cores) {
-  sim::DeviceProfile p = core;
-  p.name = core.name + "-x" + std::to_string(cores);
-  const double parallel_efficiency = 0.90;
-  p.peak_gflops = core.peak_gflops * cores * parallel_efficiency;
-  p.mem_bandwidth_gbs = core.mem_bandwidth_gbs * cores;
-  p.launch_overhead_us = 2.0;  // thread-team fork/join
-  p.busy_watts = core.busy_watts * cores;
-  return p;
-}
-
 Arch accelerator_arch(const sim::DeviceProfile& profile) {
   return profile.device_class == sim::DeviceClass::kOpenClGpu ? Arch::kOpenCl
                                                               : Arch::kCuda;
@@ -124,7 +109,7 @@ Engine::Engine(EngineConfig config)
       desc.archs = {Arch::kCpuOmp};
       desc.node = host;
       desc.sim_node = k;
-      desc.profile = combined_cpu_profile(machine.cpu_core, machine.cpu_cores);
+      desc.profile = sim::combined_cpu_profile(machine.cpu_core, machine.cpu_cores);
       desc.is_combined_cpu = true;
       node_rt->combined_index = static_cast<int>(descs_.size());
       descs_.push_back(desc);
@@ -194,24 +179,18 @@ Engine::Engine(EngineConfig config)
   env.workers = &descs_;
   env.worker_ready_at = [this](WorkerId id) { return worker_ready_at(id); };
   env.eligible = [this](const Task& t, WorkerId id) { return worker_eligible(t, id); };
-  env.estimate_completion = [this](const Task& t, WorkerId id) {
-    return estimate_completion(t, id);
-  };
-  env.estimate_work = [this](const Task& t, WorkerId id) {
-    return estimate_work(t, id);
-  };
+  env.estimate = [this](const Task& t, WorkerId id) { return estimate(t, id); };
   env.sample_count = [this](const Task& t, WorkerId id) {
     return exploration_sample_count(t, id);
   };
   env.calibration_min = config_.calibration_samples;
   env.rng = &rng_;
-  env.window_size = std::max(1, config_.window_size);
-  env.estimate_exec = [this](const Task& t, WorkerId id) {
-    return estimate_exec_only(t, id);
-  };
-  env.link_seconds = [this](std::size_t bytes) {
-    return data_.estimate_link_seconds(bytes);
-  };
+  // Energy is additive, not overlappable: a window has no makespan to plan
+  // jointly, so under the energy objective lookahead places like dmda.
+  env.window_size = config_.objective == Objective::kEnergy
+                        ? 1
+                        : std::max(1, config_.window_size);
+  env.interconnect = &data_.interconnect();
   env.commit = [this](const TaskPtr& t, WorkerId id,
                       const SchedDecision& decision) {
     commit_window_task(t, id, decision);
@@ -1316,78 +1295,35 @@ VirtualTime Engine::worker_ready_at(WorkerId id) const {
   return ready;
 }
 
-double Engine::estimate_exec_seconds(const Task& task, const WorkerDesc& worker,
-                                     const Implementation& impl) const {
-  const std::string& codelet = task.spec.codelet->name();
-  if (config_.use_history_models) {
-    // Shared with peppher-predict (PerfRegistry::estimate_exec) so static
-    // per-task estimates agree with the scheduler's to round-off.
-    if (auto history = perf_.estimate_exec(
-            codelet, impl.arch, task.footprint, task.total_bytes,
-            static_cast<std::uint64_t>(config_.calibration_samples))) {
-      return *history;
-    }
-  }
-  if (impl.cost) {
-    return sim::execution_seconds(worker.profile,
-                                  impl.cost(task.operand_bytes,
-                                            task.spec.arg.get()));
-  }
-  return 1e-3;  // nothing known: a neutral guess
-}
-
-double Engine::estimate_completion(const Task& task, WorkerId id) const {
-  if (!worker_eligible(task, id)) return kInf;
+Placement Engine::estimate(const Task& task, WorkerId id) const {
+  Placement placement;
+  placement.objective = config_.objective;
+  if (!worker_eligible(task, id)) return placement;
   const WorkerDesc& worker = descs_[static_cast<std::size_t>(id)];
   const Implementation* impl = select_impl(task, worker);
   check(impl != nullptr, "eligible worker without implementation");
-  double fetch = 0.0;
   for (const auto& op : task.spec.operands) {
-    fetch += op.handle->estimate_fetch_seconds(worker.node, op.mode);
+    placement.fetch += op.handle->estimate_fetch_seconds(worker.node, op.mode);
   }
-  const double exec = estimate_exec_seconds(task, worker, *impl);
-  if (config_.objective == Objective::kEnergy) {
-    // Energy score: joules for the execution plus the transfer (the PCIe
-    // link drawn at a nominal 10 W). Worker readiness is irrelevant —
-    // energy is additive, not overlappable.
-    return exec * worker.profile.busy_watts + fetch * 10.0;
+  std::optional<double> exec;
+  if (config_.use_history_models) {
+    exec = perf_.estimate_exec(
+        task.spec.codelet->name(), impl->arch, task.footprint,
+        task.total_bytes,
+        static_cast<std::uint64_t>(config_.calibration_samples));
   }
+  if (!exec && impl->cost) {
+    exec = sim::execution_seconds(
+        worker.profile, impl->cost(task.operand_bytes, task.spec.arg.get()));
+  }
+  placement.exec = exec.value_or(kNeutralExecSeconds);
+  placement.watts = worker.profile.busy_watts;
   // The task cannot start before its predecessors finished, no matter how
   // idle a worker is — without this bound, tightly chained task graphs
   // ping-pong to whichever worker's clock lags behind.
-  const double start = std::max(worker_ready_at(id), task.max_pred_end);
-  return start + fetch + exec;
-}
-
-double Engine::estimate_work(const Task& task, WorkerId id) const {
-  if (!worker_eligible(task, id)) return kInf;
-  const WorkerDesc& worker = descs_[static_cast<std::size_t>(id)];
-  const Implementation* impl = select_impl(task, worker);
-  check(impl != nullptr, "eligible worker without implementation");
-  double fetch = 0.0;
-  for (const auto& op : task.spec.operands) {
-    fetch += op.handle->estimate_fetch_seconds(worker.node, op.mode);
-  }
-  const double exec = estimate_exec_seconds(task, worker, *impl);
-  if (config_.objective == Objective::kEnergy) {
-    return exec * worker.profile.busy_watts + fetch * 10.0;
-  }
-  return fetch + exec;
-}
-
-double Engine::estimate_exec_only(const Task& task, WorkerId id) const {
-  if (!worker_eligible(task, id)) return kInf;
-  const WorkerDesc& worker = descs_[static_cast<std::size_t>(id)];
-  const Implementation* impl = select_impl(task, worker);
-  check(impl != nullptr, "eligible worker without implementation");
-  const double exec = estimate_exec_seconds(task, worker, *impl);
-  if (config_.objective == Objective::kEnergy) {
-    // The window planner minimises its makespan objective; under the
-    // energy goal score execution the same way estimate_work does (the
-    // planner's transfer term then adds the link-side joules implicitly).
-    return exec * worker.profile.busy_watts;
-  }
-  return exec;
+  placement.ready = worker_ready_at(id);
+  placement.deps = task.max_pred_end;
+  return placement;
 }
 
 void Engine::commit_window_task(const TaskPtr& task, WorkerId worker,

@@ -55,13 +55,6 @@
 
 namespace peppher::rt {
 
-/// What the performance-aware scheduler optimizes — the application
-/// descriptor's "overall optimization goal" (§II).
-enum class Objective {
-  kTime,    ///< minimize predicted completion time (default)
-  kEnergy,  ///< minimize predicted energy (execution + transfer joules)
-};
-
 /// Engine construction parameters.
 struct EngineConfig {
   /// Machine to run on (CPU cores + simulated accelerators). Ignored when
@@ -160,7 +153,9 @@ struct EngineConfig {
 
   /// Ready-task batch size of the "lookahead" scheduler: how many ready
   /// tasks it stages before planning their placements jointly. 1 makes
-  /// lookahead behave exactly like dmda; other policies ignore it.
+  /// lookahead behave exactly like dmda, and so does Objective::kEnergy
+  /// (energy is additive: there is no window makespan to plan); other
+  /// policies ignore it.
   int window_size = 8;
 
   /// Static-composition replay: path to a ".dispatch" table recorded by a
@@ -483,14 +478,9 @@ class Engine {
   /// clock (per-core) or the host-group maximum (combined worker).
   VirtualTime worker_ready_at(WorkerId id) const;
 
-  double estimate_exec_seconds(const Task& task, const WorkerDesc& worker,
-                               const Implementation& impl) const;
-  double estimate_completion(const Task& task, WorkerId id) const;
-  double estimate_work(const Task& task, WorkerId id) const;
-
-  /// Execution-only estimate for the lookahead window planner (no fetch,
-  /// no readiness; the planner prices transfers itself).
-  double estimate_exec_only(const Task& task, WorkerId id) const;
+  /// SchedEnv::estimate — the placement cost (runtime/placement.hpp) of
+  /// running `task` on worker `id` against the live coherence state.
+  Placement estimate(const Task& task, WorkerId id) const;
 
   /// SchedEnv::commit — the lookahead scheduler announces each planned
   /// task it placed on a worker other than the push/pop trigger: trace the

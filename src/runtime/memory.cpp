@@ -134,26 +134,10 @@ VirtualTime DataHandle::copy_replica(MemoryNodeId from, MemoryNodeId to) {
 }
 
 MemoryNodeId DataHandle::pick_source_locked(MemoryNodeId node) const {
-  const MemTopology& topo = manager_->topo();
-  const int count = static_cast<int>(replicas_.size());
-  const auto valid = [&](int n) {
+  return manager_->topo().nearest_valid(node, [&](MemoryNodeId n) {
     return replicas_[static_cast<std::size_t>(n)].state !=
            ReplicaState::kInvalid;
-  };
-  const MemoryNodeId home = topo.home_host(node);
-  if (home != node && valid(home)) return home;
-  for (int n = 0; n < count; ++n) {
-    if (n != node && topo.sim_node(n) == topo.sim_node(node) && valid(n)) {
-      return n;
-    }
-  }
-  for (int n = 0; n < count; ++n) {
-    if (n != node && topo.is_host(n) && valid(n)) return n;
-  }
-  for (int n = 0; n < count; ++n) {
-    if (n != node && valid(n)) return n;
-  }
-  return -1;
+  });
 }
 
 void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
@@ -176,8 +160,8 @@ void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
 
   const bool needs_fetch = mode != AccessMode::kWrite;
   if (needs_fetch && replica.state == ReplicaState::kInvalid) {
-    // Nearest valid replica first (msi::pick_source ordering); on a single
-    // host this degenerates to host-first-else-first-valid.
+    // Nearest valid replica first (the rule msi::apply_acquire applies); on
+    // a single host this degenerates to host-first-else-first-valid.
     const MemoryNodeId source = pick_source_locked(node);
     check(source >= 0, "no valid replica anywhere (coherence broken)");
     ready = copy_replica(source, node);
@@ -271,48 +255,10 @@ double DataHandle::estimate_fetch_seconds(MemoryNodeId node,
   // the lane: charging it again would double-bill every task scheduled
   // after the dispatch that triggered the prefetch.
   if (replica.prefetch_pending > 0) return 0.0;
-  // Amortise a reusable read-only transfer's *volume* over its observed
-  // reuse (see the header comment); the per-transfer link latency is
-  // always paid in full — otherwise chained fine-grained tasks would
-  // rate a ping-pong placement as free.
-  const double reuse =
-      (mode == AccessMode::kRead && read_uses_ > 1)
-          ? static_cast<double>(std::min<std::uint64_t>(read_uses_, 64))
-          : 1.0;
-  // Sum the per-hop cost along the canonical route from the nearest valid
-  // source; each hop is priced by its own link (PCIe within a node, the
-  // inter-node profile for host-to-host hops across nodes).
-  const MemoryNodeId source = pick_source_locked(node);
-  MemoryNodeId cur = source >= 0 ? source : kHostNode;
-  const MemTopology& topo = manager_->topo();
-  double total = 0.0;
-  while (cur != node) {
-    const MemoryNodeId via = topo.route_via(cur, node);
-    const MemoryNodeId hop_to = via >= 0 ? via : node;
-    const sim::LinkProfile& profile = manager_->hop_profile(cur, hop_to);
-    const double latency = sim::transfer_seconds(profile, 0);
-    const double bandwidth_part =
-        (sim::transfer_seconds(profile, bytes_) - latency) / reuse;
-    total += latency + bandwidth_part;
-    cur = hop_to;
-  }
-  return total;
-}
-
-std::uint64_t DataHandle::read_uses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return read_uses_;
-}
-
-MemoryNodeId DataHandle::preferred_source() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (replicas_[kHostNode].state != ReplicaState::kInvalid) return kHostNode;
-  for (std::size_t n = 0; n < replicas_.size(); ++n) {
-    if (replicas_[n].state != ReplicaState::kInvalid) {
-      return static_cast<MemoryNodeId>(n);
-    }
-  }
-  return kHostNode;
+  const double reads =
+      mode == AccessMode::kRead ? static_cast<double>(read_uses_) : 1.0;
+  return manager_->interconnect().fetch_seconds(
+      pick_source_locked(node), node, bytes_, reuse_divisor(reads));
 }
 
 ReplicaState DataHandle::replica_state(MemoryNodeId node) const {
@@ -427,21 +373,19 @@ DataManager::DataManager(int node_count, sim::LinkProfile link)
 
 DataManager::DataManager(MemTopology topo, sim::LinkProfile link,
                          sim::LinkProfile internode)
-    : topo_(std::move(topo)),
-      node_count_(topo_.node_count()),
-      link_(link),
-      internode_(internode),
+    : net_{std::move(topo), link, internode},
+      node_count_(net_.topo.node_count()),
       capacities_(static_cast<std::size_t>(node_count_), 0),
       allocated_(static_cast<std::size_t>(node_count_), 0) {
   check(node_count_ >= 1, "need at least the host memory node");
   intra_lane_count_ =
-      (link_.shared_bus || topo_.device_count() == 0)
+      (net_.pcie.shared_bus || net_.topo.device_count() == 0)
           ? 1
-          : 2 * static_cast<std::size_t>(topo_.device_count());
+          : 2 * static_cast<std::size_t>(net_.topo.device_count());
   // Two directed inter-node lanes per unordered pair of simulated nodes
   // (duplex, like the per-device PCIe lanes), appended after the intra
   // lanes.
-  const std::size_t sims = static_cast<std::size_t>(topo_.sim_node_count());
+  const std::size_t sims = static_cast<std::size_t>(net_.topo.sim_node_count());
   const std::size_t lane_count = intra_lane_count_ + sims * (sims - 1);
   lanes_.reserve(lane_count);
   for (std::size_t i = 0; i < lane_count; ++i) {
@@ -450,24 +394,24 @@ DataManager::DataManager(MemTopology topo, sim::LinkProfile link,
 }
 
 std::size_t DataManager::lane_index(MemoryNodeId from, MemoryNodeId to) const {
-  const int from_sim = topo_.sim_node(from);
-  const int to_sim = topo_.sim_node(to);
+  const int from_sim = net_.topo.sim_node(from);
+  const int to_sim = net_.topo.sim_node(to);
   if (from_sim == to_sim) {
     if (intra_lane_count_ == 1) return 0;  // shared bus (or no devices)
-    const MemoryNodeId device = topo_.is_host(from) ? to : from;
-    const int ordinal = topo_.device_ordinal(device);
+    const MemoryNodeId device = net_.topo.is_host(from) ? to : from;
+    const int ordinal = net_.topo.device_ordinal(device);
     check(ordinal >= 0, "charge_link: bad device node");
     return 2 * static_cast<std::size_t>(ordinal) +
-           (topo_.is_host(to) ? 1 : 0);
+           (net_.topo.is_host(to) ? 1 : 0);
   }
   // Inter-node hops are host-to-host only (route_via splits everything
   // else). Unordered pair (i, j), i < j, in lexicographic order; the i->j
   // direction gets the even lane of the pair.
-  check(topo_.is_host(from) && topo_.is_host(to),
+  check(net_.topo.is_host(from) && net_.topo.is_host(to),
         "charge_link: inter-node hop must be host to host");
   const std::size_t i = static_cast<std::size_t>(std::min(from_sim, to_sim));
   const std::size_t j = static_cast<std::size_t>(std::max(from_sim, to_sim));
-  const std::size_t sims = static_cast<std::size_t>(topo_.sim_node_count());
+  const std::size_t sims = static_cast<std::size_t>(net_.topo.sim_node_count());
   const std::size_t pair = i * (2 * sims - i - 1) / 2 + (j - i - 1);
   return intra_lane_count_ + 2 * pair + (from_sim < to_sim ? 0 : 1);
 }
@@ -612,8 +556,8 @@ VirtualTime DataManager::charge_link(MemoryNodeId from, MemoryNodeId to,
     record.lane_sequence = lane.next_seq++;  // still under the lane mutex
     record.from = from;
     record.to = to;
-    record.from_node = topo_.sim_node(from);
-    record.to_node = topo_.sim_node(to);
+    record.from_node = net_.topo.sim_node(from);
+    record.to_node = net_.topo.sim_node(to);
     record.bytes = bytes;
     record.vstart = start;
     record.vend = lane.free_at;
@@ -626,7 +570,7 @@ VirtualTime DataManager::charge_link(MemoryNodeId from, MemoryNodeId to,
 }
 
 double DataManager::estimate_link_seconds(std::size_t bytes) const {
-  return sim::transfer_seconds(link_, bytes);
+  return sim::transfer_seconds(net_.pcie, bytes);
 }
 
 TransferStats DataManager::stats() const {
@@ -639,13 +583,13 @@ TransferStats DataManager::stats() const {
 void DataManager::record_transfer(MemoryNodeId from, MemoryNodeId to,
                                   std::size_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (topo_.sim_node(from) != topo_.sim_node(to)) {
+  if (net_.topo.sim_node(from) != net_.topo.sim_node(to)) {
     ++stats_.internode_count;
     stats_.internode_bytes += bytes;
-  } else if (topo_.is_host(from) && !topo_.is_host(to)) {
+  } else if (net_.topo.is_host(from) && !net_.topo.is_host(to)) {
     ++stats_.host_to_device_count;
     stats_.host_to_device_bytes += bytes;
-  } else if (!topo_.is_host(from) && topo_.is_host(to)) {
+  } else if (!net_.topo.is_host(from) && net_.topo.is_host(to)) {
     ++stats_.device_to_host_count;
     stats_.device_to_host_bytes += bytes;
   }

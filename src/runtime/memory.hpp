@@ -18,6 +18,7 @@
 #include <mutex>
 #include <vector>
 
+#include "runtime/placement.hpp"
 #include "runtime/topology.hpp"
 #include "runtime/types.hpp"
 #include "sim/device.hpp"
@@ -116,23 +117,13 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   void reset_virtual_time();
 
   /// Estimated seconds of transfer needed to make the data valid on `node`
-  /// for `mode`, *without* changing any state. Used by the dmda scheduler.
-  ///
-  /// Read-only operands amortise: a handle that has been read by many tasks
-  /// is expected to be read by many more, so its one-time transfer cost is
-  /// divided by the observed reuse (capped). This is what lets greedy
-  /// per-task scheduling eventually move a heavily reused read-only operand
-  /// (e.g. the ODE solver's Jacobian, §IV-H) to the device where its
-  /// consumers run fastest, instead of being stuck behind a transfer bill
-  /// no single task can justify.
+  /// for `mode`, *without* changing any state: the fetch term of the
+  /// placement cost (runtime/placement.hpp). Read-only operands amortise
+  /// the volume over the reads this handle has seen: a handle read by many
+  /// tasks is expected to be read by many more, which is what lets dmda
+  /// move a heavily reused operand (the ODE solver's Jacobian, §IV-H) to
+  /// the device where its consumers run fastest.
   double estimate_fetch_seconds(MemoryNodeId node, AccessMode mode) const;
-
-  /// Number of task executions that read this handle (kRead mode).
-  std::uint64_t read_uses() const;
-
-  /// Where a valid replica currently lives (host preferred); kHostNode if
-  /// the handle was never touched.
-  MemoryNodeId preferred_source() const;
 
   ReplicaState replica_state(MemoryNodeId node) const;
 
@@ -180,9 +171,9 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   /// Caller holds mutex_. Returns the vtime at which the copy is complete.
   VirtualTime copy_replica(MemoryNodeId from, MemoryNodeId to);
 
-  /// Nearest-first fetch source for `node` (the exact ordering of
-  /// msi::pick_source with the manager's topology; host-first on a single
-  /// host). Caller holds mutex_; -1 when no valid replica exists.
+  /// Nearest-first fetch source for `node` (MemTopology::nearest_valid;
+  /// host-first on a single host). Caller holds mutex_; -1 when no valid
+  /// replica exists.
   MemoryNodeId pick_source_locked(MemoryNodeId node) const;
 
   void* replica_ptr(MemoryNodeId node);
@@ -269,20 +260,13 @@ class DataManager {
     return next_data_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  const sim::LinkProfile& link() const noexcept { return link_; }
-  const sim::LinkProfile& internode_link() const noexcept {
-    return internode_;
-  }
+  const sim::LinkProfile& link() const noexcept { return net_.pcie; }
 
   /// The memory-hierarchy map (hosts, devices, routes).
-  const MemTopology& topo() const noexcept { return topo_; }
+  const MemTopology& topo() const noexcept { return net_.topo; }
 
-  /// Link profile pricing the direct hop from -> to (PCIe for intra-node
-  /// hops, the inter-node profile for host <-> host hops across nodes).
-  const sim::LinkProfile& hop_profile(MemoryNodeId from,
-                                      MemoryNodeId to) const noexcept {
-    return topo_.sim_node(from) != topo_.sim_node(to) ? internode_ : link_;
-  }
+  /// Topology plus the links its hops are priced over.
+  const Interconnect& interconnect() const noexcept { return net_; }
 
   /// Advances the `from`→`to` lane clock by a transfer of `bytes` starting
   /// no earlier than `ready`; returns completion vtime. `host_ptr` is the
@@ -375,13 +359,11 @@ class DataManager {
   /// Link profile of a lane-table entry: intra lanes price PCIe, appended
   /// inter-node lanes price the cluster link.
   const sim::LinkProfile& lane_profile(std::size_t lane) const noexcept {
-    return lane < intra_lane_count_ ? link_ : internode_;
+    return lane < intra_lane_count_ ? net_.pcie : net_.internode;
   }
 
-  MemTopology topo_;
+  Interconnect net_;
   int node_count_;
-  sim::LinkProfile link_;
-  sim::LinkProfile internode_;
   std::size_t intra_lane_count_ = 1;
   TransferHook transfer_hook_;  ///< immutable once workers run
   Tracer* tracer_ = nullptr;      ///< immutable once workers run

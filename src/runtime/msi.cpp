@@ -5,39 +5,6 @@
 
 namespace peppher::rt::msi {
 
-int pick_source(const std::vector<ReplicaState>& states) {
-  if (!states.empty() && states[kHostNode] != ReplicaState::kInvalid) {
-    return kHostNode;
-  }
-  for (std::size_t n = 0; n < states.size(); ++n) {
-    if (states[n] != ReplicaState::kInvalid) return static_cast<int>(n);
-  }
-  return -1;
-}
-
-int pick_source(const std::vector<ReplicaState>& states,
-                const MemTopology& topo, int dest) {
-  const int count = static_cast<int>(states.size());
-  check(dest >= 0 && dest < count, "msi::pick_source: bad memory node");
-  const auto valid = [&](int n) {
-    return states[static_cast<std::size_t>(n)] != ReplicaState::kInvalid;
-  };
-  const int home = topo.home_host(dest);
-  if (home != dest && valid(home)) return home;
-  for (int n = 0; n < count; ++n) {
-    if (n != dest && topo.sim_node(n) == topo.sim_node(dest) && valid(n)) {
-      return n;
-    }
-  }
-  for (int n = 0; n < count; ++n) {
-    if (n != dest && topo.is_host(n) && valid(n)) return n;
-  }
-  for (int n = 0; n < count; ++n) {
-    if (n != dest && valid(n)) return n;
-  }
-  return -1;
-}
-
 void apply_acquire(std::vector<ReplicaState>& states, int node,
                    AccessMode mode) {
   apply_acquire(states, node, mode,
@@ -46,24 +13,24 @@ void apply_acquire(std::vector<ReplicaState>& states, int node,
 
 void apply_acquire(std::vector<ReplicaState>& states, int node,
                    AccessMode mode, const MemTopology& topo) {
-  check(node >= 0 && node < static_cast<int>(states.size()),
+  check(static_cast<int>(states.size()) == topo.node_count() && node >= 0 &&
+            node < topo.node_count(),
         "msi::apply_acquire: bad memory node");
   auto& replica = states[static_cast<std::size_t>(node)];
 
   const bool needs_fetch = mode != AccessMode::kWrite;
   if (needs_fetch && replica == ReplicaState::kInvalid) {
-    const int source = pick_source(states, topo, node);
+    const int source = topo.nearest_valid(node, [&](MemoryNodeId n) {
+      return states[static_cast<std::size_t>(n)] != ReplicaState::kInvalid;
+    });
     check(source >= 0, "msi::apply_acquire: no valid replica anywhere");
     auto& src = states[static_cast<std::size_t>(source)];
     if (src == ReplicaState::kOwned) src = ReplicaState::kShared;
     // Walk the canonical route, leaving a Shared copy at every hop the
     // data crosses (intermediate hosts) and at the destination itself.
-    int cur = source;
-    while (cur != node) {
-      const MemoryNodeId via = topo.route_via(cur, node);
-      const int hop_to = via >= 0 ? via : node;
-      states[static_cast<std::size_t>(hop_to)] = ReplicaState::kShared;
-      cur = hop_to;
+    for (int cur = source; cur != node;) {
+      cur = topo.next_hop(cur, node);
+      states[static_cast<std::size_t>(cur)] = ReplicaState::kShared;
     }
   }
 

@@ -27,20 +27,6 @@ enum class ReplicaState : std::uint8_t;  // defined in runtime/memory.hpp
 
 namespace msi {
 
-/// Source node a fetch copies from: the host when it holds a valid replica,
-/// else the first valid node; -1 when no valid replica exists (coherence
-/// broken). Mirrors DataHandle::acquire's source selection and
-/// DataHandle::preferred_source.
-int pick_source(const std::vector<ReplicaState>& states);
-
-/// Topology-aware source selection (nearest valid replica first): the
-/// destination's own host, then a replica on the same simulated node, then
-/// any valid host, then any valid replica — lowest memory node on ties.
-/// On a single-host topology this degenerates to the host-first rule
-/// above, which the differential tests pin.
-int pick_source(const std::vector<ReplicaState>& states,
-                const MemTopology& topo, int dest);
-
 /// State transition of DataHandle::acquire(node, mode): a read or readwrite
 /// of an invalid replica fetches (demoting an Owned source to Shared; a
 /// device-to-device fetch routes through the host and leaves a Shared host
@@ -50,9 +36,10 @@ void apply_acquire(std::vector<ReplicaState>& states, int node,
                    AccessMode mode);
 
 /// Topology-aware acquire: the fetch walks the canonical route from the
-/// picked source (MemTopology::route_via), leaving a Shared copy on every
-/// intermediate host it crosses — on a cluster a dev(i) -> dev(j) fetch
-/// marks host(i) and host(j) Shared, generalizing the two-node rule.
+/// nearest valid replica (MemTopology::nearest_valid), leaving a Shared
+/// copy on every intermediate host it crosses — on a cluster a
+/// dev(i) -> dev(j) fetch marks host(i) and host(j) Shared, generalizing
+/// the two-node rule.
 void apply_acquire(std::vector<ReplicaState>& states, int node,
                    AccessMode mode, const MemTopology& topo);
 

@@ -573,19 +573,26 @@ std::optional<double> PerfRegistry::regression_estimate(
   return it->second.regression_estimate(total_bytes);
 }
 
+std::optional<double> PerfRegistry::calibrated_mean(
+    const std::string& codelet, Arch arch, std::uint64_t footprint,
+    std::uint64_t calibration_min) const {
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  auto it = models_.find({codelet, static_cast<int>(arch)});
+  if (it == models_.end() ||
+      it->second.sample_count(footprint) < calibration_min) {
+    return std::nullopt;
+  }
+  return it->second.expected(footprint);
+}
+
 std::optional<double> PerfRegistry::estimate_exec(
     const std::string& codelet, Arch arch, std::uint64_t footprint,
     std::size_t total_bytes, std::uint64_t calibration_min) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  auto it = models_.find({codelet, static_cast<int>(arch)});
-  if (it == models_.end()) return std::nullopt;
-  const HistoryModel& model = it->second;
-  if (model.sample_count(footprint) >= calibration_min) {
-    if (const std::optional<double> expected = model.expected(footprint)) {
-      return expected;
-    }
+  if (std::optional<double> mean =
+          calibrated_mean(codelet, arch, footprint, calibration_min)) {
+    return mean;
   }
-  return model.regression_estimate(total_bytes);
+  return regression_estimate(codelet, arch, total_bytes);
 }
 
 std::optional<MultiTermModel> PerfRegistry::multi_term_fit(

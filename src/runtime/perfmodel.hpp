@@ -190,11 +190,16 @@ class PerfRegistry {
   std::optional<double> regression_estimate(const std::string& codelet, Arch arch,
                                             std::size_t total_bytes) const;
 
-  /// The dmda scheduler's history estimate, shared with peppher-predict so
-  /// static and online per-task estimates agree by construction: the
-  /// calibrated per-footprint mean when at least `calibration_min` samples
-  /// exist for the exact footprint, otherwise the power-law regression over
-  /// recorded sizes. nullopt when the model is missing or uncalibrated.
+  /// The calibrated-mean rule: the exact-footprint mean once at least
+  /// `calibration_min` samples exist; nullopt before, or when the model is
+  /// missing. The first estimate of both the engine and peppher-predict.
+  std::optional<double> calibrated_mean(const std::string& codelet, Arch arch,
+                                        std::uint64_t footprint,
+                                        std::uint64_t calibration_min) const;
+
+  /// The engine's history estimate (the exec term of the placement cost):
+  /// the calibrated mean, otherwise the power-law regression over recorded
+  /// sizes. nullopt when the model is missing or uncalibrated.
   std::optional<double> estimate_exec(const std::string& codelet, Arch arch,
                                       std::uint64_t footprint,
                                       std::size_t total_bytes,

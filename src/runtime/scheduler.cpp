@@ -357,7 +357,7 @@ class ModelSchedulerBase : public Scheduler {
     const WorkerId explore = exploration_target(*task);
     if (explore >= 0) {
       if (decision != nullptr) decision->explored = true;
-      enqueue(explore, task);
+      enqueue_with_work(explore, task, env_.estimate(*task, explore).work());
       return explore;
     }
 
@@ -372,12 +372,13 @@ class ModelSchedulerBase : public Scheduler {
     // the same operands, never to the task that pays for the transfer.
     WorkerId best = -1;
     double best_completion = kInf;
+    double best_work = 0.0;
     if (decision != nullptr) decision->arch_estimate.fill(kInf);
     for (const auto& w : *env_.workers) {
+      const Placement placement = env_.estimate(*task, w.id);
       const double completion =
-          env_.estimate_completion(*task, w.id) +
-          pending_work_[static_cast<std::size_t>(w.id)].load(
-              std::memory_order_relaxed);
+          placement.score() + pending_work_[static_cast<std::size_t>(w.id)]
+                                  .load(std::memory_order_relaxed);
       if (decision != nullptr && !w.archs.empty()) {
         double& slot =
             decision->arch_estimate[static_cast<std::size_t>(w.archs.front())];
@@ -386,15 +387,17 @@ class ModelSchedulerBase : public Scheduler {
       if (completion < best_completion) {
         best = w.id;
         best_completion = completion;
+        best_work = placement.work();
       }
     }
     check(best >= 0, "task has no eligible worker");
     if (decision != nullptr) decision->chosen_estimate = best_completion;
-    enqueue(best, task);
+    enqueue_with_work(best, task, best_work);
     return best;
   }
 
-  /// Priority-ordered insert with an explicit pending-work charge (window
+  /// Priority-ordered insert with an explicit pending-work charge (dmda
+  /// charges Placement::work() of the evaluation it placed by; window
   /// commits reuse their already-computed plan cost; replay charges zero —
   /// no model evaluation on that path).
   void enqueue_with_work(WorkerId worker, const TaskPtr& task, double work) {
@@ -415,10 +418,6 @@ class ModelSchedulerBase : public Scheduler {
     if (work != 0.0) {
       atomic_add(pending_work_[static_cast<std::size_t>(worker)], work);
     }
-  }
-
-  void enqueue(WorkerId worker, const TaskPtr& task) {
-    enqueue_with_work(worker, task, env_.estimate_work(*task, worker));
   }
 
   TaskPtr pop_entry(WorkerId worker) {
@@ -519,7 +518,7 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     // them would only delay model convergence, so they skip the window.
     if (const WorkerId explore = exploration_target(*task); explore >= 0) {
       if (decision != nullptr) decision->explored = true;
-      enqueue(explore, task);
+      enqueue_with_work(explore, task, env_.estimate(*task, explore).work());
       return explore;
     }
     std::lock_guard<std::mutex> lock(stage_mutex_);
@@ -644,58 +643,59 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     return -1;
   }
 
-  /// One handle's plan-tracked placement: a bitmask of memory nodes that
-  /// hold a valid replica, seeded from the live coherence state and evolved
-  /// as the plan assigns readers and writers.
-  struct PlannedHandle {
-    const DataHandle* handle = nullptr;
-    std::uint64_t mask = 0;
-  };
-
   /// Everything the planner precomputes per staged task.
   struct PlannedTask {
     TaskPtr task;
     std::vector<double> exec;        ///< per worker, kInf = ineligible
-    std::vector<int> operand_index;  ///< into handles, one per operand
+    std::vector<int> operand_index;  ///< into the plan's masks, per operand
   };
 
-  double hop_seconds(std::size_t bytes) const {
-    return env_.link_seconds ? env_.link_seconds(bytes) : 0.0;
-  }
-
   /// Transfer seconds task `t` pays on worker `w` given the plan's current
-  /// replica masks — mirroring estimate_fetch_seconds' hop rule: fetching
-  /// to a device from another device without a valid host copy routes via
-  /// the host (two hops), everything else is one hop; a valid replica on
-  /// the destination (or a write-only operand) is free.
-  double fetch_seconds(const PlannedTask& t, WorkerId w,
+  /// replica masks: each read operand without a planned replica at the
+  /// worker's node is priced along the shared route from its nearest
+  /// planned replica (Interconnect::fetch_seconds). The window tracks its
+  /// own replicas, so a fetch is charged once in full (no reuse divisor).
+  double fetch_seconds(const PlannedTask& t, std::size_t w,
                        const std::vector<std::uint64_t>& masks) const {
-    const MemoryNodeId node = (*env_.workers)[static_cast<std::size_t>(w)].node;
-    const std::uint64_t dest_bit = std::uint64_t{1} << node;
+    if (env_.interconnect == nullptr) return 0.0;
+    const MemoryNodeId node = (*env_.workers)[w].node;
     double seconds = 0.0;
     const Task& task = *t.task;
     for (std::size_t i = 0; i < task.spec.operands.size(); ++i) {
       if (task.spec.operands[i].mode == AccessMode::kWrite) continue;
-      const std::uint64_t mask = masks[static_cast<std::size_t>(t.operand_index[i])];
-      if ((mask & dest_bit) != 0) continue;
-      const int hops =
-          (node == kHostNode || (mask & 1) != 0 || mask == 0) ? 1 : 2;
-      seconds += hops * hop_seconds(task.operand_bytes[i]);
+      const std::uint64_t mask =
+          masks[static_cast<std::size_t>(t.operand_index[i])];
+      if (planned_valid(mask, node)) continue;
+      const MemoryNodeId source = env_.interconnect->topo.nearest_valid(
+          node, [mask](MemoryNodeId n) { return planned_valid(mask, n); });
+      seconds += env_.interconnect->fetch_seconds(source, node,
+                                                  task.operand_bytes[i], 1.0);
     }
     return seconds;
   }
 
-  /// Applies one assignment to the plan state, returning the task's end
-  /// time. `undo` collects the clock/mask values to restore on backtrack.
-  double apply(const PlannedTask& t, WorkerId w, std::vector<double>& clocks,
-               std::vector<std::uint64_t>& masks,
-               std::vector<std::pair<int, std::uint64_t>>* undo) const {
+  static bool planned_valid(std::uint64_t mask, MemoryNodeId node) {
+    return node < 64 && ((mask >> static_cast<unsigned>(node)) & 1) != 0;
+  }
+
+  /// End time of task `t` on worker `w` in the current plan state: the
+  /// placement cost's time score over the plan's clocks and masks.
+  double end_at(const PlannedTask& t, std::size_t w,
+                const std::vector<double>& clocks,
+                const std::vector<std::uint64_t>& masks) const {
+    return end_time(clocks[w], t.task->max_pred_end,
+                    fetch_seconds(t, w, masks), t.exec[w]);
+  }
+
+  /// Applies one assignment ending at `end` to the plan state. `undo`
+  /// collects the mask values to restore on backtrack.
+  void apply(const PlannedTask& t, WorkerId w, double end,
+             std::vector<double>& clocks, std::vector<std::uint64_t>& masks,
+             std::vector<std::pair<int, std::uint64_t>>* undo) const {
     const std::size_t wi = static_cast<std::size_t>(w);
     const MemoryNodeId node = (*env_.workers)[wi].node;
-    const std::uint64_t dest_bit = std::uint64_t{1} << node;
-    const double fetch = fetch_seconds(t, w, masks);
-    const double start = std::max(clocks[wi], t.task->max_pred_end);
-    const double end = start + fetch + t.exec[wi];
+    const std::uint64_t dest_bit =
+        node < 64 ? std::uint64_t{1} << static_cast<unsigned>(node) : 0;
     clocks[wi] = end;
     const Task& task = *t.task;
     for (std::size_t i = 0; i < task.spec.operands.size(); ++i) {
@@ -708,7 +708,6 @@ class LookaheadScheduler final : public ModelSchedulerBase {
         mask = dest_bit;  // write invalidates every other replica
       }
     }
-    return end;
   }
 
   /// Plans (at most) one window out of the staging buffer; stage_mutex_
@@ -736,12 +735,12 @@ class LookaheadScheduler final : public ModelSchedulerBase {
       pt.exec.resize(worker_count, kInf);
       bool any = false;
       for (const auto& w : workers) {
-        if (!env_.eligible(*task, w.id)) continue;
-        double exec = env_.estimate_exec
-                          ? env_.estimate_exec(*task, w.id)
-                          : env_.estimate_work(*task, w.id);
-        if (!std::isfinite(exec) || exec < 0.0) exec = 0.0;
-        pt.exec[static_cast<std::size_t>(w.id)] = exec;
+        const Placement placement = env_.estimate(*task, w.id);
+        if (!placement.eligible()) continue;
+        pt.exec[static_cast<std::size_t>(w.id)] =
+            std::isfinite(placement.exec) && placement.exec >= 0.0
+                ? placement.exec
+                : 0.0;
         any = true;
       }
       if (!any) {
@@ -755,36 +754,28 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     stage_size_.store(staging_.size(), std::memory_order_relaxed);
     if (window.empty()) return 0;
 
-    // Distinct operand handles and their live replica masks.
-    std::vector<PlannedHandle> handles;
+    // Distinct operand handles and their plan-tracked replica masks (bit n:
+    // memory node n holds a valid replica), seeded from the live coherence
+    // state and evolved as the plan assigns readers and writers.
+    std::vector<const DataHandle*> handles;
+    std::vector<std::uint64_t> base_masks;
+    const int nodes = env_.interconnect != nullptr
+                          ? std::min(env_.interconnect->topo.node_count(), 64)
+                          : 0;
     for (PlannedTask& pt : window) {
-      const Task& task = *pt.task;
-      pt.operand_index.reserve(task.spec.operands.size());
-      for (const TaskOperand& operand : task.spec.operands) {
+      for (const TaskOperand& operand : pt.task->spec.operands) {
         const DataHandle* handle = operand.handle.get();
-        int index = -1;
-        for (std::size_t h = 0; h < handles.size(); ++h) {
-          if (handles[h].handle == handle) {
-            index = static_cast<int>(h);
-            break;
+        const auto found = std::find(handles.begin(), handles.end(), handle);
+        pt.operand_index.push_back(static_cast<int>(found - handles.begin()));
+        if (found != handles.end()) continue;
+        handles.push_back(handle);
+        std::uint64_t mask = 0;
+        for (MemoryNodeId n = 0; n < nodes; ++n) {
+          if (handle->replica_state(n) != ReplicaState::kInvalid) {
+            mask |= std::uint64_t{1} << static_cast<unsigned>(n);
           }
         }
-        if (index < 0) {
-          index = static_cast<int>(handles.size());
-          std::uint64_t mask = 0;
-          for (const auto& w : workers) {
-            const auto node = static_cast<std::size_t>(w.node);
-            if (node >= 64) continue;
-            if (handle->replica_state(w.node) != ReplicaState::kInvalid) {
-              mask |= std::uint64_t{1} << node;
-            }
-          }
-          if (handle->replica_state(kHostNode) != ReplicaState::kInvalid) {
-            mask |= 1;
-          }
-          handles.push_back(PlannedHandle{handle, mask});
-        }
-        pt.operand_index.push_back(index);
+        base_masks.push_back(mask);
       }
     }
 
@@ -794,9 +785,6 @@ class LookaheadScheduler final : public ModelSchedulerBase {
       base_clocks[w] = env_.worker_ready_at(static_cast<WorkerId>(w)) +
                        pending_work_[w].load(std::memory_order_relaxed);
     }
-    std::vector<std::uint64_t> base_masks;
-    base_masks.reserve(handles.size());
-    for (const PlannedHandle& h : handles) base_masks.push_back(h.mask);
 
     // Greedy incumbent: each task to its cheapest end time in plan order.
     const std::size_t count = window.size();
@@ -812,21 +800,16 @@ class LookaheadScheduler final : public ModelSchedulerBase {
         double best_end = kInf;
         for (std::size_t w = 0; w < worker_count; ++w) {
           if (!std::isfinite(window[i].exec[w])) continue;
-          const std::size_t wi = w;
-          const double start =
-              std::max(clocks[wi], window[i].task->max_pred_end);
-          const double end = start + fetch_seconds(window[i],
-                                                   static_cast<WorkerId>(w),
-                                                   masks) +
-                             window[i].exec[wi];
+          const double end = end_at(window[i], w, clocks, masks);
           if (end < best_end) {
             best_end = end;
             best = static_cast<WorkerId>(w);
           }
         }
         best_assign[i] = best;
-        best_ends[i] = apply(window[i], best, clocks, masks, nullptr);
-        makespan = std::max(makespan, best_ends[i]);
+        best_ends[i] = best_end;
+        apply(window[i], best, best_end, clocks, masks, nullptr);
+        makespan = std::max(makespan, best_end);
       }
       best_makespan = makespan;
     }
@@ -915,11 +898,8 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     candidates.reserve(worker_count);
     for (std::size_t w = 0; w < worker_count; ++w) {
       if (!std::isfinite(pt.exec[w])) continue;
-      const double start = std::max(clocks[w], pt.task->max_pred_end);
-      const double end =
-          start + fetch_seconds(pt, static_cast<WorkerId>(w), masks) +
-          pt.exec[w];
-      candidates.emplace_back(end, static_cast<WorkerId>(w));
+      candidates.emplace_back(end_at(pt, w, clocks, masks),
+                              static_cast<WorkerId>(w));
     }
     std::sort(candidates.begin(), candidates.end());
     for (const auto& [end, worker] : candidates) {
@@ -929,7 +909,7 @@ class LookaheadScheduler final : public ModelSchedulerBase {
       const std::size_t wi = static_cast<std::size_t>(worker);
       const double saved_clock = clocks[wi];
       std::vector<std::pair<int, std::uint64_t>> undo;
-      apply(pt, worker, clocks, masks, &undo);
+      apply(pt, worker, end, clocks, masks, &undo);
       assign[depth] = worker;
       ends[depth] = end;
       search(window, depth + 1, std::max(makespan, end), clocks, masks,

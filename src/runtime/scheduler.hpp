@@ -2,9 +2,9 @@
 // the StarPU policy family the paper's tool-generated performance-aware code
 // (TGPA) relies on: it estimates each candidate worker's completion time as
 //   worker-ready time + pending data-transfer time + expected execution time
-// with expected execution time coming from the history-based performance
-// models, and falls back to forced exploration while a variant is
-// uncalibrated.
+// (the placement cost of runtime/placement.hpp) with expected execution
+// time coming from the history-based performance models, and falls back to
+// forced exploration while a variant is uncalibrated.
 //
 // Concurrency contract: schedulers are internally synchronized with
 // per-worker queue locks — push/pop/drain/queued may be called from any
@@ -12,7 +12,7 @@
 // engine's dependency-graph lock: workers pop from their own queue under
 // that queue's lock only, and submitters race nothing but the one target
 // queue. The SchedEnv callbacks the policies consult (eligibility, ready
-// times, completion estimates, sample counts) are therefore required to be
+// times, placement estimates, sample counts) are therefore required to be
 // thread-safe as well; the Engine implements them over atomics, memoized
 // per-task caches and the reader-writer performance registry.
 #pragma once
@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/placement.hpp"
 #include "runtime/task.hpp"
 #include "runtime/trace.hpp"
 #include "runtime/types.hpp"
@@ -57,14 +58,9 @@ struct SchedEnv {
   /// (respecting forced_arch / forced_worker).
   std::function<bool(const Task&, WorkerId)> eligible;
 
-  /// Predicted completion vtime of the task on the worker (ready + transfer
-  /// + expected execution); +infinity if ineligible.
-  std::function<double(const Task&, WorkerId)> estimate_completion;
-
-  /// Just the work part (transfer + expected execution) without the
-  /// worker-ready time; +infinity if ineligible. dmda accumulates this per
-  /// worker to account for tasks that are queued but not yet started.
-  std::function<double(const Task&, WorkerId)> estimate_work;
+  /// Prices placing the task on the worker (Engine::estimate; see
+  /// runtime/placement.hpp). An ineligible worker prices at exec = +inf.
+  std::function<Placement(const Task&, WorkerId)> estimate;
 
   /// History sample count for (task footprint, worker's variant); used for
   /// the calibration/exploration phase. Returns UINT64_MAX if ineligible or
@@ -76,16 +72,10 @@ struct SchedEnv {
 
   // --- lookahead-policy services (unset for the other policies) ---
 
-  /// Expected execution time alone (no transfer, no readiness); +infinity
-  /// if ineligible. The lookahead window planner prices transfers itself
-  /// from the replica states it tracks across the window, so it must not
-  /// use estimate_work (which double-charges fetches the window already
-  /// planned). Unset = planner falls back to estimate_work.
-  std::function<double(const Task&, WorkerId)> estimate_exec;
-
-  /// Seconds to move `bytes` across one interconnect hop (the machine's
-  /// PCIe link profile, latency + bytes/bandwidth).
-  std::function<double(std::size_t)> link_seconds;
+  /// The memory hierarchy a window plan routes its fetches over, from the
+  /// replica masks it evolves across the window (nullptr = plans price no
+  /// transfers).
+  const Interconnect* interconnect = nullptr;
 
   /// Window-commit notification for every planned task except the one
   /// whose push/pop triggered the planning: the engine traces the

@@ -129,6 +129,34 @@ class MemTopology {
     return home_host(to);
   }
 
+  /// The node one hop from `from` on the canonical route to `to`.
+  MemoryNodeId next_hop(MemoryNodeId from, MemoryNodeId to) const {
+    const MemoryNodeId via = route_via(from, to);
+    return via >= 0 ? via : to;
+  }
+
+  /// The source a fetch to `dest` copies from, among the nodes for which
+  /// `valid(node)` holds, nearest first: dest's own host, then a node on
+  /// the same simulated node, then any host, then anything — lowest memory
+  /// node on ties; -1 when no other node is valid. On a single host this
+  /// is host-first-else-first-valid.
+  template <class Valid>
+  MemoryNodeId nearest_valid(MemoryNodeId dest, Valid&& valid) const {
+    const MemoryNodeId home = home_host(dest);
+    if (home != dest && valid(home)) return home;
+    const int count = node_count();
+    for (MemoryNodeId n = 0; n < count; ++n) {
+      if (n != dest && sim_node(n) == sim_node(dest) && valid(n)) return n;
+    }
+    for (MemoryNodeId n = 0; n < count; ++n) {
+      if (n != dest && is_host(n) && valid(n)) return n;
+    }
+    for (MemoryNodeId n = 0; n < count; ++n) {
+      if (n != dest && valid(n)) return n;
+    }
+    return -1;
+  }
+
  private:
   const Node& at(MemoryNodeId node) const {
     check(node >= 0 && node < node_count(), "MemTopology: bad memory node");

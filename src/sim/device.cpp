@@ -161,6 +161,17 @@ double burst_transfer_seconds(const LinkProfile& link, std::size_t bytes) {
   return static_cast<double>(bytes) / (link.bandwidth_gbs * 1e9);
 }
 
+DeviceProfile combined_cpu_profile(const DeviceProfile& core, int cores) {
+  DeviceProfile p = core;
+  p.name = core.name + "-x" + std::to_string(cores);
+  const double parallel_efficiency = 0.90;
+  p.peak_gflops = core.peak_gflops * cores * parallel_efficiency;
+  p.mem_bandwidth_gbs = core.mem_bandwidth_gbs * cores;
+  p.launch_overhead_us = 2.0;  // thread-team fork/join
+  p.busy_watts = core.busy_watts * cores;
+  return p;
+}
+
 MachineConfig MachineConfig::platform_c2050() {
   MachineConfig m;
   m.name = "xeon-e5520+c2050";

@@ -192,4 +192,10 @@ struct MachineConfig {
   static MachineConfig cpu_only(int cores = 4);
 };
 
+/// Profile of the combined all-CPU-cores worker running `cores` copies of
+/// `core` as one team: linear scaling with a fork-join efficiency factor,
+/// socket bandwidth = per-core share x cores, a fork/join launch overhead
+/// and every core's busy draw.
+DeviceProfile combined_cpu_profile(const DeviceProfile& core, int cores);
+
 }  // namespace peppher::sim

@@ -184,6 +184,16 @@ TEST(OdeDirect, MatchesToolNumerics) {
   EXPECT_GT(direct.virtual_seconds, 0.0);
 }
 
+TEST(OdeDirect, CpuBaselineIntegratesTheReferenceTableauExactly) {
+  // run_direct runs the reference's kernels in the reference's order with
+  // the same coefficients, so the hand-written Fig 7 baseline ends
+  // bit-identical to apps::ode::reference.
+  const auto problem = ode::make_problem(64, 15);
+  const auto direct =
+      ode::run_direct(problem, rt::Arch::kCpu, sim::MachineConfig::platform_c2050());
+  EXPECT_EQ(direct.y, ode::reference(problem));
+}
+
 TEST(Checksum, CloseToToleratesReassociation) {
   Checksum a, b;
   for (int i = 0; i < 100; ++i) {

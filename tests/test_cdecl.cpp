@@ -168,5 +168,33 @@ TEST(CdeclHeader, EmptyHeaderYieldsNothing) {
   EXPECT_TRUE(parse_header("// nothing here\n#define X 1\n").empty());
 }
 
+// Punctuation inside comments must not split or nest declarations: the
+// header splitter runs after comments are stripped.
+TEST(CdeclHeader, SemicolonInLineCommentKeepsTheNextDeclaration) {
+  const auto decls = parse_header(
+      "void a(int x); // note; more\n"
+      "void b(float* y);\n");
+  ASSERT_EQ(decls.size(), 2u);
+  EXPECT_EQ(decls[1].name, "b");
+}
+
+TEST(CdeclHeader, AngleBracketInBlockCommentKeepsLaterDeclarations) {
+  const auto decls = parse_header(
+      "/* x < y */\n"
+      "void a(int x);\n"
+      "void b(float* y);\n"
+      "void c(const float* z);\n");
+  ASSERT_EQ(decls.size(), 3u);
+  EXPECT_EQ(decls[0].name, "a");
+  EXPECT_EQ(decls[2].name, "c");
+}
+
+TEST(CdeclHeader, SemicolonInBlockCommentKeepsTheDeclarationAfterIt) {
+  const auto decls = parse_header("/* a; b */ void b(int x);\n");
+  ASSERT_EQ(decls.size(), 1u);
+  EXPECT_EQ(decls[0].name, "b");
+  ASSERT_EQ(decls[0].params.size(), 1u);
+}
+
 }  // namespace
 }  // namespace peppher::cdecl_parser

@@ -119,17 +119,6 @@ TEST(DispatchNarrowing, MultiVariantTableKeepsCandidateSet) {
   EXPECT_EQ(node.enabled_variants().size(), 2u);
 }
 
-TEST(ProfileForArch, MapsToMachineDevices) {
-  const sim::MachineConfig machine = sim::MachineConfig::platform_c2050();
-  EXPECT_EQ(profile_for_arch(machine, rt::Arch::kCpu).name, "XeonE5520-core");
-  EXPECT_EQ(profile_for_arch(machine, rt::Arch::kCuda).name, "TeslaC2050");
-  const auto combined = profile_for_arch(machine, rt::Arch::kCpuOmp);
-  EXPECT_GT(combined.peak_gflops, machine.cpu_core.peak_gflops * 3);
-  EXPECT_THROW(profile_for_arch(machine, rt::Arch::kOpenCl), Error);
-  EXPECT_THROW(profile_for_arch(sim::MachineConfig::cpu_only(), rt::Arch::kCuda),
-               Error);
-}
-
 TEST(HistoryPredictor, UsesRegressionOverRecordedSizes) {
   rt::PerfRegistry registry;
   // CPU times linear in bytes, 1e-9 s/B, at 5 distinct sizes.

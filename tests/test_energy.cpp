@@ -115,6 +115,43 @@ TEST(Energy, EnergyObjectiveCostsMoreTimeButLessEnergy) {
   EXPECT_GT(energy_makespan, time_makespan);  // the price paid
 }
 
+TEST(Energy, LookaheadPlacesLikeDmda) {
+  // Energy is additive, so a window has no makespan to plan: under the
+  // energy objective lookahead must place exactly like dmda, which ignores
+  // worker readiness and keeps every independent CPU-only task on the
+  // first core.
+  rt::Codelet codelet("warm");
+  codelet.add_impl({rt::Arch::kCpu, "warm_cpu", [](rt::ExecContext&) {},
+                    [](const std::vector<std::size_t>& bytes, const void*) {
+                      return sim::KernelCost{static_cast<double>(bytes[0]) * 50.0,
+                                             static_cast<double>(bytes[0]), 1.0};
+                    }});
+  auto placements = [&](const std::string& scheduler) {
+    rt::EngineConfig c = config(rt::Objective::kEnergy);
+    c.scheduler = scheduler;
+    c.window_size = 8;
+    rt::Engine engine(c);
+    std::vector<std::vector<float>> data(4, std::vector<float>(1 << 12, 0.0f));
+    for (auto& buffer : data) {
+      rt::TaskSpec spec;
+      spec.codelet = &codelet;
+      spec.operands = {{engine.register_buffer(buffer.data(), buffer.size() * 4, 4),
+                        rt::AccessMode::kReadWrite}};
+      spec.synchronous = true;
+      engine.submit(std::move(spec));
+    }
+    std::vector<std::uint64_t> per_worker;
+    for (const auto& desc : engine.workers()) {
+      per_worker.push_back(engine.worker_stats(desc.id).tasks_executed);
+    }
+    return per_worker;
+  };
+  const std::vector<std::uint64_t> dmda = placements("dmda");
+  ASSERT_FALSE(dmda.empty());
+  EXPECT_EQ(dmda.front(), 4u);
+  EXPECT_EQ(placements("lookahead"), dmda);
+}
+
 TEST(Energy, EngineConfigFromTreeMapsTheGoal) {
   desc::Repository repo;
   repo.load_text(R"(<peppher-interface name="k">

@@ -326,6 +326,21 @@ TEST_F(LintTest, OrphanAndEmptyDispatchTablesArePL025AndPL027) {
   EXPECT_NE(find(bag, "PL027"), nullptr) << bag.format_text();
 }
 
+TEST_F(LintTest, RecordedRuntimeDispatchTablesAreLeftToTheirLoader) {
+  // A table recorded by a training run (peppher-perf --dispatch-out) is the
+  // runtime's "peppher-dispatch v1" format, not the size-keyed one — named
+  // after an interface or after a codelet, it is no coverage finding.
+  write_clean_axpy();
+  rt::DispatchTable table;
+  table.train("ode_rhs", 0, -1, rt::Arch::kCpu, 3);
+  table.train("axpy", 0, 2, rt::Arch::kCuda, 1);
+  table.save(dir_ / "axpy.dispatch");
+  table.save(dir_ / "ode_rhs.dispatch");
+  const DiagnosticBag bag = lint();
+  EXPECT_EQ(bag.count(Severity::kError), 0u) << bag.format_text();
+  EXPECT_EQ(bag.count(Severity::kWarning), 0u) << bag.format_text();
+}
+
 TEST_F(LintTest, DisabledVariantInDispatchTableIsPL026) {
   write_clean_axpy();
   write("axpy.dispatch", "1024 axpy_cpu\n");

@@ -205,12 +205,9 @@ class LookaheadDifferential : public ::testing::Test {
       return ready_[static_cast<std::size_t>(id)];
     };
     env_.eligible = [](const Task&, WorkerId) { return true; };
-    env_.estimate_completion = [this](const Task&, WorkerId id) {
-      return ready_[static_cast<std::size_t>(id)] +
-             work_[static_cast<std::size_t>(id)];
-    };
-    env_.estimate_work = [this](const Task&, WorkerId id) {
-      return work_[static_cast<std::size_t>(id)];
+    env_.estimate = [this](const Task&, WorkerId id) {
+      return Placement{.ready = ready_[static_cast<std::size_t>(id)],
+                       .exec = work_[static_cast<std::size_t>(id)]};
     };
     env_.sample_count = [this](const Task&, WorkerId id) {
       return samples_[static_cast<std::size_t>(id)];
@@ -433,6 +430,57 @@ TEST(LookaheadWindows, PlannedWindowsAreTracedAndExported) {
     exported_tasks += static_cast<std::uint64_t>(window.tasks.size());
   }
   EXPECT_EQ(exported_tasks, static_cast<std::uint64_t>(kTasks));
+}
+
+// -- the window plan prices fetches like the live handles ---------------------
+
+TEST(LookaheadPlanCost, RemotePlacementPaysTheInterNodeHop) {
+  // Two single-core nodes without accelerators; the operand lives on node
+  // 0 and the task may only run on node 1's core. The plan must price the
+  // host0 -> host1 hop over the inter-node link, exactly as the handle's
+  // own fetch estimate does (both route through Interconnect).
+  EngineConfig config;
+  config.cluster =
+      sim::ClusterConfig::uniform(2, sim::MachineConfig::cpu_only(1));
+  config.scheduler = "lookahead";
+  config.window_size = 4;
+  config.use_history_models = false;
+  config.enable_trace = true;
+  Engine engine(config);
+  const auto cost = [](const std::vector<std::size_t>& bytes, const void*) {
+    return sim::KernelCost{1e6, static_cast<double>(bytes[0]), 1.0};
+  };
+  Codelet codelet("remote_read");
+  codelet.add_impl({Arch::kCpu, "remote_read_cpu", [](ExecContext&) {}, cost});
+  std::vector<float> data(1 << 16, 1.0f);
+  const std::size_t bytes = data.size() * sizeof(float);
+  const DataHandlePtr handle =
+      engine.register_buffer(data.data(), bytes, sizeof(float));
+
+  WorkerId remote = -1;
+  for (const WorkerDesc& w : engine.workers()) {
+    if (w.sim_node == 1 && w.archs.front() == Arch::kCpu) remote = w.id;
+  }
+  ASSERT_GE(remote, 0);
+  const WorkerDesc& worker = engine.workers()[static_cast<std::size_t>(remote)];
+  const double fetch =
+      handle->estimate_fetch_seconds(worker.node, AccessMode::kRead);
+  const double exec =
+      sim::execution_seconds(worker.profile, cost({bytes}, nullptr));
+  ASSERT_NE(fetch, sim::transfer_seconds(config.cluster.nodes[0].machine.link,
+                                         bytes))
+      << "the route must cross the inter-node link, not PCIe";
+
+  TaskSpec spec;
+  spec.codelet = &codelet;
+  spec.operands = {{handle, AccessMode::kRead}};
+  spec.forced_worker = remote;
+  engine.submit(std::move(spec));
+  engine.wait_for_all();
+
+  const std::vector<WindowRecord> windows = engine.trace().windows();
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_EQ(windows[0].estimate, fetch + exec);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "analyze/cost.hpp"
 #include "analyze/predict.hpp"
 #include "descriptor/descriptor.hpp"
+#include "runtime/memory.hpp"
 #include "runtime/perfmodel.hpp"
 #include "sim/device.hpp"
 #include "support/error.hpp"
@@ -298,6 +299,28 @@ TEST(CostEval, MissingModelYieldsTheNeutralGuess) {
   EXPECT_EQ(exec.source, EstimateSource::kGuess);
   EXPECT_TRUE(exec.low_confidence);
   EXPECT_DOUBLE_EQ(exec.seconds, CostEvaluator::kNeutralGuessSeconds);
+}
+
+TEST(CostEval, DecisionFetchIsTheRuntimeFetchEstimate) {
+  // A loop-invariant read: predict prices the forced upload of a container
+  // read `reads` times with CostEvaluator::fetch_seconds, the runtime with
+  // DataHandle::estimate_fetch_seconds after that many reads. Both amortise
+  // through the same hop function, so they agree exactly — past the reuse
+  // cap too.
+  const sim::MachineConfig machine = sim::MachineConfig::platform_c2050();
+  rt::PerfRegistry models;
+  const CostEvaluator eval(machine, models, 2);
+  rt::DataManager data(2, machine.link);
+  std::vector<float> buffer(1 << 14, 0.0f);
+  const std::size_t bytes = buffer.size() * sizeof(float);
+  const rt::DataHandlePtr handle =
+      data.register_buffer(buffer.data(), bytes, sizeof(float));
+  for (int reads = 1; reads <= 100; ++reads) {
+    handle->acquire(rt::kHostNode, rt::AccessMode::kRead, nullptr);
+    EXPECT_EQ(eval.fetch_seconds(bytes, reads),
+              handle->estimate_fetch_seconds(1, rt::AccessMode::kRead))
+        << reads << " reads";
+  }
 }
 
 TEST(CostEval, ArchFeasibilityFollowsTheMachine) {

@@ -3,8 +3,6 @@
 // each policy's decision rule in isolation).
 #include <gtest/gtest.h>
 
-#include <limits>
-
 #include "runtime/scheduler.hpp"
 #include "support/error.hpp"
 
@@ -39,18 +37,10 @@ class SchedulerUnit : public ::testing::Test {
       (void)task;
       return true;
     };
-    env_.estimate_completion = [this](const Task& task, WorkerId id) {
-      if (!env_.eligible(task, id)) {
-        return std::numeric_limits<double>::infinity();
-      }
-      return ready_[static_cast<std::size_t>(id)] +
-             work_[static_cast<std::size_t>(id)];
-    };
-    env_.estimate_work = [this](const Task& task, WorkerId id) {
-      if (!env_.eligible(task, id)) {
-        return std::numeric_limits<double>::infinity();
-      }
-      return work_[static_cast<std::size_t>(id)];
+    env_.estimate = [this](const Task& task, WorkerId id) {
+      if (!env_.eligible(task, id)) return Placement{};
+      return Placement{.ready = ready_[static_cast<std::size_t>(id)],
+                       .exec = work_[static_cast<std::size_t>(id)]};
     };
     env_.sample_count = [this](const Task&, WorkerId id) {
       return samples_[static_cast<std::size_t>(id)];
