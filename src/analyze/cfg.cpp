@@ -150,6 +150,19 @@ class Lowering {
 
 }  // namespace
 
+std::vector<desc::CallNode> statement_tree(const desc::MainDescriptor& main) {
+  if (!main.call_tree.empty()) return main.call_tree;
+  std::vector<desc::CallNode> tree;
+  for (const desc::CallDesc& call : main.calls) {
+    desc::CallNode node;
+    node.kind = desc::CallNode::Kind::kCall;
+    node.call = call;
+    node.loc = call.loc;
+    tree.push_back(std::move(node));
+  }
+  return tree;
+}
+
 Cfg lower_call_tree(const desc::Repository& repo, const LintOptions& options,
                     const std::vector<desc::CallNode>& tree) {
   Lowering lowering(repo, options);
@@ -160,16 +173,30 @@ Cfg lower_call_tree(const desc::Repository& repo, const LintOptions& options,
 // Abstract domain: per container, a set of worlds
 // ---------------------------------------------------------------------------
 
+void ReadWindow::join(int stmt_id, const Access& access) {
+  if (access.mode != rt::AccessMode::kRead) {
+    *this = ReadWindow{};
+  } else if (!access.hidden_write) {
+    if (first_reader < 0) first_reader = stmt_id;
+  } else if (first_hidden < 0) {
+    first_hidden = stmt_id;
+  } else if (second_hidden < 0) {
+    second_hidden = stmt_id;
+  }
+}
+
 bool World::operator<(const World& other) const {
   return std::tie(state, initialized, partition_stmt, pending_write,
-                  last_writer, cross_read, window_hidden, window_read,
-                  dist_stmt, dist_nodes, halo, exchanged, exchange_open,
+                  last_writer, writer_stmt, cross_reader, window.first_hidden,
+                  window.second_hidden, window.first_reader, dist_stmt,
+                  dist_nodes, halo, exchanged, exchange_open,
                   cross_node_read) <
          std::tie(other.state, other.initialized, other.partition_stmt,
-                  other.pending_write, other.last_writer, other.cross_read,
-                  other.window_hidden, other.window_read, other.dist_stmt,
-                  other.dist_nodes, other.halo, other.exchanged,
-                  other.exchange_open, other.cross_node_read);
+                  other.pending_write, other.last_writer, other.writer_stmt,
+                  other.cross_reader, other.window.first_hidden,
+                  other.window.second_hidden, other.window.first_reader,
+                  other.dist_stmt, other.dist_nodes, other.halo,
+                  other.exchanged, other.exchange_open, other.cross_node_read);
 }
 
 std::vector<Access> call_accesses(const desc::Repository& repo,
@@ -187,6 +214,7 @@ std::vector<Access> call_accesses(const desc::Repository& repo,
       access.mode = p.access;
       access.hidden_write = p.access == rt::AccessMode::kRead &&
                             p.type.find("const") == std::string::npos;
+      access.param = &p;
       out.push_back(access);
     }
   }
@@ -195,8 +223,9 @@ std::vector<Access> call_accesses(const desc::Repository& repo,
 
 void apply_call(World& w, int stmt_id, const Stmt& stmt,
                 const std::vector<Access>& accesses, int node,
-                const rt::MemTopology& topo, std::set<int>* live) {
+                const rt::MemTopology& topo, Liveness* liveness) {
   const bool pinned = stmt.placement != CallPlacement::kAny;
+  bool wrote = false;  ///< an earlier access of this call wrote
   for (const Access& access : accesses) {
     if (w.distributed()) {
       // Per-slice sub-machine: the partitioning scattered each slice to its
@@ -220,38 +249,38 @@ void apply_call(World& w, int stmt_id, const Stmt& stmt,
       rt::msi::apply_acquire(w.state, node, access.mode, topo);
     }
     if (mode_reads(access.mode)) {
-      if (w.pending_write >= 0 && live != nullptr) {
-        live->insert(w.pending_write);
+      if (w.pending_write >= 0 && liveness != nullptr) {
+        liveness->read.insert(w.pending_write);
       }
       w.pending_write = -1;
       if (pinned && w.last_writer >= 0 && node != w.last_writer) {
-        if (topo.sim_node(node) == topo.sim_node(w.last_writer)) {
-          w.cross_read = true;
-        } else {
+        if (topo.sim_node(node) != topo.sim_node(w.last_writer)) {
           w.cross_node_read = true;
+        } else if (w.cross_reader < 0) {
+          w.cross_reader = stmt_id;
         }
       }
       // A dependent read forces the asynchronous ghost copies to complete.
       w.exchange_open = false;
     }
-    if (access.mode == rt::AccessMode::kRead) {
-      if (access.hidden_write) {
-        w.window_hidden = true;
-      } else {
-        w.window_read = true;
-      }
-    }
+    w.window.join(stmt_id, access);
     if (mode_writes(access.mode)) {
       w.initialized = true;
       // Dead-write tracking is a whole-container analysis: while scattered,
       // per-node writes touch disjoint slices, so a later write on another
-      // node never shadows this one.
-      if (!w.distributed()) w.pending_write = stmt_id;
+      // node never shadows this one. A call overwriting its own value
+      // (aliased operands, PL030) does not overwrite an earlier write.
+      if (!w.distributed()) {
+        if (liveness != nullptr && w.pending_write >= 0 && !wrote) {
+          liveness->overwritten_by[w.pending_write].insert(stmt_id);
+        }
+        w.pending_write = stmt_id;
+      }
+      wrote = true;
       w.last_writer = pinned ? node : -1;
-      w.cross_read = false;
+      w.writer_stmt = pinned ? stmt_id : -1;
+      w.cross_reader = -1;
       w.cross_node_read = false;
-      w.window_hidden = false;
-      w.window_read = false;
       if (w.distributed()) {
         w.exchanged = false;  // ghost copies are stale after any write
         w.exchange_open = false;

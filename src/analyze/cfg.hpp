@@ -1,9 +1,10 @@
 // Shared control-flow and abstract-coherence machinery of the static
-// analyses: peppher-verify (analyze/verify.cpp) runs its MSI fixpoint over
-// this CFG, and peppher-predict (analyze/predict.cpp) interprets the same
-// lowered program with a cost domain layered on top. Keeping the lowering
-// and the World transition rules in one place guarantees both tools agree
-// on where the abstract coherence state forces a transfer.
+// analyses. peppher-verify (analyze/verify.cpp) lowers the <calls> tree to
+// this CFG and runs its MSI fixpoint over it; that one fixpoint is also the
+// engine of peppher-lint's sequence hazards (PL031..PL033, PL052).
+// peppher-predict (analyze/predict.cpp) walks the call tree itself with a
+// cost domain and shares only the World replica states, the access helpers
+// and the runtime's msi transitions that drive them.
 //
 // The abstract machine is two-sided per cluster node: each simulated node
 // contributes a host slot and one abstract accelerator slot. Without a
@@ -14,6 +15,7 @@
 // online.
 #pragma once
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -46,6 +48,20 @@ const char* side_name(int side);
 struct Access {
   rt::AccessMode mode = rt::AccessMode::kRead;
   bool hidden_write = false;  ///< declared read through a mutable type
+  const desc::ParamDesc* param = nullptr;  ///< the bound parameter
+};
+
+/// The open read window of a container: its declared reads since the last
+/// write, which the runtime runs concurrently (writes serialise per handle,
+/// DESIGN.md §2). A hidden write in a window of two or more accesses races.
+struct ReadWindow {
+  int first_hidden = -1;   ///< stmt of the first hidden write, -1 if none
+  int second_hidden = -1;  ///< stmt of the second hidden write, -1 if none
+  int first_reader = -1;   ///< stmt of the first true read, -1 if none
+
+  /// One access of statement `stmt_id`: a declared read joins the window,
+  /// a write closes it.
+  void join(int stmt_id, const Access& access);
 };
 
 /// One CFG node: a single statement (or a structural no-op for loop heads
@@ -77,6 +93,11 @@ struct Cfg {
   int exit = -1;
 };
 
+/// The main module's statement tree. Programmatic descriptors fill only the
+/// flattened MainDescriptor::calls; for them this is the straight line of
+/// those calls.
+std::vector<desc::CallNode> statement_tree(const desc::MainDescriptor& main);
+
 /// Lowers a <calls> statement tree to the statement CFG. Call statements
 /// are numbered in document order, exactly like MainDescriptor::calls (the
 /// flattened view). Loop bodies execute at least once (declared trip count
@@ -99,9 +120,10 @@ struct World {
   int partition_stmt = -1;    ///< stmt of the open <partition>, -1 if none
   int pending_write = -1;     ///< stmt of the last write nothing read yet
   int last_writer = -1;       ///< mem node of the last pinned write, -1 unknown
-  bool cross_read = false;    ///< a pinned same-node cross-side read since then
-  bool window_hidden = false; ///< open read window holds a hidden write
-  bool window_read = false;   ///< open read window holds a declared read
+  int writer_stmt = -1;       ///< stmt of that pinned write
+  int cross_reader = -1;      ///< stmt of the first pinned same-node
+                              ///< cross-side read since then, -1 if none
+  ReadWindow window;
 
   // Distributed-partitioning facts (all defaults while the container is a
   // plain single-home allocation).
@@ -125,16 +147,23 @@ std::vector<Access> call_accesses(const desc::Repository& repo,
                                   const desc::CallDesc& call,
                                   const std::string& data);
 
+/// What happened to pending writes (World::pending_write) across the
+/// statements the dead-write analysis replays.
+struct Liveness {
+  std::set<int> read;  ///< pending writes some path reads
+  /// Pending write -> the statements that overwrite it unread.
+  std::map<int, std::set<int>> overwritten_by;
+};
+
 /// Applies one call's accesses to a world, pinned to memory node `node` of
 /// the abstract topology `topo` (the verifier builds it: one host + one
 /// accelerator slot per cluster node; single_host(2) without a profile).
 /// Distributed worlds route the access through the pinned node's per-slice
 /// sub-machine; plain worlds take the full topology-aware MSI transition.
-/// `live`, when non-null, collects liveness facts for the dead-write
-/// analysis (which pending writes got read) — the transfer itself is
-/// reporting-free.
+/// `liveness`, when non-null, collects the dead-write facts — the transfer
+/// itself is reporting-free.
 void apply_call(World& w, int stmt_id, const Stmt& stmt,
                 const std::vector<Access>& accesses, int node,
-                const rt::MemTopology& topo, std::set<int>* live);
+                const rt::MemTopology& topo, Liveness* liveness);
 
 }  // namespace peppher::analyze

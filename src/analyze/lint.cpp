@@ -1,6 +1,5 @@
 #include "analyze/lint.hpp"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -47,12 +46,6 @@ bool is_disabled(const desc::ImplementationDescriptor& impl,
     }
   }
   return false;
-}
-
-/// A parameter whose type lets the implementation mutate the pointee: an
-/// operand (pointer or container reference) without a const qualifier.
-bool mutable_operand_type(const desc::ParamDesc& p) {
-  return p.is_operand() && p.type.find("const") == std::string::npos;
 }
 
 // ---------------------------------------------------------------------------
@@ -458,45 +451,33 @@ void check_dispatch(const desc::Repository& repo, const LintOptions& options,
 }
 
 // ---------------------------------------------------------------------------
-// PL030..PL036 — task-graph hazard analysis
+// PL030, PL034..PL036 — per-call checks of the <calls> section
 // ---------------------------------------------------------------------------
 
-/// One operand access of the symbolic execution: call `call_index` touches a
-/// container through `param` with the declared mode. `hidden_write` marks a
-/// declared-read parameter whose type would let the implementation write —
-/// the case the runtime cannot see.
-struct SymbolicAccess {
-  std::size_t call_index = 0;
-  const desc::CallDesc* call = nullptr;
-  const desc::ParamDesc* param = nullptr;
-  rt::AccessMode mode = rt::AccessMode::kRead;
-  bool hidden_write = false;
-};
-
-std::string call_label(const SymbolicAccess& access) {
-  return "call #" + std::to_string(access.call_index + 1) + " (" +
-         access.call->interface_name + ")";
-}
-
-void check_hazards(const desc::Repository& repo, DiagnosticBag& bag) {
+/// Checks each call on its own. The hazards between calls (PL031..PL033,
+/// PL052) are the coherence verifier's: its fixpoint reports them on every
+/// program (verify.hpp).
+void check_calls(const desc::Repository& repo, DiagnosticBag& bag) {
   const desc::MainDescriptor* main = repo.main_module();
-  if (main == nullptr || main->calls.empty()) return;
-
-  std::map<std::string, std::vector<SymbolicAccess>> accesses;  // per data name
+  if (main == nullptr) return;
   for (std::size_t call_index = 0; call_index < main->calls.size();
        ++call_index) {
     const desc::CallDesc& call = main->calls[call_index];
+    const std::string label = "call #" + std::to_string(call_index + 1);
     const desc::InterfaceDescriptor* iface =
         repo.find_interface(call.interface_name);
     if (iface == nullptr) {
       bag.add("PL034", Severity::kError,
-              "call #" + std::to_string(call_index + 1) +
-                  " names unknown interface '" + call.interface_name + "'",
+              label + " names unknown interface '" + call.interface_name + "'",
               call.loc);
       continue;
     }
     std::set<std::string> bound;
-    std::map<std::string, std::vector<SymbolicAccess>> within_call;
+    struct Operand {
+      int bindings = 0;
+      bool written = false;
+    };
+    std::map<std::string, Operand> operands;  // per data name
     for (const desc::CallArgDesc& arg : call.args) {
       const desc::ParamDesc* param = nullptr;
       for (const desc::ParamDesc& p : iface->params) {
@@ -504,205 +485,35 @@ void check_hazards(const desc::Repository& repo, DiagnosticBag& bag) {
       }
       if (param == nullptr) {
         bag.add("PL035", Severity::kError,
-                "call #" + std::to_string(call_index + 1) + " binds '" +
-                    arg.data + "' to unknown parameter '" + arg.param +
-                    "' of interface '" + iface->name + "'",
+                label + " binds '" + arg.data + "' to unknown parameter '" +
+                    arg.param + "' of interface '" + iface->name + "'",
                 arg.loc.known() ? arg.loc : call.loc);
         continue;
       }
       bound.insert(param->name);
       if (!param->is_operand()) continue;
-      SymbolicAccess access;
-      access.call_index = call_index;
-      access.call = &call;
-      access.param = param;
-      access.mode = param->access;
-      access.hidden_write = access.mode == rt::AccessMode::kRead &&
-                            mutable_operand_type(*param);
-      within_call[arg.data].push_back(access);
-      accesses[arg.data].push_back(access);
+      Operand& operand = operands[arg.data];
+      ++operand.bindings;
+      operand.written |= param->access != rt::AccessMode::kRead;
     }
     for (const desc::ParamDesc& p : iface->params) {
       if (p.is_operand() && bound.count(p.name) == 0) {
         bag.add("PL036", Severity::kWarning,
-                "call #" + std::to_string(call_index + 1) +
-                    " leaves operand parameter '" + p.name +
+                label + " leaves operand parameter '" + p.name +
                     "' of interface '" + iface->name + "' unbound",
                 call.loc);
       }
     }
     // Intra-call aliasing: the same container bound to several parameters of
     // one task, at least one of them written.
-    for (const auto& [data, list] : within_call) {
-      if (list.size() < 2) continue;
-      const bool any_write =
-          std::any_of(list.begin(), list.end(), [](const SymbolicAccess& a) {
-            return a.mode != rt::AccessMode::kRead;
-          });
-      if (any_write) {
-        bag.add("PL030", Severity::kError,
-                "call #" + std::to_string(call_index + 1) + " (" +
-                    iface->name + ") binds container '" + data +
-                    "' to multiple parameters with a write access mode — "
-                    "aliased operands of one task are scheduled without "
-                    "ordering",
-                call.loc);
-      }
-    }
-  }
-
-  // Cross-call hazards per container: declared writes serialise (sequential
-  // consistency per handle), declared reads run concurrently. Within each
-  // window of consecutive declared reads, a hidden write races with every
-  // other member. The window walk assumes the flattened call list is *the*
-  // execution order, which stops being true once <loop>/<if> appear — the
-  // path-sensitive verifier (PL062/PL065) covers those programs instead.
-  if (main->has_control_flow) return;
-  for (const auto& [data, list] : accesses) {
-    std::vector<const SymbolicAccess*> read_window;
-    const SymbolicAccess* previous_writer = nullptr;
-    bool written_value_read = true;
-    auto flush_window = [&]() {
-      std::vector<const SymbolicAccess*> hidden;
-      for (const SymbolicAccess* a : read_window) {
-        if (a->hidden_write) hidden.push_back(a);
-      }
-      if (!hidden.empty() && read_window.size() >= 2) {
-        if (hidden.size() >= 2) {
-          bag.add("PL032", Severity::kError,
-                  "write/write race on container '" + data + "': " +
-                      call_label(*hidden[0]) + " and " + call_label(*hidden[1]) +
-                      " both declare read access but their parameter types "
-                      "are mutable — the runtime schedules them concurrently",
-                  hidden[1]->call->loc);
-        }
-        if (hidden.size() < read_window.size()) {
-          const SymbolicAccess* hidden_writer = hidden.front();
-          const SymbolicAccess* reader = nullptr;
-          for (const SymbolicAccess* a : read_window) {
-            if (!a->hidden_write) reader = a;
-            if (reader != nullptr) break;
-          }
-          bag.add("PL031", Severity::kError,
-                  "read/write race on container '" + data + "': " +
-                      call_label(*hidden_writer) +
-                      " declares read access through mutable parameter '" +
-                      hidden_writer->param->name + "' while " +
-                      call_label(*reader) +
-                      " reads it — the runtime schedules them concurrently",
-                  hidden_writer->call->loc);
-        }
-      }
-      read_window.clear();
-    };
-    for (const SymbolicAccess& access : list) {
-      if (access.mode == rt::AccessMode::kRead) {
-        read_window.push_back(&access);
-        written_value_read = true;
-        continue;
-      }
-      flush_window();
-      if (access.mode == rt::AccessMode::kWrite && previous_writer != nullptr &&
-          !written_value_read) {
-        bag.add("PL033", Severity::kWarning,
-                "container '" + data + "' written by " +
-                    call_label(*previous_writer) + " is overwritten by " +
-                    call_label(access) +
-                    " before any read (dead write or missing dependency)",
-                access.call->loc);
-      }
-      previous_writer = &access;
-      // A readwrite consumes the previous value but its *own* written value
-      // is just as unread as a pure write's — [write, readwrite, write]
-      // still overwrites the readwrite's result before anything reads it.
-      written_value_read = false;
-    }
-    flush_window();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// PL052 — cross-architecture read ping-pong (defeats prefetch)
-// ---------------------------------------------------------------------------
-
-const char* node_class_name(CallPlacement node_class) {
-  return node_class == CallPlacement::kHost ? "host" : "accelerator";
-}
-
-/// A <calls> sequence where one side writes a container, the other side
-/// reads it and the first side then writes again bounces the replica across
-/// the PCIe link on every iteration: the cross-side read pays a fresh
-/// transfer each time and the runtime's prefetch can never hide it (the
-/// warmed replica is invalidated before it is reused). This is a placement
-/// smell the static descriptors already reveal — the fix is a variant on
-/// the reader's side (or the writer's), not a bigger prefetch window.
-void check_prefetch_pingpong(const desc::Repository& repo,
-                             const LintOptions& options, DiagnosticBag& bag) {
-  const desc::MainDescriptor* main = repo.main_module();
-  if (main == nullptr || main->calls.empty()) return;
-  // Like the read windows above, the linear writer/reader/writer walk is
-  // only meaningful for straight-line call sequences; PL064 is the
-  // control-flow-aware formulation of this check.
-  if (main->has_control_flow) return;
-
-  struct PlacedAccess {
-    std::size_t call_index = 0;
-    const desc::CallDesc* call = nullptr;
-    rt::AccessMode mode = rt::AccessMode::kRead;
-    CallPlacement node = CallPlacement::kAny;
-  };
-  std::map<std::string, std::vector<PlacedAccess>> accesses;  // per data name
-  for (std::size_t call_index = 0; call_index < main->calls.size();
-       ++call_index) {
-    const desc::CallDesc& call = main->calls[call_index];
-    const desc::InterfaceDescriptor* iface =
-        repo.find_interface(call.interface_name);
-    if (iface == nullptr) continue;  // PL034 already reported
-    const CallPlacement node = call_placement(repo, options, call);
-    for (const desc::CallArgDesc& arg : call.args) {
-      for (const desc::ParamDesc& p : iface->params) {
-        if (p.name != arg.param || !p.is_operand()) continue;
-        accesses[arg.data].push_back(
-            PlacedAccess{call_index, &call, p.access, node});
-      }
-    }
-  }
-
-  for (const auto& [data, list] : accesses) {
-    const PlacedAccess* last_writer = nullptr;
-    const PlacedAccess* cross_read = nullptr;
-    bool warned = false;
-    for (const PlacedAccess& access : list) {
-      if (access.mode == rt::AccessMode::kRead) {
-        if (last_writer != nullptr && cross_read == nullptr &&
-            access.node != CallPlacement::kAny &&
-            access.node != last_writer->node) {
-          cross_read = &access;
-        }
-        continue;
-      }
-      if (!warned && last_writer != nullptr && cross_read != nullptr &&
-          access.node == last_writer->node) {
-        bag.add(
-            "PL052", Severity::kWarning,
-            "container '" + data + "' ping-pongs across the PCIe link: call #" +
-                std::to_string(last_writer->call_index + 1) + " (" +
-                last_writer->call->interface_name + ") writes it on the " +
-                node_class_name(last_writer->node) + " side, call #" +
-                std::to_string(cross_read->call_index + 1) + " (" +
-                cross_read->call->interface_name + ") reads it on the " +
-                node_class_name(cross_read->node) + " side, and call #" +
-                std::to_string(access.call_index + 1) + " (" +
-                access.call->interface_name +
-                ") writes it back — every round trip re-invalidates the "
-                "read-side replica, so prefetching this operand is always "
-                "wasted; provide a variant on both sides or co-locate the "
-                "reader with the writers",
-            cross_read->call->loc);
-        warned = true;
-      }
-      last_writer = access.node == CallPlacement::kAny ? nullptr : &access;
-      cross_read = nullptr;
+    for (const auto& [data, operand] : operands) {
+      if (operand.bindings < 2 || !operand.written) continue;
+      bag.add("PL030", Severity::kError,
+              label + " (" + iface->name + ") binds container '" + data +
+                  "' to multiple parameters with a write access mode — "
+                  "aliased operands of one task are scheduled without "
+                  "ordering",
+              call.loc);
     }
   }
 }
@@ -797,12 +608,16 @@ diag::DiagnosticBag run_lint(const desc::Repository& repo,
   }
   check_feasibility(repo, options, bag);
   check_dispatch(repo, options, bag);
-  check_hazards(repo, bag);
-  check_prefetch_pingpong(repo, options, bag);
+  check_calls(repo, bag);
+  const VerifyResult verified = verify_main(repo, options);
+  bag.merge(verified.hazards.diagnostics());
+  // The rest of the verifier's findings (PL060..PL069, PL080..PL087) are
+  // opt-in on a straight line (--verify); control flow or a distributed
+  // statement arms them.
   const desc::MainDescriptor* main = repo.main_module();
   if (options.verify ||
       (main != nullptr && (main->has_control_flow || main->has_distributed))) {
-    bag.merge(verify_main(repo, options).bag.diagnostics());
+    bag.merge(verified.bag.diagnostics());
   }
   bag.sort();
   return bag;

@@ -17,11 +17,13 @@
 //   * dispatch-table coverage (PL020..PL027): "<interface>.dispatch" files
 //     next to the descriptors are checked for unknown/disabled variants,
 //     unreachable entries, stale architectures and empty (untrained) tables;
-//   * task-graph hazard analysis (PL030..PL036): the main module's declared
-//     <calls> sequence is executed symbolically; write/write and read/write
-//     conflicts that the declared access modes would let the runtime
-//     schedule concurrently are reported, as are aliasing binds and dead
-//     writes.
+//   * task-graph hazard analysis (PL030..PL036, PL052): each call of the
+//     main module's declared <calls> is checked on its own (aliasing binds,
+//     unknown interfaces and parameters, unbound operands); the hazards
+//     between calls — write/write and read/write conflicts the declared
+//     access modes would let the runtime schedule concurrently, dead writes
+//     and cross-architecture ping-pong — come from the coherence verifier's
+//     fixpoint (verify.hpp), which run_lint runs on every such main.
 //
 // The compose pipeline runs the same checks (compose/tool.cpp), so
 // `compose_main` fails fast with the same messages as `peppher-lint`.
@@ -55,10 +57,11 @@ struct LintOptions {
   /// empty skips the dispatch checks).
   std::filesystem::path root;
 
-  /// Run the coherence verifier (analyze/verify.hpp, PL060..PL069) even for
-  /// straight-line call sequences. When the main module uses control flow
-  /// (<loop>/<if>) the verifier always runs — the straight-line window
-  /// checks stand down there and the verifier is what covers the paths.
+  /// Report the coherence verifier's PL060..PL069 (analyze/verify.hpp) on
+  /// straight-line call sequences too. The verifier runs on every main
+  /// module with <calls> and its sequence hazards (PL031..PL033, PL052) are
+  /// always reported; with control flow (<loop>/<if>) or a distributed
+  /// statement its coherence findings are as well.
   bool verify = false;
 
   /// Iteration budget of the verifier's worklist fixpoint, per container
@@ -77,8 +80,8 @@ struct LintOptions {
 /// Which side of the PCIe link a call is pinned to by its viable
 /// implementation variants: every enabled variant of the interface targets
 /// an accelerator (kDevice), the host (kHost), or the call is free to run
-/// on either side (kAny). Shared by the PL052 placement check and the
-/// coherence verifier.
+/// on either side (kAny). The coherence verifier's CFG lowering places
+/// each call with it.
 enum class CallPlacement { kHost, kDevice, kAny };
 
 CallPlacement call_placement(const desc::Repository& repo,

@@ -113,30 +113,16 @@ class Predictor {
       return result;
     }
 
-    // Programmatic descriptors fill only the flattened view; synthesise the
-    // straight-line tree (same as verify_main).
-    desc::MainDescriptor synthesized;
-    const desc::MainDescriptor* subject = main;
-    if (main->call_tree.empty()) {
-      synthesized = *main;
-      for (const desc::CallDesc& call : main->calls) {
-        desc::CallNode node;
-        node.kind = desc::CallNode::Kind::kCall;
-        node.call = call;
-        node.loc = call.loc;
-        synthesized.call_tree.push_back(std::move(node));
-      }
-      subject = &synthesized;
-    }
-    main_ = subject;
+    main_ = main;
+    tree_ = statement_tree(*main);
 
     // Flatten the tree in document order (loop bodies and both <if>
     // branches once) so every call statement owns one point accumulator.
-    index_calls(subject->call_tree);
-    index_reads(subject->call_tree, 1.0);
+    index_calls(tree_);
+    index_reads(tree_, 1.0);
     state_.points.assign(flat_calls_.size(), PointAccum{});
     report_dead_variants();
-    eval_block(subject->call_tree, state_);
+    eval_block(tree_, state_);
     finalize(result);
     return result;
   }
@@ -174,10 +160,11 @@ class Predictor {
     }
   }
 
-  /// Total read executions per container across the whole program (loop
-  /// bodies weighted by their trip count, both <if> branches counted): the
-  /// static counterpart of the reads a runtime handle counts, which the
-  /// placement cost amortises a fetch's volume over.
+  /// Total read-only executions per container across the whole program
+  /// (loop bodies weighted by their trip count, both <if> branches
+  /// counted): the static counterpart of the reads a runtime handle counts
+  /// (its kRead acquires), which the placement cost amortises a read
+  /// operand's fetch volume over.
   void index_reads(const std::vector<desc::CallNode>& block, double weight) {
     for (const desc::CallNode& node : block) {
       switch (node.kind) {
@@ -186,7 +173,7 @@ class Predictor {
           for (const desc::CallArgDesc& arg : node.call.args) {
             if (arg.data.empty() || !seen.insert(arg.data).second) continue;
             for (const Access& access : call_accesses(repo_, node.call, arg.data)) {
-              if (mode_reads(access.mode)) {
+              if (access.mode == rt::AccessMode::kRead) {
                 read_weight_[arg.data] += weight;
                 break;
               }
@@ -428,13 +415,16 @@ class Predictor {
             [&](const World& w) { return !replica_valid(w.state[c.side]); });
         const double tt = eval_.transfer_seconds(binding.bytes);
         if (all_invalid) {
-          // The placement decision amortises the hop over the container's
-          // total reads like the runtime does; the trajectory pays it all.
+          // The placement decision prices the hop like the runtime does: a
+          // read-only binding amortises it over the container's total
+          // reads, a binding that writes pays it once. The trajectory pays
+          // every hop in full.
           const auto reads = read_weight_.find(binding.data);
           c.forced_transfer += tt;
           c.decision_transfer += eval_.fetch_seconds(
-              binding.bytes,
-              reads == read_weight_.end() ? 0.0 : reads->second);
+              binding.bytes, binding.writes || reads == read_weight_.end()
+                                 ? 1.0
+                                 : reads->second);
           (c.side == kDeviceSide ? c.forced_h2d : c.forced_d2h) +=
               static_cast<double>(binding.bytes);
         }
@@ -689,6 +679,7 @@ class Predictor {
   CostEvaluator eval_;
   const int max_steps_;
   const desc::MainDescriptor* main_ = nullptr;
+  std::vector<desc::CallNode> tree_;  ///< the statements the walk evaluates
   WalkState state_;
   diag::DiagnosticBag bag_;
   int steps_ = 0;

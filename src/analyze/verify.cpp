@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <map>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -65,11 +66,12 @@ class Verifier {
         max_steps_(options.verify_max_steps > 0 ? options.verify_max_steps
                                                 : kDefaultMaxSteps),
         topo_(abstract_topology(options.cluster)),
-        sim_nodes_(topo_.sim_node_count()) {}
+        sim_nodes_(topo_.sim_node_count()),
+        tree_(statement_tree(main)) {}
 
   VerifyResult run() {
     VerifyResult result;
-    cfg_ = lower_call_tree(repo_, options_, main_.call_tree);
+    cfg_ = lower_call_tree(repo_, options_, tree_);
 
     // PL084, the pin half: a call pinned to a node the cluster profile
     // does not provide. Container-independent, so it reports here rather
@@ -80,9 +82,7 @@ class Verifier {
         if (stmt.kind != Stmt::Kind::kCall) continue;
         if (stmt.node->call.node < sim_nodes_) continue;
         result.bag.add("PL084", Severity::kError,
-                       "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                           stmt.node->call.interface_name +
-                           ") is pinned to node " +
+                       call_label(static_cast<int>(i)) + " is pinned to node " +
                            std::to_string(stmt.node->call.node) +
                            " but the cluster profile '" +
                            options_.cluster->name + "' provides only nodes "
@@ -92,11 +92,18 @@ class Verifier {
       }
     }
 
+    // Hazards merge per container in name order, so findings that share a
+    // location list by container name.
+    std::map<std::string, DiagnosticBag> hazards;
     for (const std::string& data : containers()) {
-      analyze_container(data, result);
+      analyze_container(data, result, hazards[data]);
       if (!result.fixpoint_reached) break;
     }
+    for (const auto& [data, bag] : hazards) {
+      result.hazards.merge(bag.diagnostics());
+    }
     result.bag.sort();
+    result.hazards.sort();
     return result;
   }
 
@@ -125,10 +132,23 @@ class Verifier {
     return stmt.node != nullptr ? stmt.node->loc : main_.loc;
   }
 
+  /// "call #3 (axpy)": a call statement as the findings name it.
+  std::string call_label(int stmt_id) const {
+    const Stmt& stmt = cfg_.stmts[stmt_id];
+    return "call #" + std::to_string(stmt.call_index + 1) + " (" +
+           stmt.node->call.interface_name + ")";
+  }
+
+  /// The side of the PCIe link a pinned call statement runs on.
+  int side_of(int stmt_id) const {
+    return cfg_.stmts[stmt_id].placement == CallPlacement::kHost ? kHostSide
+                                                                 : kDeviceSide;
+  }
+
   /// Forward transfer of one statement over one world, for container
   /// `data`. Appends the (possibly forked) successor worlds to `out`.
   void transfer(int stmt_id, const std::string& data, const World& in,
-                Worlds& out, std::set<int>* live) {
+                Worlds& out, Liveness* liveness) {
     const Stmt& stmt = cfg_.stmts[stmt_id];
     switch (stmt.kind) {
       case Stmt::Kind::kNop:
@@ -232,7 +252,8 @@ class Verifier {
             // The gather collects every slice back onto the primary host;
             // stale per-node writer tracking must not outlive the region.
             w.last_writer = -1;
-            w.cross_read = false;
+            w.writer_stmt = -1;
+            w.cross_reader = -1;
             w.cross_node_read = false;
             rt::msi::apply_host_reclaim(w.state);
           }
@@ -256,14 +277,14 @@ class Verifier {
           // Placement is the scheduler's choice: both sides are feasible.
           for (int mem : {host, host + 1}) {
             World w = in;
-            apply_call(w, stmt_id, stmt, accesses, mem, topo_, live);
+            apply_call(w, stmt_id, stmt, accesses, mem, topo_, liveness);
             out.insert(std::move(w));
           }
         } else {
           World w = in;
           apply_call(w, stmt_id, stmt, accesses,
                      stmt.placement == CallPlacement::kHost ? host : host + 1,
-                     topo_, live);
+                     topo_, liveness);
           out.insert(std::move(w));
         }
         return;
@@ -284,7 +305,8 @@ class Verifier {
     // Scattering re-homes the container: whole-container writer/ping-pong
     // tracking restarts because each node now owns exactly its slice.
     w.last_writer = -1;
-    w.cross_read = false;
+    w.writer_stmt = -1;
+    w.cross_reader = -1;
     w.cross_node_read = false;
     std::fill(w.state.begin(), w.state.end(), rt::ReplicaState::kInvalid);
     const int owners = std::min(w.dist_nodes, sim_nodes_);
@@ -294,7 +316,8 @@ class Verifier {
     }
   }
 
-  void analyze_container(const std::string& data, VerifyResult& result) {
+  void analyze_container(const std::string& data, VerifyResult& result,
+                         DiagnosticBag& hazards) {
     // Worklist fixpoint: IN[entry] = {fresh world} (the data manager
     // registers every container host-Owned), IN[s] accumulates the join
     // (set union) of predecessor OUT sets until nothing changes.
@@ -344,18 +367,25 @@ class Verifier {
     }
     result.steps += steps;
 
-    report(data, in, result);
+    report(data, in, result, hazards);
   }
+
+  /// What the reporting pass accumulates over one container's statements.
+  struct ContainerReport {
+    DiagnosticBag& hazards;      ///< PL031..PL033, PL052
+    Liveness liveness{};         ///< the fate of every pending write
+    std::set<int> candidates{};  ///< every whole-container write statement
+    bool pingpong_reported = false;  ///< PL052 reports once per container
+  };
 
   /// Walks every statement once over its converged IN set and emits the
   /// diagnostics. Separated from the fixpoint so nothing is reported twice
   /// and every report sees the final (all-paths) state.
   void report(const std::string& data, const std::vector<Worlds>& in,
-              VerifyResult& result) {
+              VerifyResult& result, DiagnosticBag& hazards) {
     DiagnosticBag& bag = result.bag;
-    std::set<int> live;        ///< pending writes some path reads
-    std::set<int> escaped;     ///< pending writes reaching program end
-    std::set<int> candidates;  ///< every write statement
+    ContainerReport container{hazards};
+    std::set<int> escaped;  ///< pending writes reaching program end
 
     // PL060 only makes sense for containers the program itself defines
     // (some pure write exists): a container only ever read or accumulated
@@ -559,7 +589,7 @@ class Verifier {
           report_partitioned_access(data, worlds, static_cast<int>(stmt_id),
                                     bag);
           report_call(data, stmt, static_cast<int>(stmt_id), accesses, worlds,
-                      bag, live, candidates);
+                      bag, container);
           break;
         }
       }
@@ -588,9 +618,23 @@ class Verifier {
 
     // A write is dead when no path reads it and no path carries it to the
     // program end (program outputs legitimately escape unread): every path
-    // overwrites it first.
-    for (int write_stmt : candidates) {
-      if (live.count(write_stmt) || escaped.count(write_stmt)) continue;
+    // overwrites it first. Overwritten by the same call on every path it is
+    // that call's PL033; by different calls on different paths, PL062.
+    for (int write_stmt : container.candidates) {
+      if (container.liveness.read.count(write_stmt) ||
+          escaped.count(write_stmt)) {
+        continue;
+      }
+      const std::set<int>& by = container.liveness.overwritten_by[write_stmt];
+      if (by.size() == 1) {
+        hazards.add("PL033", Severity::kWarning,
+                    "container '" + data + "' written by " +
+                        call_label(write_stmt) + " is overwritten by " +
+                        call_label(*by.begin()) +
+                        " before any read (dead write or missing dependency)",
+                    loc_of(*by.begin()));
+        continue;
+      }
       bag.add("PL062", Severity::kWarning,
               "the value written to container '" + data +
                   "' here is overwritten on every path before any read "
@@ -669,14 +713,12 @@ class Verifier {
 
   void report_call(const std::string& data, const Stmt& stmt, int stmt_id,
                    const std::vector<Access>& accesses, const Worlds& worlds,
-                   DiagnosticBag& bag, std::set<int>& live,
-                   std::set<int>& candidates) {
-    bool mixed_init = false;
+                   DiagnosticBag& bag, ContainerReport& container) {
     bool any_init = false, any_uninit = false;
     for (const World& w : worlds) {
       (w.initialized ? any_init : any_uninit) = true;
     }
-    mixed_init = any_init && any_uninit;
+    const bool mixed_init = any_init && any_uninit;
 
     const bool reads = std::any_of(
         accesses.begin(), accesses.end(),
@@ -690,13 +732,11 @@ class Verifier {
     const bool any_distributed =
         std::any_of(worlds.begin(), worlds.end(),
                     [](const World& w) { return w.distributed(); });
-    if (writes && !any_distributed) candidates.insert(stmt_id);
+    if (writes && !any_distributed) container.candidates.insert(stmt_id);
 
     if (reads && mixed_init && program_defined_) {
       bag.add("PL060", Severity::kWarning,
-              "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                  stmt.node->call.interface_name + ") reads container '" +
-                  data +
+              call_label(stmt_id) + " reads container '" + data +
                   "' which is written on some control-flow paths but not "
                   "on all of them — on the unwritten paths the read "
                   "consumes uninitialised data",
@@ -713,9 +753,7 @@ class Verifier {
       }
       if (writer_nodes.size() >= 2) {
         bag.add("PL086", Severity::kWarning,
-                "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                    stmt.node->call.interface_name + ") reads container '" +
-                    data +
+                call_label(stmt_id) + " reads container '" + data +
                     "' whose abstract worlds diverge across cluster nodes "
                     "at this join — a different node holds the last write "
                     "depending on the control-flow path taken, so the "
@@ -733,10 +771,8 @@ class Verifier {
     const bool leading_write =
         !accesses.empty() && accesses.front().mode == rt::AccessMode::kWrite;
 
-    // Liveness, read-window races and loop-carried ping-pong are simulated
-    // per world so the facts stay path-accurate.
-    const bool control_flow = main_.has_control_flow;
-    bool race_reported = false;
+    // Liveness and ping-pong are simulated per world so the facts stay
+    // path-accurate.
     bool pingpong_reported = false;
     bool n2n_reported = false;
     bool halo_reported = false;
@@ -748,17 +784,14 @@ class Verifier {
       {
         World scratch = w;
         Worlds discard;
-        transfer(stmt_id, data, scratch, discard, &live);
+        transfer(stmt_id, data, scratch, discard, &container.liveness);
       }
 
-      // The distributed checks have no straight-line twin, so they run
-      // regardless of control flow.
       if (w.distributed()) {
         if (!halo_reported && reads && stmt.node->call.radius > w.halo) {
           bag.add("PL080", Severity::kWarning,
-                  "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") declares a stencil access radius of " +
+                  call_label(stmt_id) +
+                      " declares a stencil access radius of " +
                       std::to_string(stmt.node->call.radius) +
                       " on container '" + data +
                       "' but the partitioning declares a halo of only " +
@@ -771,9 +804,7 @@ class Verifier {
         if (!unexchanged_reported && reads && stmt.node->call.radius > 0 &&
             !w.exchanged) {
           bag.add("PL081", Severity::kError,
-                  "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") reads container '" + data +
+                  call_label(stmt_id) + " reads container '" + data +
                       "' with stencil radius " +
                       std::to_string(stmt.node->call.radius) +
                       " but no halo exchange dominates it on some path — "
@@ -785,9 +816,7 @@ class Verifier {
         }
         if (!exchange_race_reported && leading_write && w.exchange_open) {
           bag.add("PL087", Severity::kError,
-                  "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") writes container '" + data +
+                  call_label(stmt_id) + " writes container '" + data +
                       "' while a halo exchange is still in flight on some "
                       "path — the write races the asynchronous ghost "
                       "copies; read the exchanged data first (quiesce) or "
@@ -797,9 +826,7 @@ class Verifier {
         }
         if (!bad_pin_reported && stmt.node->call.node >= w.dist_nodes) {
           bag.add("PL084", Severity::kError,
-                  "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") is pinned to node " +
+                  call_label(stmt_id) + " is pinned to node " +
                       std::to_string(stmt.node->call.node) +
                       " but the open partitioning of container '" + data +
                       "' owns only nodes 0.." +
@@ -810,93 +837,141 @@ class Verifier {
         }
       }
 
+      if (!writes || stmt.placement == CallPlacement::kAny) continue;
+      const int mem =
+          stmt.placement == CallPlacement::kHost ? host_mem : host_mem + 1;
+
       // PL082: this pinned write follows a remote-node read of its own
       // last write, inside a loop — every iteration crosses the cluster
       // link, the n2n twin of PL064.
-      if (!n2n_reported && stmt.loop_depth > 0 && writes &&
-          stmt.placement != CallPlacement::kAny) {
-        const int mem =
-            stmt.placement == CallPlacement::kHost ? host_mem : host_mem + 1;
-        if (w.last_writer == mem && w.cross_node_read) {
-          std::string cost;
-          if (options_.cluster.has_value()) {
-            const sim::LinkProfile& link = options_.cluster->internode;
-            cost = " (each bounce pays ~" + format_g(link.latency_us) +
-                   " us latency at " + format_g(link.bandwidth_gbs) +
-                   " GB/s on the internode lane)";
-          }
-          bag.add("PL082", Severity::kWarning,
-                  "container '" + data +
-                      "' ping-pongs between cluster nodes on every loop "
-                      "iteration: call #" +
-                      std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") writes it on node " + std::to_string(pin) +
-                      " after a remote-node read of the previous write" +
-                      cost +
-                      " — partition the container across the nodes or "
-                      "co-locate the reader with the writer",
-                  loc_of(stmt_id));
-          n2n_reported = true;
+      if (!n2n_reported && stmt.loop_depth > 0 && w.last_writer == mem &&
+          w.cross_node_read) {
+        std::string cost;
+        if (options_.cluster.has_value()) {
+          const sim::LinkProfile& link = options_.cluster->internode;
+          cost = " (each bounce pays ~" + format_g(link.latency_us) +
+                 " us latency at " + format_g(link.bandwidth_gbs) +
+                 " GB/s on the internode lane)";
         }
+        bag.add("PL082", Severity::kWarning,
+                "container '" + data +
+                    "' ping-pongs between cluster nodes on every loop "
+                    "iteration: " +
+                    call_label(stmt_id) + " writes it on node " +
+                    std::to_string(pin) +
+                    " after a remote-node read of the previous write" + cost +
+                    " — partition the container across the nodes or "
+                    "co-locate the reader with the writer",
+                loc_of(stmt_id));
+        n2n_reported = true;
       }
 
-      if (!control_flow) continue;  // PL031..PL033/PL052 own straight lines
+      // Ping-pong: this pinned write follows a cross-side read of its own
+      // last write. Inside a loop every iteration bounces the replica
+      // (PL064, at the write-back); outside one it is PL052, once per
+      // container, at the cross-side read.
+      if (w.last_writer != mem || w.cross_reader < 0) continue;
+      const int side = side_of(stmt_id);
+      if (stmt.loop_depth > 0 && !pingpong_reported) {
+        bag.add("PL064", Severity::kWarning,
+                "container '" + data +
+                    "' ping-pongs across the PCIe link on every loop "
+                    "iteration: " +
+                    call_label(stmt_id) + " writes it on the " +
+                    side_name(side) +
+                    " side after a cross-side read of the previous " +
+                    side_name(side) +
+                    "-side write — provide a variant on both sides or "
+                    "co-locate the reader with the writers",
+                loc_of(stmt_id));
+        pingpong_reported = true;
+      } else if (stmt.loop_depth == 0 && !container.pingpong_reported) {
+        container.hazards.add(
+            "PL052", Severity::kWarning,
+            "container '" + data + "' ping-pongs across the PCIe link: " +
+                call_label(w.writer_stmt) + " writes it on the " +
+                side_name(side_of(w.writer_stmt)) + " side, " +
+                call_label(w.cross_reader) + " reads it on the " +
+                side_name(side_of(w.cross_reader)) + " side, and " +
+                call_label(stmt_id) +
+                " writes it back — every round trip re-invalidates the "
+                "read-side replica, so prefetching this operand is always "
+                "wasted; provide a variant on both sides or co-locate the "
+                "reader with the writers",
+            loc_of(w.cross_reader));
+        container.pingpong_reported = true;
+      }
+    }
 
-      // PL065: an access joining an open read window that already hides a
-      // write (or a hidden write joining any open window) races.
-      if (!race_reported) {
-        bool wh = w.window_hidden;
-        bool wr = w.window_read;
-        for (const Access& access : accesses) {
-          if (access.mode == rt::AccessMode::kRead) {
-            const bool races =
-                access.hidden_write ? (wh || wr) : wh;
-            if (races) {
-              bag.add(
-                  "PL065", Severity::kError,
-                  "read/write race on container '" + data + "': call #" +
-                      std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") joins a concurrent read window that hides a write "
-                      "through a mutable parameter on at least one "
-                      "control-flow path — the runtime schedules the window "
-                      "concurrently",
-                  loc_of(stmt_id));
-              race_reported = true;
-              break;
-            }
-            (access.hidden_write ? wh : wr) = true;
-          } else {
-            wh = wr = false;
-          }
+    report_races(data, stmt_id, accesses, worlds, bag, container.hazards);
+  }
+
+  /// PL031/PL032/PL065: the read-window races this call completes, per
+  /// world. A race every world here completes is definite and is reported
+  /// like the window it closes: PL031 at the hidden writer, naming the
+  /// first true reader; PL032 at the second hidden writer. A race only some
+  /// worlds complete is path-dependent: PL065 at this call.
+  void report_races(const std::string& data, int stmt_id,
+                    const std::vector<Access>& accesses, const Worlds& worlds,
+                    DiagnosticBag& bag, DiagnosticBag& hazards) {
+    using Race = std::tuple<std::string, int, int>;  // code, hidden, partner
+    std::map<Race, std::size_t> completed_in;        // race -> worlds
+    for (const World& w : worlds) {
+      std::set<Race> races;
+      ReadWindow window = w.window;
+      for (const Access& access : accesses) {
+        const ReadWindow before = window;
+        window.join(stmt_id, access);
+        if (window.first_hidden >= 0 && window.first_reader >= 0 &&
+            (before.first_hidden < 0 || before.first_reader < 0)) {
+          races.insert({"PL031", window.first_hidden, window.first_reader});
+        }
+        if (window.second_hidden >= 0 && before.second_hidden < 0) {
+          races.insert({"PL032", window.first_hidden, window.second_hidden});
         }
       }
+      for (const Race& race : races) ++completed_in[race];
+    }
 
-      // PL064: this pinned write follows a cross-side read of its own last
-      // write, inside a loop — every iteration bounces the replica.
-      if (!pingpong_reported && stmt.loop_depth > 0 && writes &&
-          stmt.placement != CallPlacement::kAny) {
-        const int side =
-            stmt.placement == CallPlacement::kHost ? kHostSide : kDeviceSide;
-        const int mem = side == kHostSide ? host_mem : host_mem + 1;
-        if (w.last_writer == mem && w.cross_read) {
-          bag.add(
-              "PL064", Severity::kWarning,
-              "container '" + data +
-                  "' ping-pongs across the PCIe link on every loop "
-                  "iteration: call #" +
-                  std::to_string(stmt.call_index + 1) + " (" +
-                  stmt.node->call.interface_name + ") writes it on the " +
-                  side_name(side) +
-                  " side after a cross-side read of the previous " +
-                  side_name(side) +
-                  "-side write — provide a variant on both sides or "
-                  "co-locate the reader with the writers",
+    bool path_dependent = false;
+    for (const auto& [race, count] : completed_in) {
+      const auto& [code, hidden, partner] = race;
+      if (count < worlds.size()) {
+        path_dependent = true;
+      } else if (code == "PL031") {
+        std::string param;
+        for (const Access& access :
+             call_accesses(repo_, cfg_.stmts[hidden].node->call, data)) {
+          if (access.hidden_write) {
+            param = access.param->name;
+            break;
+          }
+        }
+        hazards.add("PL031", Severity::kError,
+                    "read/write race on container '" + data + "': " +
+                        call_label(hidden) +
+                        " declares read access through mutable parameter '" +
+                        param + "' while " + call_label(partner) +
+                        " reads it — the runtime schedules them concurrently",
+                    loc_of(hidden));
+      } else {
+        hazards.add("PL032", Severity::kError,
+                    "write/write race on container '" + data + "': " +
+                        call_label(hidden) + " and " + call_label(partner) +
+                        " both declare read access but their parameter types "
+                        "are mutable — the runtime schedules them concurrently",
+                    loc_of(partner));
+      }
+    }
+    if (path_dependent) {
+      bag.add("PL065", Severity::kError,
+              "read/write race on container '" + data + "': " +
+                  call_label(stmt_id) +
+                  " joins a concurrent read window that hides a write "
+                  "through a mutable parameter on at least one "
+                  "control-flow path — the runtime schedules the window "
+                  "concurrently",
               loc_of(stmt_id));
-          pingpong_reported = true;
-        }
-      }
     }
   }
 
@@ -906,6 +981,7 @@ class Verifier {
   const int max_steps_;
   const rt::MemTopology topo_;  ///< abstract machine (see abstract_topology)
   const int sim_nodes_;         ///< simulated cluster nodes in topo_
+  const std::vector<desc::CallNode> tree_;  ///< the statements cfg_ lowers
   Cfg cfg_;
   bool program_defined_ = false;  ///< current container has a pure write
 };
@@ -935,23 +1011,7 @@ VerifyResult verify_main(const desc::Repository& repo,
     return {};
   }
 
-  // Programmatic descriptors fill only the flattened view; synthesise the
-  // straight-line tree the lowering expects.
-  desc::MainDescriptor synthesized;
-  const desc::MainDescriptor* subject = main;
-  if (main->call_tree.empty()) {
-    synthesized = *main;
-    for (const desc::CallDesc& call : main->calls) {
-      desc::CallNode node;
-      node.kind = desc::CallNode::Kind::kCall;
-      node.call = call;
-      node.loc = call.loc;
-      synthesized.call_tree.push_back(std::move(node));
-    }
-    subject = &synthesized;
-  }
-
-  Verifier verifier(repo, options, *subject);
+  Verifier verifier(repo, options, *main);
   return verifier.run();
 }
 

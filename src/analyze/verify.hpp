@@ -12,15 +12,27 @@
 // applies to its concrete shadow state — so the verifier's abstract states
 // and the runtime's observed states are comparable point for point.
 //
-// Checks emitted (PL060..PL069, catalogued in docs/lint.md):
+// The same fixpoint is the one engine of the sequence hazards between
+// calls. Each finding takes its code from what the fixpoint proves about
+// it, never from control flow elsewhere in the file:
+//
+//   PL031  a hidden write races a true reader in one read window on every
+//          path reaching the access that completes the race
+//   PL032  two hidden writes share a read window, likewise on every path
+//   PL065  such a race on only some of those paths
+//   PL033  a write overwritten before any read by the same call on every path
+//          (anchored at that call)
+//   PL062  a write overwritten on every path before any read, by different
+//          calls on different paths
+//   PL052  cross-architecture write/read/write-back outside any <loop>
+//          (once per container, anchored at the cross-side read)
+//   PL064  the same ping-pong with the write-back inside a <loop>
+//
+// The other coherence checks (PL060..PL069, catalogued in docs/verify.md):
 //
 //   PL060  a read reached with the container initialised on only some paths
 //   PL061  <prefetch> whose target already holds a valid replica on every path
-//   PL062  a write overwritten on every path before any read (dead write)
 //   PL063  <partition> with no <unpartition> on some path to program end
-//   PL064  loop-carried cross-architecture ping-pong (path-sensitive PL052)
-//   PL065  branch-divergent access modes make a hidden-write race (the
-//          path-sensitive generalisation of PL031/PL032)
 //   PL066  partition protocol violation (access while partitioned, double
 //          partition, unpartition without partition, stray distributed form)
 //   PL069  the fixpoint iteration budget was exhausted (internal)
@@ -42,9 +54,6 @@
 //
 // A one-node (or absent) profile keeps the historical two-slot machine,
 // byte-identical output included — the differential tests pin that.
-//
-// The straight-line window checks (PL031..PL033, PL052) stand down when the
-// main module uses control flow; run_lint then runs this verifier instead.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +86,10 @@ struct AbstractWorld {
 
 /// Outcome of one verification run.
 struct VerifyResult {
-  diag::DiagnosticBag bag;  ///< PL060..PL069 findings, sorted
+  diag::DiagnosticBag bag;  ///< PL060..PL069 and PL080..PL087 findings, sorted
+  /// PL031..PL033 and PL052 findings, sorted: the sequence hazards
+  /// peppher-lint reports on every program (run_lint).
+  diag::DiagnosticBag hazards;
 
   /// False when the iteration budget was exhausted (PL069 in the bag).
   bool fixpoint_reached = true;

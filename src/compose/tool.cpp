@@ -64,7 +64,7 @@ std::string usage() {
          "  -backends=<cpu,openmp,cuda>\n"
          "  -lint    run the static checks (signatures, feasibility,\n"
          "           dispatch coverage, hazards, coherence) and stop\n"
-         "  -verify  also run the coherence verifier on straight lines\n"
+         "  -verify  also report PL060..PL069 on straight-line programs\n"
          "  -werror\n"
          "  -verbose\n";
 }

@@ -182,9 +182,9 @@ struct CallArgDesc {
 ///     </call>
 ///   </calls>
 ///
-/// The sequence is optional; when present, the lint hazard analysis
-/// symbolically executes it and reports data races the declared access
-/// modes would let the runtime schedule concurrently.
+/// The sequence is optional; when present, the lint hazard analysis (the
+/// coherence verifier's fixpoint) runs over it and reports data races the
+/// declared access modes would let the runtime schedule concurrently.
 struct CallDesc {
   std::string interface_name;
   std::vector<CallArgDesc> args;
@@ -295,19 +295,19 @@ struct MainDescriptor {
   std::vector<CallNode> call_tree;
 
   /// Every component call of `call_tree`, flattened in document order (loop
-  /// bodies and both branches of an <if> appear once). The straight-line
-  /// hazard checks consume this view; path-sensitive checks walk the tree.
+  /// bodies and both branches of an <if> appear once). The per-call lint
+  /// checks and the program-point numbering use this view; the hazard
+  /// analysis walks the tree.
   std::vector<CallDesc> calls;
 
-  /// True when `call_tree` contains a <loop> or <if>: the straight-line
-  /// window checks (PL031–PL033, PL052) stand down in favour of the
-  /// path-sensitive verifier, which models the actual paths.
+  /// True when `call_tree` contains a <loop> or <if>: run_lint then reports
+  /// the verifier's coherence findings (PL060–PL069) without --verify.
   bool has_control_flow = false;
 
   /// True when `call_tree` contains a distributed statement (<partitioned>,
-  /// <exchange>, <repartition>, <gather>): run_lint always runs the
-  /// coherence verifier then, since only the verifier models the
-  /// distributed protocol (PL080–PL087).
+  /// <exchange>, <repartition>, <gather>): run_lint then reports the
+  /// verifier's coherence and distributed findings (PL060–PL069,
+  /// PL080–PL087) without --verify.
   bool has_distributed = false;
   bool use_history_models = true;
   std::string scheduler = "dmda";

@@ -4,6 +4,7 @@
 // debug hazard check (EngineConfig::hazard_checks).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -675,6 +676,223 @@ TEST_F(LintTest, DisablingTheBalancingVariantRevealsPL052) {
   options.disable_impls = {"observe_cuda"};
   const DiagnosticBag bag = lint(options);
   EXPECT_NE(find(bag, "PL052"), nullptr) << bag.format_text();
+}
+
+// ---------------------------------------------------------------------------
+// One hazard engine: each finding takes its code from what the verifier's
+// fixpoint proves about its own container, never from control flow
+// elsewhere in the file.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kInitInterface =
+    "<peppher-interface name=\"init\">\n"
+    "  <function returnType=\"void\">\n"
+    "    <param name=\"o\" type=\"float*\" accessMode=\"write\" size=\"1\"/>\n"
+    "  </function>\n"
+    "</peppher-interface>\n";
+
+constexpr const char* kBumpInterface =
+    "<peppher-interface name=\"bump\">\n"
+    "  <function returnType=\"void\">\n"
+    "    <param name=\"o\" type=\"float*\" accessMode=\"readwrite\" size=\"1\"/>\n"
+    "  </function>\n"
+    "</peppher-interface>\n";
+
+constexpr const char* kConsumeInterface =
+    "<peppher-interface name=\"consume\">\n"
+    "  <function returnType=\"void\">\n"
+    "    <param name=\"x\" type=\"const float*\" accessMode=\"read\" size=\"1\"/>\n"
+    "  </function>\n"
+    "</peppher-interface>\n";
+
+std::string impl_descriptor(const std::string& iface,
+                            const std::string& language) {
+  return "<peppher-implementation name=\"" + iface + "_" + language +
+         "\" interface=\"" + iface + "\">\n  <platform language=\"" +
+         language + "\"/>\n</peppher-implementation>\n";
+}
+
+std::string main_descriptor(const std::string& calls) {
+  return "<peppher-main name=\"app\" source=\"main.cpp\">\n"
+         "  <calls>\n" +
+         calls +
+         "  </calls>\n"
+         "</peppher-main>\n";
+}
+
+/// One straight-line hazard fixture of the tests above: its descriptors,
+/// the <calls> body, the code it pins, and a call on a fresh container 'Z'
+/// for an appended <if> to wrap.
+struct HazardFixture {
+  const char* name;
+  std::vector<std::pair<std::string, std::string>> descriptors;
+  std::string calls;
+  std::string code;
+  std::string branch_call;
+};
+
+std::vector<HazardFixture> straight_line_hazards() {
+  const std::string scan_pq =
+      "<peppher-interface name=\"scan\">\n"
+      "  <function returnType=\"void\">\n"
+      "    <param name=\"p\" type=\"float*\" accessMode=\"read\" size=\"1\"/>\n"
+      "    <param name=\"q\" type=\"const float*\" accessMode=\"read\" size=\"1\"/>\n"
+      "  </function>\n"
+      "</peppher-interface>\n";
+  const std::string scan_p =
+      "<peppher-interface name=\"scan\">\n"
+      "  <function returnType=\"void\">\n"
+      "    <param name=\"p\" type=\"float*\" accessMode=\"read\" size=\"1\"/>\n"
+      "  </function>\n"
+      "</peppher-interface>\n";
+  const std::string step =
+      "<peppher-interface name=\"step\">\n"
+      "  <function returnType=\"void\">\n"
+      "    <param name=\"d\" type=\"float*\" accessMode=\"readwrite\" size=\"1\"/>\n"
+      "  </function>\n"
+      "</peppher-interface>\n";
+  const std::string observe =
+      "<peppher-interface name=\"observe\">\n"
+      "  <function returnType=\"void\">\n"
+      "    <param name=\"d\" type=\"const float*\" accessMode=\"read\" size=\"1\"/>\n"
+      "  </function>\n"
+      "</peppher-interface>\n";
+  const std::string init = "    <call interface=\"init\"><arg param=\"o\" data=\"D\"/></call>\n";
+  const std::string bump = "    <call interface=\"bump\"><arg param=\"o\" data=\"D\"/></call>\n";
+  return {
+      {"PL031",
+       {{"scan.xml", scan_pq}},
+       "    <call interface=\"scan\">\n"
+       "      <arg param=\"p\" data=\"D\"/>\n"
+       "      <arg param=\"q\" data=\"E\"/>\n"
+       "    </call>\n"
+       "    <call interface=\"scan\">\n"
+       "      <arg param=\"p\" data=\"F\"/>\n"
+       "      <arg param=\"q\" data=\"D\"/>\n"
+       "    </call>\n",
+       "PL031",
+       "<call interface=\"scan\"><arg param=\"p\" data=\"Z\"/>"
+       "<arg param=\"q\" data=\"Y\"/></call>"},
+      {"PL032",
+       {{"scan.xml", scan_p}},
+       "    <call interface=\"scan\"><arg param=\"p\" data=\"D\"/></call>\n"
+       "    <call interface=\"scan\"><arg param=\"p\" data=\"D\"/></call>\n",
+       "PL032",
+       "<call interface=\"scan\"><arg param=\"p\" data=\"Z\"/></call>"},
+      {"PL033 write/write",
+       {{"init.xml", kInitInterface}},
+       init + init,
+       "PL033",
+       "<call interface=\"init\"><arg param=\"o\" data=\"Z\"/></call>"},
+      {"PL033 write/readwrite/write",
+       {{"init.xml", kInitInterface}, {"bump.xml", kBumpInterface}},
+       init + bump + init,
+       "PL033",
+       "<call interface=\"bump\"><arg param=\"o\" data=\"Z\"/></call>"},
+      {"PL052",
+       {{"step.xml", step},
+        {"step_cuda.xml", impl_descriptor("step", "cuda")},
+        {"observe.xml", observe},
+        {"observe_cpu.xml", impl_descriptor("observe", "cpu")}},
+       "    <call interface=\"step\"><arg param=\"d\" data=\"D\"/></call>\n"
+       "    <call interface=\"observe\"><arg param=\"d\" data=\"D\"/></call>\n"
+       "    <call interface=\"step\"><arg param=\"d\" data=\"D\"/></call>\n",
+       "PL052",
+       "<call interface=\"observe\"><arg param=\"d\" data=\"Z\"/></call>"},
+  };
+}
+
+TEST_F(LintTest, AnIfOverAFreshContainerKeepsEveryStraightLineHazard) {
+  // The parent of the one-engine change lost the PL052, turned the PL031
+  // and PL032 into PL065 and each PL033 into PL062 as soon as the file held
+  // any <if>, even one that never touches the fixture's containers.
+  LintOptions options;
+  options.check_sources = false;
+  for (const HazardFixture& fixture : straight_line_hazards()) {
+    SCOPED_TRACE(fixture.name);
+    std::filesystem::remove_all(dir_);
+    for (const auto& [file, text] : fixture.descriptors) write(file, text);
+    write("main.xml", main_descriptor(fixture.calls));
+    const DiagnosticBag straight = lint(options);
+    EXPECT_NE(find(straight, fixture.code), nullptr) << straight.format_text();
+    write("main.xml", main_descriptor(fixture.calls + "    <if>\n      " +
+                                      fixture.branch_call + "\n    </if>\n"));
+    const DiagnosticBag branched = lint(options);
+    EXPECT_EQ(branched.format_text(), straight.format_text());
+  }
+}
+
+TEST_F(LintTest, VerifyReportsAStraightLineDeadWriteOnce) {
+  // --verify used to add the verifier's PL062 at the first <call> next to
+  // lint's PL033 at the second: one dead write, two findings.
+  write("init.xml", kInitInterface);
+  write("main.xml",
+        "<peppher-main name=\"app\" source=\"main.cpp\">\n"
+        "  <uses interface=\"init\"/>\n"
+        "  <calls>\n"
+        "    <call interface=\"init\"><arg param=\"o\" data=\"D\"/></call>\n"
+        "    <call interface=\"init\"><arg param=\"o\" data=\"D\"/></call>\n"
+        "  </calls>\n"
+        "</peppher-main>\n");
+  LintOptions options;
+  options.verify = true;
+  const DiagnosticBag bag = lint(options);
+  const std::vector<std::string> found = codes(bag);
+  EXPECT_EQ(std::count(found.begin(), found.end(), "PL033"), 1)
+      << bag.format_text();
+  EXPECT_EQ(find(bag, "PL062"), nullptr) << bag.format_text();
+  const Diagnostic* d = find(bag, "PL033");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->location.line, 5);  // the second <call>
+}
+
+TEST_F(LintTest, DisjointSliceWritesOfADistributedContainerAreNotPL033) {
+  // Each pinned init writes only its own node's slice: neither write is
+  // overwritten. The straight-line walk of the parent reported PL033 here
+  // while its own verifier correctly stayed silent.
+  write("init.xml", kInitInterface);
+  write("init_cpu.xml", impl_descriptor("init", "cpu"));
+  write("consume.xml", kConsumeInterface);
+  write("consume_cpu.xml", impl_descriptor("consume", "cpu"));
+  write("main.xml",
+        main_descriptor(
+            "    <partitioned data=\"u\" nodes=\"2\" halo=\"0\"/>\n"
+            "    <call interface=\"init\" node=\"0\"><arg param=\"o\" data=\"u\"/></call>\n"
+            "    <call interface=\"init\" node=\"1\"><arg param=\"o\" data=\"u\"/></call>\n"
+            "    <gather data=\"u\"/>\n"
+            "    <call interface=\"consume\"><arg param=\"x\" data=\"u\"/></call>\n"));
+  LintOptions options;
+  options.check_sources = false;
+  const DiagnosticBag bag = lint(options);
+  EXPECT_EQ(find(bag, "PL033"), nullptr) << bag.format_text();
+  EXPECT_EQ(find(bag, "PL062"), nullptr) << bag.format_text();
+}
+
+TEST_F(LintTest, DeadWriteInsideALoopIsPL033AtItsOverwriter) {
+  // Every iteration overwrites the first init with the second before any
+  // read: the same call kills it on every path, so it is PL033 at that
+  // call (the parent said PL062 at the first init).
+  write("init.xml", kInitInterface);
+  write("consume.xml", kConsumeInterface);
+  write("main.xml",
+        main_descriptor(
+            "    <loop count=\"2\">\n"
+            "      <call interface=\"init\"><arg param=\"o\" data=\"D\"/></call>\n"
+            "      <call interface=\"init\"><arg param=\"o\" data=\"D\"/></call>\n"
+            "      <call interface=\"consume\"><arg param=\"x\" data=\"D\"/></call>\n"
+            "    </loop>\n"));
+  const DiagnosticBag bag = lint();
+  const std::vector<std::string> found = codes(bag);
+  EXPECT_EQ(std::count(found.begin(), found.end(), "PL033"), 1)
+      << bag.format_text();
+  EXPECT_EQ(find(bag, "PL062"), nullptr) << bag.format_text();
+  const Diagnostic* d = find(bag, "PL033");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->location.line, 5);  // the second <call>
+  EXPECT_NE(d->message.find("written by call #1 (init) is overwritten by "
+                            "call #2 (init)"),
+            std::string::npos)
+      << d->message;
 }
 
 // ---------------------------------------------------------------------------

@@ -628,6 +628,58 @@ TEST(Predict, GreedyPlacementPrefersTheFasterSide) {
   EXPECT_EQ(result.host_exec_seconds, 0.0);
 }
 
+TEST(Predict, ReadWriteOperandPaysItsFetchOnceLikeTheRuntime) {
+  // v is host-resident and read by 64 later consume calls, but bump's
+  // readwrite operand is not a read the runtime amortises: its
+  // DataHandle::estimate_fetch_seconds prices any written operand with
+  // reuse 1. The accelerator is faster by less than the full upload and by
+  // more than its 64-fold amortised share, so the host must win.
+  const sim::MachineConfig machine = sim::MachineConfig::platform_c2050();
+  const std::size_t bytes = 1u << 20;
+  rt::PerfRegistry models;
+  const CostEvaluator eval(machine, models, 2);
+  const double full = eval.fetch_seconds(bytes, 1);
+  const double amortised = eval.fetch_seconds(bytes, 64);
+  ASSERT_LT(amortised, full);
+  calibrate(models, "bump", rt::Arch::kCuda, bytes, 1e-3);
+  calibrate(models, "bump", rt::Arch::kCpu, bytes, 1e-3 + (full + amortised) / 2);
+  calibrate(models, "consume", rt::Arch::kCpu, bytes, 1e-4);
+
+  // The runtime side of the contract: reads do not discount a readwrite.
+  rt::DataManager data(2, machine.link);
+  std::vector<float> buffer(bytes / sizeof(float), 0.0f);
+  const rt::DataHandlePtr handle =
+      data.register_buffer(buffer.data(), bytes, sizeof(float));
+  for (int i = 0; i < 64; ++i) {
+    handle->acquire(rt::kHostNode, rt::AccessMode::kRead, nullptr);
+  }
+  EXPECT_EQ(handle->estimate_fetch_seconds(1, rt::AccessMode::kReadWrite), full);
+
+  desc::Repository repo = make_repo(
+      main_with_calls(
+          "<call interface=\"bump\"><arg param=\"y\" data=\"v\"/></call>\n"
+          "<loop count=\"64\">\n"
+          "  <call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n"
+          "</loop>\n"),
+      {{"consume", {"cpu"}}});
+  repo.load_text(
+      "<peppher-interface name=\"bump\">\n"
+      "  <function returnType=\"void\">\n"
+      "    <param name=\"n\" type=\"int\" accessMode=\"read\"/>\n"
+      "    <param name=\"y\" type=\"float*\" accessMode=\"readwrite\" size=\"n\"/>\n"
+      "  </function>\n"
+      "</peppher-interface>\n");
+  repo.load_text(impl_xml("bump_cpu", "bump", "cpu"));
+  repo.load_text(impl_xml("bump_cuda", "bump", "cuda"));
+  PredictOptions options;
+  options.machine = machine;
+  options.sizes = {{"v", bytes}};
+  const PredictResult result = analyze::predict_main(repo, models, options);
+  ASSERT_FALSE(result.points.empty());
+  EXPECT_EQ(result.points[0].interface_name, "bump");
+  EXPECT_EQ(result.points[0].chosen, rt::Arch::kCpu);
+}
+
 TEST(Predict, WhatIfMakespansDecreaseMonotonically) {
   rt::PerfRegistry models;
   const std::size_t bytes = 4096;

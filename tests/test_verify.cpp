@@ -348,6 +348,92 @@ TEST(Verify, PL065SilentWithoutHiddenWrites) {
 }
 
 // ---------------------------------------------------------------------------
+// Sequence hazards (VerifyResult::hazards): the fixpoint picks each code
+// from what it proves about the finding itself
+// ---------------------------------------------------------------------------
+
+int count_hazard(const VerifyResult& result, const std::string& code) {
+  int n = 0;
+  for (const diag::Diagnostic& d : result.hazards.diagnostics()) {
+    if (d.code == code) ++n;
+  }
+  return n;
+}
+
+TEST(VerifyHazards, RaceOnEveryPathReachingItIsPL031) {
+  // Both accesses sit in the same branch: every path that reaches the
+  // reader races, so the race is definite even inside an <if>.
+  const VerifyResult result = verify(
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<if>\n"
+      "  <call interface=\"sneaky\"><arg param=\"x\" data=\"v\"/></call>\n"
+      "  <call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n"
+      "</if>\n");
+  EXPECT_EQ(count_hazard(result, "PL031"), 1) << result.hazards.format_text();
+  EXPECT_EQ(count_code(result, "PL065"), 0) << result.bag.format_text();
+}
+
+TEST(VerifyHazards, TwoHiddenWritersOnOnePathOnlyArePL065) {
+  const VerifyResult result = verify(
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<if>\n"
+      "  <call interface=\"sneaky\"><arg param=\"x\" data=\"v\"/></call>\n"
+      "</if>\n"
+      "<call interface=\"sneaky\"><arg param=\"x\" data=\"v\"/></call>\n");
+  EXPECT_EQ(count_hazard(result, "PL032"), 0) << result.hazards.format_text();
+  EXPECT_EQ(count_code(result, "PL065"), 1) << result.bag.format_text();
+}
+
+TEST(VerifyHazards, StraightLinePingPongIsAHazardNotACoherenceFinding) {
+  // The MixedPlacement program: the host write-back after a device read is
+  // a PL052 hazard, reported once; the coherence bag stays clean.
+  const VerifyResult result =
+      verify("<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+             "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n"
+             "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+             "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n",
+             {"consume"});
+  EXPECT_TRUE(result.bag.empty()) << result.bag.format_text();
+  EXPECT_EQ(count_hazard(result, "PL052"), 1) << result.hazards.format_text();
+}
+
+TEST(VerifyHazards, PingPongOutsideALoopIsPL052AndInsideIsPL064) {
+  // A loop on another container does not make v's write-back loop-carried;
+  // only a write-back inside a <loop> is PL064.
+  const VerifyResult result = verify(
+      "<loop count=\"3\">\n"
+      "  <call interface=\"init\"><arg param=\"y\" data=\"w\"/></call>\n"
+      "</loop>\n"
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n"
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<loop count=\"3\">\n"
+      "  <call interface=\"consume\"><arg param=\"x\" data=\"u\"/></call>\n"
+      "  <call interface=\"init\"><arg param=\"y\" data=\"u\"/></call>\n"
+      "</loop>\n",
+      {"consume"});
+  ASSERT_EQ(count_hazard(result, "PL052"), 1) << result.hazards.format_text();
+  EXPECT_NE(result.hazards.diagnostics().front().message.find("container 'v'"),
+            std::string::npos);
+  EXPECT_EQ(result.hazards.diagnostics().front().location.line, 7);
+  EXPECT_EQ(count_code(result, "PL064"), 1) << result.bag.format_text();
+}
+
+TEST(VerifyHazards, DeadWriteOverwrittenByOneCallIsPL033) {
+  // Both branches read nothing and the same call overwrites the first init
+  // on every path: PL033 at that call, not PL062.
+  const VerifyResult result = verify(
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<if>\n"
+      "  <call interface=\"init\"><arg param=\"y\" data=\"w\"/></call>\n"
+      "</if>\n"
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n");
+  EXPECT_EQ(count_hazard(result, "PL033"), 1) << result.hazards.format_text();
+  EXPECT_EQ(count_code(result, "PL062"), 0) << result.bag.format_text();
+}
+
+// ---------------------------------------------------------------------------
 // PL066 — partition protocol violations
 // ---------------------------------------------------------------------------
 

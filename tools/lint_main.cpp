@@ -14,10 +14,11 @@
 //                              same narrowing switch the compose tool takes
 //   --no-sources               skip parsing implementation sources (descriptor
 //                              and hazard checks only)
-//   --verify                   run the coherence verifier (PL060..PL069) even
-//                              for straight-line call sequences; main modules
-//                              with <loop>/<if> or distributed forms are
-//                              always verified
+//   --verify                   also report the coherence verifier's
+//                              PL060..PL069 on straight-line programs (its
+//                              sequence hazards PL031..PL033 and PL052 are
+//                              always reported; main modules with <loop>/<if>
+//                              or distributed forms report both)
 //   --cluster=<file>           verify against a peppher-cluster v1 profile:
 //                              the abstract machine gains one host + one
 //                              accelerator slot per cluster node and the
@@ -51,7 +52,7 @@ int usage(std::ostream& out) {
          "  --machine=<c2050|c1060|opencl|cpu>\n"
          "  --disableImpls=<name|arch>[,...]\n"
          "  --no-sources\n"
-         "  --verify\n"
+         "  --verify   also report PL060..PL069 on straight-line programs\n"
          "  --cluster=<peppher-cluster-v1-file>\n"
          "  --explain=PLxxx|all\n";
   return 2;
