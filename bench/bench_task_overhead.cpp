@@ -2,8 +2,9 @@
 // paper cites Augonnet's measurement that StarPU's task overhead is below
 // two microseconds; this google-benchmark binary measures the *real*
 // wall-clock cost of this reproduction's task path (submit + schedule +
-// dependency handling + completion) with an empty kernel, plus the cost of
-// the data-coherence path.
+// dependency handling + completion) with an empty kernel, the same path
+// with an OpenMP-style kernel that forks on the combined-CPU worker's team,
+// plus the cost of the data-coherence path.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -97,6 +98,52 @@ void BM_TaskOverheadPipelinedTraced(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_TaskOverheadPipelinedTraced)
+    ->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
+
+rt::Codelet& forking_codelet() {
+  static rt::Codelet codelet = [] {
+    rt::Codelet c("fork_add_one");
+    rt::Implementation impl;
+    impl.arch = rt::Arch::kCpuOmp;
+    impl.name = "fork_add_one_openmp";
+    impl.fn = [](rt::ExecContext& ctx) {
+      auto* x = ctx.buffer_as<float>(0);
+      ctx.parallel_for(0, ctx.elements(0), [x](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) x[i] += 1.0f;
+      });
+    };
+    c.add_impl(std::move(impl));
+    return c;
+  }();
+  return codelet;
+}
+
+/// Dependent chain whose only variant is OpenMP-style: every task forks
+/// over 64 elements on the 4-core node's combined-CPU worker team — the
+/// ode_chain pattern without the history models.
+void BM_TaskOverheadForkingChain(benchmark::State& state) {
+  rt::EngineConfig config = cpu_config();
+  config.machine = sim::MachineConfig::cpu_only(4);
+  rt::Engine engine(config);
+  std::vector<float> payload(64, 0.0f);
+  auto handle = engine.register_buffer(
+      payload.data(), payload.size() * sizeof(float), sizeof(float));
+  const int batch = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    for (int i = 0; i < batch; ++i) {
+      rt::TaskSpec spec;
+      spec.codelet = &forking_codelet();
+      spec.operands = {{handle, rt::AccessMode::kReadWrite}};
+      engine.submit(std::move(spec));
+    }
+    engine.wait_for_all();
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_TaskOverheadForkingChain)
     ->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 

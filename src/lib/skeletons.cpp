@@ -59,15 +59,20 @@ void reduce_body(rt::ExecContext& ctx, bool parallel) {
   auto* out = ctx.buffer_as<float>(1);
   const std::size_t n = ctx.elements(0);
   if (parallel && ctx.cpu_threads() > 1) {
-    // Per-chunk partial folds combined afterwards (re-association allowed:
-    // the operator is required to be associative).
-    std::mutex partials_mutex;
-    std::vector<float> partials;
-    ctx.parallel_for(0, n, [&](std::size_t b, std::size_t e) {
-      float acc = args.identity;
-      for (std::size_t i = b; i < e; ++i) acc = args.bin_fn(acc, x[i]);
-      std::lock_guard<std::mutex> lock(partials_mutex);
-      partials.push_back(acc);
+    // One partial fold per chunk of the team's split, combined in chunk
+    // order so the bits do not depend on which chunk finished first
+    // (re-association allowed: the operator is required to be associative).
+    const std::size_t chunks = chunk_count(ctx.cpu_threads(), n);
+    std::vector<float> partials(chunks);
+    ctx.parallel_for(0, chunks, [&](std::size_t b, std::size_t e) {
+      for (std::size_t c = b; c < e; ++c) {
+        const ChunkRange range = chunk_range(n, chunks, c);
+        float acc = args.identity;
+        for (std::size_t i = range.begin; i < range.end; ++i) {
+          acc = args.bin_fn(acc, x[i]);
+        }
+        partials[c] = acc;
+      }
     });
     float acc = args.identity;
     for (float p : partials) acc = args.bin_fn(acc, p);

@@ -46,7 +46,10 @@ rt::TaskPtr zip(cont::Vector<float>& x, cont::Vector<float>& y,
 
 /// out = x[0] op x[1] op ... op x[n-1]. `identity` seeds the fold (0 for
 /// plus, 1 for times, ...). op must be associative (parallel variants
-/// re-associate). Asynchronous; read `out.get()` to synchronise.
+/// re-associate): the OpenMP variant folds each chunk of its team's split
+/// (peppher::chunk_range) from `identity` and combines the partials in
+/// chunk order, so one input always gives one bit pattern. Asynchronous;
+/// read `out.get()` to synchronise.
 rt::TaskPtr reduce(cont::Vector<float>& x, cont::Scalar<float>& out, BinFn op,
                    float identity = 0.0f);
 

@@ -25,14 +25,16 @@ namespace peppher::rt {
 /// Implementation::fn call.
 class ExecContext {
  public:
-  ExecContext(Arch arch, WorkerId worker, int cpu_threads,
+  /// `team` is the combined-CPU worker's fork-join team; nullptr for every
+  /// other worker.
+  ExecContext(Arch arch, WorkerId worker, ForkJoinTeam* team,
               const std::vector<void*>& buffers,
               const std::vector<std::size_t>& buffer_bytes,
               const std::vector<std::size_t>& buffer_element_sizes,
               const void* arg)
       : arch_(arch),
         worker_(worker),
-        cpu_threads_(cpu_threads),
+        team_(team),
         buffers_(buffers),
         buffer_bytes_(buffer_bytes),
         buffer_element_sizes_(buffer_element_sizes),
@@ -41,9 +43,11 @@ class ExecContext {
   Arch arch() const noexcept { return arch_; }
   WorkerId worker() const noexcept { return worker_; }
 
-  /// Number of CPU threads this implementation may use (machine CPU count
-  /// for kCpuOmp variants, 1 otherwise).
-  int cpu_threads() const noexcept { return cpu_threads_; }
+  /// Number of CPU threads this implementation may use (the node's CPU
+  /// count for kCpuOmp variants, 1 otherwise).
+  int cpu_threads() const noexcept {
+    return team_ != nullptr ? team_->threads() : 1;
+  }
 
   std::size_t buffer_count() const noexcept { return buffers_.size(); }
 
@@ -72,16 +76,22 @@ class ExecContext {
 
   const void* raw_arg() const noexcept { return arg_; }
 
-  /// Fork-join loop over [begin, end) with this context's thread budget.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t, std::size_t)>& body) const {
-    peppher::parallel_for(cpu_threads_, begin, end, body);
+  /// Fork-join loop over [begin, end): on the combined-CPU worker the
+  /// chunks run on its persistent team (ForkJoinTeam), elsewhere the body
+  /// runs inline over the whole range. An exception thrown by a chunk
+  /// propagates once every claimed chunk finished.
+  void parallel_for(std::size_t begin, std::size_t end, ChunkFn body) const {
+    if (team_ != nullptr) {
+      team_->parallel_for(begin, end, body);
+    } else if (begin < end) {
+      body(begin, end);
+    }
   }
 
  private:
   Arch arch_;
   WorkerId worker_;
-  int cpu_threads_;
+  ForkJoinTeam* team_;
   const std::vector<void*>& buffers_;
   const std::vector<std::size_t>& buffer_bytes_;
   const std::vector<std::size_t>& buffer_element_sizes_;

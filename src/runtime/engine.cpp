@@ -213,6 +213,11 @@ Engine::Engine(EngineConfig config)
   for (const auto& desc : descs_) {
     auto worker = std::make_unique<Worker>();
     worker->desc = desc;
+    if (desc.is_combined_cpu) {
+      worker->team = std::make_unique<ForkJoinTeam>(
+          cluster_.nodes[static_cast<std::size_t>(desc.sim_node)]
+              .machine.cpu_cores);
+    }
     workers_.push_back(std::move(worker));
   }
   for (auto& worker : workers_) {
@@ -895,11 +900,7 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   bool injected_kernel_fault = false;
   double wall_seconds = 0.0;
   if (!task->failed()) {
-    const int node_cores =
-        cluster_.nodes[static_cast<std::size_t>(worker.desc.sim_node)]
-            .machine.cpu_cores;
-    ExecContext ctx(impl->arch, worker.desc.id,
-                    worker.desc.is_combined_cpu ? node_cores : 1, buffers,
+    ExecContext ctx(impl->arch, worker.desc.id, worker.team.get(), buffers,
                     buffer_bytes, element_sizes, task->spec.arg.get());
     const auto wall_start = std::chrono::steady_clock::now();
     try {

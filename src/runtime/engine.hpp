@@ -1,8 +1,8 @@
 // The PEPPHER runtime engine — this reproduction's stand-in for StarPU.
 //
 // One Engine owns: worker threads (one per CPU core, one combined
-// all-CPU-cores worker for OpenMP-style parallel variants, one per simulated
-// accelerator), the data manager (coherent handles over host + device memory
+// all-CPU-cores worker with its fork-join team for OpenMP-style parallel
+// variants, one per simulated accelerator), the data manager (coherent handles over host + device memory
 // nodes), the scheduler, and the performance-model registry.
 //
 // Component invocations become Tasks. Dependencies between tasks are
@@ -372,6 +372,11 @@ class Engine {
     std::vector<std::vector<std::byte>> preimage_data;  ///< pooled snapshots
     std::vector<TaskPtr> completed_scratch;
     std::vector<TaskPtr> ready_scratch;
+
+    /// The combined-CPU worker's fork-join team, as wide as its node's
+    /// cores (nullptr on every other worker). Its helpers start on the
+    /// worker's first fork and are joined when the engine is destroyed.
+    std::unique_ptr<ForkJoinTeam> team;
   };
 
   /// Internal atomic counterpart of FaultStats (transfer faults live in

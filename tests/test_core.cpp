@@ -136,7 +136,7 @@ TEST_F(CoreApi, WrapCTaskAdaptsBuffersAndArg) {
   std::vector<void*> buffers = {payload.data()};
   std::vector<std::size_t> bytes = {16};
   std::vector<std::size_t> elems = {4};
-  rt::ExecContext ctx(rt::Arch::kCpu, 0, 1, buffers, bytes, elems, &args);
+  rt::ExecContext ctx(rt::Arch::kCpu, 0, nullptr, buffers, bytes, elems, &args);
   fn(ctx);
   EXPECT_FLOAT_EQ(payload[0], 4.0f);
   EXPECT_THROW(wrap_c_task(nullptr), Error);

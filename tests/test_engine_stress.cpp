@@ -3,9 +3,11 @@
 // Correctness here means (a) every submitted task runs exactly once with
 // its per-handle dependency order intact — checked through bitwise-exact
 // results of non-commutative update chains — and (b) the engine's counters
-// add up. Run these under TSan (PEPPHER_SANITIZE=thread, see
-// tools/run_sanitizers.sh) to validate the memory-ordering arguments in
-// docs/runtime.md.
+// add up. The combined-CPU workers' fork-join teams get the same treatment:
+// concurrent forks on two nodes must match the serial kernel bit for bit,
+// and engines must shut down with their helpers parked. Run these under
+// TSan (PEPPHER_SANITIZE=thread, see tools/run_sanitizers.sh) to validate
+// the memory-ordering arguments in docs/runtime.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -363,6 +365,114 @@ TEST_P(EngineStress, PrefetchChurnOnDualGpuWithTinyMemory) {
           << "reader " << p << " observation " << i
           << " is not on the writer trajectory: " << seen;
     }
+  }
+}
+
+/// x[i] <- 3 * x[i] + (i % 7): every element is independent, so any split
+/// of the range must give the serial loop's bits, and a lost or repeated
+/// step changes them.
+void affine_step(std::uint64_t* x, std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) x[i] = 3 * x[i] + i % 7;
+}
+
+/// Codelet whose only variant is OpenMP-style: affine_step through a fork
+/// over the operand on the executing worker's team.
+Codelet make_forking_codelet() {
+  Codelet codelet("affine_fork");
+  codelet.add_impl(Implementation(
+      Arch::kCpuOmp, "affine_fork_openmp", [](ExecContext& ctx) {
+        auto* x = ctx.buffer_as<std::uint64_t>(0);
+        ctx.parallel_for(0, ctx.elements(0), [x](std::size_t b, std::size_t e) {
+          affine_step(x, b, e);
+        });
+      }));
+  return codelet;
+}
+
+TaskSpec forking_spec(const Codelet& codelet, const DataHandlePtr& handle,
+                      WorkerId worker) {
+  TaskSpec spec;
+  spec.codelet = &codelet;
+  spec.operands = {{handle, AccessMode::kReadWrite}};
+  spec.forced_arch = Arch::kCpuOmp;
+  spec.forced_worker = worker;
+  return spec;
+}
+
+// The combined workers of a two-node cluster fork at the same time, each on
+// its own team: one producer thread per node submits a chain of forced
+// OpenMP-style tasks pinned to that node's combined worker.
+TEST_P(EngineStress, TwoNodeCombinedWorkersForkAtOnce) {
+  EngineConfig config = stress_config(GetParam());
+  config.cluster =
+      sim::ClusterConfig::uniform(2, sim::MachineConfig::cpu_only(4));
+  Engine engine(config);
+  const Codelet codelet = make_forking_codelet();
+  std::vector<WorkerId> combined;
+  for (const auto& desc : engine.workers()) {
+    if (desc.is_combined_cpu) combined.push_back(desc.id);
+  }
+  ASSERT_EQ(combined.size(), 2u);
+
+  constexpr std::size_t kElements = 256;
+  constexpr int kSteps = 200;
+  std::vector<std::vector<std::uint64_t>> data(
+      2, std::vector<std::uint64_t>(kElements));
+  std::vector<std::vector<std::uint64_t>> expected(2);
+  std::vector<DataHandlePtr> handles;
+  for (std::size_t node = 0; node < 2; ++node) {
+    for (std::size_t i = 0; i < kElements; ++i) data[node][i] = i + node;
+    expected[node] = data[node];
+    for (int step = 0; step < kSteps; ++step) {
+      affine_step(expected[node].data(), 0, kElements);
+    }
+    handles.push_back(engine.register_buffer(
+        data[node].data(), kElements * sizeof(std::uint64_t),
+        sizeof(std::uint64_t)));
+  }
+
+  std::vector<std::thread> producers;
+  for (std::size_t node = 0; node < 2; ++node) {
+    producers.emplace_back([&, node] {
+      for (int step = 0; step < kSteps; ++step) {
+        engine.submit(forking_spec(codelet, handles[node], combined[node]));
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  engine.wait_for_all();
+
+  for (std::size_t node = 0; node < 2; ++node) {
+    engine.acquire_host(handles[node], AccessMode::kRead);
+    EXPECT_EQ(data[node], expected[node]) << "node " << node;
+    EXPECT_EQ(engine.worker_stats(combined[node]).tasks_executed,
+              static_cast<std::uint64_t>(kSteps));
+  }
+  EXPECT_EQ(engine.fault_stats().tasks_failed, 0u);
+}
+
+// An engine whose combined worker forked (so its helpers started and parked
+// again) shuts down cleanly, round after round.
+TEST(EngineStressTeam, DestroyWhileHelpersParked) {
+  const Codelet codelet = make_forking_codelet();
+  std::vector<std::uint64_t> expected(64, 1);
+  affine_step(expected.data(), 0, expected.size());
+  for (int round = 0; round < 10; ++round) {
+    EngineConfig config;
+    config.machine = sim::MachineConfig::cpu_only(4);
+    config.use_history_models = false;
+    std::vector<std::uint64_t> data(64, 1);
+    Engine engine(config);
+    WorkerId combined = -1;
+    for (const auto& desc : engine.workers()) {
+      if (desc.is_combined_cpu) combined = desc.id;
+    }
+    auto handle = engine.register_buffer(data.data(),
+                                         data.size() * sizeof(std::uint64_t),
+                                         sizeof(std::uint64_t));
+    engine.wait(engine.submit(forking_spec(codelet, handle, combined)));
+    engine.acquire_host(handle, AccessMode::kRead);
+    EXPECT_EQ(data, expected) << "round " << round;
   }
 }
 

@@ -1,11 +1,14 @@
 // Fault-injection tests: seeded FaultPlans, transient-failure retry on an
 // alternative variant, hard device death (task-count and virtual-time
 // triggered) with queue draining and blacklisting, transfer faults,
-// retry-exhaustion semantics, and the bitwise-correct CPU fallback of the
-// SpMV and ODE example workloads.
+// retry-exhaustion semantics, the bitwise-correct CPU fallback of the
+// SpMV and ODE example workloads, and exceptions thrown from one chunk of an
+// OpenMP-style variant's fork.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -444,6 +447,75 @@ TEST(FaultInjection, OdeSurvivesGpuDeathBitwise) {
   EXPECT_TRUE(engine.worker_blacklisted(gpu));
   EXPECT_EQ(engine.worker_stats(gpu).tasks_executed, 5u);
   EXPECT_NE(engine.summary().find("dead"), std::string::npos);
+}
+
+/// OpenMP-style variant that adds 1 to every element through a fork over
+/// its operand; the element named by the argument throws from its chunk.
+Codelet make_forking_codelet() {
+  Codelet codelet("fork_add_one");
+  codelet.add_impl({Arch::kCpuOmp, "fork_add_one_openmp", [](ExecContext& ctx) {
+                      const std::size_t poison = ctx.arg<std::size_t>();
+                      auto* data = ctx.buffer_as<float>(0);
+                      ctx.parallel_for(0, ctx.elements(0), [&](std::size_t b,
+                                                               std::size_t e) {
+                        for (std::size_t i = b; i < e; ++i) {
+                          if (i == poison) {
+                            throw Error(ErrorCode::kInternal, "chunk fault");
+                          }
+                          data[i] += 1.0f;
+                        }
+                      });
+                    }});
+  return codelet;
+}
+
+TaskPtr submit_fork(Engine& engine, const Codelet& codelet,
+                    const DataHandlePtr& handle, std::size_t poison) {
+  TaskSpec spec;
+  spec.codelet = &codelet;
+  spec.operands = {{handle, AccessMode::kReadWrite}};
+  spec.arg = std::make_shared<const std::size_t>(poison);
+  spec.forced_arch = Arch::kCpuOmp;
+  return engine.submit(std::move(spec));
+}
+
+TEST(FaultInjection, ThrowingChunkFailsTheForkingTaskNotTheProcess) {
+  EngineConfig config;
+  config.machine = sim::MachineConfig::cpu_only(4);
+  config.use_history_models = false;
+  Engine engine(config);
+  const Codelet codelet = make_forking_codelet();
+
+  // 64 elements over the 4-core team: the chunk [32, 48) throws at 40.
+  std::vector<float> doomed(64, 1.0f);
+  auto doomed_handle = engine.register_buffer(
+      doomed.data(), doomed.size() * sizeof(float), sizeof(float));
+  TaskPtr failing = submit_fork(engine, codelet, doomed_handle, 40);
+  try {
+    engine.wait(failing);
+    ADD_FAILURE() << "the chunk's exception did not reach wait()";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("chunk fault"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(failing->failed());
+  EXPECT_EQ(failing->executed_arch, Arch::kCpuOmp);
+  FaultStats stats = engine.fault_stats();
+  EXPECT_EQ(stats.failed_attempts, 1u);
+  EXPECT_EQ(stats.tasks_failed, 1u);
+  EXPECT_EQ(stats.retries, 0u);  // no other variant to fall back to
+
+  // The combined worker and its team survive: a later fork runs.
+  std::vector<float> data(64, 1.0f);
+  auto handle = engine.register_buffer(data.data(), data.size() * sizeof(float),
+                                       sizeof(float));
+  TaskPtr later = submit_fork(engine, codelet, handle, data.size());
+  engine.wait(later);
+  engine.acquire_host(handle, AccessMode::kRead);
+  for (float v : data) EXPECT_FLOAT_EQ(v, 2.0f);
+  stats = engine.fault_stats();
+  EXPECT_EQ(stats.failed_attempts, 1u);
+  EXPECT_EQ(stats.tasks_failed, 1u);
 }
 
 }  // namespace

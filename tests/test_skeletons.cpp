@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "core/peppher.hpp"
 #include "lib/skeletons.hpp"
@@ -19,6 +22,7 @@ float times(float a, float b) { return a * b; }
 float fmax_fn(float a, float b) { return a < b ? b : a; }
 float axpb(float x, float c) { return 2.0f * x + c; }
 float square(float x, float) { return x * x; }
+float right(float, float b) { return b; }  // associative, not commutative
 
 class SkeletonTest : public ::testing::Test {
  protected:
@@ -155,6 +159,62 @@ TEST_F(SkeletonTest, SizeMismatchThrows) {
   cont::Vector<float> z(&core::engine(), 16);
   EXPECT_THROW(zip(x, y, z, &plus), Error);
   EXPECT_THROW(map(x, z, nullptr), Error);
+}
+
+TEST_F(SkeletonTest, OpenMpReduceFoldsChunksInOrder) {
+  // Only the OpenMP variant stays enabled for this test.
+  rt::Codelet& codelet =
+      core::ComponentRegistry::global().get_or_create("skel_reduce");
+  for (const char* other : {"skel_reduce_cpu", "skel_reduce_cuda",
+                            "skel_reduce_opencl"}) {
+    codelet.disable_impls(other);
+  }
+  struct EnableAll {
+    rt::Codelet& codelet;
+    ~EnableAll() { codelet.enable_all(); }
+  } restore{codelet};
+
+  constexpr std::size_t n = 4099;
+  auto x = random_vector(n, 31);
+  std::vector<float> xs;
+  {
+    auto view = x.read_access();
+    xs.assign(view.begin(), view.end());
+  }
+  // The documented split: as many chunks as the node has cores,
+  // contiguous, sizes differing by at most one, larger chunks first; each
+  // chunk folds from the identity and the partials fold in chunk order.
+  const auto threads = static_cast<std::size_t>(
+      core::engine().cluster().nodes.front().machine.cpu_cores);
+  ASSERT_GT(threads, 1u);
+  float expected = 0.0f;
+  std::size_t begin = 0;
+  for (std::size_t c = 0; c < threads; ++c) {
+    const std::size_t len = n / threads + (c < n % threads ? 1 : 0);
+    float partial = 0.0f;
+    for (std::size_t i = begin; i < begin + len; ++i) partial += xs[i];
+    expected += partial;
+    begin += len;
+  }
+  ASSERT_EQ(begin, n);
+
+  for (int run = 0; run < 20; ++run) {
+    cont::Scalar<float> total(&core::engine());
+    rt::TaskPtr task = reduce(x, total, &plus, 0.0f);
+    core::engine().wait(task);
+    EXPECT_EQ(task->executed_arch, rt::Arch::kCpuOmp);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(total.get()),
+              std::bit_cast<std::uint32_t>(expected))
+        << "run " << run;
+
+    // The right projection keeps the last partial folded: the last
+    // chunk's, whichever chunk finished last.
+    cont::Scalar<float> last(&core::engine());
+    reduce(x, last, &right, 0.0f);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(last.get()),
+              std::bit_cast<std::uint32_t>(xs[n - 1]))
+        << "run " << run;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,18 @@
 // Tests for the support substrate: strings, RNG, filesystem helpers,
-// concurrent queues, error types and the parallel_for helper.
+// concurrent queues, error types and the fork-join team.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/fs.hpp"
@@ -228,22 +236,24 @@ TEST(WorkStealingDeque, OwnerLifoThiefFifo) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_for
+// ForkJoinTeam
 // ---------------------------------------------------------------------------
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
+  ForkJoinTeam team(4);
   std::vector<int> hits(1000, 0);
-  parallel_for(4, 0, hits.size(), [&](std::size_t b, std::size_t e) {
+  team.parallel_for(0, hits.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) hits[i]++;
   });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ParallelFor, EmptyAndSingleRanges) {
+  ForkJoinTeam team(4);
   int calls = 0;
-  parallel_for(4, 5, 5, [&](std::size_t, std::size_t) { ++calls; });
+  team.parallel_for(5, 5, [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  parallel_for(4, 5, 6, [&](std::size_t b, std::size_t e) {
+  team.parallel_for(5, 6, [&](std::size_t b, std::size_t e) {
     EXPECT_EQ(b, 5u);
     EXPECT_EQ(e, 6u);
     ++calls;
@@ -252,11 +262,158 @@ TEST(ParallelFor, EmptyAndSingleRanges) {
 }
 
 TEST(ParallelFor, MoreThreadsThanItems) {
+  ForkJoinTeam team(16);
   std::vector<int> hits(3, 0);
-  parallel_for(16, 0, 3, [&](std::size_t b, std::size_t e) {
+  team.parallel_for(0, 3, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) hits[i]++;
   });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ForkJoinTeam, SplitIsContiguousWithLargerChunksFirst) {
+  EXPECT_EQ(chunk_count(4, 10), 4u);
+  EXPECT_EQ(chunk_count(16, 3), 3u);
+  EXPECT_EQ(chunk_count(0, 3), 1u);
+  const std::vector<std::pair<std::size_t, std::size_t>> expected = {
+      {0, 3}, {3, 6}, {6, 8}, {8, 10}};
+  for (std::size_t c = 0; c < expected.size(); ++c) {
+    const ChunkRange range = chunk_range(10, 4, c);
+    EXPECT_EQ(range.begin, expected[c].first) << "chunk " << c;
+    EXPECT_EQ(range.end, expected[c].second) << "chunk " << c;
+  }
+
+  // A fork hands its body exactly those chunks, offset by the range start.
+  ForkJoinTeam team(4);
+  std::mutex mutex;
+  std::vector<std::pair<std::size_t, std::size_t>> seen;
+  team.parallel_for(100, 110, [&](std::size_t b, std::size_t e) {
+    std::lock_guard<std::mutex> lock(mutex);
+    seen.emplace_back(b - 100, e - 100);
+  });
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(ForkJoinTeam, TenThousandBackToBackForksCoverTheirRangesOnce) {
+  ForkJoinTeam team(4);
+  std::vector<std::atomic<int>> hits(80);
+  int bad_forks = 0;
+  for (int fork = 0; fork < 10'000; ++fork) {
+    const std::size_t begin = static_cast<std::size_t>(fork % 5);
+    const std::size_t end = begin + 64 + static_cast<std::size_t>(fork % 11);
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    team.parallel_for(begin, end, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      const int want = (i >= begin && i < end) ? 1 : 0;
+      if (hits[i].load(std::memory_order_relaxed) != want) {
+        ++bad_forks;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(bad_forks, 0);
+}
+
+TEST(ForkJoinTeam, EveryHelperJoinsAForkWhoseChunksWaitForEachOther) {
+  // Each chunk waits until all four have started, so the fork completes
+  // only if the owner's wake and the helpers' chained wakes bring every
+  // helper in.
+  ForkJoinTeam team(4);
+  for (int fork = 0; fork < 20; ++fork) {
+    std::atomic<int> arrived{0};
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    team.parallel_for(0, 4, [&](std::size_t, std::size_t) {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+      }
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (arrived.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+    EXPECT_EQ(arrived.load(), 4) << "fork " << fork;
+    EXPECT_EQ(ids.size(), 4u) << "fork " << fork;
+  }
+}
+
+TEST(ForkJoinTeam, ForksCreateNoThreadOnceStarted) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "no " << tasks;
+  const auto thread_count = [&] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const auto before = thread_count();
+  ForkJoinTeam team(4);
+  EXPECT_EQ(thread_count(), before);  // the constructor starts nothing
+  std::atomic<std::size_t> covered{0};
+  const auto count = [&](std::size_t b, std::size_t e) {
+    covered.fetch_add(e - b, std::memory_order_relaxed);
+  };
+  team.parallel_for(0, 64, count);
+  // At least the three helpers (a sanitizer runtime may add its own).
+  const auto started = thread_count();
+  EXPECT_GE(started, before + 3);
+  for (int fork = 0; fork < 1000; ++fork) team.parallel_for(0, 64, count);
+  EXPECT_EQ(thread_count(), started);
+  EXPECT_EQ(covered.load(), 1001u * 64u);
+}
+
+TEST(ForkJoinTeam, ChunkExceptionRethrowsAfterEveryClaimedChunk) {
+  ForkJoinTeam team(4);
+  std::vector<std::atomic<int>> hits(64);
+  const auto body = [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      if (i == 40) throw std::runtime_error("chunk 2 failed");
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  try {
+    team.parallel_for(0, 64, body);
+    ADD_FAILURE() << "the chunk's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 2 failed");
+  }
+  // Every other chunk ran to completion before the rethrow; the throwing
+  // chunk stopped at its faulting index.
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    const int want = (i >= 40 && i < 48) ? 0 : 1;
+    EXPECT_EQ(hits[i].load(), want) << "index " << i;
+  }
+
+  // Two throwing chunks: the owner sees exactly one exception.
+  EXPECT_THROW(team.parallel_for(0, 64,
+                                 [](std::size_t b, std::size_t) {
+                                   if (b < 32) throw std::logic_error("low");
+                                 }),
+               std::logic_error);
+
+  // The team stays usable.
+  std::vector<int> after(64, 0);
+  team.parallel_for(0, 64, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) after[i]++;
+  });
+  for (int h : after) EXPECT_EQ(h, 1);
+}
+
+TEST(ForkJoinTeam, DestroysWithParkedOrUnstartedHelpers) {
+  { ForkJoinTeam never_forked(4); }
+  for (int round = 0; round < 50; ++round) {
+    ForkJoinTeam team(4);
+    std::atomic<int> sum{0};
+    team.parallel_for(0, 4, [&](std::size_t b, std::size_t e) {
+      sum.fetch_add(static_cast<int>(e - b), std::memory_order_relaxed);
+    });
+    EXPECT_EQ(sum.load(), 4);
+  }  // helpers may still be waking from the fork when the team is destroyed
 }
 
 }  // namespace
