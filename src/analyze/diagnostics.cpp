@@ -163,7 +163,8 @@ std::string DiagnosticBag::format_sarif() const {
 const std::vector<CodeInfo>& all_codes() {
   static const std::vector<CodeInfo> kCodes = {
       {"PL000", Severity::kError, "descriptor file failed to parse",
-       "Fix the XML syntax error at the reported line/column; the rest of the "
+       "Fix the syntax error at the reported line/column of the XML "
+       "descriptor or 'peppher-dispatch v1' dispatch table; the rest of the "
        "file is not analysed until it parses."},
       {"PL001", Severity::kError,
        "implementation signature arity differs from the interface",
@@ -211,37 +212,21 @@ const std::vector<CodeInfo>& all_codes() {
       {"PL013", Severity::kWarning, "main module targets an unknown platform",
        "Point <target platform=...> at a declared platform descriptor, or "
        "add the missing platform descriptor."},
-      {"PL020", Severity::kError,
-       "dispatch table selects an unknown implementation variant",
-       "Retrain the dispatch table, or fix the variant name; stale tables "
-       "select variants that no longer exist."},
-      {"PL021", Severity::kError,
-       "dispatch table selects a variant of another interface",
-       "The table's file name must match the interface its variants belong "
-       "to; rename the file or retrain."},
-      {"PL022", Severity::kError,
-       "dispatch entry unreachable (non-ascending upper bound)",
-       "Sort entries by strictly ascending upper bound; a bound that does "
-       "not ascend past its predecessor can never be selected."},
-      {"PL023", Severity::kWarning,
-       "dispatch table not compacted (adjacent equal choices)",
-       "Merge adjacent intervals that select the same variant into one "
-       "entry."},
       {"PL024", Severity::kError,
        "dispatch entry architecture disagrees with the variant",
-       "Retrain the table: the recorded architecture no longer matches the "
-       "variant's descriptor, so the training data is stale."},
+       "Retrain the table: no implementation of the entry's interface has "
+       "the recorded architecture any more, so the training data is stale."},
       {"PL025", Severity::kWarning,
        "dispatch table matches no interface in the repository",
-       "Name the .dispatch file after an interface, or delete the orphaned "
-       "table."},
+       "Retrain the table against this repository, or delete the entries "
+       "whose interface no longer exists."},
       {"PL026", Severity::kWarning, "dispatch table selects a disabled variant",
-       "Re-enable the variant or retrain without it; the branch is "
-       "unreachable under the current disableImpls narrowing."},
+       "Re-enable a variant of that architecture or retrain without it; the "
+       "branch is unreachable under the current disableImpls narrowing."},
       {"PL027", Severity::kWarning,
        "dispatch table is empty (training produced no data)",
-       "Run the training workflow for this interface; an empty table gives "
-       "the dispatcher nothing to select with."},
+       "Run the training workflow again; an empty table gives the "
+       "dispatcher nothing to select with."},
       {"PL030", Severity::kError,
        "one call binds the same data twice with a write (aliasing)",
        "Bind distinct containers, or merge the parameters: the runtime "

@@ -7,10 +7,10 @@
 // SARIF 2.1.0 — so editors, CI systems and humans all consume one stream.
 //
 // Code ranges (catalogued in docs/lint.md):
-//   PL000         descriptor failed to parse at all
+//   PL000         descriptor or dispatch table failed to parse at all
 //   PL001..PL009  interface/implementation signature & access-mode checks
 //   PL010..PL019  platform feasibility
-//   PL020..PL029  dispatch-table coverage
+//   PL024..PL029  dispatch-table coverage (PL020..PL023 retired)
 //   PL030..PL039  task-graph hazards
 //   PL040..PL051  repository structure (Repository::diagnose)
 //   PL052..PL059  placement / transfer smells

@@ -2,14 +2,13 @@
 
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "analyze/verify.hpp"
 
 #include "cdecl/cdecl.hpp"
+#include "runtime/perfmodel.hpp"
 #include "support/error.hpp"
 #include "support/fs.hpp"
-#include "support/strings.hpp"
 
 namespace peppher::analyze {
 
@@ -335,51 +334,24 @@ void check_feasibility(const desc::Repository& repo, const LintOptions& options,
 }
 
 // ---------------------------------------------------------------------------
-// PL020..PL027 — dispatch-table coverage
+// PL024..PL027 — dispatch-table coverage
 // ---------------------------------------------------------------------------
 
+/// Reads one table with the runtime's own parser: a file it rejects is
+/// PL000, with the Engine's message at the parser's line and column. Each
+/// (interface, architecture) pair the entries name is checked once, at its
+/// first line.
 void check_dispatch_file(const desc::Repository& repo,
                          const std::filesystem::path& path,
                          const LintOptions& options, DiagnosticBag& bag) {
-  std::istringstream in(fs::read_file(path));
-  std::string first_token;
-  // A recorded runtime table ("peppher-dispatch v1", keyed by codelet and
-  // footprint) is not the size-keyed compose format: rt::DispatchTable's
-  // own loader validates it, with located errors.
-  if (in >> first_token && first_token == "peppher-dispatch") return;
-  in.clear();
-  in.seekg(0);
-
-  const std::string iface_name = path.stem().string();
-  const bool iface_known = repo.find_interface(iface_name) != nullptr;
-  if (!iface_known) {
-    bag.add("PL025", Severity::kWarning,
-            "dispatch table '" + path.filename().string() +
-                "' matches no interface in the repository",
-            SourceLocation{path.string(), 0, 0});
+  std::vector<rt::DispatchTable::Entry> entries;
+  try {
+    entries = rt::DispatchTable::parse_file(path);
+  } catch (const ParseError& e) {
+    bag.add("PL000", Severity::kError, e.what(),
+            SourceLocation{path.string(), e.line(), e.column()});
+    return;
   }
-
-  struct Entry {
-    std::size_t upper_bytes = 0;
-    std::string variant;
-    std::string arch;
-    int line = 0;
-  };
-  std::vector<Entry> entries;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string trimmed(strings::trim(line));
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    std::istringstream fields(trimmed);
-    Entry e;
-    e.line = line_no;
-    if (!(fields >> e.upper_bytes >> e.variant)) continue;
-    fields >> e.arch;  // optional third column
-    entries.push_back(std::move(e));
-  }
-
   if (entries.empty()) {
     bag.add("PL027", Severity::kWarning,
             "dispatch table '" + path.filename().string() +
@@ -389,54 +361,39 @@ void check_dispatch_file(const desc::Repository& repo,
     return;
   }
 
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    const SourceLocation loc{path.string(), e.line, 0};
-    const desc::ImplementationDescriptor* impl =
-        repo.find_implementation(e.variant);
-    if (impl == nullptr) {
-      bag.add("PL020", Severity::kError,
-              "dispatch table '" + path.filename().string() +
-                  "' selects unknown implementation '" + e.variant + "'",
+  std::set<std::pair<std::string, rt::Arch>> checked;
+  for (const rt::DispatchTable::Entry& entry : entries) {
+    if (!checked.emplace(entry.codelet, entry.arch).second) continue;
+    const SourceLocation loc{path.string(), entry.line, 0};
+    const std::string arch(rt::to_string(entry.arch));
+    if (repo.find_interface(entry.codelet) == nullptr) {
+      bag.add("PL025", Severity::kWarning,
+              "dispatch entry for '" + entry.codelet +
+                  "' matches no interface in the repository",
               loc);
-    } else {
-      if (iface_known && impl->interface_name != iface_name) {
-        bag.add("PL021", Severity::kError,
-                "dispatch table '" + path.filename().string() +
-                    "' selects '" + e.variant + "', an implementation of '" +
-                    impl->interface_name + "', not of '" + iface_name + "'",
-                loc);
-      }
-      if (!e.arch.empty() && e.arch != rt::to_string(impl->arch())) {
-        bag.add("PL024", Severity::kError,
-                "dispatch entry for '" + e.variant + "' records architecture '" +
-                    e.arch + "' but the variant is '" +
-                    rt::to_string(impl->arch()) + "' — stale training data",
-                loc);
-      }
-      if (is_disabled(*impl, repo, options)) {
-        bag.add("PL026", Severity::kWarning,
-                "dispatch table '" + path.filename().string() +
-                    "' selects disabled implementation '" + e.variant +
-                    "' (unreachable branch)",
-                loc);
-      }
+      continue;
     }
-    if (i > 0) {
-      if (e.upper_bytes <= entries[i - 1].upper_bytes) {
-        bag.add("PL022", Severity::kError,
-                "dispatch entry with upper bound " +
-                    std::to_string(e.upper_bytes) +
-                    " is unreachable after bound " +
-                    std::to_string(entries[i - 1].upper_bytes),
-                loc);
-      }
-      if (e.variant == entries[i - 1].variant) {
-        bag.add("PL023", Severity::kWarning,
-                "adjacent dispatch entries both select '" + e.variant +
-                    "'; the table is not compacted",
-                loc);
-      }
+    bool has_arch = false;
+    bool all_disabled = true;
+    for (const desc::ImplementationDescriptor* impl :
+         repo.implementations_of(entry.codelet)) {
+      if (impl->arch() != entry.arch) continue;
+      has_arch = true;
+      all_disabled = all_disabled && is_disabled(*impl, repo, options);
+    }
+    if (!has_arch) {
+      bag.add("PL024", Severity::kError,
+              "dispatch entry for '" + entry.codelet +
+                  "' records architecture '" + arch +
+                  "' but no implementation of '" + entry.codelet +
+                  "' is '" + arch + "' — stale training data",
+              loc);
+    } else if (all_disabled) {
+      bag.add("PL026", Severity::kWarning,
+              "dispatch entry for '" + entry.codelet + "' selects '" + arch +
+                  "', whose every implementation is disabled (unreachable "
+                  "branch)",
+              loc);
     }
   }
 }

@@ -14,9 +14,12 @@
 //   * platform feasibility (PL010..PL013): variants whose backend no
 //     platform descriptor (or target machine) provides, and components left
 //     with zero viable variants after disableImpls narrowing;
-//   * dispatch-table coverage (PL020..PL027): "<interface>.dispatch" files
-//     next to the descriptors are checked for unknown/disabled variants,
-//     unreachable entries, stale architectures and empty (untrained) tables;
+//   * dispatch-table coverage (PL024..PL027): every "*.dispatch" file under
+//     the root is read with the runtime's own "peppher-dispatch v1" parser
+//     (a file it rejects is PL000), and each entry's interface and
+//     architecture are checked against the repository: unknown interfaces,
+//     architectures no implementation has (stale training data), ones
+//     whose every implementation is disabled, and empty tables;
 //   * task-graph hazard analysis (PL030..PL036, PL052): each call of the
 //     main module's declared <calls> is checked on its own (aliasing binds,
 //     unknown interfaces and parameters, unbound operands); the hazards
@@ -53,8 +56,8 @@ struct LintOptions {
   /// signatures. Disable for descriptor-only linting.
   bool check_sources = true;
 
-  /// Directory scanned for "<interface>.dispatch" files (set by lint_path;
-  /// empty skips the dispatch checks).
+  /// Directory scanned recursively for "*.dispatch" tables (set by
+  /// lint_path; empty skips the dispatch checks).
   std::filesystem::path root;
 
   /// Report the coherence verifier's PL060..PL069 (analyze/verify.hpp) on

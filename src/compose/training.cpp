@@ -1,6 +1,8 @@
 #include "compose/training.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "support/error.hpp"
@@ -80,16 +82,43 @@ TrainingReport train_component(rt::Engine& engine, const rt::Codelet& codelet,
   return report;
 }
 
-DispatchTable train_and_build_table(rt::Engine& engine,
-                                    ComponentNode& component,
-                                    const rt::Codelet& codelet,
-                                    const TrainingTaskFactory& factory,
-                                    const std::vector<std::size_t>& scenarios,
-                                    int repeats) {
-  const TrainingReport report =
-      train_component(engine, codelet, factory, scenarios, repeats);
-  return DispatchTable::build(component, report.scenario_bytes(),
-                              history_predictor(engine.perf(), codelet.name()));
+rt::DispatchTable build_dispatch_table(
+    const ComponentNode& component,
+    const std::vector<std::size_t>& scenario_bytes,
+    const rt::PerfRegistry& registry) {
+  const std::string& name = component.interface.name;
+  rt::DispatchTable table;
+  for (std::size_t bytes : scenario_bytes) {
+    std::optional<rt::Arch> best;
+    double best_seconds = std::numeric_limits<double>::infinity();
+    for (const VariantNode* variant : component.enabled_variants()) {
+      const std::optional<double> seconds =
+          registry.regression_estimate(name, variant->arch(), bytes);
+      if (seconds.has_value() && *seconds < best_seconds) {
+        best = variant->arch();
+        best_seconds = *seconds;
+      }
+    }
+    if (best.has_value()) table.train(name, 0, -1, *best);
+  }
+  return table;
+}
+
+int narrow_with_table(ComponentNode& component, const rt::DispatchTable& table) {
+  std::set<rt::Arch> voted;
+  for (const rt::DispatchTable::Entry& entry : table.entries()) {
+    if (entry.codelet == component.interface.name) voted.insert(entry.arch);
+  }
+  if (voted.empty()) return 0;
+  int disabled = 0;
+  for (VariantNode& variant : component.variants) {
+    if (variant.enabled && voted.count(variant.arch()) == 0) {
+      variant.enabled = false;
+      variant.disabled_reason = "never selected by the static dispatch table";
+      ++disabled;
+    }
+  }
+  return disabled;
 }
 
 }  // namespace peppher::compose

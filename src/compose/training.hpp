@@ -4,14 +4,18 @@
 // API: run every enabled variant of a component over a set of context
 // scenarios, record the timings in the engine's performance registry
 // (persisted via the engine's sampling directory), and derive a static
-// dispatch table from the result.
+// dispatch table from the result (§III step 3, §IV-A): the same
+// "peppher-dispatch v1" table the runtime replays and peppher-lint checks.
+// A table that still votes for several architectures *narrows* the
+// candidate set (the runtime takes the final choice); one that votes for a
+// single architecture pins the choice entirely.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "compose/dispatch.hpp"
+#include "compose/ir.hpp"
 #include "runtime/engine.hpp"
 
 namespace peppher::compose {
@@ -38,7 +42,7 @@ struct TrainingReport {
   std::vector<TrainingSample> samples;
 
   /// Scenario footprints (bytes) seen during training — the natural
-  /// scenario set for DispatchTable::build.
+  /// scenario set for build_dispatch_table.
   std::vector<std::size_t> scenario_bytes() const;
 };
 
@@ -52,13 +56,22 @@ TrainingReport train_component(rt::Engine& engine, const rt::Codelet& codelet,
                                const std::vector<std::size_t>& scenarios,
                                int repeats = 3);
 
-/// Convenience: train, then build the dispatch table from the recorded
-/// history at the training scenarios' footprints.
-DispatchTable train_and_build_table(rt::Engine& engine,
-                                    ComponentNode& component,
-                                    const rt::Codelet& codelet,
-                                    const TrainingTaskFactory& factory,
-                                    const std::vector<std::size_t>& scenarios,
-                                    int repeats = 3);
+/// Static composition from training data: for each scenario footprint,
+/// one vote for the architecture whose history regression
+/// (PerfRegistry::regression_estimate) is lowest among the component's
+/// enabled variants, keyed (interface, footprint 0, point -1) — the key
+/// peppher-predict's export uses for static sizes. A scenario where no
+/// variant is predictable casts no vote. save() the result for replay
+/// (EngineConfig::dispatch_table), or narrow with it.
+rt::DispatchTable build_dispatch_table(
+    const ComponentNode& component,
+    const std::vector<std::size_t>& scenario_bytes,
+    const rt::PerfRegistry& registry);
+
+/// Disables every enabled variant of `component` whose architecture got no
+/// vote under the component's interface (user-transparent static narrowing
+/// from training data). A table with no votes for the interface changes
+/// nothing. Returns the number of variants disabled.
+int narrow_with_table(ComponentNode& component, const rt::DispatchTable& table);
 
 }  // namespace peppher::compose

@@ -201,6 +201,12 @@ Engine::Engine(EngineConfig config)
     };
   }
   if (!config_.dispatch_table.empty()) {
+    if (config_.scheduler != "lookahead") {
+      throw Error(ErrorCode::kInvalidArgument,
+                  "dispatch_table needs scheduler 'lookahead': only the "
+                  "lookahead scheduler replays a dispatch table, and "
+                  "scheduler '" + config_.scheduler + "' would ignore it");
+    }
     dispatch_replay_.load(config_.dispatch_table);  // loads + finalizes
     dispatch_replay_active_ = true;
     env.dispatch = &dispatch_replay_;

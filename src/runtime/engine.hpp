@@ -162,7 +162,8 @@ struct EngineConfig {
   /// training run (see dispatch_out). Loaded at construction (malformed
   /// files throw located ParseErrors); the lookahead scheduler then serves
   /// placements from the table with one precomputed-key hash probe — no
-  /// model evaluation on the hot path. Empty disables replay.
+  /// model evaluation on the hot path. Requires scheduler "lookahead" (the
+  /// constructor rejects any other policy). Empty disables replay.
   std::filesystem::path dispatch_table;
 
   /// Static-composition training: when non-empty, every successful task

@@ -396,6 +396,18 @@ std::vector<Token> tokenize(std::string_view line) {
   throw ParseError(message, line, column);
 }
 
+/// Rethrows a located ParseError from parsing `file` with the file named in
+/// its text; the structured line/column carry over unchanged.
+[[noreturn]] void rethrow_naming(const ParseError& e,
+                                 const std::filesystem::path& file) {
+  std::string message = e.what();
+  const std::string prefix(to_string(ErrorCode::kParseError));
+  if (strings::starts_with(message, prefix + ": ")) {
+    message = message.substr(prefix.size() + 2);
+  }
+  throw ParseError(message, file.string(), e.line(), e.column());
+}
+
 /// Full-width unsigned parse: footprints are 64-bit hashes that routinely
 /// exceed LLONG_MAX, so strings::to_int (signed) is not usable here.
 std::uint64_t parse_u64_field(const Token& token, std::string_view field,
@@ -638,12 +650,7 @@ void PerfRegistry::load(const std::filesystem::path& dir) {
       models_[key].deserialize(fs::read_file(path));
     } catch (const ParseError& e) {
       models_.erase(key);  // never keep a half-parsed model
-      std::string message = e.what();
-      const std::string prefix(to_string(ErrorCode::kParseError));
-      if (strings::starts_with(message, prefix + ": ")) {
-        message = message.substr(prefix.size() + 2);
-      }
-      throw ParseError(message, path.string(), e.line(), e.column());
+      rethrow_naming(e, path);
     }
   }
 }
@@ -795,15 +802,12 @@ std::string DispatchTable::serialize() const {
   return std::move(out).str();
 }
 
-void DispatchTable::deserialize(std::string_view text) {
-  {
-    std::lock_guard<std::mutex> lock(train_mutex_);
-    counts_.clear();
-    resolved_.clear();
-  }
+std::vector<DispatchTable::Entry> DispatchTable::parse(
+    std::string_view text, std::string* machine) {
   const std::vector<std::string> lines = strings::split(text, '\n');
   bool saw_header = false;
   std::set<std::tuple<std::string, std::uint64_t, int, int>> seen;
+  std::vector<Entry> entries;
   for (std::size_t index = 0; index < lines.size(); ++index) {
     const int line_no = static_cast<int>(index) + 1;
     const std::vector<Token> fields = tokenize(lines[index]);
@@ -825,7 +829,10 @@ void DispatchTable::deserialize(std::string_view text) {
         fail_at("dispatch header has trailing fields after the machine name",
                 line_no, fields[3].column);
       }
-      machine_ = fields.size() == 3 ? std::string(fields[2].text) : "unknown";
+      if (machine != nullptr) {
+        *machine =
+            fields.size() == 3 ? std::string(fields[2].text) : "unknown";
+      }
       saw_header = true;
       continue;
     }
@@ -836,9 +843,9 @@ void DispatchTable::deserialize(std::string_view text) {
                   std::to_string(fields.size()),
               line_no, fields[0].column);
     }
-    const std::string codelet(fields[0].text);
-    const std::uint64_t footprint =
-        parse_u64_field(fields[1], "footprint", line_no);
+    Entry entry;
+    entry.codelet = std::string(fields[0].text);
+    entry.footprint = parse_u64_field(fields[1], "footprint", line_no);
     const std::optional<long long> point = strings::to_int(fields[2].text);
     if (!point || *point < -1 ||
         *point > std::numeric_limits<int>::max()) {
@@ -847,33 +854,61 @@ void DispatchTable::deserialize(std::string_view text) {
                   std::string(fields[2].text) + "'",
               line_no, fields[2].column);
     }
-    Arch arch;
+    entry.point = static_cast<int>(*point);
     try {
-      arch = parse_arch(fields[3].text);
+      entry.arch = parse_arch(fields[3].text);
     } catch (const Error&) {
       fail_at("unknown dispatch architecture '" + std::string(fields[3].text) +
                   "'",
               line_no, fields[3].column);
     }
-    const std::uint64_t count = parse_u64_field(fields[4], "count", line_no);
-    if (count == 0) {
+    entry.count = parse_u64_field(fields[4], "count", line_no);
+    if (entry.count == 0) {
       fail_at("dispatch field 'count' must be positive", line_no,
               fields[4].column);
     }
-    const auto seen_key = std::make_tuple(codelet, footprint,
-                                          static_cast<int>(*point),
-                                          static_cast<int>(arch));
-    if (!seen.insert(seen_key).second) {
+    if (!seen.insert({entry.codelet, entry.footprint, entry.point,
+                      static_cast<int>(entry.arch)})
+             .second) {
       fail_at("duplicate dispatch entry for (codelet, footprint, point, "
               "arch)",
               line_no, fields[0].column);
     }
-    train(codelet, footprint, static_cast<int>(*point), arch, count);
+    entry.line = line_no;
+    entries.push_back(std::move(entry));
   }
   if (!saw_header) {
     fail_at("dispatch table must start with a 'peppher-dispatch v1' header",
             1, 1);
   }
+  return entries;
+}
+
+std::vector<DispatchTable::Entry> DispatchTable::parse_file(
+    const std::filesystem::path& file, std::string* machine) {
+  try {
+    return parse(fs::read_file(file), machine);
+  } catch (const ParseError& e) {
+    rethrow_naming(e, file);
+  }
+}
+
+void DispatchTable::assign(const std::vector<Entry>& entries,
+                           std::string machine) {
+  std::lock_guard<std::mutex> lock(train_mutex_);
+  counts_.clear();
+  resolved_.clear();
+  for (const Entry& entry : entries) {
+    counts_[CountKey{entry.codelet, entry.footprint, entry.point}]
+           [static_cast<std::size_t>(entry.arch)] += entry.count;
+  }
+  machine_ = std::move(machine);
+}
+
+void DispatchTable::deserialize(std::string_view text) {
+  std::string machine;
+  const std::vector<Entry> entries = parse(text, &machine);
+  assign(entries, std::move(machine));
 }
 
 void DispatchTable::save(const std::filesystem::path& file) const {
@@ -881,16 +916,9 @@ void DispatchTable::save(const std::filesystem::path& file) const {
 }
 
 void DispatchTable::load(const std::filesystem::path& file) {
-  try {
-    deserialize(fs::read_file(file));
-  } catch (const ParseError& e) {
-    std::string message = e.what();
-    const std::string prefix(to_string(ErrorCode::kParseError));
-    if (strings::starts_with(message, prefix + ": ")) {
-      message = message.substr(prefix.size() + 2);
-    }
-    throw ParseError(message, file.string(), e.line(), e.column());
-  }
+  std::string machine;
+  const std::vector<Entry> entries = parse_file(file, &machine);
+  assign(entries, std::move(machine));
   finalize();
 }
 

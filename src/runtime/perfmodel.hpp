@@ -270,6 +270,7 @@ class DispatchTable {
     int point = -1;               ///< program point; -1 = wildcard (any)
     Arch arch = Arch::kCpu;
     std::uint64_t count = 0;      ///< training observations behind the entry
+    int line = 0;                 ///< 1-based source line (parse); 0 if trained
   };
 
   DispatchTable() = default;
@@ -327,14 +328,25 @@ class DispatchTable {
   /// per (codelet, footprint, point, arch).
   std::string serialize() const;
 
-  /// Parses serialize() output; throws located ParseError on malformed
-  /// input (bad header/version, field count, non-numeric fields, unknown
-  /// architecture, duplicate keys). Does not finalize().
+  /// The format's one parser: every entry of `text` in file order, each
+  /// with its source line; the header's machine name goes to `*machine`.
+  /// Throws located ParseError on malformed input (bad header/version,
+  /// field count, non-numeric fields, unknown architecture, duplicate keys).
+  static std::vector<Entry> parse(std::string_view text,
+                                  std::string* machine = nullptr);
+
+  /// parse() over one ".dispatch" file; the ParseError also names the file.
+  /// load() throws exactly this error, and peppher-lint reports it as PL000.
+  static std::vector<Entry> parse_file(const std::filesystem::path& file,
+                                       std::string* machine = nullptr);
+
+  /// Replaces the table's observations with parse(text). Does not
+  /// finalize().
   void deserialize(std::string_view text);
 
   void save(const std::filesystem::path& file) const;
 
-  /// Loads + finalizes one ".dispatch" file; ParseError names the file.
+  /// Replaces the table with parse_file(file), then finalizes it.
   void load(const std::filesystem::path& file);
 
  private:
@@ -348,6 +360,8 @@ class DispatchTable {
     }
   };
   using ArchCounts = std::array<std::uint64_t, kArchCount>;
+
+  void assign(const std::vector<Entry>& entries, std::string machine);
 
   mutable std::mutex train_mutex_;
   std::map<CountKey, ArchCounts> counts_;

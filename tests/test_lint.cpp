@@ -296,41 +296,48 @@ TEST_F(LintTest, UnknownMainTargetPlatformIsPL013) {
 
 TEST_F(LintTest, DispatchTableProblemsArePL02x) {
   write_clean_axpy();
-  // Unknown variant, descending bound, duplicate adjacent entries, and a
-  // stale recorded architecture — one table seeding four findings.
-  write("axpy.dispatch",
-        "1024 axpy_ghost\n"
-        "512 axpy_cpu\n"
-        "2048 axpy_cpu\n"
-        "4096 axpy_cpu cuda\n");
+  // A stale architecture (the cpu-only axpy has no cuda variant) and an
+  // entry for an interface the repository lacks; each (interface, arch)
+  // pair is reported once, at its first line.
+  write("trained.dispatch",
+        "peppher-dispatch v1 xeon-e5520+c2050\n"
+        "axpy 0 -1 cuda 3\n"
+        "ghost 0 -1 cpu 2\n"
+        "axpy 4096 -1 cuda 1\n"
+        "axpy 0 -1 cpu 5\n");
   const DiagnosticBag bag = lint();
-  const Diagnostic* unknown = find(bag, "PL020");
-  ASSERT_NE(unknown, nullptr) << bag.format_text();
-  EXPECT_EQ(unknown->severity, Severity::kError);
-  EXPECT_EQ(unknown->location.line, 1);
-  const Diagnostic* unreachable = find(bag, "PL022");
-  ASSERT_NE(unreachable, nullptr);
-  EXPECT_EQ(unreachable->location.line, 2);
-  const Diagnostic* duplicate = find(bag, "PL023");
-  ASSERT_NE(duplicate, nullptr);
-  EXPECT_EQ(duplicate->severity, Severity::kWarning);
+  EXPECT_EQ(codes(bag), (std::vector<std::string>{"PL024", "PL025"}))
+      << bag.format_text();
   const Diagnostic* stale = find(bag, "PL024");
-  ASSERT_NE(stale, nullptr);
-  EXPECT_EQ(stale->location.line, 4);
+  ASSERT_NE(stale, nullptr) << bag.format_text();
+  EXPECT_EQ(stale->severity, Severity::kError);
+  EXPECT_EQ(stale->location.line, 2);
+  const Diagnostic* unknown = find(bag, "PL025");
+  ASSERT_NE(unknown, nullptr);
+  EXPECT_EQ(unknown->severity, Severity::kWarning);
+  EXPECT_EQ(unknown->location.line, 3);
 }
 
 TEST_F(LintTest, OrphanAndEmptyDispatchTablesArePL025AndPL027) {
   write_clean_axpy();
-  write("nothing.dispatch", "# trained, but matches no interface\n");
+  write("orphan.dispatch", "peppher-dispatch v1 m\nnothing 0 -1 cpu 1\n");
+  write("empty.dispatch", "peppher-dispatch v1 m\n");
   const DiagnosticBag bag = lint();
-  EXPECT_NE(find(bag, "PL025"), nullptr) << bag.format_text();
-  EXPECT_NE(find(bag, "PL027"), nullptr) << bag.format_text();
+  const Diagnostic* orphan = find(bag, "PL025");
+  ASSERT_NE(orphan, nullptr) << bag.format_text();
+  EXPECT_EQ(orphan->severity, Severity::kWarning);
+  EXPECT_EQ(orphan->location.line, 2);
+  const Diagnostic* empty = find(bag, "PL027");
+  ASSERT_NE(empty, nullptr) << bag.format_text();
+  EXPECT_EQ(empty->severity, Severity::kWarning);
+  EXPECT_NE(empty->location.file.find("empty.dispatch"), std::string::npos);
 }
 
-TEST_F(LintTest, RecordedRuntimeDispatchTablesAreLeftToTheirLoader) {
-  // A table recorded by a training run (peppher-perf --dispatch-out) is the
-  // runtime's "peppher-dispatch v1" format, not the size-keyed one — named
-  // after an interface or after a codelet, it is no coverage finding.
+TEST_F(LintTest, RecordedRuntimeDispatchTablesAreCheckedPerEntry) {
+  // A table recorded by a training run (peppher-perf --dispatch-out) is
+  // checked entry by entry, whatever the file is named: axpy -> cuda is
+  // stale on the cpu-only axpy (PL024), ode_rhs is no interface here
+  // (PL025).
   write_clean_axpy();
   rt::DispatchTable table;
   table.train("ode_rhs", 0, -1, rt::Arch::kCpu, 3);
@@ -338,19 +345,83 @@ TEST_F(LintTest, RecordedRuntimeDispatchTablesAreLeftToTheirLoader) {
   table.save(dir_ / "axpy.dispatch");
   table.save(dir_ / "ode_rhs.dispatch");
   const DiagnosticBag bag = lint();
-  EXPECT_EQ(bag.count(Severity::kError), 0u) << bag.format_text();
-  EXPECT_EQ(bag.count(Severity::kWarning), 0u) << bag.format_text();
+  EXPECT_EQ(codes(bag),
+            (std::vector<std::string>{"PL024", "PL025", "PL024", "PL025"}))
+      << bag.format_text();
+  for (const Diagnostic& d : bag.diagnostics()) {
+    EXPECT_EQ(d.location.line, d.code == "PL024" ? 2 : 3) << d.message;
+  }
+  EXPECT_EQ(bag.count(Severity::kError), 2u) << bag.format_text();
+  EXPECT_EQ(bag.count(Severity::kWarning), 2u) << bag.format_text();
 }
 
 TEST_F(LintTest, DisabledVariantInDispatchTableIsPL026) {
   write_clean_axpy();
-  write("axpy.dispatch", "1024 axpy_cpu\n");
+  write("axpy.dispatch", "peppher-dispatch v1 m\naxpy 1024 -1 cpu 1\n");
   LintOptions options;
   options.disable_impls = {"axpy_cpu"};
   const DiagnosticBag bag = lint(options);
   const Diagnostic* d = find(bag, "PL026");
   ASSERT_NE(d, nullptr) << bag.format_text();
+  EXPECT_EQ(d->severity, Severity::kWarning);
+  EXPECT_EQ(d->location.line, 2);
   EXPECT_NE(d->message.find("unreachable"), std::string::npos);
+}
+
+TEST_F(LintTest, MalformedDispatchTableIsPL000WhereTheEngineFails) {
+  write_clean_axpy();
+  write("bad.dispatch",
+        "peppher-dispatch v1 m\n"
+        "axpy 0 -1 cpu 1\n"
+        "axpy 0 -1 cpu 0 garbage\n");
+  const DiagnosticBag bag = lint();
+  ASSERT_EQ(codes(bag), std::vector<std::string>{"PL000"})
+      << bag.format_text();
+  const Diagnostic& d = bag.diagnostics().front();
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_EQ(d.location.line, 3);
+  EXPECT_EQ(d.location.column, 1);
+  // Same location and message as the Engine replaying the table.
+  rt::EngineConfig config;
+  config.machine = sim::MachineConfig::cpu_only(1);
+  config.scheduler = "lookahead";
+  config.dispatch_table = dir_ / "bad.dispatch";
+  try {
+    rt::Engine engine(config);
+    FAIL() << "the engine accepted a malformed dispatch table";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), d.location.line);
+    EXPECT_EQ(e.column(), d.location.column);
+    EXPECT_EQ(e.what(), d.message);
+  }
+}
+
+TEST_F(LintTest, EngineTrainedTableOverTheRepositoryLintsClean) {
+  write_clean_axpy();
+  {
+    rt::EngineConfig config;
+    config.machine = sim::MachineConfig::cpu_only(2);
+    config.scheduler = "lookahead";
+    config.dispatch_out = dir_ / "trained.dispatch";
+    rt::Engine engine(config);
+    rt::Codelet axpy("axpy");
+    axpy.add_impl({rt::Arch::kCpu, "axpy_cpu", [](rt::ExecContext&) {},
+                   nullptr});
+    std::vector<std::vector<float>> buffers(6, std::vector<float>(16));
+    for (auto& buffer : buffers) {
+      rt::TaskSpec spec;
+      spec.codelet = &axpy;
+      spec.operands = {{engine.register_buffer(buffer.data(),
+                                               buffer.size() * sizeof(float),
+                                               sizeof(float)),
+                        rt::AccessMode::kReadWrite}};
+      engine.submit(std::move(spec));
+    }
+    engine.wait_for_all();
+  }  // shutdown writes the table
+  ASSERT_FALSE(rt::DispatchTable::parse_file(dir_ / "trained.dispatch").empty());
+  const DiagnosticBag bag = lint();
+  EXPECT_TRUE(bag.empty()) << bag.format_text();
 }
 
 // ---------------------------------------------------------------------------
@@ -936,15 +1007,20 @@ TEST_F(LintTest, SarifOutputIsWellFormed) {
 TEST_F(LintTest, DiagnosticsAreSortedByLocation) {
   write_clean_axpy();
   write("axpy.dispatch",
-        "1024 axpy_ghost\n"
-        "512 axpy_phantom\n");
+        "peppher-dispatch v1 m\n"
+        "ghost 0 -1 cpu 1\n"
+        "axpy 0 -1 cuda 1\n"
+        "phantom 0 -1 cpu 1\n");
   const DiagnosticBag bag = lint();
   const std::vector<std::string> got = codes(bag);
   ASSERT_GE(got.size(), 3u) << bag.format_text();
-  // Same file: line 1 (PL020) before line 2 (PL020 then PL022 by code).
-  EXPECT_EQ(bag.diagnostics()[0].location.line, 1);
+  // Same file, by line: PL025 (line 2), PL024 (line 3), PL025 (line 4).
+  EXPECT_EQ(got, (std::vector<std::string>{"PL025", "PL024", "PL025"}));
+  EXPECT_EQ(bag.diagnostics()[0].location.line, 2);
   EXPECT_LE(bag.diagnostics()[0].location.line,
             bag.diagnostics()[1].location.line);
+  EXPECT_LE(bag.diagnostics()[1].location.line,
+            bag.diagnostics()[2].location.line);
 }
 
 // ---------------------------------------------------------------------------

@@ -344,6 +344,37 @@ TEST(LookaheadReplay, TablePlacementOverridesTheModels) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(LookaheadReplay, OtherSchedulersRejectADispatchTable) {
+  // Only lookahead replays a table: any other policy would silently ignore
+  // it, so the engine refuses the combination.
+  const std::filesystem::path dir =
+      peppher::testing::unique_temp_dir("peppher_replay_test");
+  const std::filesystem::path file = dir / "pinned.dispatch";
+  {
+    DispatchTable table;
+    table.train("replay_kernel", 0, -1, Arch::kCpu, 1);
+    table.save(file);
+  }
+  for (const std::string& scheduler : scheduler_names()) {
+    if (scheduler == "lookahead") continue;
+    EngineConfig config;
+    config.machine = sim::MachineConfig::platform_c2050();
+    config.scheduler = scheduler;
+    config.dispatch_table = file;
+    try {
+      Engine engine(config);
+      ADD_FAILURE() << scheduler << " accepted a dispatch table";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+      const std::string message = e.what();
+      EXPECT_NE(message.find("dispatch_table"), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + scheduler + "'"), std::string::npos)
+          << message;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(LookaheadReplay, TrainingRunWritesALoadableTable) {
   constexpr int kTasks = 24;
   const std::filesystem::path dir =

@@ -9,7 +9,7 @@
 #include <map>
 #include <numeric>
 
-#include "compose/dispatch.hpp"
+#include "compose/training.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/memory.hpp"
 #include "support/rng.hpp"
@@ -376,45 +376,52 @@ TEST_P(SeededProperty, DispatchTableIsArgminAtScenarios) {
   Rng rng(GetParam() * 104729);
   compose::ComponentNode node;
   node.interface.name = "prop";
-  const char* const langs[] = {"cpu", "openmp", "cuda"};
-  // Random affine cost curves per variant.
-  struct Curve {
-    double base, slope;
-  };
-  std::map<std::string, Curve> curves;
-  for (int v = 0; v < 3; ++v) {
+  rt::PerfRegistry registry;
+  for (const char* lang : {"cpu", "openmp", "cuda"}) {
     compose::VariantNode variant;
-    variant.descriptor.name = std::string("prop_") + langs[v];
+    variant.descriptor.name = std::string("prop_") + lang;
     variant.descriptor.interface_name = "prop";
-    variant.descriptor.language = langs[v];
-    curves[variant.descriptor.name] =
-        Curve{rng.uniform(1e-6, 1e-3), rng.uniform(1e-12, 1e-8)};
+    variant.descriptor.language = lang;
+    // A random affine cost curve per variant, recorded at five sizes: the
+    // builder sees it only through the registry's regression.
+    const double base = rng.uniform(1e-6, 1e-3);
+    const double slope = rng.uniform(1e-12, 1e-8);
+    for (std::size_t bytes = 1u << 10; bytes <= 1u << 26; bytes <<= 4) {
+      registry.record("prop", variant.arch(), bytes, bytes,
+                      base + slope * static_cast<double>(bytes));
+    }
     node.variants.push_back(std::move(variant));
   }
-  auto predict = [&curves](const compose::VariantNode& variant,
-                           std::size_t bytes) -> std::optional<double> {
-    const Curve& c = curves.at(variant.descriptor.name);
-    return c.base + c.slope * static_cast<double>(bytes);
-  };
   std::vector<std::size_t> scenarios;
   for (int s = 0; s < 12; ++s) {
     scenarios.push_back(1 + rng.next_below(1 << 28));
   }
-  const compose::DispatchTable table =
-      compose::DispatchTable::build(node, scenarios, predict);
+  const rt::DispatchTable table =
+      compose::build_dispatch_table(node, scenarios, registry);
+
+  std::map<rt::Arch, std::uint64_t> argmin_tally;
   for (std::size_t bytes : scenarios) {
-    std::string best;
+    std::optional<rt::Arch> best;
     double best_cost = std::numeric_limits<double>::infinity();
     for (const auto& variant : node.variants) {
-      const double cost = *predict(variant, bytes);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = variant.descriptor.name;
+      const std::optional<double> cost =
+          registry.regression_estimate("prop", variant.arch(), bytes);
+      ASSERT_TRUE(cost.has_value()) << "bytes=" << bytes;
+      if (*cost < best_cost) {
+        best_cost = *cost;
+        best = variant.arch();
       }
     }
-    ASSERT_NE(table.lookup(bytes), nullptr);
-    EXPECT_EQ(table.lookup(bytes)->variant, best) << "bytes=" << bytes;
+    ++argmin_tally[*best];
   }
+  std::map<rt::Arch, std::uint64_t> votes;
+  for (const rt::DispatchTable::Entry& entry : table.entries()) {
+    EXPECT_EQ(entry.codelet, "prop");
+    EXPECT_EQ(entry.footprint, 0u);
+    EXPECT_EQ(entry.point, -1);
+    votes[entry.arch] += entry.count;
+  }
+  EXPECT_EQ(votes, argmin_tally);
 }
 
 // ---------------------------------------------------------------------------

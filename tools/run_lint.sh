@@ -25,8 +25,11 @@
 #      means the table is being ignored;
 #   8. runs the static cost predictor (peppher-predict): models recorded
 #      from short ODE runs must predict a fixture repository clean under
-#      --werror, a seeded dead variant must be caught as PL070, and a
-#      corrupted .model file must be rejected with a located parse error;
+#      --werror, a seeded dead variant must be caught as PL070, the
+#      dispatch table predict exports into the fixture must lint clean
+#      under --werror while a stale entry is caught as PL024 and a
+#      malformed line as PL000 at its line, and a corrupted .model file
+#      must be rejected with a located parse error;
 #   9. if clang-tidy is installed and the build exported
 #      compile_commands.json, runs it over src/analyze with the repo's
 #      .clang-tidy configuration (advisory: failures are reported but do
@@ -378,6 +381,34 @@ if "${predict_bin}" analyze --werror --machine=c2050 \
 fi
 grep -q "PL070" "${workdir}/predict_findings.txt"
 rm -f "${predictdir}/ode_rhs_opencl.xml"
+
+echo "== predict's exported dispatch table must lint clean in its fixture"
+table="${predictdir}/predict.dispatch"
+"${predict_bin}" analyze --machine=c2050 "--models=${modelsdir}" \
+  "${predict_sizes[@]}" "--dispatch-out=${table}" "${predictdir}" > /dev/null
+grep -q "^peppher-dispatch v1" "${table}"
+"${lint_bin}" --werror --no-sources "${predictdir}"
+
+echo "== a stale dispatch entry must be caught as PL024"
+echo "ode_rhs 0 -1 opencl 1" >> "${table}"
+if "${lint_bin}" --werror --no-sources "${predictdir}" \
+    > "${workdir}/dispatch_findings.txt"; then
+  echo "run_lint.sh: lint accepted a stale dispatch entry" >&2
+  exit 1
+fi
+grep -q "PL024" "${workdir}/dispatch_findings.txt"
+
+echo "== a malformed dispatch line must be caught as PL000 at its line"
+echo "ode_rhs 0 -1 cpu 1 extra" >> "${table}"
+bad_line="$(wc -l < "${table}")"
+if "${lint_bin}" --werror --no-sources "${predictdir}" \
+    > "${workdir}/dispatch_findings.txt"; then
+  echo "run_lint.sh: lint accepted a malformed dispatch line" >&2
+  exit 1
+fi
+grep -q "PL000" "${workdir}/dispatch_findings.txt"
+grep -q "line ${bad_line}, column 1" "${workdir}/dispatch_findings.txt"
+rm -f "${table}"
 
 echo "== corrupted .model file must be rejected with a located parse error"
 badmodels="${workdir}/bad_models"
