@@ -7,12 +7,16 @@
 //                 exploration round per variant;
 //   * spmv     — irregular, CPU/GPU close: exploration visits both;
 //   * libsolve — 9 components, tight chains: within-run adaptation.
-#include <cstdio>
+// `round_s` is the virtual time of each round (cold history at round 1);
+// --smoke runs the same rounds (bench/report.hpp).
+#include <algorithm>
+#include <string>
 
 #include "apps/ode.hpp"
 #include "apps/sgemm.hpp"
 #include "apps/sparse.hpp"
 #include "apps/spmv.hpp"
+#include "report.hpp"
 #include "runtime/engine.hpp"
 
 using namespace peppher;
@@ -27,17 +31,20 @@ rt::EngineConfig cold_config() {
   return config;
 }
 
-void report(const char* app, const std::vector<double>& rounds, double best) {
-  std::printf("  %-9s best-static %9.5f s | rounds:", app, best);
-  for (double t : rounds) std::printf(" %8.5f", t);
-  std::printf("\n");
+void add_app(bench::Report& report, const char* app,
+             const std::vector<double>& rounds, double best) {
+  report.add("best_static_s", {{"app", app}}, best, "s",
+             bench::Clock::kVirtual);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    report.add("round_s", {{"app", app}, {"round", std::to_string(r + 1)}},
+               rounds[r], "s", bench::Clock::kVirtual);
+  }
 }
 
 }  // namespace
 
-int main() {
-  std::printf("Ablation: convergence of history-based dynamic selection\n");
-  std::printf("(virtual seconds per round, cold history at round 1)\n\n");
+int main(int argc, char** argv) {
+  bench::Report report("ablation_calibration", argc, argv);
   const int rounds = 6;
 
   {
@@ -51,7 +58,7 @@ int main() {
     for (int r = 0; r < rounds; ++r) {
       times.push_back(apps::sgemm::run_single(engine, problem).virtual_seconds);
     }
-    report("sgemm", times, best);
+    add_app(report, "sgemm", times, best);
   }
   {
     const auto problem =
@@ -65,7 +72,7 @@ int main() {
     for (int r = 0; r < rounds; ++r) {
       times.push_back(apps::spmv::run_single(engine, problem).virtual_seconds);
     }
-    report("spmv", times, best);
+    add_app(report, "spmv", times, best);
   }
   {
     const auto problem = apps::ode::make_problem(512, 60);
@@ -78,13 +85,8 @@ int main() {
     for (int r = 0; r < rounds; ++r) {
       times.push_back(apps::ode::run_tool(engine, problem).virtual_seconds);
     }
-    report("libsolve", times, best);
+    add_app(report, "libsolve", times, best);
   }
 
-  std::printf(
-      "\nExpected shape: round 1 pays for exploration; later rounds settle\n"
-      "at (or below) the best static choice. This is the price the §IV-G\n"
-      "useHistoryModels flag trades against hand-written prediction\n"
-      "functions.\n");
-  return 0;
+  return report.finish();
 }

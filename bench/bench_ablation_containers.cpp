@@ -7,11 +7,11 @@
 // naive policy needs 7.
 // Scenario 2 — repetitive execution (§IV-H): N GPU invocations on resident
 // data; lazy coherence transfers inputs once, the naive policy 2N times.
-#include <cstdio>
-
+// --smoke runs the same scenarios (bench/report.hpp).
 #include <memory>
 #include <vector>
 
+#include "report.hpp"
 #include "runtime/engine.hpp"
 
 using namespace peppher;
@@ -98,20 +98,18 @@ std::uint64_t figure3_lazy(rt::Engine& engine, std::vector<float>& data) {
 
 }  // namespace
 
-int main() {
-  std::printf("Ablation: smart-container lazy coherence vs per-call copies\n\n");
-
+int main(int argc, char** argv) {
+  bench::Report report("ablation_containers", argc, argv);
   {
     std::vector<float> v0(1 << 18, 0.0f);
     rt::Engine engine(gpu_config());
     const std::uint64_t lazy = figure3_lazy(engine, v0);
     std::vector<float> v1(1 << 18, 0.0f);
     const std::uint64_t naive = figure3_naive(engine, v1);
-    std::printf("Figure 3 scenario (4 component calls + 2 app accesses):\n");
-    std::printf("  smart containers : %llu copy operations (paper: 2)\n",
-                static_cast<unsigned long long>(lazy));
-    std::printf("  per-call copying : %llu copy operations (paper: 7)\n\n",
-                static_cast<unsigned long long>(naive));
+    report.add("copies", {{"scenario", "figure3"}, {"policy", "smart"}},
+               static_cast<double>(lazy), "count", bench::Clock::kNone);
+    report.add("copies", {{"scenario", "figure3"}, {"policy", "per_call"}},
+               static_cast<double>(naive), "count", bench::Clock::kNone);
   }
 
   {
@@ -143,16 +141,22 @@ int main() {
     const auto naive = engine.transfer_stats();
     const double naive_time = engine.virtual_makespan();
 
-    std::printf("Repetitive execution, %d GPU invocations on 4 MB (§IV-H):\n",
-                invocations);
-    std::printf("  smart containers : %3llu transfers, %7.2f MB, %8.4f s virtual\n",
-                static_cast<unsigned long long>(lazy.total_count()),
-                lazy.total_bytes() / 1e6, lazy_time);
-    std::printf("  per-call copying : %3llu transfers, %7.2f MB, %8.4f s virtual\n",
-                static_cast<unsigned long long>(naive.total_count()),
-                naive.total_bytes() / 1e6, naive_time);
-    std::printf("  speedup from data residency: %.1fx\n",
-                naive_time / lazy_time);
+    // 50 GPU invocations on 4 MB (§IV-H).
+    const auto add_policy = [&report](const char* policy,
+                                      const rt::TransferStats& stats,
+                                      double seconds) {
+      const bench::Labels labels = {{"scenario", "repetitive"},
+                                    {"policy", policy}};
+      report.add("transfers", labels, static_cast<double>(stats.total_count()),
+                 "count", bench::Clock::kNone);
+      report.add("transfer_mb", labels, stats.total_bytes() / 1e6, "MB",
+                 bench::Clock::kNone);
+      report.add("virtual_s", labels, seconds, "s", bench::Clock::kVirtual);
+    };
+    add_policy("smart", lazy, lazy_time);
+    add_policy("per_call", naive, naive_time);
+    report.add("residency_speedup", {{"scenario", "repetitive"}},
+               naive_time / lazy_time, "x", bench::Clock::kVirtual);
   }
-  return 0;
+  return report.finish();
 }

@@ -3,12 +3,12 @@
 // consumption low"; the runtime can optimize either. This bench runs the
 // same workload mix under both objectives and prints the makespan/energy
 // trade-off, on the real C2050 profile and on a hypothetical power-hungry
-// accelerator where the trade-off inverts.
-#include <cstdio>
-
+// accelerator where the trade-off inverts. --smoke runs the same mix
+// (bench/report.hpp).
 #include "apps/sgemm.hpp"
 #include "apps/sparse.hpp"
 #include "apps/spmv.hpp"
+#include "report.hpp"
 #include "runtime/engine.hpp"
 
 using namespace peppher;
@@ -38,29 +38,35 @@ Outcome run_mix(rt::Objective objective, double accelerator_watts) {
   return Outcome{makespan, engine.energy_joules()};
 }
 
-void report(const char* label, double watts) {
+void add_accelerator(bench::Report& report, const char* accelerator,
+                     double watts) {
   const Outcome time_run = run_mix(rt::Objective::kTime, watts);
   const Outcome energy_run = run_mix(rt::Objective::kEnergy, watts);
-  std::printf("%s (accelerator draw %.0f W):\n", label, watts);
-  std::printf("  goal=exec_time : %8.5f s, %8.4f J\n", time_run.makespan,
-              time_run.joules);
-  std::printf("  goal=energy    : %8.5f s, %8.4f J\n", energy_run.makespan,
-              energy_run.joules);
-  std::printf("  energy saved: %5.1f%%, time paid: %+5.1f%%\n\n",
-              100.0 * (1.0 - energy_run.joules / time_run.joules),
-              100.0 * (energy_run.makespan / time_run.makespan - 1.0));
+  for (const auto& [goal, outcome] :
+       {std::pair{"exec_time", time_run}, std::pair{"energy", energy_run}}) {
+    const bench::Labels labels = {{"accelerator", accelerator},
+                                  {"goal", goal}};
+    report.add("makespan_s", labels, outcome.makespan, "s",
+               bench::Clock::kVirtual);
+    report.add("energy_j", labels, outcome.joules, "J",
+               bench::Clock::kVirtual);
+  }
+  const bench::Labels labels = {{"accelerator", accelerator}};
+  report.add("energy_saved_pct", labels,
+             100.0 * (1.0 - energy_run.joules / time_run.joules), "%",
+             bench::Clock::kVirtual);
+  report.add("time_paid_pct", labels,
+             100.0 * (energy_run.makespan / time_run.makespan - 1.0), "%",
+             bench::Clock::kVirtual);
 }
 
 }  // namespace
 
-int main() {
-  std::printf("Ablation: optimization goal (time vs energy)\n\n");
-  report("Tesla C2050", 238.0);
-  report("hypothetical inefficient accelerator", 5000.0);
-  std::printf(
-      "Expected shape: on the efficient C2050 both goals agree (the GPU's\n"
-      "speedup exceeds its power premium); on the inefficient accelerator\n"
-      "the energy goal moves work back to the CPUs, trading time for\n"
-      "joules.\n");
-  return 0;
+int main(int argc, char** argv) {
+  bench::Report report("ablation_energy", argc, argv);
+  add_accelerator(report, "c2050", 238.0);
+  // A hypothetical power-hungry accelerator: the energy goal should move
+  // work back to the CPUs, trading time for joules.
+  add_accelerator(report, "inefficient", 5000.0);
+  return report.finish();
 }

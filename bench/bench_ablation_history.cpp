@@ -8,10 +8,10 @@
 //   * none (eager)  — no performance information at all: first-come
 //                      first-served placement.
 // Workload: repeated sgemm at mixed sizes, where the best variant differs
-// by size (small -> CPU, large -> GPU).
-#include <cstdio>
-
+// by size (small -> CPU, large -> GPU). `speedup_vs_eager` is eager's
+// makespan over each mode's. --smoke runs the same sweep (bench/report.hpp).
 #include "apps/sgemm.hpp"
+#include "report.hpp"
 #include "runtime/engine.hpp"
 
 using namespace peppher;
@@ -41,21 +41,19 @@ double run_mode(const std::string& scheduler, bool history, int rounds) {
 
 }  // namespace
 
-int main() {
-  std::printf("Ablation: performance information available to the scheduler\n");
-  std::printf("(mixed-size SGEMM sweep, last-round virtual seconds)\n\n");
+int main(int argc, char** argv) {
+  bench::Report report("ablation_history", argc, argv);
   const int rounds = 6;
   const double with_history = run_mode("dmda", true, rounds);
   const double cost_model = run_mode("dmda", false, rounds);
   const double blind = run_mode("eager", false, rounds);
-  std::printf("  dmda + history models : %10.5f s  (the TGPA configuration)\n",
-              with_history);
-  std::printf("  dmda + cost model only: %10.5f s\n", cost_model);
-  std::printf("  eager, no information : %10.5f s\n", blind);
-  std::printf(
-      "\nExpected shape: both informed configurations beat blind placement;\n"
-      "history converges to cost-model quality after its calibration\n"
-      "rounds (the paper's flag trades calibration time for freedom from\n"
-      "hand-written prediction functions).\n");
-  return 0;
+  for (const auto& [mode, seconds] :
+       {std::pair{"history", with_history}, std::pair{"cost_model", cost_model},
+        std::pair{"eager", blind}}) {
+    const bench::Labels labels = {{"mode", mode}};
+    report.add("virtual_s", labels, seconds, "s", bench::Clock::kVirtual);
+    report.add("speedup_vs_eager", labels, blind / seconds, "x",
+               bench::Clock::kVirtual);
+  }
+  return report.finish();
 }

@@ -3,12 +3,12 @@
 // quantifies what that buys over simpler policies (eager FIFO, weighted
 // random, work stealing) on a mixed task load — heterogeneous kernels where
 // placement matters (compute-heavy GEMM blocks favour the GPU, irregular
-// SpMV chunks favour the CPUs).
-#include <cstdio>
-
+// SpMV chunks favour the CPUs). `vs_dmda` is each policy's makespan over
+// dmda's (> 1: dmda wins). --smoke runs the same load (bench/report.hpp).
 #include "apps/sgemm.hpp"
 #include "apps/sparse.hpp"
 #include "apps/spmv.hpp"
+#include "report.hpp"
 #include "runtime/engine.hpp"
 
 using namespace peppher;
@@ -36,21 +36,15 @@ double run_mixed_load(const std::string& scheduler) {
 
 }  // namespace
 
-int main() {
-  std::printf("Ablation: scheduler policies on a mixed heterogeneous load\n");
-  std::printf("(blocked SGEMM + hybrid irregular SpMV, virtual seconds)\n\n");
-  double dmda_time = 0.0;
+int main(int argc, char** argv) {
+  bench::Report report("ablation_schedulers", argc, argv);
+  const double dmda_s = run_mixed_load("dmda");
   for (const char* scheduler : {"dmda", "eager", "random", "ws"}) {
-    const double t = run_mixed_load(scheduler);
-    if (std::string(scheduler) == "dmda") dmda_time = t;
-    std::printf("  %-8s %10.4f s%s\n", scheduler, t,
-                std::string(scheduler) == "dmda" ? "  (performance-aware, the TGPA policy)"
-                                                 : "");
+    const double t =
+        std::string(scheduler) == "dmda" ? dmda_s : run_mixed_load(scheduler);
+    const bench::Labels labels = {{"scheduler", scheduler}};
+    report.add("virtual_s", labels, t, "s", bench::Clock::kVirtual);
+    report.add("vs_dmda", labels, t / dmda_s, "x", bench::Clock::kVirtual);
   }
-  std::printf(
-      "\nExpected shape: dmda wins or ties — it is the only policy that\n"
-      "accounts for expected execution time and pending data transfers\n"
-      "when placing each task.\n");
-  (void)dmda_time;
-  return 0;
+  return report.finish();
 }

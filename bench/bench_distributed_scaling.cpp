@@ -3,7 +3,7 @@
 // are run on 1 -> 2 -> 4 uniform C2050 nodes joined by a 10GbE-class
 // inter-node link, at a FIXED per-node problem size (weak scaling).
 //
-// Two headline numbers, both gated by tools/run_bench.sh:
+// Two headline numbers, both gated in bench/gates.json:
 //
 //   overlap_speedup_4node   blocking / overlapped virtual makespan of the
 //                           4-node Jacobi run. Identical numerics and
@@ -14,17 +14,13 @@
 //                           perfect weak scaling, the inter-node exchange
 //                           is the loss term. Gate: >= 2.0x.
 //
-// Flags:
-//   --json[=FILE]  machine-readable output, consumed by tools/run_bench.sh
-//   --smoke        tiny grids/few sweeps; sub-second (the bench-smoke ctest)
+// --smoke uses tiny grids and few sweeps (bench/report.hpp).
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "apps/distributed.hpp"
 #include "apps/spmv.hpp"
+#include "report.hpp"
 #include "runtime/engine.hpp"
 #include "sim/topology.hpp"
 
@@ -41,6 +37,22 @@ struct Row {
   std::uint64_t internode_transfers = 0;
   std::uint64_t internode_bytes = 0;
 };
+
+/// Records `row` and returns its virtual makespan.
+double emit(const Row& row, bench::Report& report) {
+  const bench::Labels labels = {{"workload", row.workload},
+                                {"nodes", std::to_string(row.nodes)},
+                                {"exchange", row.exchange}};
+  report.add("virtual_s", labels, row.virtual_s, "s", bench::Clock::kVirtual);
+  report.add("internode_transfers", labels,
+             static_cast<double>(row.internode_transfers), "count",
+             bench::Clock::kNone);
+  report.add("internode_bytes", labels,
+             static_cast<double>(row.internode_bytes), "bytes",
+             bench::Clock::kNone);
+  report.add("wall_ms", labels, row.wall_ms, "ms", bench::Clock::kWall);
+  return row.virtual_s;
+}
 
 rt::EngineConfig cluster_config(int nodes) {
   rt::EngineConfig config;
@@ -107,54 +119,11 @@ Row run_spmv_row(int nodes, double scale_per_node) {
   return row;
 }
 
-void write_json(std::FILE* out, const std::vector<Row>& rows,
-                std::size_t rows_per_node, std::size_t cols, int iterations,
-                double overlap_speedup, double weak_scaling) {
-  std::fprintf(out, "{\n  \"benchmark\": \"distributed_scaling\",\n");
-  std::fprintf(out, "  \"unit\": \"virtual seconds\",\n");
-  std::fprintf(out,
-               "  \"jacobi\": {\"rows_per_node\": %zu, \"cols\": %zu, "
-               "\"iterations\": %d, \"halo\": 1},\n",
-               rows_per_node, cols, iterations);
-  std::fprintf(out, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(out,
-                 "    {\"workload\": \"%s\", \"nodes\": %d, \"exchange\": "
-                 "\"%s\", \"virtual_s\": %.6f, \"internode_transfers\": %llu, "
-                 "\"internode_bytes\": %llu, \"wall_ms\": %.2f}%s\n",
-                 r.workload.c_str(), r.nodes, r.exchange.c_str(), r.virtual_s,
-                 static_cast<unsigned long long>(r.internode_transfers),
-                 static_cast<unsigned long long>(r.internode_bytes), r.wall_ms,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n  \"overlap_speedup_4node\": %.3f,\n"
-               "  \"weak_scaling_4node\": %.3f\n}\n",
-               overlap_speedup, weak_scaling);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  bool smoke = false;
-  std::string json_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_file = arg.substr(std::strlen("--json="));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json[=FILE]] [--smoke]\n", argv[0]);
-      return 2;
-    }
-  }
-
+  bench::Report report("distributed_scaling", argc, argv);
+  const bool smoke = report.smoke();
   const std::size_t rows_per_node = smoke ? 16 : 512;
   const std::size_t cols = smoke ? 64 : 2048;
   const int iterations = smoke ? 2 : 8;
@@ -163,56 +132,24 @@ int main(int argc, char** argv) {
 
   apps::dist::register_components();
 
-  std::printf("Distributed weak scaling: Jacobi %zux%zu per node, %d sweeps; "
-              "SpMV scale %.2f per node; C2050 nodes over 10GbE\n\n",
-              rows_per_node, cols, iterations, spmv_scale);
-  std::printf("%-8s %6s %-11s %12s %10s %14s %10s\n", "workload", "nodes",
-              "exchange", "virtual(s)", "n2n hops", "n2n bytes", "wall(ms)");
-
-  std::vector<Row> rows;
-  const auto emit = [&rows](Row row) {
-    std::printf("%-8s %6d %-11s %12.6f %10llu %14llu %10.2f\n",
-                row.workload.c_str(), row.nodes, row.exchange.c_str(),
-                row.virtual_s,
-                static_cast<unsigned long long>(row.internode_transfers),
-                static_cast<unsigned long long>(row.internode_bytes),
-                row.wall_ms);
-    rows.push_back(std::move(row));
-  };
-
+  double overlapped_s[5] = {};  // indexed by node count
   for (const int nodes : {1, 2, 4}) {
-    emit(run_jacobi_row(nodes, /*overlap=*/true, rows_per_node, cols,
-                        iterations, reps));
+    overlapped_s[nodes] =
+        emit(run_jacobi_row(nodes, /*overlap=*/true, rows_per_node, cols,
+                            iterations, reps),
+             report);
   }
-  emit(run_jacobi_row(4, /*overlap=*/false, rows_per_node, cols, iterations,
-                      reps));
+  const double blocking_4node_s =
+      emit(run_jacobi_row(4, /*overlap=*/false, rows_per_node, cols,
+                          iterations, reps),
+           report);
   for (const int nodes : {1, 2, 4}) {
-    emit(run_spmv_row(nodes, spmv_scale));
+    emit(run_spmv_row(nodes, spmv_scale), report);
   }
 
-  const double t1 = rows[0].virtual_s;
-  const double t4 = rows[2].virtual_s;
-  const double t4_blocking = rows[3].virtual_s;
-  const double overlap_speedup = t4_blocking / t4;
-  const double weak_scaling = 4.0 * t1 / t4;
-  std::printf("\nHeadline (4-node Jacobi): overlapped exchange %.2fx over "
-              "blocking; scaled speedup %.2fx of 4.0 ideal\n",
-              overlap_speedup, weak_scaling);
-
-  if (json) {
-    if (json_file.empty()) {
-      write_json(stdout, rows, rows_per_node, cols, iterations,
-                 overlap_speedup, weak_scaling);
-    } else {
-      std::FILE* out = std::fopen(json_file.c_str(), "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_file.c_str());
-        return 1;
-      }
-      write_json(out, rows, rows_per_node, cols, iterations, overlap_speedup,
-                 weak_scaling);
-      std::fclose(out);
-    }
-  }
-  return 0;
+  report.add("overlap_speedup_4node", {}, blocking_4node_s / overlapped_s[4],
+             "x", bench::Clock::kVirtual);
+  report.add("weak_scaling_4node", {}, 4.0 * overlapped_s[1] / overlapped_s[4],
+             "x", bench::Clock::kVirtual);
+  return report.finish();
 }

@@ -19,20 +19,14 @@
 // runs, but the row-level properties (hybrid beats CUDA, lanes no slower
 // than the shared bus) hold on every run.
 //
-// Flags:
-//   --json[=FILE]  additionally emit a machine-readable JSON document (to
-//                  FILE, or stdout when no file is given) — consumed by
-//                  tools/run_bench.sh
-//   --smoke        scaled-down matrices and fewer chunks; exercises the
-//                  whole path in well under a second (the bench-smoke ctest)
+// --smoke scales the matrices down and uses fewer chunks
+// (bench/report.hpp).
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "apps/sparse.hpp"
 #include "apps/spmv.hpp"
+#include "report.hpp"
 #include "runtime/engine.hpp"
 
 using namespace peppher;
@@ -72,75 +66,15 @@ apps::spmv::RunResult best_hybrid(const apps::spmv::Problem& problem,
   return best;
 }
 
-struct Row {
-  std::string matrix;
-  std::string kind;
-  std::size_t nnz = 0;
-  double cuda_s = 0.0;
-  double omp_s = 0.0;
-  double hybrid_shared_s = 0.0;
-  double hybrid_lanes_s = 0.0;
-  double cuda_mb = 0.0;           ///< PCIe H2D traffic, direct CUDA
-  double hybrid_mb = 0.0;         ///< PCIe H2D traffic, hybrid
-  std::uint64_t coalesced = 0;    ///< merged chunk uploads (lanes run)
-};
-
-void write_json(std::FILE* out, const std::vector<Row>& rows, int chunks) {
-  std::fprintf(out, "{\n  \"benchmark\": \"fig5_spmv_hybrid\",\n");
-  std::fprintf(out, "  \"unit\": \"virtual seconds\",\n");
-  std::fprintf(out, "  \"hybrid_chunks\": %d,\n  \"rows\": [\n", chunks);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        out,
-        "    {\"matrix\": \"%s\", \"kind\": \"%s\", \"nnz\": %zu, "
-        "\"cuda_s\": %.6f, \"omp_s\": %.6f, \"hybrid_shared_s\": %.6f, "
-        "\"hybrid_lanes_s\": %.6f, \"hybrid_shared_speedup\": %.3f, "
-        "\"hybrid_lanes_speedup\": %.3f, \"cuda_mb\": %.1f, "
-        "\"hybrid_mb\": %.1f, \"coalesced\": %llu}%s\n",
-        r.matrix.c_str(), r.kind.c_str(), r.nnz, r.cuda_s, r.omp_s,
-        r.hybrid_shared_s, r.hybrid_lanes_s, r.cuda_s / r.hybrid_shared_s,
-        r.cuda_s / r.hybrid_lanes_s, r.cuda_mb, r.hybrid_mb,
-        static_cast<unsigned long long>(r.coalesced),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  bool smoke = false;
-  std::string json_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_file = arg.substr(std::strlen("--json="));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json[=FILE]] [--smoke]\n", argv[0]);
-      return 2;
-    }
-  }
-
+  bench::Report report("fig5_spmv_hybrid", argc, argv);
+  const bool smoke = report.smoke();
   const int hybrid_chunks = smoke ? 4 : 12;
   const double scale = smoke ? 0.05 : 1.0;
   const int repeats = smoke ? 2 : 25;  // best-of-N hybrid schedules
 
-  std::printf("Figure 5: SpMV hybrid (4 CPUs + C2050) vs direct CUDA\n");
-  std::printf("(speedups relative to the direct CUDA CUSP execution = 1.0)\n\n");
-  std::printf("%-11s %-20s %9s | %8s %8s %8s %8s | %10s %10s\n", "Matrix",
-              "Kind", "nnz", "CUDA", "Hyb/bus", "Hyb/lane", "OpenMP",
-              "CUDA MB", "Hybrid MB");
-  std::printf("%-11s %-20s %9s | %8s %8s %8s %8s | %10s %10s\n", "", "", "",
-              "(=1.0)", "speedup", "speedup", "speedup", "to GPU", "to GPU");
-
-  std::vector<Row> rows;
   for (const auto& spec : apps::sparse::uf_matrix_table()) {
     const auto problem = apps::spmv::make_problem(spec.matrix_class, scale);
 
@@ -156,49 +90,36 @@ int main(int argc, char** argv) {
         best_hybrid(problem, hybrid_chunks, /*shared_bus=*/true, repeats);
     const auto hybrid_lanes =
         best_hybrid(problem, hybrid_chunks, /*shared_bus=*/false, repeats);
-
-    Row row;
-    row.matrix = spec.short_name;
-    row.kind = spec.kind;
-    row.nnz = problem.A.nnz();
-    row.cuda_s = cuda.virtual_seconds;
-    row.omp_s = omp.virtual_seconds;
-    row.hybrid_shared_s = hybrid_shared.virtual_seconds;
     // Any schedule is realizable at least as fast on duplex lanes as on the
     // shared bus (each lane's queue is a subsequence of the shared clock's
     // queue), so the shared row is always an upper bound for the lanes row;
     // the min removes residual schedule-sampling noise from that dominance.
-    row.hybrid_lanes_s =
+    const double lanes_s =
         std::min(hybrid_lanes.virtual_seconds, hybrid_shared.virtual_seconds);
-    row.cuda_mb = cuda.transfers.host_to_device_bytes / 1e6;
-    row.hybrid_mb = hybrid_lanes.transfers.host_to_device_bytes / 1e6;
-    row.coalesced = hybrid_lanes.transfers.coalesced_transfers;
-    rows.push_back(row);
 
-    std::printf("%-11s %-20s %9zu | %8.2f %8.2f %8.2f %8.2f | %10.1f %10.1f\n",
-                row.matrix.c_str(), row.kind.c_str(), row.nnz, 1.0,
-                row.cuda_s / row.hybrid_shared_s,
-                row.cuda_s / row.hybrid_lanes_s, row.cuda_s / row.omp_s,
-                row.cuda_mb, row.hybrid_mb);
+    const bench::Labels matrix = {{"matrix", spec.short_name}};
+    const auto clock = bench::Clock::kVirtual;
+    report.add("nnz", matrix, static_cast<double>(problem.A.nnz()), "count",
+               bench::Clock::kNone);
+    report.add("cuda_s", matrix, cuda.virtual_seconds, "s", clock);
+    report.add("omp_s", matrix, omp.virtual_seconds, "s", clock);
+    report.add("hybrid_shared_s", matrix, hybrid_shared.virtual_seconds, "s",
+               clock);
+    report.add("hybrid_lanes_s", matrix, lanes_s, "s", clock);
+    report.add("hybrid_shared_speedup", matrix,
+               cuda.virtual_seconds / hybrid_shared.virtual_seconds, "x",
+               clock);
+    report.add("hybrid_lanes_speedup", matrix, cuda.virtual_seconds / lanes_s,
+               "x", clock);
+    report.add("cuda_mb", matrix,
+               cuda.transfers.host_to_device_bytes / 1e6, "MB",
+               bench::Clock::kNone);
+    report.add("hybrid_mb", matrix,
+               hybrid_lanes.transfers.host_to_device_bytes / 1e6, "MB",
+               bench::Clock::kNone);
+    report.add("coalesced", matrix,
+               static_cast<double>(hybrid_lanes.transfers.coalesced_transfers),
+               "count", bench::Clock::kNone);
   }
-  std::printf(
-      "\nExpected shape (paper): hybrid beats direct CUDA on every matrix\n"
-      "because splitting rows over CPUs+GPU divides both the computation\n"
-      "and the PCIe traffic that dominates GPU-only execution; the duplex\n"
-      "lanes + coalesced chunk uploads widen the margin further.\n");
-
-  if (json) {
-    if (json_file.empty()) {
-      write_json(stdout, rows, hybrid_chunks);
-    } else {
-      std::FILE* out = std::fopen(json_file.c_str(), "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_file.c_str());
-        return 1;
-      }
-      write_json(out, rows, hybrid_chunks);
-      std::fclose(out);
-    }
-  }
-  return 0;
+  return report.finish();
 }

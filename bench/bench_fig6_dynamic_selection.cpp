@@ -9,34 +9,18 @@
 // run three times so the calibration phase settles before the measured run
 // (the paper's models are likewise trained by execution history).
 //
-// Flags:
-//   --platform=c2050|c1060  run only one of the two platforms
-//   --json[=FILE]  additionally emit a machine-readable JSON document (to
-//                  FILE, or stdout when no file is given) — consumed by
-//                  tools/run_bench.sh
-//   --smoke        first platform, first size per app, fewer calibration
-//                  rounds; exercises the whole path quickly (bench-smoke)
+// --smoke runs the first platform and the first size per app with fewer
+// calibration rounds (bench/report.hpp).
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "apps/suite.hpp"
+#include "report.hpp"
 #include "runtime/engine.hpp"
 
 using namespace peppher;
 
 namespace {
-
-struct Row {
-  std::string platform;
-  std::string app;
-  double omp_s = 0.0;
-  double cuda_s = 0.0;
-  double tgpa_s = 0.0;
-  double tgpa_vs_best = 0.0;  ///< tgpa_s / min(omp_s, cuda_s, tgpa_s)
-};
 
 double run_forced(const apps::SuiteApp& app, const sim::MachineConfig& machine,
                   rt::Arch arch, bool smoke) {
@@ -78,97 +62,33 @@ double run_tgpa(const apps::SuiteApp& app, const sim::MachineConfig& machine,
   return total / static_cast<double>(count);
 }
 
-void run_platform(const sim::MachineConfig& machine, char label, bool smoke,
-                  std::vector<Row>* rows) {
-  std::printf("Figure 6(%c): platform %s\n", label, machine.name.c_str());
-  std::printf("%-16s %10s %10s %10s   (normalized exec. time, best = 1.0)\n",
-              "Application", "OpenMP", "CUDA", "TGPA");
+void run_platform(const char* platform, const sim::MachineConfig& machine,
+                  bench::Report& report) {
+  const bool smoke = report.smoke();
   for (const apps::SuiteApp& app : apps::figure6_suite()) {
-    Row row;
-    row.platform = machine.name;
-    row.app = app.name;
-    row.omp_s = run_forced(app, machine, rt::Arch::kCpuOmp, smoke);
-    row.cuda_s = run_forced(app, machine, rt::Arch::kCuda, smoke);
-    row.tgpa_s = run_tgpa(app, machine, smoke);
-    const double best = std::min({row.omp_s, row.cuda_s, row.tgpa_s});
-    row.tgpa_vs_best = row.tgpa_s / best;
-    std::printf("%-16s %10.2f %10.2f %10.2f\n", app.name.c_str(),
-                row.omp_s / best, row.cuda_s / best, row.tgpa_s / best);
-    rows->push_back(std::move(row));
-  }
-  std::printf("\n");
-}
+    const double omp_s = run_forced(app, machine, rt::Arch::kCpuOmp, smoke);
+    const double cuda_s = run_forced(app, machine, rt::Arch::kCuda, smoke);
+    const double tgpa_s = run_tgpa(app, machine, smoke);
+    const double best = std::min({omp_s, cuda_s, tgpa_s});
 
-void write_json(std::FILE* out, const std::vector<Row>& rows) {
-  std::fprintf(out, "{\n  \"benchmark\": \"fig6_dynamic_selection\",\n");
-  std::fprintf(out, "  \"unit\": \"virtual seconds\",\n  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(out,
-                 "    {\"platform\": \"%s\", \"app\": \"%s\", "
-                 "\"omp_s\": %.6f, \"cuda_s\": %.6f, \"tgpa_s\": %.6f, "
-                 "\"tgpa_vs_best\": %.4f}%s\n",
-                 r.platform.c_str(), r.app.c_str(), r.omp_s, r.cuda_s,
-                 r.tgpa_s, r.tgpa_vs_best, i + 1 < rows.size() ? "," : "");
+    const bench::Labels labels = {{"platform", platform}, {"app", app.name}};
+    const auto clock = bench::Clock::kVirtual;
+    report.add("omp_s", labels, omp_s, "s", clock);
+    report.add("cuda_s", labels, cuda_s, "s", clock);
+    report.add("tgpa_s", labels, tgpa_s, "s", clock);
+    report.add("omp_vs_best", labels, omp_s / best, "x", clock);
+    report.add("cuda_vs_best", labels, cuda_s / best, "x", clock);
+    report.add("tgpa_vs_best", labels, tgpa_s / best, "x", clock);
   }
-  std::fprintf(out, "  ]\n}\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool run_c2050 = true, run_c1060 = true;
-  bool json = false;
-  bool smoke = false;
-  std::string json_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--platform=c2050") {
-      run_c1060 = false;
-    } else if (arg == "--platform=c1060") {
-      run_c2050 = false;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_file = arg.substr(std::strlen("--json="));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--platform=c2050|c1060] [--json[=FILE]] "
-                   "[--smoke]\n",
-                   argv[0]);
-      return 2;
-    }
+  bench::Report report("fig6_dynamic_selection", argc, argv);
+  run_platform("c2050", sim::MachineConfig::platform_c2050(), report);
+  if (!report.smoke()) {
+    run_platform("c1060", sim::MachineConfig::platform_c1060(), report);
   }
-  if (smoke) run_c1060 = run_c1060 && !run_c2050;  // one platform suffices
-
-  std::vector<Row> rows;
-  if (run_c2050) {
-    run_platform(sim::MachineConfig::platform_c2050(), 'a', smoke, &rows);
-  }
-  if (run_c1060) {
-    run_platform(sim::MachineConfig::platform_c1060(), 'b', smoke, &rows);
-  }
-  std::printf(
-      "Expected shape (paper): TGPA closely follows the best of\n"
-      "OpenMP/CUDA for every application on both platforms; the winner\n"
-      "flips between platforms for irregular applications (bfs, spmv-like),\n"
-      "and TGPA adapts without re-tuning.\n");
-
-  if (json) {
-    if (json_file.empty()) {
-      write_json(stdout, rows);
-    } else {
-      std::FILE* out = std::fopen(json_file.c_str(), "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_file.c_str());
-        return 1;
-      }
-      write_json(out, rows);
-      std::fclose(out);
-    }
-  }
-  return 0;
+  return report.finish();
 }

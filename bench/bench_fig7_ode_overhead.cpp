@@ -11,84 +11,26 @@
 // path is nearly indistinguishable from hand-written direct execution, and
 // (2) a single powerful GPU wins because data stays resident.
 //
-// Flags:
-//   --json[=FILE]  additionally emit a machine-readable JSON document (to
-//                  FILE, or stdout when no file is given) — consumed by
-//                  tools/run_bench.sh
-//   --smoke        one small problem with few steps; exercises the whole
-//                  path in well under a second (the bench-smoke ctest)
-#include <cstdio>
-#include <cstring>
+// --smoke runs one small problem with few steps (bench/report.hpp).
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "apps/ode.hpp"
+#include "report.hpp"
 #include "runtime/engine.hpp"
 
 using namespace peppher;
 
-namespace {
-
-struct Row {
-  std::uint32_t size = 0;
-  double direct_cpu_s = 0.0;
-  double direct_cuda_s = 0.0;
-  double tool_cuda_s = 0.0;
-  double overhead_pct = 0.0;
-  std::uint64_t invocations = 0;
-};
-
-void write_json(std::FILE* out, const std::vector<Row>& rows, int steps) {
-  std::fprintf(out, "{\n  \"benchmark\": \"fig7_ode_overhead\",\n");
-  std::fprintf(out, "  \"unit\": \"virtual seconds\",\n");
-  std::fprintf(out, "  \"steps\": %d,\n  \"rows\": [\n", steps);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(out,
-                 "    {\"size\": %u, \"direct_cpu_s\": %.6f, "
-                 "\"direct_cuda_s\": %.6f, \"tool_cuda_s\": %.6f, "
-                 "\"overhead_pct\": %.2f, \"invocations\": %llu}%s\n",
-                 r.size, r.direct_cpu_s, r.direct_cuda_s, r.tool_cuda_s,
-                 r.overhead_pct, static_cast<unsigned long long>(r.invocations),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  bool json = false;
-  bool smoke = false;
-  std::string json_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_file = arg.substr(std::strlen("--json="));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json[=FILE]] [--smoke]\n", argv[0]);
-      return 2;
-    }
-  }
-
+  bench::Report report("fig7_ode_overhead", argc, argv);
+  const bool smoke = report.smoke();
   const std::vector<std::uint32_t> sizes =
       smoke ? std::vector<std::uint32_t>{250u}
             : std::vector<std::uint32_t>{250u, 500u, 750u, 1000u};
   const int steps = smoke ? 50 : apps::ode::kPaperSteps;
 
-  std::printf(
-      "Figure 7: Runge-Kutta ODE solver, 9 components, %s invocations\n\n",
-      smoke ? "smoke-sized" : "10613");
-  std::printf("%-6s %14s %14s %20s %10s\n", "Size", "Direct-CPU(s)",
-              "Direct-CUDA(s)", "CompositionTool-CUDA", "overhead");
-
   const sim::MachineConfig machine = sim::MachineConfig::platform_c2050();
-  std::vector<Row> rows;
   for (const std::uint32_t n : sizes) {
     const auto problem = apps::ode::make_problem(n, steps);
 
@@ -103,41 +45,17 @@ int main(int argc, char** argv) {
     rt::Engine engine(config);
     const auto tool = apps::ode::run_tool(engine, problem, rt::Arch::kCuda);
 
-    Row row;
-    row.size = n;
-    row.direct_cpu_s = direct_cpu.virtual_seconds;
-    row.direct_cuda_s = direct_cuda.virtual_seconds;
-    row.tool_cuda_s = tool.virtual_seconds;
-    row.overhead_pct =
-        100.0 * (tool.virtual_seconds - direct_cuda.virtual_seconds) /
-        direct_cuda.virtual_seconds;
-    row.invocations = tool.invocations;
-    rows.push_back(row);
-
-    std::printf("%-6u %14.3f %14.4f %20.4f %9.1f%%\n", n, row.direct_cpu_s,
-                row.direct_cuda_s, row.tool_cuda_s, row.overhead_pct);
-    if (!smoke && tool.invocations != 10613u) {
-      std::printf("  WARNING: invocation count %llu != 10613\n",
-                  static_cast<unsigned long long>(tool.invocations));
-    }
+    const bench::Labels size = {{"size", std::to_string(n)}};
+    const auto clock = bench::Clock::kVirtual;
+    report.add("direct_cpu_s", size, direct_cpu.virtual_seconds, "s", clock);
+    report.add("direct_cuda_s", size, direct_cuda.virtual_seconds, "s", clock);
+    report.add("tool_cuda_s", size, tool.virtual_seconds, "s", clock);
+    report.add("overhead_pct", size,
+               100.0 * (tool.virtual_seconds - direct_cuda.virtual_seconds) /
+                   direct_cuda.virtual_seconds,
+               "%", clock);
+    report.add("invocations", size, static_cast<double>(tool.invocations),
+               "count", bench::Clock::kNone);
   }
-  std::printf(
-      "\nExpected shape (paper, log scale): Direct-CPU is ~10x above the\n"
-      "CUDA series at size 1000; the composition-tool series tracks\n"
-      "Direct-CUDA closely (low runtime overhead despite 10613 tasks).\n");
-
-  if (json) {
-    if (json_file.empty()) {
-      write_json(stdout, rows, steps);
-    } else {
-      std::FILE* out = std::fopen(json_file.c_str(), "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_file.c_str());
-        return 1;
-      }
-      write_json(out, rows, steps);
-      std::fclose(out);
-    }
-  }
-  return 0;
+  return report.finish();
 }

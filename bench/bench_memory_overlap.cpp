@@ -19,15 +19,12 @@
 // shared bus. Expected ~2x on two GPUs (each device's uploads ride its own
 // lane), which is what BENCH_memory_overlap.json records.
 //
-// Flags:
-//   --json[=FILE]  machine-readable output, consumed by tools/run_bench.sh
-//   --smoke        tiny slices/few tasks; sub-second (the bench-smoke ctest)
+// --smoke uses tiny slices and few tasks (bench/report.hpp).
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "report.hpp"
 #include "runtime/engine.hpp"
 #include "sim/device.hpp"
 
@@ -42,18 +39,10 @@ struct Setup {
   bool prefetch = false;
 };
 
-struct Row {
-  std::string config;
-  double virtual_s = 0.0;
-  double wall_ms = 0.0;
-  std::uint64_t h2d_transfers = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t prefetch_enqueued = 0;
-  std::uint64_t prefetch_completed = 0;
-  double speedup = 1.0;  ///< vs the shared_bus row
-};
-
-Row run_config(const Setup& setup, int tasks, std::size_t slice_floats) {
+/// Runs one configuration and records its rows; returns its virtual
+/// makespan.
+double run_config(const Setup& setup, int tasks, std::size_t slice_floats,
+                  bench::Report& report) {
   sim::MachineConfig machine = sim::MachineConfig::platform_dual_c2050();
   machine.link =
       setup.shared_bus ? sim::LinkProfile::pcie2_x16_shared()
@@ -124,66 +113,32 @@ Row run_config(const Setup& setup, int tasks, std::size_t slice_floats) {
   engine.drain_prefetches();
   const auto wall_end = std::chrono::steady_clock::now();
 
-  Row row;
-  row.config = setup.name;
-  row.virtual_s = engine.virtual_makespan();
-  row.wall_ms = std::chrono::duration<double, std::milli>(wall_end - wall_start)
-                    .count();
-  row.h2d_transfers = engine.transfer_stats().host_to_device_count;
-  row.coalesced = engine.transfer_stats().coalesced_transfers;
-  row.prefetch_enqueued = engine.prefetch_stats().enqueued;
-  row.prefetch_completed = engine.prefetch_stats().completed;
-  return row;
-}
-
-void write_json(std::FILE* out, const std::vector<Row>& rows, int tasks,
-                std::size_t slice_floats, double speedup) {
-  std::fprintf(out, "{\n  \"benchmark\": \"memory_overlap\",\n");
-  std::fprintf(out, "  \"unit\": \"virtual seconds\",\n");
-  std::fprintf(out, "  \"tasks\": %d,\n  \"slice_bytes\": %zu,\n", tasks,
-               slice_floats * sizeof(float));
-  std::fprintf(out, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(out,
-                 "    {\"config\": \"%s\", \"virtual_s\": %.6f, "
-                 "\"speedup_vs_shared_bus\": %.3f, \"h2d_transfers\": %llu, "
-                 "\"coalesced\": %llu, \"prefetch_enqueued\": %llu, "
-                 "\"prefetch_completed\": %llu, \"wall_ms\": %.2f}%s\n",
-                 r.config.c_str(), r.virtual_s, r.speedup,
-                 static_cast<unsigned long long>(r.h2d_transfers),
-                 static_cast<unsigned long long>(r.coalesced),
-                 static_cast<unsigned long long>(r.prefetch_enqueued),
-                 static_cast<unsigned long long>(r.prefetch_completed),
-                 r.wall_ms, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"speedup\": %.3f\n}\n", speedup);
+  const double virtual_s = engine.virtual_makespan();
+  const bench::Labels config_label = {{"config", setup.name}};
+  const auto count = [&](const char* metric, std::uint64_t value) {
+    report.add(metric, config_label, static_cast<double>(value), "count",
+               bench::Clock::kNone);
+  };
+  report.add("virtual_s", config_label, virtual_s, "s",
+             bench::Clock::kVirtual);
+  count("h2d_transfers", engine.transfer_stats().host_to_device_count);
+  count("coalesced", engine.transfer_stats().coalesced_transfers);
+  count("prefetch_enqueued", engine.prefetch_stats().enqueued);
+  count("prefetch_completed", engine.prefetch_stats().completed);
+  report.add("wall_ms", config_label,
+             std::chrono::duration<double, std::milli>(wall_end - wall_start)
+                 .count(),
+             "ms", bench::Clock::kWall);
+  return virtual_s;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  bool smoke = false;
-  std::string json_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_file = arg.substr(std::strlen("--json="));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json[=FILE]] [--smoke]\n", argv[0]);
-      return 2;
-    }
-  }
-
-  const int tasks = smoke ? 8 : 32;
+  bench::Report report("memory_overlap", argc, argv);
+  const int tasks = report.smoke() ? 8 : 32;
   const std::size_t slice_floats =
-      (smoke ? (1u << 20) : (8u << 20)) / sizeof(float);
+      (report.smoke() ? (1u << 20) : (8u << 20)) / sizeof(float);
 
   const std::vector<Setup> setups = {
       {"shared_bus", true, false, false},
@@ -191,39 +146,12 @@ int main(int argc, char** argv) {
       {"lanes_coalescing", false, true, false},
       {"lanes_coalescing_prefetch", false, true, true},
   };
-
-  std::printf("Overlapped data movement: %d transfer-bound slice uploads "
-              "(%zu MiB each) on a dual-C2050 box\n\n",
-              tasks, slice_floats * sizeof(float) >> 20);
-  std::printf("%-26s %12s %9s %8s %10s %10s\n", "config", "virtual(s)",
-              "speedup", "h2d", "coalesced", "wall(ms)");
-
-  std::vector<Row> rows;
+  double shared_bus_s = 0.0;
   for (const Setup& setup : setups) {
-    Row row = run_config(setup, tasks, slice_floats);
-    if (!rows.empty()) row.speedup = rows.front().virtual_s / row.virtual_s;
-    std::printf("%-26s %12.6f %8.2fx %8llu %10llu %10.2f\n",
-                row.config.c_str(), row.virtual_s, row.speedup,
-                static_cast<unsigned long long>(row.h2d_transfers),
-                static_cast<unsigned long long>(row.coalesced), row.wall_ms);
-    rows.push_back(row);
+    const double virtual_s = run_config(setup, tasks, slice_floats, report);
+    if (&setup == &setups.front()) shared_bus_s = virtual_s;
+    report.add("speedup_vs_shared_bus", {{"config", setup.name}},
+               shared_bus_s / virtual_s, "x", bench::Clock::kVirtual);
   }
-  const double speedup = rows.front().virtual_s / rows.back().virtual_s;
-  std::printf("\nHeadline (lanes+coalescing+prefetch vs shared bus): %.2fx\n",
-              speedup);
-
-  if (json) {
-    if (json_file.empty()) {
-      write_json(stdout, rows, tasks, slice_floats, speedup);
-    } else {
-      std::FILE* out = std::fopen(json_file.c_str(), "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_file.c_str());
-        return 1;
-      }
-      write_json(out, rows, tasks, slice_floats, speedup);
-      std::fclose(out);
-    }
-  }
-  return 0;
+  return report.finish();
 }

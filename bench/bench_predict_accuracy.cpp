@@ -12,17 +12,13 @@
 //   3. predict — `analyze::predict_main` over hand-authored descriptors of
 //      the same composition, with the same models and container sizes.
 //
-// The JSON document records predicted/simulated seconds, their ratio
-// (tolerance ±30%) and whether the predictor ranks the machines in the
-// same order the simulator does. A full run exits non-zero when a ratio
-// leaves the band; --smoke only checks that the pipeline runs.
-//
-// Flags:
-//   --json[=FILE]  machine-readable output (tools/run_bench.sh)
-//   --smoke        tiny problem sizes; exercises the whole path quickly
+// The records are predicted/simulated seconds, their ratio (the ±30% band
+// is a gate in bench/gates.json, binding on full runs only: smoke sizes sit
+// at the latency floor where ratios wobble) and whether the predictor ranks
+// the machines in the same order the simulator does. --smoke uses tiny
+// problem sizes (bench/report.hpp).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <numeric>
@@ -33,13 +29,12 @@
 #include "analyze/predict.hpp"
 #include "apps/ode.hpp"
 #include "apps/spmv.hpp"
+#include "report.hpp"
 #include "runtime/engine.hpp"
 
 using namespace peppher;
 
 namespace {
-
-constexpr double kTolerance = 0.30;
 
 struct Machine {
   std::string name;
@@ -264,8 +259,6 @@ struct Row {
   std::string machine;
   double predicted_s = 0.0;
   double simulated_s = 0.0;
-  double ratio = 0.0;  ///< predicted / simulated
-  bool within_tolerance = false;
 };
 
 Row evaluate(const Workload& workload, const Machine& machine,
@@ -324,8 +317,6 @@ Row evaluate(const Workload& workload, const Machine& machine,
   row.machine = machine.name;
   row.predicted_s = result.makespan.est;
   row.simulated_s = simulated;
-  row.ratio = simulated > 0.0 ? result.makespan.est / simulated : 0.0;
-  row.within_tolerance = std::abs(row.ratio - 1.0) <= kTolerance;
   return row;
 }
 
@@ -343,118 +334,33 @@ std::vector<std::string> order_of(const std::vector<Row>& rows,
   return names;
 }
 
-void write_json(std::FILE* out, const std::vector<Row>& rows,
-                const std::vector<std::string>& apps, bool smoke) {
-  std::fprintf(out, "{\n  \"benchmark\": \"predict_accuracy\",\n");
-  std::fprintf(out, "  \"unit\": \"virtual seconds\",\n");
-  std::fprintf(out, "  \"tolerance\": %.2f,\n", kTolerance);
-  std::fprintf(out, "  \"smoke\": %s,\n  \"rows\": [\n",
-               smoke ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(out,
-                 "    {\"app\": \"%s\", \"machine\": \"%s\", "
-                 "\"predicted_s\": %.9f, \"simulated_s\": %.9f, "
-                 "\"ratio\": %.4f, \"within_tolerance\": %s}%s\n",
-                 r.app.c_str(), r.machine.c_str(), r.predicted_s,
-                 r.simulated_s, r.ratio,
-                 r.within_tolerance ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"ranking\": [\n");
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    std::vector<Row> app_rows;
-    for (const Row& r : rows) {
-      if (r.app == apps[a]) app_rows.push_back(r);
-    }
-    const auto predicted = order_of(app_rows, &Row::predicted_s);
-    const auto simulated = order_of(app_rows, &Row::simulated_s);
-    auto names = [](const std::vector<std::string>& v) {
-      std::string out;
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        out += (i > 0 ? ", \"" : "\"") + v[i] + "\"";
-      }
-      return out;
-    };
-    std::fprintf(out,
-                 "    {\"app\": \"%s\", \"predicted_order\": [%s], "
-                 "\"simulated_order\": [%s], \"matches\": %s}%s\n",
-                 apps[a].c_str(), names(predicted).c_str(),
-                 names(simulated).c_str(),
-                 predicted == simulated ? "true" : "false",
-                 a + 1 < apps.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  bool smoke = false;
-  std::string json_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_file = arg.substr(std::strlen("--json="));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json[=FILE]] [--smoke]\n", argv[0]);
-      return 2;
-    }
-  }
-
+  bench::Report report("predict_accuracy", argc, argv);
   const std::filesystem::path sampling_root =
       std::filesystem::temp_directory_path() / "peppher_predict_accuracy";
 
-  std::printf("peppher-predict accuracy: predicted vs simulated makespan\n");
-  std::printf("(calibrate on forced runs -> predict from descriptors vs a "
-              "dmda run)\n\n");
-  std::printf("%-10s %-7s | %12s %12s %7s %s\n", "App", "Machine",
-              "Predicted s", "Simulated s", "Ratio", "OK");
-
-  std::vector<Row> rows;
-  std::vector<std::string> apps;
-  for (const Workload& workload : {ode_workload(smoke), spmv_workload(smoke)}) {
-    apps.push_back(workload.name);
+  for (const Workload& workload :
+       {ode_workload(report.smoke()), spmv_workload(report.smoke())}) {
+    std::vector<Row> rows;
     for (const Machine& machine : machines()) {
-      const Row row = evaluate(workload, machine, sampling_root, smoke);
-      std::printf("%-10s %-7s | %12.6f %12.6f %7.3f %s\n", row.app.c_str(),
-                  row.machine.c_str(), row.predicted_s, row.simulated_s,
-                  row.ratio, row.within_tolerance ? "yes" : "NO");
+      const Row row = evaluate(workload, machine, sampling_root, report.smoke());
+      const bench::Labels labels = {{"app", row.app}, {"machine", row.machine}};
+      const auto clock = bench::Clock::kVirtual;
+      report.add("predicted_s", labels, row.predicted_s, "s", clock);
+      report.add("simulated_s", labels, row.simulated_s, "s", clock);
+      report.add("ratio", labels,
+                 row.simulated_s > 0.0 ? row.predicted_s / row.simulated_s
+                                       : 0.0,
+                 "x", clock);
       rows.push_back(row);
     }
+    const bool matches = order_of(rows, &Row::predicted_s) ==
+                         order_of(rows, &Row::simulated_s);
+    report.add("ranking_matches", {{"app", workload.name}}, matches ? 1.0 : 0.0,
+               "bool", bench::Clock::kVirtual);
   }
   std::filesystem::remove_all(sampling_root);
-
-  if (json) {
-    if (json_file.empty()) {
-      write_json(stdout, rows, apps, smoke);
-    } else {
-      std::FILE* out = std::fopen(json_file.c_str(), "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_file.c_str());
-        return 1;
-      }
-      write_json(out, rows, apps, smoke);
-      std::fclose(out);
-    }
-  }
-
-  // A full run holds the band; smoke sizes are too small to be meaningful
-  // (per-task times sit at the latency floor where ratios wobble).
-  if (!smoke) {
-    for (const Row& r : rows) {
-      if (!r.within_tolerance) {
-        std::fprintf(stderr, "accuracy out of band: %s on %s (ratio %.3f)\n",
-                     r.app.c_str(), r.machine.c_str(), r.ratio);
-        return 1;
-      }
-    }
-  }
-  return 0;
+  return report.finish();
 }

@@ -22,16 +22,12 @@
 //                   scheduler's per-task cost (the zero-model-evaluation
 //                   claim: replay must stay within a few percent).
 //
-// Flags:
-//   --json[=FILE]  additionally emit a machine-readable JSON document (to
-//                  FILE, or stdout when no file is given) — consumed by
-//                  tools/run_bench.sh
-//   --smoke        fewer rounds / smaller problems; exercises every path
-//                  quickly (the bench-smoke ctest)
+// Each row records `baseline` (dmda, or eager for replay_overhead),
+// `lookahead` and `ratio` = baseline / lookahead (> 1: lookahead wins); the
+// ratio floors are in bench/gates.json. --smoke uses fewer rounds and
+// smaller problems (bench/report.hpp).
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -41,19 +37,21 @@
 #include "apps/ode.hpp"
 #include "apps/sparse.hpp"
 #include "apps/spmv.hpp"
+#include "report.hpp"
 #include "runtime/engine.hpp"
 
 using namespace peppher;
 
 namespace {
 
-struct Row {
-  std::string name;
-  std::string unit;
-  double baseline = 0.0;   ///< dmda (or eager for replay_overhead)
-  double lookahead = 0.0;
-  double ratio = 0.0;      ///< baseline / lookahead (>1 = lookahead wins)
-};
+void add_row(bench::Report& report, const std::string& name, double baseline,
+             double lookahead, double ratio, const std::string& unit,
+             bench::Clock clock) {
+  const bench::Labels labels = {{"case", name}};
+  report.add("baseline", labels, baseline, unit, clock);
+  report.add("lookahead", labels, lookahead, unit, clock);
+  report.add("ratio", labels, ratio, "x", clock);
+}
 
 /// flops such that a pure-compute kernel takes `seconds` on `device`.
 double flops_for(const sim::DeviceProfile& device, double seconds) {
@@ -216,7 +214,7 @@ double run_overhead(const rt::EngineConfig& base, int tasks) {
          static_cast<double>(tasks);
 }
 
-Row replay_overhead_row(int tasks) {
+void replay_overhead_row(int tasks, bench::Report& report) {
   const std::filesystem::path table =
       std::filesystem::temp_directory_path() / "peppher_bench_lookahead.dispatch";
   {  // training run: record the winning placements into the table
@@ -246,53 +244,15 @@ Row replay_overhead_row(int tasks) {
     return v[v.size() / 2];
   };
   std::filesystem::remove(table);
-  Row row;
-  row.name = "replay_overhead";
-  row.unit = "us/task";
-  row.baseline = median(eager_us);
-  row.lookahead = median(replay_us);
-  row.ratio = median(ratios);
-  return row;
-}
-
-void write_json(std::FILE* out, const std::vector<Row>& rows) {
-  std::fprintf(out, "{\n  \"benchmark\": \"scheduler_lookahead\",\n");
-  std::fprintf(out, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(out,
-                 "    {\"case\": \"%s\", \"unit\": \"%s\", "
-                 "\"baseline\": %.6f, \"lookahead\": %.6f, "
-                 "\"ratio\": %.4f}%s\n",
-                 r.name.c_str(), r.unit.c_str(), r.baseline, r.lookahead,
-                 r.ratio, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
+  add_row(report, "replay_overhead", median(eager_us), median(replay_us),
+          median(ratios), "us/task", bench::Clock::kWall);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  bool smoke = false;
-  std::string json_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_file = arg.substr(std::strlen("--json="));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json[=FILE]] [--smoke]\n", argv[0]);
-      return 2;
-    }
-  }
-
-  std::printf("Lookahead scheduler: windowed joint placement vs dmda\n\n");
-  std::vector<Row> rows;
+  bench::Report report("scheduler_lookahead", argc, argv);
+  const bool smoke = report.smoke();
 
   // Virtual makespans are deterministic given a schedule, but the schedule
   // itself races real worker threads (partial windows close when a worker
@@ -302,69 +262,32 @@ int main(int argc, char** argv) {
     std::sort(v.begin(), v.end());
     return v[1];
   };
+  const auto virtual_row = [&report](const std::string& name, double dmda,
+                                     double lookahead) {
+    add_row(report, name, dmda, lookahead, dmda / lookahead, "s",
+            bench::Clock::kVirtual);
+  };
 
+  // Each baseline runs before its lookahead counterpart, as named locals:
+  // the order of function-argument evaluation is unspecified.
   {
     const int rounds = smoke ? 4 : 16;
-    Row row;
-    row.name = "adversarial";
-    row.unit = "virtual seconds";
-    row.baseline = run_pingpong("dmda", rounds);
-    row.lookahead = run_pingpong("lookahead", rounds);
-    row.ratio = row.baseline / row.lookahead;
-    std::printf("  %-16s dmda %10.4f s   lookahead %10.4f s   %.2fx\n",
-                row.name.c_str(), row.baseline, row.lookahead, row.ratio);
-    rows.push_back(row);
+    const double dmda = run_pingpong("dmda", rounds);
+    virtual_row("adversarial", dmda, run_pingpong("lookahead", rounds));
   }
   {
-    Row row;
-    row.name = "fig5_parity";
-    row.unit = "virtual seconds";
     const double scale = smoke ? 0.05 : 0.1;
-    row.baseline = median3([&] { return run_spmv("dmda", scale); });
-    row.lookahead = median3([&] { return run_spmv("lookahead", scale); });
-    row.ratio = row.baseline / row.lookahead;
-    std::printf("  %-16s dmda %10.4f s   lookahead %10.4f s   %.2fx\n",
-                row.name.c_str(), row.baseline, row.lookahead, row.ratio);
-    rows.push_back(row);
+    const double dmda = median3([&] { return run_spmv("dmda", scale); });
+    virtual_row("fig5_parity", dmda,
+                median3([&] { return run_spmv("lookahead", scale); }));
   }
   {
-    Row row;
-    row.name = "fig7_parity";
-    row.unit = "virtual seconds";
     const unsigned n = smoke ? 64u : 250u;
     const int steps = smoke ? 24 : 200;
-    row.baseline = median3([&] { return run_ode("dmda", n, steps); });
-    row.lookahead = median3([&] { return run_ode("lookahead", n, steps); });
-    row.ratio = row.baseline / row.lookahead;
-    std::printf("  %-16s dmda %10.4f s   lookahead %10.4f s   %.2fx\n",
-                row.name.c_str(), row.baseline, row.lookahead, row.ratio);
-    rows.push_back(row);
+    const double dmda = median3([&] { return run_ode("dmda", n, steps); });
+    virtual_row("fig7_parity", dmda,
+                median3([&] { return run_ode("lookahead", n, steps); }));
   }
-  {
-    Row row = replay_overhead_row(smoke ? 4096 : 8192);
-    std::printf("  %-16s eager %8.3f us/task   replay %8.3f us/task   %.2fx\n",
-                row.name.c_str(), row.baseline, row.lookahead, row.ratio);
-    rows.push_back(row);
-  }
-
-  std::printf(
-      "\nExpected shape: adversarial >= 1.15x (the window planner prices\n"
-      "the shared fetch once and consolidates the batch on the GPU); the\n"
-      "parity rows stay within noise of dmda; replay per-task cost stays\n"
-      "within a few percent of the eager scheduler.\n");
-
-  if (json) {
-    if (json_file.empty()) {
-      write_json(stdout, rows);
-    } else {
-      std::FILE* out = std::fopen(json_file.c_str(), "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_file.c_str());
-        return 1;
-      }
-      write_json(out, rows);
-      std::fclose(out);
-    }
-  }
-  return 0;
+  replay_overhead_row(smoke ? 4096 : 8192, report);
+  return report.finish();
 }

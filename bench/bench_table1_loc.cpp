@@ -5,41 +5,43 @@
 // Counts physical non-blank source lines of the real driver pairs in
 // src/apps/drivers (the same metric the paper uses, Park [13]); both
 // versions of every application are compiled and equivalence-tested in
-// tests/test_drivers.cpp, so the counted code is live code.
-#include <cstdio>
-
+// tests/test_drivers.cpp, so the counted code is live code. `saved_loc` is
+// signed, so a tool version longer than its direct one shows as negative.
+// --smoke counts the same files (bench/report.hpp).
 #include "apps/drivers/drivers.hpp"
+#include "report.hpp"
 #include "support/fs.hpp"
 
-int main() {
-  using peppher::apps::drivers::driver_sources;
-  namespace fs = peppher::fs;
+using namespace peppher;
 
-  std::printf("Table I: source LoC, composition tool vs direct runtime code\n");
-  std::printf("(counted from the real driver sources; see DESIGN.md)\n\n");
-  std::printf("%-16s %10s %12s %18s\n", "Application", "Tool (LOC)",
-              "Direct (LOC)", "Difference (LOC, %)");
+namespace {
 
+void add_app(bench::Report& report, const std::string& app, double tool,
+             double direct) {
+  const bench::Labels labels = {{"app", app}};
+  const auto clock = bench::Clock::kNone;
+  report.add("tool_loc", labels, tool, "lines", clock);
+  report.add("direct_loc", labels, direct, "lines", clock);
+  report.add("saved_loc", labels, direct - tool, "lines", clock);
+  report.add("saved_pct", labels, 100.0 * (direct - tool) / direct, "%",
+             clock);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Report report("table1_loc", argc, argv);
   const std::filesystem::path root(PEPPHER_SOURCE_ROOT);
-  std::size_t total_tool = 0, total_direct = 0;
-  for (const auto& app : driver_sources()) {
-    const std::size_t tool = fs::count_source_lines(root / app.tool_file);
-    const std::size_t direct = fs::count_source_lines(root / app.direct_file);
+  double total_tool = 0.0, total_direct = 0.0;
+  for (const auto& app : apps::drivers::driver_sources()) {
+    const auto tool =
+        static_cast<double>(fs::count_source_lines(root / app.tool_file));
+    const auto direct =
+        static_cast<double>(fs::count_source_lines(root / app.direct_file));
     total_tool += tool;
     total_direct += direct;
-    const std::size_t diff = direct > tool ? direct - tool : 0;
-    const int percent =
-        direct > 0 ? static_cast<int>(100.0 * diff / direct + 0.5) : 0;
-    std::printf("%-16s %10zu %12zu %11zu, %3d%%\n", app.app, tool, direct,
-                diff, percent);
+    add_app(report, app.app, tool, direct);
   }
-  const std::size_t total_diff = total_direct - total_tool;
-  std::printf("%-16s %10zu %12zu %11zu, %3d%%\n", "TOTAL", total_tool,
-              total_direct, total_diff,
-              static_cast<int>(100.0 * total_diff / total_direct + 0.5));
-  std::printf(
-      "\nPaper's range: 15-63%% LoC saved per application; the savings come\n"
-      "from generated task functions, argument packing, data registration\n"
-      "and consistency handling.\n");
-  return 0;
+  add_app(report, "TOTAL", total_tool, total_direct);
+  return report.finish();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iostream>
 #include <sstream>
 
 namespace peppher::diag {
@@ -458,6 +459,27 @@ const CodeInfo* find_code(std::string_view code) {
 std::string_view code_summary(std::string_view code) {
   const CodeInfo* info = find_code(code);
   return info != nullptr ? info->summary : std::string_view{};
+}
+
+int explain(std::string_view tool, std::string_view code,
+            std::string_view docs) {
+  if (code == "all") {
+    for (const CodeInfo& info : all_codes()) {
+      std::cout << info.code << " (" << to_string(info.severity)
+                << "): " << info.summary << "\n";
+    }
+    return 0;
+  }
+  const CodeInfo* info = find_code(code);
+  if (info == nullptr) {
+    std::cerr << tool << ": unknown diagnostic code '" << code
+              << "' (or 'all'; see " << docs << ")\n";
+    return 2;
+  }
+  std::cout << info->code << " (" << to_string(info->severity)
+            << "): " << info->summary << "\n\n"
+            << info->remediation << "\n";
+  return 0;
 }
 
 std::string json_escape(std::string_view raw) {

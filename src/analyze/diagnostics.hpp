@@ -117,6 +117,13 @@ const CodeInfo* find_code(std::string_view code);
 /// Summary for `code`, or "" if the code is unknown.
 std::string_view code_summary(std::string_view code);
 
+/// `--explain=CODE` of the command-line tools: prints the code's severity,
+/// summary and remediation, or one line per registered code for "all", and
+/// returns 0. For an unknown code, prints "<tool>: unknown diagnostic code"
+/// pointing at `docs` to stderr and returns 2 (a usage error).
+int explain(std::string_view tool, std::string_view code,
+            std::string_view docs);
+
 /// Escapes a string for embedding in a JSON string literal (quotes,
 /// backslashes, control characters).
 std::string json_escape(std::string_view raw);

@@ -5,38 +5,14 @@
 #include "analyze/lint.hpp"
 #include "compose/codegen.hpp"
 #include "compose/expand.hpp"
+#include "sim/device.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace peppher::compose {
 
 namespace {
-
-sim::MachineConfig machine_preset(const std::string& name) {
-  if (name == "c2050") return sim::MachineConfig::platform_c2050();
-  if (name == "c1060") return sim::MachineConfig::platform_c1060();
-  if (name == "opencl") return sim::MachineConfig::platform_opencl();
-  if (name == "cpu") return sim::MachineConfig::cpu_only();
-  throw Error(ErrorCode::kInvalidArgument,
-              "unknown machine preset '" + name + "' (c2050|c1060|opencl|cpu)");
-}
-
-/// Splits "-key=value"; returns false if `arg` is not "-key[=...]".
-bool match_switch(const std::string& arg, std::string_view key, std::string* value) {
-  if (!strings::starts_with(arg, "-")) return false;
-  std::string_view body(arg);
-  body.remove_prefix(1);
-  if (strings::starts_with(body, "-")) body.remove_prefix(1);  // --key too
-  if (!strings::starts_with(body, key)) return false;
-  body.remove_prefix(key.size());
-  if (body.empty()) {
-    value->clear();
-    return true;
-  }
-  if (body.front() != '=') return false;
-  *value = std::string(body.substr(1));
-  return true;
-}
 
 std::string strip_quotes(std::string text) {
   if (text.size() >= 2 && ((text.front() == '"' && text.back() == '"') ||
@@ -56,7 +32,9 @@ std::string usage() {
          "  -disableImpls=<name|arch>[,...]\n"
          "  -useHistoryModels=<true|false>\n"
          "  -scheduler=<eager|random|ws|dmda|lookahead>\n"
-         "  -machine=<c2050|c1060|opencl|cpu>\n"
+         "  -machine=<" +
+         std::string(sim::kMachinePresets) +
+         ">\n"
          "  -bind=<Param=type[,type...]>\n"
          "  -expandTunables\n"
          "  -dumpIR\n"
@@ -73,21 +51,21 @@ ToolOptions parse_arguments(const std::vector<std::string>& args) {
   ToolOptions options;
   for (const std::string& arg : args) {
     std::string value;
-    if (match_switch(arg, "generateCompFiles", &value)) {
+    if (cli::match_switch(arg, "generateCompFiles", &value)) {
       options.generate_comp_files = strip_quotes(value);
-    } else if (match_switch(arg, "disableImpls", &value)) {
+    } else if (cli::match_switch(arg, "disableImpls", &value)) {
       for (std::string& name : strings::split(strip_quotes(value), ',')) {
         std::string trimmed(strings::trim(name));
         if (!trimmed.empty()) options.recipe.disable_impls.push_back(trimmed);
       }
-    } else if (match_switch(arg, "useHistoryModels", &value)) {
+    } else if (cli::match_switch(arg, "useHistoryModels", &value)) {
       options.recipe.use_history_models =
           strings::to_lower(value) != "false" && value != "0";
-    } else if (match_switch(arg, "scheduler", &value)) {
+    } else if (cli::match_switch(arg, "scheduler", &value)) {
       options.recipe.scheduler = value;
-    } else if (match_switch(arg, "machine", &value)) {
-      options.recipe.machine = machine_preset(value);
-    } else if (match_switch(arg, "bind", &value)) {
+    } else if (cli::match_switch(arg, "machine", &value)) {
+      options.recipe.machine = sim::machine_preset(value);
+    } else if (cli::match_switch(arg, "bind", &value)) {
       const std::string binding = strip_quotes(value);
       const std::size_t eq = binding.find('=');
       if (eq == std::string::npos) {
@@ -104,9 +82,9 @@ ToolOptions parse_arguments(const std::vector<std::string>& args) {
                     "-bind has no types: '" + binding + "'");
       }
       options.recipe.bindings.emplace_back(binding.substr(0, eq), types);
-    } else if (match_switch(arg, "outdir", &value)) {
+    } else if (cli::match_switch(arg, "outdir", &value)) {
       options.output_dir = strip_quotes(value);
-    } else if (match_switch(arg, "backends", &value)) {
+    } else if (cli::match_switch(arg, "backends", &value)) {
       options.skeleton.backends.clear();
       for (std::string& b : strings::split(strip_quotes(value), ',')) {
         std::string trimmed(strings::trim(b));

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace peppher::sim {
 
@@ -210,6 +211,23 @@ MachineConfig MachineConfig::cpu_only(int cores) {
   m.cpu_core = DeviceProfile::xeon_e5520_core();
   m.accelerators.clear();
   return m;
+}
+
+MachineConfig machine_preset(std::string_view name) {
+  if (name == "c2050") return MachineConfig::platform_c2050();
+  if (name == "c1060") return MachineConfig::platform_c1060();
+  if (name == "opencl") return MachineConfig::platform_opencl();
+  if (name == "dual_c2050") return MachineConfig::platform_dual_c2050();
+  if (name == "cpu" || name == "cpu_only") return MachineConfig::cpu_only();
+  if (strings::starts_with(name, "cpu")) {
+    const auto cores = strings::to_int(name.substr(3));
+    if (cores && *cores > 0 && *cores <= 256) {
+      return MachineConfig::cpu_only(static_cast<int>(*cores));
+    }
+  }
+  throw Error(ErrorCode::kInvalidArgument,
+              "unknown machine preset '" + std::string(name) + "' (" +
+                  std::string(kMachinePresets) + ")");
 }
 
 }  // namespace peppher::sim

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -191,6 +192,16 @@ struct MachineConfig {
   /// CPU-only machine (useful for tests).
   static MachineConfig cpu_only(int cores = 4);
 };
+
+/// The preset names machine_preset accepts, for usage and error messages.
+inline constexpr std::string_view kMachinePresets =
+    "c2050|c1060|opencl|dual_c2050|cpu|cpu_only|cpuN";
+
+/// The machine preset called `name`, shared by every command-line tool and
+/// the cluster format: the four platforms above, `cpu` (or `cpu_only`) for
+/// MachineConfig::cpu_only() and `cpuN` for N cores (1..256). Throws
+/// Error(kInvalidArgument) naming kMachinePresets for any other name.
+MachineConfig machine_preset(std::string_view name);
 
 /// Profile of the combined all-CPU-cores worker running `cores` copies of
 /// `core` as one team: linear scaling with a fork-join efficiency factor,

@@ -89,16 +89,14 @@ int parse_int(const Token& token, const std::string& what) {
   return as_int;
 }
 
-MachineConfig machine_preset(const Token& token) {
-  const std::string& name = token.text;
-  if (name == "c2050") return MachineConfig::platform_c2050();
-  if (name == "c1060") return MachineConfig::platform_c1060();
-  if (name == "opencl") return MachineConfig::platform_opencl();
-  if (name == "dual_c2050") return MachineConfig::platform_dual_c2050();
-  if (name == "cpu_only") return MachineConfig::cpu_only();
-  fail("unknown machine preset '" + name +
-           "' (expected c2050, c1060, opencl, dual_c2050 or cpu_only)",
-       token);
+MachineConfig node_machine(const Token& token) {
+  try {
+    return machine_preset(token.text);
+  } catch (const Error&) {
+    fail("unknown machine preset '" + token.text + "' (expected " +
+             std::string(kMachinePresets) + ")",
+         token);
+  }
 }
 
 void parse_link_fields(const std::vector<Token>& line, std::size_t start,
@@ -132,7 +130,7 @@ NodeConfig parse_node_line(const std::vector<Token>& line) {
     const std::string& key = line[i].text;
     const Token& value = value_after(line, i, key);
     if (key == "machine") {
-      node.machine = machine_preset(value);
+      node.machine = node_machine(value);
     } else if (key == "cpu_cores") {
       node.machine.cpu_cores = parse_int(value, "cpu_cores");
       if (node.machine.cpu_cores < 0) fail("cpu_cores must be >= 0", value);

@@ -56,7 +56,7 @@ struct ClusterConfig {
 ///   node 1 machine c2050 cpu_cores 4
 ///   end
 ///
-/// Machine presets: c2050, c1060, opencl, dual_c2050, cpu_only. The
+/// Machine presets are sim::machine_preset's (kMachinePresets). The
 /// `internode` line is optional (defaults to cluster_10gbe); `end` is
 /// required so truncated documents are always detected. Malformed input
 /// (bad header, unknown keyword/preset, non-positive latency or bandwidth,

@@ -1,6 +1,7 @@
-// Subprocess tests of the installed command-line tools (`compose` and
-// `peppher-report`) — the in-process driver is covered elsewhere; these
-// verify the actual binaries users run.
+// Subprocess tests of the installed command-line tools (`compose`,
+// `peppher-report` and the machine presets every front end shares) — the
+// in-process driver is covered elsewhere; these verify the actual binaries
+// users run.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include "apps/sgemm.hpp"
 #include "core/peppher.hpp"
 #include "runtime/engine.hpp"
+#include "sim/device.hpp"
 #include "support/fs.hpp"
 
 #include "temp_dir.hpp"
@@ -114,6 +116,43 @@ TEST_F(CliTest, ReportBinaryUsageErrors) {
                 &output),
             0);
   EXPECT_NE(output.find("no performance models"), std::string::npos);
+}
+
+TEST_F(CliTest, EveryToolTakesTheSameMachinePresets) {
+  fs::write_file(dir_ / "axpy.h",
+                 "void axpy(float a, const float* x, float* y, int n);\n");
+  std::string output;
+  ASSERT_EQ(run(tool("compose") + " -generateCompFiles=" +
+                    (dir_ / "axpy.h").string() + " -outdir=" + dir_.string(),
+                &output),
+            0)
+      << output;
+  const std::string main_xml = (dir_ / "main.xml").string();
+
+  // cpuN is a preset of compose and peppher-lint too, not only of
+  // peppher-predict and peppher-perf.
+  EXPECT_EQ(run(tool("compose") + " -lint -machine=cpu8 " + main_xml, &output),
+            0)
+      << output;
+  EXPECT_EQ(run(tool("peppher-lint") + " --machine=cpu8 --no-sources " +
+                    dir_.string(),
+                &output),
+            0)
+      << output;
+
+  const std::string expected =
+      "unknown machine preset 'tpu' (" + std::string(sim::kMachinePresets) +
+      ")";
+  for (const std::string& command :
+       {tool("compose") + " -machine=tpu " + main_xml,
+        tool("peppher-lint") + " --machine=tpu " + dir_.string(),
+        tool("peppher-predict") + " analyze --machine=tpu " + dir_.string(),
+        tool("peppher-perf") + " --record=ode --machine=tpu --out=" +
+            (dir_ / "t.json").string()}) {
+    EXPECT_NE(run(command, &output), 0) << command;
+    EXPECT_NE(output.find(expected), std::string::npos)
+        << command << "\n" << output;
+  }
 }
 
 }  // namespace

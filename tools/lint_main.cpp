@@ -7,8 +7,8 @@
 // Switches:
 //   --format=text|json|sarif   output renderer (default text, to stdout)
 //   --werror                   warnings fail the run too
-//   --machine=<c2050|c1060|opencl|cpu>
-//                              count the preset machine's devices as backend
+//   --machine=<preset>         (sim::kMachinePresets) count the preset
+//                              machine's devices as backend
 //                              providers for the feasibility checks
 //   --disableImpls=<name|arch>[,...]
 //                              same narrowing switch the compose tool takes
@@ -37,6 +37,7 @@
 #include "analyze/lint.hpp"
 #include "sim/device.hpp"
 #include "sim/topology.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/fs.hpp"
 #include "support/strings.hpp"
@@ -49,63 +50,15 @@ int usage(std::ostream& out) {
   out << "usage: peppher-lint <dir-or-descriptor.xml>... [switches]\n"
          "  --format=text|json|sarif\n"
          "  --werror\n"
-         "  --machine=<c2050|c1060|opencl|cpu>\n"
+         "  --machine=<"
+      << sim::kMachinePresets
+      << ">\n"
          "  --disableImpls=<name|arch>[,...]\n"
          "  --no-sources\n"
          "  --verify   also report PL060..PL069 on straight-line programs\n"
          "  --cluster=<peppher-cluster-v1-file>\n"
          "  --explain=PLxxx|all\n";
   return 2;
-}
-
-/// `peppher-lint --explain PL031`: the registry is the single source of
-/// truth for code metadata, so this prints exactly what docs/lint.md
-/// documents (a test keeps the two in sync). `--explain=all` catalogues
-/// every registered code (PL and PF) with severity and summary.
-int explain(const std::string& code) {
-  if (code == "all") {
-    for (const diag::CodeInfo& info : diag::all_codes()) {
-      std::cout << info.code << " (" << diag::to_string(info.severity)
-                << "): " << info.summary << "\n";
-    }
-    return 0;
-  }
-  const diag::CodeInfo* info = diag::find_code(code);
-  if (info == nullptr) {
-    std::cerr << "peppher-lint: unknown diagnostic code '" << code
-              << "' (or 'all'; see docs/lint.md)\n";
-    return 2;
-  }
-  std::cout << info->code << " (" << diag::to_string(info->severity)
-            << "): " << info->summary << "\n\n"
-            << info->remediation << "\n";
-  return 0;
-}
-
-bool match_switch(const std::string& arg, std::string_view key,
-                  std::string* value) {
-  std::string_view body(arg);
-  if (!strings::starts_with(body, "-")) return false;
-  body.remove_prefix(1);
-  if (strings::starts_with(body, "-")) body.remove_prefix(1);
-  if (!strings::starts_with(body, key)) return false;
-  body.remove_prefix(key.size());
-  if (body.empty()) {
-    value->clear();
-    return true;
-  }
-  if (body.front() != '=') return false;
-  *value = std::string(body.substr(1));
-  return true;
-}
-
-sim::MachineConfig machine_preset(const std::string& name) {
-  if (name == "c2050") return sim::MachineConfig::platform_c2050();
-  if (name == "c1060") return sim::MachineConfig::platform_c1060();
-  if (name == "opencl") return sim::MachineConfig::platform_opencl();
-  if (name == "cpu") return sim::MachineConfig::cpu_only();
-  throw Error(ErrorCode::kInvalidArgument,
-              "unknown machine preset '" + name + "' (c2050|c1060|opencl|cpu)");
 }
 
 }  // namespace
@@ -128,23 +81,23 @@ int main(int argc, char** argv) {
       options.check_sources = false;
     } else if (arg == "-verify" || arg == "--verify") {
       options.verify = true;
-    } else if (match_switch(arg, "explain", &value)) {
+    } else if (cli::match_switch(arg, "explain", &value)) {
       if (value.empty() && i + 1 < argc) value = argv[++i];
-      return explain(value);
-    } else if (match_switch(arg, "format", &value)) {
+      return diag::explain("peppher-lint", value, "docs/lint.md");
+    } else if (cli::match_switch(arg, "format", &value)) {
       if (value != "text" && value != "json" && value != "sarif") {
         std::cerr << "peppher-lint: unknown format '" << value << "'\n";
         return usage(std::cerr);
       }
       format = value;
-    } else if (match_switch(arg, "machine", &value)) {
+    } else if (cli::match_switch(arg, "machine", &value)) {
       try {
-        options.machine = machine_preset(value);
+        options.machine = sim::machine_preset(value);
       } catch (const Error& e) {
         std::cerr << "peppher-lint: " << e.what() << "\n";
         return 2;
       }
-    } else if (match_switch(arg, "cluster", &value)) {
+    } else if (cli::match_switch(arg, "cluster", &value)) {
       if (value.empty() && i + 1 < argc) value = argv[++i];
       try {
         options.cluster = sim::parse_cluster(fs::read_file(value));
@@ -156,7 +109,7 @@ int main(int argc, char** argv) {
         std::cerr << "peppher-lint: --cluster: " << e.what() << "\n";
         return 2;
       }
-    } else if (match_switch(arg, "disableImpls", &value)) {
+    } else if (cli::match_switch(arg, "disableImpls", &value)) {
       for (std::string& name : strings::split(value, ',')) {
         std::string trimmed(strings::trim(name));
         if (!trimmed.empty()) options.disable_impls.push_back(trimmed);

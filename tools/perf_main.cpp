@@ -22,8 +22,8 @@
 //   --chrome=<path>            also write the chrome://tracing JSON
 //   --models-out=<dir>         also sample execution times and persist the
 //                              .model files there (peppher-predict input)
-//   --machine=<c2050|c1060|opencl|cpu|cpuN>
-//                              machine preset to record on (cpuN = N cores)
+//   --machine=<preset>         machine preset to record on
+//                              (sim::kMachinePresets; cpuN = N cores)
 //   --scheduler=<eager|random|ws|dmda|lookahead>
 //   --window=<N>               lookahead window size (default 8)
 //   --dispatch-out=<path>      train a static-composition dispatch table
@@ -45,6 +45,7 @@
 #include "perf/trace.hpp"
 #include "runtime/engine.hpp"
 #include "sim/device.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/fs.hpp"
 #include "support/strings.hpp"
@@ -61,72 +62,15 @@ int usage(std::ostream& out) {
          "  --explain=PFxxx|all\n"
          "  --chrome=<path>\n"
          "  --models-out=<dir>\n"
-         "  --machine=<c2050|c1060|opencl|cpu|cpuN>\n"
+         "  --machine=<"
+      << sim::kMachinePresets
+      << ">\n"
          "  --scheduler=<eager|random|ws|dmda|lookahead>\n"
          "  --window=<N>\n"
          "  --dispatch-out=<path> --dispatch=<path>\n"
          "  --force=<cpu|cuda|opencl>\n"
          "  --n=<size> --steps=<count>\n";
   return 2;
-}
-
-/// `peppher-perf --explain PF001`: same registry the linter explains from,
-/// so the PF range is documented in one place (docs/perf.md, kept in sync
-/// by a test). `--explain=all` catalogues every registered code with
-/// severity and summary, exactly like peppher-lint and peppher-predict.
-int explain(const std::string& code) {
-  if (code == "all") {
-    for (const diag::CodeInfo& info : diag::all_codes()) {
-      std::cout << info.code << " (" << diag::to_string(info.severity)
-                << "): " << info.summary << "\n";
-    }
-    return 0;
-  }
-  const diag::CodeInfo* info = diag::find_code(code);
-  if (info == nullptr) {
-    std::cerr << "peppher-perf: unknown diagnostic code '" << code
-              << "' (or 'all'; trace analyses are PF001..PF007, see "
-                 "docs/perf.md)\n";
-    return 2;
-  }
-  std::cout << info->code << " (" << diag::to_string(info->severity)
-            << "): " << info->summary << "\n\n"
-            << info->remediation << "\n";
-  return 0;
-}
-
-bool match_switch(const std::string& arg, std::string_view key,
-                  std::string* value) {
-  std::string_view body(arg);
-  if (!strings::starts_with(body, "-")) return false;
-  body.remove_prefix(1);
-  if (strings::starts_with(body, "-")) body.remove_prefix(1);
-  if (!strings::starts_with(body, key)) return false;
-  body.remove_prefix(key.size());
-  if (body.empty()) {
-    value->clear();
-    return true;
-  }
-  if (body.front() != '=') return false;
-  *value = std::string(body.substr(1));
-  return true;
-}
-
-/// Same presets the other drivers take, plus "cpuN" (e.g. cpu8) so a
-/// deliberately mis-sized host can be recorded for imbalance analysis.
-sim::MachineConfig machine_preset(const std::string& name) {
-  if (name == "c2050") return sim::MachineConfig::platform_c2050();
-  if (name == "c1060") return sim::MachineConfig::platform_c1060();
-  if (name == "opencl") return sim::MachineConfig::platform_opencl();
-  if (name == "cpu") return sim::MachineConfig::cpu_only();
-  if (strings::starts_with(name, "cpu")) {
-    const auto cores = strings::to_int(name.substr(3));
-    if (cores && *cores > 0 && *cores <= 256) {
-      return sim::MachineConfig::cpu_only(static_cast<int>(*cores));
-    }
-  }
-  throw Error(ErrorCode::kInvalidArgument, "unknown machine preset '" + name +
-                                               "' (c2050|c1060|opencl|cpu|cpuN)");
 }
 
 std::optional<rt::Arch> force_arch(const std::string& name) {
@@ -209,60 +153,60 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "-werror" || arg == "--werror") {
       werror = true;
-    } else if (match_switch(arg, "explain", &value)) {
+    } else if (cli::match_switch(arg, "explain", &value)) {
       if (value.empty() && i + 1 < argc) value = argv[++i];
-      return explain(value);
-    } else if (match_switch(arg, "format", &value)) {
+      return diag::explain("peppher-perf", value, "docs/perf.md");
+    } else if (cli::match_switch(arg, "format", &value)) {
       if (value != "text" && value != "json" && value != "sarif") {
         std::cerr << "peppher-perf: unknown format '" << value << "'\n";
         return usage(std::cerr);
       }
       format = value;
-    } else if (match_switch(arg, "record", &value)) {
+    } else if (cli::match_switch(arg, "record", &value)) {
       if (value != "ode") {
         std::cerr << "peppher-perf: unknown recording '" << value
                   << "' (only 'ode')\n";
         return usage(std::cerr);
       }
       record = value;
-    } else if (match_switch(arg, "out", &value)) {
+    } else if (cli::match_switch(arg, "out", &value)) {
       record_options.out = value;
-    } else if (match_switch(arg, "chrome", &value)) {
+    } else if (cli::match_switch(arg, "chrome", &value)) {
       record_options.chrome = value;
-    } else if (match_switch(arg, "models-out", &value)) {
+    } else if (cli::match_switch(arg, "models-out", &value)) {
       record_options.models_out = value;
-    } else if (match_switch(arg, "machine", &value)) {
+    } else if (cli::match_switch(arg, "machine", &value)) {
       try {
-        record_options.machine = machine_preset(value);
+        record_options.machine = sim::machine_preset(value);
       } catch (const Error& e) {
         std::cerr << "peppher-perf: " << e.what() << "\n";
         return 2;
       }
-    } else if (match_switch(arg, "scheduler", &value)) {
+    } else if (cli::match_switch(arg, "scheduler", &value)) {
       record_options.scheduler = value;
-    } else if (match_switch(arg, "window", &value)) {
+    } else if (cli::match_switch(arg, "window", &value)) {
       const auto window = strings::to_int(value);
       if (!window || *window <= 0 || *window > 1024) {
         std::cerr << "peppher-perf: --window needs an integer in [1, 1024]\n";
         return usage(std::cerr);
       }
       record_options.window = static_cast<int>(*window);
-    } else if (match_switch(arg, "dispatch-out", &value)) {
+    } else if (cli::match_switch(arg, "dispatch-out", &value)) {
       record_options.dispatch_out = value;
-    } else if (match_switch(arg, "dispatch", &value)) {
+    } else if (cli::match_switch(arg, "dispatch", &value)) {
       record_options.dispatch = value;
-    } else if (match_switch(arg, "force", &value)) {
+    } else if (cli::match_switch(arg, "force", &value)) {
       try {
         record_options.force = force_arch(value);
       } catch (const Error& e) {
         std::cerr << "peppher-perf: " << e.what() << "\n";
         return 2;
       }
-    } else if (match_switch(arg, "n", &value)) {
+    } else if (cli::match_switch(arg, "n", &value)) {
       const auto n = strings::to_int(value);
       if (!n || *n <= 0) return usage(std::cerr);
       record_options.n = static_cast<std::uint32_t>(*n);
-    } else if (match_switch(arg, "steps", &value)) {
+    } else if (cli::match_switch(arg, "steps", &value)) {
       const auto steps = strings::to_int(value);
       if (!steps || *steps <= 0) return usage(std::cerr);
       record_options.steps = static_cast<int>(*steps);

@@ -7,8 +7,8 @@
 //   peppher-predict whatif  <dir-or-descriptor.xml>... --target=<tasks/s>
 //
 // Switches:
-//   --machine=<c2050|c1060|opencl|cpu|cpuN>
-//                              machine preset the program is costed for
+//   --machine=<preset>         machine preset the program is costed for
+//                              (sim::kMachinePresets)
 //   --models=<dir>             performance-model directory (.model files,
 //                              as written by peppher-perf --models-out)
 //   --size=NAME=BYTES          container size binding (repeatable)
@@ -37,6 +37,7 @@
 
 #include "analyze/predict.hpp"
 #include "sim/device.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/fs.hpp"
 #include "support/strings.hpp"
@@ -50,7 +51,9 @@ int usage(std::ostream& out) {
          "[switches]\n"
          "       peppher-predict whatif <dir-or-descriptor.xml>... "
          "--target=<tasks/s>\n"
-         "  --machine=<c2050|c1060|opencl|cpu|cpuN>\n"
+         "  --machine=<"
+      << sim::kMachinePresets
+      << ">\n"
          "  --models=<dir>\n"
          "  --size=NAME=BYTES (repeatable)\n"
          "  --default-size=BYTES\n"
@@ -62,60 +65,6 @@ int usage(std::ostream& out) {
          "  --werror\n"
          "  --explain=PLxxx|all\n";
   return 2;
-}
-
-/// Same registry the linter explains from; the PL070..PL077 range is
-/// documented in docs/predict.md (kept in sync by a test).
-int explain(const std::string& code) {
-  if (code == "all") {
-    for (const diag::CodeInfo& info : diag::all_codes()) {
-      std::cout << info.code << " (" << diag::to_string(info.severity)
-                << "): " << info.summary << "\n";
-    }
-    return 0;
-  }
-  const diag::CodeInfo* info = diag::find_code(code);
-  if (info == nullptr) {
-    std::cerr << "peppher-predict: unknown diagnostic code '" << code
-              << "' (or 'all'; see docs/predict.md)\n";
-    return 2;
-  }
-  std::cout << info->code << " (" << diag::to_string(info->severity)
-            << "): " << info->summary << "\n\n"
-            << info->remediation << "\n";
-  return 0;
-}
-
-bool match_switch(const std::string& arg, std::string_view key,
-                  std::string* value) {
-  std::string_view body(arg);
-  if (!strings::starts_with(body, "-")) return false;
-  body.remove_prefix(1);
-  if (strings::starts_with(body, "-")) body.remove_prefix(1);
-  if (!strings::starts_with(body, key)) return false;
-  body.remove_prefix(key.size());
-  if (body.empty()) {
-    value->clear();
-    return true;
-  }
-  if (body.front() != '=') return false;
-  *value = std::string(body.substr(1));
-  return true;
-}
-
-sim::MachineConfig machine_preset(const std::string& name) {
-  if (name == "c2050") return sim::MachineConfig::platform_c2050();
-  if (name == "c1060") return sim::MachineConfig::platform_c1060();
-  if (name == "opencl") return sim::MachineConfig::platform_opencl();
-  if (name == "cpu") return sim::MachineConfig::cpu_only();
-  if (strings::starts_with(name, "cpu")) {
-    const auto cores = strings::to_int(name.substr(3));
-    if (cores && *cores > 0 && *cores <= 256) {
-      return sim::MachineConfig::cpu_only(static_cast<int>(*cores));
-    }
-  }
-  throw Error(ErrorCode::kInvalidArgument, "unknown machine preset '" + name +
-                                               "' (c2050|c1060|opencl|cpu|cpuN)");
 }
 
 /// Loads every descriptor under the paths into one repository; parse
@@ -179,25 +128,25 @@ int main(int argc, char** argv) {
       mode = arg;
     } else if (arg == "-werror" || arg == "--werror") {
       werror = true;
-    } else if (match_switch(arg, "explain", &value)) {
+    } else if (cli::match_switch(arg, "explain", &value)) {
       if (value.empty() && i + 1 < argc) value = argv[++i];
-      return explain(value);
-    } else if (match_switch(arg, "format", &value)) {
+      return diag::explain("peppher-predict", value, "docs/predict.md");
+    } else if (cli::match_switch(arg, "format", &value)) {
       if (value != "text" && value != "json" && value != "sarif") {
         std::cerr << "peppher-predict: unknown format '" << value << "'\n";
         return usage(std::cerr);
       }
       format = value;
-    } else if (match_switch(arg, "machine", &value)) {
+    } else if (cli::match_switch(arg, "machine", &value)) {
       try {
-        options.machine = machine_preset(value);
+        options.machine = sim::machine_preset(value);
       } catch (const Error& e) {
         std::cerr << "peppher-predict: " << e.what() << "\n";
         return 2;
       }
-    } else if (match_switch(arg, "models", &value)) {
+    } else if (cli::match_switch(arg, "models", &value)) {
       models_dir = value;
-    } else if (match_switch(arg, "size", &value)) {
+    } else if (cli::match_switch(arg, "size", &value)) {
       const std::size_t eq = value.find('=');
       std::optional<long long> bytes;
       if (eq != std::string::npos) {
@@ -209,32 +158,32 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.sizes[value.substr(0, eq)] = static_cast<std::size_t>(*bytes);
-    } else if (match_switch(arg, "default-size", &value)) {
+    } else if (cli::match_switch(arg, "default-size", &value)) {
       const auto bytes = strings::to_int(value);
       if (!bytes || *bytes < 0) return usage(std::cerr);
       options.default_bytes = static_cast<std::size_t>(*bytes);
-    } else if (match_switch(arg, "calibration", &value)) {
+    } else if (cli::match_switch(arg, "calibration", &value)) {
       const auto n = strings::to_int(value);
       if (!n || *n < 0) return usage(std::cerr);
       options.calibration_min = static_cast<std::uint64_t>(*n);
-    } else if (match_switch(arg, "max-steps", &value)) {
+    } else if (cli::match_switch(arg, "max-steps", &value)) {
       const auto n = strings::to_int(value);
       if (!n || *n <= 0) return usage(std::cerr);
       options.max_steps = static_cast<int>(*n);
-    } else if (match_switch(arg, "max-devices", &value)) {
+    } else if (cli::match_switch(arg, "max-devices", &value)) {
       const auto n = strings::to_int(value);
       if (!n || *n <= 0) return usage(std::cerr);
       max_devices = static_cast<int>(*n);
-    } else if (match_switch(arg, "target", &value)) {
+    } else if (cli::match_switch(arg, "target", &value)) {
       try {
         target = std::stod(value);
       } catch (const std::exception&) {
         return usage(std::cerr);
       }
       have_target = true;
-    } else if (match_switch(arg, "dispatch-out", &value)) {
+    } else if (cli::match_switch(arg, "dispatch-out", &value)) {
       dispatch_out = value;
-    } else if (match_switch(arg, "disableImpls", &value)) {
+    } else if (cli::match_switch(arg, "disableImpls", &value)) {
       for (std::string& name : strings::split(value, ',')) {
         std::string trimmed(strings::trim(name));
         if (!trimmed.empty()) options.lint.disable_impls.push_back(trimmed);

@@ -7,7 +7,7 @@
 #
 # Examples:
 #   tools/run_sanitizers.sh                      # all three, build-<san> trees
-#   tools/run_sanitizers.sh thread               # TSan only (== run_tsan.sh)
+#   tools/run_sanitizers.sh thread               # TSan only
 #   tools/run_sanitizers.sh address,undefined    # ASan then UBSan
 #   tools/run_sanitizers.sh all -- -R 'Chaos|FaultInjection|EngineStress'
 #                                                # concurrency suites (chaos,
