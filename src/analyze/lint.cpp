@@ -51,15 +51,7 @@ bool is_disabled(const desc::ImplementationDescriptor& impl,
 // PL001..PL008 — signature & access-mode cross-checks
 // ---------------------------------------------------------------------------
 
-enum class ParamKind { kValue, kRawPointer, kVector, kMatrix, kScalar };
-
-ParamKind classify(const desc::ParamDesc& p) {
-  if (p.type.find("Vector<") != std::string::npos) return ParamKind::kVector;
-  if (p.type.find("Matrix<") != std::string::npos) return ParamKind::kMatrix;
-  if (p.type.find("Scalar<") != std::string::npos) return ParamKind::kScalar;
-  if (p.type.find('*') != std::string::npos) return ParamKind::kRawPointer;
-  return ParamKind::kValue;
-}
+using desc::ParamKind;
 
 /// True at position `i` of the lowered parameter list when the parameter
 /// came from a raw-pointer interface parameter — the only kind whose
@@ -73,7 +65,7 @@ struct LoweredParam {
 std::vector<LoweredParam> lowered_params(const desc::InterfaceDescriptor& iface) {
   std::vector<LoweredParam> out;
   for (const desc::ParamDesc& p : iface.params) {
-    switch (classify(p)) {
+    switch (p.kind()) {
       case ParamKind::kValue:
         out.push_back({false, &p});
         break;
@@ -116,7 +108,7 @@ void check_interface_access_modes(const desc::InterfaceDescriptor& iface,
                 p.loc.known() ? p.loc : iface.loc);
       }
       if (!declared_write && !const_type &&
-          classify(p) == ParamKind::kRawPointer) {
+          p.kind() == ParamKind::kRawPointer) {
         bag.add("PL005", Severity::kWarning,
                 "parameter '" + p.name + "' of interface '" + iface.name +
                     "' is declared read-only but its type '" + p.type +
@@ -187,7 +179,7 @@ void check_implementation_signature(const desc::Repository& repo,
   cdecl_parser::FunctionDecl expected;
   try {
     expected = cdecl_parser::parse_declaration(
-        expected_impl_signature(*iface, found->name) + ";");
+        desc::lowered_impl_signature(*iface, found->name) + ";");
   } catch (const Error&) {
     return;  // unloadable interface types; PL04x/PL000 covers the cause
   }
@@ -202,8 +194,8 @@ void check_implementation_signature(const desc::Repository& repo,
                 std::to_string(found->params.size()) +
                 " parameter(s) but interface '" + iface->name +
                 "' lowers to " + std::to_string(expected.params.size()) +
-                " (expected: " + expected_impl_signature(*iface, found->name) +
-                ")",
+                " (expected: " +
+                desc::lowered_impl_signature(*iface, found->name) + ")",
             impl.loc);
     return;
   }
@@ -510,44 +502,6 @@ CallPlacement call_placement(const desc::Repository& repo,
   }
   if (host == device) return CallPlacement::kAny;
   return host ? CallPlacement::kHost : CallPlacement::kDevice;
-}
-
-std::string expected_impl_signature(const desc::InterfaceDescriptor& iface,
-                                    const std::string& function_name) {
-  // Mirrors compose/codegen.cpp lowered_impl_signature: smart containers
-  // lower to element pointer + extent parameters; everything else passes
-  // through verbatim.
-  std::string out = "void " + function_name + "(";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) out += ", ";
-    first = false;
-  };
-  for (const desc::ParamDesc& p : iface.params) {
-    const std::string elem = p.element_type();
-    switch (classify(p)) {
-      case ParamKind::kValue:
-      case ParamKind::kRawPointer:
-        sep();
-        out += p.type + " " + p.name;
-        break;
-      case ParamKind::kVector:
-        sep();
-        out += elem + "* " + p.name + ", std::size_t " + p.name + "_count";
-        break;
-      case ParamKind::kMatrix:
-        sep();
-        out += elem + "* " + p.name + ", std::size_t " + p.name +
-               "_rows, std::size_t " + p.name + "_cols";
-        break;
-      case ParamKind::kScalar:
-        sep();
-        out += elem + "* " + p.name;
-        break;
-    }
-  }
-  out += ")";
-  return out;
 }
 
 diag::DiagnosticBag run_lint(const desc::Repository& repo,

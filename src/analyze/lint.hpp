@@ -108,11 +108,4 @@ diag::DiagnosticBag run_lint(const desc::Repository& repo,
 diag::DiagnosticBag lint_path(const std::filesystem::path& path,
                               const LintOptions& options = {});
 
-/// The lowered C signature the composition tool expects an implementation
-/// of `interface` to define (mirrors compose/codegen lowering: smart
-/// containers become element pointer + extent parameters). Exposed for the
-/// signature checks and tests.
-std::string expected_impl_signature(const desc::InterfaceDescriptor& interface,
-                                    const std::string& function_name);
-
 }  // namespace peppher::analyze

@@ -10,16 +10,7 @@ namespace peppher::compose {
 
 namespace {
 
-/// Kind of lowering a parameter needs.
-enum class ParamKind { kValue, kRawPointer, kVector, kMatrix, kScalar };
-
-ParamKind classify(const desc::ParamDesc& param) {
-  if (param.type.find("Vector<") != std::string::npos) return ParamKind::kVector;
-  if (param.type.find("Matrix<") != std::string::npos) return ParamKind::kMatrix;
-  if (param.type.find("Scalar<") != std::string::npos) return ParamKind::kScalar;
-  if (param.type.find('*') != std::string::npos) return ParamKind::kRawPointer;
-  return ParamKind::kValue;
-}
+using desc::ParamKind;
 
 /// Fully qualified spelling of a container type from a descriptor
 /// ("Vector<float>&" -> "peppher::cont::Vector<float>&").
@@ -56,7 +47,7 @@ std::string entry_signature(const desc::InterfaceDescriptor& iface,
   for (std::size_t i = 0; i < iface.params.size(); ++i) {
     const desc::ParamDesc& p = iface.params[i];
     if (i != 0) out += ", ";
-    const ParamKind kind = classify(p);
+    const ParamKind kind = p.kind();
     const std::string type = (kind == ParamKind::kVector ||
                               kind == ParamKind::kMatrix ||
                               kind == ParamKind::kScalar)
@@ -82,7 +73,7 @@ void validate(const ComponentNode& component) {
                     "' reached code generation; run expand_generics first");
   }
   for (const desc::ParamDesc& p : iface.params) {
-    if (classify(p) == ParamKind::kRawPointer && p.size_expr.empty()) {
+    if (p.kind() == ParamKind::kRawPointer && p.size_expr.empty()) {
       throw Error(ErrorCode::kInvalidState,
                   "interface '" + iface.name + "': raw-pointer operand '" +
                       p.name +
@@ -94,7 +85,7 @@ void validate(const ComponentNode& component) {
 
 bool all_operands_are_containers(const desc::InterfaceDescriptor& iface) {
   for (const desc::ParamDesc& p : iface.params) {
-    if (classify(p) == ParamKind::kRawPointer) return false;
+    if (p.kind() == ParamKind::kRawPointer) return false;
   }
   return true;
 }
@@ -105,7 +96,7 @@ std::string args_struct(const desc::InterfaceDescriptor& iface,
   std::ostringstream out;
   out << "struct " << struct_name << " {\n";
   for (const desc::ParamDesc& p : iface.params) {
-    switch (classify(p)) {
+    switch (p.kind()) {
       case ParamKind::kValue:
         out << "  " << p.type << " " << p.name << "{};\n";
         break;
@@ -127,7 +118,8 @@ std::string args_struct(const desc::InterfaceDescriptor& iface,
 /// extern declaration of one actual implementation variant.
 std::string impl_extern_decl(const desc::InterfaceDescriptor& iface,
                              const std::string& variant_name) {
-  return "extern " + lowered_impl_signature(iface, variant_name) + ";\n";
+  return "extern " + desc::lowered_impl_signature(iface, variant_name) +
+         ";\n";
 }
 
 /// Constraints that the generated code can evaluate at call time: those on
@@ -138,7 +130,7 @@ std::vector<const desc::ConstraintDesc*> evaluable_constraints(
   std::vector<const desc::ConstraintDesc*> out;
   for (const desc::ConstraintDesc& constraint : impl.constraints) {
     for (const desc::ParamDesc& p : iface.params) {
-      if (p.name == constraint.param && classify(p) == ParamKind::kValue) {
+      if (p.name == constraint.param && p.kind() == ParamKind::kValue) {
         out.push_back(&constraint);
         break;
       }
@@ -193,7 +185,7 @@ std::string backend_wrapper(const desc::InterfaceDescriptor& iface,
       return out;
     };
     const std::string elem = p.element_type();
-    switch (classify(p)) {
+    switch (p.kind()) {
       case ParamKind::kValue:
         sep() << "a->" << p.name;
         break;
@@ -225,7 +217,7 @@ void emit_packing(std::ostringstream& out, const desc::InterfaceDescriptor& ifac
                   const std::string& args_name, bool containers_only) {
   out << "  auto arg = std::make_shared<" << args_name << ">();\n";
   for (const desc::ParamDesc& p : iface.params) {
-    switch (classify(p)) {
+    switch (p.kind()) {
       case ParamKind::kValue:
         out << "  arg->" << p.name << " = " << p.name << ";\n";
         break;
@@ -243,7 +235,7 @@ void emit_packing(std::ostringstream& out, const desc::InterfaceDescriptor& ifac
   if (containers_only) {
     out << "  std::vector<peppher::core::CallOperand> _operands;\n";
     for (const desc::ParamDesc& p : iface.params) {
-      if (classify(p) == ParamKind::kValue) continue;
+      if (p.kind() == ParamKind::kValue) continue;
       out << "  _operands.push_back({" << p.name << ".handle(), "
           << access_mode_expr(p.access) << "});\n";
     }
@@ -252,7 +244,7 @@ void emit_packing(std::ostringstream& out, const desc::InterfaceDescriptor& ifac
     // copy-back on return (§IV-D).
     out << "  peppher::core::TransientOperands _operands;\n";
     for (const desc::ParamDesc& p : iface.params) {
-      const ParamKind kind = classify(p);
+      const ParamKind kind = p.kind();
       if (kind == ParamKind::kValue) continue;
       if (kind == ParamKind::kRawPointer) {
         const std::string elem = p.element_type();
@@ -271,44 +263,6 @@ void emit_packing(std::ostringstream& out, const desc::InterfaceDescriptor& ifac
 }
 
 }  // namespace
-
-std::string lowered_impl_signature(const desc::InterfaceDescriptor& iface,
-                                   const std::string& function_name) {
-  std::string out = "void " + function_name + "(";
-  bool first = true;
-  for (const desc::ParamDesc& p : iface.params) {
-    auto sep = [&] {
-      if (!first) out += ", ";
-      first = false;
-    };
-    const std::string elem = p.element_type();
-    switch (classify(p)) {
-      case ParamKind::kValue:
-        sep();
-        out += p.type + " " + p.name;
-        break;
-      case ParamKind::kRawPointer:
-        sep();
-        out += p.type + " " + p.name;
-        break;
-      case ParamKind::kVector:
-        sep();
-        out += elem + "* " + p.name + ", std::size_t " + p.name + "_count";
-        break;
-      case ParamKind::kMatrix:
-        sep();
-        out += elem + "* " + p.name + ", std::size_t " + p.name +
-               "_rows, std::size_t " + p.name + "_cols";
-        break;
-      case ParamKind::kScalar:
-        sep();
-        out += elem + "* " + p.name;
-        break;
-    }
-  }
-  out += ")";
-  return out;
-}
 
 std::string generate_wrapper_file(const ComponentNode& component) {
   validate(component);

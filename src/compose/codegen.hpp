@@ -65,10 +65,4 @@ CodegenResult generate(const ComponentTree& tree);
 void write_files(const CodegenResult& result,
                  const std::filesystem::path& output_dir);
 
-/// The lowered C++ parameter list of an implementation variant of this
-/// interface (see the calling conventions above) — reused by the skeleton
-/// generator.
-std::string lowered_impl_signature(const desc::InterfaceDescriptor& interface,
-                                   const std::string& function_name);
-
 }  // namespace peppher::compose

@@ -88,7 +88,7 @@ std::string impl_skeleton_source(const desc::InterfaceDescriptor& iface,
     }
     out << ">\n";
   }
-  out << lowered_impl_signature(iface, variant_name) << " {\n";
+  out << desc::lowered_impl_signature(iface, variant_name) << " {\n";
   out << "  // TODO: provide the " << backend << " implementation of '"
       << iface.name << "'.\n";
   for (const desc::ParamDesc& p : iface.params) {

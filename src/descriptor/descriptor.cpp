@@ -370,14 +370,13 @@ std::vector<std::string> identifiers_in(std::string_view expr) {
 bool ParamDesc::is_operand() const noexcept {
   // Pointers and smart containers carry payload data; references to
   // containers likewise. Value parameters are call context / argument blob.
-  if (type.find('*') != std::string::npos) return true;
-  return is_container();
+  return kind() != ParamKind::kValue;
 }
 
 bool ParamDesc::is_container() const noexcept {
-  return type.find("Vector<") != std::string::npos ||
-         type.find("Matrix<") != std::string::npos ||
-         type.find("Scalar<") != std::string::npos;
+  const ParamKind k = kind();
+  return k == ParamKind::kVector || k == ParamKind::kMatrix ||
+         k == ParamKind::kScalar;
 }
 
 std::string ParamDesc::element_type() const {
@@ -395,6 +394,42 @@ std::string ParamDesc::element_type() const {
     return std::string(strings::trim(base));
   }
   return "";
+}
+
+ParamKind ParamDesc::kind() const noexcept {
+  if (type.find("Vector<") != std::string::npos) return ParamKind::kVector;
+  if (type.find("Matrix<") != std::string::npos) return ParamKind::kMatrix;
+  if (type.find("Scalar<") != std::string::npos) return ParamKind::kScalar;
+  if (type.find('*') != std::string::npos) return ParamKind::kRawPointer;
+  return ParamKind::kValue;
+}
+
+std::string lowered_impl_signature(const InterfaceDescriptor& iface,
+                                   const std::string& function_name) {
+  std::string out = "void " + function_name + "(";
+  for (std::size_t i = 0; i < iface.params.size(); ++i) {
+    const ParamDesc& p = iface.params[i];
+    if (i != 0) out += ", ";
+    const std::string elem = p.element_type();
+    switch (p.kind()) {
+      case ParamKind::kValue:
+      case ParamKind::kRawPointer:
+        out += p.type + " " + p.name;
+        break;
+      case ParamKind::kVector:
+        out += elem + "* " + p.name + ", std::size_t " + p.name + "_count";
+        break;
+      case ParamKind::kMatrix:
+        out += elem + "* " + p.name + ", std::size_t " + p.name +
+               "_rows, std::size_t " + p.name + "_cols";
+        break;
+      case ParamKind::kScalar:
+        out += elem + "* " + p.name;
+        break;
+    }
+  }
+  out += ")";
+  return out;
 }
 
 InterfaceDescriptor InterfaceDescriptor::from_xml(const xml::Element& element) {

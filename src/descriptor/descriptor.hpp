@@ -56,6 +56,16 @@
 
 namespace peppher::desc {
 
+/// How a parameter lowers into an implementation variant's C++ signature
+/// (see lowered_impl_signature).
+enum class ParamKind {
+  kValue,       ///< passed through verbatim
+  kRawPointer,  ///< passed through verbatim
+  kVector,      ///< element pointer + element count
+  kMatrix,      ///< element pointer + row and column counts
+  kScalar,      ///< element pointer
+};
+
 /// One parameter of an interface function.
 struct ParamDesc {
   std::string name;
@@ -80,6 +90,9 @@ struct ParamDesc {
   /// Element type of an operand ("float" for "const float*" and for
   /// "Vector<float>&"); empty for value parameters.
   std::string element_type() const;
+
+  /// The lowering kind, read off the declared type.
+  ParamKind kind() const noexcept;
 };
 
 /// A call-context property that may influence variant selection (§III).
@@ -107,6 +120,13 @@ struct InterfaceDescriptor {
   /// The C/C++ prototype this interface declares ("void spmv(...);").
   std::string prototype() const;
 };
+
+/// The C++ signature the composition tool expects an implementation variant
+/// `function_name` of `iface` to define: smart containers lower to element
+/// pointer + extent parameters, everything else passes through verbatim.
+/// The code generator emits it and lint checks implementations against it.
+std::string lowered_impl_signature(const InterfaceDescriptor& iface,
+                                   const std::string& function_name);
 
 /// An exposed tunable parameter of an implementation variant.
 struct TunableDesc {

@@ -52,12 +52,13 @@ double overlap(double a0, double a1, double b0, double b1) {
 
 /// The program point with the most summed kernel seconds among `tasks`
 /// (successful attempts only, optionally restricted to one worker).
-std::string dominant_point(const std::vector<TraceTask>& tasks, int worker) {
+std::string dominant_point(const std::vector<rt::TaskRecord>& tasks,
+                           int worker) {
   std::map<std::pair<std::string, int>, double> by_point;
-  for (const TraceTask& t : tasks) {
+  for (const rt::TaskRecord& t : tasks) {
     if (t.failed) continue;
     if (worker >= 0 && t.worker != worker) continue;
-    by_point[{t.name, t.point}] += t.exec;
+    by_point[{t.name, t.verify_point}] += t.exec_seconds;
   }
   std::string best;
   double best_exec = -1.0;
@@ -82,8 +83,8 @@ std::string dominant_point(const std::vector<TraceTask>& tasks, int worker) {
 void check_imbalance(const Trace& trace, const AnalysisOptions& options,
                      diag::DiagnosticBag& bag) {
   std::map<int, double> busy;  // worker id -> successful kernel seconds
-  for (const TraceTask& t : trace.tasks) {
-    if (!t.failed) busy[t.worker] += t.exec;
+  for (const rt::TaskRecord& t : trace.tasks) {
+    if (!t.failed) busy[t.worker] += t.exec_seconds;
   }
   std::map<std::tuple<std::string, std::string, bool>, std::vector<TraceWorker>>
       classes;
@@ -147,13 +148,13 @@ void check_transfer_bound(const Trace& trace, const AnalysisOptions& options,
   for (const Phase& phase : phases) {
     if (phase.end <= phase.begin) continue;
     double compute = 0.0;
-    for (const TraceTask& t : trace.tasks) {
+    for (const rt::TaskRecord& t : trace.tasks) {
       if (!t.failed) {
         compute += overlap(t.vstart, t.vend, phase.begin, phase.end);
       }
     }
     double moved = 0.0;
-    for (const TraceTransfer& t : trace.transfers) {
+    for (const rt::TransferRecord& t : trace.transfers) {
       moved += overlap(t.vstart, t.vend, phase.begin, phase.end);
     }
     if (moved <= 0.0 || moved <= options.transfer_bound_ratio * compute) {
@@ -174,10 +175,11 @@ void check_prefetches(const Trace& trace, const AnalysisOptions& options,
   int enqueued = 0;
   int skipped = 0;  // excludes shutdown drains: those are teardown, not misses
   int stale = 0;
-  for (const TracePrefetch& p : trace.prefetches) {
-    if (p.event == "enqueued") ++enqueued;
-    if (p.event == "skipped" && p.reason != "shutdown") ++skipped;
-    if (p.event == "skipped" && p.reason == "writer_race") ++stale;
+  for (const rt::PrefetchRecord& p : trace.prefetches) {
+    if (p.event == rt::PrefetchEvent::kEnqueued) ++enqueued;
+    if (p.event != rt::PrefetchEvent::kSkipped) continue;
+    if (p.reason != rt::PrefetchSkipReason::kShutdown) ++skipped;
+    if (p.reason == rt::PrefetchSkipReason::kWriterRace) ++stale;
   }
   if (enqueued >= options.min_prefetches &&
       static_cast<double>(skipped) >
@@ -202,23 +204,24 @@ void check_prefetches(const Trace& trace, const AnalysisOptions& options,
 // ---------------------------------------------------------------------------
 void check_mispredictions(const Trace& trace, const AnalysisOptions& options,
                           diag::DiagnosticBag& bag) {
-  std::map<std::uint64_t, const TraceTask*> done;
-  for (const TraceTask& t : trace.tasks) {
+  std::map<std::uint64_t, const rt::TaskRecord*> done;
+  for (const rt::TaskRecord& t : trace.tasks) {
     if (!t.failed) done[t.sequence] = &t;
   }
   int sampled = 0;
   int mispredicted = 0;
   double worst_error = -1.0;
-  const TraceTask* worst_task = nullptr;
-  for (const TraceDecision& d : trace.decisions) {
-    if (d.explored || d.estimate < 0.0) continue;  // calibration placements
-    const auto it = done.find(d.task);
+  const rt::TaskRecord* worst_task = nullptr;
+  for (const rt::DecisionRecord& d : trace.decisions) {
+    // Calibration placements carry no meaningful estimate.
+    if (d.explored || d.chosen_estimate < 0.0) continue;
+    const auto it = done.find(d.task_sequence);
     if (it == done.end()) continue;
     ++sampled;
     const double actual = it->second->vend;
-    const double error = std::fabs(actual - d.estimate);
+    const double error = std::fabs(actual - d.chosen_estimate);
     const double relative =
-        error / std::max({actual, d.estimate, 1e-12});
+        error / std::max({actual, d.chosen_estimate, 1e-12});
     if (relative <= options.mispredict_rel || error <= options.mispredict_abs) {
       continue;
     }
@@ -238,7 +241,7 @@ void check_mispredictions(const Trace& trace, const AnalysisOptions& options,
           std::to_string(sampled) +
           " placement estimates were off by more than " +
           percent(options.mispredict_rel) + "; worst at " +
-          program_point(worst_task->name, worst_task->point) + " (" +
+          program_point(worst_task->name, worst_task->verify_point) + " (" +
           seconds(worst_error) +
           " off); calibrate history models for this machine");
 }
@@ -255,17 +258,17 @@ void check_ping_pong(const Trace& trace, const AnalysisOptions& options,
   std::map<int, int> node_of_worker;
   for (const TraceWorker& w : trace.workers) node_of_worker[w.id] = w.node;
 
-  std::vector<const TraceTask*> ordered;
-  for (const TraceTask& t : trace.tasks) {
+  std::vector<const rt::TaskRecord*> ordered;
+  for (const rt::TaskRecord& t : trace.tasks) {
     if (!t.failed) ordered.push_back(&t);
   }
   std::sort(ordered.begin(), ordered.end(),
-            [](const TraceTask* a, const TraceTask* b) {
+            [](const rt::TaskRecord* a, const rt::TaskRecord* b) {
               return a->sequence < b->sequence;
             });
 
-  std::map<std::uint64_t, std::vector<const TraceTask*>> by_datum;
-  for (const TraceTask* t : ordered) {
+  std::map<std::uint64_t, std::vector<const rt::TaskRecord*>> by_datum;
+  for (const rt::TaskRecord* t : ordered) {
     for (const std::uint64_t id : t->data) by_datum[id].push_back(t);
   }
   for (const auto& [datum, users] : by_datum) {
@@ -273,14 +276,14 @@ void check_ping_pong(const Trace& trace, const AnalysisOptions& options,
     int previous_node = -1;
     std::map<int, int> nodes_seen;
     std::map<std::pair<std::string, int>, double> points;
-    for (const TraceTask* t : users) {
+    for (const rt::TaskRecord* t : users) {
       const auto node_it = node_of_worker.find(t->worker);
       if (node_it == node_of_worker.end()) continue;
       const int node = node_it->second;
       ++nodes_seen[node];
       if (previous_node >= 0 && node != previous_node) {
         ++alternations;
-        points[{t->name, t->point}] += 1.0;
+        points[{t->name, t->verify_point}] += 1.0;
       }
       previous_node = node;
     }
@@ -324,8 +327,8 @@ void check_ping_pong(const Trace& trace, const AnalysisOptions& options,
 //      link paces every bulk-synchronous step.
 void check_node_link(const Trace& trace, const AnalysisOptions& options,
                      diag::DiagnosticBag& bag) {
-  std::vector<const TraceTransfer*> internode;
-  for (const TraceTransfer& t : trace.transfers) {
+  std::vector<const rt::TransferRecord*> internode;
+  for (const rt::TransferRecord& t : trace.transfers) {
     if (t.from_node != t.to_node) internode.push_back(&t);
   }
   if (static_cast<int>(internode.size()) < options.min_node_transfers) return;
@@ -348,14 +351,14 @@ void check_node_link(const Trace& trace, const AnalysisOptions& options,
   for (const Phase& phase : phases) {
     if (phase.end <= phase.begin) continue;
     double compute = 0.0;
-    for (const TraceTask& t : trace.tasks) {
+    for (const rt::TaskRecord& t : trace.tasks) {
       if (!t.failed) {
         compute += overlap(t.vstart, t.vend, phase.begin, phase.end);
       }
     }
     double link = 0.0;
     int hops = 0;
-    for (const TraceTransfer* t : internode) {
+    for (const rt::TransferRecord* t : internode) {
       const double busy = overlap(t->vstart, t->vend, phase.begin, phase.end);
       if (busy > 0.0) ++hops;
       link += busy;
@@ -373,7 +376,7 @@ void check_node_link(const Trace& trace, const AnalysisOptions& options,
 
   // (b) per-directed-pair byte imbalance across the whole trace.
   std::map<std::pair<int, int>, std::uint64_t> pair_bytes;
-  for (const TraceTransfer* t : internode) {
+  for (const rt::TransferRecord* t : internode) {
     pair_bytes[{t->from_node, t->to_node}] += t->bytes;
   }
   if (pair_bytes.size() < 2) return;

@@ -1,6 +1,7 @@
 #include "perf/trace.hpp"
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "perf/json.hpp"
@@ -88,12 +89,24 @@ std::uint64_t get_u64(const JsonValue& object, const std::string& key,
   return static_cast<std::uint64_t>(value.number);
 }
 
-bool one_of(const std::string& text,
-            std::initializer_list<const char*> options) {
-  for (const char* option : options) {
-    if (text == option) return true;
+/// The enum value whose rt::to_string spelling is `text` (values 0..count-1
+/// are tried), else an error naming `kind`, located at `where`.
+template <typename Enum>
+Enum enum_named(const std::string& text, const JsonValue& where, int count,
+                const std::string& kind) {
+  for (int i = 0; i < count; ++i) {
+    const Enum candidate = static_cast<Enum>(i);
+    if (text == rt::to_string(candidate)) return candidate;
   }
-  return false;
+  fail_at("unknown " + kind + " \"" + text + "\"", where);
+}
+
+template <typename Enum>
+Enum get_enum(const JsonValue& object, const std::string& key,
+              const std::string& what, int count, const std::string& kind) {
+  const JsonValue& value = require(object, key, what);
+  expect_kind(value, JsonValue::Kind::kString, what + "." + key);
+  return enum_named<Enum>(value.string, value, count, kind);
 }
 
 TraceWorker parse_worker(const JsonValue& value) {
@@ -108,20 +121,21 @@ TraceWorker parse_worker(const JsonValue& value) {
   return w;
 }
 
-TraceTask parse_task(const JsonValue& value) {
+rt::TaskRecord parse_task(const JsonValue& value) {
   expect_kind(value, JsonValue::Kind::kObject, "task");
-  TraceTask t;
+  rt::TaskRecord t;
   t.sequence = get_u64(value, "sequence", "task");
   t.name = get_string(value, "name", "task");
   t.impl = get_string(value, "impl", "task");
-  t.arch = get_string(value, "arch", "task");
+  t.arch = get_enum<rt::Arch>(value, "arch", "task", rt::kArchCount,
+                              "architecture");
   t.worker = get_int(value, "worker", "task");
   t.vstart = get_number(value, "vstart", "task");
   t.vend = get_number(value, "vend", "task");
-  t.exec = get_number(value, "exec", "task");
+  t.exec_seconds = get_number(value, "exec", "task");
   t.attempt = get_int(value, "attempt", "task");
   t.failed = get_bool(value, "failed", "task");
-  t.point = get_int(value, "point", "task");
+  t.verify_point = get_int(value, "point", "task");
   const JsonValue& data =
       expect_kind(require(value, "data", "task"), JsonValue::Kind::kArray,
                   "task.data");
@@ -135,11 +149,11 @@ TraceTask parse_task(const JsonValue& value) {
   return t;
 }
 
-TraceTransfer parse_transfer(const JsonValue& value) {
+rt::TransferRecord parse_transfer(const JsonValue& value) {
   expect_kind(value, JsonValue::Kind::kObject, "transfer");
-  TraceTransfer t;
+  rt::TransferRecord t;
   t.lane = get_int(value, "lane", "transfer");
-  t.order = get_u64(value, "order", "transfer");
+  t.lane_sequence = get_u64(value, "order", "transfer");
   t.from = get_int(value, "from", "transfer");
   t.to = get_int(value, "to", "transfer");
   t.from_node = get_node_id_or(value, "from_node", "transfer", 0);
@@ -156,21 +170,17 @@ TraceTransfer parse_transfer(const JsonValue& value) {
   return t;
 }
 
-TracePrefetch parse_prefetch(const JsonValue& value) {
+rt::PrefetchRecord parse_prefetch(const JsonValue& value) {
   expect_kind(value, JsonValue::Kind::kObject, "prefetch");
-  TracePrefetch p;
-  p.event = get_string(value, "event", "prefetch");
-  if (!one_of(p.event, {"enqueued", "completed", "skipped"})) {
-    fail_at("unknown prefetch event \"" + p.event + "\"",
-            require(value, "event", "prefetch"));
-  }
-  p.reason = get_string(value, "reason", "prefetch");
-  if (!one_of(p.reason, {"none", "writer_race", "partitioned", "detached",
-                         "transfer_failed", "shutdown"})) {
-    fail_at("unknown prefetch skip reason \"" + p.reason + "\"",
-            require(value, "reason", "prefetch"));
-  }
-  p.task = get_u64(value, "task", "prefetch");
+  rt::PrefetchRecord p;
+  p.event = get_enum<rt::PrefetchEvent>(
+      value, "event", "prefetch",
+      static_cast<int>(rt::PrefetchEvent::kSkipped) + 1, "prefetch event");
+  p.reason = get_enum<rt::PrefetchSkipReason>(
+      value, "reason", "prefetch",
+      static_cast<int>(rt::PrefetchSkipReason::kShutdown) + 1,
+      "prefetch skip reason");
+  p.task_sequence = get_u64(value, "task", "prefetch");
   p.node = get_int(value, "node", "prefetch");
   p.sim_node = get_node_id_or(value, "sim_node", "prefetch", 0);
   p.data = get_u64(value, "data", "prefetch");
@@ -178,27 +188,32 @@ TracePrefetch parse_prefetch(const JsonValue& value) {
   return p;
 }
 
-TraceDecision parse_decision(const JsonValue& value) {
+rt::DecisionRecord parse_decision(const JsonValue& value) {
   expect_kind(value, JsonValue::Kind::kObject, "decision");
-  TraceDecision d;
-  d.task = get_u64(value, "task", "decision");
-  d.worker = get_int(value, "worker", "decision");
+  rt::DecisionRecord d;
+  d.task_sequence = get_u64(value, "task", "decision");
+  d.chosen = get_int(value, "worker", "decision");
   d.explored = get_bool(value, "explored", "decision");
-  d.estimate = get_number(value, "estimate", "decision");
+  d.chosen_estimate = get_number(value, "estimate", "decision");
   const JsonValue& estimates =
       expect_kind(require(value, "arch_estimate", "decision"),
                   JsonValue::Kind::kObject, "decision.arch_estimate");
+  // The writer omits the architectures without a candidate (+infinity is
+  // not JSON).
+  d.arch_estimate.fill(std::numeric_limits<double>::infinity());
   for (const auto& [arch, estimate] : estimates.object) {
     expect_kind(estimate, JsonValue::Kind::kNumber,
                 "decision.arch_estimate." + arch);
-    d.arch_estimate.emplace_back(arch, estimate.number);
+    const rt::Arch named =
+        enum_named<rt::Arch>(arch, estimate, rt::kArchCount, "architecture");
+    d.arch_estimate[static_cast<std::size_t>(named)] = estimate.number;
   }
   return d;
 }
 
-TraceWindow parse_window(const JsonValue& value) {
+rt::WindowRecord parse_window(const JsonValue& value) {
   expect_kind(value, JsonValue::Kind::kObject, "window");
-  TraceWindow w;
+  rt::WindowRecord w;
   w.id = get_u64(value, "id", "window");
   w.size = get_int(value, "size", "window");
   if (w.size < 0) {
@@ -222,9 +237,9 @@ TraceWindow parse_window(const JsonValue& value) {
   return w;
 }
 
-TracePhase parse_phase(const JsonValue& value) {
+rt::PhaseRecord parse_phase(const JsonValue& value) {
   expect_kind(value, JsonValue::Kind::kObject, "phase");
-  TracePhase p;
+  rt::PhaseRecord p;
   p.label = get_string(value, "label", "phase");
   p.vtime = get_number(value, "vtime", "phase");
   return p;
@@ -232,14 +247,14 @@ TracePhase parse_phase(const JsonValue& value) {
 
 /// Per-lane timelines must replay in emission order: `order` strictly
 /// increasing and busy intervals non-overlapping per lane.
-void validate_lanes(const std::vector<TraceTransfer>& transfers,
+void validate_lanes(const std::vector<rt::TransferRecord>& transfers,
                     const JsonValue& section) {
-  std::map<int, const TraceTransfer*> last_on_lane;
-  for (const TraceTransfer& t : transfers) {
+  std::map<int, const rt::TransferRecord*> last_on_lane;
+  for (const rt::TransferRecord& t : transfers) {
     const auto it = last_on_lane.find(t.lane);
     if (it != last_on_lane.end()) {
-      const TraceTransfer& prev = *it->second;
-      if (t.order <= prev.order) {
+      const rt::TransferRecord& prev = *it->second;
+      if (t.lane_sequence <= prev.lane_sequence) {
         fail_at("non-monotonic transfer order on lane " +
                     std::to_string(t.lane),
                 section);

@@ -1,18 +1,19 @@
 // In-memory model of a peppher-trace document (schema v1, docs/perf.md)
 // plus the validating reader that turns Engine::trace_json output — or any
-// foreign producer of the schema — back into structs the analyses consume.
+// foreign producer of the schema — back into the runtime's own event
+// records (runtime/trace.hpp). parse_trace is the exact inverse of
+// Engine::trace_json: every parsed record equals the recorded one.
 //
 // parse_trace is strict: wrong schema tag, unsupported version, unknown
 // sections or enum values, type mismatches and non-monotonic timelines are
 // all located ParseErrors (1-based line/column of the offending value),
-// never crashes or silent best-effort repairs. Its structs mirror the JSON
-// field-for-field so docs/perf.md stays the single description of both.
+// never crashes or silent best-effort repairs.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "runtime/trace.hpp"
 
 namespace peppher::perf {
 
@@ -20,83 +21,10 @@ namespace peppher::perf {
 struct TraceWorker {
   int id = -1;
   std::string name;  ///< device profile name, e.g. "tesla-c2050"
-  std::string arch;  ///< "cpu", "cpu_omp", "cuda", "opencl"
+  std::string arch;  ///< "cpu", "openmp", "cuda", "opencl"
   int node = 0;      ///< memory node the worker executes against
   int sim_node = 0;  ///< simulated cluster node (0 on single-host traces)
   bool combined = false;  ///< the all-CPU-cores fork-join worker
-};
-
-/// One task execution attempt ("tasks" section).
-struct TraceTask {
-  std::uint64_t sequence = 0;
-  std::string name;
-  std::string impl;
-  std::string arch;
-  int worker = -1;
-  double vstart = 0.0;
-  double vend = 0.0;
-  double exec = 0.0;  ///< kernel seconds, excludes queueing
-  int attempt = 0;
-  bool failed = false;
-  int point = -1;  ///< descriptor/verify program point, -1 when untagged
-  std::vector<std::uint64_t> data;  ///< operand data ids
-};
-
-/// One interconnect hop ("transfers" section): a PCIe copy, or — on
-/// cluster traces — an inter-node hop (from_node != to_node).
-struct TraceTransfer {
-  int lane = 0;
-  std::uint64_t order = 0;  ///< per-lane sequence number
-  int from = 0;
-  int to = 0;
-  int from_node = 0;  ///< simulated cluster node of `from` (v1 additive)
-  int to_node = 0;    ///< simulated cluster node of `to` (v1 additive)
-  std::uint64_t bytes = 0;
-  double vstart = 0.0;
-  double vend = 0.0;
-  bool coalesced = false;
-  std::uint64_t burst = 0;  ///< coalesced-burst id, 0 = unattributed
-  std::uint64_t data = 0;
-};
-
-/// One prefetch lifecycle event ("prefetches" section).
-struct TracePrefetch {
-  std::string event;   ///< "enqueued" | "completed" | "skipped"
-  std::string reason;  ///< skip reason, "none" unless event == "skipped"
-  std::uint64_t task = 0;
-  int node = 0;
-  int sim_node = 0;  ///< simulated cluster node of `node` (v1 additive)
-  std::uint64_t data = 0;
-  std::uint64_t bytes = 0;
-};
-
-/// One scheduler placement decision ("decisions" section).
-struct TraceDecision {
-  std::uint64_t task = 0;
-  int worker = -1;
-  bool explored = false;  ///< calibration placement, estimates meaningless
-  double estimate = -1.0;  ///< predicted completion vtime of the choice
-  /// Best predicted completion per architecture that had a candidate.
-  std::vector<std::pair<std::string, double>> arch_estimate;
-};
-
-/// One lookahead window-planning event ("windows" section; empty for the
-/// per-task policies — the section itself is always present in schema v1
-/// documents written since the lookahead scheduler landed, and absent in
-/// older documents, both of which parse).
-struct TraceWindow {
-  std::uint64_t id = 0;
-  int size = 0;             ///< tasks planned jointly in this window
-  double estimate = 0.0;    ///< predicted window makespan (vtime)
-  bool improved = false;    ///< branch-and-bound beat the greedy incumbent
-  std::uint64_t explored = 0;  ///< search nodes expanded
-  std::vector<std::uint64_t> tasks;  ///< task sequences in plan order
-};
-
-/// One application phase marker ("phases" section).
-struct TracePhase {
-  std::string label;
-  double vtime = 0.0;
 };
 
 /// A full parsed trace document.
@@ -106,12 +34,15 @@ struct Trace {
   std::string scheduler;
   double makespan = 0.0;
   std::vector<TraceWorker> workers;
-  std::vector<TraceTask> tasks;
-  std::vector<TraceTransfer> transfers;
-  std::vector<TracePrefetch> prefetches;
-  std::vector<TraceDecision> decisions;
-  std::vector<TraceWindow> windows;
-  std::vector<TracePhase> phases;
+  std::vector<rt::TaskRecord> tasks;
+  std::vector<rt::TransferRecord> transfers;
+  std::vector<rt::PrefetchRecord> prefetches;
+  std::vector<rt::DecisionRecord> decisions;
+  /// Lookahead window plans; empty for the per-task policies. The section
+  /// is present in every document written since the lookahead scheduler
+  /// landed and absent in older ones; both parse.
+  std::vector<rt::WindowRecord> windows;
+  std::vector<rt::PhaseRecord> phases;
 };
 
 /// Parses and validates a trace document; see the header comment for the

@@ -28,14 +28,6 @@ void atomic_max(std::atomic<double>& target, double value) {
   }
 }
 
-/// CAS add for the atomic double accumulators (busy time, energy).
-void atomic_add(std::atomic<double>& target, double delta) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 /// Id of the worker this thread runs, -1 on application threads — lets the
 /// dispatch path skip the wakeup when the dispatching worker itself will
 /// pick the task up (see Engine::wake_workers).
@@ -78,9 +70,6 @@ Engine::Engine(EngineConfig config)
 
   // Shadow coherence checking must be armed before any handle registration.
   if (config_.verify_shadow) data_.enable_shadow_checking();
-
-  // Transfer tracing hooks in before any worker (or transfer) exists.
-  if (config_.enable_trace) data_.set_tracer(&tracer_);
 
   // Workers, per simulated node: the node's per-core CPU workers, its
   // combined all-cores worker, then its accelerators (global device
@@ -146,6 +135,16 @@ Engine::Engine(EngineConfig config)
 
   blacklisted_ = std::make_unique<std::atomic<bool>[]>(descs_.size());
 
+  // The recorder: one counter shard per worker. It hooks into the data
+  // manager before any worker (or transfer) exists.
+  std::vector<double> worker_watts;
+  for (const WorkerDesc& desc : descs_) {
+    worker_watts.push_back(desc.profile.busy_watts);
+  }
+  tracer_.configure(topo, std::move(worker_watts), config_.enable_trace);
+  data_.set_recorder(&tracer_);
+  interval_start_ = transfers_start_ = tracer_.books();
+
   // Whole-node death plans and the inter-node link plan. The transfer hook
   // must be in place before worker threads exist.
   node_injectors_.resize(cluster_.nodes.size());
@@ -192,10 +191,11 @@ Engine::Engine(EngineConfig config)
                         : std::max(1, config_.window_size);
   env.interconnect = &data_.interconnect();
   env.commit = [this](const TaskPtr& t, WorkerId id,
-                      const SchedDecision& decision) {
+                      const DecisionRecord& decision) {
     commit_window_task(t, id, decision);
   };
-  if (config_.enable_trace) {
+  // Window plans have no counters: without a trace the planner builds none.
+  if (tracer_.tracing()) {
     env.record_window = [this](const WindowRecord& record) {
       tracer_.record_window(record);
     };
@@ -359,22 +359,13 @@ void Engine::enqueue_prefetches(const Task& task, WorkerId hint) {
       // `hint` has already run, so its own estimate charged the fetch.
       op.handle->note_prefetch_queued(node);
       prefetch_queue_.push_back(PrefetchRequest{op.handle, node, task.sequence});
+      tracer_.record_prefetch(PrefetchEvent::kEnqueued,
+                              PrefetchSkipReason::kNone, task.sequence,
+                              *op.handle, node);
       ++queued;
-      if (config_.enable_trace) {
-        PrefetchRecord record;
-        record.event = PrefetchEvent::kEnqueued;
-        record.task_sequence = task.sequence;
-        record.node = node;
-        record.sim_node = data_.topo().sim_node(node);
-        record.data = op.handle->id();
-        record.bytes = op.handle->bytes();
-        tracer_.record_prefetch(record);
-      }
     }
   }
-  if (queued == 0) return;
-  prefetch_enqueued_.fetch_add(queued, std::memory_order_relaxed);
-  prefetch_cv_.notify_one();
+  if (queued > 0) prefetch_cv_.notify_one();
 }
 
 void Engine::prefetch_main() {
@@ -396,21 +387,11 @@ void Engine::prefetch_main() {
             ? PrefetchSkipReason::kShutdown
             : service_prefetch(request);
     request.handle->note_prefetch_done(request.node);
-    const bool fetched = outcome == PrefetchSkipReason::kNone;
-    (fetched ? prefetch_completed_ : prefetch_skipped_)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (config_.enable_trace) {
-      PrefetchRecord record;
-      record.event =
-          fetched ? PrefetchEvent::kCompleted : PrefetchEvent::kSkipped;
-      record.reason = outcome;
-      record.task_sequence = request.task_sequence;
-      record.node = request.node;
-      record.sim_node = data_.topo().sim_node(request.node);
-      record.data = request.handle->id();
-      record.bytes = request.handle->bytes();
-      tracer_.record_prefetch(record);
-    }
+    tracer_.record_prefetch(outcome == PrefetchSkipReason::kNone
+                                ? PrefetchEvent::kCompleted
+                                : PrefetchEvent::kSkipped,
+                            outcome, request.task_sequence, *request.handle,
+                            request.node);
 
     lock.lock();
     --prefetch_busy_;
@@ -459,14 +440,6 @@ void Engine::stop_prefetch_thread() {
   }
   prefetch_cv_.notify_all();
   prefetch_thread_.join();
-}
-
-Engine::PrefetchStats Engine::prefetch_stats() const {
-  PrefetchStats stats;
-  stats.enqueued = prefetch_enqueued_.load(std::memory_order_relaxed);
-  stats.completed = prefetch_completed_.load(std::memory_order_relaxed);
-  stats.skipped = prefetch_skipped_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -721,6 +694,7 @@ void Engine::notify_idle() {
 
 void Engine::worker_main(WorkerId id) {
   t_worker_id = id;
+  tracer_.bind_worker(id);
   Worker& worker = *workers_[static_cast<std::size_t>(id)];
   while (true) {
     TaskPtr task = scheduler_->pop(id);
@@ -758,18 +732,12 @@ void Engine::dispatch_ready(const TaskPtr& task, bool* self_claim) {
   }
   task->state.store(TaskState::kReady, std::memory_order_relaxed);
   task->ready_eligible_mask = eligible_mask;
-  SchedDecision decision;
+  DecisionRecord decision;
   const WorkerId hint =
-      scheduler_->push(task, config_.enable_trace ? &decision : nullptr);
-  if (config_.enable_trace && hint != kNoWorkerHint) {
-    // Central queues (eager) place nothing at push time: no decision event.
-    DecisionRecord record;
-    record.task_sequence = task->sequence;
-    record.chosen = hint;
-    record.explored = decision.explored;
-    record.chosen_estimate = decision.chosen_estimate;
-    record.arch_estimate = decision.arch_estimate;
-    tracer_.record_decision(record);
+      scheduler_->push(task, tracer_.tracing() ? &decision : nullptr);
+  // Central queues (eager) place nothing at push time: no decision event.
+  if (hint != kNoWorkerHint) {
+    tracer_.record_decision(task->sequence, hint, decision);
   }
   // The scheduler has committed the task to a worker: warm its read
   // operands on that worker's node while the task waits in the queue.
@@ -938,9 +906,9 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   // -- completion (lock-free accounting) ------------------------------------
   //
   // The task is owned by this worker until it is re-pushed (retry) or its
-  // kDone state is published, so its fields are written plainly. Clocks,
-  // stats and counters are atomics; only the dependency-graph release at
-  // the end takes graph_mutex_.
+  // kDone state is published, so its fields are written plainly. Clocks are
+  // atomics and the counters sit in this worker's own recorder shard; only
+  // the dependency-graph release at the end takes graph_mutex_.
   const int attempt_index = task->attempts;
   const VirtualTime worker_free = worker_ready_at(worker.desc.id);
   task->vstart = std::max({worker_free, task->max_pred_end, data_ready});
@@ -970,22 +938,6 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   if (data_.topo().is_host(worker.desc.node)) {
     atomic_max(node_rt.host_group_max, task->vend);
   }
-  if (task->failed()) {
-    worker.failed_attempts.fetch_add(1, std::memory_order_relaxed);
-    fault_counters_.failed_attempts.fetch_add(1, std::memory_order_relaxed);
-    if (injected_kernel_fault) {
-      fault_counters_.injected_kernel_faults.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  } else {
-    worker.tasks_executed.fetch_add(1, std::memory_order_relaxed);
-    arch_counts_[static_cast<std::size_t>(impl->arch)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  atomic_add(worker.busy_vtime, exec_seconds);
-  atomic_add(worker.energy_joules,
-             exec_seconds * worker.desc.profile.busy_watts);
-  atomic_max(makespan_, task->vend);
 
   std::vector<TaskPtr>& completed_now = worker.completed_scratch;
   std::vector<TaskPtr>& ready_now = worker.ready_scratch;
@@ -1053,10 +1005,11 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     ++task->attempts;
     if (task->retries_left > 0 && has_eligible_worker(*task)) {
       --task->retries_left;
-      fault_counters_.retries.fetch_add(1, std::memory_order_relaxed);
       retrying = true;
     }
   }
+  tracer_.record_task(task, impl, attempt_index, injected_kernel_fault,
+                      retrying);
 
   // Restore read-write pre-images before unpinning so the retry attempt
   // reads the data the failed attempt saw.
@@ -1091,13 +1044,6 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     // per-program-point winner this run votes for (majority on finalize).
     dispatch_train_.train(task->spec.codelet->name(), task->footprint,
                           task->spec.verify_point, impl->arch);
-  }
-
-  if (config_.enable_trace) {
-    // Allocation-free: snapshots the timing fields and keeps the TaskPtr /
-    // Implementation pointer; strings materialise only on trace export.
-    tracer_.record_task(task, impl, worker.desc.id, attempt_index,
-                        task->failed());
   }
 
   bool self_claim = false;
@@ -1143,10 +1089,10 @@ void Engine::complete_locked(const TaskPtr& task,
     current->state.store(TaskState::kDone, std::memory_order_seq_cst);
     completed.push_back(current);
     if (current->failed()) {
-      fault_counters_.tasks_failed.fetch_add(1, std::memory_order_relaxed);
+      tracer_.count(Counted::kTaskFailed);
     } else if (current->attempts > 0 && current->first_failed_arch &&
                current->executed_arch != *current->first_failed_arch) {
-      fault_counters_.fallbacks.fetch_add(1, std::memory_order_relaxed);
+      tracer_.count(Counted::kFallback);
     }
     for (const auto& successor : current->successors) {
       successor->max_pred_end =
@@ -1233,12 +1179,11 @@ sim::FaultInjector* Engine::injector_for_node(MemoryNodeId node) const {
 
 void Engine::on_transfer_attempt(MemoryNodeId from, MemoryNodeId to,
                                  std::size_t bytes) {
-  // Called under the handle's mutex, outside every engine lock, hence the
-  // dedicated atomic counter.
+  // Called under the handle's mutex, outside every engine lock.
   if (internode_injector_ != nullptr &&
       data_.topo().sim_node(from) != data_.topo().sim_node(to) &&
       internode_injector_->next_transfer_fails()) {
-    injected_transfer_faults_.fetch_add(1, std::memory_order_relaxed);
+    tracer_.count(Counted::kInjectedTransferFault);
     throw Error(ErrorCode::kIoError,
                 "injected inter-node link fault on hop " +
                     std::to_string(from) + "->" + std::to_string(to) + " (" +
@@ -1247,7 +1192,7 @@ void Engine::on_transfer_attempt(MemoryNodeId from, MemoryNodeId to,
   for (MemoryNodeId node : {from, to}) {
     sim::FaultInjector* injector = injector_for_node(node);
     if (injector != nullptr && injector->next_transfer_fails()) {
-      injected_transfer_faults_.fetch_add(1, std::memory_order_relaxed);
+      tracer_.count(Counted::kInjectedTransferFault);
       throw Error(ErrorCode::kIoError,
                   "injected transfer fault on hop " + std::to_string(from) +
                       "->" + std::to_string(to) + " (" +
@@ -1261,7 +1206,7 @@ void Engine::blacklist_worker_locked(Worker& worker,
                                      std::vector<TaskPtr>& ready) {
   blacklisted_[static_cast<std::size_t>(worker.desc.id)].store(
       true, std::memory_order_seq_cst);
-  fault_counters_.workers_blacklisted.fetch_add(1, std::memory_order_relaxed);
+  tracer_.count(Counted::kWorkerBlacklisted);
   log::warn("runtime", "worker {} ('{}') died; blacklisting and draining",
             worker.desc.id, worker.desc.profile.name);
   for (const TaskPtr& orphan : scheduler_->drain(worker.desc.id)) {
@@ -1334,16 +1279,8 @@ Placement Engine::estimate(const Task& task, WorkerId id) const {
 }
 
 void Engine::commit_window_task(const TaskPtr& task, WorkerId worker,
-                                const SchedDecision& decision) {
-  if (config_.enable_trace) {
-    DecisionRecord record;
-    record.task_sequence = task->sequence;
-    record.chosen = worker;
-    record.explored = decision.explored;
-    record.chosen_estimate = decision.chosen_estimate;
-    record.arch_estimate = decision.arch_estimate;
-    tracer_.record_decision(record);
-  }
+                                const DecisionRecord& decision) {
+  tracer_.record_decision(task->sequence, worker, decision);
   if (prefetch_enabled_) enqueue_prefetches(*task, worker);
   // The planning thread may be the very worker the task landed on (a pop
   // that closed a partial window); it re-checks its queue before parking,
@@ -1375,15 +1312,13 @@ std::uint64_t Engine::exploration_sample_count(const Task& task, WorkerId id) co
 // ---------------------------------------------------------------------------
 
 VirtualTime Engine::virtual_makespan() const {
-  return makespan_.load(std::memory_order_relaxed);
-}
-
-double Engine::energy_joules() const {
-  double total = 0.0;
+  // A worker's clock is the end of its latest attempt and never moves back
+  // between resets, so the latest clock is the latest completion.
+  VirtualTime makespan = 0.0;
   for (const auto& worker : workers_) {
-    total += worker->energy_joules.load(std::memory_order_relaxed);
+    makespan = std::max(makespan, worker->vtime.load(std::memory_order_relaxed));
   }
-  return total;
+  return makespan;
 }
 
 void Engine::reset_virtual_time() {
@@ -1401,52 +1336,20 @@ void Engine::reset_virtual_time() {
   for (auto& node_rt : node_rt_) {
     node_rt->host_group_max.store(0.0, std::memory_order_relaxed);
   }
-  makespan_.store(0.0, std::memory_order_relaxed);
   data_.reset_virtual_time();
+  std::lock_guard<std::mutex> baseline_lock(baseline_mutex_);
+  interval_start_ = tracer_.books();
+  interval_first_task_ = next_sequence_.load(std::memory_order_relaxed);
 }
 
-WorkerStats Engine::worker_stats(WorkerId id) const {
-  check(id >= 0 && id < static_cast<WorkerId>(workers_.size()),
-        "worker_stats: bad worker id");
-  const Worker& worker = *workers_[static_cast<std::size_t>(id)];
-  WorkerStats stats;
-  stats.tasks_executed = worker.tasks_executed.load(std::memory_order_relaxed);
-  stats.failed_attempts =
-      worker.failed_attempts.load(std::memory_order_relaxed);
-  stats.busy_vtime = worker.busy_vtime.load(std::memory_order_relaxed);
-  stats.energy_joules = worker.energy_joules.load(std::memory_order_relaxed);
-  return stats;
+TransferStats Engine::transfer_stats() const {
+  std::lock_guard<std::mutex> lock(baseline_mutex_);
+  return tracer_.books().since(transfers_start_).transfers();
 }
 
-std::array<std::uint64_t, kArchCount> Engine::arch_task_counts() const {
-  std::array<std::uint64_t, kArchCount> counts{};
-  for (int a = 0; a < kArchCount; ++a) {
-    counts[static_cast<std::size_t>(a)] =
-        arch_counts_[static_cast<std::size_t>(a)].load(
-            std::memory_order_relaxed);
-  }
-  return counts;
-}
-
-std::uint64_t Engine::tasks_submitted() const {
-  return next_sequence_.load(std::memory_order_relaxed);
-}
-
-FaultStats Engine::fault_stats() const {
-  FaultStats stats;
-  stats.injected_kernel_faults =
-      fault_counters_.injected_kernel_faults.load(std::memory_order_relaxed);
-  stats.injected_transfer_faults =
-      injected_transfer_faults_.load(std::memory_order_relaxed);
-  stats.failed_attempts =
-      fault_counters_.failed_attempts.load(std::memory_order_relaxed);
-  stats.retries = fault_counters_.retries.load(std::memory_order_relaxed);
-  stats.fallbacks = fault_counters_.fallbacks.load(std::memory_order_relaxed);
-  stats.tasks_failed =
-      fault_counters_.tasks_failed.load(std::memory_order_relaxed);
-  stats.workers_blacklisted =
-      fault_counters_.workers_blacklisted.load(std::memory_order_relaxed);
-  return stats;
+void Engine::reset_transfer_stats() {
+  std::lock_guard<std::mutex> lock(baseline_mutex_);
+  transfers_start_ = tracer_.books();
 }
 
 bool Engine::worker_blacklisted(WorkerId id) const {
@@ -1462,15 +1365,23 @@ std::vector<ShadowRecord> Engine::shadow_log() const {
 }
 
 std::string Engine::summary() const {
+  // Every figure below is a view of one snapshot of the interval since the
+  // last reset_virtual_time().
+  Books books;
+  std::uint64_t first_task = 0;
+  {
+    std::lock_guard<std::mutex> lock(baseline_mutex_);
+    books = tracer_.books().since(interval_start_);
+    first_task = interval_first_task_;
+  }
   std::ostringstream out;
   out.precision(6);
-  const VirtualTime makespan = makespan_.load(std::memory_order_relaxed);
+  const VirtualTime makespan = virtual_makespan();
   out << "machine '" << machine_name_ << "', scheduler '"
-      << config_.scheduler << "', "
-      << next_sequence_.load(std::memory_order_relaxed)
+      << config_.scheduler << "', " << tasks_submitted() - first_task
       << " tasks, makespan " << makespan << " s virtual\n";
   for (const auto& worker : workers_) {
-    const WorkerStats stats = worker_stats(worker->desc.id);
+    const WorkerStats stats = books.worker(worker->desc.id);
     const double utilisation =
         makespan > 0.0 ? 100.0 * stats.busy_vtime / makespan : 0.0;
     out << "  worker " << worker->desc.id << " (" << worker->desc.profile.name
@@ -1484,12 +1395,12 @@ std::string Engine::summary() const {
     out << "\n";
   }
   out << "  tasks by architecture:";
-  const auto counts = arch_task_counts();
+  const auto counts = books.arch_tasks();
   for (int a = 0; a < kArchCount; ++a) {
     out << " " << to_string(static_cast<Arch>(a)) << "="
         << counts[static_cast<std::size_t>(a)];
   }
-  const TransferStats transfers = data_.stats();
+  const TransferStats transfers = books.transfers();
   out << "\n  PCIe: " << transfers.host_to_device_count << " h2d ("
       << transfers.host_to_device_bytes << " B), "
       << transfers.device_to_host_count << " d2h ("
@@ -1499,11 +1410,11 @@ std::string Engine::summary() const {
     out << "\n  inter-node: " << transfers.internode_count << " hops ("
         << transfers.internode_bytes << " B)";
   }
-  const PrefetchStats prefetches = prefetch_stats();
+  const PrefetchStats prefetches = books.prefetches();
   out << "\n  prefetch: " << prefetches.enqueued << " enqueued, "
       << prefetches.completed << " completed, " << prefetches.skipped
       << " skipped";
-  const FaultStats faults = fault_stats();
+  const FaultStats faults = books.faults();
   out << "\n  faults: " << faults.injected_kernel_faults
       << " injected kernel, " << faults.injected_transfer_faults
       << " injected transfer; " << faults.failed_attempts
@@ -1511,9 +1422,7 @@ std::string Engine::summary() const {
       << faults.fallbacks << " fallbacks, " << faults.tasks_failed
       << " tasks failed, " << faults.workers_blacklisted
       << " workers blacklisted";
-  // Energy is routed through the same accessor the public API exposes so
-  // the two can never drift apart.
-  out << "\n  energy: " << energy_joules() << " J (virtual)\n";
+  out << "\n  energy: " << books.energy_joules() << " J (virtual)\n";
   return std::move(out).str();
 }
 
@@ -1522,9 +1431,7 @@ std::string Engine::summary() const {
 // ---------------------------------------------------------------------------
 
 void Engine::trace_phase(std::string label) {
-  if (!config_.enable_trace) return;
-  tracer_.record_phase(std::move(label),
-                       makespan_.load(std::memory_order_relaxed));
+  tracer_.record_phase(std::move(label), virtual_makespan());
 }
 
 namespace {

@@ -22,8 +22,9 @@
 // dependency graph (Task::successors/unmet_dependencies/max_pred_end and
 // DataHandle::last_writer/readers_since_last_write) and is taken at submit
 // and completion. Scheduler queues carry their own per-worker locks; each
-// worker sleeps on its own ParkSlot and is woken individually. Clocks,
-// counters and stats are atomics. Lock hierarchy (outer to inner):
+// worker sleeps on its own ParkSlot and is woken individually. Clocks are
+// atomics; every counter lives in the recorder (runtime/trace.hpp), in a
+// shard only its worker writes. Lock hierarchy (outer to inner):
 // graph_mutex_ → scheduler queue locks → ParkSlot/done_mutex_ → handle
 // mutexes are taken on their own, never under graph_mutex_.
 #pragma once
@@ -101,8 +102,10 @@ struct EngineConfig {
   /// Seed for the randomized scheduler.
   std::uint64_t seed = 42;
 
-  /// Record a TaskRecord per execution (see runtime/trace.hpp); exportable
-  /// as chrome://tracing JSON or a text Gantt chart via Engine::trace().
+  /// Append every recorded event to the trace (see runtime/trace.hpp);
+  /// exportable as chrome://tracing JSON or a text Gantt chart via
+  /// Engine::trace(). The counters behind the stats accessors are kept
+  /// either way.
   bool enable_trace = false;
 
   /// The scheduler's optimization goal (the main descriptor's <goal>).
@@ -173,14 +176,6 @@ struct EngineConfig {
   std::filesystem::path dispatch_out;
 };
 
-/// Aggregate per-worker execution counters.
-struct WorkerStats {
-  std::uint64_t tasks_executed = 0;   ///< successful executions
-  std::uint64_t failed_attempts = 0;  ///< executions that ended in an error
-  double busy_vtime = 0.0;      ///< virtual seconds spent executing
-  double energy_joules = 0.0;   ///< busy time x the device's power draw
-};
-
 /// One observation of the shadow checker (EngineConfig::verify_shadow): the
 /// concrete coherence state of one task operand at task start, *before* the
 /// task's own acquire ran. TaskSpec::verify_point links the observation back
@@ -197,17 +192,6 @@ struct ShadowRecord {
   int sim_node = 0;  ///< simulated cluster node owning that memory node
   AccessMode mode = AccessMode::kRead;
   ReplicaState state = ReplicaState::kInvalid;  ///< state before the acquire
-};
-
-/// Engine-wide fault-tolerance counters (see docs/runtime.md).
-struct FaultStats {
-  std::uint64_t injected_kernel_faults = 0;    ///< transient kernel faults injected
-  std::uint64_t injected_transfer_faults = 0;  ///< transfer faults injected
-  std::uint64_t failed_attempts = 0;  ///< execution attempts that failed (any cause)
-  std::uint64_t retries = 0;          ///< failed attempts re-pushed to the scheduler
-  std::uint64_t fallbacks = 0;  ///< tasks that completed on another arch after a failure
-  std::uint64_t tasks_failed = 0;  ///< tasks completed with an error (incl. cancelled)
-  std::uint64_t workers_blacklisted = 0;  ///< workers removed after device death
 };
 
 class Engine {
@@ -262,19 +246,21 @@ class Engine {
 
   /// Total energy spent executing tasks so far (joules, virtual), summed
   /// over all workers.
-  double energy_joules() const;
+  double energy_joules() const { return tracer_.books().energy_joules(); }
 
   /// Resets all virtual clocks and the makespan, draining any in-flight
-  /// tasks first. Freshly registered handles start at virtual time zero,
-  /// so benchmarks should re-register data after the reset. Must not be
-  /// called from a task body or completion callback, nor concurrently with
-  /// submissions.
+  /// tasks first, and starts a new summary() interval. Freshly registered
+  /// handles start at virtual time zero, so benchmarks should re-register
+  /// data after the reset. Must not be called from a task body or
+  /// completion callback, nor concurrently with submissions.
   void reset_virtual_time();
 
-  TransferStats transfer_stats() const { return data_.stats(); }
-  void reset_transfer_stats() { data_.reset_stats(); }
+  /// Data traffic since the last reset_transfer_stats() (or engine start).
+  TransferStats transfer_stats() const;
+  void reset_transfer_stats();
 
-  /// The execution trace (empty unless config.enable_trace).
+  /// The recorder: the execution trace (empty unless config.enable_trace)
+  /// and the counters behind every stats accessor.
   Tracer& trace() noexcept { return tracer_; }
 
   /// Records a named engine phase marker at the current virtual makespan
@@ -294,12 +280,8 @@ class Engine {
   bool prefetch(const DataHandlePtr& handle, MemoryNodeId node);
 
   /// Counters of the automatic (scheduler-driven) prefetch path.
-  struct PrefetchStats {
-    std::uint64_t enqueued = 0;   ///< operands queued at dispatch time
-    std::uint64_t completed = 0;  ///< prefetches that warmed a replica
-    std::uint64_t skipped = 0;    ///< raced by a write / stale / failed
-  };
-  PrefetchStats prefetch_stats() const;
+  using PrefetchStats = rt::PrefetchStats;
+  PrefetchStats prefetch_stats() const { return tracer_.books().prefetches(); }
 
   /// Blocks until the automatic-prefetch queue is empty and idle. Useful
   /// for deterministic transfer-stat assertions in tests and benchmarks.
@@ -323,12 +305,18 @@ class Engine {
   const sim::ClusterConfig& cluster() const noexcept { return cluster_; }
   /// Memory-hierarchy map: hosts, devices, sim-node ownership, routes.
   const MemTopology& topo() const noexcept { return data_.topo(); }
-  WorkerStats worker_stats(WorkerId id) const;
-  std::array<std::uint64_t, kArchCount> arch_task_counts() const;
-  std::uint64_t tasks_submitted() const;
+  WorkerStats worker_stats(WorkerId id) const {
+    return tracer_.books().worker(id);
+  }
+  std::array<std::uint64_t, kArchCount> arch_task_counts() const {
+    return tracer_.books().arch_tasks();
+  }
+  std::uint64_t tasks_submitted() const {
+    return next_sequence_.load(std::memory_order_relaxed);
+  }
 
   /// Fault-injection / retry / blacklist counters.
-  FaultStats fault_stats() const;
+  FaultStats fault_stats() const { return tracer_.books().faults(); }
 
   /// True once `id` was blacklisted after its simulated device died.
   bool worker_blacklisted(WorkerId id) const;
@@ -338,11 +326,14 @@ class Engine {
   std::vector<ShadowRecord> shadow_log() const;
 
   /// Coherence events cross-checked against the shadow model so far.
-  std::uint64_t shadow_checks() const noexcept { return data_.shadow_checks(); }
+  std::uint64_t shadow_checks() const {
+    return tracer_.books().shadow_checks();
+  }
 
-  /// Human-readable execution summary: per-worker task counts and busy
-  /// virtual time (utilisation against the makespan), per-architecture task
-  /// counts, PCIe traffic.
+  /// Human-readable execution summary of the interval since the last
+  /// reset_virtual_time() (or engine start): tasks submitted, per-worker
+  /// task counts and busy virtual time (utilisation against the makespan),
+  /// per-architecture task counts, transfers, prefetches, faults, energy.
   std::string summary() const;
 
  private:
@@ -354,15 +345,11 @@ class Engine {
     /// condition variable broadcast on every submit/complete).
     ParkSlot slot;
 
-    /// Virtual clock and execution counters. Atomics so schedulers and
-    /// introspection read them without any engine lock; written only by
-    /// the owning worker thread (and reset_virtual_time, which quiesces
-    /// first).
+    /// Virtual clock: the end of the worker's latest attempt. An atomic so
+    /// schedulers and introspection read it without any engine lock;
+    /// written only by the owning worker thread (and reset_virtual_time,
+    /// which quiesces first).
     std::atomic<VirtualTime> vtime{0.0};
-    std::atomic<std::uint64_t> tasks_executed{0};
-    std::atomic<std::uint64_t> failed_attempts{0};
-    std::atomic<double> busy_vtime{0.0};
-    std::atomic<double> energy_joules{0.0};
 
     // Per-worker scratch reused across executions so the task hot path is
     // allocation-free in steady state. Touched only by the owning thread.
@@ -378,17 +365,6 @@ class Engine {
     /// cores (nullptr on every other worker). Its helpers start on the
     /// worker's first fork and are joined when the engine is destroyed.
     std::unique_ptr<ForkJoinTeam> team;
-  };
-
-  /// Internal atomic counterpart of FaultStats (transfer faults live in
-  /// injected_transfer_faults_).
-  struct FaultCounters {
-    std::atomic<std::uint64_t> injected_kernel_faults{0};
-    std::atomic<std::uint64_t> failed_attempts{0};
-    std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> fallbacks{0};
-    std::atomic<std::uint64_t> tasks_failed{0};
-    std::atomic<std::uint64_t> workers_blacklisted{0};
   };
 
   void worker_main(WorkerId id);
@@ -489,10 +465,10 @@ class Engine {
   Placement estimate(const Task& task, WorkerId id) const;
 
   /// SchedEnv::commit — the lookahead scheduler announces each planned
-  /// task it placed on a worker other than the push/pop trigger: trace the
+  /// task it placed on a worker other than the push/pop trigger: record the
   /// decision, warm the operands on the worker's node, wake the worker.
   void commit_window_task(const TaskPtr& task, WorkerId worker,
-                          const SchedDecision& decision);
+                          const DecisionRecord& decision);
 
   std::uint64_t exploration_sample_count(const Task& task, WorkerId id) const;
 
@@ -545,11 +521,6 @@ class Engine {
   /// once per host(i) -> host(j) hop; nullptr when the plan is empty.
   std::unique_ptr<sim::FaultInjector> internode_injector_;
 
-  /// Transfer faults are counted here instead of fault_counters_ because
-  /// the transfer hook runs under handle mutexes, outside every engine
-  /// lock.
-  std::atomic<std::uint64_t> injected_transfer_faults_{0};
-
   /// Protects ONLY the dependency graph: Task::successors /
   /// unmet_dependencies / max_pred_end, DataHandle::last_writer /
   /// readers_since_last_write, and the blacklist transition. Taken at
@@ -569,18 +540,20 @@ class Engine {
   std::deque<PrefetchRequest> prefetch_queue_;  ///< guarded by prefetch_mutex_
   int prefetch_busy_ = 0;                       ///< guarded by prefetch_mutex_
   std::atomic<bool> prefetch_stop_{false};
-  std::atomic<std::uint64_t> prefetch_enqueued_{0};
-  std::atomic<std::uint64_t> prefetch_completed_{0};
-  std::atomic<std::uint64_t> prefetch_skipped_{0};
 
   std::atomic<std::uint64_t> next_sequence_{0};
   std::atomic<std::uint64_t> inflight_{0};
-  std::atomic<VirtualTime> makespan_{0.0};
 
-  std::array<std::atomic<std::uint64_t>, kArchCount> arch_counts_{};
   std::unique_ptr<std::atomic<bool>[]> blacklisted_;  ///< per worker
-  FaultCounters fault_counters_;
   std::atomic<std::size_t> wake_rr_{0};  ///< round-robin wake start point
+
+  /// The baselines the resets record instead of zeroing counters: the
+  /// summary() interval starts at the last reset_virtual_time(), the
+  /// transfer_stats() interval at the last reset_transfer_stats().
+  mutable std::mutex baseline_mutex_;  ///< leaf lock
+  Books interval_start_;
+  std::uint64_t interval_first_task_ = 0;  ///< next_sequence_ at that reset
+  Books transfers_start_;
 
   // Waiter protocol for wait()/wait_for_all(): waiters register in the
   // matching counter before sleeping on done_cv_; completers skip the cv

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "runtime/msi.hpp"
-#include "runtime/trace.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 
@@ -51,7 +50,7 @@ void DataHandle::shadow_transition_locked(const char* event, MemoryNodeId node,
 
 void DataHandle::shadow_check_locked(const char* event) {
   if (shadow_.empty()) return;
-  manager_->record_shadow_check();
+  manager_->count(Counted::kShadowCheck);
   for (std::size_t n = 0; n < replicas_.size(); ++n) {
     if (replicas_[n].state == shadow_[n]) continue;
     throw Error(ErrorCode::kInternal,
@@ -124,7 +123,6 @@ VirtualTime DataHandle::copy_replica(MemoryNodeId from, MemoryNodeId to) {
   ensure_allocated(to);
   Replica& dst = replicas_[static_cast<std::size_t>(to)];
   std::memcpy(dst.ptr, src.ptr, bytes_);
-  manager_->record_transfer(from, to, bytes_);
   // The host-side address identifies contiguous bursts for coalescing:
   // source for an upload, destination for a flush home.
   const void* host_side = manager_->topo().is_host(from) ? src.ptr : dst.ptr;
@@ -227,7 +225,7 @@ bool DataHandle::try_evict(MemoryNodeId node) {
     shadow_check_locked("evict");
   }
   manager_->on_free(node, bytes_);
-  manager_->record_eviction();
+  manager_->count(Counted::kEviction);
   return true;
 }
 
@@ -458,7 +456,7 @@ void DataManager::on_allocate(MemoryNodeId node, std::size_t bytes,
   }
   std::lock_guard<std::mutex> lock(mutex_);
   if (allocated_[static_cast<std::size_t>(node)] > capacity) {
-    ++stats_.overcommits;
+    count(Counted::kOvercommit);
     log::warn("runtime",
               "device node {} overcommitted: {} bytes allocated, capacity {}",
               node, allocated_[static_cast<std::size_t>(node)], capacity);
@@ -481,11 +479,6 @@ void DataManager::compact_residents_locked() {
   std::erase_if(resident_handles_,
                 [](const std::weak_ptr<DataHandle>& w) { return w.expired(); });
   compact_at_ = std::max<std::size_t>(16, resident_handles_.size() * 2);
-}
-
-void DataManager::record_eviction() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.evictions;
 }
 
 DataHandlePtr DataManager::register_buffer(void* host_ptr, std::size_t bytes,
@@ -548,57 +541,17 @@ VirtualTime DataManager::charge_link(MemoryNodeId from, MemoryNodeId to,
     stream->next = static_cast<const std::byte*>(host_ptr) + bytes;
     stream->end = lane.free_at;
   }
-  if (coalesced) coalesced_.fetch_add(1, std::memory_order_relaxed);
-
-  if (tracer_ != nullptr) {
-    TransferRecord record;
-    record.lane = static_cast<int>(lane_idx);
-    record.lane_sequence = lane.next_seq++;  // still under the lane mutex
-    record.from = from;
-    record.to = to;
-    record.from_node = net_.topo.sim_node(from);
-    record.to_node = net_.topo.sim_node(to);
-    record.bytes = bytes;
-    record.vstart = start;
-    record.vend = lane.free_at;
-    record.coalesced = coalesced;
-    record.burst = (stream != nullptr) ? stream->burst : 0;
-    record.data = data_id;
-    tracer_->record_transfer(record);
+  if (recorder_ != nullptr) {
+    // Still under the lane mutex: lane order is the recording order.
+    recorder_->record_transfer(static_cast<int>(lane_idx), lane.next_seq++,
+                               from, to, bytes, start, lane.free_at, coalesced,
+                               stream != nullptr ? stream->burst : 0, data_id);
   }
   return lane.free_at;
 }
 
 double DataManager::estimate_link_seconds(std::size_t bytes) const {
   return sim::transfer_seconds(net_.pcie, bytes);
-}
-
-TransferStats DataManager::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  TransferStats out = stats_;
-  out.coalesced_transfers = coalesced_.load(std::memory_order_relaxed);
-  return out;
-}
-
-void DataManager::record_transfer(MemoryNodeId from, MemoryNodeId to,
-                                  std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (net_.topo.sim_node(from) != net_.topo.sim_node(to)) {
-    ++stats_.internode_count;
-    stats_.internode_bytes += bytes;
-  } else if (net_.topo.is_host(from) && !net_.topo.is_host(to)) {
-    ++stats_.host_to_device_count;
-    stats_.host_to_device_bytes += bytes;
-  } else if (!net_.topo.is_host(from) && net_.topo.is_host(to)) {
-    ++stats_.device_to_host_count;
-    stats_.device_to_host_bytes += bytes;
-  }
-}
-
-void DataManager::reset_stats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_ = TransferStats{};
-  coalesced_.store(0, std::memory_order_relaxed);
 }
 
 void DataManager::reset_virtual_time() {

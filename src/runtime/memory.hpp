@@ -20,6 +20,7 @@
 
 #include "runtime/placement.hpp"
 #include "runtime/topology.hpp"
+#include "runtime/trace.hpp"
 #include "runtime/types.hpp"
 #include "sim/device.hpp"
 #include "sim/topology.hpp"
@@ -28,7 +29,6 @@ namespace peppher::rt {
 
 class Task;
 class DataManager;
-class Tracer;
 
 /// Coherence state of one replica of a handle's data on one memory node.
 enum class ReplicaState : std::uint8_t {
@@ -38,28 +38,6 @@ enum class ReplicaState : std::uint8_t {
 };
 
 std::string to_string(ReplicaState state);
-
-/// Counters for the data-traffic measurements of Figure 5 and the smart
-/// container ablation (2-copies-vs-7 example of Figure 3).
-struct TransferStats {
-  std::uint64_t host_to_device_count = 0;
-  std::uint64_t device_to_host_count = 0;
-  std::uint64_t host_to_device_bytes = 0;
-  std::uint64_t device_to_host_bytes = 0;
-  std::uint64_t evictions = 0;    ///< device replicas dropped under pressure
-  std::uint64_t overcommits = 0;  ///< allocations exceeding device capacity
-  std::uint64_t coalesced_transfers = 0;  ///< charges that joined an open burst
-                                          ///< (paid no link latency)
-  std::uint64_t internode_count = 0;  ///< host(i) -> host(j) hops (clusters)
-  std::uint64_t internode_bytes = 0;
-
-  std::uint64_t total_count() const noexcept {
-    return host_to_device_count + device_to_host_count;
-  }
-  std::uint64_t total_bytes() const noexcept {
-    return host_to_device_bytes + device_to_host_bytes;
-  }
-};
 
 /// A registered piece of application data. Created through
 /// DataManager::register_buffer (never directly); always lives in a
@@ -210,8 +188,8 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
 
 using DataHandlePtr = std::shared_ptr<DataHandle>;
 
-/// Owns the memory-node table, the PCIe link lanes and the transfer
-/// statistics. One per Engine.
+/// Owns the memory-node table and the PCIe link lanes; reports every hop,
+/// eviction and overcommit to the attached recorder. One per Engine.
 ///
 /// Link contention model: unless LinkProfile::shared_bus is set, every
 /// device node gets two independent *lanes* — host-to-device and
@@ -243,7 +221,7 @@ class DataManager {
   /// Sets a device node's memory capacity in bytes (0 = unlimited, the
   /// default). Allocations beyond the capacity trigger eviction of
   /// unpinned replicas of other handles; if nothing is evictable the
-  /// allocation overcommits (counted in stats).
+  /// allocation overcommits (Counted::kOvercommit).
   void set_node_capacity(MemoryNodeId node, std::size_t bytes);
 
   std::size_t node_allocated(MemoryNodeId node) const;
@@ -253,7 +231,6 @@ class DataManager {
   void on_allocate(MemoryNodeId node, std::size_t bytes,
                    const std::shared_ptr<DataHandle>& owner);
   void on_free(MemoryNodeId node, std::size_t bytes);
-  void record_eviction();
 
   /// Next DataHandle::id (monotonic per manager, starts at 1).
   std::uint64_t allocate_data_id() noexcept {
@@ -269,8 +246,9 @@ class DataManager {
   const Interconnect& interconnect() const noexcept { return net_; }
 
   /// Advances the `from`→`to` lane clock by a transfer of `bytes` starting
-  /// no earlier than `ready`; returns completion vtime. `host_ptr` is the
-  /// host-side address of the data (source for H2D, destination for D2H);
+  /// no earlier than `ready`, and records the hop; returns completion
+  /// vtime. `host_ptr` is the host-side address of the data (source for
+  /// H2D, destination for D2H);
   /// when coalescing is enabled, a transfer that continues a still-open
   /// contiguous burst on the same lane joins it and pays only the bandwidth
   /// term — the hybrid chunk-upload pattern.
@@ -283,10 +261,6 @@ class DataManager {
 
   /// Estimate of the same, without advancing the clock.
   double estimate_link_seconds(std::size_t bytes) const;
-
-  TransferStats stats() const;
-  void record_transfer(MemoryNodeId from, MemoryNodeId to, std::size_t bytes);
-  void reset_stats();
 
   /// Fault-injection hook, invoked once per single-hop replica copy before
   /// any state changes; may throw to simulate a failed transfer. Called
@@ -313,9 +287,15 @@ class DataManager {
   /// children; entries are weak and compacted amortised.
   void note_handle(const DataHandlePtr& handle);
 
-  /// Attaches a tracer: every charge_link emits one TransferRecord. Set
-  /// once by the Engine before worker threads start (like the fault hook).
-  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
+  /// Attaches the recorder that counts (and traces) every hop, eviction,
+  /// overcommit and shadow check; without one the manager keeps no books.
+  /// Set once before any transfer, like the fault hook.
+  void set_recorder(Tracer* recorder) noexcept { recorder_ = recorder; }
+
+  /// Reports a counted event to the recorder, if one is attached.
+  void count(Counted event) const {
+    if (recorder_ != nullptr) recorder_->count(event);
+  }
 
   /// Lane-table index for a `from`→`to` transfer (the `lane` field of
   /// TransferRecord and the per-lane rows of the Chrome export).
@@ -327,14 +307,6 @@ class DataManager {
   /// now on. Set once by the Engine before worker threads start.
   void enable_shadow_checking() noexcept { shadow_checking_ = true; }
   bool shadow_checking() const noexcept { return shadow_checking_; }
-
-  /// Number of coherence events cross-checked against the shadow model.
-  std::uint64_t shadow_checks() const noexcept {
-    return shadow_checks_.load(std::memory_order_relaxed);
-  }
-  void record_shadow_check() noexcept {
-    shadow_checks_.fetch_add(1, std::memory_order_relaxed);
-  }
 
  private:
   /// One directed transfer lane: its own clock, plus a small ring of open
@@ -350,7 +322,7 @@ class DataManager {
     };
     std::array<Stream, 4> streams{};
     std::size_t next_stream = 0;  ///< round-robin replacement cursor
-    std::uint64_t next_seq = 0;    ///< per-lane trace-record order
+    std::uint64_t next_seq = 0;    ///< per-lane hop order
     std::uint64_t next_burst = 0;  ///< burst-id allocator
   };
 
@@ -366,9 +338,8 @@ class DataManager {
   int node_count_;
   std::size_t intra_lane_count_ = 1;
   TransferHook transfer_hook_;  ///< immutable once workers run
-  Tracer* tracer_ = nullptr;      ///< immutable once workers run
+  Tracer* recorder_ = nullptr;    ///< immutable once workers run
   bool shadow_checking_ = false;  ///< immutable once workers run
-  std::atomic<std::uint64_t> shadow_checks_{0};
   std::atomic<std::uint64_t> next_data_id_{1};  ///< DataHandle::id allocator
 
   /// Lane table, fixed at construction: index 0 in shared-bus mode, else
@@ -377,7 +348,6 @@ class DataManager {
   /// directed inter-node lanes per node pair after the intra lanes.
   /// unique_ptr because a mutex is immovable.
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::atomic<std::uint64_t> coalesced_{0};
 
   /// Amortised compaction of resident_handles_: compact when the list
   /// reaches this size, then re-arm at 2x the surviving entries.
@@ -385,7 +355,6 @@ class DataManager {
   void compact_residents_locked();
 
   mutable std::mutex mutex_;
-  TransferStats stats_;
   std::vector<std::size_t> capacities_;  ///< per node; 0 = unlimited
   std::vector<std::size_t> allocated_;   ///< per node
   /// Handles with live device allocations, in rough allocation order (the

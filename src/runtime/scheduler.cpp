@@ -105,7 +105,7 @@ class EagerScheduler final : public Scheduler {
  public:
   explicit EagerScheduler(SchedEnv env) : env_(std::move(env)) {}
 
-  WorkerId push(const TaskPtr& task, SchedDecision*) override {
+  WorkerId push(const TaskPtr& task, DecisionRecord*) override {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(task);
     return kNoWorkerHint;
@@ -173,7 +173,7 @@ class RandomScheduler final : public Scheduler,
   explicit RandomScheduler(SchedEnv env)
       : PerWorkerQueues(env.workers->size()), env_(std::move(env)) {}
 
-  WorkerId push(const TaskPtr& task, SchedDecision*) override {
+  WorkerId push(const TaskPtr& task, DecisionRecord*) override {
     double total_weight = 0.0;
     for (const auto& w : *env_.workers) {
       if (env_.eligible(*task, w.id)) total_weight += w.profile.peak_gflops;
@@ -229,7 +229,7 @@ class WorkStealingScheduler final : public Scheduler,
   explicit WorkStealingScheduler(SchedEnv env)
       : PerWorkerQueues(env.workers->size()), env_(std::move(env)) {}
 
-  WorkerId push(const TaskPtr& task, SchedDecision*) override {
+  WorkerId push(const TaskPtr& task, DecisionRecord*) override {
     WorkerId target = -1;
     std::size_t best_len = 0;
     for (const auto& w : *env_.workers) {
@@ -249,20 +249,20 @@ class WorkStealingScheduler final : public Scheduler,
   TaskPtr pop(WorkerId worker) override {
     if (auto own = take_back(worker)) return *own;
     // Steal: scan victims from the longest queue down, taking the oldest
-    // task the thief can actually execute.
-    std::vector<std::size_t> victims;
+    // task the thief can actually execute. Each size is read once: sizes
+    // re-read inside the comparator change under concurrent pushes and
+    // pops, which breaks std::sort's ordering contract (out-of-range reads).
+    std::vector<std::pair<std::size_t, std::size_t>> victims;  // (size, queue)
     for (std::size_t v = 0; v < queues_.size(); ++v) {
-      if (static_cast<WorkerId>(v) != worker &&
-          queues_[v].approx_size.load(std::memory_order_relaxed) > 0) {
-        victims.push_back(v);
+      const std::size_t size =
+          queues_[v].approx_size.load(std::memory_order_relaxed);
+      if (static_cast<WorkerId>(v) != worker && size > 0) {
+        victims.emplace_back(size, v);
       }
     }
     std::sort(victims.begin(), victims.end(),
-              [this](std::size_t a, std::size_t b) {
-                return queues_[a].approx_size.load(std::memory_order_relaxed) >
-                       queues_[b].approx_size.load(std::memory_order_relaxed);
-              });
-    for (std::size_t v : victims) {
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    for (const auto& [size, v] : victims) {
       auto& q = queues_[v];
       std::lock_guard<std::mutex> lock(q.mutex);
       for (auto it = q.items.begin(); it != q.items.end(); ++it) {
@@ -350,7 +350,7 @@ class ModelSchedulerBase : public Scheduler {
 
   /// The full dmda placement: calibration exploration first, then minimum
   /// predicted completion time including per-worker pending work.
-  WorkerId dmda_push(const TaskPtr& task, SchedDecision* decision) {
+  WorkerId dmda_push(const TaskPtr& task, DecisionRecord* decision) {
     // Calibration phase: while any eligible variant has fewer than
     // calibration_min recorded samples for this footprint, force it to run
     // so the history model learns about it (StarPU does the same).
@@ -464,7 +464,7 @@ class DmdaScheduler final : public ModelSchedulerBase {
  public:
   explicit DmdaScheduler(SchedEnv env) : ModelSchedulerBase(std::move(env)) {}
 
-  WorkerId push(const TaskPtr& task, SchedDecision* decision) override {
+  WorkerId push(const TaskPtr& task, DecisionRecord* decision) override {
     return dmda_push(task, decision);
   }
 
@@ -505,7 +505,7 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     }
   }
 
-  WorkerId push(const TaskPtr& task, SchedDecision* decision) override {
+  WorkerId push(const TaskPtr& task, DecisionRecord* decision) override {
     // Static-composition replay: table placements bypass models entirely.
     if (env_.dispatch != nullptr && task->has_dispatch_keys) {
       if (const WorkerId worker = replay_target(*task); worker >= 0) {
@@ -716,7 +716,7 @@ class LookaheadScheduler final : public ModelSchedulerBase {
   /// pushing task so push() can return a normal worker hint for it; every
   /// other planned task is announced through env_.commit.
   std::size_t plan_window_locked(const TaskPtr& trigger,
-                                 SchedDecision* decision,
+                                 DecisionRecord* decision,
                                  WorkerId* trigger_worker) {
     const auto& workers = *env_.workers;
     const std::size_t worker_count = workers.size();
@@ -832,7 +832,7 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     for (std::size_t i = 0; i < count; ++i) {
       const PlannedTask& pt = window[i];
       const WorkerId worker = best_assign[i];
-      SchedDecision planned;
+      DecisionRecord planned;
       planned.chosen_estimate = best_ends[i];
       planned.arch_estimate.fill(kInf);
       const auto& archs = workers[static_cast<std::size_t>(worker)].archs;

@@ -35,7 +35,6 @@
 namespace peppher::rt {
 
 class DispatchTable;
-struct SchedDecision;
 
 /// Static description of one worker, visible to schedulers.
 struct WorkerDesc {
@@ -80,7 +79,7 @@ struct SchedEnv {
   /// Window-commit notification for every planned task except the one
   /// whose push/pop triggered the planning: the engine traces the
   /// decision, enqueues prefetches toward the chosen worker and wakes it.
-  std::function<void(const TaskPtr&, WorkerId, const SchedDecision&)> commit;
+  std::function<void(const TaskPtr&, WorkerId, const DecisionRecord&)> commit;
 
   /// Window-planning trace hook (unset = no window tracing).
   std::function<void(const WindowRecord&)> record_window;
@@ -97,18 +96,6 @@ struct SchedEnv {
 /// eligible worker may pop from (rather than one worker's own queue).
 inline constexpr WorkerId kNoWorkerHint = -1;
 
-/// Optional out-parameter of Scheduler::push: how the placement was made.
-/// Model-based policies (dmda) fill in their candidate completion estimates
-/// so the tracer can record predicted-vs-actual for the peppher-perf
-/// misprediction analysis; other policies leave the defaults.
-struct SchedDecision {
-  bool explored = false;          ///< calibration placement, not model-based
-  double chosen_estimate = -1.0;  ///< predicted completion vtime (<0 = none)
-  /// Best predicted completion vtime per architecture (+infinity where no
-  /// eligible worker of that architecture exists).
-  std::array<double, kArchCount> arch_estimate{};
-};
-
 /// Scheduler interface (internally synchronized; see file comment).
 class Scheduler {
  public:
@@ -121,9 +108,12 @@ class Scheduler {
   /// read operands are warmed on that worker's memory node while the task
   /// waits in the queue (see EngineConfig::enable_prefetch). When
   /// `decision` is non-null (tracing enabled), the policy reports how the
-  /// placement was made (see SchedDecision).
+  /// placement was made: whether it explored, and model-based policies
+  /// their candidate completion estimates, so the trace can hold
+  /// predicted against actual (PF005). The caller fills in the task and
+  /// the chosen worker.
   virtual WorkerId push(const TaskPtr& task,
-                        SchedDecision* decision = nullptr) = 0;
+                        DecisionRecord* decision = nullptr) = 0;
 
   /// Next task for `worker`, or nullptr if none available to it.
   virtual TaskPtr pop(WorkerId worker) = 0;

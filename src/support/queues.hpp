@@ -1,18 +1,10 @@
-// Concurrent queues used by the runtime's schedulers.
-//
-// These are deliberately mutex-based: the runtime's tasks are coarse-grained
-// (micro- to milli-seconds), so queue contention is not the bottleneck, and
-// the simple implementations are easy to reason about and test. The
-// work-stealing deque follows the classic owner-pops-back / thief-pops-front
-// discipline of Chase–Lev, with a lock instead of the lock-free protocol.
+// The worker parking spot of the runtime's targeted-wakeup protocol. The
+// scheduler queues themselves live in runtime/scheduler.cpp.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
-#include <optional>
-#include <utility>
 
 namespace peppher {
 
@@ -74,11 +66,6 @@ class ParkSlot {
     return true;
   }
 
-  /// True while the owner is announced/parked (load only, no token).
-  bool is_parked() const noexcept {
-    return parked_.load(std::memory_order_seq_cst);
-  }
-
   /// Wakes the owner so it re-evaluates its stop predicate (no token). The
   /// caller must have made the predicate's state visible beforehand.
   void poke() {
@@ -91,106 +78,6 @@ class ParkSlot {
   std::condition_variable cv_;
   bool token_ = false;              ///< guarded by mutex_
   std::atomic<bool> parked_{false};
-};
-
-/// Blocking multi-producer multi-consumer FIFO with shutdown support.
-template <typename T>
-class BlockingQueue {
- public:
-  /// Enqueues an item and wakes one waiter. Returns false if closed.
-  bool push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an item is available or the queue is closed and drained;
-  /// returns nullopt only in the latter case.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Closes the queue: pending items can still be popped, pushes fail, and
-  /// blocked consumers wake up.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
-
-/// Work-stealing deque: the owning worker pushes/pops at the back (LIFO for
-/// locality), thieves steal from the front (FIFO for fairness).
-template <typename T>
-class WorkStealingDeque {
- public:
-  void push(T item) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    items_.push_back(std::move(item));
-  }
-
-  /// Owner-side pop (back). Non-blocking.
-  std::optional<T> pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.back());
-    items_.pop_back();
-    return item;
-  }
-
-  /// Thief-side steal (front). Non-blocking.
-  std::optional<T> steal() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::deque<T> items_;
 };
 
 }  // namespace peppher

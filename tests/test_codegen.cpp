@@ -232,6 +232,7 @@ TEST(Codegen, WriteFilesCreatesTree) {
   std::filesystem::remove_all(dir);
 }
 
+// The one lowering the code generator emits and lint checks against.
 TEST(Codegen, LoweredSignatureConventions) {
   desc::InterfaceDescriptor iface;
   iface.name = "k";
@@ -251,7 +252,7 @@ TEST(Codegen, LoweredSignatureConventions) {
   value.name = "alpha";
   value.type = "float";
   iface.params.push_back(value);
-  EXPECT_EQ(lowered_impl_signature(iface, "k_cpu"),
+  EXPECT_EQ(desc::lowered_impl_signature(iface, "k_cpu"),
             "void k_cpu(double* v, std::size_t v_count, float* m, std::size_t "
             "m_rows, std::size_t m_cols, int* s, float alpha)");
 }

@@ -392,7 +392,7 @@ TEST(MalformedTraces, SeedTraceItselfParses) {
   const perf::Trace trace = perf::parse_trace(kSeedTrace);
   EXPECT_EQ(trace.tasks.size(), 2u);
   EXPECT_EQ(trace.transfers.size(), 2u);
-  EXPECT_EQ(trace.tasks[0].point, 3);
+  EXPECT_EQ(trace.tasks[0].verify_point, 3);
 }
 
 TEST(MalformedTraces, TruncatedTraceRaisesLocatedErrors) {

@@ -1024,7 +1024,7 @@ TEST_F(LintTest, DiagnosticsAreSortedByLocation) {
 }
 
 // ---------------------------------------------------------------------------
-// Lowered-signature helper.
+// Lowered signature lint checks implementations against.
 // ---------------------------------------------------------------------------
 
 TEST(ExpectedImplSignature, LowersContainersLikeTheCodeGenerator) {
@@ -1037,7 +1037,7 @@ TEST(ExpectedImplSignature, LowersContainersLikeTheCodeGenerator) {
       {"s", "Scalar<float>&", rt::AccessMode::kWrite, {}, ""},
       {"raw", "const int*", rt::AccessMode::kRead, {}, "n"},
   };
-  EXPECT_EQ(analyze::expected_impl_signature(iface, "mix_cpu"),
+  EXPECT_EQ(desc::lowered_impl_signature(iface, "mix_cpu"),
             "void mix_cpu(int n, float* v, std::size_t v_count, "
             "double* m, std::size_t m_rows, std::size_t m_cols, "
             "float* s, const int* raw)");

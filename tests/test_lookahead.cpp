@@ -10,10 +10,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "apps/ode.hpp"
 #include "perf/trace.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/perfmodel.hpp"
@@ -410,6 +413,67 @@ TEST(LookaheadReplay, TrainingRunWritesALoadableTable) {
   const auto arch = table.lookup(DispatchTable::key("replay_kernel", 0, -1));
   ASSERT_TRUE(arch.has_value());
   EXPECT_EQ(*arch, Arch::kCuda);
+  std::filesystem::remove_all(dir);
+}
+
+/// Majority architecture per (codelet, footprint, point) key of a
+/// ".dispatch" file, read through the format's one parser.
+std::map<std::tuple<std::string, std::uint64_t, int>, Arch> majorities(
+    const std::filesystem::path& file) {
+  std::map<std::tuple<std::string, std::uint64_t, int>,
+           std::map<Arch, std::uint64_t>>
+      votes;
+  for (const DispatchTable::Entry& entry : DispatchTable::parse_file(file)) {
+    votes[{entry.codelet, entry.footprint, entry.point}][entry.arch] +=
+        entry.count;
+  }
+  std::map<std::tuple<std::string, std::uint64_t, int>, Arch> out;
+  for (const auto& [key, arches] : votes) {
+    out[key] = std::max_element(arches.begin(), arches.end(),
+                                [](const auto& a, const auto& b) {
+                                  return a.second < b.second;
+                                })
+                   ->first;
+  }
+  return out;
+}
+
+// Static composition end to end on the ODE pipeline: a lookahead training
+// run writes a dispatch table, and replaying it (while training a second
+// table) must reproduce the trained per-key majority placements with at
+// most 5% divergence — a replay that drifts from its own table means the
+// table is being ignored.
+TEST(LookaheadReplay, ReplayReproducesTheTrainedMajorities) {
+  const std::filesystem::path dir =
+      peppher::testing::unique_temp_dir("peppher_replay_ode");
+  const std::filesystem::path trained = dir / "train.dispatch";
+  const std::filesystem::path replayed = dir / "replay.dispatch";
+  apps::ode::register_components();
+  const apps::ode::Problem problem = apps::ode::make_problem(96, 24);
+  for (const bool replay : {false, true}) {
+    EngineConfig config;
+    config.machine = sim::MachineConfig::platform_c2050();
+    config.scheduler = "lookahead";
+    config.use_history_models = false;
+    config.dispatch_out = replay ? replayed : trained;
+    if (replay) config.dispatch_table = trained;
+    Engine engine(config);
+    apps::ode::run_tool(engine, problem);
+  }  // each shutdown saves its table
+
+  const auto train = majorities(trained);
+  const auto replay = majorities(replayed);
+  std::size_t shared = 0;
+  std::size_t diverged = 0;
+  for (const auto& [key, arch] : train) {
+    const auto found = replay.find(key);
+    if (found == replay.end()) continue;
+    ++shared;
+    if (found->second != arch) ++diverged;
+  }
+  ASSERT_GT(shared, 0u) << "no shared keys between the two tables";
+  EXPECT_LE(static_cast<double>(diverged), 0.05 * static_cast<double>(shared))
+      << diverged << " of " << shared << " keys diverged";
   std::filesystem::remove_all(dir);
 }
 

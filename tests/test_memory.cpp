@@ -15,11 +15,32 @@
 namespace peppher::rt {
 namespace {
 
+/// A recorder attached to a bare data manager keeps the books an Engine
+/// would keep; `transfers()` reads the traffic since `reset()`.
+class RecordedTraffic {
+ public:
+  explicit RecordedTraffic(DataManager& manager) {
+    recorder_.configure(manager.topo(), {}, false);
+    manager.set_recorder(&recorder_);
+  }
+  TransferStats transfers() const {
+    return recorder_.books().since(baseline_).transfers();
+  }
+  void reset() { baseline_ = recorder_.books(); }
+
+ private:
+  Tracer recorder_;
+  Books baseline_;
+};
+
 class MemoryTest : public ::testing::Test {
  protected:
   MemoryTest() : manager_(3, sim::LinkProfile::pcie2_x16()) {}  // host + 2 GPUs
 
+  TransferStats stats() const { return traffic_.transfers(); }
+
   DataManager manager_;
+  RecordedTraffic traffic_{manager_};
 };
 
 TEST_F(MemoryTest, FreshHandleIsOwnedOnHost) {
@@ -43,7 +64,7 @@ TEST_F(MemoryTest, ReadAcquireCopiesAndShares) {
   EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kShared);
   EXPECT_EQ(h->replica_state(1), ReplicaState::kShared);
   for (int i = 0; i < 16; ++i) EXPECT_FLOAT_EQ(device_ptr[i], data[i]);
-  EXPECT_EQ(manager_.stats().host_to_device_count, 1u);
+  EXPECT_EQ(stats().host_to_device_count, 1u);
 }
 
 TEST_F(MemoryTest, SecondReadAcquireIsFree) {
@@ -51,10 +72,10 @@ TEST_F(MemoryTest, SecondReadAcquireIsFree) {
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
   h->acquire(1, AccessMode::kRead, nullptr);
-  const auto before = manager_.stats().total_count();
+  const auto before = stats().total_count();
   VirtualTime ready = -1.0;
   h->acquire(1, AccessMode::kRead, &ready);
-  EXPECT_EQ(manager_.stats().total_count(), before);
+  EXPECT_EQ(stats().total_count(), before);
 }
 
 TEST_F(MemoryTest, WriteAcquireInvalidatesOthersWithoutTransfer) {
@@ -62,7 +83,7 @@ TEST_F(MemoryTest, WriteAcquireInvalidatesOthersWithoutTransfer) {
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
   h->acquire(1, AccessMode::kWrite, nullptr);
-  EXPECT_EQ(manager_.stats().total_count(), 0u);  // W needs no fetch
+  EXPECT_EQ(stats().total_count(), 0u);  // W needs no fetch
   EXPECT_EQ(h->replica_state(1), ReplicaState::kOwned);
   EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kInvalid);
 }
@@ -75,7 +96,7 @@ TEST_F(MemoryTest, ReadWriteFetchesThenOwns) {
   EXPECT_FLOAT_EQ(ptr[0], 4.0f);
   EXPECT_EQ(h->replica_state(1), ReplicaState::kOwned);
   EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kInvalid);
-  EXPECT_EQ(manager_.stats().host_to_device_count, 1u);
+  EXPECT_EQ(stats().host_to_device_count, 1u);
 }
 
 TEST_F(MemoryTest, ModifiedDeviceDataFlowsBackToHost) {
@@ -87,7 +108,7 @@ TEST_F(MemoryTest, ModifiedDeviceDataFlowsBackToHost) {
   h->mark_written(1, 1.0);
   h->acquire(kHostNode, AccessMode::kRead, nullptr);
   for (float v : data) EXPECT_FLOAT_EQ(v, 9.0f);
-  EXPECT_EQ(manager_.stats().device_to_host_count, 1u);
+  EXPECT_EQ(stats().device_to_host_count, 1u);
 }
 
 TEST_F(MemoryTest, DeviceToDeviceGoesThroughHost) {
@@ -100,8 +121,8 @@ TEST_F(MemoryTest, DeviceToDeviceGoesThroughHost) {
   auto* d2 = static_cast<float*>(h->acquire(2, AccessMode::kRead, nullptr));
   EXPECT_FLOAT_EQ(d2[0], 42.0f);
   // One d2h (to host) + one h2d (to device 2).
-  EXPECT_EQ(manager_.stats().device_to_host_count, 1u);
-  EXPECT_EQ(manager_.stats().host_to_device_count, 2u);  // incl. first RW fetch
+  EXPECT_EQ(stats().device_to_host_count, 1u);
+  EXPECT_EQ(stats().host_to_device_count, 2u);  // incl. first RW fetch
 }
 
 // The Figure 3 walk-through: 4 component calls on the GPU + 2 application
@@ -110,7 +131,7 @@ TEST_F(MemoryTest, Figure3ScenarioNeedsOnlyTwoCopies) {
   std::vector<float> v0(1024, 0.0f);
   auto h = manager_.register_buffer(v0.data(), v0.size() * sizeof(float),
                                     sizeof(float));
-  manager_.reset_stats();
+  traffic_.reset();
 
   // line 4: comp1(v0, write) on GPU — allocation only, no copy.
   auto* d = static_cast<float*>(h->acquire(1, AccessMode::kWrite, nullptr));
@@ -136,8 +157,8 @@ TEST_F(MemoryTest, Figure3ScenarioNeedsOnlyTwoCopies) {
   EXPECT_FLOAT_EQ(v0[7], 2.0f);
   v0[7] = 5.0f;
 
-  EXPECT_EQ(manager_.stats().total_count(), 2u);
-  EXPECT_EQ(manager_.stats().device_to_host_count, 2u);
+  EXPECT_EQ(stats().total_count(), 2u);
+  EXPECT_EQ(stats().device_to_host_count, 2u);
   EXPECT_EQ(h->replica_state(1), ReplicaState::kInvalid);
 }
 
@@ -194,12 +215,12 @@ TEST_F(MemoryTest, ContiguousChunksCoalesceIntoOneBurst) {
   const double latency = manager_.estimate_link_seconds(0);
   const double bandwidth_part = manager_.estimate_link_seconds(half) - latency;
   EXPECT_NEAR(end2 - end1, bandwidth_part, 1e-12);  // no second latency
-  EXPECT_EQ(manager_.stats().coalesced_transfers, 1u);
+  EXPECT_EQ(stats().coalesced_transfers, 1u);
 
   // A non-contiguous follow-up starts a fresh burst and pays latency again.
   const VirtualTime end3 = manager_.charge_link(kHostNode, 1, half, 0.0, base);
   EXPECT_NEAR(end3 - end2, latency + bandwidth_part, 1e-12);
-  EXPECT_EQ(manager_.stats().coalesced_transfers, 1u);
+  EXPECT_EQ(stats().coalesced_transfers, 1u);
 }
 
 TEST_F(MemoryTest, CoalescingRespectsTheIdleWindow) {
@@ -210,7 +231,7 @@ TEST_F(MemoryTest, CoalescingRespectsTheIdleWindow) {
   // Ready long after the burst went idle: the DMA engine has moved on.
   const double gap = manager_.link().coalesce_window_us * 1e-6 * 10.0;
   manager_.charge_link(kHostNode, 1, half, end1 + gap, base + half);
-  EXPECT_EQ(manager_.stats().coalesced_transfers, 0u);
+  EXPECT_EQ(stats().coalesced_transfers, 0u);
 }
 
 TEST_F(MemoryTest, PendingPrefetchZeroesTheFetchEstimate) {
@@ -316,7 +337,10 @@ class EvictionTest : public ::testing::Test {
                                     sizeof(float));
   }
 
+  TransferStats stats() const { return traffic_.transfers(); }
+
   DataManager manager_;
+  RecordedTraffic traffic_{manager_};
 };
 
 TEST_F(EvictionTest, UnpinnedReplicaIsEvictedUnderPressure) {
@@ -340,8 +364,8 @@ TEST_F(EvictionTest, UnpinnedReplicaIsEvictedUnderPressure) {
   EXPECT_EQ(manager_.node_allocated(1), 1024u);
   EXPECT_EQ(a->replica_state(1), ReplicaState::kInvalid);
   EXPECT_EQ(b->replica_state(1), ReplicaState::kShared);
-  EXPECT_EQ(manager_.stats().evictions, 1u);
-  EXPECT_EQ(manager_.stats().overcommits, 0u);
+  EXPECT_EQ(stats().evictions, 1u);
+  EXPECT_EQ(stats().overcommits, 0u);
 }
 
 TEST_F(EvictionTest, PinnedReplicasAreNeverEvicted) {
@@ -351,8 +375,8 @@ TEST_F(EvictionTest, PinnedReplicasAreNeverEvicted) {
   a->acquire(1, AccessMode::kRead, nullptr);  // no release: pinned
   b->acquire(1, AccessMode::kRead, nullptr);
   EXPECT_EQ(a->replica_state(1), ReplicaState::kShared);  // survived
-  EXPECT_EQ(manager_.stats().evictions, 0u);
-  EXPECT_EQ(manager_.stats().overcommits, 1u);  // nothing evictable
+  EXPECT_EQ(stats().evictions, 0u);
+  EXPECT_EQ(stats().overcommits, 1u);  // nothing evictable
   EXPECT_GT(manager_.node_allocated(1), 1024u);
   a->release(1);
   b->release(1);
@@ -374,7 +398,7 @@ TEST_F(EvictionTest, OwnedReplicaIsFlushedHomeBeforeEviction) {
   EXPECT_EQ(a->replica_state(1), ReplicaState::kInvalid);
   EXPECT_EQ(a->replica_state(kHostNode), ReplicaState::kOwned);
   for (float v : a_data) ASSERT_FLOAT_EQ(v, 7.0f);
-  EXPECT_EQ(manager_.stats().evictions, 1u);
+  EXPECT_EQ(stats().evictions, 1u);
 }
 
 TEST_F(EvictionTest, EvictedDataIsRefetchedOnNextUse) {
@@ -387,10 +411,10 @@ TEST_F(EvictionTest, EvictedDataIsRefetchedOnNextUse) {
   b->release(1);
   ASSERT_EQ(a->replica_state(1), ReplicaState::kInvalid);  // evicted
   // Re-acquiring re-allocates and re-transfers (the §IV-D caveat).
-  const auto before = manager_.stats().host_to_device_count;
+  const auto before = stats().host_to_device_count;
   auto* ptr = static_cast<float*>(a->acquire(1, AccessMode::kRead, nullptr));
   EXPECT_FLOAT_EQ(ptr[0], 1.0f);
-  EXPECT_EQ(manager_.stats().host_to_device_count, before + 1);
+  EXPECT_EQ(stats().host_to_device_count, before + 1);
   a->release(1);
 }
 
@@ -410,9 +434,9 @@ TEST_F(MemoryTest, StatsTrackBytes) {
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
   h->acquire(1, AccessMode::kRead, nullptr);
-  EXPECT_EQ(manager_.stats().host_to_device_bytes, 1024u);
-  manager_.reset_stats();
-  EXPECT_EQ(manager_.stats().total_count(), 0u);
+  EXPECT_EQ(stats().host_to_device_bytes, 1024u);
+  traffic_.reset();
+  EXPECT_EQ(stats().total_count(), 0u);
 }
 
 // -- partition/unpartition transfer accounting (hybrid SpMV chunk pattern) ----
@@ -429,19 +453,20 @@ TEST_F(MemoryTest, PartitionedChunkUploadsCoalesceExactly) {
     child->acquire(1, AccessMode::kRead, nullptr);
     child->release(1);
   }
-  EXPECT_EQ(manager_.stats().host_to_device_count, 4u);
-  EXPECT_EQ(manager_.stats().coalesced_transfers, 3u);
-  EXPECT_EQ(manager_.stats().device_to_host_count, 0u);
+  EXPECT_EQ(stats().host_to_device_count, 4u);
+  EXPECT_EQ(stats().coalesced_transfers, 3u);
+  EXPECT_EQ(stats().device_to_host_count, 0u);
   // Read-shared children leave the host copy valid: gathering needs no
   // transfers at all.
   h->unpartition();
-  EXPECT_EQ(manager_.stats().device_to_host_count, 0u);
+  EXPECT_EQ(stats().device_to_host_count, 0u);
 }
 
 // Same pattern on the legacy shared bus: the single half-duplex clock still
 // serialises everything and never merges bursts.
 TEST(SharedBusAccounting, ChunkUploadsNeverCoalesce) {
   DataManager manager(2, sim::LinkProfile::pcie2_x16_shared());
+  RecordedTraffic traffic(manager);
   std::vector<float> data(4096, 1.0f);
   auto h = manager.register_buffer(data.data(), data.size() * sizeof(float),
                                    sizeof(float));
@@ -450,8 +475,8 @@ TEST(SharedBusAccounting, ChunkUploadsNeverCoalesce) {
     child->acquire(1, AccessMode::kRead, nullptr);
     child->release(1);
   }
-  EXPECT_EQ(manager.stats().host_to_device_count, 4u);
-  EXPECT_EQ(manager.stats().coalesced_transfers, 0u);
+  EXPECT_EQ(traffic.transfers().host_to_device_count, 4u);
+  EXPECT_EQ(traffic.transfers().coalesced_transfers, 0u);
 }
 
 // Device-written chunks gathered by unpartition(): one download per chunk,
@@ -471,10 +496,10 @@ TEST_F(MemoryTest, UnpartitionWritebackCountsExactly) {
     children[c]->mark_written(1, 1.0);
     children[c]->release(1);
   }
-  EXPECT_EQ(manager_.stats().host_to_device_count, 0u);  // kWrite fetches nothing
+  EXPECT_EQ(stats().host_to_device_count, 0u);  // kWrite fetches nothing
   h->unpartition();
-  EXPECT_EQ(manager_.stats().device_to_host_count, 4u);
-  EXPECT_EQ(manager_.stats().coalesced_transfers, 3u);
+  EXPECT_EQ(stats().device_to_host_count, 4u);
+  EXPECT_EQ(stats().coalesced_transfers, 3u);
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_FLOAT_EQ(data[i], static_cast<float>(i / 256));
   }

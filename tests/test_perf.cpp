@@ -2,25 +2,31 @@
 //
 //  - a golden chrome://tracing export pinned byte-for-byte (like the SARIF
 //    golden), so format drift is a visible diff;
-//  - a differential harness: for every scheduler, totals derived purely
-//    from the trace must EXACTLY equal the engine's own counters
-//    (WorkerStats, TransferStats, PrefetchStats, FaultStats) — the trace
-//    is a second bookkeeping system and the two must never diverge;
+//  - a differential harness: for every scheduler, on one host and on a
+//    two-node cluster, with and without faults, totals derived purely from
+//    the trace must EXACTLY equal the counters behind the engine's stats
+//    accessors — one recorder call feeds both, so they never diverge;
+//  - summary() reporting one interval, the one since the last reset;
 //  - round-trip of the machine-readable schema through the src/perf
-//    parser;
+//    parser, record for record;
 //  - the PF0xx analyses, both end-to-end (a deliberately mis-sized
 //    machine must yield a device-imbalance diagnosis naming the hot
 //    program point) and unit-level on hand-built traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/ode.hpp"
+#include "apps/spmv.hpp"
 #include "perf/analyze.hpp"
 #include "perf/trace.hpp"
 #include "runtime/engine.hpp"
@@ -177,47 +183,50 @@ TEST(TraceGolden, ClusterChromeExportIsPinned) {
 // Differential harness: trace totals == engine counters, exactly
 // ---------------------------------------------------------------------------
 
-class TraceDifferential : public ::testing::TestWithParam<std::string> {};
-
-INSTANTIATE_TEST_SUITE_P(AllSchedulers, TraceDifferential,
-                         ::testing::Values("eager", "random", "ws", "dmda"),
-                         [](const auto& info) { return info.param; });
-
-TEST_P(TraceDifferential, CountersMatchTraceExactly) {
-  EngineConfig config;
-  config.machine = sim::MachineConfig::platform_c2050();
-  config.machine.cpu_cores = 2;
-  config.scheduler = GetParam();
-  config.use_history_models = false;
-  config.enable_trace = true;
-  Engine engine(config);
-  Codelet codelet = make_chain_codelet();
-  run_chains(engine, codelet, /*chains=*/6, /*length=*/30);
-
-  // Per-worker busy time: the worker accumulates exec_seconds in execution
-  // order, and its records land in the trace in that same order, so the
-  // re-summed doubles must be BITWISE equal — any tolerance would hide a
-  // dropped or double-counted record.
+/// Re-derives every counter the engine exposes from the trace records and
+/// expects exact equality. Call after wait_for_all() and drain_prefetches().
+void expect_books_match_trace(Engine& engine, const std::string& scheduler) {
+  // Per-worker books: a worker records its attempts in execution order and
+  // accumulates busy time and energy in that same order, so the re-summed
+  // doubles must be BITWISE equal — any tolerance would hide a dropped or
+  // double-counted record.
   std::map<int, double> busy;
+  std::map<int, double> energy;
   std::map<int, std::uint64_t> executed;
   std::map<int, std::uint64_t> failed;
+  std::array<std::uint64_t, rt::kArchCount> arch{};
   for (const rt::TaskRecord& r : engine.trace().records()) {
+    const double watts =
+        engine.workers()[static_cast<std::size_t>(r.worker)].profile.busy_watts;
     busy[r.worker] += r.exec_seconds;
+    energy[r.worker] += r.exec_seconds * watts;
     ++(r.failed ? failed : executed)[r.worker];
+    if (!r.failed) ++arch[static_cast<std::size_t>(r.arch)];
   }
+  double total_energy = 0.0;
   for (const rt::WorkerDesc& desc : engine.workers()) {
     const rt::WorkerStats stats = engine.worker_stats(desc.id);
     EXPECT_EQ(busy[desc.id], stats.busy_vtime) << "worker " << desc.id;
+    EXPECT_EQ(energy[desc.id], stats.energy_joules) << "worker " << desc.id;
     EXPECT_EQ(executed[desc.id], stats.tasks_executed) << "worker " << desc.id;
     EXPECT_EQ(failed[desc.id], stats.failed_attempts) << "worker " << desc.id;
+    total_energy += energy[desc.id];
   }
+  EXPECT_EQ(total_energy, engine.energy_joules());
+  EXPECT_EQ(arch, engine.arch_task_counts());
+  std::uint64_t failed_records = 0;
+  for (const auto& [worker, count] : failed) failed_records += count;
+  EXPECT_EQ(failed_records, engine.fault_stats().failed_attempts);
 
   // Transfers: every DataManager hop emits exactly one record, so counts,
   // bytes and coalesced joins re-derived from the trace must equal
-  // TransferStats to the last byte.
+  // TransferStats to the last byte. Inter-node hops are the n2n rows.
   rt::TransferStats observed;
   for (const rt::TransferRecord& t : engine.trace().transfers()) {
-    if (t.from == rt::kHostNode) {
+    if (t.from_node != t.to_node) {
+      ++observed.internode_count;
+      observed.internode_bytes += t.bytes;
+    } else if (engine.topo().is_host(t.from)) {
       ++observed.host_to_device_count;
       observed.host_to_device_bytes += t.bytes;
     } else {
@@ -231,6 +240,8 @@ TEST_P(TraceDifferential, CountersMatchTraceExactly) {
   EXPECT_EQ(observed.device_to_host_count, stats.device_to_host_count);
   EXPECT_EQ(observed.host_to_device_bytes, stats.host_to_device_bytes);
   EXPECT_EQ(observed.device_to_host_bytes, stats.device_to_host_bytes);
+  EXPECT_EQ(observed.internode_count, stats.internode_count);
+  EXPECT_EQ(observed.internode_bytes, stats.internode_bytes);
   EXPECT_EQ(observed.coalesced_transfers, stats.coalesced_transfers);
 
   // Prefetch lifecycle: one enqueued record per queued operand, one
@@ -250,18 +261,39 @@ TEST_P(TraceDifferential, CountersMatchTraceExactly) {
   EXPECT_EQ(completed, prefetch.completed);
   EXPECT_EQ(skipped, prefetch.skipped);
 
-  // Scheduler decisions: one record per hinted placement; the chosen
-  // worker must exist and dmda's steady-state decisions carry estimates.
+  // Scheduler decisions: one record per placement on a concrete worker;
+  // the chosen worker must exist and dmda's steady-state decisions carry
+  // estimates.
   for (const rt::DecisionRecord& d : engine.trace().decisions()) {
     ASSERT_GE(d.chosen, 0);
     ASSERT_LT(d.chosen, static_cast<int>(engine.workers().size()));
-    if (GetParam() == "dmda" && !d.explored) {
+    if (scheduler == "dmda" && !d.explored) {
       EXPECT_GE(d.chosen_estimate, 0.0);
     }
   }
-  if (GetParam() != "eager") {  // central FIFO places nothing at push time
+  if (scheduler != "eager") {  // central FIFO places nothing at push time
     EXPECT_FALSE(engine.trace().decisions().empty());
   }
+}
+
+class TraceDifferential : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(AllSchedulers, TraceDifferential,
+                         ::testing::Values("eager", "random", "ws", "dmda",
+                                           "lookahead"),
+                         [](const auto& info) { return info.param; });
+
+TEST_P(TraceDifferential, CountersMatchTraceExactly) {
+  EngineConfig config;
+  config.machine = sim::MachineConfig::platform_c2050();
+  config.machine.cpu_cores = 2;
+  config.scheduler = GetParam();
+  config.use_history_models = false;
+  config.enable_trace = true;
+  Engine engine(config);
+  Codelet codelet = make_chain_codelet();
+  run_chains(engine, codelet, /*chains=*/6, /*length=*/30);
+  expect_books_match_trace(engine, GetParam());
 }
 
 TEST_P(TraceDifferential, FaultedCountersMatchTraceExactly) {
@@ -281,23 +313,110 @@ TEST_P(TraceDifferential, FaultedCountersMatchTraceExactly) {
   Codelet codelet = make_chain_codelet();
   run_chains(engine, codelet, /*chains=*/6, /*length=*/30);
 
-  const rt::FaultStats faults = engine.fault_stats();
-  std::uint64_t success_records = 0;
-  std::uint64_t failed_records = 0;
-  std::map<int, double> busy;
-  for (const rt::TaskRecord& r : engine.trace().records()) {
-    busy[r.worker] += r.exec_seconds;
-    ++(r.failed ? failed_records : success_records);
-  }
-  EXPECT_EQ(success_records, 6u * 30u);
-  EXPECT_EQ(failed_records, faults.failed_attempts);
-
   // Busy time stays exact under retries too: the failed attempt burned
   // the worker's virtual time and the trace must account for it.
-  for (const rt::WorkerDesc& desc : engine.workers()) {
-    EXPECT_EQ(busy[desc.id], engine.worker_stats(desc.id).busy_vtime)
-        << "worker " << desc.id;
+  expect_books_match_trace(engine, GetParam());
+  std::uint64_t success_records = 0;
+  for (const rt::TaskRecord& r : engine.trace().records()) {
+    if (!r.failed) ++success_records;
   }
+  EXPECT_EQ(success_records, 6u * 30u);
+}
+
+TEST_P(TraceDifferential, ClusterCountersMatchTraceExactly) {
+  EngineConfig config;
+  sim::MachineConfig node = sim::MachineConfig::platform_c2050();
+  node.cpu_cores = 2;
+  config.cluster = sim::ClusterConfig::uniform(2, node);
+  config.scheduler = GetParam();
+  config.use_history_models = false;
+  config.enable_trace = true;
+  Engine engine(config);
+  Codelet codelet = make_chain_codelet();
+
+  // Each chain alternates between the two nodes' accelerators, so every
+  // step crosses the inter-node link whatever the policy.
+  std::vector<std::vector<float>> buffers(4, std::vector<float>(64, 0.f));
+  std::vector<DataHandlePtr> handles;
+  for (auto& buffer : buffers) {
+    handles.push_back(engine.register_buffer(
+        buffer.data(), buffer.size() * sizeof(float), sizeof(float)));
+  }
+  for (int step = 0; step < 6; ++step) {
+    for (std::size_t chain = 0; chain < handles.size(); ++chain) {
+      TaskSpec spec;
+      spec.codelet = &codelet;
+      spec.operands = {{handles[chain], AccessMode::kReadWrite}};
+      spec.forced_worker =
+          accelerator_on(engine, static_cast<int>(chain + step) % 2);
+      engine.submit(std::move(spec));
+    }
+  }
+  engine.wait_for_all();
+  engine.drain_prefetches();
+  for (const DataHandlePtr& handle : handles) {
+    engine.acquire_host(handle, AccessMode::kRead);
+  }
+
+  EXPECT_GT(engine.transfer_stats().internode_count, 0u);
+  expect_books_match_trace(engine, GetParam());
+}
+
+// ---------------------------------------------------------------------------
+// summary(): one interval, the one since the last reset_virtual_time()
+// ---------------------------------------------------------------------------
+
+TEST(EngineBooks, SummaryReportsTheRunSinceTheLastReset) {
+  EngineConfig config;
+  config.machine = sim::MachineConfig::platform_c2050();
+  Engine engine(config);
+  const apps::spmv::Problem problem = apps::spmv::make_problem(
+      apps::sparse::MatrixClass::kStructural, 0.02);
+  apps::spmv::RunResult third;
+  std::uint64_t first_task_of_third = 0;
+  for (int run = 0; run < 3; ++run) {  // each run resets the virtual clocks
+    first_task_of_third = engine.tasks_submitted();
+    third = apps::spmv::run_hybrid(engine, problem, 8);
+  }
+  const std::uint64_t third_tasks =
+      engine.tasks_submitted() - first_task_of_third;
+  const std::string summary = engine.summary();
+
+  EXPECT_NE(summary.find("scheduler 'dmda', " + std::to_string(third_tasks) +
+                         " tasks, makespan"),
+            std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("PCIe: " +
+                         std::to_string(third.transfers.host_to_device_count) +
+                         " h2d"),
+            std::string::npos)
+      << summary;
+
+  // Busy time and the makespan cover the same interval: no worker is busy
+  // longer than the run.
+  const std::regex utilisation(R"(s busy \((\d+)%\))");
+  int workers = 0;
+  for (auto it = std::sregex_iterator(summary.begin(), summary.end(),
+                                      utilisation);
+       it != std::sregex_iterator(); ++it) {
+    ++workers;
+    EXPECT_LE(std::stoi((*it)[1].str()), 100) << summary;
+  }
+  EXPECT_EQ(workers, static_cast<int>(engine.workers().size()));
+
+  // The per-architecture counts are the third run's tasks too.
+  const std::regex per_arch(R"( [a-z]+=(\d+))");
+  const std::size_t arch_line = summary.find("tasks by architecture:");
+  ASSERT_NE(arch_line, std::string::npos);
+  const std::string arch_text =
+      summary.substr(arch_line, summary.find('\n', arch_line) - arch_line);
+  std::uint64_t by_arch = 0;
+  for (auto it = std::sregex_iterator(arch_text.begin(), arch_text.end(),
+                                      per_arch);
+       it != std::sregex_iterator(); ++it) {
+    by_arch += std::stoull((*it)[1].str());
+  }
+  EXPECT_EQ(by_arch, third_tasks) << summary;
 }
 
 // ---------------------------------------------------------------------------
@@ -305,42 +424,66 @@ TEST_P(TraceDifferential, FaultedCountersMatchTraceExactly) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceSchema, RoundTripsThroughTheParser) {
-  EngineConfig config;
-  config.machine = sim::MachineConfig::platform_c2050();
-  config.machine.cpu_cores = 2;
-  config.scheduler = "dmda";
-  config.use_history_models = false;
-  config.enable_trace = true;
-  Engine engine(config);
-  engine.trace_phase("build");
-  Codelet codelet = make_chain_codelet();
-  run_chains(engine, codelet, /*chains=*/4, /*length=*/10);
-  engine.trace_phase("done");
+  for (const char* scheduler : {"dmda", "lookahead"}) {
+    SCOPED_TRACE(scheduler);
+    EngineConfig config;
+    config.machine = sim::MachineConfig::platform_c2050();
+    config.machine.cpu_cores = 2;
+    config.scheduler = scheduler;
+    config.use_history_models = false;
+    config.enable_trace = true;
+    Engine engine(config);
+    engine.trace_phase("build");
+    Codelet codelet = make_chain_codelet();
+    run_chains(engine, codelet, /*chains=*/4, /*length=*/10);
+    engine.trace_phase("done");
 
-  const perf::Trace trace = perf::parse_trace(engine.trace_json());
-  EXPECT_EQ(trace.version, 1);
-  EXPECT_EQ(trace.machine, config.machine.name);
-  EXPECT_EQ(trace.scheduler, "dmda");
-  EXPECT_EQ(trace.workers.size(), engine.workers().size());
-  EXPECT_EQ(trace.tasks.size(), engine.trace().records().size());
-  EXPECT_EQ(trace.transfers.size(), engine.trace().transfers().size());
-  EXPECT_EQ(trace.prefetches.size(), engine.trace().prefetches().size());
-  EXPECT_EQ(trace.decisions.size(), engine.trace().decisions().size());
-  ASSERT_EQ(trace.phases.size(), 2u);
-  EXPECT_EQ(trace.phases[0].label, "build");
-  EXPECT_EQ(trace.phases[1].label, "done");
-  EXPECT_EQ(trace.makespan, engine.virtual_makespan());
+    const perf::Trace trace = perf::parse_trace(engine.trace_json());
+    EXPECT_EQ(trace.version, 1);
+    EXPECT_EQ(trace.machine, config.machine.name);
+    EXPECT_EQ(trace.scheduler, scheduler);
+    EXPECT_EQ(trace.makespan, engine.virtual_makespan());
+    ASSERT_EQ(trace.workers.size(), engine.workers().size());
+    for (std::size_t i = 0; i < trace.workers.size(); ++i) {
+      const rt::WorkerDesc& desc = engine.workers()[i];
+      EXPECT_EQ(trace.workers[i].id, desc.id);
+      EXPECT_EQ(trace.workers[i].name, desc.profile.name);
+      EXPECT_EQ(trace.workers[i].arch, rt::to_string(desc.archs.front()));
+      EXPECT_EQ(trace.workers[i].node, desc.node);
+      EXPECT_EQ(trace.workers[i].sim_node, desc.sim_node);
+      EXPECT_EQ(trace.workers[i].combined, desc.is_combined_cpu);
+    }
 
-  // Doubles survive the round trip bit-for-bit (the writer emits 17
-  // significant digits).
-  ASSERT_FALSE(trace.tasks.empty());
-  double trace_busy = 0.0;
-  for (const perf::TraceTask& t : trace.tasks) trace_busy += t.exec;
-  double engine_busy = 0.0;
-  for (const rt::TaskRecord& r : engine.trace().records()) {
-    engine_busy += r.exec_seconds;
+    // Every parsed record equals its in-memory record, field for field
+    // (doubles bit for bit: the writer emits 17 significant digits). The
+    // document orders tasks by (sequence, attempt) and transfers by
+    // (lane, lane order); the other streams keep recording order.
+    std::vector<rt::TaskRecord> tasks = engine.trace().records();
+    std::sort(tasks.begin(), tasks.end(),
+              [](const rt::TaskRecord& a, const rt::TaskRecord& b) {
+                return std::pair(a.sequence, a.attempt) <
+                       std::pair(b.sequence, b.attempt);
+              });
+    std::vector<rt::TransferRecord> transfers = engine.trace().transfers();
+    std::sort(transfers.begin(), transfers.end(),
+              [](const rt::TransferRecord& a, const rt::TransferRecord& b) {
+                return std::pair(a.lane, a.lane_sequence) <
+                       std::pair(b.lane, b.lane_sequence);
+              });
+    ASSERT_FALSE(tasks.empty());
+    ASSERT_FALSE(transfers.empty());
+    EXPECT_TRUE(trace.tasks == tasks);
+    EXPECT_TRUE(trace.transfers == transfers);
+    EXPECT_TRUE(trace.prefetches == engine.trace().prefetches());
+    EXPECT_TRUE(trace.decisions == engine.trace().decisions());
+    EXPECT_TRUE(trace.windows == engine.trace().windows());
+    EXPECT_TRUE(trace.phases == engine.trace().phases());
+    ASSERT_EQ(trace.phases.size(), 2u);
+    EXPECT_EQ(trace.phases[1].label, "done");
+    if (std::string(scheduler) == "lookahead") {
+      EXPECT_FALSE(trace.windows.empty());
+    }
   }
-  EXPECT_DOUBLE_EQ(trace_busy, engine_busy);
 }
 
 // Schema v1 additive node fields: workers carry sim_node, transfers carry
@@ -377,7 +520,7 @@ TEST(TraceSchema, ClusterRunStampsNodeIds) {
   EXPECT_TRUE(saw_node1_worker);
 
   int internode = 0;
-  for (const perf::TraceTransfer& t : trace.transfers) {
+  for (const rt::TransferRecord& t : trace.transfers) {
     EXPECT_GE(t.from_node, 0);
     EXPECT_GE(t.to_node, 0);
     if (t.from_node != t.to_node) ++internode;
@@ -449,18 +592,18 @@ perf::Trace balanced_base() {
   return trace;
 }
 
-perf::TraceTask unit_task(std::uint64_t sequence, const std::string& name,
-                          int worker, double start, double exec,
-                          std::vector<std::uint64_t> data = {}) {
-  perf::TraceTask t;
+rt::TaskRecord unit_task(std::uint64_t sequence, const std::string& name,
+                         int worker, double start, double exec,
+                         std::vector<std::uint64_t> data = {}) {
+  rt::TaskRecord t;
   t.sequence = sequence;
   t.name = name;
   t.impl = name + "_impl";
-  t.arch = "cpu";
+  t.arch = Arch::kCpu;
   t.worker = worker;
   t.vstart = start;
   t.vend = start + exec;
-  t.exec = exec;
+  t.exec_seconds = exec;
   t.data = std::move(data);
   return t;
 }
@@ -477,9 +620,9 @@ TEST(PerfAnalysis, TransferBoundPhaseIsReported) {
   perf::Trace trace = balanced_base();
   trace.tasks = {unit_task(0, "a", 0, 0.0, 0.1),
                  unit_task(1, "a", 1, 0.0, 0.1)};
-  perf::TraceTransfer move;
+  rt::TransferRecord move;
   move.lane = 0;
-  move.order = 0;
+  move.lane_sequence = 0;
   move.from = 0;
   move.to = 1;
   move.bytes = 1 << 20;
@@ -496,15 +639,15 @@ TEST(PerfAnalysis, PrefetchMissesAndStaleSkipsAreReported) {
   trace.tasks = {unit_task(0, "a", 0, 0.0, 0.5),
                  unit_task(1, "a", 1, 0.0, 0.5)};
   for (int i = 0; i < 10; ++i) {
-    perf::TracePrefetch enqueue;
-    enqueue.event = "enqueued";
-    enqueue.reason = "none";
-    enqueue.task = static_cast<std::uint64_t>(i);
+    rt::PrefetchRecord enqueue;
+    enqueue.event = rt::PrefetchEvent::kEnqueued;
+    enqueue.task_sequence = static_cast<std::uint64_t>(i);
     trace.prefetches.push_back(enqueue);
-    perf::TracePrefetch outcome;
-    outcome.event = "skipped";
-    outcome.reason = i == 0 ? "writer_race" : "transfer_failed";
-    outcome.task = static_cast<std::uint64_t>(i);
+    rt::PrefetchRecord outcome;
+    outcome.event = rt::PrefetchEvent::kSkipped;
+    outcome.reason = i == 0 ? rt::PrefetchSkipReason::kWriterRace
+                            : rt::PrefetchSkipReason::kTransferFailed;
+    outcome.task_sequence = static_cast<std::uint64_t>(i);
     trace.prefetches.push_back(outcome);
   }
   const diag::DiagnosticBag bag = perf::analyze_trace(trace);
@@ -523,10 +666,10 @@ TEST(PerfAnalysis, SystematicMispredictionsAreReported) {
   for (int i = 0; i < 8; ++i) {
     trace.tasks.push_back(
         unit_task(static_cast<std::uint64_t>(i), "hot", i % 2, 0.1 * i, 0.1));
-    perf::TraceDecision d;
-    d.task = static_cast<std::uint64_t>(i);
-    d.worker = i % 2;
-    d.estimate = trace.tasks.back().vend * 4.0;  // 300% off, > 1ms absolute
+    rt::DecisionRecord d;
+    d.task_sequence = static_cast<std::uint64_t>(i);
+    d.chosen = i % 2;
+    d.chosen_estimate = trace.tasks.back().vend * 4.0;  // 300% off, > 1ms
     trace.decisions.push_back(d);
   }
   const diag::DiagnosticBag bag = perf::analyze_trace(trace);
@@ -577,11 +720,11 @@ perf::Trace cluster_base() {
   return trace;
 }
 
-perf::TraceTransfer node_hop(int from_node, int to_node, std::uint64_t bytes,
-                             double vstart, double vend) {
-  perf::TraceTransfer t;
+rt::TransferRecord node_hop(int from_node, int to_node, std::uint64_t bytes,
+                            double vstart, double vend) {
+  rt::TransferRecord t;
   t.lane = 0;
-  t.order = 0;
+  t.lane_sequence = 0;
   t.from = from_node == 0 ? 0 : 2;  // hosts move inter-node traffic
   t.to = to_node == 0 ? 0 : 2;
   t.from_node = from_node;
@@ -663,9 +806,9 @@ TEST(PerfAnalysis, SingleHostTracesNeverFireNodeLink) {
   // Saturated PCIe lanes on one host (from_node == to_node == 0): PF002
   // territory, never PF007.
   for (int i = 0; i < 6; ++i) {
-    perf::TraceTransfer move;
+    rt::TransferRecord move;
     move.lane = 0;
-    move.order = i;
+    move.lane_sequence = static_cast<std::uint64_t>(i);
     move.from = 0;
     move.to = 1;
     move.bytes = 1 << 20;

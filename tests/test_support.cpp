@@ -1,5 +1,5 @@
 // Tests for the support substrate: strings, RNG, filesystem helpers,
-// concurrent queues, error types and the fork-join team.
+// error types and the fork-join team.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "support/error.hpp"
 #include "support/fs.hpp"
 #include "support/parallel.hpp"
-#include "support/queues.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
@@ -190,49 +189,6 @@ TEST(ErrorType, CarriesCodeAndMessage) {
 TEST(ErrorType, CheckThrowsOnFalse) {
   EXPECT_NO_THROW(check(true, "fine"));
   EXPECT_THROW(check(false, "boom"), Error);
-}
-
-// ---------------------------------------------------------------------------
-// queues
-// ---------------------------------------------------------------------------
-
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.try_pop().value(), 3);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BlockingQueue, CloseWakesConsumers) {
-  BlockingQueue<int> q;
-  std::thread consumer([&] { EXPECT_FALSE(q.pop().has_value()); });
-  q.close();
-  consumer.join();
-  EXPECT_FALSE(q.push(1));
-}
-
-TEST(BlockingQueue, DrainsAfterClose) {
-  BlockingQueue<int> q;
-  q.push(42);
-  q.close();
-  EXPECT_EQ(q.pop().value(), 42);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(WorkStealingDeque, OwnerLifoThiefFifo) {
-  WorkStealingDeque<int> d;
-  d.push(1);
-  d.push(2);
-  d.push(3);
-  EXPECT_EQ(d.steal().value(), 1);  // oldest
-  EXPECT_EQ(d.pop().value(), 3);    // newest
-  EXPECT_EQ(d.pop().value(), 2);
-  EXPECT_FALSE(d.pop().has_value());
-  EXPECT_FALSE(d.steal().has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -18,11 +18,10 @@
 #      analyze clean, a deliberately mis-sized one must fail --werror with
 #      a PF001 device-imbalance finding, --explain must know the code, and
 #      a truncated trace must be rejected with a located parse error;
-#   7. checks static composition end to end: a lookahead training run must
-#      write a loadable dispatch table, and replaying it (while training a
-#      second table) must reproduce the trained per-key majority placements
-#      with at most 5% divergence — a replay that drifts from its own table
-#      means the table is being ignored;
+#   7. checks the static-composition flags of peppher-perf: a lookahead
+#      training run must write a dispatch table, and a replay run must
+#      accept it and train a second one (that the replay reproduces the
+#      trained placements is LookaheadReplay.ReplayReproducesTheTrainedMajorities);
 #   8. runs the static cost predictor (peppher-predict): models recorded
 #      from short ODE runs must predict a fixture repository clean under
 #      --werror, a seeded dead variant must be caught as PL070, the
@@ -246,49 +245,12 @@ echo "== static composition: lookahead training must write a dispatch table"
   "--out=${workdir}/train_trace.json" > /dev/null
 grep -q "^peppher-dispatch v1" "${workdir}/train.dispatch"
 
-echo "== replaying the table must reproduce its placements (<=5% divergence)"
+echo "== replaying the table must accept it and train a second one"
 "${perf_bin}" --record=ode --scheduler=lookahead \
   "--dispatch=${workdir}/train.dispatch" \
   "--dispatch-out=${workdir}/replay.dispatch" \
   "--out=${workdir}/replay_trace.json" > /dev/null
-if command -v python3 > /dev/null; then
-  python3 - "${workdir}/train.dispatch" "${workdir}/replay.dispatch" <<'EOF'
-import sys
-from collections import defaultdict
-
-def majorities(path):
-    votes = defaultdict(lambda: defaultdict(int))
-    with open(path) as handle:
-        header = handle.readline()
-        if not header.startswith("peppher-dispatch v1"):
-            sys.exit(f"{path}: missing peppher-dispatch header")
-        for line in handle:
-            fields = line.split()
-            if len(fields) != 5:
-                continue
-            codelet, footprint, point, arch, count = fields
-            votes[(codelet, footprint, point)][arch] += int(count)
-    return {key: max(arches, key=arches.get)
-            for key, arches in votes.items()}
-
-train = majorities(sys.argv[1])
-replay = majorities(sys.argv[2])
-shared = sorted(set(train) & set(replay))
-if not shared:
-    sys.exit("no shared keys between trained and replayed dispatch tables")
-diverged = [key for key in shared if train[key] != replay[key]]
-fraction = len(diverged) / len(shared)
-print(f"  {len(shared)} shared dispatch keys, "
-      f"{len(diverged)} diverged ({fraction:.0%})")
-if fraction > 0.05:
-    for key in diverged[:10]:
-        print(f"  diverged {key}: trained {train[key]}, "
-              f"replayed {replay[key]}", file=sys.stderr)
-    sys.exit("replay diverged from its dispatch table beyond 5%")
-EOF
-else
-  grep -q "^peppher-dispatch v1" "${workdir}/replay.dispatch"
-fi
+grep -q "^peppher-dispatch v1" "${workdir}/replay.dispatch"
 
 echo "== static predictor: record models from short ODE runs"
 modelsdir="${workdir}/models"
