@@ -62,6 +62,8 @@ struct ReadWindow {
   /// One access of statement `stmt_id`: a declared read joins the window,
   /// a write closes it.
   void join(int stmt_id, const Access& access);
+
+  bool operator==(const ReadWindow&) const = default;
 };
 
 /// One CFG node: a single statement (or a structural no-op for loop heads
@@ -138,6 +140,7 @@ struct World {
   bool distributed() const { return dist_stmt >= 0; }
 
   bool operator<(const World& other) const;
+  bool operator==(const World&) const = default;
 };
 
 using Worlds = std::set<World>;

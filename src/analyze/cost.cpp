@@ -3,13 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "analyze/cfg.hpp"
-
 namespace peppher::analyze {
-
-CostInterval CostInterval::hull(const CostInterval& a, const CostInterval& b) {
-  return {std::min(a.lo, b.lo), std::max(a.est, b.est), std::max(a.hi, b.hi)};
-}
 
 std::string_view to_string(EstimateSource source) noexcept {
   switch (source) {
@@ -19,34 +13,6 @@ std::string_view to_string(EstimateSource source) noexcept {
     case EstimateSource::kGuess: return "guess";
   }
   return "guess";
-}
-
-bool CostEvaluator::arch_on_machine(rt::Arch arch) const {
-  switch (arch) {
-    case rt::Arch::kCpu:
-      return machine_.cpu_cores > 0;
-    case rt::Arch::kCpuOmp:
-      // The combined-CPU worker only exists with more than one core.
-      return machine_.cpu_cores > 1;
-    case rt::Arch::kCuda:
-      return std::any_of(machine_.accelerators.begin(),
-                         machine_.accelerators.end(),
-                         [](const sim::DeviceProfile& d) {
-                           return d.device_class == sim::DeviceClass::kCudaGpu;
-                         });
-    case rt::Arch::kOpenCl:
-      return std::any_of(machine_.accelerators.begin(),
-                         machine_.accelerators.end(),
-                         [](const sim::DeviceProfile& d) {
-                           return d.device_class == sim::DeviceClass::kOpenClGpu;
-                         });
-  }
-  return false;
-}
-
-int CostEvaluator::side_of(rt::Arch arch) {
-  return (arch == rt::Arch::kCuda || arch == rt::Arch::kOpenCl) ? kDeviceSide
-                                                                : kHostSide;
 }
 
 CostEvaluator::Exec CostEvaluator::exec_seconds(const std::string& codelet,

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "analyze/cfg.hpp"
 #include "runtime/msi.hpp"
@@ -17,11 +20,20 @@ using diag::Severity;
 
 constexpr int kDefaultMaxSteps = 100000;
 
+/// Iterations of a <loop> kept for the repeat search (see eval_loop).
+constexpr std::size_t kLoopRepeatCap = 64;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 /// Per-container abstract state of the walk: the verifier's MSI world-set
-/// plus the trajectory time its last write completes.
+/// (every feasible history: the interval and the diagnostics), the
+/// container's datum in the trajectory's plan, and the trajectory times its
+/// last write and its latest read since then complete.
 struct ContainerState {
   Worlds worlds{World{}};
-  double avail = 0.0;
+  int data = -1;
+  double avail = 0.0;     ///< end of the last write (or of a prefetch)
+  double read_end = 0.0;  ///< latest end of a read since then (>= avail)
   std::size_t bytes = 0;
 };
 
@@ -38,13 +50,15 @@ struct PointAccum {
   bool low_confidence = false;
 };
 
-/// The full mutable state of the abstract interpretation. Loops evaluate
-/// their body twice (cold + steady) and then extrapolate the remaining
-/// iterations linearly: state' = state + (state - previous) * factor.
+/// The full mutable state of the abstract interpretation: the trajectory's
+/// plan (per-worker clocks, per-container replica states), the containers
+/// and the additive accumulators.
 struct WalkState {
-  double clock[2] = {0.0, 0.0};  ///< per-side ready time (trajectory)
-  double makespan_lo = 0.0;      ///< sum of best-case per-point work
-  double makespan_hi = 0.0;      ///< sum of worst-case per-point work
+  explicit WalkState(rt::Plan trajectory) : plan(std::move(trajectory)) {}
+
+  rt::Plan plan;
+  double makespan_lo = 0.0;  ///< sum of best-case per-point work
+  double makespan_hi = 0.0;  ///< sum of worst-case per-point work
   double h2d_bytes = 0.0;
   double d2h_bytes = 0.0;
   double host_exec = 0.0;
@@ -54,47 +68,67 @@ struct WalkState {
   std::map<std::string, ContainerState> containers;
   std::vector<PointAccum> points;
 
-  void extrapolate_from(const WalkState& prev, double factor) {
-    auto ext = [factor](double& field, double before) {
-      field += (field - before) * factor;
+  /// Moves this state — `from` repeated `delta` seconds later — `times`
+  /// repeats on: every clock and container time the repeat moved goes
+  /// `times` shifts later, every accumulator grows `times` repeats.
+  void repeat(const WalkState& from, double times, double delta,
+              std::size_t workers) {
+    const auto shift = [&](double& field, double before) {
+      if (field != before) field += times * delta;
     };
-    ext(clock[0], prev.clock[0]);
-    ext(clock[1], prev.clock[1]);
-    ext(makespan_lo, prev.makespan_lo);
-    ext(makespan_hi, prev.makespan_hi);
-    ext(h2d_bytes, prev.h2d_bytes);
-    ext(d2h_bytes, prev.d2h_bytes);
-    ext(host_exec, prev.host_exec);
-    ext(device_exec, prev.device_exec);
-    ext(transfer_time, prev.transfer_time);
-    ext(executions, prev.executions);
-    for (auto& [name, cs] : containers) {
-      const auto it = prev.containers.find(name);
-      if (it != prev.containers.end()) ext(cs.avail, it->second.avail);
+    const auto grow = [times](double& field, double before) {
+      field += (field - before) * times;
+    };
+    for (std::size_t w = 0; w < workers; ++w) {
+      const auto id = static_cast<rt::WorkerId>(w);
+      if (plan.clock(id) != from.plan.clock(id)) plan.advance(id, times * delta);
     }
+    for (auto& [name, cs] : containers) {
+      const ContainerState& before = from.containers.at(name);
+      shift(cs.avail, before.avail);
+      shift(cs.read_end, before.read_end);
+    }
+    grow(makespan_lo, from.makespan_lo);
+    grow(makespan_hi, from.makespan_hi);
+    grow(h2d_bytes, from.h2d_bytes);
+    grow(d2h_bytes, from.d2h_bytes);
+    grow(host_exec, from.host_exec);
+    grow(device_exec, from.device_exec);
+    grow(transfer_time, from.transfer_time);
+    grow(executions, from.executions);
     for (std::size_t i = 0; i < points.size(); ++i) {
-      const PointAccum& before = prev.points[i];
-      ext(points[i].executions, before.executions);
-      ext(points[i].exec_seconds, before.exec_seconds);
-      ext(points[i].transfer_seconds, before.transfer_seconds);
-      ext(points[i].lo, before.lo);
-      ext(points[i].hi, before.hi);
+      const PointAccum& before = from.points[i];
+      grow(points[i].executions, before.executions);
+      grow(points[i].exec_seconds, before.exec_seconds);
+      grow(points[i].transfer_seconds, before.transfer_seconds);
+      grow(points[i].lo, before.lo);
+      grow(points[i].hi, before.hi);
     }
   }
 };
 
-/// One feasible (architecture, cost) candidate of a call.
-struct ArchCost {
-  rt::Arch arch = rt::Arch::kCpu;
-  int side = kHostSide;
-  double forced_transfer = 0.0;    ///< every world demands these hops
-  double decision_transfer = 0.0;  ///< forced hops, reuse-amortised (placement)
-  double possible_transfer = 0.0;  ///< some world demands these hops
-  double forced_h2d = 0.0;
-  double forced_d2h = 0.0;
-  CostEvaluator::Exec exec;
-  double completion = 0.0;
+/// One container a call binds, with every access the call makes to it.
+struct Binding {
+  std::string data;
+  std::vector<Access> accesses;
+  std::size_t bytes = 0;
+  bool reads = false;
+  bool writes = false;
 };
+
+/// What a loop body touches: per call its bindings, the architectures of
+/// its calls' variants and every container it binds or moves.
+struct LoopShape {
+  std::vector<std::vector<Binding>> calls;
+  std::set<rt::Arch> archs;
+  std::set<std::string> data;
+};
+
+/// True when y - x is `delta`, up to round-off.
+bool shifted(double x, double y, double delta) {
+  return std::abs((y - x) - delta) <=
+         1e-9 * std::max({std::abs(x), std::abs(y), 1e-9});
+}
 
 class Predictor {
  public:
@@ -103,8 +137,13 @@ class Predictor {
       : repo_(repo),
         options_(options),
         eval_(options.machine, models, options.calibration_min),
+        cluster_(sim::ClusterConfig::single(options.machine)),
+        workers_(rt::worker_table(cluster_)),
+        net_{rt::MemTopology::of_cluster(cluster_), options.machine.link,
+             cluster_.internode},
         max_steps_(options.max_steps > 0 ? options.max_steps
-                                         : kDefaultMaxSteps) {}
+                                         : kDefaultMaxSteps),
+        state_(rt::Plan(workers_, &net_)) {}
 
   PredictResult run() {
     PredictResult result;
@@ -140,6 +179,32 @@ class Predictor {
     return !exhausted_;
   }
 
+  /// Architectures of the interface's variants that narrowing keeps.
+  std::set<rt::Arch> variant_archs(const std::string& iface) const {
+    std::set<rt::Arch> archs;
+    for (const desc::ImplementationDescriptor* impl :
+         repo_.implementations_of(iface)) {
+      if (impl_disabled(*impl, repo_, options_.lint)) continue;
+      try {
+        archs.insert(impl->arch());
+      } catch (const Error&) {
+        continue;  // PL010's problem
+      }
+    }
+    return archs;
+  }
+
+  bool machine_runs(rt::Arch arch) const {
+    return std::any_of(workers_.begin(), workers_.end(),
+                       [arch](const rt::WorkerDesc& w) {
+                         return w.archs.front() == arch;
+                       });
+  }
+
+  int side_of(const rt::WorkerDesc& worker) const {
+    return net_.topo.is_host(worker.node) ? kHostSide : kDeviceSide;
+  }
+
   void index_calls(const std::vector<desc::CallNode>& block) {
     for (const desc::CallNode& node : block) {
       switch (node.kind) {
@@ -163,7 +228,7 @@ class Predictor {
   /// Total read-only executions per container across the whole program
   /// (loop bodies weighted by their trip count, both <if> branches
   /// counted): the static counterpart of the reads a runtime handle counts
-  /// (its kRead acquires), which the placement cost amortises a read
+  /// (its kRead acquires), which a placement decision amortises a read
   /// operand's fetch volume over.
   void index_reads(const std::vector<desc::CallNode>& block, double weight) {
     for (const desc::CallNode& node : block) {
@@ -197,8 +262,8 @@ class Predictor {
 
   // -- diagnostics ----------------------------------------------------------
 
-  /// PL070: a variant whose architecture the analysed machine does not
-  /// provide can never be selected, on any reachable path.
+  /// PL070: a variant whose architecture no worker of the analysed machine
+  /// runs can never be selected, on any reachable path.
   void report_dead_variants() {
     std::set<std::string> called;
     for (const desc::CallNode* node : flat_calls_) {
@@ -214,7 +279,7 @@ class Predictor {
         } catch (const Error&) {
           continue;  // PL010's problem
         }
-        if (eval_.arch_on_machine(arch)) continue;
+        if (machine_runs(arch)) continue;
         bag_.add("PL070", Severity::kWarning,
                  "implementation '" + impl->name + "' of interface '" + name +
                      "' targets " + rt::to_string(arch) + ", which machine '" +
@@ -277,6 +342,7 @@ class Predictor {
             next.insert(std::move(w));
           }
           cs.worlds = std::move(next);
+          s.plan.reclaim(cs.data);
           break;
         }
         case desc::CallNode::Kind::kExchange:
@@ -297,62 +363,64 @@ class Predictor {
     }
   }
 
+  /// The container's state; a first use starts it valid on the primary
+  /// host only, like a freshly registered handle.
   ContainerState& container(WalkState& s, const std::string& data) {
-    ContainerState& cs = s.containers[data];
-    cs.bytes = size_of(data);
+    const auto [it, fresh] = s.containers.try_emplace(data);
+    ContainerState& cs = it->second;
+    if (fresh) {
+      cs.bytes = size_of(data);
+      std::vector<rt::ReplicaState> states(
+          static_cast<std::size_t>(net_.topo.node_count()),
+          rt::ReplicaState::kInvalid);
+      states[rt::kHostNode] = rt::ReplicaState::kOwned;
+      cs.data = s.plan.add_data(std::move(states));
+    }
     return cs;
   }
 
+  /// The interval's worst case pays a hop whenever some world lacks the
+  /// replica; the trajectory copies only when the plan's state lacks it.
+  /// The copy starts when the data was last written, and the data counts
+  /// as available once it lands.
   void eval_prefetch(const desc::CallNode& node, WalkState& s) {
     if (!charge_step()) return;
     ContainerState& cs = container(s, node.data);
     const int side = node.prefetch_to_device ? kDeviceSide : kHostSide;
-    const bool all_invalid =
-        std::all_of(cs.worlds.begin(), cs.worlds.end(), [&](const World& w) {
+    if (std::any_of(cs.worlds.begin(), cs.worlds.end(), [&](const World& w) {
           return !replica_valid(w.state[side]);
-        });
-    const bool any_invalid =
-        std::any_of(cs.worlds.begin(), cs.worlds.end(), [&](const World& w) {
-          return !replica_valid(w.state[side]);
-        });
-    const double tt = eval_.transfer_seconds(cs.bytes);
-    if (all_invalid) {
-      const double start = std::max(s.clock[side], cs.avail);
-      s.clock[side] = start + tt;
-      s.transfer_time += tt;
-      (side == kDeviceSide ? s.h2d_bytes : s.d2h_bytes) +=
-          static_cast<double>(cs.bytes);
+        })) {
+      s.makespan_hi += rt::hop_seconds(options_.machine.link, cs.bytes, 1.0);
     }
-    if (any_invalid) s.makespan_hi += tt;
     Worlds next;
     for (World w : cs.worlds) {
       rt::msi::apply_acquire(w.state, side, rt::AccessMode::kRead);
       next.insert(std::move(w));
     }
     cs.worlds = std::move(next);
+
+    if (node.prefetch_to_device && net_.topo.device_count() == 0) return;
+    const double seconds = s.plan.fetch(
+        cs.data,
+        node.prefetch_to_device ? net_.topo.device_node(0) : rt::kHostNode,
+        cs.bytes);
+    if (seconds == 0.0) return;
+    s.transfer_time += seconds;
+    (node.prefetch_to_device ? s.h2d_bytes : s.d2h_bytes) +=
+        static_cast<double>(cs.bytes);
+    cs.avail += seconds;
+    cs.read_end = std::max(cs.read_end, cs.avail);
   }
 
-  void eval_call(const desc::CallNode& node, WalkState& s) {
-    if (!charge_step()) return;
-    const desc::InterfaceDescriptor* iface =
-        repo_.find_interface(node.call.interface_name);
-    if (iface == nullptr) return;  // PL034's problem
-
-    // Unique container bindings of this call.
-    struct Binding {
-      std::string data;
-      std::vector<Access> accesses;
-      std::size_t bytes = 0;
-      bool reads = false;
-      bool writes = false;
-    };
+  /// The containers `call` binds, each once.
+  std::vector<Binding> bindings_of(const desc::CallDesc& call) const {
     std::vector<Binding> bindings;
     std::set<std::string> seen;
-    for (const desc::CallArgDesc& arg : node.call.args) {
+    for (const desc::CallArgDesc& arg : call.args) {
       if (arg.data.empty() || !seen.insert(arg.data).second) continue;
       Binding binding;
       binding.data = arg.data;
-      binding.accesses = call_accesses(repo_, node.call, arg.data);
+      binding.accesses = call_accesses(repo_, call, arg.data);
       if (binding.accesses.empty()) continue;
       binding.bytes = size_of(arg.data);
       for (const Access& access : binding.accesses) {
@@ -361,6 +429,15 @@ class Predictor {
       }
       bindings.push_back(std::move(binding));
     }
+    return bindings;
+  }
+
+  void eval_call(const desc::CallNode& node, WalkState& s) {
+    if (!charge_step()) return;
+    const desc::InterfaceDescriptor* iface =
+        repo_.find_interface(node.call.interface_name);
+    if (iface == nullptr) return;  // PL034's problem
+    const std::vector<Binding> bindings = bindings_of(node.call);
 
     // Operand footprint exactly as the runtime computes it: interface
     // parameter order, one byte count per operand parameter.
@@ -380,112 +457,92 @@ class Predictor {
     }
     const std::uint64_t footprint = rt::footprint_of(operand_bytes);
 
-    // Feasible architectures on the analysed machine.
-    std::set<rt::Arch> archs;
-    for (const desc::ImplementationDescriptor* impl :
-         repo_.implementations_of(iface->name)) {
-      if (impl_disabled(*impl, repo_, options_.lint)) continue;
-      try {
-        const rt::Arch arch = impl->arch();
-        if (eval_.arch_on_machine(arch)) archs.insert(arch);
-      } catch (const Error&) {
-        continue;
+    // The call as the plan prices it: per worker the estimate of the
+    // variant it would run (+inf where none), its predecessors' end and
+    // its operands.
+    const std::set<rt::Arch> archs = variant_archs(iface->name);
+    std::map<rt::Arch, CostEvaluator::Exec> execs;
+    rt::Plan::Task task;
+    task.exec.assign(workers_.size(), kInf);
+    for (const rt::WorkerDesc& w : workers_) {
+      const rt::Arch arch = w.archs.front();
+      if (archs.count(arch) == 0) continue;
+      const auto [it, fresh] = execs.try_emplace(arch);
+      if (fresh) {
+        it->second =
+            eval_.exec_seconds(iface->name, arch, footprint, total_bytes);
+        report_model_quality(iface->name, arch, it->second, node.loc);
       }
+      task.exec[static_cast<std::size_t>(w.id)] = it->second.seconds;
     }
-    if (archs.empty()) return;  // PL011's problem
-
-    double deps = 0.0;
+    if (execs.empty()) return;  // PL011's (or PL070's) problem
     for (const Binding& binding : bindings) {
-      deps = std::max(deps, container(s, binding.data).avail);
-    }
-
-    std::vector<ArchCost> candidates;
-    for (const rt::Arch arch : archs) {
-      ArchCost c;
-      c.arch = arch;
-      c.side = CostEvaluator::side_of(arch);
-      for (const Binding& binding : bindings) {
-        if (!binding.reads) continue;  // write mode never fetches
-        const ContainerState& cs = container(s, binding.data);
-        const bool all_invalid = std::all_of(
-            cs.worlds.begin(), cs.worlds.end(),
-            [&](const World& w) { return !replica_valid(w.state[c.side]); });
-        const bool any_invalid = std::any_of(
-            cs.worlds.begin(), cs.worlds.end(),
-            [&](const World& w) { return !replica_valid(w.state[c.side]); });
-        const double tt = eval_.transfer_seconds(binding.bytes);
-        if (all_invalid) {
-          // The placement decision prices the hop like the runtime does: a
-          // read-only binding amortises it over the container's total
-          // reads, a binding that writes pays it once. The trajectory pays
-          // every hop in full.
-          const auto reads = read_weight_.find(binding.data);
-          c.forced_transfer += tt;
-          c.decision_transfer += eval_.fetch_seconds(
-              binding.bytes, binding.writes || reads == read_weight_.end()
-                                 ? 1.0
-                                 : reads->second);
-          (c.side == kDeviceSide ? c.forced_h2d : c.forced_d2h) +=
-              static_cast<double>(binding.bytes);
-        }
-        if (any_invalid) c.possible_transfer += tt;
-      }
-      c.exec = eval_.exec_seconds(iface->name, arch, footprint, total_bytes);
-      c.completion = rt::end_time(s.clock[c.side], deps, c.decision_transfer,
-                                  c.exec.seconds);
-      report_model_quality(iface->name, arch, c.exec, node.loc);
-      candidates.push_back(c);
-    }
-
-    // Greedy dmda-like placement: minimal predicted completion (with the
-    // runtime's reuse-amortised fetch estimate); ties break toward the
-    // lower-numbered architecture (host cores first), matching the
-    // engine's worker iteration order.
-    const ArchCost* chosen = &candidates.front();
-    for (const ArchCost& c : candidates) {
-      if (c.completion < chosen->completion) chosen = &c;
+      const ContainerState& cs = container(s, binding.data);
+      // A write also waits for the reads since the last write.
+      task.deps = std::max(task.deps, binding.writes ? cs.read_end : cs.avail);
+      // A read-only binding amortises its fetch over the container's total
+      // reads, like the runtime's handle; a binding that writes pays once.
+      const auto reads = read_weight_.find(binding.data);
+      task.operands.push_back(
+          {cs.data,
+           binding.writes ? (binding.reads ? rt::AccessMode::kReadWrite
+                                           : rt::AccessMode::kWrite)
+                          : rt::AccessMode::kRead,
+           binding.bytes,
+           binding.writes || reads == read_weight_.end() ? 1.0
+                                                          : reads->second});
     }
 
     // Interval: best feasible pure work (transfers fully overlapped) to
-    // worst feasible work including every possible transfer.
-    double lo_point = candidates.front().exec.seconds;
+    // worst feasible work including every transfer some world demands.
+    double possible[2] = {0.0, 0.0};
+    for (const int side : {kHostSide, kDeviceSide}) {
+      for (const Binding& binding : bindings) {
+        if (!binding.reads) continue;  // write mode never fetches
+        const Worlds& worlds = container(s, binding.data).worlds;
+        if (std::any_of(worlds.begin(), worlds.end(), [&](const World& w) {
+              return !replica_valid(w.state[side]);
+            })) {
+          possible[side] +=
+              rt::hop_seconds(options_.machine.link, binding.bytes, 1.0);
+        }
+      }
+    }
+    double lo_point = kInf;
     double hi_point = 0.0;
-    for (const ArchCost& c : candidates) {
-      lo_point = std::min(lo_point, c.exec.seconds);
-      hi_point = std::max(hi_point, c.possible_transfer + c.exec.seconds);
+    // PL075 bookkeeping: the best decision work (fetch + exec, wait-free —
+    // what the placement weighs) per side.
+    double best_work[2] = {kInf, kInf};
+    for (const rt::WorkerDesc& w : workers_) {
+      const double exec = task.exec[static_cast<std::size_t>(w.id)];
+      if (exec == kInf) continue;
+      const int side = side_of(w);
+      lo_point = std::min(lo_point, exec);
+      hi_point = std::max(hi_point, possible[side] + exec);
+      best_work[side] =
+          std::min(best_work[side], s.plan.price(task, w.id).work);
     }
     s.makespan_lo += lo_point;
     s.makespan_hi += hi_point;
-
-    // PL075 profitability bookkeeping (amortised transfer + exec,
-    // wait-free — the same per-call work dmda's decision weighs).
-    {
-      double host_best = -1.0, device_best = -1.0;
-      for (const ArchCost& c : candidates) {
-        const double work = c.decision_transfer + c.exec.seconds;
-        double& best = c.side == kHostSide ? host_best : device_best;
-        if (best < 0.0 || work < best) best = work;
+    if (best_work[kHostSide] < kInf && best_work[kDeviceSide] < kInf) {
+      Profit& profit = profit_[iface->name];
+      if (!profit.seen) {
+        profit.seen = true;
+        profit.loc = node.loc;
       }
-      if (host_best >= 0.0 && device_best >= 0.0) {
-        Profit& profit = profit_[iface->name];
-        if (!profit.seen) {
-          profit.seen = true;
-          profit.loc = node.loc;
-        }
-        profit.device_better |= device_best < host_best;
-      }
+      profit.device_better |= best_work[kDeviceSide] < best_work[kHostSide];
     }
 
-    // Commit the trajectory. The placement decision amortised reusable
-    // fetches, but the run pays each forced transfer once, in full.
-    s.clock[chosen->side] =
-        rt::end_time(s.clock[chosen->side], deps, chosen->forced_transfer,
-                     chosen->exec.seconds);
-    s.transfer_time += chosen->forced_transfer;
-    (chosen->side == kHostSide ? s.host_exec : s.device_exec) +=
-        chosen->exec.seconds;
-    s.h2d_bytes += chosen->forced_h2d;
-    s.d2h_bytes += chosen->forced_d2h;
+    // The trajectory: the plan's placement (dmda's choice), committed.
+    const rt::WorkerId chosen = s.plan.place(task).worker;
+    const rt::Plan::Commit done = s.plan.commit(task, chosen);
+    const rt::WorkerDesc& worker = workers_[static_cast<std::size_t>(chosen)];
+    const int side = side_of(worker);
+    const CostEvaluator::Exec& exec = execs.at(worker.archs.front());
+    s.transfer_time += done.fetch;
+    (side == kHostSide ? s.host_exec : s.device_exec) += exec.seconds;
+    (side == kHostSide ? s.d2h_bytes : s.h2d_bytes) +=
+        static_cast<double>(done.fetched_bytes);
     s.executions += 1.0;
 
     for (const Binding& binding : bindings) {
@@ -494,12 +551,16 @@ class Predictor {
       for (const World& w : cs.worlds) {
         World updated = w;
         for (const Access& access : binding.accesses) {
-          rt::msi::apply_acquire(updated.state, chosen->side, access.mode);
+          rt::msi::apply_acquire(updated.state, side, access.mode);
         }
         next.insert(std::move(updated));
       }
       cs.worlds = std::move(next);
-      if (binding.writes) cs.avail = s.clock[chosen->side];
+      if (binding.writes) {
+        cs.avail = cs.read_end = done.end;
+      } else {
+        cs.read_end = std::max(cs.read_end, done.end);
+      }
     }
 
     const auto index_it = call_index_.find(&node);
@@ -507,13 +568,13 @@ class Predictor {
         static_cast<std::size_t>(index_it->second) < s.points.size()) {
       PointAccum& point = s.points[static_cast<std::size_t>(index_it->second)];
       point.executions += 1.0;
-      point.exec_seconds += chosen->exec.seconds;
-      point.transfer_seconds += chosen->forced_transfer;
+      point.exec_seconds += exec.seconds;
+      point.transfer_seconds += done.fetch;
       point.lo += lo_point;
       point.hi += hi_point;
-      point.chosen = chosen->arch;
-      point.source = chosen->exec.source;
-      point.low_confidence |= chosen->exec.low_confidence;
+      point.chosen = worker.archs.front();
+      point.source = exec.source;
+      point.low_confidence |= exec.low_confidence;
     }
 
     report_capacity(node, s);
@@ -545,38 +606,198 @@ class Predictor {
              node.loc);
   }
 
+  void collect_shape(const std::vector<desc::CallNode>& block,
+                     LoopShape& shape) const {
+    for (const desc::CallNode& node : block) {
+      if (node.kind == desc::CallNode::Kind::kLoop ||
+          node.kind == desc::CallNode::Kind::kIf) {
+        collect_shape(node.body, shape);
+        collect_shape(node.else_body, shape);
+      } else if (node.kind != desc::CallNode::Kind::kCall) {
+        if (!node.data.empty()) shape.data.insert(node.data);
+      } else {
+        const std::set<rt::Arch> archs = variant_archs(node.call.interface_name);
+        shape.archs.insert(archs.begin(), archs.end());
+        for (const Binding& binding :
+             shape.calls.emplace_back(bindings_of(node.call))) {
+          shape.data.insert(binding.data);
+        }
+      }
+    }
+  }
+
+  /// The shift by which `b` repeats `a` for the loop body, if it does: the
+  /// same replica states and world-sets, and every clock of a worker the
+  /// body can run on and every time its calls wait for moved uniformly
+  /// later. Times nothing waits for are lifted first: a clock below every
+  /// body call's predecessors' end to that bound, a container time below
+  /// every such clock to the earliest of them.
+  std::optional<double> repeat_shift(const WalkState& a, const WalkState& b,
+                                     const LoopShape& shape) const {
+    if (a.containers.size() != b.containers.size()) return std::nullopt;
+    const auto start_floor = [&](const WalkState& st) {
+      double floor = kInf;
+      for (const auto& bindings : shape.calls) {
+        double deps = 0.0;
+        for (const Binding& binding : bindings) {
+          const auto it = st.containers.find(binding.data);
+          if (it == st.containers.end()) continue;
+          deps = std::max(deps, binding.writes ? it->second.read_end
+                                               : it->second.avail);
+        }
+        floor = std::min(floor, deps);
+      }
+      return floor;
+    };
+    const double floor_a = start_floor(a);
+    const double floor_b = start_floor(b);
+    std::optional<double> delta;
+    const auto moved = [&delta](double x, double y) {
+      if (!delta) delta = y - x;
+      return shifted(x, y, *delta);
+    };
+    double low_a = kInf;
+    double low_b = kInf;
+    for (const rt::WorkerDesc& w : workers_) {
+      if (shape.archs.count(w.archs.front()) == 0) continue;
+      const double x = std::max(a.plan.clock(w.id), floor_a);
+      const double y = std::max(b.plan.clock(w.id), floor_b);
+      if (!moved(x, y)) return std::nullopt;
+      low_a = std::min(low_a, x);
+      low_b = std::min(low_b, y);
+    }
+    if (!delta) return std::nullopt;
+    for (const std::string& name : shape.data) {
+      const auto ia = a.containers.find(name);
+      const auto ib = b.containers.find(name);
+      if (ia == a.containers.end() || ib == b.containers.end()) {
+        return std::nullopt;
+      }
+      const ContainerState& ca = ia->second;
+      const ContainerState& cb = ib->second;
+      if (ca.worlds != cb.worlds ||
+          !std::ranges::equal(a.plan.states(ca.data), b.plan.states(cb.data)) ||
+          !moved(std::max(ca.avail, low_a), std::max(cb.avail, low_b)) ||
+          !moved(std::max(ca.read_end, low_a), std::max(cb.read_end, low_b))) {
+        return std::nullopt;
+      }
+    }
+    return delta;
+  }
+
+  /// The kept state the body's workers moved on from most uniformly per
+  /// iteration — the nearest to a repeat of `seen`'s last — and the mean
+  /// shift of their clocks since it. The workers counted are those of the
+  /// body's architectures that ran any of the kept iterations.
+  std::pair<std::size_t, double> nearest_repeat(
+      const std::vector<WalkState>& seen, const LoopShape& shape) const {
+    const WalkState& now = seen.back();
+    std::vector<rt::WorkerId> active;
+    for (const rt::WorkerDesc& w : workers_) {
+      if (shape.archs.count(w.archs.front()) != 0 &&
+          now.plan.clock(w.id) != seen.front().plan.clock(w.id)) {
+        active.push_back(w.id);
+      }
+    }
+    if (active.empty()) return {0, 0.0};
+    std::size_t best = 0;
+    double best_spread = kInf;
+    double best_shift = 0.0;
+    for (std::size_t j = 0; j + 1 < seen.size(); ++j) {
+      double lo = kInf;
+      double hi = -kInf;
+      double sum = 0.0;
+      for (const rt::WorkerId w : active) {
+        const double shift = now.plan.clock(w) - seen[j].plan.clock(w);
+        lo = std::min(lo, shift);
+        hi = std::max(hi, shift);
+        sum += shift;
+      }
+      const double spread = (hi - lo) / static_cast<double>(seen.size() - 1 - j);
+      if (spread < best_spread) {
+        best = j;
+        best_spread = spread;
+        best_shift = sum / static_cast<double>(active.size());
+      }
+    }
+    return {best, best_shift};
+  }
+
+  /// A loop runs its body concretely until the state repeats a state it
+  /// reached after an earlier iteration (repeat_shift) — for example after
+  /// one rotation of its calls over the workers — and then skips as many
+  /// whole repeats as the trip count holds. The search keeps the first
+  /// kLoopRepeatCap iterations. A loop that has not repeated by then (its
+  /// workers' times share no period that short) takes its nearest repeat
+  /// instead: whole copies of that stretch are skipped, every clock it
+  /// moved shifted by the mean shift of the body's workers over it. The
+  /// iterations left over run concretely.
   void eval_loop(const desc::CallNode& node, WalkState& s) {
     if (!charge_step()) return;
-    const double count = static_cast<double>(std::max(node.loop_count, 1));
-    eval_block(node.body, s);  // cold iteration (first-touch transfers)
-    if (count < 2.0 || exhausted_) return;
-    const WalkState after_cold = s;
-    eval_block(node.body, s);  // steady-state iteration
-    if (exhausted_) return;
-
-    // PL073: the steady-state iteration is transfer-bound — the coherence
-    // states force at least as much link time as compute time, every trip.
-    const double steady_transfer = s.transfer_time - after_cold.transfer_time;
-    const double steady_exec = (s.host_exec + s.device_exec) -
-                               (after_cold.host_exec + after_cold.device_exec);
-    if (steady_transfer > 0.0 && steady_transfer >= steady_exec &&
-        transfer_bound_reported_.insert(&node).second) {
-      const double h2d = s.h2d_bytes - after_cold.h2d_bytes;
-      const double d2h = s.d2h_bytes - after_cold.d2h_bytes;
-      std::ostringstream msg;
-      msg << "statically transfer-bound loop: every steady-state iteration "
-             "moves "
-          << static_cast<std::uint64_t>(h2d) << " bytes H2D and "
-          << static_cast<std::uint64_t>(d2h) << " bytes D2H ("
-          << steady_transfer << " s on the link) against " << steady_exec
-          << " s of compute — keep the data resident on one side or provide "
-             "a same-side variant for the consumer";
-      bag_.add("PL073", Severity::kWarning, std::move(msg).str(), node.loc);
+    const long long count = std::max(node.loop_count, 1);
+    LoopShape shape;
+    collect_shape(node.body, shape);
+    std::vector<WalkState> seen{s};  // seen[i]: the state after i iterations
+    std::size_t from = 0;
+    std::size_t period = 0;
+    for (long long done = 0; done < count;) {
+      eval_block(node.body, s);
+      if (exhausted_) return;
+      ++done;
+      if (period > 0) continue;
+      seen.push_back(s);
+      std::optional<double> delta;
+      for (std::size_t j = seen.size() - 1; j-- > 0 && !delta;) {
+        delta = repeat_shift(seen[j], s, shape);
+        from = j;
+      }
+      if (!delta && seen.size() > kLoopRepeatCap) {
+        std::tie(from, delta) = nearest_repeat(seen, shape);
+      }
+      if (!delta) continue;
+      period = seen.size() - 1 - from;
+      const long long repeats = (count - done) / static_cast<long long>(period);
+      if (repeats > 0) {
+        s.repeat(seen[from], static_cast<double>(repeats), *delta,
+                 workers_.size());
+        done += repeats * static_cast<long long>(period);
+      }
     }
+    // PL073 judges the repeating period, else the last iteration kept.
+    if (count < 2) return;
+    if (period == 0) {
+      from = seen.size() - 2;
+      period = 1;
+    }
+    report_transfer_bound(node, seen[from], seen[from + period],
+                          static_cast<double>(period));
+  }
 
-    // Iterations 3..count repeat the steady-state iteration; extrapolate
-    // the full state linearly from the measured steady delta.
-    if (count > 2.0) s.extrapolate_from(after_cold, count - 2.0);
+  /// PL073: the steady-state iteration is transfer-bound — the coherence
+  /// states force at least as much link time as compute time, every trip.
+  void report_transfer_bound(const desc::CallNode& node,
+                             const WalkState& before, const WalkState& after,
+                             double iterations) {
+    const double transfer =
+        (after.transfer_time - before.transfer_time) / iterations;
+    const double exec = ((after.host_exec + after.device_exec) -
+                         (before.host_exec + before.device_exec)) /
+                        iterations;
+    if (transfer <= 0.0 || transfer < exec ||
+        !transfer_bound_reported_.insert(&node).second) {
+      return;
+    }
+    const double h2d = (after.h2d_bytes - before.h2d_bytes) / iterations;
+    const double d2h = (after.d2h_bytes - before.d2h_bytes) / iterations;
+    std::ostringstream msg;
+    msg << "statically transfer-bound loop: every steady-state iteration "
+           "moves "
+        << static_cast<std::uint64_t>(h2d) << " bytes H2D and "
+        << static_cast<std::uint64_t>(d2h) << " bytes D2H (" << transfer
+        << " s on the link) against " << exec
+        << " s of compute — keep the data resident on one side or provide "
+           "a same-side variant for the consumer";
+    bag_.add("PL073", Severity::kWarning, std::move(msg).str(), node.loc);
   }
 
   void eval_if(const desc::CallNode& node, WalkState& s) {
@@ -593,10 +814,10 @@ class Predictor {
     // The trajectory takes the pessimistic branch (the verifier's all-paths
     // stance); the interval hulls both, and the world-sets join (union) so
     // later transfers stay forced only where *every* path demands one.
-    const double then_end = std::max(then_state.clock[0], then_state.clock[1]);
-    const double else_end = std::max(else_state.clock[0], else_state.clock[1]);
-    WalkState& winner = then_end >= else_end ? then_state : else_state;
-    WalkState& loser = then_end >= else_end ? else_state : then_state;
+    const bool then_slower =
+        then_state.plan.makespan() >= else_state.plan.makespan();
+    WalkState& winner = then_slower ? then_state : else_state;
+    WalkState& loser = then_slower ? else_state : then_state;
     winner.makespan_lo =
         before.makespan_lo + std::min(then_state.makespan_lo - before.makespan_lo,
                                       else_state.makespan_lo - before.makespan_lo);
@@ -604,9 +825,15 @@ class Predictor {
         before.makespan_hi + std::max(then_state.makespan_hi - before.makespan_hi,
                                       else_state.makespan_hi - before.makespan_hi);
     for (const auto& [name, other] : loser.containers) {
-      ContainerState& mine = winner.containers[name];
+      const auto [it, fresh] = winner.containers.try_emplace(name, other);
+      ContainerState& mine = it->second;
+      if (fresh) {
+        mine.data = winner.plan.add_data(loser.plan.states(other.data));
+        continue;
+      }
       mine.worlds.insert(other.worlds.begin(), other.worlds.end());
       mine.avail = std::max(mine.avail, other.avail);
+      mine.read_end = std::max(mine.read_end, other.read_end);
       mine.bytes = std::max(mine.bytes, other.bytes);
     }
     s = std::move(winner);
@@ -633,7 +860,7 @@ class Predictor {
       }
     }
 
-    const double est = std::max(state_.clock[0], state_.clock[1]);
+    const double est = state_.plan.makespan();
     result.makespan.est = est;
     result.makespan.lo = std::min(state_.makespan_lo, est);
     result.makespan.hi = std::max(state_.makespan_hi, est);
@@ -677,6 +904,9 @@ class Predictor {
   const desc::Repository& repo_;
   const PredictOptions& options_;
   CostEvaluator eval_;
+  const sim::ClusterConfig cluster_;  ///< the analysed machine as one node
+  const std::vector<rt::WorkerDesc> workers_;  ///< rt::worker_table(cluster_)
+  const rt::Interconnect net_;
   const int max_steps_;
   const desc::MainDescriptor* main_ = nullptr;
   std::vector<desc::CallNode> tree_;  ///< the statements the walk evaluates

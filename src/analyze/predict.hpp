@@ -4,16 +4,14 @@
 //
 // The predictor abstractly interprets the same lowered <calls> program the
 // coherence verifier runs its fixpoint over (analyze/cfg.hpp): per
-// container it carries the verifier's MSI world-sets, so a predicted
-// host<->accelerator transfer is charged exactly where the abstract
-// coherence state forces one (every feasible world holds an invalid
-// replica on the executing side). Execution time per call comes from the
-// runtime's own performance models (analyze/cost.hpp): the scheduler's
-// calibrated-mean/regression formula first, then the Extra-P-style
-// multi-term fit for unobserved sizes. Placement of unpinned calls is
-// resolved greedily by minimal predicted completion — the dmda policy —
-// and the result carries a [lo, hi] bracket over the feasible alternatives
-// next to the trajectory estimate.
+// container it carries the verifier's MSI world-sets, which bound the
+// transfers any feasible history can demand. Execution time per call comes
+// from the runtime's own performance models (analyze/cost.hpp): the
+// scheduler's calibrated-mean/regression formula first, then the
+// Extra-P-style multi-term fit for unobserved sizes. The trajectory places
+// and commits every call on an rt::Plan over the machine's worker table —
+// the dmda scheduler's own placement — and the result carries a [lo, hi]
+// bracket over the feasible alternatives next to the trajectory estimate.
 //
 // Diagnostics PL070..PL077 (docs/predict.md) report dead variants,
 // missing/low-confidence models, transfer-bound loops, device-capacity
@@ -57,7 +55,7 @@ struct PointCost {
   int call_index = -1;
   std::string interface_name;
   diag::SourceLocation loc;
-  rt::Arch chosen = rt::Arch::kCpu;  ///< greedy placement (last execution)
+  rt::Arch chosen = rt::Arch::kCpu;  ///< the plan's placement (last execution)
   EstimateSource source = EstimateSource::kGuess;
   bool low_confidence = false;
   std::uint64_t executions = 0;
@@ -90,7 +88,7 @@ struct PredictResult {
 /// Predicts the cost of the repository's main module on options.machine,
 /// using the given performance models. Descriptor-structure problems are
 /// the linter's job; a missing or empty main module predicts zero cost.
-/// Exports the prediction's per-point greedy placements as a runtime
+/// Exports the prediction's per-point placements as a runtime
 /// dispatch table — the static prior the lookahead scheduler replays
 /// (EngineConfig::dispatch_table). Each program point becomes a
 /// footprint-wildcard entry (interface name, footprint 0, call index)

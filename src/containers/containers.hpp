@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "runtime/engine.hpp"
@@ -22,12 +23,21 @@ namespace peppher::cont {
 
 namespace detail {
 
-/// Shared managed-buffer plumbing for all three containers.
+/// Shared managed-buffer plumbing for all three containers. A managed
+/// container holds only its runtime handle, registered at construction;
+/// the handle knows its engine until that engine shuts down (the shutdown
+/// syncs the data home and detaches the handle).
 template <typename T>
 class ManagedStorage {
  public:
   ManagedStorage(rt::Engine* engine, std::size_t count, T init)
-      : engine_(engine), storage_(count, init) {}
+      : storage_(count, init) {
+    if (engine != nullptr && count > 0) {
+      handle_ = engine->register_buffer(storage_.data(), count * sizeof(T),
+                                        sizeof(T));
+      handle_->keep_home_at_shutdown(true);  // storage_ outlives the engine
+    }
+  }
 
   ManagedStorage(const ManagedStorage&) = delete;
   ManagedStorage& operator=(const ManagedStorage&) = delete;
@@ -36,50 +46,55 @@ class ManagedStorage {
 
   ~ManagedStorage() {
     // Pull the final data home so the memory is plain application memory
-    // again; swallow errors (destructors must not throw).
-    if (handle_ != nullptr && engine_ != nullptr) {
+    // again (an engine that already shut down did so); swallow errors
+    // (destructors must not throw).
+    if (handle_ == nullptr) return;
+    if (rt::Engine* engine = handle_->engine()) {
       try {
-        engine_->unregister(handle_);
+        engine->unregister(handle_);
       } catch (...) {
       }
     }
   }
 
-  bool managed() const noexcept { return engine_ != nullptr; }
-  rt::Engine* engine() const noexcept { return engine_; }
+  bool managed() const noexcept { return handle_ != nullptr; }
   std::size_t count() const noexcept { return storage_.size(); }
 
-  /// The runtime handle; registers the payload on first use.
-  const rt::DataHandlePtr& handle() {
-    check(engine_ != nullptr,
-          "container is not attached to a runtime engine");
-    if (handle_ == nullptr) {
-      handle_ = engine_->register_buffer(storage_.data(),
-                                         storage_.size() * sizeof(T), sizeof(T));
+  /// The engine the container is registered with. Throws when unmanaged
+  /// or after that engine shut down.
+  rt::Engine& engine() const {
+    check(handle_ != nullptr, "container is not attached to a runtime engine");
+    rt::Engine* engine = handle_->engine();
+    if (engine == nullptr) {
+      throw Error(ErrorCode::kInvalidState,
+                  "container (data handle " + std::to_string(handle_->id()) +
+                      ") used after its runtime engine shut down");
     }
+    return *engine;
+  }
+
+  /// The runtime handle (see engine() for when it throws).
+  const rt::DataHandlePtr& handle() {
+    engine();
     return handle_;
   }
 
-  /// Makes the host copy valid for `mode` (no-op when unmanaged or never
-  /// handed to the runtime).
+  /// Makes the host copy valid for `mode` (no-op when unmanaged).
   void sync_host(rt::AccessMode mode) {
-    if (engine_ != nullptr && handle_ != nullptr) {
-      engine_->acquire_host(handle_, mode);
-    }
+    if (handle_ != nullptr) engine().acquire_host(handle_, mode);
   }
 
   /// Warms a replica on `node` ahead of the calls that will read it
   /// (Engine::prefetch). Returns false when unmanaged or the prefetch was
   /// skipped; a prefetch is only a hint, never an error.
   bool prefetch(rt::MemoryNodeId node) {
-    return engine_ != nullptr && engine_->prefetch(handle(), node);
+    return handle_ != nullptr && engine().prefetch(handle_, node);
   }
 
   T* data() noexcept { return storage_.data(); }
   const T* data() const noexcept { return storage_.data(); }
 
  private:
-  rt::Engine* engine_ = nullptr;
   std::vector<T> storage_;
   rt::DataHandlePtr handle_;
 };
@@ -248,9 +263,10 @@ class Matrix {
     auto& h = row_handle_;
     if (h == nullptr) {
       storage_.sync_host(rt::AccessMode::kReadWrite);
-      h = storage_.engine()->register_buffer(storage_.data(),
-                                             size() * sizeof(T),
-                                             cols_ * sizeof(T));
+      h = storage_.engine().register_buffer(storage_.data(),
+                                            size() * sizeof(T),
+                                            cols_ * sizeof(T));
+      h->keep_home_at_shutdown(true);
     }
     return h->partition(parts);
   }

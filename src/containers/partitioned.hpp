@@ -120,9 +120,10 @@ class PartitionedVector {
   PartitionedVector& operator=(const PartitionedVector&) = delete;
 
   ~PartitionedVector() {
+    // An engine that already shut down synced and detached the handles.
     for (auto& [bounds, handle] : handles_) {
       try {
-        engine_->unregister(handle);
+        if (rt::Engine* engine = handle->engine()) engine->unregister(handle);
       } catch (...) {
         // destructors must not throw; the engine drains what it can
       }
@@ -146,6 +147,7 @@ class PartitionedVector {
       it->second = engine_->register_buffer(storage_.data() + slice.begin,
                                             slice.size() * sizeof(T),
                                             sizeof(T));
+      it->second->keep_home_at_shutdown(true);  // storage_ outlives the engine
     }
     return it->second;
   }

@@ -14,11 +14,6 @@
 namespace peppher::rt {
 namespace {
 
-Arch accelerator_arch(const sim::DeviceProfile& profile) {
-  return profile.device_class == sim::DeviceClass::kOpenClGpu ? Arch::kOpenCl
-                                                              : Arch::kCuda;
-}
-
 /// CAS-max for the atomic virtual clocks (fetch_max exists only for
 /// integral atomics).
 void atomic_max(std::atomic<double>& target, double value) {
@@ -70,67 +65,36 @@ Engine::Engine(EngineConfig config)
 
   // Shadow coherence checking must be armed before any handle registration.
   if (config_.verify_shadow) data_.enable_shadow_checking();
+  data_.set_engine(this);
 
-  // Workers, per simulated node: the node's per-core CPU workers, its
-  // combined all-cores worker, then its accelerators (global device
-  // ordinals run in node order). On one node this is exactly the historical
-  // worker table.
+  // The cluster's worker table (rt::worker_table, which peppher-predict
+  // plans over too), plus per worker its runtime state: the node's
+  // combined-CPU index, each device's memory capacity from its profile
+  // (§IV-D eviction) and its fault injector (accelerator_faults is aligned
+  // with the global device ordinals).
+  descs_ = worker_table(cluster_);
+  for (std::size_t k = 0; k < cluster_.nodes.size(); ++k) {
+    node_rt_.push_back(std::make_unique<NodeRuntime>());
+  }
   injectors_.resize(static_cast<std::size_t>(topo.device_count()));
   bool any_faults = false;
-  WorkerId next_id = 0;
-  int ordinal = 0;
-  for (int k = 0; k < static_cast<int>(cluster_.nodes.size()); ++k) {
-    const sim::MachineConfig& machine = cluster_.nodes[k].machine;
-    const MemoryNodeId host = topo.host_of(k);
-    auto node_rt = std::make_unique<NodeRuntime>();
-    for (int c = 0; c < machine.cpu_cores; ++c) {
-      WorkerDesc desc;
-      desc.id = next_id++;
-      desc.archs = {Arch::kCpu};
-      desc.node = host;
-      desc.sim_node = k;
-      desc.profile = machine.cpu_core;
-      descs_.push_back(desc);
+  for (const WorkerDesc& desc : descs_) {
+    if (desc.is_combined_cpu) {
+      node_rt_[static_cast<std::size_t>(desc.sim_node)]->combined_index =
+          desc.id;
     }
-    if (machine.cpu_cores > 0) {
-      WorkerDesc desc;
-      desc.id = next_id++;
-      desc.archs = {Arch::kCpuOmp};
-      desc.node = host;
-      desc.sim_node = k;
-      desc.profile = sim::combined_cpu_profile(machine.cpu_core, machine.cpu_cores);
-      desc.is_combined_cpu = true;
-      node_rt->combined_index = static_cast<int>(descs_.size());
-      descs_.push_back(desc);
+    if (topo.is_host(desc.node)) continue;
+    data_.set_node_capacity(
+        desc.node,
+        static_cast<std::size_t>(desc.profile.memory_mb * 1024.0 * 1024.0));
+    const auto ordinal = static_cast<std::size_t>(topo.device_ordinal(desc.node));
+    if (ordinal < config_.accelerator_faults.size() &&
+        config_.accelerator_faults[ordinal].any()) {
+      injectors_[ordinal] = std::make_unique<sim::FaultInjector>(
+          config_.accelerator_faults[ordinal],
+          config_.seed ^ (0x9E3779B97F4A7C15ULL * (ordinal + 1)));
+      any_faults = true;
     }
-    for (std::size_t a = 0; a < machine.accelerators.size(); ++a, ++ordinal) {
-      WorkerDesc desc;
-      desc.id = next_id++;
-      desc.archs = {accelerator_arch(machine.accelerators[a])};
-      desc.node = topo.device_node(ordinal);
-      desc.sim_node = k;
-      desc.profile = machine.accelerators[a];
-      descs_.push_back(desc);
-      // Device memory capacity from the profile (§IV-D eviction) and the
-      // device's fault injector (accelerator_faults is aligned with the
-      // global ordinals).
-      data_.set_node_capacity(
-          desc.node,
-          static_cast<std::size_t>(machine.accelerators[a].memory_mb * 1024.0 *
-                                   1024.0));
-      if (static_cast<std::size_t>(ordinal) <
-              config_.accelerator_faults.size() &&
-          config_.accelerator_faults[static_cast<std::size_t>(ordinal)].any()) {
-        injectors_[static_cast<std::size_t>(ordinal)] =
-            std::make_unique<sim::FaultInjector>(
-                config_.accelerator_faults[static_cast<std::size_t>(ordinal)],
-                config_.seed ^
-                    (0x9E3779B97F4A7C15ULL *
-                     (static_cast<std::uint64_t>(ordinal) + 1)));
-        any_faults = true;
-      }
-    }
-    node_rt_.push_back(std::move(node_rt));
   }
 
   blacklisted_ = std::make_unique<std::atomic<bool>[]>(descs_.size());
@@ -178,12 +142,13 @@ Engine::Engine(EngineConfig config)
   env.workers = &descs_;
   env.worker_ready_at = [this](WorkerId id) { return worker_ready_at(id); };
   env.eligible = [this](const Task& t, WorkerId id) { return worker_eligible(t, id); };
-  env.estimate = [this](const Task& t, WorkerId id) { return estimate(t, id); };
+  env.exec = [this](const Task& t, WorkerId id) { return exec_estimate(t, id); };
   env.sample_count = [this](const Task& t, WorkerId id) {
     return exploration_sample_count(t, id);
   };
   env.calibration_min = config_.calibration_samples;
   env.rng = &rng_;
+  env.objective = config_.objective;
   // Energy is additive, not overlappable: a window has no makespan to plan
   // jointly, so under the energy objective lookahead places like dmda.
   env.window_size = config_.objective == Objective::kEnergy
@@ -261,6 +226,10 @@ Engine::~Engine() {
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
+  // Containers may outlive the engine: hand their data back to its host
+  // memory and cut every handle loose (later use throws, unregistering is
+  // a no-op).
+  data_.detach_all();
   if (!config_.sampling_dir.empty()) {
     try {
       perf_.save(config_.sampling_dir);
@@ -321,6 +290,11 @@ void Engine::acquire_host(const DataHandlePtr& handle, AccessMode mode) {
 }
 
 void Engine::unregister(const DataHandlePtr& handle) {
+  check(handle != nullptr, "unregister: null handle");
+  if (handle->engine() == nullptr) return;  // detached at a shutdown
+  // The caller's memory may be freed once this returns, even if the sync
+  // below throws (a failed last writer): shutdown must not write it.
+  handle->keep_home_at_shutdown(false);
   acquire_host(handle, AccessMode::kReadWrite);
 }
 
@@ -714,8 +688,51 @@ void Engine::worker_main(WorkerId id) {
       }
       worker.slot.cancel();
     }
+    if (blacklisted_[static_cast<std::size_t>(id)].load(
+            std::memory_order_acquire)) {
+      // Pushed after the submitter's eligibility check but before this
+      // worker died and drained its queue: hand it to the survivors.
+      reroute_from_dead_worker(task);
+      continue;
+    }
     task->state.store(TaskState::kRunning, std::memory_order_relaxed);
     execute(task, worker);
+  }
+}
+
+void Engine::reroute_from_dead_worker(const TaskPtr& task) {
+  if (has_eligible_worker(*task)) {
+    dispatch_ready(task);
+    return;
+  }
+  std::vector<TaskPtr> completed;
+  std::vector<TaskPtr> ready;
+  {
+    std::lock_guard<std::mutex> lock(graph_mutex_);
+    try {
+      throw Error(ErrorCode::kUnsupported,
+                  "task '" + task->spec.name +
+                      "' lost its last eligible worker (device died)");
+    } catch (...) {
+      task->error = std::current_exception();
+    }
+    complete_locked(task, completed, ready);
+  }
+  finish_completed(completed, ready, nullptr);
+}
+
+void Engine::finish_completed(std::vector<TaskPtr>& completed,
+                              std::vector<TaskPtr>& ready, bool* self_claim) {
+  for (const TaskPtr& next : ready) dispatch_ready(next, self_claim);
+  notify_task_done();  // wake wait(task) callers promptly, before callbacks
+  for (const TaskPtr& done : completed) {
+    if (done->spec.on_complete) done->spec.on_complete(*done);
+  }
+  if (!completed.empty()) {
+    // inflight_ is decremented only after the completion callbacks ran, so
+    // wait_for_all() implies all callbacks finished.
+    inflight_.fetch_sub(completed.size(), std::memory_order_seq_cst);
+    notify_idle();
   }
 }
 
@@ -775,6 +792,9 @@ void Engine::wake_workers(std::uint64_t eligible_mask, WorkerId hint,
     const std::size_t w = (start + k) % n;
     if (static_cast<WorkerId>(w) == hint) continue;
     if (w < 64 && !(eligible_mask & (std::uint64_t{1} << w))) continue;
+    // The mask predates the push: a worker that died since would take the
+    // wakeup and leave the task to nobody.
+    if (blacklisted_[w].load(std::memory_order_acquire)) continue;
     if (workers_[w]->slot.unpark()) return;  // woke one parked worker
   }
   // Nobody parked: every eligible worker is mid-loop and re-checks the
@@ -1054,19 +1074,7 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     std::lock_guard<std::mutex> lock(graph_mutex_);
     complete_locked(task, completed_now, ready_now);
   }
-  for (const TaskPtr& ready : ready_now) dispatch_ready(ready, &self_claim);
-  notify_task_done();  // wake wait(task) callers promptly, before callbacks
-  for (const TaskPtr& done : completed_now) {
-    if (done->spec.on_complete) {
-      done->spec.on_complete(*done);
-    }
-  }
-  if (!completed_now.empty()) {
-    // inflight_ is decremented only after the completion callbacks ran, so
-    // wait_for_all() implies all callbacks finished.
-    inflight_.fetch_sub(completed_now.size(), std::memory_order_seq_cst);
-    notify_idle();
-  }
+  finish_completed(completed_now, ready_now, &self_claim);
   completed_now.clear();
   ready_now.clear();
 }
@@ -1247,16 +1255,13 @@ VirtualTime Engine::worker_ready_at(WorkerId id) const {
   return ready;
 }
 
-Placement Engine::estimate(const Task& task, WorkerId id) const {
-  Placement placement;
-  placement.objective = config_.objective;
-  if (!worker_eligible(task, id)) return placement;
+double Engine::exec_estimate(const Task& task, WorkerId id) const {
+  if (!worker_eligible(task, id)) {
+    return std::numeric_limits<double>::infinity();
+  }
   const WorkerDesc& worker = descs_[static_cast<std::size_t>(id)];
   const Implementation* impl = select_impl(task, worker);
   check(impl != nullptr, "eligible worker without implementation");
-  for (const auto& op : task.spec.operands) {
-    placement.fetch += op.handle->estimate_fetch_seconds(worker.node, op.mode);
-  }
   std::optional<double> exec;
   if (config_.use_history_models) {
     exec = perf_.estimate_exec(
@@ -1268,14 +1273,7 @@ Placement Engine::estimate(const Task& task, WorkerId id) const {
     exec = sim::execution_seconds(
         worker.profile, impl->cost(task.operand_bytes, task.spec.arg.get()));
   }
-  placement.exec = exec.value_or(kNeutralExecSeconds);
-  placement.watts = worker.profile.busy_watts;
-  // The task cannot start before its predecessors finished, no matter how
-  // idle a worker is — without this bound, tightly chained task graphs
-  // ping-pong to whichever worker's clock lags behind.
-  placement.ready = worker_ready_at(id);
-  placement.deps = task.max_pred_end;
-  return placement;
+  return exec.value_or(kNeutralExecSeconds);
 }
 
 void Engine::commit_window_task(const TaskPtr& task, WorkerId worker,

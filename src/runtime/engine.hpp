@@ -217,7 +217,8 @@ class Engine {
   void acquire_host(const DataHandlePtr& handle, AccessMode mode);
 
   /// Synchronises the handle to the host and forgets its dependency state;
-  /// the memory is the application's again (StarPU's data unregister).
+  /// the memory is the application's again (StarPU's data unregister). A
+  /// no-op on a handle an engine shutdown already detached.
   void unregister(const DataHandlePtr& handle);
 
   // -- task submission -------------------------------------------------------
@@ -370,6 +371,16 @@ class Engine {
   void worker_main(WorkerId id);
   void execute(const TaskPtr& task, Worker& worker);
 
+  /// A task popped by a blacklisted worker: re-dispatched to a survivor,
+  /// or failed when none is eligible any more.
+  void reroute_from_dead_worker(const TaskPtr& task);
+
+  /// The tail of every completion, outside graph_mutex_: dispatches
+  /// `ready`, wakes waiters, runs the callbacks of `completed` and then
+  /// retires them from inflight_.
+  void finish_completed(std::vector<TaskPtr>& completed,
+                        std::vector<TaskPtr>& ready, bool* self_claim);
+
   /// One queued automatic prefetch: warm `handle` on `node`.
   struct PrefetchRequest {
     DataHandlePtr handle;
@@ -460,9 +471,9 @@ class Engine {
   /// clock (per-core) or the host-group maximum (combined worker).
   VirtualTime worker_ready_at(WorkerId id) const;
 
-  /// SchedEnv::estimate — the placement cost (runtime/placement.hpp) of
-  /// running `task` on worker `id` against the live coherence state.
-  Placement estimate(const Task& task, WorkerId id) const;
+  /// SchedEnv::exec — expected execution seconds of `task` on worker `id`
+  /// (history models, cost hint, neutral guess); +inf when ineligible.
+  double exec_estimate(const Task& task, WorkerId id) const;
 
   /// SchedEnv::commit — the lookahead scheduler announces each planned
   /// task it placed on a worker other than the push/pop trigger: record the

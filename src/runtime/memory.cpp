@@ -63,7 +63,9 @@ void DataHandle::shadow_check_locked(const char* event) {
 }
 
 DataHandle::~DataHandle() {
-  // Return any live device allocations to the manager's accounting.
+  // Return any live device allocations to the manager's accounting (a
+  // detached handle already did).
+  if (manager_ == nullptr) return;
   for (std::size_t n = 1; n < replicas_.size(); ++n) {
     if (replicas_[n].storage != nullptr) {
       manager_->on_free(static_cast<MemoryNodeId>(n), bytes_);
@@ -80,6 +82,49 @@ bool DataHandle::is_partitioned() const noexcept {
 bool DataHandle::detached() const noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   return detached_;
+}
+
+Engine* DataHandle::engine() const noexcept {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return manager_ != nullptr ? manager_->engine() : nullptr;
+}
+
+void DataHandle::check_attached_locked(const char* what) const {
+  if (manager_ != nullptr) return;
+  throw Error(ErrorCode::kInvalidState,
+              std::string(what) + " of data handle " + std::to_string(id_) +
+                  " after its engine shut down");
+}
+
+void DataHandle::keep_home_at_shutdown(bool keep) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  keep_home_ = keep;
+}
+
+void DataHandle::detach() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (manager_ == nullptr) return;
+  // A plain copy, not a simulated transfer: no link is charged and no
+  // transfer fault can fire, so the engine's destructor cannot throw here.
+  // An unpartitioned child was synced by unpartition(); its stale replicas
+  // must not overwrite the parent's memory.
+  if (keep_home_ && !detached_ &&
+      replicas_[kHostNode].state == ReplicaState::kInvalid) {
+    const MemoryNodeId source = pick_source_locked(kHostNode);
+    if (source >= 0) {
+      std::memcpy(replicas_[kHostNode].ptr,
+                  replicas_[static_cast<std::size_t>(source)].ptr, bytes_);
+    }
+  }
+  for (std::size_t n = 1; n < replicas_.size(); ++n) {
+    Replica& replica = replicas_[n];
+    if (replica.storage != nullptr) {
+      manager_->on_free(static_cast<MemoryNodeId>(n), bytes_);
+    }
+    replica = Replica{};
+  }
+  replicas_[kHostNode].state = ReplicaState::kOwned;
+  manager_ = nullptr;
 }
 
 void DataHandle::ensure_allocated(MemoryNodeId node) {
@@ -141,6 +186,7 @@ MemoryNodeId DataHandle::pick_source_locked(MemoryNodeId node) const {
 void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
                           VirtualTime* data_ready) {
   std::lock_guard<std::mutex> lock(mutex_);
+  check_attached_locked("acquire");
   if (detached_) {
     throw Error(ErrorCode::kInvalidState,
                 "access to a sub-handle after unpartition()");
@@ -193,6 +239,7 @@ void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
 void DataHandle::release(MemoryNodeId node) {
   if (node == kHostNode) return;  // host replicas are never evicted
   std::lock_guard<std::mutex> lock(mutex_);
+  check_attached_locked("release");
   Replica& replica = replicas_[static_cast<std::size_t>(node)];
   check(replica.pins > 0, "release without matching acquire");
   --replica.pins;
@@ -231,6 +278,7 @@ bool DataHandle::try_evict(MemoryNodeId node) {
 
 void DataHandle::mark_written(MemoryNodeId node, VirtualTime vend) {
   std::lock_guard<std::mutex> lock(mutex_);
+  check_attached_locked("mark_written");
   Replica& replica = replicas_[static_cast<std::size_t>(node)];
   check(replica.state == ReplicaState::kOwned,
         "mark_written on a non-owned replica");
@@ -243,20 +291,19 @@ void DataHandle::reset_virtual_time() {
   for (Replica& replica : replicas_) replica.valid_at = 0.0;
 }
 
-double DataHandle::estimate_fetch_seconds(MemoryNodeId node,
-                                          AccessMode mode) const {
-  if (mode == AccessMode::kWrite) return 0.0;
+void DataHandle::plan_states(std::vector<ReplicaState>& out) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const Replica& replica = replicas_[static_cast<std::size_t>(node)];
-  if (replica.state != ReplicaState::kInvalid) return 0.0;
-  // A queued background prefetch is already paying for this transfer on
-  // the lane: charging it again would double-bill every task scheduled
-  // after the dispatch that triggered the prefetch.
-  if (replica.prefetch_pending > 0) return 0.0;
-  const double reads =
-      mode == AccessMode::kRead ? static_cast<double>(read_uses_) : 1.0;
-  return manager_->interconnect().fetch_seconds(
-      pick_source_locked(node), node, bytes_, reuse_divisor(reads));
+  for (const Replica& replica : replicas_) {
+    out.push_back(replica.prefetch_pending > 0 &&
+                          replica.state == ReplicaState::kInvalid
+                      ? ReplicaState::kShared
+                      : replica.state);
+  }
+}
+
+std::uint64_t DataHandle::reads() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return read_uses_;
 }
 
 ReplicaState DataHandle::replica_state(MemoryNodeId node) const {
@@ -280,6 +327,7 @@ void DataHandle::note_prefetch_done(MemoryNodeId node) {
 std::vector<DataHandlePtr> DataHandle::partition(std::size_t parts) {
   check(parts > 0, "partition: parts must be positive");
   std::lock_guard<std::mutex> lock(mutex_);
+  check_attached_locked("partition");
   if (parent_ != nullptr) {
     throw Error(ErrorCode::kUnsupported, "nested partitioning is not supported");
   }
@@ -337,6 +385,7 @@ std::vector<DataHandlePtr> DataHandle::partition(std::size_t parts) {
 
 void DataHandle::unpartition() {
   std::lock_guard<std::mutex> lock(mutex_);
+  check_attached_locked("unpartition");
   for (auto& weak_child : children_) {
     DataHandlePtr child = weak_child.lock();
     if (child == nullptr) continue;
@@ -487,6 +536,23 @@ DataHandlePtr DataManager::register_buffer(void* host_ptr, std::size_t bytes,
   DataHandlePtr handle(new DataHandle(this, host_ptr, bytes, element_size));
   note_handle(handle);
   return handle;
+}
+
+void DataManager::detach_all() {
+  // Collect under the manager lock, detach outside it: handle mutexes are
+  // taken before the manager's (see reset_virtual_time).
+  std::vector<DataHandlePtr> live;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& weak : all_handles_) {
+      if (DataHandlePtr handle = weak.lock()) live.push_back(std::move(handle));
+    }
+  }
+  for (const DataHandlePtr& handle : live) {
+    handle->last_writer.reset();
+    handle->readers_since_last_write.clear();
+    handle->detach();
+  }
 }
 
 void DataManager::note_handle(const DataHandlePtr& handle) {

@@ -29,6 +29,7 @@ namespace peppher::rt {
 
 class Task;
 class DataManager;
+class Engine;
 
 /// Coherence state of one replica of a handle's data on one memory node.
 enum class ReplicaState : std::uint8_t {
@@ -65,6 +66,23 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   /// unusable).
   bool detached() const noexcept;
 
+  /// The engine the handle is registered with, or nullptr once that engine
+  /// shut down (see detach()) or when the manager has no engine.
+  Engine* engine() const noexcept;
+
+  /// Marks the host memory as outliving the engine (a smart container owns
+  /// it): engine shutdown then syncs the data home before it detaches the
+  /// handle. Engine::unregister clears the mark — the memory may be gone.
+  void keep_home_at_shutdown(bool keep);
+
+  /// Engine shutdown: makes the primary host replica valid if the handle is
+  /// marked keep_home_at_shutdown (a plain copy: no link time, no transfer
+  /// fault), frees every other replica and cuts the handle loose from its
+  /// manager. The host memory is then plain application memory; any later
+  /// acquire, release, write mark or partitioning throws
+  /// Error(kInvalidState). Idempotent.
+  void detach();
+
   /// Ensures a valid replica on `node` for the given access and returns its
   /// pointer. Performs any needed allocation and (real) copy, updates MSI
   /// states, charges the transfer to the PCIe link in virtual time, and
@@ -94,23 +112,27 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   /// must not appear to arrive *after* the reset epoch.
   void reset_virtual_time();
 
-  /// Estimated seconds of transfer needed to make the data valid on `node`
-  /// for `mode`, *without* changing any state: the fetch term of the
-  /// placement cost (runtime/placement.hpp). Read-only operands amortise
-  /// the volume over the reads this handle has seen: a handle read by many
-  /// tasks is expected to be read by many more, which is what lets dmda
-  /// move a heavily reused operand (the ODE solver's Jacobian, §IV-H) to
-  /// the device where its consumers run fastest.
-  double estimate_fetch_seconds(MemoryNodeId node, AccessMode mode) const;
+  /// Appends the handle's coherence state as a plan seeds it
+  /// (runtime/placement.hpp) to `out`: one state per memory node, where a
+  /// replica with a queued background prefetch counts as valid — the lane
+  /// already pays for that transfer, so no placement may charge it again.
+  void plan_states(std::vector<ReplicaState>& out) const;
+
+  /// Read-mode acquires so far: the reuse a plan amortises this handle's
+  /// read fetches over. A handle read by many tasks is expected to be read
+  /// by many more, which is what lets dmda move a heavily reused operand
+  /// (the ODE solver's Jacobian, §IV-H) to the device where its consumers
+  /// run fastest.
+  std::uint64_t reads() const;
 
   ReplicaState replica_state(MemoryNodeId node) const;
 
   // -- prefetch accounting (scheduler-driven prefetch, §IV-H) ---------------
 
   /// Marks a background prefetch of this handle to `node` as queued. Until
-  /// the matching note_prefetch_done(), estimate_fetch_seconds(node, read)
-  /// reports 0 for an invalid replica — the transfer is already paid for by
-  /// the prefetch path, so dmda must not double-charge it.
+  /// the matching note_prefetch_done(), plan_states() reports the replica
+  /// valid — the transfer is already paid for by the prefetch path, so dmda
+  /// must not double-charge it.
   void note_prefetch_queued(MemoryNodeId node);
   void note_prefetch_done(MemoryNodeId node);
 
@@ -157,6 +179,10 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   void* replica_ptr(MemoryNodeId node);
   void ensure_allocated(MemoryNodeId node);
 
+  /// Throws Error(kInvalidState) naming `what` once detach() ran. Caller
+  /// holds mutex_.
+  void check_attached_locked(const char* what) const;
+
   /// Shadow coherence checking (EngineConfig::verify_shadow): `shadow_` is
   /// an independent state vector advanced through the pure transition rules
   /// of runtime/msi.hpp at every coherence event, then compared against the
@@ -168,7 +194,7 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
                                 AccessMode mode);
   void shadow_check_locked(const char* event);
 
-  DataManager* manager_;
+  DataManager* manager_;  ///< nullptr once detached (guarded by mutex_)
   void* host_ptr_;
   std::size_t bytes_;
   std::size_t element_size_;
@@ -184,6 +210,7 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   std::size_t parent_offset_bytes_ = 0;
   std::vector<std::weak_ptr<DataHandle>> children_;
   bool detached_ = false;  ///< set on children after unpartition()
+  bool keep_home_ = false;  ///< guarded by mutex_
 };
 
 using DataHandlePtr = std::shared_ptr<DataHandle>;
@@ -217,6 +244,16 @@ class DataManager {
                                 std::size_t element_size);
 
   int node_count() const noexcept { return node_count_; }
+
+  /// The engine that owns this manager (DataHandle::engine()); set once by
+  /// the Engine before any registration.
+  void set_engine(Engine* engine) noexcept { engine_ = engine; }
+  Engine* engine() const noexcept { return engine_; }
+
+  /// Engine shutdown, after the workers stopped: drops every live handle's
+  /// dependency links (tasks and handles keep each other alive through
+  /// them) and detaches every handle, parents and partition children.
+  void detach_all();
 
   /// Sets a device node's memory capacity in bytes (0 = unlimited, the
   /// default). Allocations beyond the capacity trigger eviction of
@@ -336,6 +373,7 @@ class DataManager {
 
   Interconnect net_;
   int node_count_;
+  Engine* engine_ = nullptr;  ///< immutable once handles exist
   std::size_t intra_lane_count_ = 1;
   TransferHook transfer_hook_;  ///< immutable once workers run
   Tracer* recorder_ = nullptr;    ///< immutable once workers run

@@ -5,14 +5,13 @@
 
 namespace peppher::rt::msi {
 
-void apply_acquire(std::vector<ReplicaState>& states, int node,
-                   AccessMode mode) {
+void apply_acquire(std::span<ReplicaState> states, int node, AccessMode mode) {
   apply_acquire(states, node, mode,
                 MemTopology::single_host(static_cast<int>(states.size())));
 }
 
-void apply_acquire(std::vector<ReplicaState>& states, int node,
-                   AccessMode mode, const MemTopology& topo) {
+void apply_acquire(std::span<ReplicaState> states, int node, AccessMode mode,
+                   const MemTopology& topo) {
   check(static_cast<int>(states.size()) == topo.node_count() && node >= 0 &&
             node < topo.node_count(),
         "msi::apply_acquire: bad memory node");
@@ -42,12 +41,12 @@ void apply_acquire(std::vector<ReplicaState>& states, int node,
   }
 }
 
-void apply_evict(std::vector<ReplicaState>& states, int node) {
+void apply_evict(std::span<ReplicaState> states, int node) {
   apply_evict(states, node,
               MemTopology::single_host(static_cast<int>(states.size())));
 }
 
-void apply_evict(std::vector<ReplicaState>& states, int node,
+void apply_evict(std::span<ReplicaState> states, int node,
                  const MemTopology& topo) {
   check(node > 0 && node < static_cast<int>(states.size()) &&
             !topo.is_host(node),
@@ -60,7 +59,7 @@ void apply_evict(std::vector<ReplicaState>& states, int node,
   replica = ReplicaState::kInvalid;
 }
 
-void apply_host_reclaim(std::vector<ReplicaState>& states) {
+void apply_host_reclaim(std::span<ReplicaState> states) {
   for (std::size_t n = 1; n < states.size(); ++n) {
     states[n] = ReplicaState::kInvalid;
   }

@@ -16,7 +16,7 @@
 // runtime or the model, never a drift between two copies of the rules.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "runtime/topology.hpp"
 #include "runtime/types.hpp"
@@ -32,31 +32,30 @@ namespace msi {
 /// device-to-device fetch routes through the host and leaves a Shared host
 /// copy behind); a write or readwrite then invalidates every other replica
 /// and owns `node`. No-op fetch when the replica is already valid.
-void apply_acquire(std::vector<ReplicaState>& states, int node,
-                   AccessMode mode);
+void apply_acquire(std::span<ReplicaState> states, int node, AccessMode mode);
 
 /// Topology-aware acquire: the fetch walks the canonical route from the
 /// nearest valid replica (MemTopology::nearest_valid), leaving a Shared
 /// copy on every intermediate host it crosses — on a cluster a
 /// dev(i) -> dev(j) fetch marks host(i) and host(j) Shared, generalizing
 /// the two-node rule.
-void apply_acquire(std::vector<ReplicaState>& states, int node,
-                   AccessMode mode, const MemTopology& topo);
+void apply_acquire(std::span<ReplicaState> states, int node, AccessMode mode,
+                   const MemTopology& topo);
 
 /// State transition of a successful DataHandle::try_evict(node): an Owned
 /// device replica is flushed home first (host becomes Owned), then the
 /// node's replica is dropped to Invalid.
-void apply_evict(std::vector<ReplicaState>& states, int node);
+void apply_evict(std::span<ReplicaState> states, int node);
 
 /// Topology-aware evict: an Owned device replica flushes to its *own*
 /// node's host (not necessarily memory node 0).
-void apply_evict(std::vector<ReplicaState>& states, int node,
+void apply_evict(std::span<ReplicaState> states, int node,
                  const MemTopology& topo);
 
 /// State transition of DataHandle::partition() / unpartition() on the
 /// parent handle: the host copy is made authoritative (Owned) and every
 /// device replica is invalidated.
-void apply_host_reclaim(std::vector<ReplicaState>& states);
+void apply_host_reclaim(std::span<ReplicaState> states);
 
 }  // namespace msi
 }  // namespace peppher::rt

@@ -294,9 +294,10 @@ class WorkStealingScheduler final : public Scheduler,
 // ---------------------------------------------------------------------------
 // Shared core of the model-based policies (dmda and lookahead): per-worker
 // priority queues with pending-work accounting, the calibration/exploration
-// rule and the dmda completion-time choice. Lookahead's window-size-1 path
-// goes through the exact same dmda_push, which is what the differential
-// test asserts.
+// rule, and the plan both policies place on — seeded from the live engine,
+// each worker's clock its ready time plus its queued work. Dmda places one
+// task on it (Plan::place); lookahead places a window (Plan::place_window),
+// whose window of one is the same Plan::place.
 // ---------------------------------------------------------------------------
 class ModelSchedulerBase : public Scheduler {
  public:
@@ -331,6 +332,67 @@ class ModelSchedulerBase : public Scheduler {
     std::atomic<std::size_t> approx_size{0};
   };
 
+  using Seen = std::vector<std::pair<const DataHandle*, int>>;
+
+  /// One placement's working set. dmda reuses one per thread, so a
+  /// steady-state placement allocates nothing (a fresh one per push cost
+  /// perfbench ode_chain 6 % of its solve time on a 4-vCPU Xeon).
+  struct Scratch {
+    Plan plan;
+    Plan::Task task;
+    Seen seen;
+  };
+
+  /// Seeds `plan` from the live engine: each worker free at its ready time
+  /// plus its queued (uncommitted) work. Seeding couples nothing.
+  void seed(Plan& plan) const {
+    plan.reset(*env_.workers, env_.interconnect, env_.objective);
+    for (const WorkerDesc& w : *env_.workers) {
+      plan.seed(w.id, env_.worker_ready_at(w.id),
+                pending_work_[static_cast<std::size_t>(w.id)].load(
+                    std::memory_order_relaxed));
+    }
+  }
+
+  /// `task` as `plan` prices it, into `out`: per-worker execution
+  /// estimates, its predecessors' end, and its operands over the plan's
+  /// data — one datum per distinct handle, seeded from the handle's live
+  /// state (`seen` maps the handles already added). A read operand's reuse
+  /// is the reads its handle has seen.
+  void plan_task(const Task& task, Plan& plan, Seen& seen,
+                 Plan::Task& out) const {
+    out.deps = task.max_pred_end;
+    out.exec.clear();
+    out.operands.clear();
+    for (const WorkerDesc& w : *env_.workers) {
+      out.exec.push_back(env_.exec(task, w.id));
+    }
+    for (std::size_t i = 0; i < task.spec.operands.size(); ++i) {
+      const TaskOperand& op = task.spec.operands[i];
+      const DataHandle* handle = op.handle.get();
+      auto found = std::find_if(seen.begin(), seen.end(), [&](const auto& s) {
+        return s.first == handle;
+      });
+      if (found == seen.end()) {
+        seen.emplace_back(handle, plan.add_data(*handle));
+        found = std::prev(seen.end());
+      }
+      out.operands.push_back(
+          {found->second, op.mode, task.operand_bytes[i],
+           op.mode == AccessMode::kRead ? static_cast<double>(handle->reads())
+                                        : 1.0});
+    }
+  }
+
+  /// This thread's scratch, holding `task` on a freshly seeded plan.
+  Scratch& placement(const Task& task) const {
+    thread_local Scratch scratch;
+    seed(scratch.plan);
+    scratch.seen.clear();
+    plan_task(task, scratch.plan, scratch.seen, scratch.task);
+    return scratch;
+  }
+
   /// Calibration rule: the eligible variant with the fewest recorded
   /// samples below calibration_min, or -1 when every variant is calibrated
   /// (StarPU forces uncalibrated variants to run so the models learn).
@@ -348,58 +410,49 @@ class ModelSchedulerBase : public Scheduler {
     return explore;
   }
 
-  /// The full dmda placement: calibration exploration first, then minimum
-  /// predicted completion time including per-worker pending work.
-  WorkerId dmda_push(const TaskPtr& task, DecisionRecord* decision) {
-    // Calibration phase: while any eligible variant has fewer than
-    // calibration_min recorded samples for this footprint, force it to run
-    // so the history model learns about it (StarPU does the same).
-    const WorkerId explore = exploration_target(*task);
-    if (explore >= 0) {
-      if (decision != nullptr) decision->explored = true;
-      enqueue_with_work(explore, task, env_.estimate(*task, explore).work());
-      return explore;
-    }
+  /// Calibration phase: while any eligible variant has fewer than
+  /// calibration_min recorded samples for this footprint, force it to run
+  /// so the history model learns about it (StarPU does the same). Returns
+  /// the worker, or -1 when every variant is calibrated.
+  WorkerId explore(const TaskPtr& task, DecisionRecord* decision) {
+    const WorkerId target = exploration_target(*task);
+    if (target < 0) return -1;
+    if (decision != nullptr) decision->explored = true;
+    const Scratch& scratch = placement(*task);
+    enqueue_with_work(target, task,
+                      scratch.plan.price(scratch.task, target).work);
+    return target;
+  }
 
-    // Steady state: minimise predicted completion time, counting both the
-    // worker's virtual-clock readiness and the expected duration of tasks
-    // already queued on it but not yet started (StarPU dmda's expected-end
-    // accounting). Two concurrent pushes may both pick the same best
-    // worker — a benign near-tie; the pending-work term self-corrects.
-    // The completion estimate here still charges this task's own fetch in
-    // full: the engine only marks the operands as prefetch-in-flight after
-    // this push returns, so the discount applies to *later* tasks reusing
-    // the same operands, never to the task that pays for the transfer.
-    WorkerId best = -1;
-    double best_completion = kInf;
-    double best_work = 0.0;
-    if (decision != nullptr) decision->arch_estimate.fill(kInf);
-    for (const auto& w : *env_.workers) {
-      const Placement placement = env_.estimate(*task, w.id);
-      const double completion =
-          placement.score() + pending_work_[static_cast<std::size_t>(w.id)]
-                                  .load(std::memory_order_relaxed);
-      if (decision != nullptr && !w.archs.empty()) {
+  /// The dmda placement: calibration exploration first, then the plan's
+  /// best placement. Two concurrent pushes may both pick the same best
+  /// worker — a benign near-tie; the pending-work term self-corrects. The
+  /// estimate charges this task's own fetch in full: the engine marks the
+  /// operands as prefetch-in-flight only after this push returns, so the
+  /// discount applies to *later* tasks reusing the same operands.
+  WorkerId dmda_push(const TaskPtr& task, DecisionRecord* decision) {
+    if (const WorkerId target = explore(task, decision); target >= 0) {
+      return target;
+    }
+    const Scratch& scratch = placement(*task);
+    const Plan::Choice best = scratch.plan.place(scratch.task);
+    check(best.eligible(), "task has no eligible worker");
+    if (decision != nullptr) {
+      decision->arch_estimate.fill(kInf);
+      for (const WorkerDesc& w : *env_.workers) {
         double& slot =
             decision->arch_estimate[static_cast<std::size_t>(w.archs.front())];
-        slot = std::min(slot, completion);
+        slot = std::min(slot, scratch.plan.price(scratch.task, w.id).score);
       }
-      if (completion < best_completion) {
-        best = w.id;
-        best_completion = completion;
-        best_work = placement.work();
-      }
+      decision->chosen_estimate = best.score;
     }
-    check(best >= 0, "task has no eligible worker");
-    if (decision != nullptr) decision->chosen_estimate = best_completion;
-    enqueue_with_work(best, task, best_work);
-    return best;
+    enqueue_with_work(best.worker, task, best.work);
+    return best.worker;
   }
 
   /// Priority-ordered insert with an explicit pending-work charge (dmda
-  /// charges Placement::work() of the evaluation it placed by; window
-  /// commits reuse their already-computed plan cost; replay charges zero —
-  /// no model evaluation on that path).
+  /// charges its choice's work, a window each commit's work; replay
+  /// charges zero — no model evaluation on that path).
   void enqueue_with_work(WorkerId worker, const TaskPtr& task, double work) {
     if (!std::isfinite(work)) work = 0.0;
     auto& q = queues_[static_cast<std::size_t>(worker)];
@@ -479,14 +532,14 @@ class DmdaScheduler final : public ModelSchedulerBase {
 // & Dastgeer's optimized composition over task-DAG windows).
 //
 // Ready tasks are staged until window_size of them accumulate (or a worker
-// runs dry), then placed *jointly*: a branch-and-bound search over the
-// per-task worker assignments minimises the estimated window makespan,
-// pricing data transfers against the replica states the plan itself
-// evolves — so a window of tasks reading the same operand pays for one
-// fetch, where dmda's per-task estimate charges every task and flees the
-// accelerator. A greedy pass seeds the incumbent; the search is bounded,
-// falling back to the greedy plan when the budget runs out. Window size 1
-// (and the calibration phase) short-circuits to the exact dmda placement.
+// runs dry), then placed *jointly* by Plan::place_window: a greedy start,
+// then a branch-and-bound search over the per-task worker assignments that
+// minimises the window's makespan, pricing data transfers against the
+// replica states the plan itself evolves — so a window of tasks reading the
+// same operand pays for one fetch, where dmda's per-task estimate charges
+// every task and flees the accelerator. The search is bounded, falling back
+// to the greedy plan when the budget runs out. The calibration phase skips
+// the window.
 //
 // With a dispatch table loaded (EngineConfig::dispatch_table), placement is
 // replayed per program point with one precomputed-key hash probe: no model
@@ -513,13 +566,10 @@ class LookaheadScheduler final : public ModelSchedulerBase {
         return worker;
       }
     }
-    if (env_.window_size <= 1) return dmda_push(task, decision);
     // Calibration placements are per-variant by construction — batching
     // them would only delay model convergence, so they skip the window.
-    if (const WorkerId explore = exploration_target(*task); explore >= 0) {
-      if (decision != nullptr) decision->explored = true;
-      enqueue_with_work(explore, task, env_.estimate(*task, explore).work());
-      return explore;
+    if (const WorkerId target = explore(task, decision); target >= 0) {
+      return target;
     }
     std::lock_guard<std::mutex> lock(stage_mutex_);
     staging_.push_back(task);
@@ -572,11 +622,6 @@ class LookaheadScheduler final : public ModelSchedulerBase {
   /// incumbent — at worst the greedy plan — stands).
   static constexpr std::uint64_t kSearchBudget = 20000;
 
-  /// Least-loaded eligible worker of one architecture, by the lock-free
-  /// queue-length approximations: the shortest queue is confirmed eligible
-  /// once (eligibility checks are the expensive part of this scan); only
-  /// when that worker is out (blacklist, excluded arch) is the eligible
-  /// rest scanned. Returns -1 when the architecture has no eligible worker.
   /// Is `worker` allowed to run `task`? A bit-test against the engine's
   /// pre-push eligibility snapshot when present; the SchedEnv callback
   /// otherwise (direct unit-test pushes, workers beyond bit 63).
@@ -587,11 +632,14 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     return env_.eligible(task, worker);
   }
 
+  /// Least-loaded eligible worker of one architecture, by the lock-free
+  /// queue-length approximations; -1 when the architecture has no eligible
+  /// worker.
   WorkerId least_loaded(const Task& task, Arch arch) const {
-    const auto& candidates = arch_workers_[static_cast<std::size_t>(arch)];
     WorkerId best = -1;
     std::size_t best_len = 0;
-    for (const WorkerId id : candidates) {
+    for (const WorkerId id : arch_workers_[static_cast<std::size_t>(arch)]) {
+      if (!worker_allowed(task, id)) continue;
       const std::size_t len =
           queues_[static_cast<std::size_t>(id)].approx_size.load(
               std::memory_order_relaxed);
@@ -600,20 +648,7 @@ class LookaheadScheduler final : public ModelSchedulerBase {
         best_len = len;
       }
     }
-    if (best >= 0 && worker_allowed(task, best)) return best;
-    WorkerId fallback = -1;
-    std::size_t fallback_len = 0;
-    for (const WorkerId id : candidates) {
-      if (id == best || !worker_allowed(task, id)) continue;
-      const std::size_t len =
-          queues_[static_cast<std::size_t>(id)].approx_size.load(
-              std::memory_order_relaxed);
-      if (fallback < 0 || len < fallback_len) {
-        fallback = id;
-        fallback_len = len;
-      }
-    }
-    return fallback;
+    return best;
   }
 
   /// Replay placement. Fast path: the submit thread already resolved the
@@ -643,73 +678,6 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     return -1;
   }
 
-  /// Everything the planner precomputes per staged task.
-  struct PlannedTask {
-    TaskPtr task;
-    std::vector<double> exec;        ///< per worker, kInf = ineligible
-    std::vector<int> operand_index;  ///< into the plan's masks, per operand
-  };
-
-  /// Transfer seconds task `t` pays on worker `w` given the plan's current
-  /// replica masks: each read operand without a planned replica at the
-  /// worker's node is priced along the shared route from its nearest
-  /// planned replica (Interconnect::fetch_seconds). The window tracks its
-  /// own replicas, so a fetch is charged once in full (no reuse divisor).
-  double fetch_seconds(const PlannedTask& t, std::size_t w,
-                       const std::vector<std::uint64_t>& masks) const {
-    if (env_.interconnect == nullptr) return 0.0;
-    const MemoryNodeId node = (*env_.workers)[w].node;
-    double seconds = 0.0;
-    const Task& task = *t.task;
-    for (std::size_t i = 0; i < task.spec.operands.size(); ++i) {
-      if (task.spec.operands[i].mode == AccessMode::kWrite) continue;
-      const std::uint64_t mask =
-          masks[static_cast<std::size_t>(t.operand_index[i])];
-      if (planned_valid(mask, node)) continue;
-      const MemoryNodeId source = env_.interconnect->topo.nearest_valid(
-          node, [mask](MemoryNodeId n) { return planned_valid(mask, n); });
-      seconds += env_.interconnect->fetch_seconds(source, node,
-                                                  task.operand_bytes[i], 1.0);
-    }
-    return seconds;
-  }
-
-  static bool planned_valid(std::uint64_t mask, MemoryNodeId node) {
-    return node < 64 && ((mask >> static_cast<unsigned>(node)) & 1) != 0;
-  }
-
-  /// End time of task `t` on worker `w` in the current plan state: the
-  /// placement cost's time score over the plan's clocks and masks.
-  double end_at(const PlannedTask& t, std::size_t w,
-                const std::vector<double>& clocks,
-                const std::vector<std::uint64_t>& masks) const {
-    return end_time(clocks[w], t.task->max_pred_end,
-                    fetch_seconds(t, w, masks), t.exec[w]);
-  }
-
-  /// Applies one assignment ending at `end` to the plan state. `undo`
-  /// collects the mask values to restore on backtrack.
-  void apply(const PlannedTask& t, WorkerId w, double end,
-             std::vector<double>& clocks, std::vector<std::uint64_t>& masks,
-             std::vector<std::pair<int, std::uint64_t>>* undo) const {
-    const std::size_t wi = static_cast<std::size_t>(w);
-    const MemoryNodeId node = (*env_.workers)[wi].node;
-    const std::uint64_t dest_bit =
-        node < 64 ? std::uint64_t{1} << static_cast<unsigned>(node) : 0;
-    clocks[wi] = end;
-    const Task& task = *t.task;
-    for (std::size_t i = 0; i < task.spec.operands.size(); ++i) {
-      const int hi = t.operand_index[i];
-      std::uint64_t& mask = masks[static_cast<std::size_t>(hi)];
-      if (undo != nullptr) undo->emplace_back(hi, mask);
-      if (task.spec.operands[i].mode == AccessMode::kRead) {
-        mask |= dest_bit;  // fetch left a shared replica
-      } else {
-        mask = dest_bit;  // write invalidates every other replica
-      }
-    }
-  }
-
   /// Plans (at most) one window out of the staging buffer; stage_mutex_
   /// must be held. Returns the number of tasks planned and committed.
   /// `trigger`/`decision`/`trigger_worker` report the placement of the
@@ -718,209 +686,68 @@ class LookaheadScheduler final : public ModelSchedulerBase {
   std::size_t plan_window_locked(const TaskPtr& trigger,
                                  DecisionRecord* decision,
                                  WorkerId* trigger_worker) {
-    const auto& workers = *env_.workers;
-    const std::size_t worker_count = workers.size();
-
     // Snapshot up to window_size plannable tasks, FIFO. Tasks with no
     // eligible worker right now (mid-blacklist race) stay staged; the
     // engine's drain pass will collect them.
-    std::vector<PlannedTask> window;
+    Plan plan;
+    seed(plan);
+    Seen seen;
+    std::vector<TaskPtr> window;
+    std::vector<Plan::Task> planned;
     std::deque<TaskPtr> unplannable;
     while (!staging_.empty() &&
            window.size() < static_cast<std::size_t>(
                                std::max(1, env_.window_size))) {
       TaskPtr task = std::move(staging_.front());
       staging_.pop_front();
-      PlannedTask pt;
-      pt.exec.resize(worker_count, kInf);
-      bool any = false;
-      for (const auto& w : workers) {
-        const Placement placement = env_.estimate(*task, w.id);
-        if (!placement.eligible()) continue;
-        pt.exec[static_cast<std::size_t>(w.id)] =
-            std::isfinite(placement.exec) && placement.exec >= 0.0
-                ? placement.exec
-                : 0.0;
-        any = true;
-      }
-      if (!any) {
+      Plan::Task pt;
+      plan_task(*task, plan, seen, pt);
+      if (!plan.place(pt).eligible()) {
         unplannable.push_back(std::move(task));
         continue;
       }
-      pt.task = std::move(task);
-      window.push_back(std::move(pt));
+      window.push_back(std::move(task));
+      planned.push_back(std::move(pt));
     }
     for (auto& task : unplannable) staging_.push_back(std::move(task));
     stage_size_.store(staging_.size(), std::memory_order_relaxed);
     if (window.empty()) return 0;
 
-    // Distinct operand handles and their plan-tracked replica masks (bit n:
-    // memory node n holds a valid replica), seeded from the live coherence
-    // state and evolved as the plan assigns readers and writers.
-    std::vector<const DataHandle*> handles;
-    std::vector<std::uint64_t> base_masks;
-    const int nodes = env_.interconnect != nullptr
-                          ? std::min(env_.interconnect->topo.node_count(), 64)
-                          : 0;
-    for (PlannedTask& pt : window) {
-      for (const TaskOperand& operand : pt.task->spec.operands) {
-        const DataHandle* handle = operand.handle.get();
-        const auto found = std::find(handles.begin(), handles.end(), handle);
-        pt.operand_index.push_back(static_cast<int>(found - handles.begin()));
-        if (found != handles.end()) continue;
-        handles.push_back(handle);
-        std::uint64_t mask = 0;
-        for (MemoryNodeId n = 0; n < nodes; ++n) {
-          if (handle->replica_state(n) != ReplicaState::kInvalid) {
-            mask |= std::uint64_t{1} << static_cast<unsigned>(n);
-          }
-        }
-        base_masks.push_back(mask);
-      }
-    }
+    const Plan::Window result = plan.place_window(planned, kSearchBudget);
 
-    // Base clocks: worker readiness plus already-queued (uncommitted) work.
-    std::vector<double> base_clocks(worker_count, 0.0);
-    for (std::size_t w = 0; w < worker_count; ++w) {
-      base_clocks[w] = env_.worker_ready_at(static_cast<WorkerId>(w)) +
-                       pending_work_[w].load(std::memory_order_relaxed);
-    }
-
-    // Greedy incumbent: each task to its cheapest end time in plan order.
-    const std::size_t count = window.size();
-    std::vector<WorkerId> best_assign(count, -1);
-    std::vector<double> best_ends(count, 0.0);
-    double best_makespan;
-    {
-      std::vector<double> clocks = base_clocks;
-      std::vector<std::uint64_t> masks = base_masks;
-      double makespan = 0.0;
-      for (std::size_t i = 0; i < count; ++i) {
-        WorkerId best = -1;
-        double best_end = kInf;
-        for (std::size_t w = 0; w < worker_count; ++w) {
-          if (!std::isfinite(window[i].exec[w])) continue;
-          const double end = end_at(window[i], w, clocks, masks);
-          if (end < best_end) {
-            best_end = end;
-            best = static_cast<WorkerId>(w);
-          }
-        }
-        best_assign[i] = best;
-        best_ends[i] = best_end;
-        apply(window[i], best, best_end, clocks, masks, nullptr);
-        makespan = std::max(makespan, best_end);
-      }
-      best_makespan = makespan;
-    }
-
-    // Branch and bound over assignments in plan order: a partial plan whose
-    // makespan already reaches the incumbent cannot improve (end times only
-    // grow), so it is cut. Candidate workers are tried cheapest-end first.
-    std::uint64_t explored = 0;
-    bool improved = false;
-    if (count > 1) {
-      std::vector<double> clocks = base_clocks;
-      std::vector<std::uint64_t> masks = base_masks;
-      std::vector<WorkerId> assign(count, -1);
-      std::vector<double> ends(count, 0.0);
-      search(window, 0, 0.0, clocks, masks, assign, ends, best_assign,
-             best_ends, best_makespan, improved, explored);
-    }
-
-    // Commit the plan: real queue insertions + engine notifications.
-    for (std::size_t i = 0; i < count; ++i) {
-      const PlannedTask& pt = window[i];
-      const WorkerId worker = best_assign[i];
-      DecisionRecord planned;
-      planned.chosen_estimate = best_ends[i];
-      planned.arch_estimate.fill(kInf);
-      const auto& archs = workers[static_cast<std::size_t>(worker)].archs;
-      if (!archs.empty()) {
-        planned.arch_estimate[static_cast<std::size_t>(archs.front())] =
-            best_ends[i];
-      }
-      // Pending-work charge = this task's contribution to the plan, so the
-      // next window (and dmda-style fallbacks) see the committed load.
-      const double work =
-          std::max(0.0, best_ends[i] -
-                            std::max(base_clocks[static_cast<std::size_t>(
-                                         worker)],
-                                     pt.task->max_pred_end));
-      enqueue_with_work(worker, pt.task, work);
-      if (trigger != nullptr && pt.task == trigger) {
-        if (decision != nullptr) *decision = planned;
+    // Commit the plan: real queue insertions + engine notifications. The
+    // pending-work charge is the task's committed work, dmda's charge at
+    // window 1, so the next plan sees the committed load.
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      const WorkerId worker = result.workers[i];
+      const Plan::Commit& committed = result.commits[i];
+      DecisionRecord record;
+      record.chosen_estimate = committed.end;
+      record.arch_estimate.fill(kInf);
+      record.arch_estimate[static_cast<std::size_t>(
+          (*env_.workers)[static_cast<std::size_t>(worker)].archs.front())] =
+          committed.end;
+      enqueue_with_work(worker, window[i], committed.work);
+      if (trigger != nullptr && window[i] == trigger) {
+        if (decision != nullptr) *decision = record;
         if (trigger_worker != nullptr) *trigger_worker = worker;
       } else if (env_.commit) {
-        env_.commit(pt.task, worker, planned);
+        env_.commit(window[i], worker, record);
       }
     }
 
     if (env_.record_window) {
       WindowRecord record;
       record.id = window_counter_++;
-      record.size = static_cast<int>(count);
-      record.estimate = best_makespan;
-      record.improved = improved;
-      record.explored = explored;
-      record.tasks.reserve(count);
-      for (const PlannedTask& pt : window) {
-        record.tasks.push_back(pt.task->sequence);
-      }
+      record.size = static_cast<int>(window.size());
+      record.estimate = result.makespan;
+      record.improved = result.improved;
+      record.explored = result.explored;
+      record.tasks.reserve(window.size());
+      for (const TaskPtr& task : window) record.tasks.push_back(task->sequence);
       env_.record_window(record);
     }
-    return count;
-  }
-
-  /// Depth-first branch and bound (see plan_window_locked).
-  void search(const std::vector<PlannedTask>& window, std::size_t depth,
-              double makespan, std::vector<double>& clocks,
-              std::vector<std::uint64_t>& masks,
-              std::vector<WorkerId>& assign, std::vector<double>& ends,
-              std::vector<WorkerId>& best_assign,
-              std::vector<double>& best_ends, double& best_makespan,
-              bool& improved, std::uint64_t& explored) const {
-    if (depth == window.size()) {
-      if (makespan < best_makespan) {
-        best_makespan = makespan;
-        best_assign = assign;
-        best_ends = ends;
-        improved = true;
-      }
-      return;
-    }
-    if (explored >= kSearchBudget) return;
-    const PlannedTask& pt = window[depth];
-    const std::size_t worker_count = clocks.size();
-    // Candidates cheapest-end-first so the first descent is near-greedy and
-    // tightens the bound early.
-    std::vector<std::pair<double, WorkerId>> candidates;
-    candidates.reserve(worker_count);
-    for (std::size_t w = 0; w < worker_count; ++w) {
-      if (!std::isfinite(pt.exec[w])) continue;
-      candidates.emplace_back(end_at(pt, w, clocks, masks),
-                              static_cast<WorkerId>(w));
-    }
-    std::sort(candidates.begin(), candidates.end());
-    for (const auto& [end, worker] : candidates) {
-      if (end >= best_makespan) break;  // sorted: the rest are no better
-      ++explored;
-      if (explored > kSearchBudget) return;
-      const std::size_t wi = static_cast<std::size_t>(worker);
-      const double saved_clock = clocks[wi];
-      std::vector<std::pair<int, std::uint64_t>> undo;
-      apply(pt, worker, end, clocks, masks, &undo);
-      assign[depth] = worker;
-      ends[depth] = end;
-      search(window, depth + 1, std::max(makespan, end), clocks, masks,
-             assign, ends, best_assign, best_ends, best_makespan, improved,
-             explored);
-      clocks[wi] = saved_clock;
-      for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-        masks[static_cast<std::size_t>(it->first)] = it->second;
-      }
-      assign[depth] = -1;
-    }
+    return window.size();
   }
 
   mutable std::mutex stage_mutex_;

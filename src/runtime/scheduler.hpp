@@ -1,10 +1,12 @@
 // Pluggable task schedulers. The default is "dmda" (deque model data aware),
 // the StarPU policy family the paper's tool-generated performance-aware code
-// (TGPA) relies on: it estimates each candidate worker's completion time as
-//   worker-ready time + pending data-transfer time + expected execution time
-// (the placement cost of runtime/placement.hpp) with expected execution
-// time coming from the history-based performance models, and falls back to
-// forced exploration while a variant is uncalibrated.
+// (TGPA) relies on: it places each task on the worker with the earliest
+// predicted completion,
+//   max(worker ready + queued work, predecessors' end) + fetch + exec,
+// priced by rt::Plan (runtime/placement.hpp) with expected execution time
+// coming from the history-based performance models, and falls back to
+// forced exploration while a variant is uncalibrated. "lookahead" plans a
+// window of ready tasks jointly on the same plan.
 //
 // Concurrency contract: schedulers are internally synchronized with
 // per-worker queue locks — push/pop/drain/queued may be called from any
@@ -36,16 +38,6 @@ namespace peppher::rt {
 
 class DispatchTable;
 
-/// Static description of one worker, visible to schedulers.
-struct WorkerDesc {
-  WorkerId id = -1;
-  std::vector<Arch> archs;   ///< architectures this worker can execute
-  MemoryNodeId node = kHostNode;
-  int sim_node = 0;          ///< simulated cluster node this worker lives on
-  sim::DeviceProfile profile;
-  bool is_combined_cpu = false;  ///< the all-CPU-cores parallel worker
-};
-
 /// Services the Engine provides to scheduler policies.
 struct SchedEnv {
   const std::vector<WorkerDesc>* workers = nullptr;
@@ -57,9 +49,9 @@ struct SchedEnv {
   /// (respecting forced_arch / forced_worker).
   std::function<bool(const Task&, WorkerId)> eligible;
 
-  /// Prices placing the task on the worker (Engine::estimate; see
-  /// runtime/placement.hpp). An ineligible worker prices at exec = +inf.
-  std::function<Placement(const Task&, WorkerId)> estimate;
+  /// Expected execution seconds of the task on the worker (history models,
+  /// cost hint or the neutral guess); +inf when the worker is ineligible.
+  std::function<double(const Task&, WorkerId)> exec;
 
   /// History sample count for (task footprint, worker's variant); used for
   /// the calibration/exploration phase. Returns UINT64_MAX if ineligible or
@@ -69,12 +61,14 @@ struct SchedEnv {
   int calibration_min = 2;  ///< samples needed before a variant is trusted
   Rng* rng = nullptr;
 
-  // --- lookahead-policy services (unset for the other policies) ---
+  /// What the model-based policies' plans minimise.
+  Objective objective = Objective::kTime;
 
-  /// The memory hierarchy a window plan routes its fetches over, from the
-  /// replica masks it evolves across the window (nullptr = plans price no
-  /// transfers).
+  /// The memory hierarchy plans price fetches over (nullptr = plans price
+  /// no transfers).
   const Interconnect* interconnect = nullptr;
+
+  // --- lookahead-policy services (unset for the other policies) ---
 
   /// Window-commit notification for every planned task except the one
   /// whose push/pop triggered the planning: the engine traces the
@@ -84,8 +78,8 @@ struct SchedEnv {
   /// Window-planning trace hook (unset = no window tracing).
   std::function<void(const WindowRecord&)> record_window;
 
-  /// Ready-task batch size of the "lookahead" policy (>= 1; 1 degenerates
-  /// to dmda placements exactly).
+  /// Ready-task batch size of the "lookahead" policy (>= 1; a window of
+  /// one is one Plan::place, which is dmda's placement).
   int window_size = 8;
 
   /// Static-composition replay table (finalized); nullptr = no replay.

@@ -1,11 +1,18 @@
 // Smart-container tests: plain-container behaviour outside PEPPHER, lazy
 // coherence with proxy-based read/write detection, implicit blocking on
-// in-flight tasks, and row-block partitioning.
+// in-flight tasks, row-block partitioning, and containers that outlive
+// their engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <thread>
 
 #include "containers/containers.hpp"
+#include "containers/partitioned.hpp"
 #include "core/peppher.hpp"
 #include "runtime/engine.hpp"
 
@@ -210,6 +217,120 @@ TEST(ScalarContainer, ManagedReduction) {
                    {total.handle(), rt::AccessMode::kWrite}};
   engine.submit(std::move(spec));
   EXPECT_FLOAT_EQ(total.get(), 100.0f);  // blocks + fetches implicitly
+}
+
+// -- lifetime: a container may outlive its engine -----------------------------
+
+TEST(VectorContainer, OutlivesItsEngine) {
+  // The engine's shutdown syncs the data home and detaches the handle: the
+  // container's memory then holds the final result, destroying the
+  // container is a no-op, and any other use is a located error.
+  rt::Codelet codelet = make_double_codelet(rt::Arch::kCuda);
+  std::optional<Vector<float>> destroyed_after;
+  std::optional<Vector<float>> used_after;
+  std::optional<PartitionedVector<float>> sliced;
+  {
+    rt::Engine engine(test_config());
+    destroyed_after.emplace(&engine, 32, 1.0f);
+    used_after.emplace(&engine, 32, 1.0f);
+    sliced.emplace(&engine, Partitioning::block(32, 1), 1.0f);
+    std::vector<rt::DataHandlePtr> handles = {destroyed_after->handle(),
+                                              used_after->handle()};
+    handles.push_back(sliced->partition_handles(0).front());
+    for (const rt::DataHandlePtr& handle : handles) {
+      rt::TaskSpec spec;
+      spec.codelet = &codelet;
+      spec.operands = {{handle, rt::AccessMode::kReadWrite}};
+      engine.submit(std::move(spec));  // the only valid copy: on the GPU
+    }
+    engine.wait_for_all();
+  }
+  destroyed_after.reset();
+  EXPECT_FLOAT_EQ(sliced->data()[0], 2.0f);
+  EXPECT_FLOAT_EQ(sliced->data()[31], 2.0f);
+  sliced.reset();
+  EXPECT_FLOAT_EQ(used_after->storage().data()[0], 2.0f);
+  EXPECT_FLOAT_EQ(used_after->storage().data()[31], 2.0f);
+  try {
+    (void)static_cast<float>((*used_after)[0]);
+    ADD_FAILURE() << "a read after shutdown must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("used after its runtime engine shut "
+                                         "down"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(used_after->handle(), Error);
+  EXPECT_TRUE(used_after->managed());
+}
+
+TEST(VectorContainer, FailedDeviceWriterLeavesFreedMemoryAlone) {
+  // The container goes while its writer is still running on the GPU, and
+  // the writer then fails: the sync in the container's destructor rethrows
+  // the error (swallowed), and the GPU holds the only valid copy. The
+  // handle outlives the engine (here a reference does what a task's link
+  // to its operands does), so the engine's shutdown meets it and must not
+  // copy into the freed memory (an AddressSanitizer build reports it).
+  std::atomic<bool> open{false};
+  rt::Codelet codelet("cont_fail");
+  codelet.add_impl({rt::Arch::kCuda, "cont_fail_cuda",
+                    [&open](rt::ExecContext&) {
+                      while (!open.load()) std::this_thread::yield();
+                      throw Error(ErrorCode::kIoError, "kernel failed");
+                    },
+                    nullptr});
+  rt::EngineConfig config = test_config();
+  config.max_retries = 0;
+  rt::DataHandlePtr handle;
+  rt::Engine engine(config);
+  std::thread opener;
+  {
+    Vector<float> v(&engine, 32, 1.0f);
+    handle = v.handle();
+    rt::TaskSpec spec;
+    spec.codelet = &codelet;
+    spec.operands = {{handle, rt::AccessMode::kReadWrite}};
+    engine.submit(std::move(spec));
+    // Fails the writer while the destructor below waits for it.
+    opener = std::thread([&open] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      open.store(true);
+    });
+  }
+  opener.join();
+  EXPECT_EQ(handle->replica_state(rt::kHostNode), rt::ReplicaState::kInvalid);
+}
+
+TEST(VectorContainer, ShutdownSyncIgnoresTransferFaults) {
+  // Every PCIe hop touching the GPU fails, but a write-only task needs
+  // none, so its result lives only on the GPU. The shutdown sync home is a
+  // plain copy: it draws no transfer fault and the engine's destructor
+  // does not throw.
+  rt::Codelet fill("cont_fill");
+  fill.add_impl({rt::Arch::kCuda, "cont_fill_cuda",
+                 [](rt::ExecContext& ctx) {
+                   auto* data = ctx.buffer_as<float>(0);
+                   for (std::size_t i = 0; i < ctx.elements(0); ++i) {
+                     data[i] = 3.0f;
+                   }
+                 },
+                 nullptr});
+  std::optional<Vector<float>> v;
+  {
+    rt::EngineConfig config = test_config();
+    config.accelerator_faults = {sim::FaultPlan{.transfer_failure_rate = 1.0}};
+    rt::Engine engine(config);
+    v.emplace(&engine, 32, 1.0f);
+    rt::TaskSpec spec;
+    spec.codelet = &fill;
+    spec.operands = {{v->handle(), rt::AccessMode::kWrite}};
+    spec.synchronous = true;
+    engine.submit(std::move(spec));
+    ASSERT_EQ(v->handle()->replica_state(rt::kHostNode),
+              rt::ReplicaState::kInvalid);
+  }
+  EXPECT_FLOAT_EQ(v->storage().data()[0], 3.0f);
+  EXPECT_FLOAT_EQ(v->storage().data()[31], 3.0f);
 }
 
 }  // namespace

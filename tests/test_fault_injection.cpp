@@ -1,6 +1,7 @@
 // Fault-injection tests: seeded FaultPlans, transient-failure retry on an
 // alternative variant, hard device death (task-count and virtual-time
-// triggered) with queue draining and blacklisting, transfer faults,
+// triggered) with queue draining and blacklisting under every policy and
+// concurrent submitters, transfer faults,
 // retry-exhaustion semantics, the bitwise-correct CPU fallback of the
 // SpMV and ODE example workloads, and exceptions thrown from one chunk of an
 // OpenMP-style variant's fork.
@@ -10,12 +11,14 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/ode.hpp"
 #include "apps/sparse.hpp"
 #include "apps/spmv.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/scheduler.hpp"
 #include "sim/device.hpp"
 #include "support/error.hpp"
 
@@ -204,6 +207,72 @@ TEST(FaultInjection, DeadDeviceDrainsQueuedTasksToCpu) {
   EXPECT_NE(engine.summary().find("dead"), std::string::npos);
   EXPECT_NE(engine.summary().find("1 workers blacklisted"), std::string::npos);
 }
+
+// -- a dead device runs nothing after its death, under every policy ---------
+
+class DeviceDeath : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DeviceDeath, DeadWorkerRunsExactlyItsQuotaUnderConcurrentSubmitters) {
+  // A submitter checks eligibility, then pushes; a device that dies in
+  // between drains its queue, and whatever lands there afterwards must be
+  // handed on to a survivor, never run by the dead worker.
+  constexpr std::uint64_t kQuota = 3;
+  constexpr int kRounds = 20;
+  constexpr std::size_t kPerSubmitter = 12;
+  Codelet codelet = make_add_one_codelet();
+  for (int round = 0; round < kRounds; ++round) {
+    sim::FaultPlan plan;
+    plan.die_after_tasks = kQuota;
+    Engine engine(fault_config(plan, GetParam()));
+    const WorkerId gpu = gpu_worker_id(engine);
+    ASSERT_GE(gpu, 0);
+    const auto register_all = [&](std::vector<std::vector<float>>& buffers) {
+      std::vector<DataHandlePtr> handles;
+      for (auto& buffer : buffers) {
+        handles.push_back(engine.register_buffer(
+            buffer.data(), buffer.size() * sizeof(float), sizeof(float)));
+      }
+      return handles;
+    };
+    const auto submit = [&](const DataHandlePtr& handle, bool on_gpu) {
+      TaskSpec spec;
+      spec.codelet = &codelet;
+      spec.operands = {{handle, AccessMode::kReadWrite}};
+      if (on_gpu) spec.forced_worker = gpu;
+      return engine.submit(std::move(spec));
+    };
+
+    // kQuota tasks only the device may run make sure it dies (some may
+    // fail instead, if free tasks used up its quota first)...
+    std::vector<std::vector<float>> pinned(kQuota, std::vector<float>(16, 1.0f));
+    for (const DataHandlePtr& handle : register_all(pinned)) submit(handle, true);
+    // ...while two threads submit tasks any worker may run.
+    std::vector<std::vector<float>> buffers(2 * kPerSubmitter,
+                                            std::vector<float>(16, 1.0f));
+    const std::vector<DataHandlePtr> handles = register_all(buffers);
+    std::vector<TaskPtr> tasks(handles.size());
+    const auto submit_range = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) tasks[i] = submit(handles[i], false);
+    };
+    std::thread other(submit_range, kPerSubmitter, 2 * kPerSubmitter);
+    submit_range(0, kPerSubmitter);
+    other.join();
+    engine.wait_for_all();
+
+    ASSERT_TRUE(engine.worker_blacklisted(gpu)) << "round " << round;
+    EXPECT_EQ(engine.worker_stats(gpu).tasks_executed, kQuota)
+        << "round " << round;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_FALSE(tasks[i]->failed()) << "round " << round << " task " << i;
+      engine.acquire_host(handles[i], AccessMode::kRead);
+      EXPECT_EQ(buffers[i].front(), 2.0f) << "round " << round << " task " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchedulers, DeviceDeath,
+                         ::testing::ValuesIn(scheduler_names()),
+                         [](const auto& info) { return info.param; });
 
 TEST(FaultInjection, DeathAtVirtualTimeKillsTheCrossingAttempt) {
   sim::FaultPlan plan;

@@ -1,25 +1,32 @@
 // Lookahead scheduler + static-composition replay: DispatchTable unit
 // tests (keys, majority resolution, the ".dispatch" wire format and its
-// located parse errors), the window-1 differential against dmda, and
-// engine-level replay / window-tracing behaviour. The policy's decision
-// rules at window > 1 are exercised end-to-end by bench_scheduler_lookahead
-// and the chaos suite.
+// located parse errors), the window-1 differential against dmda,
+// engine-level replay / window-tracing behaviour, and the window plan's
+// cost: fetch routes, the replicas a multi-hop fetch leaves behind, and
+// the cores a combined-CPU worker shares. The policy's decision rules at
+// window > 1 are exercised end-to-end by bench_scheduler_lookahead and the
+// chaos suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "apps/ode.hpp"
 #include "perf/trace.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/memory.hpp"
 #include "runtime/perfmodel.hpp"
+#include "runtime/placement.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/error.hpp"
 #include "support/fs.hpp"
@@ -208,19 +215,38 @@ class LookaheadDifferential : public ::testing::Test {
       return ready_[static_cast<std::size_t>(id)];
     };
     env_.eligible = [](const Task&, WorkerId) { return true; };
-    env_.estimate = [this](const Task&, WorkerId id) {
-      return Placement{.ready = ready_[static_cast<std::size_t>(id)],
-                       .exec = work_[static_cast<std::size_t>(id)]};
+    env_.exec = [this](const Task&, WorkerId id) {
+      return work_[static_cast<std::size_t>(id)];
     };
     env_.sample_count = [this](const Task&, WorkerId id) {
       return samples_[static_cast<std::size_t>(id)];
     };
   }
 
-  TaskPtr make_task() {
+  /// A task, reading `read` when given.
+  TaskPtr make_task(const DataHandlePtr& read = nullptr) {
     TaskSpec spec;
     spec.codelet = &codelet_;
-    return std::make_shared<Task>(std::move(spec), next_seq_++);
+    if (read != nullptr) spec.operands = {{read, AccessMode::kRead}};
+    auto task = std::make_shared<Task>(std::move(spec), next_seq_++);
+    if (read != nullptr) task->operand_bytes = {read->bytes()};
+    return task;
+  }
+
+  /// Pushes `count` tasks through `scheduler` with no pop in between, as
+  /// asynchronous submissions queue up, and returns each worker's queue as
+  /// push indices.
+  std::vector<std::vector<std::uint64_t>> queued(
+      Scheduler& scheduler, int count, const DataHandlePtr& read = nullptr) {
+    const std::uint64_t first = next_seq_;
+    for (int i = 0; i < count; ++i) scheduler.push(make_task(read));
+    std::vector<std::vector<std::uint64_t>> queues(3);
+    for (int w = 0; w < 3; ++w) {
+      while (TaskPtr task = scheduler.pop(w)) {
+        queues[static_cast<std::size_t>(w)].push_back(task->sequence - first);
+      }
+    }
+    return queues;
   }
 
   /// Pushes one task through `scheduler` and returns the worker whose
@@ -273,6 +299,44 @@ TEST_F(LookaheadDifferential, WindowOneExploresUncalibratedLikeDmda) {
   auto lookahead = make_scheduler("lookahead", env_);
   EXPECT_EQ(placed_on(*dmda), 2);       // exploration overrides estimates
   EXPECT_EQ(placed_on(*lookahead), 2);  // identical at window 1
+}
+
+TEST_F(LookaheadDifferential, WindowOneQueuesJoulesLikeDmdaUnderEnergy) {
+  // Every placement weighs the work queued before it, so a window of one
+  // must queue exactly dmda's work. Under kEnergy that work is joules: the
+  // GPU (0.01 s at 238 W) takes tasks until its queued joules pass a
+  // core's (1 s at 20 W).
+  env_.objective = Objective::kEnergy;
+  work_ = {1.0, 1.0, 0.01};
+  auto dmda = make_scheduler("dmda", env_);
+  auto lookahead = make_scheduler("lookahead", env_);
+  const auto expected = queued(*dmda, 24);
+  EXPECT_FALSE(expected[0].empty());
+  EXPECT_GT(expected[2].size(), expected[0].size());
+  EXPECT_EQ(queued(*lookahead, 24), expected);
+}
+
+TEST_F(LookaheadDifferential, WindowOneQueuesAmortisedFetchesLikeDmda) {
+  // Under kTime the queued work is the decision's fetch — amortised over
+  // the handle's 64 reads — plus exec: the GPU takes tasks until that
+  // work passes a core's exec, many more than its full uploads would fit.
+  DataManager data(2, sim::LinkProfile::pcie2_x16());
+  std::vector<float> buffer(1 << 20, 0.0f);
+  const DataHandlePtr handle = data.register_buffer(
+      buffer.data(), buffer.size() * sizeof(float), sizeof(float));
+  for (int i = 0; i < 64; ++i) {
+    handle->acquire(kHostNode, AccessMode::kRead, nullptr);
+  }
+  env_.interconnect = &data.interconnect();
+  const double full = data.interconnect().fetch_seconds(kHostNode, 1,
+                                                        handle->bytes(), 1.0);
+  work_ = {full, full, full / 20.0};
+  auto dmda = make_scheduler("dmda", env_);
+  auto lookahead = make_scheduler("lookahead", env_);
+  const auto expected = queued(*dmda, 24, handle);
+  EXPECT_FALSE(expected[0].empty());
+  EXPECT_GT(expected[2].size(), 2u);  // more than full uploads would allow
+  EXPECT_EQ(queued(*lookahead, 24, handle), expected);
 }
 
 // -- engine-level replay -----------------------------------------------------
@@ -532,8 +596,8 @@ TEST(LookaheadWindows, PlannedWindowsAreTracedAndExported) {
 TEST(LookaheadPlanCost, RemotePlacementPaysTheInterNodeHop) {
   // Two single-core nodes without accelerators; the operand lives on node
   // 0 and the task may only run on node 1's core. The plan must price the
-  // host0 -> host1 hop over the inter-node link, exactly as the handle's
-  // own fetch estimate does (both route through Interconnect).
+  // host0 -> host1 hop over the inter-node link, exactly as a plan seeded
+  // from the handle prices it.
   EngineConfig config;
   config.cluster =
       sim::ClusterConfig::uniform(2, sim::MachineConfig::cpu_only(1));
@@ -558,8 +622,14 @@ TEST(LookaheadPlanCost, RemotePlacementPaysTheInterNodeHop) {
   }
   ASSERT_GE(remote, 0);
   const WorkerDesc& worker = engine.workers()[static_cast<std::size_t>(remote)];
-  const double fetch =
-      handle->estimate_fetch_seconds(worker.node, AccessMode::kRead);
+  const Interconnect net{MemTopology::of_cluster(config.cluster),
+                         config.cluster.nodes[0].machine.link,
+                         config.cluster.internode};
+  Plan plan(engine.workers(), &net);
+  Plan::Task read;
+  read.exec.assign(engine.workers().size(), 0.0);
+  read.operands = {{plan.add_data(*handle), AccessMode::kRead, bytes, 1.0}};
+  const double fetch = plan.price(read, remote).fetch;
   const double exec =
       sim::execution_seconds(worker.profile, cost({bytes}, nullptr));
   ASSERT_NE(fetch, sim::transfer_seconds(config.cluster.nodes[0].machine.link,
@@ -576,6 +646,122 @@ TEST(LookaheadPlanCost, RemotePlacementPaysTheInterNodeHop) {
   const std::vector<WindowRecord> windows = engine.trace().windows();
   ASSERT_EQ(windows.size(), 1u);
   EXPECT_EQ(windows[0].estimate, fetch + exec);
+}
+
+TEST(LookaheadPlanCost, MultiHopFetchLeavesTheIntermediateHostValid) {
+  // On two C2050 nodes, data on host 0 travels host0 -> host1 -> dev1 to a
+  // node-1 device task. copy_replica leaves a copy on host 1 on the way,
+  // and so does the plan: a second task reading the data on host 1 then
+  // plans no fetch.
+  const sim::ClusterConfig cluster =
+      sim::ClusterConfig::uniform(2, sim::MachineConfig::platform_c2050());
+  const std::vector<WorkerDesc> workers = worker_table(cluster);
+  DataManager data(MemTopology::of_cluster(cluster),
+                   cluster.nodes[0].machine.link, cluster.internode);
+  std::vector<float> buffer(1 << 12, 1.0f);
+  const std::size_t bytes = buffer.size() * sizeof(float);
+  const DataHandlePtr handle =
+      data.register_buffer(buffer.data(), bytes, sizeof(float));
+
+  WorkerId device = -1;
+  WorkerId core = -1;
+  for (const WorkerDesc& w : workers) {
+    if (w.sim_node != 1) continue;
+    if (w.archs.front() == Arch::kCuda) device = w.id;
+    if (w.archs.front() == Arch::kCpu && core < 0) core = w.id;
+  }
+  ASSERT_GE(device, 0);
+  ASSERT_GE(core, 0);
+  const MemoryNodeId device_node = workers[static_cast<std::size_t>(device)].node;
+  const MemoryNodeId host1 = workers[static_cast<std::size_t>(core)].node;
+
+  Plan plan(workers, &data.interconnect());
+  const int datum = plan.add_data(*handle);
+  const auto read_on = [&](WorkerId worker) {
+    Plan::Task task;
+    task.exec.assign(workers.size(), std::numeric_limits<double>::infinity());
+    task.exec[static_cast<std::size_t>(worker)] = 1e-3;
+    task.operands = {{datum, AccessMode::kRead, bytes, 1.0}};
+    return task;
+  };
+  const Plan::Commit first = plan.commit(read_on(device), device);
+  EXPECT_EQ(first.fetch, data.interconnect().fetch_seconds(
+                             kHostNode, device_node, bytes, 1.0));
+  EXPECT_NE(plan.states(datum)[static_cast<std::size_t>(host1)],
+            ReplicaState::kInvalid);
+  EXPECT_EQ(plan.price(read_on(core), core).fetch, 0.0);
+
+  // The live handle leaves the same copy behind.
+  handle->acquire(device_node, AccessMode::kRead, nullptr);
+  handle->release(device_node);
+  std::vector<ReplicaState> live;
+  handle->plan_states(live);
+  EXPECT_TRUE(std::ranges::equal(live, plan.states(datum)));
+}
+
+TEST(LookaheadPlanCost, WindowCouplesTheCombinedWorkerWithItsCores) {
+  // Two independent 1-GFLOP tasks with identical cpu and openmp variants
+  // on two cores: a core runs one in 0.275 s, the combined worker in
+  // 0.153 s — but only while both cores are idle, so the engine runs a
+  // core task after a combined one, not beside it. A window that plans
+  // the pair must know that too: its estimate is the makespan the engine
+  // then runs, with one task on each core.
+  EngineConfig config;
+  config.machine = sim::MachineConfig::cpu_only(2);
+  config.scheduler = "lookahead";
+  config.window_size = 2;
+  config.use_history_models = false;
+  config.enable_prefetch = false;
+  config.enable_trace = true;
+  Engine engine(config);
+
+  // A gate both tasks read: they become ready together when it completes,
+  // and the completing worker stages both before anyone plans.
+  std::atomic<bool> open{false};
+  Codelet gate("gate");
+  gate.add_impl({Arch::kCpu, "gate_cpu",
+                 [&open](ExecContext&) {
+                   while (!open.load()) std::this_thread::yield();
+                 },
+                 [](const std::vector<std::size_t>&, const void*) {
+                   return sim::KernelCost{0.0, 0.0, 1.0};
+                 }});
+  const auto gflop = [](const std::vector<std::size_t>&, const void*) {
+    return sim::KernelCost{1e9, 0.0, 1.0};
+  };
+  Codelet work("gflop");
+  work.add_impl({Arch::kCpu, "gflop_cpu", [](ExecContext&) {}, gflop});
+  work.add_impl({Arch::kCpuOmp, "gflop_openmp", [](ExecContext&) {}, gflop});
+
+  std::vector<float> buffer(16, 0.0f);
+  const DataHandlePtr handle = engine.register_buffer(
+      buffer.data(), buffer.size() * sizeof(float), sizeof(float));
+  TaskSpec opener;
+  opener.codelet = &gate;
+  opener.operands = {{handle, AccessMode::kWrite}};
+  const TaskPtr gate_task = engine.submit(std::move(opener));
+  std::vector<TaskPtr> tasks;
+  for (int i = 0; i < 2; ++i) {
+    TaskSpec spec;
+    spec.codelet = &work;
+    spec.operands = {{handle, AccessMode::kRead}};
+    tasks.push_back(engine.submit(std::move(spec)));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // idle parks
+  open.store(true);
+  engine.wait_for_all();
+
+  const std::vector<WindowRecord> windows = engine.trace().windows();
+  ASSERT_FALSE(windows.empty());
+  EXPECT_EQ(windows.back().size, 2);
+  EXPECT_NEAR(windows.back().estimate, engine.virtual_makespan(), 1e-12);
+  const double core_seconds = sim::execution_seconds(
+      config.machine.cpu_core, gflop({}, nullptr));
+  EXPECT_NEAR(engine.virtual_makespan(), gate_task->vend + core_seconds,
+              1e-12);
+  EXPECT_EQ(tasks[0]->executed_arch, Arch::kCpu);
+  EXPECT_EQ(tasks[1]->executed_arch, Arch::kCpu);
+  EXPECT_NE(tasks[0]->executed_on, tasks[1]->executed_on);
 }
 
 }  // namespace

@@ -33,6 +33,24 @@ class RecordedTraffic {
   Books baseline_;
 };
 
+/// Seconds a placement decision on memory node `node` charges for `mode`
+/// access to `handle`: rt::Plan's fetch rule on the handle's live state, a
+/// read amortised over the handle's reads, as dmda prices it.
+double decision_fetch(const DataManager& manager, const DataHandle& handle,
+                      MemoryNodeId node, AccessMode mode) {
+  std::vector<WorkerDesc> workers(1);
+  workers[0].id = 0;
+  workers[0].node = node;
+  Plan plan(workers, &manager.interconnect());
+  Plan::Task task;
+  task.exec = {0.0};
+  task.operands = {{plan.add_data(handle), mode, handle.bytes(),
+                    mode == AccessMode::kRead
+                        ? static_cast<double>(handle.reads())
+                        : 1.0}};
+  return plan.price(task, 0).fetch;
+}
+
 class MemoryTest : public ::testing::Test {
  protected:
   MemoryTest() : manager_(3, sim::LinkProfile::pcie2_x16()) {}  // host + 2 GPUs
@@ -168,10 +186,11 @@ TEST_F(MemoryTest, FetchEstimateMatchesLinkModel) {
   std::vector<float> data(1 << 20, 0.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  const double est = h->estimate_fetch_seconds(1, AccessMode::kRead);
+  const double est = decision_fetch(manager_, *h, 1, AccessMode::kRead);
   EXPECT_NEAR(est, manager_.estimate_link_seconds(h->bytes()), 1e-12);
-  EXPECT_DOUBLE_EQ(h->estimate_fetch_seconds(1, AccessMode::kWrite), 0.0);
-  EXPECT_DOUBLE_EQ(h->estimate_fetch_seconds(kHostNode, AccessMode::kRead), 0.0);
+  EXPECT_DOUBLE_EQ(decision_fetch(manager_, *h, 1, AccessMode::kWrite), 0.0);
+  EXPECT_DOUBLE_EQ(decision_fetch(manager_, *h, kHostNode, AccessMode::kRead),
+                   0.0);
 }
 
 TEST_F(MemoryTest, LinkContentionSerialisesTransfers) {
@@ -238,14 +257,17 @@ TEST_F(MemoryTest, PendingPrefetchZeroesTheFetchEstimate) {
   std::vector<float> data(1 << 20, 0.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  ASSERT_GT(h->estimate_fetch_seconds(1, AccessMode::kRead), 0.0);
+  const auto fetch = [&](MemoryNodeId node) {
+    return decision_fetch(manager_, *h, node, AccessMode::kRead);
+  };
+  ASSERT_GT(fetch(1), 0.0);
   h->note_prefetch_queued(1);
   // In-flight prefetch: the transfer is already being paid for.
-  EXPECT_DOUBLE_EQ(h->estimate_fetch_seconds(1, AccessMode::kRead), 0.0);
+  EXPECT_DOUBLE_EQ(fetch(1), 0.0);
   // Other nodes still charge normally.
-  EXPECT_GT(h->estimate_fetch_seconds(2, AccessMode::kRead), 0.0);
+  EXPECT_GT(fetch(2), 0.0);
   h->note_prefetch_done(1);
-  EXPECT_GT(h->estimate_fetch_seconds(1, AccessMode::kRead), 0.0);
+  EXPECT_GT(fetch(1), 0.0);
 }
 
 // -- partitioning ---------------------------------------------------------------

@@ -7,6 +7,7 @@
 // (PerfRegistry::estimate_exec) to within floating-point round-off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "descriptor/descriptor.hpp"
 #include "runtime/memory.hpp"
 #include "runtime/perfmodel.hpp"
+#include "runtime/placement.hpp"
 #include "sim/device.hpp"
 #include "support/error.hpp"
 
@@ -302,38 +304,56 @@ TEST(CostEval, MissingModelYieldsTheNeutralGuess) {
 }
 
 TEST(CostEval, DecisionFetchIsTheRuntimeFetchEstimate) {
-  // A loop-invariant read: predict prices the forced upload of a container
-  // read `reads` times with CostEvaluator::fetch_seconds, the runtime with
-  // DataHandle::estimate_fetch_seconds after that many reads. Both amortise
-  // through the same hop function, so they agree exactly — past the reuse
-  // cap too.
+  // A loop-invariant read: predict prices the upload of a container read
+  // `reads` times with that reuse, dmda prices a handle's upload with the
+  // reads the handle counted. Both go through rt::Plan's fetch rule: the
+  // latency plus the volume over min(reads, kReuseCap).
   const sim::MachineConfig machine = sim::MachineConfig::platform_c2050();
-  rt::PerfRegistry models;
-  const CostEvaluator eval(machine, models, 2);
+  const std::vector<rt::WorkerDesc> workers =
+      rt::worker_table(sim::ClusterConfig::single(machine));
   rt::DataManager data(2, machine.link);
   std::vector<float> buffer(1 << 14, 0.0f);
   const std::size_t bytes = buffer.size() * sizeof(float);
   const rt::DataHandlePtr handle =
       data.register_buffer(buffer.data(), bytes, sizeof(float));
+  const rt::WorkerId gpu = workers.back().id;
+  ASSERT_EQ(workers.back().node, 1);
   for (int reads = 1; reads <= 100; ++reads) {
     handle->acquire(rt::kHostNode, rt::AccessMode::kRead, nullptr);
-    EXPECT_EQ(eval.fetch_seconds(bytes, reads),
-              handle->estimate_fetch_seconds(1, rt::AccessMode::kRead))
+    rt::Plan plan(workers, &data.interconnect());
+    rt::Plan::Task task;
+    task.exec.assign(workers.size(), 1e-3);
+    ASSERT_EQ(handle->reads(), static_cast<std::uint64_t>(reads));
+    task.operands = {{plan.add_data(*handle), rt::AccessMode::kRead, bytes,
+                      static_cast<double>(handle->reads())}};
+    EXPECT_EQ(plan.price(task, gpu).fetch,
+              rt::hop_seconds(machine.link, bytes, rt::reuse_divisor(reads)))
         << reads << " reads";
   }
 }
 
 TEST(CostEval, ArchFeasibilityFollowsTheMachine) {
-  rt::PerfRegistry models;
-  const CostEvaluator c2050(sim::MachineConfig::platform_c2050(), models, 2);
-  EXPECT_TRUE(c2050.arch_on_machine(rt::Arch::kCpu));
-  EXPECT_TRUE(c2050.arch_on_machine(rt::Arch::kCpuOmp));
-  EXPECT_TRUE(c2050.arch_on_machine(rt::Arch::kCuda));
-  EXPECT_FALSE(c2050.arch_on_machine(rt::Arch::kOpenCl));
-  const CostEvaluator solo(sim::MachineConfig::cpu_only(1), models, 2);
-  EXPECT_TRUE(solo.arch_on_machine(rt::Arch::kCpu));
-  EXPECT_FALSE(solo.arch_on_machine(rt::Arch::kCpuOmp));
-  EXPECT_FALSE(solo.arch_on_machine(rt::Arch::kCuda));
+  // The architectures a machine runs are its worker table's, the table the
+  // Engine builds its workers from.
+  const auto runs = [](const sim::MachineConfig& machine, rt::Arch arch) {
+    const std::vector<rt::WorkerDesc> workers =
+        rt::worker_table(sim::ClusterConfig::single(machine));
+    return std::any_of(workers.begin(), workers.end(),
+                       [arch](const rt::WorkerDesc& w) {
+                         return w.archs.front() == arch;
+                       });
+  };
+  const sim::MachineConfig c2050 = sim::MachineConfig::platform_c2050();
+  EXPECT_TRUE(runs(c2050, rt::Arch::kCpu));
+  EXPECT_TRUE(runs(c2050, rt::Arch::kCpuOmp));
+  EXPECT_TRUE(runs(c2050, rt::Arch::kCuda));
+  EXPECT_FALSE(runs(c2050, rt::Arch::kOpenCl));
+  // One core still has a combined-CPU worker: the Engine runs OpenMP
+  // variants there.
+  const sim::MachineConfig solo = sim::MachineConfig::cpu_only(1);
+  EXPECT_TRUE(runs(solo, rt::Arch::kCpu));
+  EXPECT_TRUE(runs(solo, rt::Arch::kCpuOmp));
+  EXPECT_FALSE(runs(solo, rt::Arch::kCuda));
 }
 
 // ---------------------------------------------------------------------------
@@ -408,12 +428,74 @@ TEST(Predict, LoopIterationsExtrapolateLinearly) {
       "</loop>\n"));
   const PredictResult result = analyze::predict_main(repo, models, options);
   ASSERT_TRUE(result.completed);
-  // 1 init + 10 loop iterations, each a calibrated 2 ms consume.
+  // 1 init + 10 loop iterations, each a calibrated 2 ms consume. The ten
+  // independent readers spread over the four cores in three rounds, as the
+  // Engine runs them: 1 ms + 3 x 2 ms.
   EXPECT_EQ(result.task_executions, 11u);
-  EXPECT_NEAR(result.makespan.est, 1e-3 + 10 * 2e-3, 1e-12);
+  EXPECT_NEAR(result.makespan.est, 1e-3 + 3 * 2e-3, 1e-12);
   ASSERT_EQ(result.points.size(), 2u);
   EXPECT_EQ(result.points[1].executions, 10u);
   EXPECT_NEAR(result.points[1].exec_seconds, 10 * 2e-3, 1e-12);
+}
+
+TEST(Predict, LongLoopsSkipWholeRotationsOfTheWorkers) {
+  // The loop above, run long: after one rotation over the four cores the
+  // state repeats two ms later, and only whole rotations are skipped.
+  rt::PerfRegistry models;
+  const std::size_t bytes = 4096;
+  calibrate(models, "consume", rt::Arch::kCpu, bytes, 2e-3);
+  calibrate(models, "init", rt::Arch::kCpu, bytes, 1e-3);
+  PredictOptions options;
+  options.machine = sim::MachineConfig::cpu_only(4);
+  options.sizes = {{"v", bytes}};
+  for (const auto& [count, makespan] :
+       {std::pair{1000, 0.501}, std::pair{1000000, 500.001}}) {
+    const desc::Repository repo = make_repo(main_with_calls(
+        "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+        "<loop count=\"" +
+        std::to_string(count) +
+        "\">\n"
+        "  <call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n"
+        "</loop>\n"));
+    const PredictResult result = analyze::predict_main(repo, models, options);
+    ASSERT_TRUE(result.completed) << count;
+    EXPECT_EQ(count_code(result.bag, "PL077"), 0) << count;
+    EXPECT_NEAR(result.makespan.est, makespan, 1e-9 * makespan) << count;
+    EXPECT_EQ(result.task_executions, static_cast<std::uint64_t>(count) + 1);
+  }
+}
+
+TEST(Predict, LoopsWithoutAnExactRepeatSkipTheirNearestRepeat) {
+  // Four cores at 2 ms and a GPU at 0.7123 ms: the workers' times share no
+  // short period, so the state never repeats within the search. The loop
+  // skips copies of its nearest repeat instead, and a million iterations
+  // complete at the workers' joint rate.
+  rt::PerfRegistry models;
+  const std::size_t bytes = 4096;
+  calibrate(models, "init", rt::Arch::kCpu, bytes, 1e-3);
+  calibrate(models, "consume", rt::Arch::kCpu, bytes, 2e-3);
+  calibrate(models, "consume", rt::Arch::kCuda, bytes, 0.7123e-3);
+  PredictOptions options;
+  options.machine = sim::MachineConfig::platform_c2050();
+  options.machine.cpu_cores = 4;
+  options.sizes = {{"v", bytes}};
+  const long long count = 1000000;
+  const desc::Repository repo = make_repo(
+      main_with_calls(
+          "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+          "<loop count=\"" +
+          std::to_string(count) +
+          "\">\n"
+          "  <call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n"
+          "</loop>\n"),
+      {{"init", {"cpu"}}, {"consume", {"cpu", "cuda"}}});
+  const PredictResult result = analyze::predict_main(repo, models, options);
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(count_code(result.bag, "PL077"), 0);
+  EXPECT_EQ(result.task_executions, static_cast<std::uint64_t>(count) + 1);
+  const double rate = 4.0 / 2e-3 + 1.0 / 0.7123e-3;  // tasks per second
+  EXPECT_NEAR(result.makespan.est, static_cast<double>(count) / rate,
+              1e-3 * static_cast<double>(count) / rate);
 }
 
 // ---------------------------------------------------------------------------
@@ -446,6 +528,15 @@ TEST(PredictDiag, PL070DeadVariantUnderTheAnalysedMachine) {
       "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n",
       {{"consume", {"cpu", "opencl"}}}, opencl);
   EXPECT_EQ(count_code(clean.bag, "PL070"), 0) << clean.bag.format_text();
+
+  // One core still gets the Engine's combined-CPU worker: an OpenMP
+  // variant runs there, so it is not dead.
+  PredictOptions solo;
+  solo.machine = sim::MachineConfig::cpu_only(1);
+  const PredictResult single = predict(
+      "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n",
+      {{"consume", {"cpu", "openmp"}}}, solo);
+  EXPECT_EQ(count_code(single.bag, "PL070"), 0) << single.bag.format_text();
 }
 
 TEST(PredictDiag, PL071MissingModelForASelectableVariant) {
@@ -608,6 +699,79 @@ TEST(PredictDiag, PL077PredictionBudgetExhausted) {
 }
 
 // ---------------------------------------------------------------------------
+// Control flow and explicit prefetches
+// ---------------------------------------------------------------------------
+
+TEST(Predict, IfTakesTheSlowerBranchAndHullsTheBounds) {
+  rt::PerfRegistry models;
+  const std::size_t bytes = 4096;
+  calibrate(models, "init", rt::Arch::kCpu, bytes, 1e-3);
+  calibrate(models, "consume", rt::Arch::kCpu, bytes, 2e-3);
+  PredictOptions options;
+  options.machine = sim::MachineConfig::cpu_only();
+  options.sizes = {{"v", bytes}};
+  const PredictResult result = predict(
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<if>\n"
+      "  <call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n"
+      "  <else>\n"
+      "    <call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "  </else>\n"
+      "</if>\n",
+      {{"init", {"cpu"}}, {"consume", {"cpu"}}}, options, &models);
+  ASSERT_TRUE(result.completed);
+  // The trajectory runs the 2 ms branch; the interval hulls both branches.
+  EXPECT_NEAR(result.makespan.est, 3e-3, 1e-12);
+  EXPECT_NEAR(result.makespan.lo, 2e-3, 1e-12);
+  EXPECT_NEAR(result.makespan.hi, 3e-3, 1e-12);
+  EXPECT_EQ(result.task_executions, 2u);
+  ASSERT_EQ(result.points.size(), 2u);  // the else branch never ran
+  EXPECT_EQ(result.points[1].interface_name, "consume");
+}
+
+TEST(Predict, PrefetchTheCoherenceStateProvesRedundantCostsNothing) {
+  rt::PerfRegistry models;
+  const std::size_t bytes = 1u << 20;
+  calibrate(models, "init", rt::Arch::kCpu, bytes, 1e-3);
+  calibrate(models, "consume", rt::Arch::kCpu, bytes, 2e-3);
+  PredictOptions options;
+  options.machine = sim::MachineConfig::platform_c2050();
+  options.sizes = {{"v", bytes}};
+  const PredictResult result = predict(
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<prefetch data=\"v\" on=\"host\"/>\n"
+      "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n",
+      {{"init", {"cpu"}}, {"consume", {"cpu"}}}, options, &models);
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(result.transfer_time_seconds, 0.0);
+  EXPECT_EQ(result.h2d_bytes + result.d2h_bytes, 0.0);
+  EXPECT_NEAR(result.makespan.est, 3e-3, 1e-12);
+}
+
+TEST(Predict, ColdPrefetchChargesOneHop) {
+  rt::PerfRegistry models;
+  const std::size_t bytes = 1u << 20;
+  calibrate(models, "init", rt::Arch::kCpu, bytes, 1e-3);
+  calibrate(models, "consume", rt::Arch::kCuda, bytes, 2e-3);
+  PredictOptions options;
+  options.machine = sim::MachineConfig::platform_c2050();
+  options.sizes = {{"v", bytes}};
+  const PredictResult result = predict(
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<prefetch data=\"v\" on=\"device\"/>\n"
+      "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n",
+      {{"init", {"cpu"}}, {"consume", {"cuda"}}}, options, &models);
+  ASSERT_TRUE(result.completed);
+  const double hop = sim::transfer_seconds(options.machine.link, bytes);
+  // One upload, paid by the prefetch; the device consumer finds v resident.
+  EXPECT_DOUBLE_EQ(result.transfer_time_seconds, hop);
+  EXPECT_EQ(result.h2d_bytes, static_cast<double>(bytes));
+  ASSERT_EQ(result.points.size(), 2u);
+  EXPECT_EQ(result.points[1].transfer_seconds, 0.0);
+  EXPECT_NEAR(result.makespan.est, 1e-3 + hop + 2e-3, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
 // Placement, what-if scaling and reports
 // ---------------------------------------------------------------------------
 
@@ -630,22 +794,25 @@ TEST(Predict, GreedyPlacementPrefersTheFasterSide) {
 
 TEST(Predict, ReadWriteOperandPaysItsFetchOnceLikeTheRuntime) {
   // v is host-resident and read by 64 later consume calls, but bump's
-  // readwrite operand is not a read the runtime amortises: its
-  // DataHandle::estimate_fetch_seconds prices any written operand with
-  // reuse 1. The accelerator is faster by less than the full upload and by
-  // more than its 64-fold amortised share, so the host must win.
+  // readwrite operand is not a read the runtime amortises: rt::Plan prices
+  // any written operand with reuse 1. The accelerator is faster by less
+  // than the full upload and by more than its 64-fold amortised share, so
+  // the host must win.
   const sim::MachineConfig machine = sim::MachineConfig::platform_c2050();
   const std::size_t bytes = 1u << 20;
   rt::PerfRegistry models;
-  const CostEvaluator eval(machine, models, 2);
-  const double full = eval.fetch_seconds(bytes, 1);
-  const double amortised = eval.fetch_seconds(bytes, 64);
+  const double full = rt::hop_seconds(machine.link, bytes, 1.0);
+  const double amortised =
+      rt::hop_seconds(machine.link, bytes, rt::reuse_divisor(64));
   ASSERT_LT(amortised, full);
   calibrate(models, "bump", rt::Arch::kCuda, bytes, 1e-3);
   calibrate(models, "bump", rt::Arch::kCpu, bytes, 1e-3 + (full + amortised) / 2);
   calibrate(models, "consume", rt::Arch::kCpu, bytes, 1e-4);
 
-  // The runtime side of the contract: reads do not discount a readwrite.
+  // The runtime side of the contract: the plan does not discount a
+  // readwrite, whatever reads its handle counted.
+  const std::vector<rt::WorkerDesc> workers =
+      rt::worker_table(sim::ClusterConfig::single(machine));
   rt::DataManager data(2, machine.link);
   std::vector<float> buffer(bytes / sizeof(float), 0.0f);
   const rt::DataHandlePtr handle =
@@ -653,7 +820,12 @@ TEST(Predict, ReadWriteOperandPaysItsFetchOnceLikeTheRuntime) {
   for (int i = 0; i < 64; ++i) {
     handle->acquire(rt::kHostNode, rt::AccessMode::kRead, nullptr);
   }
-  EXPECT_EQ(handle->estimate_fetch_seconds(1, rt::AccessMode::kReadWrite), full);
+  rt::Plan plan(workers, &data.interconnect());
+  rt::Plan::Task task;
+  task.exec.assign(workers.size(), 1e-3);
+  task.operands = {{plan.add_data(*handle), rt::AccessMode::kReadWrite, bytes,
+                    static_cast<double>(handle->reads())}};
+  EXPECT_EQ(plan.price(task, workers.back().id).fetch, full);
 
   desc::Repository repo = make_repo(
       main_with_calls(

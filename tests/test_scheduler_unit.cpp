@@ -3,6 +3,8 @@
 // each policy's decision rule in isolation).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "runtime/scheduler.hpp"
 #include "support/error.hpp"
 
@@ -37,10 +39,9 @@ class SchedulerUnit : public ::testing::Test {
       (void)task;
       return true;
     };
-    env_.estimate = [this](const Task& task, WorkerId id) {
-      if (!env_.eligible(task, id)) return Placement{};
-      return Placement{.ready = ready_[static_cast<std::size_t>(id)],
-                       .exec = work_[static_cast<std::size_t>(id)]};
+    env_.exec = [this](const Task& task, WorkerId id) {
+      return env_.eligible(task, id) ? work_[static_cast<std::size_t>(id)]
+                                     : std::numeric_limits<double>::infinity();
     };
     env_.sample_count = [this](const Task&, WorkerId id) {
       return samples_[static_cast<std::size_t>(id)];
