@@ -37,6 +37,12 @@ rt::Codelet& touch_codelet() {
         data[i] += 1.0f;
       }
     };
+    // Roofline hint: one flop per element, each element read and written
+    // once. Without it the virtual time would be the kernel's wall time.
+    impl.cost = [](const std::vector<std::size_t>& bytes, const void*) {
+      const auto n = static_cast<double>(bytes[0]);
+      return sim::KernelCost{n / sizeof(float), 2.0 * n, 1.0};
+    };
     c.add_impl(std::move(impl));
     return c;
   }();

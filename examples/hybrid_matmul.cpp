@@ -61,7 +61,7 @@ int main() {
   rt::EngineConfig config;
   config.use_history_models = false;  // deterministic placement for the demo
   config.enable_trace = true;
-  config.verify_shadow = true;  // cross-check coherence while demoing
+  config.verify_shadow = true;  // log coherence states while demoing
   PEPPHER_INITIALIZE(config);
   register_matmul_block();
   rt::Engine& engine = core::engine();

@@ -28,7 +28,7 @@ int main() {
   rt::EngineConfig config;
   config.machine = machine;
   config.use_history_models = false;
-  config.verify_shadow = true;  // cross-check coherence while demoing
+  config.verify_shadow = true;  // log coherence states while demoing
   rt::Engine engine(config);
   const auto tool = apps::ode::run_tool(engine, problem, rt::Arch::kCuda);
 

@@ -21,7 +21,7 @@ rt::EngineConfig config() {
   rt::EngineConfig c;
   c.machine = sim::MachineConfig::platform_c2050();
   c.use_history_models = false;  // place by cost model (deterministic demo)
-  c.verify_shadow = true;        // cross-check coherence while demoing
+  c.verify_shadow = true;        // log coherence states while demoing
   return c;
 }
 

@@ -17,7 +17,7 @@ int main() {
   config.machine = sim::MachineConfig::platform_c2050();
   config.use_history_models = false;
   config.enable_trace = true;
-  config.verify_shadow = true;  // cross-check coherence while demoing
+  config.verify_shadow = true;  // log coherence states while demoing
   rt::Engine engine(config);
 
   const auto problem =

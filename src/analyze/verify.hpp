@@ -8,9 +8,9 @@
 // world one feasible (host replica, device replica) pair plus a few path
 // facts (initialised, partitioned, unread pending write, last writer side,
 // open read window). The transition rules are the runtime's own
-// (runtime/msi.hpp) — the same functions the verify_shadow runtime checker
-// applies to its concrete shadow state — so the verifier's abstract states
-// and the runtime's observed states are comparable point for point.
+// (runtime/msi.hpp) — the same functions every DataHandle moves its
+// replicas through — so the verifier's abstract states and the states the
+// verify_shadow log observes are comparable point for point.
 //
 // The same fixpoint is the one engine of the sequence hazards between
 // calls. Each finding takes its code from what the fixpoint proves about

@@ -11,6 +11,11 @@
 // therefore keeps whatever accelerator replicas the slice already has —
 // instead of forcing the data back to a host. Only the slices that
 // actually changed shape pay a flush.
+//
+// The payload itself is registered at construction too, like every smart
+// container's storage, but no task uses that handle: the container reaches
+// its engine only through it, so once the engine shut down every use
+// throws instead of calling into a destroyed engine.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "containers/containers.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/memory.hpp"
 #include "runtime/types.hpp"
@@ -109,10 +115,9 @@ template <typename T>
 class PartitionedVector {
  public:
   PartitionedVector(rt::Engine* engine, Partitioning partitioning, T init = T{})
-      : engine_(engine),
-        storage_(partitioning.elements, init),
+      : storage_(engine, partitioning.elements, init),
         partitioning_(std::move(partitioning)) {
-    check(engine_ != nullptr, "PartitionedVector needs an engine");
+    check(engine != nullptr, "PartitionedVector needs an engine");
     validate(partitioning_);
   }
 
@@ -130,23 +135,24 @@ class PartitionedVector {
     }
   }
 
-  std::size_t size() const noexcept { return storage_.size(); }
+  std::size_t size() const noexcept { return storage_.count(); }
   const Partitioning& partitioning() const noexcept { return partitioning_; }
   T* data() noexcept { return storage_.data(); }
 
   /// The runtime handle of one slice; registered on first use, cached by
   /// the slice bounds. Slices that overlap are each their own handle — the
   /// coherence of overlapping views is the application's business (the
-  /// halo-exchange pattern copies owned -> ghost explicitly).
+  /// halo-exchange pattern copies owned -> ghost explicitly). Throws once
+  /// the engine shut down.
   const rt::DataHandlePtr& slice_handle(const Slice& slice) {
-    check(slice.begin < slice.end && slice.end <= storage_.size(),
+    rt::Engine& engine = storage_.engine();
+    check(slice.begin < slice.end && slice.end <= size(),
           "slice out of container bounds");
     auto [it, inserted] =
         handles_.try_emplace({slice.begin, slice.end}, nullptr);
     if (inserted) {
-      it->second = engine_->register_buffer(storage_.data() + slice.begin,
-                                            slice.size() * sizeof(T),
-                                            sizeof(T));
+      it->second = engine.register_buffer(storage_.data() + slice.begin,
+                                          slice.size() * sizeof(T), sizeof(T));
       it->second->keep_home_at_shutdown(true);  // storage_ outlives the engine
     }
     return it->second;
@@ -168,8 +174,8 @@ class PartitionedVector {
   /// force the untouched data off the accelerators. Dropped slices are
   /// unregistered (their data is pulled home first, by the engine).
   void repartition(Partitioning next) {
-    check(next.elements == storage_.size(),
-          "repartition: element count mismatch");
+    rt::Engine& engine = storage_.engine();
+    check(next.elements == size(), "repartition: element count mismatch");
     validate(next);
     std::map<std::pair<std::size_t, std::size_t>, rt::DataHandlePtr> kept;
     for (const Partition& part : next.parts) {
@@ -179,7 +185,7 @@ class PartitionedVector {
       }
     }
     for (auto& [bounds, handle] : handles_) {
-      if (kept.count(bounds) == 0) engine_->unregister(handle);
+      if (kept.count(bounds) == 0) engine.unregister(handle);
     }
     handles_ = std::move(kept);
     partitioning_ = std::move(next);
@@ -191,10 +197,9 @@ class PartitionedVector {
   /// Makes the host copy of every registered slice valid and returns a
   /// host view of the whole payload.
   std::span<T> host_access(rt::AccessMode mode) {
-    for (auto& [bounds, handle] : handles_) {
-      engine_->acquire_host(handle, mode);
-    }
-    return {storage_.data(), storage_.size()};
+    rt::Engine& engine = storage_.engine();
+    for (auto& [bounds, handle] : handles_) engine.acquire_host(handle, mode);
+    return {storage_.data(), size()};
   }
 
  private:
@@ -210,8 +215,7 @@ class PartitionedVector {
     }
   }
 
-  rt::Engine* engine_;
-  std::vector<T> storage_;
+  detail::ManagedStorage<T> storage_;  ///< the payload and its engine link
   Partitioning partitioning_;
   std::map<std::pair<std::size_t, std::size_t>, rt::DataHandlePtr> handles_;
 };

@@ -243,26 +243,25 @@ void flatten_calls(const std::vector<CallNode>& nodes,
   }
 }
 
+void serialize_call(const CallDesc& c, xml::Element& parent) {
+  xml::Element& call = parent.append_child("call");
+  call.set_attribute("interface", c.interface_name);
+  if (c.node != 0) call.set_attribute("node", std::to_string(c.node));
+  if (c.radius != 0) call.set_attribute("radius", std::to_string(c.radius));
+  for (const CallArgDesc& a : c.args) {
+    xml::Element& arg = call.append_child("arg");
+    arg.set_attribute("param", a.param);
+    arg.set_attribute("data", a.data);
+  }
+}
+
 void serialize_statements(const std::vector<CallNode>& nodes,
                           xml::Element& parent) {
   for (const CallNode& node : nodes) {
     switch (node.kind) {
-      case CallNode::Kind::kCall: {
-        xml::Element& call = parent.append_child("call");
-        call.set_attribute("interface", node.call.interface_name);
-        if (node.call.node != 0) {
-          call.set_attribute("node", std::to_string(node.call.node));
-        }
-        if (node.call.radius != 0) {
-          call.set_attribute("radius", std::to_string(node.call.radius));
-        }
-        for (const CallArgDesc& a : node.call.args) {
-          xml::Element& arg = call.append_child("arg");
-          arg.set_attribute("param", a.param);
-          arg.set_attribute("data", a.data);
-        }
+      case CallNode::Kind::kCall:
+        serialize_call(node.call, parent);
         break;
-      }
       case CallNode::Kind::kLoop: {
         xml::Element& loop = parent.append_child("loop");
         loop.set_attribute("count", std::to_string(node.loop_count));
@@ -738,15 +737,7 @@ std::unique_ptr<xml::Element> MainDescriptor::to_xml() const {
   } else if (!calls.empty()) {
     // Programmatically built descriptor with only the flattened view.
     xml::Element& calls_elem = root->append_child("calls");
-    for (const CallDesc& c : calls) {
-      xml::Element& call = calls_elem.append_child("call");
-      call.set_attribute("interface", c.interface_name);
-      for (const CallArgDesc& a : c.args) {
-        xml::Element& arg = call.append_child("arg");
-        arg.set_attribute("param", a.param);
-        arg.set_attribute("data", a.data);
-      }
-    }
+    for (const CallDesc& c : calls) serialize_call(c, calls_elem);
   }
   xml::Element& composition = root->append_child("composition");
   composition.set_attribute("useHistoryModels",

@@ -63,8 +63,6 @@ Engine::Engine(EngineConfig config)
   check(cpu_count_ > 0 || topo.device_count() > 0,
         "machine has no execution units");
 
-  // Shadow coherence checking must be armed before any handle registration.
-  if (config_.verify_shadow) data_.enable_shadow_checking();
   data_.set_engine(this);
 
   // The cluster's worker table (rt::worker_table, which peppher-predict
@@ -126,12 +124,6 @@ Engine::Engine(EngineConfig config)
     any_faults = true;
   }
   if (any_faults) {
-    if (config_.verify_shadow) {
-      throw Error(ErrorCode::kUnsupported,
-                  "verify_shadow cannot be combined with fault injection: a "
-                  "transfer failing mid-route leaves a half-updated "
-                  "coherence state the shadow model does not track");
-    }
     data_.set_transfer_fault_hook(
         [this](MemoryNodeId from, MemoryNodeId to, std::size_t bytes) {
           on_transfer_attempt(from, to, bytes);
@@ -300,17 +292,7 @@ void Engine::unregister(const DataHandlePtr& handle) {
 
 bool Engine::prefetch(const DataHandlePtr& handle, MemoryNodeId node) {
   check(handle != nullptr, "prefetch: null handle");
-  {
-    std::lock_guard<std::mutex> lock(graph_mutex_);
-    if (handle->last_writer != nullptr &&
-        handle->last_writer->state != TaskState::kDone) {
-      return false;  // data still being produced; fetching now would race
-    }
-  }
-  if (handle->is_partitioned() || handle->detached()) return false;
-  handle->acquire(node, AccessMode::kRead, nullptr);
-  handle->release(node);  // a prefetch warms the replica but does not pin it
-  return true;
+  return handle->prefetch(node) == PrefetchSkipReason::kNone;
 }
 
 // ---------------------------------------------------------------------------
@@ -376,26 +358,14 @@ void Engine::prefetch_main() {
 }
 
 PrefetchSkipReason Engine::service_prefetch(const PrefetchRequest& request) {
-  {
-    std::lock_guard<std::mutex> lock(graph_mutex_);
-    if (request.handle->last_writer != nullptr &&
-        request.handle->last_writer->state != TaskState::kDone) {
-      // Raced by a later-submitted writer: the data this prefetch wanted is
-      // being (or about to be) overwritten. Leave the replica invalid — the
-      // writer's own invalidation must not be resurrected by a stale copy.
-      return PrefetchSkipReason::kWriterRace;
-    }
-  }
-  if (request.handle->is_partitioned()) return PrefetchSkipReason::kPartitioned;
-  if (request.handle->detached()) return PrefetchSkipReason::kDetached;
+  // A writer submitted since the enqueue skips the prefetch: its own
+  // invalidation must not be resurrected by a stale copy.
   try {
-    request.handle->acquire(request.node, AccessMode::kRead, nullptr);
-    request.handle->release(request.node);  // warm but unpinned: evictable
+    return request.handle->prefetch(request.node);
   } catch (...) {
     // A failed prefetch is a lost hint, never an error.
     return PrefetchSkipReason::kTransferFailed;
   }
-  return PrefetchSkipReason::kNone;
 }
 
 void Engine::drain_prefetches() {
@@ -578,6 +548,7 @@ TaskPtr Engine::submit(TaskSpec spec) {
         }
         op.handle->readers_since_last_write.clear();
         op.handle->last_writer = task;
+        op.handle->note_writer_submitted();  // until complete_locked
       }
     }
 
@@ -1096,6 +1067,9 @@ void Engine::complete_locked(const TaskPtr& task,
     finishing.pop_back();
     current->state.store(TaskState::kDone, std::memory_order_seq_cst);
     completed.push_back(current);
+    for (const TaskOperand& op : current->spec.operands) {
+      if (op.mode != AccessMode::kRead) op.handle->note_writer_completed();
+    }
     if (current->failed()) {
       tracer_.count(Counted::kTaskFailed);
     } else if (current->attempts > 0 && current->first_failed_arch &&

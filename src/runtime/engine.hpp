@@ -141,17 +141,12 @@ struct EngineConfig {
   /// default (matches StarPU, which leaves intra-task aliasing undefined).
   bool hazard_checks = false;
 
-  /// Debug shadow checker of the MSI coherence protocol (the dynamic half
-  /// of peppher-verify, see docs/verify.md): every data handle keeps an
-  /// independent shadow state vector advanced through the pure transition
-  /// rules of runtime/msi.hpp and cross-checked against the actual replica
-  /// states after each coherence event; the engine additionally records the
-  /// concrete replica state of every operand at task start (shadow_log())
-  /// so tests can cross-validate runs against the static verifier's
-  /// abstract per-program-point states. A divergence throws
-  /// Error(kInternal) from the offending event. Incompatible with fault
-  /// injection (a transfer that fails mid-route leaves a half-updated
-  /// state the model does not track); the constructor rejects the combo.
+  /// The dynamic half of peppher-verify (docs/verify.md): the engine
+  /// records the concrete replica state of every operand at task start
+  /// (shadow_log()), so tests can cross-validate a run against the static
+  /// verifier's abstract per-program-point states. Data handles move their
+  /// replicas through the same runtime/msi.hpp rules the verifier runs, so
+  /// there is nothing else to cross-check. Works with fault injection.
   bool verify_shadow = false;
 
   /// Ready-task batch size of the "lookahead" scheduler: how many ready
@@ -276,8 +271,9 @@ class Engine {
 
   /// Hint: make `handle` valid on `node` ahead of time so a task scheduled
   /// there finds its data resident (StarPU's data prefetch). Skipped
-  /// silently if the handle still has in-flight writers. Returns true if a
-  /// replica is valid on the node afterwards.
+  /// silently while a writer task submitted on the handle has not completed
+  /// (DataHandle::prefetch). Returns true if a replica is valid on the node
+  /// afterwards.
   bool prefetch(const DataHandlePtr& handle, MemoryNodeId node);
 
   /// Counters of the automatic (scheduler-driven) prefetch path.
@@ -325,11 +321,6 @@ class Engine {
   /// Shadow-checker observations in task execution order (empty unless
   /// config.verify_shadow). Take after wait_for_all() for a stable view.
   std::vector<ShadowRecord> shadow_log() const;
-
-  /// Coherence events cross-checked against the shadow model so far.
-  std::uint64_t shadow_checks() const {
-    return tracer_.books().shadow_checks();
-  }
 
   /// Human-readable execution summary of the interval since the last
   /// reset_virtual_time() (or engine start): tasks submitted, per-worker

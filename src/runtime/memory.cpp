@@ -29,37 +29,13 @@ DataHandle::DataHandle(DataManager* manager, void* host_ptr, std::size_t bytes,
       bytes_(bytes),
       element_size_(element_size),
       id_(manager->allocate_data_id()),
-      replicas_(static_cast<std::size_t>(manager->node_count())) {
+      replicas_(static_cast<std::size_t>(manager->node_count())),
+      states_(replicas_.size(), ReplicaState::kInvalid) {
   check(bytes > 0, "cannot register an empty buffer");
   check(element_size > 0 && bytes % element_size == 0,
         "buffer size must be a multiple of the element size");
   replicas_[kHostNode].ptr = host_ptr_;
-  replicas_[kHostNode].state = ReplicaState::kOwned;
-  if (manager->shadow_checking()) {
-    shadow_.assign(replicas_.size(), ReplicaState::kInvalid);
-    shadow_[kHostNode] = ReplicaState::kOwned;
-  }
-}
-
-void DataHandle::shadow_transition_locked(const char* event, MemoryNodeId node,
-                                          AccessMode mode) {
-  if (shadow_.empty()) return;
-  msi::apply_acquire(shadow_, node, mode, manager_->topo());
-  shadow_check_locked(event);
-}
-
-void DataHandle::shadow_check_locked(const char* event) {
-  if (shadow_.empty()) return;
-  manager_->count(Counted::kShadowCheck);
-  for (std::size_t n = 0; n < replicas_.size(); ++n) {
-    if (replicas_[n].state == shadow_[n]) continue;
-    throw Error(ErrorCode::kInternal,
-                "verify_shadow: coherence divergence after " +
-                    std::string(event) + " on memory node " +
-                    std::to_string(n) + ": model predicts '" +
-                    to_string(shadow_[n]) + "' but the replica is '" +
-                    to_string(replicas_[n].state) + "'");
-  }
+  msi::apply_host_reclaim(states_);  // valid on the host, nowhere else
 }
 
 DataHandle::~DataHandle() {
@@ -75,6 +51,10 @@ DataHandle::~DataHandle() {
 
 bool DataHandle::is_partitioned() const noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
+  return partitioned_locked();
+}
+
+bool DataHandle::partitioned_locked() const noexcept {
   return std::any_of(children_.begin(), children_.end(),
                      [](const std::weak_ptr<DataHandle>& c) { return !c.expired(); });
 }
@@ -106,11 +86,9 @@ void DataHandle::detach() {
   if (manager_ == nullptr) return;
   // A plain copy, not a simulated transfer: no link is charged and no
   // transfer fault can fire, so the engine's destructor cannot throw here.
-  // An unpartitioned child was synced by unpartition(); its stale replicas
-  // must not overwrite the parent's memory.
-  if (keep_home_ && !detached_ &&
-      replicas_[kHostNode].state == ReplicaState::kInvalid) {
-    const MemoryNodeId source = pick_source_locked(kHostNode);
+  if (keep_home_) {
+    const MemoryNodeId source = msi::fetch_source(
+        states_, kHostNode, AccessMode::kRead, manager_->topo());
     if (source >= 0) {
       std::memcpy(replicas_[kHostNode].ptr,
                   replicas_[static_cast<std::size_t>(source)].ptr, bytes_);
@@ -123,7 +101,7 @@ void DataHandle::detach() {
     }
     replica = Replica{};
   }
-  replicas_[kHostNode].state = ReplicaState::kOwned;
+  msi::apply_host_reclaim(states_);
   manager_ = nullptr;
 }
 
@@ -138,49 +116,27 @@ void DataHandle::ensure_allocated(MemoryNodeId node) {
   replica.ptr = replica.storage.get();
 }
 
-void* DataHandle::replica_ptr(MemoryNodeId node) {
-  ensure_allocated(node);
-  return replicas_[static_cast<std::size_t>(node)].ptr;
-}
-
-VirtualTime DataHandle::copy_replica(MemoryNodeId from, MemoryNodeId to) {
-  check(from != to, "copy_replica: source equals destination");
-  Replica& src = replicas_[static_cast<std::size_t>(from)];
-  check(src.state != ReplicaState::kInvalid, "copy_replica: invalid source");
-
-  // Multi-hop routes recurse through the canonical intermediate (a device
-  // drains to its own host first — classic pre-peer-to-peer PCIe — and a
-  // remote destination is reached via its host over the inter-node link),
-  // leaving a shared copy behind at every hop.
-  const MemoryNodeId via = manager_->topo().route_via(from, to);
-  if (via >= 0) {
-    VirtualTime at = copy_replica(from, via);
-    Replica& hop = replicas_[static_cast<std::size_t>(via)];
-    hop.state = ReplicaState::kShared;
-    hop.valid_at = at;
-    return copy_replica(via, to);
-  }
-
-  // Fault injection: a failing hop aborts before any state changes, so the
-  // coherence picture stays exactly as it was.
-  manager_->notify_transfer_attempt(from, to, bytes_);
-
-  ensure_allocated(to);
-  Replica& dst = replicas_[static_cast<std::size_t>(to)];
-  std::memcpy(dst.ptr, src.ptr, bytes_);
-  // The host-side address identifies contiguous bursts for coalescing:
-  // source for an upload, destination for a flush home.
-  const void* host_side = manager_->topo().is_host(from) ? src.ptr : dst.ptr;
-  dst.valid_at =
-      manager_->charge_link(from, to, bytes_, src.valid_at, host_side, id_);
-  return dst.valid_at;
-}
-
-MemoryNodeId DataHandle::pick_source_locked(MemoryNodeId node) const {
-  return manager_->topo().nearest_valid(node, [&](MemoryNodeId n) {
-    return replicas_[static_cast<std::size_t>(n)].state !=
-           ReplicaState::kInvalid;
+VirtualTime DataHandle::fetch_locked(MemoryNodeId node, AccessMode mode) {
+  const MemTopology& topo = manager_->topo();
+  if (mode == AccessMode::kWrite) ensure_allocated(node);
+  msi::apply_acquire(states_, node, mode, topo,
+                     [&](MemoryNodeId from, MemoryNodeId to) {
+    // Fault injection: a failing hop throws before its copy, and rt::msi
+    // then records only the hops that already landed.
+    manager_->notify_transfer_attempt(from, to, bytes_);
+    ensure_allocated(to);
+    const Replica& src = replicas_[static_cast<std::size_t>(from)];
+    Replica& dst = replicas_[static_cast<std::size_t>(to)];
+    std::memcpy(dst.ptr, src.ptr, bytes_);
+    // The host-side address identifies contiguous bursts for coalescing:
+    // source for an upload, destination for a flush home.
+    const void* host_side = topo.is_host(from) ? src.ptr : dst.ptr;
+    dst.valid_at =
+        manager_->charge_link(from, to, bytes_, src.valid_at, host_side, id_);
   });
+  return mode == AccessMode::kWrite
+             ? 0.0
+             : replicas_[static_cast<std::size_t>(node)].valid_at;
 }
 
 void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
@@ -191,49 +147,34 @@ void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
     throw Error(ErrorCode::kInvalidState,
                 "access to a sub-handle after unpartition()");
   }
-  for (const auto& weak_child : children_) {
-    if (!weak_child.expired()) {
-      throw Error(ErrorCode::kInvalidState,
-                  "access to a partitioned handle before unpartition()");
-    }
+  if (partitioned_locked()) {
+    throw Error(ErrorCode::kInvalidState,
+                "access to a partitioned handle before unpartition()");
   }
   check(node >= 0 && node < static_cast<int>(replicas_.size()),
         "acquire: bad memory node");
+  const VirtualTime ready = fetch_locked(node, mode);
+  if (mode == AccessMode::kRead) ++read_uses_;
   Replica& replica = replicas_[static_cast<std::size_t>(node)];
-  VirtualTime ready = 0.0;
-
-  const bool needs_fetch = mode != AccessMode::kWrite;
-  if (needs_fetch && replica.state == ReplicaState::kInvalid) {
-    // Nearest valid replica first (the rule msi::apply_acquire applies); on
-    // a single host this degenerates to host-first-else-first-valid.
-    const MemoryNodeId source = pick_source_locked(node);
-    check(source >= 0, "no valid replica anywhere (coherence broken)");
-    ready = copy_replica(source, node);
-    replica.state = ReplicaState::kShared;
-    Replica& src = replicas_[static_cast<std::size_t>(source)];
-    if (src.state == ReplicaState::kOwned) src.state = ReplicaState::kShared;
-  } else if (needs_fetch) {
-    ready = replica.valid_at;
-  } else {
-    ensure_allocated(node);
-  }
-
-  if (mode == AccessMode::kWrite || mode == AccessMode::kReadWrite) {
-    for (std::size_t n = 0; n < replicas_.size(); ++n) {
-      if (static_cast<MemoryNodeId>(n) != node) {
-        replicas_[n].state = ReplicaState::kInvalid;
-      }
-    }
-    replica.state = ReplicaState::kOwned;
-  } else {
-    ++read_uses_;
-  }
-
-  shadow_transition_locked("acquire", node, mode);
-
   if (node != kHostNode) ++replica.pins;  // released by release(node)
   if (data_ready != nullptr) *data_ready = ready;
   return replica.ptr;
+}
+
+PrefetchSkipReason DataHandle::prefetch(MemoryNodeId node) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // A writer's count rises at submit, before its acquire can take this
+  // mutex, and falls only after its kernel and write mark: a zero here
+  // means every writer either finished or acquires after this copy.
+  if (writers_in_flight_ > 0) return PrefetchSkipReason::kWriterRace;
+  if (partitioned_locked()) return PrefetchSkipReason::kPartitioned;
+  if (detached_) return PrefetchSkipReason::kDetached;
+  check_attached_locked("prefetch");
+  check(node >= 0 && node < static_cast<int>(replicas_.size()),
+        "prefetch: bad memory node");
+  fetch_locked(node, AccessMode::kRead);
+  ++read_uses_;  // a read like any other: it feeds the plan's reuse
+  return PrefetchSkipReason::kNone;
 }
 
 void DataHandle::release(MemoryNodeId node) {
@@ -246,31 +187,24 @@ void DataHandle::release(MemoryNodeId node) {
 }
 
 bool DataHandle::try_evict(MemoryNodeId node) {
-  if (manager_->topo().is_host(node)) return false;  // hosts are never evicted
+  const MemTopology& topo = manager_->topo();
+  if (topo.is_host(node)) return false;  // hosts are never evicted
   // try_lock breaks the symmetric-eviction deadlock: two handles allocating
   // concurrently can never wait on each other.
   std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
   if (!lock.owns_lock()) return false;
   Replica& replica = replicas_[static_cast<std::size_t>(node)];
   if (replica.storage == nullptr || replica.pins > 0) return false;
-  for (const auto& weak_child : children_) {
-    if (!weak_child.expired()) return false;  // parent blocked by partition
-  }
-  if (replica.state == ReplicaState::kOwned && !detached_) {
+  if (partitioned_locked()) return false;  // parent blocked by partition
+  if (states_[static_cast<std::size_t>(node)] == ReplicaState::kOwned) {
     // Sole valid copy: flush it to its own node's host before dropping it
     // (§IV-D: future use "would require re-allocation" — and a fresh
     // transfer).
-    const MemoryNodeId home = manager_->topo().home_host(node);
-    copy_replica(node, home);
-    replicas_[static_cast<std::size_t>(home)].state = ReplicaState::kOwned;
+    fetch_locked(topo.home_host(node), AccessMode::kReadWrite);
   }
-  replica.state = ReplicaState::kInvalid;
+  msi::apply_evict(states_, node, topo);
   replica.storage.reset();
   replica.ptr = nullptr;
-  if (!shadow_.empty() && !detached_) {
-    msi::apply_evict(shadow_, node, manager_->topo());
-    shadow_check_locked("evict");
-  }
   manager_->on_free(node, bytes_);
   manager_->count(Counted::kEviction);
   return true;
@@ -279,11 +213,9 @@ bool DataHandle::try_evict(MemoryNodeId node) {
 void DataHandle::mark_written(MemoryNodeId node, VirtualTime vend) {
   std::lock_guard<std::mutex> lock(mutex_);
   check_attached_locked("mark_written");
-  Replica& replica = replicas_[static_cast<std::size_t>(node)];
-  check(replica.state == ReplicaState::kOwned,
+  check(states_[static_cast<std::size_t>(node)] == ReplicaState::kOwned,
         "mark_written on a non-owned replica");
-  replica.valid_at = vend;
-  shadow_check_locked("mark_written");  // no transition: states must agree
+  replicas_[static_cast<std::size_t>(node)].valid_at = vend;
 }
 
 void DataHandle::reset_virtual_time() {
@@ -293,11 +225,11 @@ void DataHandle::reset_virtual_time() {
 
 void DataHandle::plan_states(std::vector<ReplicaState>& out) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const Replica& replica : replicas_) {
-    out.push_back(replica.prefetch_pending > 0 &&
-                          replica.state == ReplicaState::kInvalid
+  for (std::size_t n = 0; n < replicas_.size(); ++n) {
+    out.push_back(replicas_[n].prefetch_pending > 0 &&
+                          states_[n] == ReplicaState::kInvalid
                       ? ReplicaState::kShared
-                      : replica.state);
+                      : states_[n]);
   }
 }
 
@@ -308,7 +240,7 @@ std::uint64_t DataHandle::reads() const {
 
 ReplicaState DataHandle::replica_state(MemoryNodeId node) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return replicas_[static_cast<std::size_t>(node)].state;
+  return states_[static_cast<std::size_t>(node)];
 }
 
 void DataHandle::note_prefetch_queued(MemoryNodeId node) {
@@ -331,10 +263,8 @@ std::vector<DataHandlePtr> DataHandle::partition(std::size_t parts) {
   if (parent_ != nullptr) {
     throw Error(ErrorCode::kUnsupported, "nested partitioning is not supported");
   }
-  for (const auto& weak_child : children_) {
-    if (!weak_child.expired()) {
-      throw Error(ErrorCode::kInvalidState, "handle is already partitioned");
-    }
+  if (partitioned_locked()) {
+    throw Error(ErrorCode::kInvalidState, "handle is already partitioned");
   }
   const std::size_t element_count = elements();
   if (parts > element_count) {
@@ -345,22 +275,8 @@ std::vector<DataHandlePtr> DataHandle::partition(std::size_t parts) {
 
   // Make the host copy authoritative, then drop device replicas: children
   // alias host memory, so stale device copies of the parent must not linger.
-  if (replicas_[kHostNode].state == ReplicaState::kInvalid) {
-    for (std::size_t n = 1; n < replicas_.size(); ++n) {
-      if (replicas_[n].state != ReplicaState::kInvalid) {
-        copy_replica(static_cast<MemoryNodeId>(n), kHostNode);
-        break;
-      }
-    }
-  }
-  for (std::size_t n = 1; n < replicas_.size(); ++n) {
-    replicas_[n].state = ReplicaState::kInvalid;
-  }
-  replicas_[kHostNode].state = ReplicaState::kOwned;
-  if (!shadow_.empty()) {
-    msi::apply_host_reclaim(shadow_);
-    shadow_check_locked("partition");
-  }
+  fetch_locked(kHostNode, AccessMode::kRead);
+  msi::apply_host_reclaim(states_);
 
   std::vector<DataHandlePtr> out;
   children_.clear();
@@ -386,29 +302,18 @@ std::vector<DataHandlePtr> DataHandle::partition(std::size_t parts) {
 void DataHandle::unpartition() {
   std::lock_guard<std::mutex> lock(mutex_);
   check_attached_locked("unpartition");
+  // Flush each child home into the parent's memory; the child's host copy
+  // is then the only one, so no stale replica of it can be written back.
   for (auto& weak_child : children_) {
     DataHandlePtr child = weak_child.lock();
     if (child == nullptr) continue;
     std::lock_guard<std::mutex> child_lock(child->mutex_);
-    if (child->replicas_[kHostNode].state == ReplicaState::kInvalid) {
-      for (std::size_t n = 1; n < child->replicas_.size(); ++n) {
-        if (child->replicas_[n].state != ReplicaState::kInvalid) {
-          child->copy_replica(static_cast<MemoryNodeId>(n), kHostNode);
-          break;
-        }
-      }
-    }
+    child->fetch_locked(kHostNode, AccessMode::kRead);
+    msi::apply_host_reclaim(child->states_);
     child->detached_ = true;
   }
   children_.clear();
-  for (std::size_t n = 1; n < replicas_.size(); ++n) {
-    replicas_[n].state = ReplicaState::kInvalid;
-  }
-  replicas_[kHostNode].state = ReplicaState::kOwned;
-  if (!shadow_.empty()) {
-    msi::apply_host_reclaim(shadow_);
-    shadow_check_locked("unpartition");
-  }
+  msi::apply_host_reclaim(states_);
 }
 
 // ---------------------------------------------------------------------------

@@ -84,13 +84,28 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   void detach();
 
   /// Ensures a valid replica on `node` for the given access and returns its
-  /// pointer. Performs any needed allocation and (real) copy, updates MSI
-  /// states, charges the transfer to the PCIe link in virtual time, and
-  /// returns via `data_ready` the virtual time at which the data is valid
-  /// on `node`. Device replicas are *pinned* until release(node) — pinned
-  /// replicas are never evicted under memory pressure. Thread safe per
-  /// handle.
+  /// pointer. Performs any needed allocation and (real) copy, moves the MSI
+  /// states through msi::apply_acquire, charges each hop to its link lane
+  /// in virtual time, and returns via `data_ready` the virtual time at
+  /// which the data is valid on `node`. Device replicas are *pinned* until
+  /// release(node) — pinned replicas are never evicted under memory
+  /// pressure. Thread safe per handle.
   void* acquire(MemoryNodeId node, AccessMode mode, VirtualTime* data_ready);
+
+  /// Warms an unpinned read replica on `node` (Engine::prefetch and the
+  /// background prefetch thread). Skipped while a writer task submitted on
+  /// the handle has not completed (its data is still being produced), and
+  /// on a partitioned or unpartitioned-child handle; a failed transfer
+  /// throws. The check and the copy run under the handle's mutex, so a
+  /// writer submitted after the check acquires only once the copy landed.
+  PrefetchSkipReason prefetch(MemoryNodeId node);
+
+  /// Counts writer tasks submitted on this handle and not yet completed:
+  /// Engine::submit and Engine::complete_locked call these once per
+  /// write-mode operand, under the engine's graph lock — so the count is an
+  /// atomic, not guarded by the handle's mutex.
+  void note_writer_submitted() noexcept { ++writers_in_flight_; }
+  void note_writer_completed() noexcept { --writers_in_flight_; }
 
   /// Unpins the replica on `node` (one release per acquire). The data stays
   /// resident (§IV-H) but becomes evictable if the device runs short of
@@ -158,7 +173,6 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
              std::size_t element_size);
 
   struct Replica {
-    ReplicaState state = ReplicaState::kInvalid;
     std::unique_ptr<std::byte[]> storage;  ///< device nodes only
     void* ptr = nullptr;
     VirtualTime valid_at = 0.0;
@@ -166,33 +180,21 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
     int prefetch_pending = 0;  ///< queued background prefetches targeting here
   };
 
-  /// Copies `bytes_` from the replica on `from` to the one on `to`;
-  /// allocates the destination if needed; accounts virtual link time.
-  /// Caller holds mutex_. Returns the vtime at which the copy is complete.
-  VirtualTime copy_replica(MemoryNodeId from, MemoryNodeId to);
+  /// The one fetch routine: moves the states through msi::apply_acquire,
+  /// copying each hop of its route and charging the hop on its lane before
+  /// the hop is recorded (a failing hop throws with the earlier hops
+  /// recorded). Allocates `node` for a write. Caller holds mutex_. Returns
+  /// the vtime at which the data is valid on `node` (0 for a write).
+  VirtualTime fetch_locked(MemoryNodeId node, AccessMode mode);
 
-  /// Nearest-first fetch source for `node` (MemTopology::nearest_valid;
-  /// host-first on a single host). Caller holds mutex_; -1 when no valid
-  /// replica exists.
-  MemoryNodeId pick_source_locked(MemoryNodeId node) const;
-
-  void* replica_ptr(MemoryNodeId node);
   void ensure_allocated(MemoryNodeId node);
 
   /// Throws Error(kInvalidState) naming `what` once detach() ran. Caller
   /// holds mutex_.
   void check_attached_locked(const char* what) const;
 
-  /// Shadow coherence checking (EngineConfig::verify_shadow): `shadow_` is
-  /// an independent state vector advanced through the pure transition rules
-  /// of runtime/msi.hpp at every coherence event, then compared against the
-  /// actual replica states. A mismatch throws Error(kInternal): either the
-  /// coherence machinery or the shared model (which the static verifier also
-  /// runs on) is wrong. Empty unless the manager has shadow checking on.
-  /// Caller holds mutex_.
-  void shadow_transition_locked(const char* event, MemoryNodeId node,
-                                AccessMode mode);
-  void shadow_check_locked(const char* event);
+  /// True while a child of partition() is alive. Caller holds mutex_.
+  bool partitioned_locked() const noexcept;
 
   DataManager* manager_;  ///< nullptr once detached (guarded by mutex_)
   void* host_ptr_;
@@ -202,9 +204,11 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
 
   mutable std::mutex mutex_;
   std::vector<Replica> replicas_;  ///< indexed by MemoryNodeId
-  std::vector<ReplicaState> shadow_;  ///< empty unless shadow checking
+  /// Coherence state per memory node; changed only through rt::msi.
+  std::vector<ReplicaState> states_;
 
   std::uint64_t read_uses_ = 0;  ///< guarded by mutex_
+  std::atomic<int> writers_in_flight_{0};
 
   DataHandle* parent_ = nullptr;
   std::size_t parent_offset_bytes_ = 0;
@@ -324,8 +328,8 @@ class DataManager {
   /// children; entries are weak and compacted amortised.
   void note_handle(const DataHandlePtr& handle);
 
-  /// Attaches the recorder that counts (and traces) every hop, eviction,
-  /// overcommit and shadow check; without one the manager keeps no books.
+  /// Attaches the recorder that counts (and traces) every hop, eviction and
+  /// overcommit; without one the manager keeps no books.
   /// Set once before any transfer, like the fault hook.
   void set_recorder(Tracer* recorder) noexcept { recorder_ = recorder; }
 
@@ -337,13 +341,6 @@ class DataManager {
   /// Lane-table index for a `from`→`to` transfer (the `lane` field of
   /// TransferRecord and the per-lane rows of the Chrome export).
   std::size_t lane_index(MemoryNodeId from, MemoryNodeId to) const;
-
-  // -- shadow coherence checking (EngineConfig::verify_shadow) --------------
-
-  /// Turns on per-handle shadow state vectors for handles registered from
-  /// now on. Set once by the Engine before worker threads start.
-  void enable_shadow_checking() noexcept { shadow_checking_ = true; }
-  bool shadow_checking() const noexcept { return shadow_checking_; }
 
  private:
   /// One directed transfer lane: its own clock, plus a small ring of open
@@ -377,7 +374,6 @@ class DataManager {
   std::size_t intra_lane_count_ = 1;
   TransferHook transfer_hook_;  ///< immutable once workers run
   Tracer* recorder_ = nullptr;    ///< immutable once workers run
-  bool shadow_checking_ = false;  ///< immutable once workers run
   std::atomic<std::uint64_t> next_data_id_{1};  ///< DataHandle::id allocator
 
   /// Lane table, fixed at construction: index 0 in shared-bus mode, else

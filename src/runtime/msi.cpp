@@ -5,45 +5,43 @@
 
 namespace peppher::rt::msi {
 
-void apply_acquire(std::span<ReplicaState> states, int node, AccessMode mode) {
-  apply_acquire(states, node, mode,
-                MemTopology::single_host(static_cast<int>(states.size())));
+int fetch_source(std::span<const ReplicaState> states, int node,
+                 AccessMode mode, const MemTopology& topo) {
+  check(static_cast<int>(states.size()) == topo.node_count() && node >= 0 &&
+            node < topo.node_count(),
+        "msi::apply_acquire: bad memory node");
+  if (mode == AccessMode::kWrite ||
+      states[static_cast<std::size_t>(node)] != ReplicaState::kInvalid) {
+    return -1;
+  }
+  const int source = topo.nearest_valid(node, [&](MemoryNodeId n) {
+    return states[static_cast<std::size_t>(n)] != ReplicaState::kInvalid;
+  });
+  check(source >= 0, "msi::apply_acquire: no valid replica anywhere");
+  return source;
+}
+
+void apply_hop(std::span<ReplicaState> states, int from, int to) {
+  auto& src = states[static_cast<std::size_t>(from)];
+  if (src == ReplicaState::kOwned) src = ReplicaState::kShared;
+  states[static_cast<std::size_t>(to)] = ReplicaState::kShared;
+}
+
+void apply_own(std::span<ReplicaState> states, int node) {
+  for (std::size_t n = 0; n < states.size(); ++n) {
+    states[n] = static_cast<int>(n) == node ? ReplicaState::kOwned
+                                            : ReplicaState::kInvalid;
+  }
 }
 
 void apply_acquire(std::span<ReplicaState> states, int node, AccessMode mode,
                    const MemTopology& topo) {
-  check(static_cast<int>(states.size()) == topo.node_count() && node >= 0 &&
-            node < topo.node_count(),
-        "msi::apply_acquire: bad memory node");
-  auto& replica = states[static_cast<std::size_t>(node)];
-
-  const bool needs_fetch = mode != AccessMode::kWrite;
-  if (needs_fetch && replica == ReplicaState::kInvalid) {
-    const int source = topo.nearest_valid(node, [&](MemoryNodeId n) {
-      return states[static_cast<std::size_t>(n)] != ReplicaState::kInvalid;
-    });
-    check(source >= 0, "msi::apply_acquire: no valid replica anywhere");
-    auto& src = states[static_cast<std::size_t>(source)];
-    if (src == ReplicaState::kOwned) src = ReplicaState::kShared;
-    // Walk the canonical route, leaving a Shared copy at every hop the
-    // data crosses (intermediate hosts) and at the destination itself.
-    for (int cur = source; cur != node;) {
-      cur = topo.next_hop(cur, node);
-      states[static_cast<std::size_t>(cur)] = ReplicaState::kShared;
-    }
-  }
-
-  if (mode == AccessMode::kWrite || mode == AccessMode::kReadWrite) {
-    for (std::size_t n = 0; n < states.size(); ++n) {
-      if (static_cast<int>(n) != node) states[n] = ReplicaState::kInvalid;
-    }
-    replica = ReplicaState::kOwned;
-  }
+  apply_acquire(states, node, mode, topo, [](int, int) {});
 }
 
-void apply_evict(std::span<ReplicaState> states, int node) {
-  apply_evict(states, node,
-              MemTopology::single_host(static_cast<int>(states.size())));
+void apply_acquire(std::span<ReplicaState> states, int node, AccessMode mode) {
+  apply_acquire(states, node, mode,
+                MemTopology::single_host(static_cast<int>(states.size())));
 }
 
 void apply_evict(std::span<ReplicaState> states, int node,
@@ -51,19 +49,14 @@ void apply_evict(std::span<ReplicaState> states, int node,
   check(node > 0 && node < static_cast<int>(states.size()) &&
             !topo.is_host(node),
         "msi::apply_evict: bad device node");
-  auto& replica = states[static_cast<std::size_t>(node)];
-  if (replica == ReplicaState::kOwned) {
-    states[static_cast<std::size_t>(topo.home_host(node))] =
-        ReplicaState::kOwned;
+  if (states[static_cast<std::size_t>(node)] == ReplicaState::kOwned) {
+    apply_acquire(states, topo.home_host(node), AccessMode::kReadWrite, topo);
   }
-  replica = ReplicaState::kInvalid;
+  states[static_cast<std::size_t>(node)] = ReplicaState::kInvalid;
 }
 
 void apply_host_reclaim(std::span<ReplicaState> states) {
-  for (std::size_t n = 1; n < states.size(); ++n) {
-    states[n] = ReplicaState::kInvalid;
-  }
-  states[kHostNode] = ReplicaState::kOwned;
+  apply_own(states, kHostNode);
 }
 
 }  // namespace peppher::rt::msi

@@ -112,8 +112,6 @@ PrefetchStats Books::prefetches() const {
 
 double Books::energy_joules() const { return total().energy; }
 
-std::uint64_t Books::shadow_checks() const { return total().n[kShadowChecks]; }
-
 // ---------------------------------------------------------------------------
 // Tracer: counters
 // ---------------------------------------------------------------------------

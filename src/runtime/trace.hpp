@@ -1,6 +1,6 @@
 // The engine's one recorder. Every runtime event site — a task attempt, a
 // fault, a transfer hop, an eviction or overcommit, a prefetch event, a
-// scheduler decision, a lookahead window, a shadow check, a phase marker —
+// scheduler decision, a lookahead window, a phase marker —
 // makes exactly one Tracer call. The call bumps monotonic counters and, when
 // EngineConfig::enable_trace is set, appends the event to the trace. Every
 // stats accessor of the Engine and Engine::summary() is a view of one
@@ -205,7 +205,6 @@ struct WindowRecord {
 enum class Counted : std::uint8_t {
   kEviction,               ///< a device replica dropped under pressure
   kOvercommit,             ///< an allocation beyond device capacity
-  kShadowCheck,            ///< a coherence event checked against the model
   kInjectedTransferFault,  ///< an injected transfer fault
   kTaskFailed,             ///< a task completed with an error
   kFallback,               ///< a task completed on another arch after a failure
@@ -228,7 +227,6 @@ class Books {
   PrefetchStats prefetches() const;
   /// Energy of every worker, summed in worker order.
   double energy_joules() const;
-  std::uint64_t shadow_checks() const;
 
  private:
   friend class Tracer;
@@ -238,7 +236,6 @@ class Books {
   enum Slot : std::size_t {
     kEvictions,
     kOvercommits,
-    kShadowChecks,
     kInjectedTransferFaults,
     kTasksFailed,
     kFallbacks,

@@ -187,6 +187,101 @@ TEST(MainDescriptor, ParsesCompositionSwitches) {
   EXPECT_FALSE(again.use_history_models);
 }
 
+void expect_same_call(const CallDesc& a, const CallDesc& b) {
+  EXPECT_EQ(a.interface_name, b.interface_name);
+  EXPECT_EQ(a.node, b.node);
+  EXPECT_EQ(a.radius, b.radius);
+  ASSERT_EQ(a.args.size(), b.args.size());
+  for (std::size_t i = 0; i < a.args.size(); ++i) {
+    EXPECT_EQ(a.args[i].param, b.args[i].param);
+    EXPECT_EQ(a.args[i].data, b.args[i].data);
+  }
+}
+
+void expect_same_tree(const std::vector<CallNode>& a,
+                      const std::vector<CallNode>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("statement " + std::to_string(i));
+    EXPECT_EQ(a[i].kind, b[i].kind);
+    expect_same_call(a[i].call, b[i].call);
+    EXPECT_EQ(a[i].loop_count, b[i].loop_count);
+    EXPECT_EQ(a[i].data, b[i].data);
+    EXPECT_EQ(a[i].parts, b[i].parts);
+    EXPECT_EQ(a[i].prefetch_to_device, b[i].prefetch_to_device);
+    EXPECT_EQ(a[i].nodes, b[i].nodes);
+    EXPECT_EQ(a[i].halo, b[i].halo);
+    EXPECT_EQ(a[i].exchange_width, b[i].exchange_width);
+    EXPECT_EQ(a[i].elements, b[i].elements);
+    ASSERT_EQ(a[i].slices.size(), b[i].slices.size());
+    for (std::size_t s = 0; s < a[i].slices.size(); ++s) {
+      EXPECT_EQ(a[i].slices[s].node, b[i].slices[s].node);
+      EXPECT_EQ(a[i].slices[s].begin, b[i].slices[s].begin);
+      EXPECT_EQ(a[i].slices[s].end, b[i].slices[s].end);
+    }
+    expect_same_tree(a[i].body, b[i].body);
+    expect_same_tree(a[i].else_body, b[i].else_body);
+  }
+}
+
+TEST(MainDescriptor, CallsRoundTripEveryStatementKind) {
+  const xml::Document doc = xml::parse(R"(
+    <peppher-main name="pipeline" source="main.cpp">
+      <uses interface="stencil"/>
+      <calls>
+        <call interface="stencil" node="1" radius="2">
+          <arg param="in" data="g"/>
+          <arg param="out" data="h"/>
+        </call>
+        <loop count="3">
+          <if>
+            <call interface="spmv"><arg param="y" data="y"/></call>
+            <else>
+              <call interface="norm"><arg param="x" data="y"/></call>
+            </else>
+          </if>
+        </loop>
+        <partition data="x" parts="4"/>
+        <unpartition data="x"/>
+        <prefetch data="x" on="host"/>
+        <prefetch data="x" on="device"/>
+        <partitioned data="g" nodes="2" halo="1" elements="100">
+          <slice node="0" begin="0" end="50"/>
+          <slice node="1" begin="50" end="100"/>
+        </partitioned>
+        <exchange data="g" width="1"/>
+        <repartition data="g" nodes="4" halo="2"/>
+        <gather data="g"/>
+      </calls>
+    </peppher-main>)");
+  const MainDescriptor main = MainDescriptor::from_xml(*doc.root);
+  ASSERT_EQ(main.call_tree.size(), 10u);
+  EXPECT_TRUE(main.has_control_flow);
+  EXPECT_TRUE(main.has_distributed);
+
+  const std::string saved = xml::serialize(*main.to_xml());
+  const xml::Document reloaded = xml::parse(saved);
+  const MainDescriptor again = MainDescriptor::from_xml(*reloaded.root);
+  expect_same_tree(again.call_tree, main.call_tree);
+  EXPECT_EQ(xml::serialize(*again.to_xml()), saved);
+
+  ASSERT_EQ(again.calls.size(), 3u);
+  for (std::size_t i = 0; i < main.calls.size(); ++i) {
+    expect_same_call(again.calls[i], main.calls[i]);
+  }
+  EXPECT_EQ(again.has_control_flow, main.has_control_flow);
+  EXPECT_EQ(again.has_distributed, main.has_distributed);
+
+  // A descriptor built with only the flattened view keeps its pins too.
+  MainDescriptor flat;
+  flat.name = "flat";
+  flat.source = "main.cpp";
+  flat.calls = {main.calls.front()};
+  const MainDescriptor flat_again = MainDescriptor::from_xml(*flat.to_xml());
+  ASSERT_EQ(flat_again.calls.size(), 1u);
+  expect_same_call(flat_again.calls.front(), flat.calls.front());
+}
+
 // -- repository -----------------------------------------------------------------
 
 TEST(Repository, LoadAndQuery) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,39 @@ TEST(PartitionedVector, RepartitionKeepsDeviceReplicas) {
   // Repartitioning to an incompatible layout drops the old slices.
   vec.repartition(cont::Partitioning::block(64, 4));
   EXPECT_EQ(vec.registered_slices(), 0u);
+}
+
+TEST(PartitionedVector, UseAfterEngineShutdownThrows) {
+  // The container reaches its engine only through a registered handle, so
+  // once the engine is gone a new slice, a host access and a repartition
+  // each throw a located error instead of calling into freed memory.
+  std::optional<cont::PartitionedVector<float>> vec;
+  {
+    EngineConfig config;
+    config.cluster = sim::ClusterConfig::uniform(
+        2, sim::MachineConfig::platform_c2050());
+    Engine engine(config);
+    vec.emplace(&engine, cont::Partitioning::block(64, 2), 1.0f);
+    (void)vec->partition_handles(0);
+  }
+  const auto expect_shutdown_error = [](const auto& use) {
+    try {
+      use();
+      ADD_FAILURE() << "a use after shutdown must throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidState);
+      EXPECT_NE(std::string(e.what()).find(
+                    "used after its runtime engine shut down"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_shutdown_error([&] { (void)vec->partition_handles(1); });
+  expect_shutdown_error([&] { (void)vec->host_access(AccessMode::kRead); });
+  expect_shutdown_error(
+      [&] { vec->repartition(cont::Partitioning::block(64, 4)); });
+  EXPECT_EQ(vec->registered_slices(), 1u);
+  EXPECT_FLOAT_EQ(vec->data()[63], 1.0f);
 }
 
 TEST(PartitionedVector, HostAccessSeesTaskResults) {
@@ -404,7 +438,12 @@ TEST(MultiNode, ShadowCheckerCleanAcrossThreeLevels) {
   engine.wait_for_all();
   engine.acquire_host(handle, AccessMode::kRead);
 
-  EXPECT_GT(engine.shadow_checks(), 0u);
+  // Every round finds its accelerator's replica invalidated by the last.
+  const std::vector<ShadowRecord> log = engine.shadow_log();
+  ASSERT_EQ(log.size(), 4u);
+  for (const ShadowRecord& record : log) {
+    EXPECT_EQ(record.state, ReplicaState::kInvalid);
+  }
   for (const std::uint64_t v : data) {
     EXPECT_EQ(v, 121u);  // affine applied 4 times to 1
   }

@@ -143,6 +143,38 @@ TEST_F(MemoryTest, DeviceToDeviceGoesThroughHost) {
   EXPECT_EQ(stats().host_to_device_count, 2u);  // incl. first RW fetch
 }
 
+// A device-to-device fetch whose second hop fails keeps the first hop: the
+// host copy that landed is Shared, the source is demoted — a consistent
+// state the retry fetches from in one hop.
+TEST_F(MemoryTest, FailedSecondHopKeepsTheHopThatLanded) {
+  std::vector<float> data(8, 1.0f);
+  auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
+                                    sizeof(float));
+  auto* d1 = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite, nullptr));
+  d1[0] = 42.0f;
+  h->mark_written(1, 1.0);
+  h->release(1);
+  bool fail_upload_to_2 = true;
+  manager_.set_transfer_fault_hook(
+      [&](MemoryNodeId from, MemoryNodeId to, std::size_t) {
+        if (from == kHostNode && to == 2 && fail_upload_to_2) {
+          throw Error(ErrorCode::kIoError, "injected hop fault");
+        }
+      });
+  EXPECT_THROW(h->acquire(2, AccessMode::kRead, nullptr), Error);
+  EXPECT_EQ(h->replica_state(1), ReplicaState::kShared);
+  EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kShared);
+  EXPECT_EQ(h->replica_state(2), ReplicaState::kInvalid);
+  EXPECT_FLOAT_EQ(data[0], 42.0f);
+
+  fail_upload_to_2 = false;
+  traffic_.reset();
+  auto* d2 = static_cast<float*>(h->acquire(2, AccessMode::kRead, nullptr));
+  EXPECT_FLOAT_EQ(d2[0], 42.0f);
+  EXPECT_EQ(stats().device_to_host_count, 0u);
+  EXPECT_EQ(stats().host_to_device_count, 1u);
+}
+
 // The Figure 3 walk-through: 4 component calls on the GPU + 2 application
 // accesses => exactly 2 copy operations (not 7).
 TEST_F(MemoryTest, Figure3ScenarioNeedsOnlyTwoCopies) {
@@ -599,6 +631,75 @@ TEST(PrefetchSemantics, PrefetchRacedByWriterIsSkippedNotResurrected) {
   // A fresh prefetch now sees the written data.
   EXPECT_TRUE(engine.prefetch(handle, 1));
   EXPECT_EQ(handle->replica_state(1), ReplicaState::kShared);
+}
+
+// A writer that is submitted but has not even started — it waits in its
+// worker's queue behind a gated task — already blocks a prefetch of its
+// handle: nothing is copied, and the write later finds no stale replica.
+TEST(PrefetchSemantics, PrefetchSkipsWriterStillQueued) {
+  Engine engine(prefetch_engine_config());
+  WorkerId cpu = -1;
+  for (const WorkerDesc& desc : engine.workers()) {
+    if (desc.node == kHostNode && !desc.is_combined_cpu) {
+      cpu = desc.id;
+      break;
+    }
+  }
+  ASSERT_GE(cpu, 0);
+  std::vector<float> gate_data(16, 1.0f);
+  std::vector<float> data(64, 1.0f);
+  auto gated = engine.register_buffer(gate_data.data(),
+                                      gate_data.size() * sizeof(float),
+                                      sizeof(float));
+  auto handle = engine.register_buffer(data.data(), data.size() * sizeof(float),
+                                       sizeof(float));
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> gate{false};
+  std::atomic<bool> writer_ran{false};
+  Codelet hold("hold");
+  hold.add_impl({Arch::kCpu, "hold_cpu",
+                 [&](ExecContext&) {
+                   started.store(true, std::memory_order_release);
+                   while (!gate.load(std::memory_order_acquire)) {
+                     std::this_thread::yield();
+                   }
+                 },
+                 nullptr});
+  Codelet twice("twice");
+  twice.add_impl({Arch::kCpu, "twice_cpu",
+                  [&](ExecContext& ctx) {
+                    writer_ran.store(true, std::memory_order_release);
+                    auto* d = ctx.buffer_as<float>(0);
+                    for (std::size_t i = 0; i < ctx.elements(0); ++i) {
+                      d[i] *= 2.0f;
+                    }
+                  },
+                  nullptr});
+  TaskSpec hold_spec;
+  hold_spec.codelet = &hold;
+  hold_spec.operands = {{gated, AccessMode::kReadWrite}};
+  hold_spec.forced_worker = cpu;
+  engine.submit(std::move(hold_spec));
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  TaskSpec write_spec;
+  write_spec.codelet = &twice;
+  write_spec.operands = {{handle, AccessMode::kReadWrite}};
+  write_spec.forced_worker = cpu;  // queued behind the gated task
+  engine.submit(std::move(write_spec));
+
+  engine.reset_transfer_stats();
+  EXPECT_FALSE(engine.prefetch(handle, 1));
+  EXPECT_FALSE(writer_ran.load(std::memory_order_acquire));
+  EXPECT_EQ(handle->replica_state(1), ReplicaState::kInvalid);
+  EXPECT_EQ(engine.transfer_stats().total_count(), 0u);
+
+  gate.store(true, std::memory_order_release);
+  engine.wait_for_all();
+  EXPECT_EQ(handle->replica_state(1), ReplicaState::kInvalid);
+  EXPECT_TRUE(engine.prefetch(handle, 1));
+  engine.acquire_host(handle, AccessMode::kRead);
+  for (const float v : data) ASSERT_FLOAT_EQ(v, 2.0f);
 }
 
 // Prefetch under capacity pressure must overcommit rather than evict the

@@ -54,8 +54,9 @@ fi
 
 # halt_on_error makes a finding fail the offending test instead of only
 # printing a report; second_deadlock_stack improves TSan lock-order reports.
+# ASan checks for leaks too (its default).
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
-export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=0}"
+export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 
 failed=()
