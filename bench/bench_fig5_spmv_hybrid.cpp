@@ -14,15 +14,17 @@
 // pcie2_x16_shared) and once on the duplex per-device lanes with transfer
 // coalescing that are now the default — the chunk uploads are contiguous
 // sibling slices, exactly the pattern coalescing merges into one burst.
-// Each hybrid row reports the best dynamic schedule found over `repeats`
-// runs (see best_hybrid below); expect last-digit wobble between full
-// runs, but the row-level properties (hybrid beats CUDA, lanes no slower
-// than the shared bus) hold on every run.
+// Each hybrid metric is measured on `repeats` fresh engines and reported as
+// its median, with the min and max as their own records (label `stat`):
+// the engine's execution-time accounting still varies between runs
+// (ROADMAP item 1), and a best-of-N would hide that spread.
 //
 // --smoke scales the matrices down and uses fewer chunks
 // (bench/report.hpp).
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/sparse.hpp"
 #include "apps/spmv.hpp"
@@ -46,24 +48,25 @@ rt::EngineConfig config(bool shared_bus) {
   return c;
 }
 
-// dmda places each chunk from live estimates (worker clocks, queued work),
-// so the placement it finds races the simulated execution of the chunks
-// already submitted — run-to-run the hybrid makespan samples a small
-// distribution of schedules. The single-architecture runs have no placement
-// freedom and are bit-deterministic. For each hybrid row we therefore keep
-// the best schedule found across `repeats` runs, which is both stable and
-// the fair analogue of CUSP's hand-placed baseline.
-apps::spmv::RunResult best_hybrid(const apps::spmv::Problem& problem,
-                                  int chunks, bool shared_bus, int repeats) {
-  apps::spmv::RunResult best;
-  for (int r = 0; r < repeats; ++r) {
-    rt::Engine engine(config(shared_bus));
-    auto result = apps::spmv::run_hybrid(engine, problem, chunks);
-    if (r == 0 || result.virtual_seconds < best.virtual_seconds) {
-      best = std::move(result);
-    }
+/// One hybrid run on a fresh engine, on the shared bus or on the lanes.
+apps::spmv::RunResult hybrid_run(const apps::spmv::Problem& problem,
+                                 int chunks, bool shared_bus) {
+  rt::Engine engine(config(shared_bus));
+  return apps::spmv::run_hybrid(engine, problem, chunks);
+}
+
+/// One value per run, reported as its median, min and max (label `stat`).
+void add_spread(bench::Report& report, const std::string& metric,
+                const std::string& matrix, std::vector<double> values,
+                const std::string& unit, bench::Clock clock) {
+  std::sort(values.begin(), values.end());
+  for (const auto& [stat, value] :
+       {std::pair<std::string, double>{"median", values[values.size() / 2]},
+        {"min", values.front()},
+        {"max", values.back()}}) {
+    report.add(metric, {{"matrix", matrix}, {"stat", stat}}, value, unit,
+               clock);
   }
-  return best;
 }
 
 }  // namespace
@@ -73,7 +76,7 @@ int main(int argc, char** argv) {
   const bool smoke = report.smoke();
   const int hybrid_chunks = smoke ? 4 : 12;
   const double scale = smoke ? 0.05 : 1.0;
-  const int repeats = smoke ? 2 : 25;  // best-of-N hybrid schedules
+  const int repeats = smoke ? 3 : 25;  // odd: the median is one run
 
   for (const auto& spec : apps::sparse::uf_matrix_table()) {
     const auto problem = apps::spmv::make_problem(spec.matrix_class, scale);
@@ -86,40 +89,35 @@ int main(int argc, char** argv) {
     const auto cuda =
         apps::spmv::run_single(cuda_engine, problem, rt::Arch::kCuda);
 
-    const auto hybrid_shared =
-        best_hybrid(problem, hybrid_chunks, /*shared_bus=*/true, repeats);
-    const auto hybrid_lanes =
-        best_hybrid(problem, hybrid_chunks, /*shared_bus=*/false, repeats);
-    // Any schedule is realizable at least as fast on duplex lanes as on the
-    // shared bus (each lane's queue is a subsequence of the shared clock's
-    // queue), so the shared row is always an upper bound for the lanes row;
-    // the min removes residual schedule-sampling noise from that dominance.
-    const double lanes_s =
-        std::min(hybrid_lanes.virtual_seconds, hybrid_shared.virtual_seconds);
+    std::vector<double> shared_s, lanes_s, shared_x, lanes_x, mb, coalesced;
+    for (int r = 0; r < repeats; ++r) {
+      const auto shared = hybrid_run(problem, hybrid_chunks, true);
+      const auto lanes = hybrid_run(problem, hybrid_chunks, false);
+      shared_s.push_back(shared.virtual_seconds);
+      lanes_s.push_back(lanes.virtual_seconds);
+      shared_x.push_back(cuda.virtual_seconds / shared.virtual_seconds);
+      lanes_x.push_back(cuda.virtual_seconds / lanes.virtual_seconds);
+      mb.push_back(lanes.transfers.host_to_device_bytes / 1e6);
+      coalesced.push_back(
+          static_cast<double>(lanes.transfers.coalesced_transfers));
+    }
 
-    const bench::Labels matrix = {{"matrix", spec.short_name}};
+    const std::string& name = spec.short_name;
+    const bench::Labels matrix = {{"matrix", name}};
     const auto clock = bench::Clock::kVirtual;
+    const auto none = bench::Clock::kNone;
     report.add("nnz", matrix, static_cast<double>(problem.A.nnz()), "count",
-               bench::Clock::kNone);
+               none);
     report.add("cuda_s", matrix, cuda.virtual_seconds, "s", clock);
     report.add("omp_s", matrix, omp.virtual_seconds, "s", clock);
-    report.add("hybrid_shared_s", matrix, hybrid_shared.virtual_seconds, "s",
-               clock);
-    report.add("hybrid_lanes_s", matrix, lanes_s, "s", clock);
-    report.add("hybrid_shared_speedup", matrix,
-               cuda.virtual_seconds / hybrid_shared.virtual_seconds, "x",
-               clock);
-    report.add("hybrid_lanes_speedup", matrix, cuda.virtual_seconds / lanes_s,
-               "x", clock);
-    report.add("cuda_mb", matrix,
-               cuda.transfers.host_to_device_bytes / 1e6, "MB",
-               bench::Clock::kNone);
-    report.add("hybrid_mb", matrix,
-               hybrid_lanes.transfers.host_to_device_bytes / 1e6, "MB",
-               bench::Clock::kNone);
-    report.add("coalesced", matrix,
-               static_cast<double>(hybrid_lanes.transfers.coalesced_transfers),
-               "count", bench::Clock::kNone);
+    report.add("cuda_mb", matrix, cuda.transfers.host_to_device_bytes / 1e6,
+               "MB", none);
+    add_spread(report, "hybrid_shared_s", name, shared_s, "s", clock);
+    add_spread(report, "hybrid_lanes_s", name, lanes_s, "s", clock);
+    add_spread(report, "hybrid_shared_speedup", name, shared_x, "x", clock);
+    add_spread(report, "hybrid_lanes_speedup", name, lanes_x, "x", clock);
+    add_spread(report, "hybrid_mb", name, mb, "MB", none);
+    add_spread(report, "coalesced", name, coalesced, "count", none);
   }
   return report.finish();
 }

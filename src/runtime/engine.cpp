@@ -132,7 +132,6 @@ Engine::Engine(EngineConfig config)
 
   SchedEnv env;
   env.workers = &descs_;
-  env.worker_ready_at = [this](WorkerId id) { return worker_ready_at(id); };
   env.eligible = [this](const Task& t, WorkerId id) { return worker_eligible(t, id); };
   env.exec = [this](const Task& t, WorkerId id) { return exec_estimate(t, id); };
   env.sample_count = [this](const Task& t, WorkerId id) {
@@ -1309,6 +1308,7 @@ void Engine::reset_virtual_time() {
     node_rt->host_group_max.store(0.0, std::memory_order_relaxed);
   }
   data_.reset_virtual_time();
+  scheduler_->reset_virtual_time();
   std::lock_guard<std::mutex> baseline_lock(baseline_mutex_);
   interval_start_ = tracer_.books();
   interval_first_task_ = next_sequence_.load(std::memory_order_relaxed);

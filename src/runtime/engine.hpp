@@ -244,8 +244,9 @@ class Engine {
   /// over all workers.
   double energy_joules() const { return tracer_.books().energy_joules(); }
 
-  /// Resets all virtual clocks and the makespan, draining any in-flight
-  /// tasks first, and starts a new summary() interval. Freshly registered
+  /// Resets all virtual clocks (the scheduler's own included) and the
+  /// makespan, draining any in-flight tasks first, and starts a new
+  /// summary() interval. Freshly registered
   /// handles start at virtual time zero, so benchmarks should re-register
   /// data after the reset. Must not be called from a task body or
   /// completion callback, nor concurrently with submissions.
@@ -457,9 +458,11 @@ class Engine {
 
   bool worker_eligible(const Task& task, WorkerId id) const;
 
-  /// Virtual time at which the worker becomes free. Lock-free: own clock
-  /// for accelerators; host workers additionally observe the combined-CPU
-  /// clock (per-core) or the host-group maximum (combined worker).
+  /// Virtual time at which the worker becomes free, for the execution-time
+  /// accounting (the schedulers keep their own clocks). Lock-free: own
+  /// clock for accelerators; host workers additionally observe the
+  /// combined-CPU clock (per-core) or the host-group maximum (combined
+  /// worker).
   VirtualTime worker_ready_at(WorkerId id) const;
 
   /// SchedEnv::exec — expected execution seconds of `task` on worker `id`

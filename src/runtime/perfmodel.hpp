@@ -255,8 +255,8 @@ class PerfRegistry {
 /// the collapsed dimension, so replay still hits when input sizes or call
 /// sites differ slightly from the training run. After finalize() the
 /// resolved map is immutable and lookup() is lock-free; probe keys are
-/// precomputed at task-submit time (Task::dispatch_keys), so the replay
-/// hot path does no hashing, no model evaluation and takes no lock.
+/// precomputed at task-submit time (Task::dispatch_keys), so a replay
+/// probe does no hashing and takes no lock.
 ///
 /// Persisted as a versioned ".dispatch" text artifact next to the ".model"
 /// files; malformed input throws located ParseErrors (line/column), same

@@ -90,18 +90,7 @@ void Plan::reset(const std::vector<WorkerDesc>& workers,
   objective_ = objective;
   nodes_ = net != nullptr ? static_cast<std::size_t>(net->topo.node_count()) : 0;
   clocks_.assign(workers.size(), 0.0);
-  backlog_.assign(objective == Objective::kEnergy ? workers.size() : 0, 0.0);
   states_.clear();
-}
-
-void Plan::seed(WorkerId worker, double ready, double pending) {
-  const auto w = static_cast<std::size_t>(worker);
-  if (objective_ == Objective::kEnergy) {
-    clocks_[w] = ready;
-    backlog_[w] = pending;
-  } else {
-    clocks_[w] = ready + pending;
-  }
 }
 
 int Plan::add_data(std::span<const ReplicaState> states) {
@@ -155,14 +144,11 @@ Plan::Choice Plan::price(const Task& task, WorkerId worker) const {
   choice.start = std::max(clocks_[w], task.deps);
   choice.fetch = fetch_seconds(task, worker, /*decision=*/true);
   choice.exec = task.exec[w];
-  if (objective_ == Objective::kEnergy) {
-    choice.work = choice.exec * (*workers_)[w].profile.busy_watts +
-                  choice.fetch * kLinkWatts;
-    choice.score = backlog_[w] + choice.work;
-  } else {
-    choice.work = choice.fetch + choice.exec;
-    choice.score = choice.start + choice.work;
-  }
+  choice.work = choice.fetch + choice.exec;
+  choice.score = objective_ == Objective::kEnergy
+                     ? choice.exec * (*workers_)[w].profile.busy_watts +
+                           choice.fetch * kLinkWatts
+                     : choice.start + choice.work;
   return choice;
 }
 
@@ -170,9 +156,33 @@ Plan::Choice Plan::place(const Task& task) const {
   Choice best;
   for (const WorkerDesc& w : *workers_) {
     const Choice choice = price(task, w.id);
-    if (choice.eligible() && choice.score < best.score) best = choice;
+    if (!choice.eligible()) continue;
+    // Equal scores (equal joules under kEnergy) go to the earlier end.
+    if (choice.score < best.score ||
+        (choice.score == best.score &&
+         choice.start + choice.work < best.start + best.work)) {
+      best = choice;
+    }
   }
   return best;
+}
+
+void Plan::finish(WorkerId worker, double end) {
+  const WorkerDesc& desc = (*workers_)[static_cast<std::size_t>(worker)];
+  clocks_[static_cast<std::size_t>(worker)] = end;
+  // The workers sharing this worker's cores: a combined-CPU worker's
+  // per-core workers, and a per-core worker's combined-CPU worker.
+  for (const WorkerDesc& other : *workers_) {
+    if (other.node == desc.node &&
+        other.is_combined_cpu != desc.is_combined_cpu) {
+      double& clock = clocks_[static_cast<std::size_t>(other.id)];
+      clock = std::max(clock, end);
+    }
+  }
+}
+
+void Plan::book(WorkerId worker, double deps, double work) {
+  finish(worker, std::max(clock(worker), deps) + work);
 }
 
 Plan::Commit Plan::commit(const Task& task, WorkerId worker) {
@@ -192,30 +202,19 @@ Plan::Commit Plan::commit(const Task& task, WorkerId worker) {
     msi::apply_acquire(states, node, op.mode, net_->topo);
   }
   out.end = out.start + out.fetch + task.exec[w];
-  clocks_[w] = out.end;
-  // The workers sharing this worker's cores: a combined-CPU worker's
-  // per-core workers, and a per-core worker's combined-CPU worker.
-  for (const WorkerDesc& other : *workers_) {
-    if (other.node == node &&
-        other.is_combined_cpu != (*workers_)[w].is_combined_cpu) {
-      double& clock = clocks_[static_cast<std::size_t>(other.id)];
-      clock = std::max(clock, out.end);
-    }
-  }
-  if (objective_ == Objective::kEnergy) backlog_[w] += out.work;
+  finish(worker, out.end);
   return out;
 }
 
 void Plan::restore(const State& state) {
   clocks_ = state.clocks;
-  backlog_ = state.backlog;
   states_ = state.states;
 }
 
 Plan::Window Plan::place_window(const std::vector<Task>& tasks,
                                 std::uint64_t budget) {
   const std::size_t count = tasks.size();
-  const State base{clocks_, backlog_, states_};
+  const State base{clocks_, states_};
 
   // Greedy start: each task to its best decision in window order.
   Window best;
@@ -271,7 +270,6 @@ void Plan::search(const std::vector<Task>& tasks, std::size_t depth,
   }
   std::sort(candidates.begin(), candidates.end());
   saved[depth].clocks = clocks_;
-  saved[depth].backlog = backlog_;
   saved[depth].states = states_;
   for (const auto& [end, worker] : candidates) {
     if (end >= best.makespan) break;  // sorted: the rest are no better

@@ -1,14 +1,14 @@
 // Placement: rt::Plan, the one schedule simulator (DESIGN.md §5). It holds
 // a clock per worker of one worker table and a replica state per datum, and
-// every placement decision runs on it — dmda places one task on a plan
-// seeded from the live engine, the lookahead window a batch on the same
-// seed, peppher-predict every call of its static trajectory — so their
+// every placement decision runs on it — dmda places one task on the clocks
+// its own earlier decisions booked, the lookahead window a batch on a copy
+// of them, peppher-predict every call of its static trajectory — so their
 // estimates agree because they share this code:
 //
 //   start = max(worker clock, predecessors' end)
 //   time    score = start + fetch + exec
 //   energy  score = exec x worker busy watts + fetch x kLinkWatts
-//                   (+ the joules already queued on the worker)
+//           (equal joules go to the earlier start + fetch + exec)
 //
 // fetch sums, over the read operands without a valid replica at the
 // worker's node, the hops of MemTopology's route from the nearest valid
@@ -16,7 +16,9 @@
 // ping-pong of chained fine-grained tasks is never free) plus its volume
 // divided by a read-only operand's reuse, min(reads, kReuseCap); a written
 // operand, and every operand of a commit, pays the full volume. A commit
-// also moves the replica states through msi::apply_acquire.
+// also moves the replica states through msi::apply_acquire, a booking only
+// the clocks; both advance the clocks by the Engine's core-sharing rule
+// (see commit).
 // exec is the caller's estimate: the history models, else the variant's
 // cost hint, else kNeutralExecSeconds.
 #pragma once
@@ -98,8 +100,8 @@ struct Interconnect {
                        double reuse) const;
 };
 
-/// A simulated schedule over one worker table: seed it, then price, place
-/// and commit tasks on it.
+/// A simulated schedule over one worker table: price, place, book and
+/// commit tasks on it.
 class Plan {
  public:
   struct Operand {
@@ -122,9 +124,7 @@ class Plan {
     double fetch = 0.0;  ///< reuse-amortised
     double exec = std::numeric_limits<double>::infinity();
     double score = std::numeric_limits<double>::infinity();
-    /// What the placement queues on its worker: fetch + exec seconds, or
-    /// its joules under kEnergy.
-    double work = 0.0;
+    double work = 0.0;  ///< fetch + exec seconds
 
     bool eligible() const noexcept { return worker >= 0; }
   };
@@ -134,8 +134,8 @@ class Plan {
     double fetch = 0.0;  ///< full volume
     double end = 0.0;
     std::size_t fetched_bytes = 0;
-    /// What the task queues on its worker: Choice::work of the committed
-    /// worker, priced before the commit moved the plan.
+    /// Choice::work of the committed worker, priced before the commit
+    /// moved the plan.
     double work = 0.0;
   };
 
@@ -159,9 +159,8 @@ class Plan {
   void reset(const std::vector<WorkerDesc>& workers, const Interconnect* net,
              Objective objective = Objective::kTime);
 
-  /// The worker is free at `ready` after `pending` queued work (seconds;
-  /// joules under kEnergy, which the score adds instead). Couples nothing.
-  void seed(WorkerId worker, double ready, double pending);
+  /// Drops every datum; the clocks stay.
+  void clear_data() { states_.clear(); }
 
   /// Adds a datum with one replica state per memory node; returns its id.
   int add_data(std::span<const ReplicaState> states);
@@ -183,14 +182,22 @@ class Plan {
 
   Choice price(const Task& task, WorkerId worker) const;
 
-  /// The best-scoring eligible worker; ties go to the lowest worker id.
+  /// The best-scoring eligible worker; equal scores go to the earlier end
+  /// (start + work), then to the lowest worker id.
   Choice place(const Task& task) const;
 
+  /// Books `work` seconds on `worker` after `deps`: the task ends at
+  /// max(clock, deps) + work, and the clocks move as a commit's do. Unlike
+  /// a commit it moves no replica state.
+  void book(WorkerId worker, double deps, double work);
+
   /// Runs `task` on `worker`: its clock advances to start + full fetch +
-  /// exec, the operands' states move as the live handles' would, the
-  /// node's combined-CPU worker and its per-core workers are each raised to
-  /// at least the task's end (they share the same cores), and under kEnergy
-  /// the worker's queued joules grow by the task's work.
+  /// exec and the operands' states move as the live handles' would.
+  /// Like the Engine, a commit or a booking treats a node's combined-CPU
+  /// worker and its per-core workers as sharing the cores: the combined
+  /// worker's end raises each per-core clock to at least it, and a
+  /// per-core worker's end raises the combined clock; per-core workers do
+  /// not wait for each other.
   Commit commit(const Task& task, WorkerId worker);
 
   /// Makes `data` valid on `node` as a read would (an explicit prefetch);
@@ -209,7 +216,6 @@ class Plan {
  private:
   struct State {
     std::vector<double> clocks;
-    std::vector<double> backlog;
     std::vector<ReplicaState> states;
   };
 
@@ -217,6 +223,9 @@ class Plan {
     return {states_.data() + static_cast<std::size_t>(data) * nodes_, nodes_};
   }
   double fetch_seconds(const Task& task, WorkerId worker, bool decision) const;
+  /// Ends `worker`'s clock at `end` and raises the workers sharing its
+  /// cores (the one core-sharing rule of commit and book).
+  void finish(WorkerId worker, double end);
   void restore(const State& state);
   void search(const std::vector<Task>& tasks, std::size_t depth,
               double makespan, std::vector<WorkerId>& assign,
@@ -227,7 +236,6 @@ class Plan {
   Objective objective_ = Objective::kTime;
   std::size_t nodes_ = 0;  ///< replica states per datum (0 without `net`)
   std::vector<double> clocks_;
-  std::vector<double> backlog_;  ///< queued joules (kEnergy)
   std::vector<ReplicaState> states_;  ///< per datum, nodes_ states each
 };
 

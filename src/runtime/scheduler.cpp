@@ -17,25 +17,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Lock-free accumulate for std::atomic<double> (fetch_add on floating
-/// atomics is C++20 but not universally lowered well; the CAS loop is
-/// portable and these counters are uncontended in practice).
-void atomic_add(std::atomic<double>& target, double delta) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-/// Subtract with a floor of zero (pending-work accounting must not go
-/// negative from estimate asymmetries).
-void atomic_sub_clamped(std::atomic<double>& target, double delta) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(cur, std::max(0.0, cur - delta),
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 /// One worker's ready queue: its own lock plus an approximate size counter
 /// readable without the lock (queue-length scans during push decisions).
 struct LockedDeque {
@@ -63,6 +44,20 @@ class PerWorkerQueues {
     auto& q = queues_[static_cast<std::size_t>(worker)];
     std::lock_guard<std::mutex> lock(q.mutex);
     q.items.push_back(task);
+    q.approx_size.store(q.items.size(), std::memory_order_relaxed);
+  }
+
+  /// Inserts behind every queued task of at least its priority (FIFO among
+  /// equal priorities).
+  void enqueue_by_priority(WorkerId worker, const TaskPtr& task) {
+    auto& q = queues_[static_cast<std::size_t>(worker)];
+    std::lock_guard<std::mutex> lock(q.mutex);
+    auto it = q.items.end();
+    while (it != q.items.begin() &&
+           (*std::prev(it))->spec.priority < task->spec.priority) {
+      --it;
+    }
+    q.items.insert(it, task);
     q.approx_size.store(q.items.size(), std::memory_order_relaxed);
   }
 
@@ -293,66 +288,39 @@ class WorkStealingScheduler final : public Scheduler,
 
 // ---------------------------------------------------------------------------
 // Shared core of the model-based policies (dmda and lookahead): per-worker
-// priority queues with pending-work accounting, the calibration/exploration
-// rule, and the plan both policies place on — seeded from the live engine,
-// each worker's clock its ready time plus its queued work. Dmda places one
-// task on it (Plan::place); lookahead places a window (Plan::place_window),
-// whose window of one is the same Plan::place.
+// priority queues, the calibration/exploration rule, and the plan both
+// policies place on. Its clocks are the policy's own books: every placement
+// — a decision, or a replayed table entry — books its task on its worker
+// (Plan::book: start + fetch + exec, by the Engine's core-sharing rule), and
+// nothing else moves them — not a pop, not the engine's execution — so a
+// placement depends on the placements before it, not on thread timing. The
+// data states come from the live handles. Dmda places one task on the plan
+// (Plan::place); lookahead places a window (Plan::place_window) on a copy.
 // ---------------------------------------------------------------------------
-class ModelSchedulerBase : public Scheduler {
+class ModelSchedulerBase : public Scheduler, protected PerWorkerQueues {
  public:
-  TaskPtr pop(WorkerId worker) override { return pop_entry(worker); }
-
-  std::vector<TaskPtr> drain(WorkerId dead_worker) override {
-    return drain_queue(dead_worker);
+  TaskPtr pop(WorkerId worker) override {
+    return take_front(worker).value_or(nullptr);
   }
 
-  std::size_t queued() const override {
-    std::size_t n = 0;
-    for (const auto& q : queues_) {
-      n += q.approx_size.load(std::memory_order_relaxed);
-    }
-    return n;
+  std::vector<TaskPtr> drain(WorkerId dead_worker) override {
+    return take_queue(dead_worker);
+  }
+
+  std::size_t queued() const override { return total_queued(); }
+
+  void reset_virtual_time() override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    plan_.reset(*env_.workers, env_.interconnect, env_.objective);
   }
 
  protected:
   explicit ModelSchedulerBase(SchedEnv env)
-      : env_(std::move(env)),
-        queues_(env_.workers->size()),
-        pending_work_(env_.workers->size()) {}
-
-  struct Entry {
-    TaskPtr task;
-    double work = 0.0;
-  };
-
-  struct EntryQueue {
-    mutable std::mutex mutex;
-    std::deque<Entry> items;
-    std::atomic<std::size_t> approx_size{0};
-  };
+      : PerWorkerQueues(env.workers->size()),
+        env_(std::move(env)),
+        plan_(*env_.workers, env_.interconnect, env_.objective) {}
 
   using Seen = std::vector<std::pair<const DataHandle*, int>>;
-
-  /// One placement's working set. dmda reuses one per thread, so a
-  /// steady-state placement allocates nothing (a fresh one per push cost
-  /// perfbench ode_chain 6 % of its solve time on a 4-vCPU Xeon).
-  struct Scratch {
-    Plan plan;
-    Plan::Task task;
-    Seen seen;
-  };
-
-  /// Seeds `plan` from the live engine: each worker free at its ready time
-  /// plus its queued (uncommitted) work. Seeding couples nothing.
-  void seed(Plan& plan) const {
-    plan.reset(*env_.workers, env_.interconnect, env_.objective);
-    for (const WorkerDesc& w : *env_.workers) {
-      plan.seed(w.id, env_.worker_ready_at(w.id),
-                pending_work_[static_cast<std::size_t>(w.id)].load(
-                    std::memory_order_relaxed));
-    }
-  }
 
   /// `task` as `plan` prices it, into `out`: per-worker execution
   /// estimates, its predecessors' end, and its operands over the plan's
@@ -384,15 +352,6 @@ class ModelSchedulerBase : public Scheduler {
     }
   }
 
-  /// This thread's scratch, holding `task` on a freshly seeded plan.
-  Scratch& placement(const Task& task) const {
-    thread_local Scratch scratch;
-    seed(scratch.plan);
-    scratch.seen.clear();
-    plan_task(task, scratch.plan, scratch.seen, scratch.task);
-    return scratch;
-  }
-
   /// Calibration rule: the eligible variant with the fewest recorded
   /// samples below calibration_min, or -1 when every variant is calibrated
   /// (StarPU forces uncalibrated variants to run so the models learn).
@@ -410,104 +369,47 @@ class ModelSchedulerBase : public Scheduler {
     return explore;
   }
 
-  /// Calibration phase: while any eligible variant has fewer than
-  /// calibration_min recorded samples for this footprint, force it to run
-  /// so the history model learns about it (StarPU does the same). Returns
-  /// the worker, or -1 when every variant is calibrated.
-  WorkerId explore(const TaskPtr& task, DecisionRecord* decision) {
-    const WorkerId target = exploration_target(*task);
-    if (target < 0) return -1;
-    if (decision != nullptr) decision->explored = true;
-    const Scratch& scratch = placement(*task);
-    enqueue_with_work(target, task,
-                      scratch.plan.price(scratch.task, target).work);
-    return target;
-  }
-
-  /// The dmda placement: calibration exploration first, then the plan's
-  /// best placement. Two concurrent pushes may both pick the same best
-  /// worker — a benign near-tie; the pending-work term self-corrects. The
-  /// estimate charges this task's own fetch in full: the engine marks the
-  /// operands as prefetch-in-flight only after this push returns, so the
-  /// discount applies to *later* tasks reusing the same operands.
-  WorkerId dmda_push(const TaskPtr& task, DecisionRecord* decision) {
-    if (const WorkerId target = explore(task, decision); target >= 0) {
-      return target;
-    }
-    const Scratch& scratch = placement(*task);
-    const Plan::Choice best = scratch.plan.place(scratch.task);
-    check(best.eligible(), "task has no eligible worker");
-    if (decision != nullptr) {
-      decision->arch_estimate.fill(kInf);
-      for (const WorkerDesc& w : *env_.workers) {
-        double& slot =
-            decision->arch_estimate[static_cast<std::size_t>(w.archs.front())];
-        slot = std::min(slot, scratch.plan.price(scratch.task, w.id).score);
+  /// The dmda placement; mutex_ must be held. `explore` (an
+  /// exploration_target) forces the task onto an uncalibrated variant so
+  /// the history model learns about it; otherwise the task goes to the
+  /// plan's best placement. Either way the decision is booked on the clocks
+  /// and queued. The estimate charges this task's own fetch in full: the
+  /// engine marks the operands as prefetch-in-flight only after this push
+  /// returns, so the discount applies to *later* tasks reusing them.
+  WorkerId decide_locked(const TaskPtr& task, WorkerId explore,
+                         DecisionRecord* decision) {
+    plan_.clear_data();
+    seen_.clear();
+    plan_task(*task, plan_, seen_, task_);
+    Plan::Choice choice;
+    if (explore >= 0) choice = plan_.price(task_, explore);
+    if (choice.eligible()) {
+      if (decision != nullptr) decision->explored = true;
+    } else {
+      choice = plan_.place(task_);
+      check(choice.eligible(), "task has no eligible worker");
+      if (decision != nullptr) {
+        decision->arch_estimate.fill(kInf);
+        for (const WorkerDesc& w : *env_.workers) {
+          double& slot = decision->arch_estimate[static_cast<std::size_t>(
+              w.archs.front())];
+          slot = std::min(slot, plan_.price(task_, w.id).score);
+        }
+        decision->chosen_estimate = choice.score;
       }
-      decision->chosen_estimate = best.score;
     }
-    enqueue_with_work(best.worker, task, best.work);
-    return best.worker;
-  }
-
-  /// Priority-ordered insert with an explicit pending-work charge (dmda
-  /// charges its choice's work, a window each commit's work; replay
-  /// charges zero — no model evaluation on that path).
-  void enqueue_with_work(WorkerId worker, const TaskPtr& task, double work) {
-    if (!std::isfinite(work)) work = 0.0;
-    auto& q = queues_[static_cast<std::size_t>(worker)];
-    {
-      std::lock_guard<std::mutex> lock(q.mutex);
-      // Priority-ordered insertion (stable: FIFO among equal priorities).
-      auto it = q.items.end();
-      while (it != q.items.begin() &&
-             std::prev(it)->task->spec.priority < task->spec.priority) {
-        --it;
-      }
-      q.items.insert(it, Entry{task, work});
-      q.approx_size.store(q.items.size(), std::memory_order_relaxed);
-    }
-    // Replay charges zero work: skip the CAS loop on that hot path.
-    if (work != 0.0) {
-      atomic_add(pending_work_[static_cast<std::size_t>(worker)], work);
-    }
-  }
-
-  TaskPtr pop_entry(WorkerId worker) {
-    auto& q = queues_[static_cast<std::size_t>(worker)];
-    Entry entry;
-    {
-      std::lock_guard<std::mutex> lock(q.mutex);
-      if (q.items.empty()) return nullptr;
-      entry = std::move(q.items.front());
-      q.items.pop_front();
-      q.approx_size.store(q.items.size(), std::memory_order_relaxed);
-    }
-    if (entry.work != 0.0) {
-      atomic_sub_clamped(pending_work_[static_cast<std::size_t>(worker)],
-                         entry.work);
-    }
-    return entry.task;
-  }
-
-  std::vector<TaskPtr> drain_queue(WorkerId dead_worker) {
-    auto& q = queues_[static_cast<std::size_t>(dead_worker)];
-    std::vector<TaskPtr> out;
-    {
-      std::lock_guard<std::mutex> lock(q.mutex);
-      out.reserve(q.items.size());
-      for (auto& entry : q.items) out.push_back(std::move(entry.task));
-      q.items.clear();
-      q.approx_size.store(0, std::memory_order_relaxed);
-    }
-    pending_work_[static_cast<std::size_t>(dead_worker)].store(
-        0.0, std::memory_order_relaxed);
-    return out;
+    plan_.book(choice.worker, task_.deps, choice.work);
+    enqueue_by_priority(choice.worker, task);
+    return choice.worker;
   }
 
   SchedEnv env_;
-  std::vector<EntryQueue> queues_;
-  std::vector<std::atomic<double>> pending_work_;
+  /// Guards the plan and the decision scratch below. Decisions serialise on
+  /// it, so each one sees every earlier booking.
+  std::mutex mutex_;
+  Plan plan_;  ///< the booked clocks, and the current decision's data
+  Seen seen_;
+  Plan::Task task_;
 };
 
 // ---------------------------------------------------------------------------
@@ -518,7 +420,9 @@ class DmdaScheduler final : public ModelSchedulerBase {
   explicit DmdaScheduler(SchedEnv env) : ModelSchedulerBase(std::move(env)) {}
 
   WorkerId push(const TaskPtr& task, DecisionRecord* decision) override {
-    return dmda_push(task, decision);
+    const WorkerId explore = exploration_target(*task);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return decide_locked(task, explore, decision);
   }
 
   const std::string& name() const override { return name_; }
@@ -542,8 +446,9 @@ class DmdaScheduler final : public ModelSchedulerBase {
 // the window.
 //
 // With a dispatch table loaded (EngineConfig::dispatch_table), placement is
-// replayed per program point with one precomputed-key hash probe: no model
-// evaluation, no staging, no search on the hot path.
+// replayed per program point with one precomputed-key hash probe: no
+// pricing, no staging, no search on the hot path, only the one execution
+// estimate its booking needs.
 // ---------------------------------------------------------------------------
 class LookaheadScheduler final : public ModelSchedulerBase {
  public:
@@ -559,19 +464,24 @@ class LookaheadScheduler final : public ModelSchedulerBase {
   }
 
   WorkerId push(const TaskPtr& task, DecisionRecord* decision) override {
-    // Static-composition replay: table placements bypass models entirely.
+    // Static-composition replay: table placements bypass the planning; they
+    // are booked so that tasks planned dynamically beside them see the work.
     if (env_.dispatch != nullptr && task->has_dispatch_keys) {
       if (const WorkerId worker = replay_target(*task); worker >= 0) {
-        enqueue_with_work(worker, task, 0.0);
+        const double exec = env_.exec(*task, worker);
+        std::lock_guard<std::mutex> lock(mutex_);
+        // +inf when the worker was blacklisted after the task's eligibility
+        // snapshot; booking it would hold the cores it shares forever.
+        if (std::isfinite(exec)) plan_.book(worker, task->max_pred_end, exec);
+        enqueue_by_priority(worker, task);
         return worker;
       }
     }
     // Calibration placements are per-variant by construction — batching
     // them would only delay model convergence, so they skip the window.
-    if (const WorkerId target = explore(task, decision); target >= 0) {
-      return target;
-    }
-    std::lock_guard<std::mutex> lock(stage_mutex_);
+    const WorkerId explore = exploration_target(*task);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (explore >= 0) return decide_locked(task, explore, decision);
     staging_.push_back(task);
     stage_size_.store(staging_.size(), std::memory_order_relaxed);
     if (static_cast<int>(staging_.size()) <
@@ -585,11 +495,11 @@ class LookaheadScheduler final : public ModelSchedulerBase {
 
   TaskPtr pop(WorkerId worker) override {
     // A worker running dry closes the current (partial) window rather than
-    // idling until it fills: batching only forms under backlog, so an idle
-    // system degenerates toward dmda-like immediacy by design.
+    // idling until it fills: batching only forms while tasks queue up, so an
+    // idle system degenerates toward dmda-like immediacy by design.
     while (true) {
-      if (TaskPtr task = pop_entry(worker)) return task;
-      std::lock_guard<std::mutex> lock(stage_mutex_);
+      if (std::optional<TaskPtr> task = take_front(worker)) return *task;
+      std::lock_guard<std::mutex> lock(mutex_);
       if (staging_.empty()) return nullptr;
       if (plan_window_locked(nullptr, nullptr, nullptr) == 0) return nullptr;
       // Planned tasks may have landed on other workers; retry our queue
@@ -602,8 +512,8 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     // staged: hand the whole staging buffer back along with the dead
     // worker's queue. The engine re-pushes the survivors, which re-stages
     // and re-plans them against the updated worker set.
-    std::vector<TaskPtr> out = drain_queue(dead_worker);
-    std::lock_guard<std::mutex> lock(stage_mutex_);
+    std::vector<TaskPtr> out = take_queue(dead_worker);
+    std::lock_guard<std::mutex> lock(mutex_);
     out.insert(out.end(), staging_.begin(), staging_.end());
     staging_.clear();
     stage_size_.store(0, std::memory_order_relaxed);
@@ -611,8 +521,7 @@ class LookaheadScheduler final : public ModelSchedulerBase {
   }
 
   std::size_t queued() const override {
-    return ModelSchedulerBase::queued() +
-           stage_size_.load(std::memory_order_relaxed);
+    return total_queued() + stage_size_.load(std::memory_order_relaxed);
   }
 
   const std::string& name() const override { return name_; }
@@ -678,19 +587,19 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     return -1;
   }
 
-  /// Plans (at most) one window out of the staging buffer; stage_mutex_
-  /// must be held. Returns the number of tasks planned and committed.
-  /// `trigger`/`decision`/`trigger_worker` report the placement of the
-  /// pushing task so push() can return a normal worker hint for it; every
-  /// other planned task is announced through env_.commit.
+  /// Plans (at most) one window out of the staging buffer on a copy of the
+  /// booked clocks; mutex_ must be held. Returns the number of tasks
+  /// planned and committed. `trigger`/`decision`/`trigger_worker` report
+  /// the placement of the pushing task so push() can return a normal worker
+  /// hint for it; every other planned task is announced through env_.commit.
   std::size_t plan_window_locked(const TaskPtr& trigger,
                                  DecisionRecord* decision,
                                  WorkerId* trigger_worker) {
     // Snapshot up to window_size plannable tasks, FIFO. Tasks with no
     // eligible worker right now (mid-blacklist race) stay staged; the
     // engine's drain pass will collect them.
-    Plan plan;
-    seed(plan);
+    Plan plan = plan_;
+    plan.clear_data();
     Seen seen;
     std::vector<TaskPtr> window;
     std::vector<Plan::Task> planned;
@@ -715,9 +624,9 @@ class LookaheadScheduler final : public ModelSchedulerBase {
 
     const Plan::Window result = plan.place_window(planned, kSearchBudget);
 
-    // Commit the plan: real queue insertions + engine notifications. The
-    // pending-work charge is the task's committed work, dmda's charge at
-    // window 1, so the next plan sees the committed load.
+    // Commit the plan: each task booked on the clocks as dmda books its
+    // decision (so a window of one is dmda), real queue insertions, engine
+    // notifications.
     for (std::size_t i = 0; i < window.size(); ++i) {
       const WorkerId worker = result.workers[i];
       const Plan::Commit& committed = result.commits[i];
@@ -727,7 +636,8 @@ class LookaheadScheduler final : public ModelSchedulerBase {
       record.arch_estimate[static_cast<std::size_t>(
           (*env_.workers)[static_cast<std::size_t>(worker)].archs.front())] =
           committed.end;
-      enqueue_with_work(worker, window[i], committed.work);
+      plan_.book(worker, planned[i].deps, committed.work);
+      enqueue_by_priority(worker, window[i]);
       if (trigger != nullptr && window[i] == trigger) {
         if (decision != nullptr) *decision = record;
         if (trigger_worker != nullptr) *trigger_worker = worker;
@@ -750,10 +660,9 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     return window.size();
   }
 
-  mutable std::mutex stage_mutex_;
-  std::deque<TaskPtr> staging_;
+  std::deque<TaskPtr> staging_;  ///< guarded by mutex_
   std::atomic<std::size_t> stage_size_{0};
-  std::uint64_t window_counter_ = 0;  ///< guarded by stage_mutex_
+  std::uint64_t window_counter_ = 0;  ///< guarded by mutex_
   /// Worker ids per architecture (immutable after construction).
   std::array<std::vector<WorkerId>, kArchCount> arch_workers_{};
   std::string name_ = "lookahead";

@@ -2,21 +2,28 @@
 // the StarPU policy family the paper's tool-generated performance-aware code
 // (TGPA) relies on: it places each task on the worker with the earliest
 // predicted completion,
-//   max(worker ready + queued work, predecessors' end) + fetch + exec,
+//   max(worker clock, predecessors' end) + fetch + exec,
 // priced by rt::Plan (runtime/placement.hpp) with expected execution time
 // coming from the history-based performance models, and falls back to
-// forced exploration while a variant is uncalibrated. "lookahead" plans a
-// window of ready tasks jointly on the same plan.
+// forced exploration while a variant is uncalibrated. A worker's clock is
+// this runtime's own book: the end of the last task the policy placed
+// there (or on a worker sharing its cores), never the engine's execution
+// progress, so a push sees the same clocks however far the workers have
+// run. StarPU's dmda keeps a similar per-worker expected end but raises
+// its start to the current time on each push and before each execution,
+// so there it follows execution progress. "lookahead" plans a window of
+// ready tasks jointly on a copy of the same clocks.
 //
 // Concurrency contract: schedulers are internally synchronized with
 // per-worker queue locks — push/pop/drain/queued may be called from any
 // thread with NO engine lock held. This keeps the task hot path off the
 // engine's dependency-graph lock: workers pop from their own queue under
-// that queue's lock only, and submitters race nothing but the one target
-// queue. The SchedEnv callbacks the policies consult (eligibility, ready
-// times, placement estimates, sample counts) are therefore required to be
-// thread-safe as well; the Engine implements them over atomics, memoized
-// per-task caches and the reader-writer performance registry.
+// that queue's lock only. The model-based policies also serialise their
+// decisions on one lock of their own. The SchedEnv callbacks the policies
+// consult (eligibility, placement estimates, sample counts) are therefore
+// required to be thread-safe as well; the Engine implements them over
+// atomics, memoized per-task caches and the reader-writer performance
+// registry.
 #pragma once
 
 #include <array>
@@ -41,9 +48,6 @@ class DispatchTable;
 /// Services the Engine provides to scheduler policies.
 struct SchedEnv {
   const std::vector<WorkerDesc>* workers = nullptr;
-
-  /// Virtual time at which the worker becomes free.
-  std::function<VirtualTime(WorkerId)> worker_ready_at;
 
   /// True if the worker has an enabled implementation for the task
   /// (respecting forced_arch / forced_worker).
@@ -125,6 +129,10 @@ class Scheduler {
 
   /// Total tasks currently queued (diagnostics).
   virtual std::size_t queued() const = 0;
+
+  /// Zeroes the policy's own worker clocks (Engine::reset_virtual_time,
+  /// with nothing queued); a no-op for the policies that keep none.
+  virtual void reset_virtual_time() {}
 
   /// Policy name ("eager", "dmda", ...).
   virtual const std::string& name() const = 0;

@@ -1,6 +1,9 @@
 #include "support/fs.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <sstream>
 
@@ -24,14 +27,27 @@ std::string read_file(const std::filesystem::path& path) {
 
 void write_file(const std::filesystem::path& path, std::string_view content) {
   if (path.has_parent_path()) make_dirs(path.parent_path());
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw Error(ErrorCode::kIoError, "cannot open file for writing: " + path.string());
+  // A temporary name in the target's directory, unique to this process and
+  // call, so concurrent writers of one target never share it.
+  static std::atomic<unsigned long> counter{0};
+  std::filesystem::path temp = path;
+  temp += ".tmp." + std::to_string(::getpid()) + "." +
+          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+  const auto fail = [&](const std::string& what) {
+    std::error_code ignored;
+    std::filesystem::remove(temp, ignored);
+    throw Error(ErrorCode::kIoError, what);
+  };
+  {
+    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+    if (!out) fail("cannot open file for writing: " + path.string());
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+    out.close();
+    if (!out) fail("write failure on: " + path.string());
   }
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  if (!out) {
-    throw Error(ErrorCode::kIoError, "write failure on: " + path.string());
-  }
+  std::error_code ec;
+  std::filesystem::rename(temp, path, ec);
+  if (ec) fail("cannot publish " + path.string() + ": " + ec.message());
 }
 
 void make_dirs(const std::filesystem::path& path) {

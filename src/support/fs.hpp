@@ -11,7 +11,11 @@ namespace peppher::fs {
 /// Reads a whole file into a string. Throws Error(kIoError) if unreadable.
 std::string read_file(const std::filesystem::path& path);
 
-/// Writes `content` to `path`, creating parent directories as needed.
+/// Writes `content` to `path`, creating parent directories as needed. The
+/// content goes to a temporary file beside `path` that is then renamed over
+/// it, so a reader, or a run killed mid-write, sees the old file or the new
+/// one and never a torn one. Throws Error(kIoError) naming the file, with no
+/// temporary file left behind.
 void write_file(const std::filesystem::path& path, std::string_view content);
 
 /// Creates the directory (and parents); no-op if it exists.

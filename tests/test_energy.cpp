@@ -117,9 +117,9 @@ TEST(Energy, EnergyObjectiveCostsMoreTimeButLessEnergy) {
 
 TEST(Energy, LookaheadPlacesLikeDmda) {
   // Energy is additive, so a window has no makespan to plan: under the
-  // energy objective lookahead must place exactly like dmda, which ignores
-  // worker readiness and keeps every independent CPU-only task on the
-  // first core.
+  // energy objective lookahead must place exactly like dmda, which gives
+  // each of four independent equal-joule CPU-only tasks the core that ends
+  // it first, so one task per core.
   rt::Codelet codelet("warm");
   codelet.add_impl({rt::Arch::kCpu, "warm_cpu", [](rt::ExecContext&) {},
                     [](const std::vector<std::size_t>& bytes, const void*) {
@@ -147,8 +147,9 @@ TEST(Energy, LookaheadPlacesLikeDmda) {
     return per_worker;
   };
   const std::vector<std::uint64_t> dmda = placements("dmda");
-  ASSERT_FALSE(dmda.empty());
-  EXPECT_EQ(dmda.front(), 4u);
+  ASSERT_GE(dmda.size(), 4u);
+  EXPECT_EQ(std::vector<std::uint64_t>(dmda.begin(), dmda.begin() + 4),
+            (std::vector<std::uint64_t>{1, 1, 1, 1}));
   EXPECT_EQ(placements("lookahead"), dmda);
 }
 

@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -191,7 +193,8 @@ TEST(DispatchTableFormat, SaveLoadIsReadyForReplay) {
 // -- window-1 differential: lookahead degenerates to dmda --------------------
 
 /// Mock world mirroring test_scheduler_unit: 3 workers (2 CPU + 1 GPU),
-/// table-driven eligibility and estimates.
+/// table-driven eligibility and estimates. Both policies' worker clocks
+/// are their own books, so a test builds them with earlier pushes.
 class LookaheadDifferential : public ::testing::Test {
  protected:
   LookaheadDifferential() {
@@ -211,16 +214,38 @@ class LookaheadDifferential : public ::testing::Test {
     env_.rng = &rng_;
     env_.calibration_min = 2;
     env_.window_size = 1;  // the degenerate window: dmda by construction
-    env_.worker_ready_at = [this](WorkerId id) {
-      return ready_[static_cast<std::size_t>(id)];
+    env_.eligible = [this](const Task&, WorkerId id) {
+      return pinned_ < 0 || id == pinned_;
     };
-    env_.eligible = [](const Task&, WorkerId) { return true; };
-    env_.exec = [this](const Task&, WorkerId id) {
-      return work_[static_cast<std::size_t>(id)];
+    env_.exec = [this](const Task& task, WorkerId id) {
+      return env_.eligible(task, id)
+                 ? work_[static_cast<std::size_t>(id)]
+                 : std::numeric_limits<double>::infinity();
     };
-    env_.sample_count = [this](const Task&, WorkerId id) {
-      return samples_[static_cast<std::size_t>(id)];
+    env_.sample_count = [this](const Task& task, WorkerId id) {
+      return env_.eligible(task, id)
+                 ? samples_[static_cast<std::size_t>(id)]
+                 : std::numeric_limits<std::uint64_t>::max();
     };
+  }
+
+  /// A fresh `policy` with `ready[w]` seconds booked on each worker w: one
+  /// task only that worker may run, popped again before the test's pushes.
+  std::unique_ptr<Scheduler> with_clocks(const std::string& policy,
+                                         const std::vector<double>& ready) {
+    auto scheduler = make_scheduler(policy, env_);
+    const std::vector<double> work = work_;
+    for (int w = 0; w < 3; ++w) {
+      if (ready[static_cast<std::size_t>(w)] == 0.0) continue;
+      pinned_ = w;
+      work_.assign(3, ready[static_cast<std::size_t>(w)]);
+      const TaskPtr task = make_task();
+      scheduler->push(task);
+      EXPECT_EQ(scheduler->pop(w), task);
+    }
+    pinned_ = -1;
+    work_ = work;
+    return scheduler;
   }
 
   /// A task, reading `read` when given.
@@ -263,15 +288,13 @@ class LookaheadDifferential : public ::testing::Test {
   Codelet codelet_{"differential"};
   Rng rng_{7};
   SchedEnv env_;
-  std::vector<double> ready_{0.0, 0.0, 0.0};
   std::vector<double> work_{1.0, 1.0, 1.0};
   std::vector<std::uint64_t> samples_{100, 100, 100};  // calibrated
+  WorkerId pinned_ = -1;  ///< the one eligible worker, when >= 0
   std::uint64_t next_seq_ = 0;
 };
 
 TEST_F(LookaheadDifferential, WindowOnePlacesExactlyLikeDmda) {
-  auto dmda = make_scheduler("dmda", env_);
-  auto lookahead = make_scheduler("lookahead", env_);
   // A spread of readiness/work shapes, including ties (both policies must
   // break them identically: first minimal worker wins).
   const std::vector<std::pair<std::vector<double>, std::vector<double>>>
@@ -283,7 +306,8 @@ TEST_F(LookaheadDifferential, WindowOnePlacesExactlyLikeDmda) {
           {{0.0, 100.0, 100.0}, {10.0, 1.0, 1.0}},
       };
   for (const auto& [ready, work] : shapes) {
-    ready_ = ready;
+    auto dmda = with_clocks("dmda", ready);
+    auto lookahead = with_clocks("lookahead", ready);
     work_ = work;
     const WorkerId expected = placed_on(*dmda);
     EXPECT_EQ(placed_on(*lookahead), expected)
@@ -293,33 +317,91 @@ TEST_F(LookaheadDifferential, WindowOnePlacesExactlyLikeDmda) {
 }
 
 TEST_F(LookaheadDifferential, WindowOneExploresUncalibratedLikeDmda) {
-  samples_ = {100, 100, 0};      // GPU variant unsampled
-  ready_ = {0.0, 0.0, 1000.0};   // and apparently terrible
-  auto dmda = make_scheduler("dmda", env_);
-  auto lookahead = make_scheduler("lookahead", env_);
+  auto dmda = with_clocks("dmda", {0.0, 0.0, 1000.0});  // GPU far off
+  auto lookahead = with_clocks("lookahead", {0.0, 0.0, 1000.0});
+  samples_ = {100, 100, 0};  // and its variant unsampled
   EXPECT_EQ(placed_on(*dmda), 2);       // exploration overrides estimates
   EXPECT_EQ(placed_on(*lookahead), 2);  // identical at window 1
 }
 
 TEST_F(LookaheadDifferential, WindowOneQueuesJoulesLikeDmdaUnderEnergy) {
-  // Every placement weighs the work queued before it, so a window of one
-  // must queue exactly dmda's work. Under kEnergy that work is joules: the
-  // GPU (0.01 s at 238 W) takes tasks until its queued joules pass a
-  // core's (1 s at 20 W).
+  // Energy is additive: a placement's score is the task's own joules, not
+  // the joules queued before it. The GPU (0.01 s at 238 W) beats a core
+  // (1 s at 20 W) on every task, so both policies put all 24 there.
   env_.objective = Objective::kEnergy;
   work_ = {1.0, 1.0, 0.01};
   auto dmda = make_scheduler("dmda", env_);
   auto lookahead = make_scheduler("lookahead", env_);
   const auto expected = queued(*dmda, 24);
-  EXPECT_FALSE(expected[0].empty());
-  EXPECT_GT(expected[2].size(), expected[0].size());
+  EXPECT_EQ(expected[2].size(), 24u);
   EXPECT_EQ(queued(*lookahead, 24), expected);
 }
 
+TEST_F(LookaheadDifferential, EqualJoulesSpreadOverTheCoresUnderEnergy) {
+  // Both cores spend the same joules on a task (1 s at 20 W; the GPU's
+  // 1 s at 238 W loses), so each placement goes to the core whose booked
+  // clock ends the task first: the 24 tasks alternate between the cores.
+  env_.objective = Objective::kEnergy;
+  auto dmda = make_scheduler("dmda", env_);
+  auto lookahead = make_scheduler("lookahead", env_);
+  const auto expected = queued(*dmda, 24);
+  EXPECT_EQ(expected[0].size(), 12u);
+  EXPECT_EQ(expected[1].size(), 12u);
+  EXPECT_TRUE(expected[2].empty());
+  EXPECT_EQ(queued(*lookahead, 24), expected);
+}
+
+TEST_F(LookaheadDifferential, PopsBetweenPushesDoNotMoveThePlacement) {
+  // The clocks are the policy's own books: a pop (a worker starting a
+  // task) changes no later decision, in dmda and in a window of one.
+  work_ = {3.0, 2.0, 5.0};
+  for (const std::string policy : {"dmda", "lookahead"}) {
+    const auto placements = [&](bool pop_between) {
+      auto scheduler = make_scheduler(policy, env_);
+      std::vector<WorkerId> out;
+      for (int i = 0; i < 12; ++i) {
+        out.push_back(scheduler->push(make_task()));
+        if (pop_between) {
+          EXPECT_NE(scheduler->pop(out.back()), nullptr);
+        }
+      }
+      return out;
+    };
+    const std::vector<WorkerId> queued = placements(false);
+    EXPECT_EQ(placements(true), queued) << policy;
+    EXPECT_EQ(std::set<WorkerId>(queued.begin(), queued.end()).size(), 3u)
+        << policy;
+  }
+}
+
+TEST_F(LookaheadDifferential, ReplayedPlacementsAreBookedForDynamicTasks) {
+  // A partial dispatch table: six tasks replay onto the GPU, then a task
+  // with no table entry is planned beside them. The GPU ends it first on
+  // empty clocks (1 s against 3 s on a core), but the six replayed seconds
+  // booked there send it to a core.
+  DispatchTable table;
+  table.finalize();
+  env_.dispatch = &table;
+  work_ = {3.0, 3.0, 1.0};
+  auto lookahead = make_scheduler("lookahead", env_);
+  for (int i = 0; i < 6; ++i) {
+    const TaskPtr task = make_task();
+    task->has_dispatch_keys = true;
+    task->replay_arch = static_cast<int>(Arch::kCuda);
+    EXPECT_EQ(lookahead->push(task), 2);
+  }
+  const TaskPtr dynamic = make_task();
+  dynamic->has_dispatch_keys = true;  // keys, but no entry: replay_arch -1
+  EXPECT_EQ(lookahead->push(dynamic), 0);
+
+  auto fresh = make_scheduler("lookahead", env_);
+  EXPECT_EQ(fresh->push(make_task()), 2);  // the premise: empty clocks
+}
+
 TEST_F(LookaheadDifferential, WindowOneQueuesAmortisedFetchesLikeDmda) {
-  // Under kTime the queued work is the decision's fetch — amortised over
-  // the handle's 64 reads — plus exec: the GPU takes tasks until that
-  // work passes a core's exec, many more than its full uploads would fit.
+  // Under kTime a decision books its fetch — amortised over the handle's
+  // 64 reads — plus exec: the GPU takes tasks until its clock passes a
+  // core's, many more than its full uploads would fit.
   DataManager data(2, sim::LinkProfile::pcie2_x16());
   std::vector<float> buffer(1 << 20, 0.0f);
   const DataHandlePtr handle = data.register_buffer(
@@ -337,6 +419,100 @@ TEST_F(LookaheadDifferential, WindowOneQueuesAmortisedFetchesLikeDmda) {
   EXPECT_FALSE(expected[0].empty());
   EXPECT_GT(expected[2].size(), 2u);  // more than full uploads would allow
   EXPECT_EQ(queued(*lookahead, 24, handle), expected);
+}
+
+/// Two cores (workers 0 and 1), their combined worker (2) and a GPU (3),
+/// with table-driven eligibility and estimates.
+class BookedClocks : public ::testing::Test {
+ protected:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  BookedClocks() : workers_(4) {
+    for (int i = 0; i < 4; ++i) {
+      WorkerDesc& desc = workers_[static_cast<std::size_t>(i)];
+      desc.id = i;
+      desc.archs = {i < 2 ? Arch::kCpu : i == 2 ? Arch::kCpuOmp : Arch::kCuda};
+      desc.node = i < 3 ? kHostNode : 1;
+      desc.is_combined_cpu = i == 2;
+    }
+    env_.workers = &workers_;
+    env_.rng = &rng_;
+    env_.window_size = 1;
+    env_.eligible = [this](const Task&, WorkerId id) {
+      return pinned_ < 0 || id == pinned_;
+    };
+    env_.exec = [this](const Task& task, WorkerId id) {
+      return env_.eligible(task, id) ? exec_[static_cast<std::size_t>(id)]
+                                     : kInf;
+    };
+    env_.sample_count = [this](const Task& task, WorkerId id) {
+      return env_.eligible(task, id)
+                 ? std::uint64_t{100}
+                 : std::numeric_limits<std::uint64_t>::max();
+    };
+  }
+
+  TaskPtr make_task() {
+    TaskSpec spec;
+    spec.codelet = &codelet_;
+    return std::make_shared<Task>(std::move(spec), sequence_++);
+  }
+
+  std::vector<WorkerDesc> workers_;
+  Codelet codelet_{"booked"};
+  Rng rng_{7};
+  SchedEnv env_;
+  WorkerId pinned_ = -1;  ///< the one eligible worker, when >= 0
+  std::vector<double> exec_;
+  std::uint64_t sequence_ = 0;
+};
+
+TEST_F(BookedClocks, ACoreAndTheCombinedWorkerShareTheirCores) {
+  // A booking moves the clocks by the Engine's core-sharing rule: a task on
+  // the combined worker holds both cores, a task on a core holds the
+  // combined worker, and the cores do not hold each other. A follow-up
+  // task takes 1 s on one CPU worker and 5 s on the GPU, after a 10-s task
+  // pinned to `first`; it goes to the CPU worker if the rule leaves it
+  // free, else to the GPU.
+  // {first, the follow-up's CPU worker, where the follow-up goes}
+  const std::vector<std::array<WorkerId, 3>> cases = {
+      {2, 0, 3},  // the combined worker holds core 0
+      {0, 2, 3},  // core 0 holds the combined worker
+      {0, 1, 1},  // core 0 does not hold core 1
+  };
+  for (const std::string policy : {"dmda", "lookahead"}) {
+    for (const auto& [first, cpu, expected] : cases) {
+      auto scheduler = make_scheduler(policy, env_);
+      pinned_ = first;
+      exec_.assign(4, 10.0);
+      EXPECT_EQ(scheduler->push(make_task()), first);
+      pinned_ = -1;
+      exec_ = {kInf, kInf, kInf, 5.0};
+      exec_[static_cast<std::size_t>(cpu)] = 1.0;
+      EXPECT_EQ(scheduler->push(make_task()), expected)
+          << policy << ": first " << first << ", follow-up CPU worker " << cpu;
+    }
+  }
+}
+
+TEST_F(BookedClocks, AReplayWithoutAnEstimateBooksNothing) {
+  // A replayed task whose worker left between the task's eligibility
+  // snapshot and its push has no finite estimate there. Booking it would
+  // hold the combined worker forever; instead a follow-up task that takes
+  // 1 s on the combined worker and 5 s on the GPU still goes to the
+  // combined worker.
+  DispatchTable table;
+  table.finalize();
+  env_.dispatch = &table;
+  auto lookahead = make_scheduler("lookahead", env_);
+  const TaskPtr replayed = make_task();
+  replayed->has_dispatch_keys = true;
+  replayed->replay_arch = static_cast<int>(Arch::kCpu);
+  replayed->ready_eligible_mask = 0b0001;  // core 0, at the snapshot
+  exec_ = {kInf, kInf, kInf, kInf};        // core 0 has since left
+  EXPECT_EQ(lookahead->push(replayed), 0);
+  exec_ = {kInf, kInf, 1.0, 5.0};
+  EXPECT_EQ(lookahead->push(make_task()), 2);
 }
 
 // -- engine-level replay -----------------------------------------------------

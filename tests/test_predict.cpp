@@ -15,6 +15,7 @@
 #include "analyze/cost.hpp"
 #include "analyze/predict.hpp"
 #include "descriptor/descriptor.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/memory.hpp"
 #include "runtime/perfmodel.hpp"
 #include "runtime/placement.hpp"
@@ -436,6 +437,64 @@ TEST(Predict, LoopIterationsExtrapolateLinearly) {
   ASSERT_EQ(result.points.size(), 2u);
   EXPECT_EQ(result.points[1].executions, 10u);
   EXPECT_NEAR(result.points[1].exec_seconds, 10 * 2e-3, 1e-12);
+}
+
+TEST(Predict, TenReadersMatchTheEngineExactly) {
+  // The loop above on a running Engine under dmda. On 1-GFLOP/s cores
+  // without launch overhead, a 1e6-flop kernel runs exactly 1 ms, so the
+  // Engine's virtual makespan must be predict's, bit for bit: three rounds
+  // of readers after the init, however the workers' threads interleave.
+  sim::MachineConfig machine = sim::MachineConfig::cpu_only(4);
+  machine.cpu_core.peak_gflops = 1.0;
+  machine.cpu_core.compute_efficiency = 1.0;
+  machine.cpu_core.launch_overhead_us = 0.0;
+  const std::size_t bytes = 4096;
+  rt::PerfRegistry models;
+  calibrate(models, "init", rt::Arch::kCpu, bytes, 1e-3);
+  calibrate(models, "consume", rt::Arch::kCpu, bytes, 2e-3);
+  PredictOptions options;
+  options.machine = machine;
+  options.sizes = {{"v", bytes}};
+  const PredictResult predicted = analyze::predict_main(
+      make_repo(main_with_calls(
+          "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+          "<loop count=\"10\">\n"
+          "  <call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n"
+          "</loop>\n")),
+      models, options);
+  ASSERT_TRUE(predicted.completed);
+  EXPECT_NEAR(predicted.makespan.est, 0.007, 1e-12);
+
+  rt::EngineConfig config;
+  config.machine = machine;
+  config.scheduler = "dmda";
+  config.use_history_models = false;  // the cost hints are exact
+  rt::Engine engine(config);
+  const auto flops = [](double count) {
+    return [count](const std::vector<std::size_t>&, const void*) {
+      return sim::KernelCost{count, 0.0, 1.0};
+    };
+  };
+  rt::Codelet init("init");
+  init.add_impl({rt::Arch::kCpu, "init_cpu", [](rt::ExecContext&) {},
+                 flops(1e6)});
+  rt::Codelet consume("consume");
+  consume.add_impl({rt::Arch::kCpu, "consume_cpu", [](rt::ExecContext&) {},
+                    flops(2e6)});
+  std::vector<float> v(bytes / sizeof(float), 0.0f);
+  const rt::DataHandlePtr handle =
+      engine.register_buffer(v.data(), bytes, sizeof(float));
+  const auto submit = [&](const rt::Codelet& codelet, rt::AccessMode mode) {
+    rt::TaskSpec spec;
+    spec.codelet = &codelet;
+    spec.operands = {{handle, mode}};
+    engine.submit(std::move(spec));
+  };
+  submit(init, rt::AccessMode::kWrite);
+  for (int i = 0; i < 10; ++i) submit(consume, rt::AccessMode::kRead);
+  engine.wait_for_all();
+  EXPECT_EQ(engine.virtual_makespan(), predicted.makespan.est);
+  engine.unregister(handle);
 }
 
 TEST(Predict, LongLoopsSkipWholeRotationsOfTheWorkers) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <string>
 
 #include "runtime/scheduler.hpp"
 #include "support/error.hpp"
@@ -12,7 +14,8 @@ namespace peppher::rt {
 namespace {
 
 /// Mock world: 3 workers — two CPU cores and one GPU. Task eligibility and
-/// per-worker estimates are table-driven.
+/// per-worker estimates are table-driven. The model policies' worker clocks
+/// are their own books, so a test builds them with earlier pushes.
 class SchedulerUnit : public ::testing::Test {
  protected:
   SchedulerUnit() {
@@ -31,21 +34,38 @@ class SchedulerUnit : public ::testing::Test {
     env_.workers = &workers_;
     env_.rng = &rng_;
     env_.calibration_min = 2;
-    env_.worker_ready_at = [this](WorkerId id) {
-      return ready_[static_cast<std::size_t>(id)];
-    };
-    env_.eligible = [this](const Task& task, WorkerId id) {
-      if (cpu_only_task_ && id == 2) return false;
-      (void)task;
-      return true;
+    env_.eligible = [this](const Task&, WorkerId id) {
+      if (pinned_ >= 0) return id == pinned_;
+      return !(cpu_only_task_ && id == 2);
     };
     env_.exec = [this](const Task& task, WorkerId id) {
       return env_.eligible(task, id) ? work_[static_cast<std::size_t>(id)]
                                      : std::numeric_limits<double>::infinity();
     };
-    env_.sample_count = [this](const Task&, WorkerId id) {
-      return samples_[static_cast<std::size_t>(id)];
+    env_.sample_count = [this](const Task& task, WorkerId id) {
+      return env_.eligible(task, id)
+                 ? samples_[static_cast<std::size_t>(id)]
+                 : std::numeric_limits<std::uint64_t>::max();
     };
+  }
+
+  /// Books `ready[w]` seconds on each worker w of a fresh `policy`: one
+  /// task only that worker may run, popped again before the test's pushes.
+  std::unique_ptr<Scheduler> with_clocks(const std::string& policy,
+                                         const std::vector<double>& ready) {
+    auto scheduler = make_scheduler(policy, env_);
+    const std::vector<double> work = work_;
+    for (int w = 0; w < 3; ++w) {
+      if (ready[static_cast<std::size_t>(w)] == 0.0) continue;
+      pinned_ = w;
+      work_.assign(3, ready[static_cast<std::size_t>(w)]);
+      const TaskPtr task = make_task();
+      scheduler->push(task);
+      EXPECT_EQ(scheduler->pop(w), task);
+    }
+    pinned_ = -1;
+    work_ = work;
+    return scheduler;
   }
 
   TaskPtr make_task(int priority = 0) {
@@ -59,10 +79,10 @@ class SchedulerUnit : public ::testing::Test {
   Codelet codelet_{"unit"};
   Rng rng_{7};
   SchedEnv env_;
-  std::vector<double> ready_{0.0, 0.0, 0.0};
   std::vector<double> work_{1.0, 1.0, 1.0};
   std::vector<std::uint64_t> samples_{100, 100, 100};  // calibrated
   bool cpu_only_task_ = false;
+  WorkerId pinned_ = -1;  ///< the one eligible worker, when >= 0
   std::uint64_t next_seq_ = 0;
 };
 
@@ -107,8 +127,7 @@ TEST_F(SchedulerUnit, EagerSkipsIneligibleWorker) {
 }
 
 TEST_F(SchedulerUnit, DmdaPicksMinimalCompletion) {
-  auto scheduler = make_scheduler("dmda", env_);
-  ready_ = {10.0, 5.0, 20.0};
+  auto scheduler = with_clocks("dmda", {10.0, 5.0, 20.0});
   work_ = {1.0, 1.0, 1.0};
   auto task = make_task();
   scheduler->push(task);
@@ -118,31 +137,28 @@ TEST_F(SchedulerUnit, DmdaPicksMinimalCompletion) {
 }
 
 TEST_F(SchedulerUnit, DmdaCountsQueuedWorkNotYetStarted) {
-  auto scheduler = make_scheduler("dmda", env_);
-  ready_ = {0.0, 100.0, 100.0};
+  auto scheduler = with_clocks("dmda", {0.0, 100.0, 100.0});
   work_ = {10.0, 10.0, 10.0};
-  // Twelve tasks pushed before any pops: with pending-work accounting they
-  // cannot all pile up on worker 0.
+  // Twelve tasks pushed before any pops: each books its work on its
+  // worker's clock, so they cannot all pile up on worker 0. It takes
+  // eleven (completions 10 .. 110, the last a tie with worker 1's 110).
   for (int i = 0; i < 12; ++i) scheduler->push(make_task());
   int on_worker0 = 0;
   while (scheduler->pop(0) != nullptr) ++on_worker0;
-  EXPECT_LT(on_worker0, 12);
-  EXPECT_GT(on_worker0, 0);
+  EXPECT_EQ(on_worker0, 11);
 }
 
 TEST_F(SchedulerUnit, DmdaExploresUncalibratedVariantsFirst) {
-  auto scheduler = make_scheduler("dmda", env_);
-  samples_ = {100, 100, 0};  // GPU variant never sampled
-  ready_ = {0.0, 0.0, 1000.0};  // and apparently terrible
+  auto scheduler = with_clocks("dmda", {0.0, 0.0, 1000.0});  // GPU far off
+  samples_ = {100, 100, 0};  // and its variant never sampled
   auto task = make_task();
   scheduler->push(task);
   EXPECT_EQ(scheduler->pop(2), task);  // exploration overrides estimates
 }
 
 TEST_F(SchedulerUnit, DmdaStopsExploringAtCalibrationMin) {
-  auto scheduler = make_scheduler("dmda", env_);
+  auto scheduler = with_clocks("dmda", {1.0, 3.0, 2.0});
   samples_ = {2, 2, 2};  // exactly calibration_min
-  ready_ = {1.0, 3.0, 2.0};
   auto task = make_task();
   scheduler->push(task);
   EXPECT_EQ(scheduler->pop(0), task);  // min completion, no exploration

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -148,6 +149,46 @@ TEST(Fs, WriteReadRoundTrip) {
   const auto file = dir / "sub" / "data.txt";
   fs::write_file(file, "hello\nworld");
   EXPECT_EQ(fs::read_file(file), "hello\nworld");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Fs, WritePublishesANewFileInsteadOfTruncating) {
+  // A hard link to the old file keeps its content: the second write
+  // renamed a new inode over the name rather than truncating the old one,
+  // so a run killed mid-write cannot leave a torn file behind.
+  const auto dir = peppher::testing::unique_temp_dir("peppher_fs_test");
+  const auto file = dir / "model.model";
+  fs::write_file(file, "old");
+  std::filesystem::create_hard_link(file, dir / "old.link");
+  fs::write_file(file, "new");
+  EXPECT_EQ(fs::read_file(file), "new");
+  EXPECT_EQ(fs::read_file(dir / "old.link"), "old");
+  EXPECT_EQ(std::filesystem::hard_link_count(file), 1u);
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            2);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Fs, FailedPublishThrowsALocatedErrorAndLeavesNoTemporary) {
+  // A non-empty directory where the file should go: the rename fails. The
+  // error names the target, and only the directory is left.
+  const auto dir = peppher::testing::unique_temp_dir("peppher_fs_test");
+  const auto target = dir / "blocked.model";
+  fs::write_file(target / "inside", "x");
+  try {
+    fs::write_file(target, "content");
+    ADD_FAILURE() << "writing over a directory succeeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kIoError);
+    EXPECT_NE(std::string(e.what()).find(target.string()), std::string::npos)
+        << e.what();
+  }
+  std::vector<std::filesystem::path> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    left.push_back(entry.path());
+  }
+  EXPECT_EQ(left, std::vector<std::filesystem::path>{target});
   std::filesystem::remove_all(dir);
 }
 
