@@ -16,8 +16,8 @@
 // sibling slices, exactly the pattern coalescing merges into one burst.
 // Each hybrid metric is measured on `repeats` fresh engines and reported as
 // its median, with the min and max as their own records (label `stat`):
-// the engine's execution-time accounting still varies between runs
-// (ROADMAP item 1), and a best-of-N would hide that spread.
+// the engine's execution-time accounting still varies between runs, and
+// a best-of-N would hide that spread.
 //
 // --smoke scales the matrices down and uses fewer chunks
 // (bench/report.hpp).

@@ -16,10 +16,10 @@ using namespace peppher;
 
 namespace {
 
-rt::EngineConfig cpu_config(const std::string& scheduler = "eager") {
+rt::EngineConfig cpu_config() {
   rt::EngineConfig config;
   config.machine = sim::MachineConfig::cpu_only(2);
-  config.scheduler = scheduler;
+  config.scheduler = "eager";
   config.use_history_models = false;
   return config;
 }
@@ -149,7 +149,7 @@ BENCHMARK(BM_TaskOverheadForkingChain)
 
 /// Independent tasks (no shared operand): dependency-free scheduling cost.
 void BM_TaskOverheadIndependent(benchmark::State& state) {
-  rt::Engine engine(cpu_config("ws"));
+  rt::Engine engine(cpu_config());
   const int batch = static_cast<int>(state.range(0));
   std::vector<float> payload(static_cast<std::size_t>(batch), 0.0f);
   std::vector<rt::DataHandlePtr> handles;

@@ -1,6 +1,6 @@
 // peppher-predict: static whole-program cost prediction over composition
-// descriptors (ROADMAP item 2, the design-time counterpart of the dmda
-// scheduler's online estimates).
+// descriptors (the design-time counterpart of the dmda scheduler's online
+// estimates).
 //
 // The predictor abstractly interprets the same lowered <calls> program the
 // coherence verifier runs its fixpoint over (analyze/cfg.hpp): per

@@ -1,10 +1,12 @@
 #include "compose/tool.hpp"
 
+#include <algorithm>
 #include <ostream>
 
 #include "analyze/lint.hpp"
 #include "compose/codegen.hpp"
 #include "compose/expand.hpp"
+#include "runtime/scheduler.hpp"
 #include "sim/device.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
@@ -31,7 +33,9 @@ std::string usage() {
          "switches:\n"
          "  -disableImpls=<name|arch>[,...]\n"
          "  -useHistoryModels=<true|false>\n"
-         "  -scheduler=<eager|random|ws|dmda|lookahead>\n"
+         "  -scheduler=<" +
+         strings::join(rt::scheduler_names(), "|") +
+         ">\n"
          "  -machine=<" +
          std::string(sim::kMachinePresets) +
          ">\n"
@@ -62,6 +66,13 @@ ToolOptions parse_arguments(const std::vector<std::string>& args) {
       options.recipe.use_history_models =
           strings::to_lower(value) != "false" && value != "0";
     } else if (cli::match_switch(arg, "scheduler", &value)) {
+      const std::vector<std::string> policies = rt::scheduler_names();
+      if (std::find(policies.begin(), policies.end(), value) ==
+          policies.end()) {
+        throw Error(ErrorCode::kInvalidArgument,
+                    "unknown scheduler '" + value + "' (" +
+                        strings::join(policies, "|") + ")");
+      }
       options.recipe.scheduler = value;
     } else if (cli::match_switch(arg, "machine", &value)) {
       options.recipe.machine = sim::machine_preset(value);

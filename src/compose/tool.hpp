@@ -6,7 +6,8 @@
 // Switches (§IV):
 //   -disableImpls=<name|arch>[,...]   user-guided static narrowing
 //   -useHistoryModels=<true|false>    performance-aware selection flag
-//   -scheduler=<eager|random|ws|dmda|lookahead> runtime scheduling policy
+//   -scheduler=<policy>               runtime scheduling policy, one of
+//                                     rt::scheduler_names()
 //   -machine=<c2050|c1060|cpu>        target platform preset
 //   -bind=<T=float[,double]>          generic-component expansion bindings
 //   -expandTunables                   variant per tunable-value combination

@@ -5,6 +5,7 @@
 #include <functional>
 #include <set>
 
+#include "runtime/scheduler.hpp"
 #include "support/error.hpp"
 #include "support/fs.hpp"
 #include "support/strings.hpp"
@@ -714,6 +715,14 @@ MainDescriptor MainDescriptor::from_xml(const xml::Element& element) {
     out.use_history_models = parse_bool(
         composition->attribute("useHistoryModels").value_or("true"), true);
     out.scheduler = composition->attribute("scheduler").value_or("dmda");
+    const std::vector<std::string> policies = rt::scheduler_names();
+    if (std::find(policies.begin(), policies.end(), out.scheduler) ==
+        policies.end()) {
+      throw schema_error(*composition,
+                         "<composition> attribute 'scheduler' must be one of " +
+                             strings::join(policies, ", ") + ", got '" +
+                             out.scheduler + "'");
+    }
     for (const xml::Element* disable : composition->children("disableImpls")) {
       out.disabled_impls.push_back(disable->required_attribute("name"));
     }

@@ -23,6 +23,11 @@ void atomic_max(std::atomic<double>& target, double value) {
   }
 }
 
+/// Base seed of the fault injectors' streams, salted per device, per node
+/// and for the inter-node link: every run of a fault plan draws the same
+/// faults.
+constexpr std::uint64_t kFaultSeed = 42;
+
 /// Id of the worker this thread runs, -1 on application threads — lets the
 /// dispatch path skip the wakeup when the dispatching worker itself will
 /// pick the task up (see Engine::wake_workers).
@@ -55,8 +60,7 @@ Engine::Engine(EngineConfig config)
       cluster_(resolve_cluster(config_)),
       cpu_count_(total_cpu_cores(cluster_)),
       data_(MemTopology::of_cluster(cluster_),
-            cluster_.nodes.front().machine.link, cluster_.internode),
-      rng_(config_.seed) {
+            cluster_.nodes.front().machine.link, cluster_.internode) {
   const MemTopology& topo = data_.topo();
   machine_name_ = topo.multi_node() ? cluster_.name
                                     : cluster_.nodes.front().machine.name;
@@ -90,7 +94,7 @@ Engine::Engine(EngineConfig config)
         config_.accelerator_faults[ordinal].any()) {
       injectors_[ordinal] = std::make_unique<sim::FaultInjector>(
           config_.accelerator_faults[ordinal],
-          config_.seed ^ (0x9E3779B97F4A7C15ULL * (ordinal + 1)));
+          kFaultSeed ^ (0x9E3779B97F4A7C15ULL * (ordinal + 1)));
       any_faults = true;
     }
   }
@@ -114,13 +118,13 @@ Engine::Engine(EngineConfig config)
     if (k < config_.node_faults.size() && config_.node_faults[k].any()) {
       node_injectors_[k] = std::make_unique<sim::FaultInjector>(
           config_.node_faults[k],
-          config_.seed ^ (0xD1B54A32D192ED03ULL * (k + 1)));
+          kFaultSeed ^ (0xD1B54A32D192ED03ULL * (k + 1)));
       any_faults = true;
     }
   }
   if (config_.internode_fault.any()) {
     internode_injector_ = std::make_unique<sim::FaultInjector>(
-        config_.internode_fault, config_.seed ^ 0x94D049BB133111EBULL);
+        config_.internode_fault, kFaultSeed ^ 0x94D049BB133111EBULL);
     any_faults = true;
   }
   if (any_faults) {
@@ -138,7 +142,6 @@ Engine::Engine(EngineConfig config)
     return exploration_sample_count(t, id);
   };
   env.calibration_min = config_.calibration_samples;
-  env.rng = &rng_;
   env.objective = config_.objective;
   // Energy is additive, not overlappable: a window has no makespan to plan
   // jointly, so under the energy objective lookahead places like dmda.
@@ -743,24 +746,23 @@ void Engine::wake_workers(std::uint64_t eligible_mask, WorkerId hint,
     const WorkerId self = t_worker_id;
     if (self >= 0 && self < 64 &&
         ((eligible_mask >> static_cast<unsigned>(self)) & 1) &&
-        (hint == self || hint == kNoWorkerHint || scheduler_->work_stealing())) {
+        (hint == self || hint == kNoWorkerHint)) {
       *self_claim = true;
       return;
     }
   }
   if (hint >= 0) {
     // The task sits in one worker's own queue: wake that worker. If it is
-    // busy, only a stealing policy lets someone else take the task — then
-    // wake one idle eligible thief; otherwise the owner picks it up when
-    // its current task finishes.
-    if (workers_[static_cast<std::size_t>(hint)]->slot.unpark()) return;
-    if (!scheduler_->work_stealing()) return;
+    // busy, it picks the task up when its current task finishes.
+    workers_[static_cast<std::size_t>(hint)]->slot.unpark();
+    return;
   }
+  // A central queue (eager's, lookahead's staging): wake one parked
+  // eligible worker, probing round-robin.
   const std::size_t n = workers_.size();
   const std::size_t start = wake_rr_.fetch_add(1, std::memory_order_relaxed) % n;
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t w = (start + k) % n;
-    if (static_cast<WorkerId>(w) == hint) continue;
     if (w < 64 && !(eligible_mask & (std::uint64_t{1} << w))) continue;
     // The mask predates the push: a worker that died since would take the
     // wakeup and leave the task to nobody.

@@ -52,7 +52,6 @@
 #include "runtime/types.hpp"
 #include "sim/device.hpp"
 #include "support/queues.hpp"
-#include "support/rng.hpp"
 
 namespace peppher::rt {
 
@@ -81,9 +80,10 @@ struct EngineConfig {
   /// one decision per host(i) -> host(j) hop (other fields are ignored).
   sim::FaultPlan internode_fault;
 
-  /// Scheduling policy: "eager", "random", "ws", "dmda" (default; the
-  /// performance-aware policy the paper's TGPA code uses) or "lookahead"
-  /// (windowed joint placement + static-composition replay).
+  /// Scheduling policy, one of rt::scheduler_names(): "dmda" (default; the
+  /// performance-aware policy the paper's TGPA code uses), "lookahead"
+  /// (windowed joint placement + static-composition replay) or "eager"
+  /// (one central queue that ignores the models, the blind baseline).
   std::string scheduler = "dmda";
 
   /// The paper's useHistoryModels flag: when true the dmda scheduler uses
@@ -98,9 +98,6 @@ struct EngineConfig {
   /// Directory for persisted performance models (StarPU's sampling dir);
   /// empty disables persistence.
   std::filesystem::path sampling_dir;
-
-  /// Seed for the randomized scheduler.
-  std::uint64_t seed = 42;
 
   /// Append every recorded event to the trace (see runtime/trace.hpp);
   /// exportable as chrome://tracing JSON or a text Gantt chart via
@@ -491,7 +488,6 @@ class Engine {
   DispatchTable dispatch_replay_;  ///< finalized at construction, then const
   DispatchTable dispatch_train_;   ///< filled by execute(), saved at shutdown
   bool dispatch_replay_active_ = false;
-  Rng rng_;
   Tracer tracer_;
 
   std::vector<WorkerDesc> descs_;  ///< immutable after construction

@@ -1,8 +1,10 @@
 #include "runtime/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -11,6 +13,7 @@
 #include "runtime/memory.hpp"
 #include "runtime/perfmodel.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace peppher::rt {
 namespace {
@@ -18,78 +21,12 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// One worker's ready queue: its own lock plus an approximate size counter
-/// readable without the lock (queue-length scans during push decisions).
+/// readable without the lock (lookahead's replay reads it to pick the
+/// least-loaded worker).
 struct LockedDeque {
-  mutable std::mutex mutex;
+  std::mutex mutex;
   std::deque<TaskPtr> items;
   std::atomic<std::size_t> approx_size{0};
-};
-
-/// Base with the common per-worker-queue plumbing.
-class PerWorkerQueues {
- protected:
-  explicit PerWorkerQueues(std::size_t worker_count) : queues_(worker_count) {}
-
-  std::vector<LockedDeque> queues_;
-
-  std::size_t total_queued() const {
-    std::size_t n = 0;
-    for (const auto& q : queues_) {
-      n += q.approx_size.load(std::memory_order_relaxed);
-    }
-    return n;
-  }
-
-  void enqueue_back(WorkerId worker, const TaskPtr& task) {
-    auto& q = queues_[static_cast<std::size_t>(worker)];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    q.items.push_back(task);
-    q.approx_size.store(q.items.size(), std::memory_order_relaxed);
-  }
-
-  /// Inserts behind every queued task of at least its priority (FIFO among
-  /// equal priorities).
-  void enqueue_by_priority(WorkerId worker, const TaskPtr& task) {
-    auto& q = queues_[static_cast<std::size_t>(worker)];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    auto it = q.items.end();
-    while (it != q.items.begin() &&
-           (*std::prev(it))->spec.priority < task->spec.priority) {
-      --it;
-    }
-    q.items.insert(it, task);
-    q.approx_size.store(q.items.size(), std::memory_order_relaxed);
-  }
-
-  std::optional<TaskPtr> take_back(WorkerId worker) {
-    auto& q = queues_[static_cast<std::size_t>(worker)];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (q.items.empty()) return std::nullopt;
-    TaskPtr task = std::move(q.items.back());
-    q.items.pop_back();
-    q.approx_size.store(q.items.size(), std::memory_order_relaxed);
-    return task;
-  }
-
-  std::optional<TaskPtr> take_front(WorkerId worker) {
-    auto& q = queues_[static_cast<std::size_t>(worker)];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (q.items.empty()) return std::nullopt;
-    TaskPtr task = std::move(q.items.front());
-    q.items.pop_front();
-    q.approx_size.store(q.items.size(), std::memory_order_relaxed);
-    return task;
-  }
-
-  /// Empties one worker's queue (drain() of the per-worker-queue policies).
-  std::vector<TaskPtr> take_queue(WorkerId worker) {
-    auto& q = queues_[static_cast<std::size_t>(worker)];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    std::vector<TaskPtr> out(q.items.begin(), q.items.end());
-    q.items.clear();
-    q.approx_size.store(0, std::memory_order_relaxed);
-    return out;
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -145,145 +82,10 @@ class EagerScheduler final : public Scheduler {
     return out;
   }
 
-  std::size_t queued() const override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-  }
-  const std::string& name() const override { return name_; }
-
  private:
   SchedEnv env_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::deque<TaskPtr> queue_;
-  std::string name_ = "eager";
-};
-
-// ---------------------------------------------------------------------------
-// Random: push-time assignment to an eligible worker chosen with probability
-// proportional to its peak GFLOP/s (StarPU's weighted-random policy).
-// ---------------------------------------------------------------------------
-class RandomScheduler final : public Scheduler,
-                              private PerWorkerQueues {
- public:
-  explicit RandomScheduler(SchedEnv env)
-      : PerWorkerQueues(env.workers->size()), env_(std::move(env)) {}
-
-  WorkerId push(const TaskPtr& task, DecisionRecord*) override {
-    double total_weight = 0.0;
-    for (const auto& w : *env_.workers) {
-      if (env_.eligible(*task, w.id)) total_weight += w.profile.peak_gflops;
-    }
-    check(total_weight > 0.0, "task has no eligible worker");
-    double pick;
-    {
-      std::lock_guard<std::mutex> lock(rng_mutex_);
-      pick = env_.rng->uniform(0.0, total_weight);
-    }
-    for (const auto& w : *env_.workers) {
-      if (!env_.eligible(*task, w.id)) continue;
-      pick -= w.profile.peak_gflops;
-      if (pick <= 0.0) {
-        enqueue_back(w.id, task);
-        return w.id;
-      }
-    }
-    // Floating-point tail: put it on the last eligible worker.
-    for (auto it = env_.workers->rbegin(); it != env_.workers->rend(); ++it) {
-      if (env_.eligible(*task, it->id)) {
-        enqueue_back(it->id, task);
-        return it->id;
-      }
-    }
-    return kNoWorkerHint;  // unreachable: total_weight > 0 above
-  }
-
-  TaskPtr pop(WorkerId worker) override {
-    return take_front(worker).value_or(nullptr);
-  }
-
-  std::vector<TaskPtr> drain(WorkerId dead_worker) override {
-    return take_queue(dead_worker);
-  }
-
-  std::size_t queued() const override { return total_queued(); }
-  const std::string& name() const override { return name_; }
-
- private:
-  SchedEnv env_;
-  std::mutex rng_mutex_;  ///< the Rng is stateful; draws must serialize
-  std::string name_ = "random";
-};
-
-// ---------------------------------------------------------------------------
-// Work stealing: push to the shortest eligible queue; workers pop their own
-// back (LIFO) and steal the front of the longest victim queue.
-// ---------------------------------------------------------------------------
-class WorkStealingScheduler final : public Scheduler,
-                                    private PerWorkerQueues {
- public:
-  explicit WorkStealingScheduler(SchedEnv env)
-      : PerWorkerQueues(env.workers->size()), env_(std::move(env)) {}
-
-  WorkerId push(const TaskPtr& task, DecisionRecord*) override {
-    WorkerId target = -1;
-    std::size_t best_len = 0;
-    for (const auto& w : *env_.workers) {
-      if (!env_.eligible(*task, w.id)) continue;
-      const std::size_t len = queues_[static_cast<std::size_t>(w.id)]
-                                  .approx_size.load(std::memory_order_relaxed);
-      if (target < 0 || len < best_len) {
-        target = w.id;
-        best_len = len;
-      }
-    }
-    check(target >= 0, "task has no eligible worker");
-    enqueue_back(target, task);
-    return target;
-  }
-
-  TaskPtr pop(WorkerId worker) override {
-    if (auto own = take_back(worker)) return *own;
-    // Steal: scan victims from the longest queue down, taking the oldest
-    // task the thief can actually execute. Each size is read once: sizes
-    // re-read inside the comparator change under concurrent pushes and
-    // pops, which breaks std::sort's ordering contract (out-of-range reads).
-    std::vector<std::pair<std::size_t, std::size_t>> victims;  // (size, queue)
-    for (std::size_t v = 0; v < queues_.size(); ++v) {
-      const std::size_t size =
-          queues_[v].approx_size.load(std::memory_order_relaxed);
-      if (static_cast<WorkerId>(v) != worker && size > 0) {
-        victims.emplace_back(size, v);
-      }
-    }
-    std::sort(victims.begin(), victims.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (const auto& [size, v] : victims) {
-      auto& q = queues_[v];
-      std::lock_guard<std::mutex> lock(q.mutex);
-      for (auto it = q.items.begin(); it != q.items.end(); ++it) {
-        if (env_.eligible(**it, worker)) {
-          TaskPtr task = *it;
-          q.items.erase(it);
-          q.approx_size.store(q.items.size(), std::memory_order_relaxed);
-          return task;
-        }
-      }
-    }
-    return nullptr;
-  }
-
-  bool work_stealing() const override { return true; }
-
-  std::vector<TaskPtr> drain(WorkerId dead_worker) override {
-    return take_queue(dead_worker);
-  }
-
-  std::size_t queued() const override { return total_queued(); }
-  const std::string& name() const override { return name_; }
-
- private:
-  SchedEnv env_;
-  std::string name_ = "ws";
 };
 
 // ---------------------------------------------------------------------------
@@ -297,17 +99,27 @@ class WorkStealingScheduler final : public Scheduler,
 // data states come from the live handles. Dmda places one task on the plan
 // (Plan::place); lookahead places a window (Plan::place_window) on a copy.
 // ---------------------------------------------------------------------------
-class ModelSchedulerBase : public Scheduler, protected PerWorkerQueues {
+class ModelSchedulerBase : public Scheduler {
  public:
   TaskPtr pop(WorkerId worker) override {
-    return take_front(worker).value_or(nullptr);
+    auto& q = queues_[static_cast<std::size_t>(worker)];
+    std::lock_guard<std::mutex> lock(q.mutex);
+    if (q.items.empty()) return nullptr;
+    TaskPtr task = std::move(q.items.front());
+    q.items.pop_front();
+    q.approx_size.store(q.items.size(), std::memory_order_relaxed);
+    return task;
   }
 
+  /// Empties the dead worker's queue.
   std::vector<TaskPtr> drain(WorkerId dead_worker) override {
-    return take_queue(dead_worker);
+    auto& q = queues_[static_cast<std::size_t>(dead_worker)];
+    std::lock_guard<std::mutex> lock(q.mutex);
+    std::vector<TaskPtr> out(q.items.begin(), q.items.end());
+    q.items.clear();
+    q.approx_size.store(0, std::memory_order_relaxed);
+    return out;
   }
-
-  std::size_t queued() const override { return total_queued(); }
 
   void reset_virtual_time() override {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -316,9 +128,23 @@ class ModelSchedulerBase : public Scheduler, protected PerWorkerQueues {
 
  protected:
   explicit ModelSchedulerBase(SchedEnv env)
-      : PerWorkerQueues(env.workers->size()),
+      : queues_(env.workers->size()),
         env_(std::move(env)),
         plan_(*env_.workers, env_.interconnect, env_.objective) {}
+
+  /// Inserts behind every queued task of at least its priority (FIFO among
+  /// equal priorities).
+  void enqueue_by_priority(WorkerId worker, const TaskPtr& task) {
+    auto& q = queues_[static_cast<std::size_t>(worker)];
+    std::lock_guard<std::mutex> lock(q.mutex);
+    auto it = q.items.end();
+    while (it != q.items.begin() &&
+           (*std::prev(it))->spec.priority < task->spec.priority) {
+      --it;
+    }
+    q.items.insert(it, task);
+    q.approx_size.store(q.items.size(), std::memory_order_relaxed);
+  }
 
   using Seen = std::vector<std::pair<const DataHandle*, int>>;
 
@@ -403,6 +229,7 @@ class ModelSchedulerBase : public Scheduler, protected PerWorkerQueues {
     return choice.worker;
   }
 
+  std::vector<LockedDeque> queues_;  ///< one per worker
   SchedEnv env_;
   /// Guards the plan and the decision scratch below. Decisions serialise on
   /// it, so each one sees every earlier booking.
@@ -424,11 +251,6 @@ class DmdaScheduler final : public ModelSchedulerBase {
     std::lock_guard<std::mutex> lock(mutex_);
     return decide_locked(task, explore, decision);
   }
-
-  const std::string& name() const override { return name_; }
-
- private:
-  std::string name_ = "dmda";
 };
 
 // ---------------------------------------------------------------------------
@@ -483,7 +305,6 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     std::lock_guard<std::mutex> lock(mutex_);
     if (explore >= 0) return decide_locked(task, explore, decision);
     staging_.push_back(task);
-    stage_size_.store(staging_.size(), std::memory_order_relaxed);
     if (static_cast<int>(staging_.size()) <
         std::max(1, env_.window_size)) {
       return kNoWorkerHint;
@@ -498,7 +319,7 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     // idling until it fills: batching only forms while tasks queue up, so an
     // idle system degenerates toward dmda-like immediacy by design.
     while (true) {
-      if (std::optional<TaskPtr> task = take_front(worker)) return *task;
+      if (TaskPtr task = ModelSchedulerBase::pop(worker)) return task;
       std::lock_guard<std::mutex> lock(mutex_);
       if (staging_.empty()) return nullptr;
       if (plan_window_locked(nullptr, nullptr, nullptr) == 0) return nullptr;
@@ -512,19 +333,12 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     // staged: hand the whole staging buffer back along with the dead
     // worker's queue. The engine re-pushes the survivors, which re-stages
     // and re-plans them against the updated worker set.
-    std::vector<TaskPtr> out = take_queue(dead_worker);
+    std::vector<TaskPtr> out = ModelSchedulerBase::drain(dead_worker);
     std::lock_guard<std::mutex> lock(mutex_);
     out.insert(out.end(), staging_.begin(), staging_.end());
     staging_.clear();
-    stage_size_.store(0, std::memory_order_relaxed);
     return out;
   }
-
-  std::size_t queued() const override {
-    return total_queued() + stage_size_.load(std::memory_order_relaxed);
-  }
-
-  const std::string& name() const override { return name_; }
 
  private:
   /// Search-node budget of one window's branch-and-bound (beyond it the
@@ -619,7 +433,6 @@ class LookaheadScheduler final : public ModelSchedulerBase {
       planned.push_back(std::move(pt));
     }
     for (auto& task : unplannable) staging_.push_back(std::move(task));
-    stage_size_.store(staging_.size(), std::memory_order_relaxed);
     if (window.empty()) return 0;
 
     const Plan::Window result = plan.place_window(planned, kSearchBudget);
@@ -661,11 +474,9 @@ class LookaheadScheduler final : public ModelSchedulerBase {
   }
 
   std::deque<TaskPtr> staging_;  ///< guarded by mutex_
-  std::atomic<std::size_t> stage_size_{0};
   std::uint64_t window_counter_ = 0;  ///< guarded by mutex_
   /// Worker ids per architecture (immutable after construction).
   std::array<std::vector<WorkerId>, kArchCount> arch_workers_{};
-  std::string name_ = "lookahead";
 };
 
 }  // namespace
@@ -674,19 +485,17 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name, SchedEnv env)
   check(env.workers != nullptr && !env.workers->empty(),
         "scheduler needs a worker table");
   if (name == "eager") return std::make_unique<EagerScheduler>(std::move(env));
-  if (name == "random") return std::make_unique<RandomScheduler>(std::move(env));
-  if (name == "ws") return std::make_unique<WorkStealingScheduler>(std::move(env));
   if (name == "dmda") return std::make_unique<DmdaScheduler>(std::move(env));
   if (name == "lookahead") {
     return std::make_unique<LookaheadScheduler>(std::move(env));
   }
   throw Error(ErrorCode::kInvalidArgument,
-              "unknown scheduler '" + name +
-                  "' (valid policies: eager, random, ws, dmda, lookahead)");
+              "unknown scheduler '" + name + "' (valid policies: " +
+                  strings::join(scheduler_names(), ", ") + ")");
 }
 
 std::vector<std::string> scheduler_names() {
-  return {"eager", "random", "ws", "dmda", "lookahead"};
+  return {"eager", "dmda", "lookahead"};
 }
 
 }  // namespace peppher::rt

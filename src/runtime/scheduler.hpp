@@ -15,7 +15,7 @@
 // ready tasks jointly on a copy of the same clocks.
 //
 // Concurrency contract: schedulers are internally synchronized with
-// per-worker queue locks — push/pop/drain/queued may be called from any
+// per-worker queue locks — push/pop/drain may be called from any
 // thread with NO engine lock held. This keeps the task hot path off the
 // engine's dependency-graph lock: workers pop from their own queue under
 // that queue's lock only. The model-based policies also serialise their
@@ -26,9 +26,7 @@
 // registry.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -39,7 +37,6 @@
 #include "runtime/trace.hpp"
 #include "runtime/types.hpp"
 #include "sim/device.hpp"
-#include "support/rng.hpp"
 
 namespace peppher::rt {
 
@@ -63,7 +60,6 @@ struct SchedEnv {
   std::function<std::uint64_t(const Task&, WorkerId)> sample_count;
 
   int calibration_min = 2;  ///< samples needed before a variant is trusted
-  Rng* rng = nullptr;
 
   /// What the model-based policies' plans minimise.
   Objective objective = Objective::kTime;
@@ -116,35 +112,25 @@ class Scheduler {
   /// Next task for `worker`, or nullptr if none available to it.
   virtual TaskPtr pop(WorkerId worker) = 0;
 
-  /// True if pop(w) may return tasks queued on other workers (work
-  /// stealing): the engine then also wakes an idle thief when the pushed
-  /// task's own worker is busy.
-  virtual bool work_stealing() const { return false; }
-
   /// Removes and returns the tasks stranded by the death of `dead_worker`:
   /// everything queued on that worker plus (for centrally queued policies)
   /// tasks with no eligible worker left. The engine re-pushes the ones that
   /// are still runnable elsewhere and terminally fails the rest.
   virtual std::vector<TaskPtr> drain(WorkerId dead_worker) = 0;
 
-  /// Total tasks currently queued (diagnostics).
-  virtual std::size_t queued() const = 0;
-
   /// Zeroes the policy's own worker clocks (Engine::reset_virtual_time,
   /// with nothing queued); a no-op for the policies that keep none.
   virtual void reset_virtual_time() {}
-
-  /// Policy name ("eager", "dmda", ...).
-  virtual const std::string& name() const = 0;
 };
 
-/// Creates a scheduler by policy name: "eager", "random", "ws"
-/// (work-stealing), "dmda" or "lookahead" (windowed joint placement +
-/// static-composition replay). Throws Error(kInvalidArgument) listing the
-/// valid policies on unknown names.
+/// Creates a scheduler by policy name, one of scheduler_names(): "eager"
+/// (one central queue, the blind baseline), "dmda" or "lookahead"
+/// (windowed joint placement + static-composition replay). Throws
+/// Error(kInvalidArgument) listing the valid policies on unknown names.
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name, SchedEnv env);
 
-/// Names accepted by make_scheduler, for help text and parameter sweeps.
+/// Names accepted by make_scheduler: the one list that help texts, the
+/// descriptor parser, option checks and parameterised tests read.
 std::vector<std::string> scheduler_names();
 
 }  // namespace peppher::rt

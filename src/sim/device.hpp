@@ -131,7 +131,7 @@ struct FaultPlan {
   double transfer_failure_rate = 0.0;  ///< P(one PCIe hop touching the device fails)
   std::uint64_t die_after_tasks = 0;   ///< hard death after N successful kernels (0 = never)
   double die_at_vtime = 0.0;           ///< hard death at this virtual time (0 = never)
-  std::uint64_t seed = 0;              ///< fault-stream seed (mixed with the engine seed)
+  std::uint64_t seed = 0;              ///< fault-stream seed (mixed with a per-injector salt)
 
   /// True if the plan injects anything at all.
   bool any() const noexcept {

@@ -1,6 +1,6 @@
 // Deterministic pseudo-random number generation (xoshiro256**) used by the
-// workload generators and the randomized schedulers. Deterministic seeding
-// keeps every benchmark and property test reproducible across runs.
+// workload generators and the fault injectors. Deterministic seeding keeps
+// every benchmark and property test reproducible across runs.
 #pragma once
 
 #include <cstdint>

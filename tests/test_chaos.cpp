@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "runtime/engine.hpp"
+#include "runtime/scheduler.hpp"
 #include "sim/device.hpp"
 #include "support/error.hpp"
 
@@ -37,8 +38,7 @@ Codelet make_chaos_codelet() {
 class ChaosUnderFaults : public ::testing::TestWithParam<std::string> {};
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, ChaosUnderFaults,
-                         ::testing::Values("eager", "random", "ws", "dmda",
-                                           "lookahead"),
+                         ::testing::ValuesIn(scheduler_names()),
                          [](const auto& info) { return info.param; });
 
 TEST_P(ChaosUnderFaults, DependentChainsCompleteCorrectly) {
@@ -87,11 +87,10 @@ TEST_P(ChaosUnderFaults, DependentChainsCompleteCorrectly) {
   constexpr std::uint64_t kTotalTasks = kChains * kChainLength;
   const FaultStats stats = engine.fault_stats();
   EXPECT_EQ(stats.tasks_failed, 0u);
-  if (GetParam() == "dmda" || GetParam() == "random" ||
-      GetParam() == "lookahead") {
-    // These route by cost estimates / seeded draws, so the GPU
-    // deterministically receives work and draws faults. eager and ws race
-    // real worker threads for tasks: the GPU may legitimately get none.
+  if (GetParam() != "eager") {
+    // The model policies route by cost estimates, so the GPU
+    // deterministically receives work and draws faults. eager races real
+    // worker threads for tasks: the GPU may legitimately get none.
     EXPECT_GT(stats.injected_kernel_faults, 0u);
   }
   EXPECT_EQ(stats.failed_attempts, stats.injected_kernel_faults);

@@ -15,6 +15,7 @@
 #include "apps/distributed.hpp"
 #include "containers/partitioned.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/scheduler.hpp"
 #include "runtime/topology.hpp"
 #include "sim/topology.hpp"
 #include "support/error.hpp"
@@ -344,8 +345,7 @@ TEST_P(SingleNodeDifferential, OneNodeClusterMatchesMachineBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, SingleNodeDifferential,
-                         ::testing::Values("eager", "random", "ws", "dmda",
-                                           "lookahead"),
+                         ::testing::ValuesIn(scheduler_names()),
                          [](const auto& info) { return info.param; });
 
 TEST(SingleNodeDifferential, DualDeviceMachineMatchesBitwise) {

@@ -297,24 +297,22 @@ TEST(Engine, AcquireHostBlocksUntilWriterFinishes) {
   for (float v : data) EXPECT_FLOAT_EQ(v, 8.0f);
 }
 
-TEST(Engine, EagerRandomWsSchedulersAllRunTasks) {
-  for (const std::string scheduler : {"eager", "random", "ws"}) {
-    Engine engine(small_config(scheduler));
-    std::vector<float> data(64, 1.0f);
-    auto handle = engine.register_buffer(data.data(),
-                                         data.size() * sizeof(float),
-                                         sizeof(float));
-    Codelet codelet = make_double_codelet();
-    for (int i = 0; i < 8; ++i) {
-      TaskSpec spec;
-      spec.codelet = &codelet;
-      spec.operands = {{handle, AccessMode::kReadWrite}};
-      engine.submit(std::move(spec));
-    }
-    engine.wait_for_all();
-    engine.acquire_host(handle, AccessMode::kRead);
-    EXPECT_FLOAT_EQ(data[0], 256.0f) << scheduler;  // 2^8
+TEST(Engine, EagerSchedulerRunsTasks) {
+  Engine engine(small_config("eager"));
+  std::vector<float> data(64, 1.0f);
+  auto handle = engine.register_buffer(data.data(),
+                                       data.size() * sizeof(float),
+                                       sizeof(float));
+  Codelet codelet = make_double_codelet();
+  for (int i = 0; i < 8; ++i) {
+    TaskSpec spec;
+    spec.codelet = &codelet;
+    spec.operands = {{handle, AccessMode::kReadWrite}};
+    engine.submit(std::move(spec));
   }
+  engine.wait_for_all();
+  engine.acquire_host(handle, AccessMode::kRead);
+  EXPECT_FLOAT_EQ(data[0], 256.0f);  // 2^8
 }
 
 TEST(Engine, UnknownSchedulerThrows) {
@@ -324,7 +322,7 @@ TEST(Engine, UnknownSchedulerThrows) {
 
 TEST(Engine, IndependentReadTasksMayRunOnDifferentWorkers) {
   // 4 independent read-only tasks over the same handle must all execute.
-  Engine engine(small_config("ws"));
+  Engine engine(small_config("eager"));
   std::vector<float> data(1024, 1.0f);
   auto h_in = engine.register_buffer(data.data(), data.size() * sizeof(float),
                                      sizeof(float));

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "runtime/engine.hpp"
+#include "runtime/scheduler.hpp"
 #include "sim/device.hpp"
 #include "support/error.hpp"
 
@@ -477,7 +478,7 @@ TEST(EngineStressTeam, DestroyWhileHelpersParked) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, EngineStress,
-                         ::testing::Values("eager", "random", "ws", "dmda"),
+                         ::testing::ValuesIn(scheduler_names()),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

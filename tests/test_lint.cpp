@@ -396,6 +396,25 @@ TEST_F(LintTest, MalformedDispatchTableIsPL000WhereTheEngineFails) {
   }
 }
 
+TEST_F(LintTest, UnknownSchedulerIsPL000AtTheCompositionElement) {
+  write_clean_axpy();
+  write("main.xml",
+        "<peppher-main name=\"app\" source=\"main.cpp\">\n"
+        "  <uses interface=\"axpy\"/>\n"
+        "  <composition scheduler='ws'/>\n"
+        "</peppher-main>\n");
+  const DiagnosticBag bag = lint();
+  ASSERT_EQ(codes(bag), std::vector<std::string>{"PL000"})
+      << bag.format_text();
+  const Diagnostic& d = bag.diagnostics().front();
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_NE(d.location.file.find("main.xml"), std::string::npos);
+  EXPECT_EQ(d.location.line, 3);
+  EXPECT_EQ(d.location.column, 3);
+  EXPECT_NE(d.message.find("eager, dmda, lookahead"), std::string::npos)
+      << d.message;
+}
+
 TEST_F(LintTest, EngineTrainedTableOverTheRepositoryLintsClean) {
   write_clean_axpy();
   {

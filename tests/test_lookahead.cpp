@@ -211,7 +211,6 @@ class LookaheadDifferential : public ::testing::Test {
     codelet_.add_impl({Arch::kCuda, "d_cuda", [](ExecContext&) {}, nullptr});
 
     env_.workers = &workers_;
-    env_.rng = &rng_;
     env_.calibration_min = 2;
     env_.window_size = 1;  // the degenerate window: dmda by construction
     env_.eligible = [this](const Task&, WorkerId id) {
@@ -286,7 +285,6 @@ class LookaheadDifferential : public ::testing::Test {
 
   std::vector<WorkerDesc> workers_;
   Codelet codelet_{"differential"};
-  Rng rng_{7};
   SchedEnv env_;
   std::vector<double> work_{1.0, 1.0, 1.0};
   std::vector<std::uint64_t> samples_{100, 100, 100};  // calibrated
@@ -436,7 +434,6 @@ class BookedClocks : public ::testing::Test {
       desc.is_combined_cpu = i == 2;
     }
     env_.workers = &workers_;
-    env_.rng = &rng_;
     env_.window_size = 1;
     env_.eligible = [this](const Task&, WorkerId id) {
       return pinned_ < 0 || id == pinned_;
@@ -460,7 +457,6 @@ class BookedClocks : public ::testing::Test {
 
   std::vector<WorkerDesc> workers_;
   Codelet codelet_{"booked"};
-  Rng rng_{7};
   SchedEnv env_;
   WorkerId pinned_ = -1;  ///< the one eligible worker, when >= 0
   std::vector<double> exec_;

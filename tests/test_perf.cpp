@@ -30,6 +30,7 @@
 #include "perf/analyze.hpp"
 #include "perf/trace.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/scheduler.hpp"
 #include "sim/device.hpp"
 #include "sim/topology.hpp"
 #include "support/error.hpp"
@@ -279,8 +280,7 @@ void expect_books_match_trace(Engine& engine, const std::string& scheduler) {
 class TraceDifferential : public ::testing::TestWithParam<std::string> {};
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, TraceDifferential,
-                         ::testing::Values("eager", "random", "ws", "dmda",
-                                           "lookahead"),
+                         ::testing::ValuesIn(rt::scheduler_names()),
                          [](const auto& info) { return info.param; });
 
 TEST_P(TraceDifferential, CountersMatchTraceExactly) {

@@ -90,7 +90,7 @@ TEST_P(SeededProperty, InferredDependenciesGiveSequentialConsistency) {
   rt::EngineConfig config;
   config.machine = sim::MachineConfig::platform_c2050();
   config.machine.cpu_cores = 3;
-  config.scheduler = GetParam() % 2 == 0 ? "ws" : "eager";
+  config.scheduler = GetParam() % 2 == 0 ? "dmda" : "eager";
   config.use_history_models = false;
   rt::Engine engine(config);
 

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "compose/tool.hpp"
 #include "support/error.hpp"
@@ -53,6 +54,19 @@ TEST(ToolArgs, RejectsBadInput) {
   EXPECT_THROW(parse_arguments({"main.xml", "-bind=Tfloat"}), Error);
   EXPECT_THROW(parse_arguments({"main.xml", "-machine=abacus"}), Error);
   EXPECT_THROW(parse_arguments({"--help"}), Error);
+}
+
+TEST(ToolArgs, RejectsUnknownSchedulerNamingThePolicies) {
+  try {
+    parse_arguments({"main.xml", "-scheduler=ws"});
+    FAIL() << "-scheduler=ws was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'ws'"), std::string::npos) << message;
+    EXPECT_NE(message.find("eager|dmda|lookahead"), std::string::npos)
+        << message;
+  }
 }
 
 class ToolEndToEnd : public ::testing::Test {

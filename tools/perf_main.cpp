@@ -24,7 +24,7 @@
 //                              .model files there (peppher-predict input)
 //   --machine=<preset>         machine preset to record on
 //                              (sim::kMachinePresets; cpuN = N cores)
-//   --scheduler=<eager|random|ws|dmda|lookahead>
+//   --scheduler=<policy>       one of rt::scheduler_names() (default dmda)
 //   --window=<N>               lookahead window size (default 8)
 //   --dispatch-out=<path>      train a static-composition dispatch table
 //                              and write it here at shutdown
@@ -44,6 +44,7 @@
 #include "perf/analyze.hpp"
 #include "perf/trace.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/scheduler.hpp"
 #include "sim/device.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
@@ -65,7 +66,9 @@ int usage(std::ostream& out) {
          "  --machine=<"
       << sim::kMachinePresets
       << ">\n"
-         "  --scheduler=<eager|random|ws|dmda|lookahead>\n"
+         "  --scheduler=<"
+      << strings::join(rt::scheduler_names(), "|")
+      << ">\n"
          "  --window=<N>\n"
          "  --dispatch-out=<path> --dispatch=<path>\n"
          "  --force=<cpu|cuda|opencl>\n"

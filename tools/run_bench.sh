@@ -26,8 +26,8 @@ done
 
 BENCHES=(table1_loc fig5_spmv_hybrid fig6_dynamic_selection fig7_ode_overhead
          task_overhead memory_overlap predict_accuracy scheduler_lookahead
-         distributed_scaling ablation_containers ablation_schedulers
-         ablation_history ablation_calibration ablation_energy)
+         distributed_scaling ablation_containers ablation_history
+         ablation_calibration ablation_energy)
 for bench in "${BENCHES[@]}"; do
   if [[ ! -x "$BUILD_DIR/bench/bench_$bench" ]]; then
     echo "error: $BUILD_DIR/bench/bench_$bench not built" \

@@ -8,7 +8,9 @@
 #   3. checks the JSON and SARIF renderers emit parseable output;
 #   4. runs the coherence verifier (peppher-verify) over a control-flow
 #      main module: a correct one must pass `--verify --werror`, and a
-#      seeded branch-divergent initialisation must be caught as PL060;
+#      seeded branch-divergent initialisation must be caught as PL060,
+#      and a <composition> naming an unknown scheduler policy as PL000 at
+#      that element's line and column;
 #   5. runs the distributed coherence verifier over a partitioned
 #      stencil main module against a two-node cluster profile: a correct
 #      exchange/gather protocol must pass `--cluster --werror`, a seeded
@@ -153,6 +155,21 @@ if "${lint_bin}" --werror --no-sources "${verifydir}" \
   exit 1
 fi
 grep -q "PL060" "${workdir}/verify_findings.txt"
+
+echo "== an unknown scheduler policy must be caught as PL000 at its element"
+cat > "${verifydir}/main.xml" <<'EOF'
+<peppher-main name="verify_smoke" source="main.cpp">
+  <uses interface="init"/>
+  <composition scheduler='ws'/>
+</peppher-main>
+EOF
+if "${lint_bin}" --werror --no-sources "${verifydir}" \
+    > "${workdir}/verify_findings.txt"; then
+  echo "run_lint.sh: lint accepted an unknown scheduler policy" >&2
+  exit 1
+fi
+grep -q "PL000" "${workdir}/verify_findings.txt"
+grep -q "line 3, column 3" "${workdir}/verify_findings.txt"
 
 echo "== distributed verifier: clean stencil protocol must pass --cluster --werror"
 clusterdir="${workdir}/cluster"
