@@ -11,9 +11,8 @@
 //
 // The hybrid row is run twice: once on the legacy shared-bus link model
 // (the original Figure-5 contention assumption, LinkProfile::
-// pcie2_x16_shared) and once on the duplex per-device lanes with transfer
-// coalescing that are now the default — the chunk uploads are contiguous
-// sibling slices, exactly the pattern coalescing merges into one burst.
+// pcie2_x16_shared) and once on the duplex per-device lanes that are now
+// the default.
 // Each hybrid metric is measured on `repeats` fresh engines and reported as
 // its median, with the min and max as their own records (label `stat`):
 // the engine's execution-time accounting still varies between runs, and
@@ -89,7 +88,7 @@ int main(int argc, char** argv) {
     const auto cuda =
         apps::spmv::run_single(cuda_engine, problem, rt::Arch::kCuda);
 
-    std::vector<double> shared_s, lanes_s, shared_x, lanes_x, mb, coalesced;
+    std::vector<double> shared_s, lanes_s, shared_x, lanes_x, mb;
     for (int r = 0; r < repeats; ++r) {
       const auto shared = hybrid_run(problem, hybrid_chunks, true);
       const auto lanes = hybrid_run(problem, hybrid_chunks, false);
@@ -98,8 +97,6 @@ int main(int argc, char** argv) {
       shared_x.push_back(cuda.virtual_seconds / shared.virtual_seconds);
       lanes_x.push_back(cuda.virtual_seconds / lanes.virtual_seconds);
       mb.push_back(lanes.transfers.host_to_device_bytes / 1e6);
-      coalesced.push_back(
-          static_cast<double>(lanes.transfers.coalesced_transfers));
     }
 
     const std::string& name = spec.short_name;
@@ -117,7 +114,6 @@ int main(int argc, char** argv) {
     add_spread(report, "hybrid_shared_speedup", name, shared_x, "x", clock);
     add_spread(report, "hybrid_lanes_speedup", name, lanes_x, "x", clock);
     add_spread(report, "hybrid_mb", name, mb, "MB", none);
-    add_spread(report, "coalesced", name, coalesced, "count", none);
   }
   return report.finish();
 }

@@ -1,23 +1,21 @@
-// Overlapped data movement: measures what the duplex per-device link lanes,
-// transfer coalescing and scheduler-driven prefetch buy on a transfer-bound
-// pipelined workload (the PR-4 tentpole).
+// Overlapped data movement: measures what the duplex per-device link lanes
+// and scheduler-driven prefetch buy on a transfer-bound pipelined workload.
 //
 // The workload is the hybrid chunk-upload pattern: one large host array is
 // registered as contiguous slices, and each task streams one slice to a GPU
 // (cost model makes the PCIe upload ~18x the kernel time, so the link is the
 // bottleneck). Half the slices are pinned to each GPU of a dual-C2050 box.
-// Four runtime configurations are compared on identical numerics:
+// Three runtime configurations are compared on identical numerics:
 //
 //   shared_bus              one half-duplex link clock for the whole machine
 //                           (the legacy Figure-5 contention model)
 //   duplex_lanes            independent H2D/D2H clocks per device
-//   lanes_coalescing        + contiguous sibling uploads merge into one burst
-//   lanes_coalescing_prefetch  + dmda commit hints warm read operands in the
+//   duplex_lanes_prefetch   + dmda commit hints warm read operands in the
 //                           background (EngineConfig::enable_prefetch)
 //
-// Headline: virtual-makespan speedup of the full configuration over the
-// shared bus. Expected ~2x on two GPUs (each device's uploads ride its own
-// lane), which is what BENCH_memory_overlap.json records.
+// Headline: virtual-makespan speedup of the duplex lanes over the shared
+// bus. Expected ~2x on two GPUs (each device's uploads ride its own lane),
+// which is what BENCH_memory_overlap.json records.
 //
 // --smoke uses tiny slices and few tasks (bench/report.hpp).
 #include <chrono>
@@ -35,7 +33,6 @@ namespace {
 struct Setup {
   const char* name;
   bool shared_bus = false;
-  bool coalescing = false;
   bool prefetch = false;
 };
 
@@ -47,7 +44,6 @@ double run_config(const Setup& setup, int tasks, std::size_t slice_floats,
   machine.link =
       setup.shared_bus ? sim::LinkProfile::pcie2_x16_shared()
                        : sim::LinkProfile::pcie2_x16();
-  machine.link.coalescing = setup.coalescing;
 
   rt::EngineConfig config;
   config.machine = machine;
@@ -101,8 +97,7 @@ double run_config(const Setup& setup, int tasks, std::size_t slice_floats,
     spec.operands = {{h_in, rt::AccessMode::kRead},
                      {h_out, rt::AccessMode::kWrite}};
     // Block-contiguous device assignment: the first half of the slices
-    // streams to GPU 0, the second half to GPU 1, so sibling uploads on a
-    // device continue each other's burst.
+    // streams to GPU 0, the second half to GPU 1.
     const std::size_t gpu =
         (t < tasks / 2 || gpu_workers.size() < 2) ? 0 : 1;
     spec.forced_worker = gpu_workers[gpu];
@@ -122,7 +117,6 @@ double run_config(const Setup& setup, int tasks, std::size_t slice_floats,
   report.add("virtual_s", config_label, virtual_s, "s",
              bench::Clock::kVirtual);
   count("h2d_transfers", engine.transfer_stats().host_to_device_count);
-  count("coalesced", engine.transfer_stats().coalesced_transfers);
   count("prefetch_enqueued", engine.prefetch_stats().enqueued);
   count("prefetch_completed", engine.prefetch_stats().completed);
   report.add("wall_ms", config_label,
@@ -141,10 +135,9 @@ int main(int argc, char** argv) {
       (report.smoke() ? (1u << 20) : (8u << 20)) / sizeof(float);
 
   const std::vector<Setup> setups = {
-      {"shared_bus", true, false, false},
-      {"duplex_lanes", false, false, false},
-      {"lanes_coalescing", false, true, false},
-      {"lanes_coalescing_prefetch", false, true, true},
+      {"shared_bus", true, false},
+      {"duplex_lanes", false, false},
+      {"duplex_lanes_prefetch", false, true},
   };
   double shared_bus_s = 0.0;
   for (const Setup& setup : setups) {

@@ -417,8 +417,8 @@ const std::vector<CodeInfo>& all_codes() {
        "machine profile to match the schedule."},
       {"PF002", Severity::kWarning, "transfer-bound phase",
        "A phase spends more virtual time on interconnect lanes than on "
-       "compute. Keep data resident across the phase, batch transfers so "
-       "they coalesce, or overlap movement with kernels via prefetching."},
+       "compute. Keep data resident across the phase, or overlap movement "
+       "with kernels via prefetching."},
       {"PF003", Severity::kNote, "prefetcher mostly missing",
        "Most enqueued prefetches were skipped before completing; hints go "
        "stale before the copy engine reaches them. Check that placements "

@@ -161,8 +161,6 @@ rt::TransferRecord parse_transfer(const JsonValue& value) {
   t.bytes = get_u64(value, "bytes", "transfer");
   t.vstart = get_number(value, "vstart", "transfer");
   t.vend = get_number(value, "vend", "transfer");
-  t.coalesced = get_bool(value, "coalesced", "transfer");
-  t.burst = get_u64(value, "burst", "transfer");
   t.data = get_u64(value, "data", "transfer");
   if (t.vend < t.vstart) {
     fail_at("non-monotonic transfer interval (vend < vstart)", value);

@@ -14,15 +14,6 @@
 namespace peppher::rt {
 namespace {
 
-/// CAS-max for the atomic virtual clocks (fetch_max exists only for
-/// integral atomics).
-void atomic_max(std::atomic<double>& target, double value) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
 /// Base seed of the fault injectors' streams, salted per device, per node
 /// and for the inter-node link: every run of a fault plan draws the same
 /// faults.
@@ -70,21 +61,17 @@ Engine::Engine(EngineConfig config)
   data_.set_engine(this);
 
   // The cluster's worker table (rt::worker_table, which peppher-predict
-  // plans over too), plus per worker its runtime state: the node's
-  // combined-CPU index, each device's memory capacity from its profile
-  // (§IV-D eviction) and its fault injector (accelerator_faults is aligned
-  // with the global device ordinals).
+  // plans over too) and the plan of its clocks, plus per device its memory
+  // capacity from its profile (§IV-D eviction) and its fault injector
+  // (accelerator_faults is aligned with the global device ordinals).
   descs_ = worker_table(cluster_);
+  clocks_.reset(descs_, nullptr);
   for (std::size_t k = 0; k < cluster_.nodes.size(); ++k) {
     node_rt_.push_back(std::make_unique<NodeRuntime>());
   }
   injectors_.resize(static_cast<std::size_t>(topo.device_count()));
   bool any_faults = false;
   for (const WorkerDesc& desc : descs_) {
-    if (desc.is_combined_cpu) {
-      node_rt_[static_cast<std::size_t>(desc.sim_node)]->combined_index =
-          desc.id;
-    }
     if (topo.is_host(desc.node)) continue;
     data_.set_node_capacity(
         desc.node,
@@ -781,8 +768,8 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
       *node_rt_[static_cast<std::size_t>(worker.desc.sim_node)];
 
   // The combined-CPU worker needs all of its node's cores; the node's
-  // per-core workers share them. Held through completion so combined vs
-  // per-core virtual-clock updates stay mutually ordered.
+  // per-core workers share them. Held through completion so combined and
+  // per-core attempts book on clocks_ in the order they run.
   std::unique_lock<std::shared_mutex> exclusive_cores;
   std::shared_lock<std::shared_mutex> shared_cores;
   if (worker.desc.is_combined_cpu) {
@@ -895,16 +882,22 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
                                                                task->spec.arg.get()));
   }
 
-  // -- completion (lock-free accounting) ------------------------------------
+  // -- completion ------------------------------------------------------------
   //
   // The task is owned by this worker until it is re-pushed (retry) or its
-  // kDone state is published, so its fields are written plainly. Clocks are
-  // atomics and the counters sit in this worker's own recorder shard; only
-  // the dependency-graph release at the end takes graph_mutex_.
+  // kDone state is published, so its fields are written plainly. Every
+  // attempt, failed ones included, books on clocks_ (the leaf clock_mutex_)
+  // and the counters sit in this worker's own recorder shard; only the
+  // dependency-graph release at the end takes graph_mutex_.
   const int attempt_index = task->attempts;
-  const VirtualTime worker_free = worker_ready_at(worker.desc.id);
-  task->vstart = std::max({worker_free, task->max_pred_end, data_ready});
-  task->vend = task->vstart + exec_seconds;
+  {
+    // vend is the worker's clock as booked, which the death checks read.
+    std::lock_guard<std::mutex> lock(clock_mutex_);
+    task->vstart = clocks_.book(worker.desc.id,
+                                std::max(task->max_pred_end, data_ready),
+                                exec_seconds);
+    task->vend = clocks_.clock(worker.desc.id);
+  }
 
   // A device scheduled to die at virtual time T kills the attempt that
   // crosses T (its result would never have made it back).
@@ -926,11 +919,6 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   task->executed_arch = impl->arch;
   task->executed_impl = impl->name;
 
-  worker.vtime.store(task->vend, std::memory_order_relaxed);
-  if (data_.topo().is_host(worker.desc.node)) {
-    atomic_max(node_rt.host_group_max, task->vend);
-  }
-
   std::vector<TaskPtr>& completed_now = worker.completed_scratch;
   std::vector<TaskPtr>& ready_now = worker.ready_scratch;
   completed_now.clear();
@@ -944,7 +932,7 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     if (!task->failed()) injector->record_kernel_success();
     if (!blacklisted_[static_cast<std::size_t>(worker.desc.id)].load(
             std::memory_order_acquire) &&
-        injector->death_due(worker.vtime.load(std::memory_order_relaxed))) {
+        injector->death_due(task->vend)) {
       std::lock_guard<std::mutex> lock(graph_mutex_);
       if (!blacklisted_[static_cast<std::size_t>(worker.desc.id)].load(
               std::memory_order_relaxed)) {
@@ -963,8 +951,7 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
       node_injector != nullptr) {
     if (!task->failed()) node_injector->record_kernel_success();
     if (!node_rt.dead.load(std::memory_order_acquire) &&
-        node_injector->death_due(
-            worker.vtime.load(std::memory_order_relaxed))) {
+        node_injector->death_due(task->vend)) {
       std::lock_guard<std::mutex> lock(graph_mutex_);
       if (!node_rt.dead.load(std::memory_order_relaxed)) {
         node_rt.dead.store(true, std::memory_order_release);
@@ -1209,27 +1196,6 @@ void Engine::blacklist_worker_locked(Worker& worker,
   }
 }
 
-VirtualTime Engine::worker_ready_at(WorkerId id) const {
-  const Worker& worker = *workers_[static_cast<std::size_t>(id)];
-  VirtualTime ready = worker.vtime.load(std::memory_order_relaxed);
-  const NodeRuntime& node_rt =
-      *node_rt_[static_cast<std::size_t>(worker.desc.sim_node)];
-  if (worker.desc.is_combined_cpu) {
-    // The combined worker also waits for every per-core CPU worker of its
-    // own node — the maintained host-group clock replaces the former
-    // per-query scan.
-    ready = std::max(ready,
-                     node_rt.host_group_max.load(std::memory_order_relaxed));
-  } else if (data_.topo().is_host(worker.desc.node) &&
-             node_rt.combined_index >= 0) {
-    // Per-core workers wait for any combined-CPU execution on their node.
-    ready = std::max(
-        ready, workers_[static_cast<std::size_t>(node_rt.combined_index)]
-                   ->vtime.load(std::memory_order_relaxed));
-  }
-  return ready;
-}
-
 double Engine::exec_estimate(const Task& task, WorkerId id) const {
   if (!worker_eligible(task, id)) {
     return std::numeric_limits<double>::infinity();
@@ -1285,13 +1251,10 @@ std::uint64_t Engine::exploration_sample_count(const Task& task, WorkerId id) co
 // ---------------------------------------------------------------------------
 
 VirtualTime Engine::virtual_makespan() const {
-  // A worker's clock is the end of its latest attempt and never moves back
-  // between resets, so the latest clock is the latest completion.
-  VirtualTime makespan = 0.0;
-  for (const auto& worker : workers_) {
-    makespan = std::max(makespan, worker->vtime.load(std::memory_order_relaxed));
-  }
-  return makespan;
+  // Clocks never move back between resets, so the latest clock is the
+  // latest completion.
+  std::lock_guard<std::mutex> lock(clock_mutex_);
+  return clocks_.makespan();
 }
 
 void Engine::reset_virtual_time() {
@@ -1303,11 +1266,9 @@ void Engine::reset_virtual_time() {
   wait_for_all();
   drain_prefetches();
   std::lock_guard<std::mutex> lock(graph_mutex_);
-  for (auto& worker : workers_) {
-    worker->vtime.store(0.0, std::memory_order_relaxed);
-  }
-  for (auto& node_rt : node_rt_) {
-    node_rt->host_group_max.store(0.0, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> clock_lock(clock_mutex_);
+    clocks_.reset(descs_, nullptr);
   }
   data_.reset_virtual_time();
   scheduler_->reset_virtual_time();
@@ -1378,8 +1339,7 @@ std::string Engine::summary() const {
   out << "\n  PCIe: " << transfers.host_to_device_count << " h2d ("
       << transfers.host_to_device_bytes << " B), "
       << transfers.device_to_host_count << " d2h ("
-      << transfers.device_to_host_bytes << " B), "
-      << transfers.coalesced_transfers << " coalesced";
+      << transfers.device_to_host_bytes << " B)";
   if (data_.topo().multi_node()) {
     out << "\n  inter-node: " << transfers.internode_count << " hops ("
         << transfers.internode_bytes << " B)";
@@ -1483,8 +1443,7 @@ std::string Engine::trace_json() const {
         << ", \"to\": " << t.to << ", \"from_node\": " << t.from_node
         << ", \"to_node\": " << t.to_node << ", \"bytes\": " << t.bytes
         << ", \"vstart\": " << t.vstart << ", \"vend\": " << t.vend
-        << ", \"coalesced\": " << (t.coalesced ? "true" : "false")
-        << ", \"burst\": " << t.burst << ", \"data\": " << t.data << "}";
+        << ", \"data\": " << t.data << "}";
   }
   out << "\n  ],\n";
 

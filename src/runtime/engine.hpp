@@ -12,9 +12,11 @@
 // paper's §IV-E inter-component-parallelism discussion relies on.
 //
 // Time model: tasks really execute on worker threads (numerics are real);
-// the engine additionally advances *virtual* clocks using the sim cost
-// models, and all performance accounting (history models, scheduling
-// estimates, makespan) is in virtual time. See DESIGN.md §5.
+// the engine additionally books every attempt on an rt::Plan of virtual
+// worker clocks using the sim cost models, and all performance accounting
+// (history models, scheduling estimates, makespan) is in virtual time. The
+// plan's core-sharing rule is the one dmda, the lookahead window and
+// peppher-predict place by. See DESIGN.md §5.
 //
 // Concurrency architecture (see docs/runtime.md "Concurrency architecture &
 // overhead"): the task hot path — pop, execute, account, release successors
@@ -22,11 +24,12 @@
 // dependency graph (Task::successors/unmet_dependencies/max_pred_end and
 // DataHandle::last_writer/readers_since_last_write) and is taken at submit
 // and completion. Scheduler queues carry their own per-worker locks; each
-// worker sleeps on its own ParkSlot and is woken individually. Clocks are
-// atomics; every counter lives in the recorder (runtime/trace.hpp), in a
-// shard only its worker writes. Lock hierarchy (outer to inner):
-// graph_mutex_ → scheduler queue locks → ParkSlot/done_mutex_ → handle
-// mutexes are taken on their own, never under graph_mutex_.
+// worker sleeps on its own ParkSlot and is woken individually. The worker
+// clocks are one rt::Plan behind clock_mutex_; every counter lives in the
+// recorder (runtime/trace.hpp), in a shard only its worker writes. Lock
+// hierarchy (outer to inner): graph_mutex_ → scheduler queue locks →
+// ParkSlot/done_mutex_ → handle mutexes are taken on their own, never under
+// graph_mutex_. clock_mutex_ is a leaf: nothing is taken under it.
 #pragma once
 
 #include <array>
@@ -46,6 +49,7 @@
 #include "runtime/codelet.hpp"
 #include "runtime/memory.hpp"
 #include "runtime/perfmodel.hpp"
+#include "runtime/placement.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task.hpp"
 #include "runtime/trace.hpp"
@@ -335,12 +339,6 @@ class Engine {
     /// condition variable broadcast on every submit/complete).
     ParkSlot slot;
 
-    /// Virtual clock: the end of the worker's latest attempt. An atomic so
-    /// schedulers and introspection read it without any engine lock;
-    /// written only by the owning worker thread (and reset_virtual_time,
-    /// which quiesces first).
-    std::atomic<VirtualTime> vtime{0.0};
-
     // Per-worker scratch reused across executions so the task hot path is
     // allocation-free in steady state. Touched only by the owning thread.
     std::vector<void*> buffers;
@@ -455,13 +453,6 @@ class Engine {
 
   bool worker_eligible(const Task& task, WorkerId id) const;
 
-  /// Virtual time at which the worker becomes free, for the execution-time
-  /// accounting (the schedulers keep their own clocks). Lock-free: own
-  /// clock for accelerators; host workers additionally observe the
-  /// combined-CPU clock (per-core) or the host-group maximum (combined
-  /// worker).
-  VirtualTime worker_ready_at(WorkerId id) const;
-
   /// SchedEnv::exec — expected execution seconds of `task` on worker `id`
   /// (history models, cost hint, neutral guess); +inf when ineligible.
   double exec_estimate(const Task& task, WorkerId id) const;
@@ -493,18 +484,21 @@ class Engine {
   std::vector<WorkerDesc> descs_;  ///< immutable after construction
   std::vector<std::unique_ptr<Worker>> workers_;
 
+  /// The executed timeline: every attempt, failed ones included, is booked
+  /// on this plan of descs_ (no interconnect: transfers run on the data
+  /// manager's lanes), so the engine advances its clocks by the plan's
+  /// core-sharing rule. Guarded by clock_mutex_, a leaf lock.
+  mutable std::mutex clock_mutex_;
+  Plan clocks_;
+
   /// Per-simulated-node shared state: the per-node CPU-group lock (the
-  /// combined worker of node k only contends with node k's cores), the
-  /// node's host-group clock, and the node's combined-CPU worker index.
-  /// On one node this is exactly the former engine-wide singleton state.
+  /// combined worker of node k only contends with node k's cores) and the
+  /// node's death flag.
   struct NodeRuntime {
     /// Serialises real execution of the node's combined-CPU worker against
-    /// its per-core CPU workers (they share the same physical cores).
+    /// its per-core CPU workers (they share the same physical cores), so
+    /// a combined attempt and a core attempt book in the order they run.
     std::shared_mutex cpu_group_mutex;
-    /// Maintained host-group clock: max vtime over the node's host workers
-    /// (CAS-max on completion).
-    std::atomic<VirtualTime> host_group_max{0.0};
-    int combined_index = -1;  ///< node's combined-CPU worker, -1 if none
     std::atomic<bool> dead{false};  ///< whole-node death already handled
   };
   std::vector<std::unique_ptr<NodeRuntime>> node_rt_;  ///< per sim node

@@ -128,11 +128,7 @@ VirtualTime DataHandle::fetch_locked(MemoryNodeId node, AccessMode mode) {
     const Replica& src = replicas_[static_cast<std::size_t>(from)];
     Replica& dst = replicas_[static_cast<std::size_t>(to)];
     std::memcpy(dst.ptr, src.ptr, bytes_);
-    // The host-side address identifies contiguous bursts for coalescing:
-    // source for an upload, destination for a flush home.
-    const void* host_side = topo.is_host(from) ? src.ptr : dst.ptr;
-    dst.valid_at =
-        manager_->charge_link(from, to, bytes_, src.valid_at, host_side, id_);
+    dst.valid_at = manager_->charge_link(from, to, bytes_, src.valid_at, id_);
   });
   return mode == AccessMode::kWrite
              ? 0.0
@@ -473,64 +469,24 @@ void DataManager::note_handle(const DataHandlePtr& handle) {
 
 VirtualTime DataManager::charge_link(MemoryNodeId from, MemoryNodeId to,
                                      std::size_t bytes, VirtualTime ready,
-                                     const void* host_ptr,
                                      std::uint64_t data_id) {
   const std::size_t lane_idx = lane_index(from, to);
-  const sim::LinkProfile& profile = lane_profile(lane_idx);
   Lane& lane = *lanes_[lane_idx];
   std::lock_guard<std::mutex> lock(lane.mutex);
   const VirtualTime start = std::max(lane.free_at, ready);
-
-  // Burst coalescing: if this transfer's host-side address continues a
-  // still-open contiguous burst on this lane, it joins the burst and pays
-  // only the bandwidth term (one DMA setup for N sibling chunks).
-  Lane::Stream* stream = nullptr;
-  bool coalesced = false;
-  if (profile.coalescing && !profile.shared_bus && host_ptr != nullptr) {
-    const double window = profile.coalesce_window_us * 1e-6;
-    for (Lane::Stream& candidate : lane.streams) {
-      if (candidate.next != nullptr && candidate.next == host_ptr &&
-          start - candidate.end <= window) {
-        stream = &candidate;
-        coalesced = true;
-        break;
-      }
-    }
-  }
-
-  const double seconds = coalesced
-                             ? sim::burst_transfer_seconds(profile, bytes)
-                             : sim::transfer_seconds(profile, bytes);
-  lane.free_at = start + seconds;
-
-  if (host_ptr != nullptr) {
-    if (stream == nullptr) {
-      stream = &lane.streams[lane.next_stream];
-      lane.next_stream = (lane.next_stream + 1) % lane.streams.size();
-      stream->burst = ++lane.next_burst;  // new burst; joiners inherit the id
-    }
-    stream->next = static_cast<const std::byte*>(host_ptr) + bytes;
-    stream->end = lane.free_at;
-  }
+  lane.free_at = start + sim::transfer_seconds(lane_profile(lane_idx), bytes);
   if (recorder_ != nullptr) {
     // Still under the lane mutex: lane order is the recording order.
     recorder_->record_transfer(static_cast<int>(lane_idx), lane.next_seq++,
-                               from, to, bytes, start, lane.free_at, coalesced,
-                               stream != nullptr ? stream->burst : 0, data_id);
+                               from, to, bytes, start, lane.free_at, data_id);
   }
   return lane.free_at;
-}
-
-double DataManager::estimate_link_seconds(std::size_t bytes) const {
-  return sim::transfer_seconds(net_.pcie, bytes);
 }
 
 void DataManager::reset_virtual_time() {
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     std::lock_guard<std::mutex> lock(lane->mutex);
     lane->free_at = 0.0;
-    lane->streams.fill(Lane::Stream{});
-    lane->next_stream = 0;
   }
   // Replica validity timestamps are virtual times too: a replica staged
   // before the reset would otherwise appear to arrive at its stale (now

@@ -9,7 +9,6 @@
 // copies are invalidated, not discarded, on writes elsewhere.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -287,21 +286,12 @@ class DataManager {
   const Interconnect& interconnect() const noexcept { return net_; }
 
   /// Advances the `from`→`to` lane clock by a transfer of `bytes` starting
-  /// no earlier than `ready`, and records the hop; returns completion
-  /// vtime. `host_ptr` is the host-side address of the data (source for
-  /// H2D, destination for D2H);
-  /// when coalescing is enabled, a transfer that continues a still-open
-  /// contiguous burst on the same lane joins it and pays only the bandwidth
-  /// term — the hybrid chunk-upload pattern.
-  /// `data_id` identifies the transferred handle in trace records
-  /// (0 = untracked).
+  /// no earlier than `ready`, priced by sim::transfer_seconds on the lane's
+  /// link, and records the hop; returns completion vtime. `data_id`
+  /// identifies the transferred handle in trace records (0 = untracked).
   VirtualTime charge_link(MemoryNodeId from, MemoryNodeId to,
                           std::size_t bytes, VirtualTime ready,
-                          const void* host_ptr = nullptr,
                           std::uint64_t data_id = 0);
-
-  /// Estimate of the same, without advancing the clock.
-  double estimate_link_seconds(std::size_t bytes) const;
 
   /// Fault-injection hook, invoked once per single-hop replica copy before
   /// any state changes; may throw to simulate a failed transfer. Called
@@ -317,10 +307,10 @@ class DataManager {
     if (transfer_hook_) transfer_hook_(from, to, bytes);
   }
 
-  /// Resets the link lane clocks, open bursts, and every live handle's
-  /// replica validity timestamps (benchmark repetition: measured sweeps
-  /// start at vtime 0 even when their inputs were pre-staged before the
-  /// reset). Lane sequence and burst counters stay monotonic across resets.
+  /// Resets the link lane clocks and every live handle's replica validity
+  /// timestamps (benchmark repetition: measured sweeps start at vtime 0
+  /// even when their inputs were pre-staged before the reset). Lane
+  /// sequence counters stay monotonic across resets.
   void reset_virtual_time();
 
   /// Tracks a live handle for whole-manager sweeps such as
@@ -343,21 +333,11 @@ class DataManager {
   std::size_t lane_index(MemoryNodeId from, MemoryNodeId to) const;
 
  private:
-  /// One directed transfer lane: its own clock, plus a small ring of open
-  /// burst streams for coalescing (several interleaved contiguous uploads
-  /// can each continue their own burst).
+  /// One directed transfer lane and its own clock.
   struct Lane {
     std::mutex mutex;
     VirtualTime free_at = 0.0;
-    struct Stream {
-      const std::byte* next = nullptr;  ///< host address one past the burst end
-      VirtualTime end = 0.0;            ///< vtime the burst's last chunk lands
-      std::uint64_t burst = 0;          ///< burst id carried by joiners
-    };
-    std::array<Stream, 4> streams{};
-    std::size_t next_stream = 0;  ///< round-robin replacement cursor
-    std::uint64_t next_seq = 0;    ///< per-lane hop order
-    std::uint64_t next_burst = 0;  ///< burst-id allocator
+    std::uint64_t next_seq = 0;  ///< per-lane hop order
   };
 
   Lane& lane_for(MemoryNodeId from, MemoryNodeId to);

@@ -181,8 +181,10 @@ void Plan::finish(WorkerId worker, double end) {
   }
 }
 
-void Plan::book(WorkerId worker, double deps, double work) {
-  finish(worker, std::max(clock(worker), deps) + work);
+double Plan::book(WorkerId worker, double deps, double work) {
+  const double start = std::max(clock(worker), deps);
+  finish(worker, start + work);
+  return start;
 }
 
 Plan::Commit Plan::commit(const Task& task, WorkerId worker) {

@@ -2,8 +2,9 @@
 // a clock per worker of one worker table and a replica state per datum, and
 // every placement decision runs on it — dmda places one task on the clocks
 // its own earlier decisions booked, the lookahead window a batch on a copy
-// of them, peppher-predict every call of its static trajectory — so their
-// estimates agree because they share this code:
+// of them, peppher-predict every call of its static trajectory — and the
+// Engine books every executed attempt on one, so their timelines agree
+// because they share this code:
 //
 //   start = max(worker clock, predecessors' end)
 //   time    score = start + fetch + exec
@@ -17,8 +18,8 @@
 // divided by a read-only operand's reuse, min(reads, kReuseCap); a written
 // operand, and every operand of a commit, pays the full volume. A commit
 // also moves the replica states through msi::apply_acquire, a booking only
-// the clocks; both advance the clocks by the Engine's core-sharing rule
-// (see commit).
+// the clocks; both advance the clocks by one core-sharing rule (see
+// commit).
 // exec is the caller's estimate: the history models, else the variant's
 // cost hint, else kNeutralExecSeconds.
 #pragma once
@@ -186,18 +187,18 @@ class Plan {
   /// (start + work), then to the lowest worker id.
   Choice place(const Task& task) const;
 
-  /// Books `work` seconds on `worker` after `deps`: the task ends at
-  /// max(clock, deps) + work, and the clocks move as a commit's do. Unlike
-  /// a commit it moves no replica state.
-  void book(WorkerId worker, double deps, double work);
+  /// Books `work` seconds on `worker` after `deps` and returns the start,
+  /// max(clock, deps): the task ends at start + work, and the clocks move
+  /// as a commit's do. Unlike a commit it moves no replica state.
+  double book(WorkerId worker, double deps, double work);
 
   /// Runs `task` on `worker`: its clock advances to start + full fetch +
   /// exec and the operands' states move as the live handles' would.
-  /// Like the Engine, a commit or a booking treats a node's combined-CPU
-  /// worker and its per-core workers as sharing the cores: the combined
-  /// worker's end raises each per-core clock to at least it, and a
-  /// per-core worker's end raises the combined clock; per-core workers do
-  /// not wait for each other.
+  /// A commit or a booking treats a node's combined-CPU worker and its
+  /// per-core workers as sharing the cores: the combined worker's end
+  /// raises each per-core clock to at least it, and a per-core worker's end
+  /// raises the combined clock; per-core workers do not wait for each
+  /// other.
   Commit commit(const Task& task, WorkerId worker);
 
   /// Makes `data` valid on `node` as a read would (an explicit prefetch);

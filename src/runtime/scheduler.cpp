@@ -93,11 +93,12 @@ class EagerScheduler final : public Scheduler {
 // priority queues, the calibration/exploration rule, and the plan both
 // policies place on. Its clocks are the policy's own books: every placement
 // — a decision, or a replayed table entry — books its task on its worker
-// (Plan::book: start + fetch + exec, by the Engine's core-sharing rule), and
-// nothing else moves them — not a pop, not the engine's execution — so a
-// placement depends on the placements before it, not on thread timing. The
-// data states come from the live handles. Dmda places one task on the plan
-// (Plan::place); lookahead places a window (Plan::place_window) on a copy.
+// (Plan::book: start + fetch + exec, by the core-sharing rule the Engine
+// books by too), and nothing else moves them — not a pop, not the engine's
+// execution — so a placement depends on the placements before it, not on
+// thread timing. The data states come from the live handles. Dmda places
+// one task on the plan (Plan::place); lookahead places a window
+// (Plan::place_window) on a copy.
 // ---------------------------------------------------------------------------
 class ModelSchedulerBase : public Scheduler {
  public:

@@ -98,7 +98,6 @@ TransferStats Books::transfers() const {
           .device_to_host_bytes = t.n[kD2hBytes],
           .evictions = t.n[kEvictions],
           .overcommits = t.n[kOvercommits],
-          .coalesced_transfers = t.n[kCoalesced],
           .internode_count = t.n[kInternodeCount],
           .internode_bytes = t.n[kInternodeBytes]};
 }
@@ -236,8 +235,7 @@ void Tracer::record_task(const std::shared_ptr<Task>& task,
 void Tracer::record_transfer(int lane, std::uint64_t lane_sequence,
                              MemoryNodeId from, MemoryNodeId to,
                              std::uint64_t bytes, VirtualTime vstart,
-                             VirtualTime vend, bool coalesced,
-                             std::uint64_t burst, std::uint64_t data) {
+                             VirtualTime vend, std::uint64_t data) {
   const int from_node = topo_->sim_node(from);
   const int to_node = topo_->sim_node(to);
   const bool from_host = topo_->is_host(from);
@@ -252,13 +250,11 @@ void Tracer::record_transfer(int lane, std::uint64_t lane_sequence,
     add(Books::kD2hCount);
     add(Books::kD2hBytes, bytes);
   }
-  if (coalesced) add(Books::kCoalesced);
   if (!trace_events_) return;
   transfers_.emplace_with([&](TransferRecord& record) {
     record = {.lane = lane, .lane_sequence = lane_sequence, .from = from,
               .to = to, .bytes = bytes, .vstart = vstart, .vend = vend,
-              .coalesced = coalesced, .burst = burst, .data = data,
-              .from_node = from_node, .to_node = to_node};
+              .data = data, .from_node = from_node, .to_node = to_node};
   });
 }
 
@@ -405,9 +401,8 @@ std::string Tracer::to_chrome_json() const {
         << t.vstart * 1e6 << ", \"dur\": " << (t.vend - t.vstart) * 1e6
         << ", \"pid\": 2, \"tid\": " << t.lane << ", \"args\": {\"from\": "
         << t.from << ", \"to\": " << t.to << ", \"bytes\": " << t.bytes
-        << ", \"coalesced\": " << (t.coalesced ? "true" : "false")
-        << ", \"burst\": " << t.burst << ", \"data\": " << t.data
-        << ", \"order\": " << t.lane_sequence << "}}";
+        << ", \"data\": " << t.data << ", \"order\": " << t.lane_sequence
+        << "}}";
   }
   out << "\n]\n";
   return std::move(out).str();

@@ -74,8 +74,9 @@ struct TransferStats {
   std::uint64_t device_to_host_bytes = 0;
   std::uint64_t evictions = 0;    ///< device replicas dropped under pressure
   std::uint64_t overcommits = 0;  ///< allocations exceeding device capacity
-  std::uint64_t coalesced_transfers = 0;  ///< charges that joined an open burst
-                                          ///< (paid no link latency)
+  /// Always 0: every hop pays its full link price. perfbench reads it for
+  /// memory.coalesced_ratio; it goes with that metric (ROADMAP item 1).
+  std::uint64_t coalesced_transfers = 0;
   std::uint64_t internode_count = 0;  ///< host(i) -> host(j) hops (clusters)
   std::uint64_t internode_bytes = 0;
 
@@ -125,8 +126,6 @@ struct TransferRecord {
   std::uint64_t bytes = 0;
   VirtualTime vstart = 0.0;
   VirtualTime vend = 0.0;
-  bool coalesced = false;  ///< joined an in-flight burst on this lane
-  std::uint64_t burst = 0; ///< coalesced-burst id (0 = simulated, no host ptr)
   std::uint64_t data = 0;  ///< data-handle id
   int from_node = 0;       ///< simulated cluster node of `from`
   int to_node = 0;         ///< simulated cluster node of `to`
@@ -253,7 +252,6 @@ class Books {
     kD2hBytes,
     kInternodeCount,
     kInternodeBytes,
-    kCoalesced,
     kArchTasks,  ///< kArchCount slots: successful attempts per Arch
     kSlots = kArchTasks + kArchCount,
   };
@@ -306,8 +304,7 @@ class Tracer {
   /// One hop charged on link lane `lane` (DataManager::charge_link).
   void record_transfer(int lane, std::uint64_t lane_sequence,
                        MemoryNodeId from, MemoryNodeId to, std::uint64_t bytes,
-                       VirtualTime vstart, VirtualTime vend, bool coalesced,
-                       std::uint64_t burst, std::uint64_t data);
+                       VirtualTime vstart, VirtualTime vend, std::uint64_t data);
 
   /// One prefetch lifecycle event of `handle` toward `node`.
   void record_prefetch(PrefetchEvent event, PrefetchSkipReason reason,

@@ -142,7 +142,6 @@ LinkProfile LinkProfile::pcie2_x16() {
 LinkProfile LinkProfile::pcie2_x16_shared() {
   LinkProfile link = pcie2_x16();
   link.shared_bus = true;
-  link.coalescing = false;
   return link;
 }
 
@@ -150,16 +149,12 @@ LinkProfile LinkProfile::cluster_10gbe() {
   LinkProfile link;
   link.latency_us = 50.0;
   link.bandwidth_gbs = 1.25;
-  link.coalescing = false;
   return link;
 }
 
 double transfer_seconds(const LinkProfile& link, std::size_t bytes) {
-  return link.latency_us * 1e-6 + burst_transfer_seconds(link, bytes);
-}
-
-double burst_transfer_seconds(const LinkProfile& link, std::size_t bytes) {
-  return static_cast<double>(bytes) / (link.bandwidth_gbs * 1e9);
+  return link.latency_us * 1e-6 +
+         static_cast<double>(bytes) / (link.bandwidth_gbs * 1e9);
 }
 
 DeviceProfile combined_cpu_profile(const DeviceProfile& core, int cores) {

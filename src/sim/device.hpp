@@ -87,7 +87,9 @@ double execution_seconds(const DeviceProfile& device, const KernelCost& cost);
 /// links. `shared_bus` restores the legacy model: one half-duplex bus with a
 /// single clock shared by all devices and both directions (used by the
 /// Figure 5 reproduction's compatibility runs and by tests that pin down the
-/// serialized contention behavior).
+/// serialized contention behavior). Either way each hop costs
+/// transfer_seconds() on its lane, the price rt::Plan and peppher-predict
+/// charge too.
 struct LinkProfile {
   double latency_us = 10.0;
   double bandwidth_gbs = 8.0;
@@ -95,32 +97,18 @@ struct LinkProfile {
   /// Legacy contention model: one half-duplex bus shared by every device.
   bool shared_bus = false;
 
-  /// Burst coalescing (lane mode only): a transfer whose host-side address
-  /// continues a still-open burst on the same lane joins it and pays only
-  /// the bandwidth term — one link latency for N contiguous chunks, the
-  /// hybrid chunk-upload pattern of Figure 5.
-  bool coalescing = true;
-
-  /// Maximum idle gap (µs of virtual time) between two transfers that may
-  /// still coalesce into one burst.
-  double coalesce_window_us = 50.0;
-
   /// PCIe 2.0 x16 as on the paper's evaluation hosts (duplex lanes).
   static LinkProfile pcie2_x16();
   /// Same link with the legacy shared-bus contention model.
   static LinkProfile pcie2_x16_shared();
   /// 10GbE-class inter-node link: ~5x the PCIe latency and a fraction of
   /// its bandwidth, the default sim::ClusterConfig internode profile.
-  /// No burst coalescing — every message pays the wire latency.
   static LinkProfile cluster_10gbe();
 };
 
-/// Time to move `bytes` across `link`, in (virtual) seconds.
+/// Time to move `bytes` across `link`, in (virtual) seconds: the latency
+/// plus the volume over the bandwidth.
 double transfer_seconds(const LinkProfile& link, std::size_t bytes);
-
-/// Bandwidth-only cost of `bytes` on `link` — the marginal cost of a
-/// transfer that coalesced into an already-open burst (no latency term).
-double burst_transfer_seconds(const LinkProfile& link, std::size_t bytes);
 
 /// Seeded, deterministic fault specification for one simulated device.
 /// Attached per accelerator via EngineConfig::accelerator_faults; the engine

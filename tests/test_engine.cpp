@@ -343,5 +343,72 @@ TEST(Engine, IndependentReadTasksMayRunOnDifferentWorkers) {
   EXPECT_EQ(executed.load(), 4);
 }
 
+/// Operand-free codelet whose cost hint is `*arg` flops, on one core and on
+/// the combined all-cores worker.
+Codelet make_flops_codelet() {
+  Codelet codelet("flops");
+  for (Arch arch : {Arch::kCpu, Arch::kCpuOmp}) {
+    Implementation impl;
+    impl.arch = arch;
+    impl.name = "flops_" + to_string(arch);
+    impl.fn = [](ExecContext&) {};
+    impl.cost = [](const std::vector<std::size_t>&, const void* arg) {
+      return sim::KernelCost{*static_cast<const double*>(arg), 0.0, 1.0};
+    };
+    codelet.add_impl(std::move(impl));
+  }
+  return codelet;
+}
+
+TaskPtr run_pinned(Engine& engine, const Codelet& codelet, WorkerId worker,
+                   double flops) {
+  TaskSpec spec;
+  spec.codelet = &codelet;
+  spec.forced_worker = worker;
+  spec.arg = std::make_shared<const double>(flops);
+  spec.synchronous = true;
+  return engine.submit(std::move(spec));
+}
+
+// The executed timeline's core-sharing rule: a node's combined-CPU worker
+// holds all of its cores, so it starts after every core task booked before
+// it and every core task after it starts at its end; per-core workers do
+// not wait for each other, and nothing couples the cores of two nodes.
+// Each task is synchronous, so the bookings happen in submission order.
+TEST(EngineClocks, CombinedWorkerExcludesItsCores) {
+  EngineConfig config = small_config();
+  config.machine = sim::MachineConfig::cpu_only(2);
+  const Codelet codelet = make_flops_codelet();
+  {
+    Engine engine(config);  // workers: cores 0 and 1, combined 2
+    ASSERT_TRUE(engine.workers()[2].is_combined_cpu);
+    const TaskPtr core0 = run_pinned(engine, codelet, 0, 2e6);
+    const TaskPtr core1 = run_pinned(engine, codelet, 1, 5e6);
+    EXPECT_EQ(core0->vstart, 0.0);
+    EXPECT_EQ(core1->vstart, 0.0);  // the cores overlap
+    ASSERT_LT(core0->vend, core1->vend);
+
+    const TaskPtr combined = run_pinned(engine, codelet, 2, 4e6);
+    EXPECT_EQ(combined->vstart, core1->vend);  // the later core end
+    EXPECT_EQ(combined->vend, combined->vstart + combined->exec_seconds);
+
+    const TaskPtr after = run_pinned(engine, codelet, 0, 1e6);
+    EXPECT_EQ(after->vstart, combined->vend);
+    EXPECT_EQ(engine.virtual_makespan(), after->vend);
+  }
+  {
+    config.cluster =
+        sim::ClusterConfig::uniform(2, sim::MachineConfig::cpu_only(2));
+    Engine engine(config);  // node 1: cores 3 and 4, combined 5
+    ASSERT_TRUE(engine.workers()[5].is_combined_cpu);
+    const TaskPtr combined0 = run_pinned(engine, codelet, 2, 4e6);
+    EXPECT_EQ(combined0->vstart, 0.0);
+    const TaskPtr core3 = run_pinned(engine, codelet, 3, 1e6);
+    EXPECT_EQ(core3->vstart, 0.0);  // not behind node 0's combined worker
+    const TaskPtr combined1 = run_pinned(engine, codelet, 5, 4e6);
+    EXPECT_EQ(combined1->vstart, core3->vend);
+  }
+}
+
 }  // namespace
 }  // namespace peppher::rt

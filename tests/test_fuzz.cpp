@@ -349,6 +349,8 @@ TEST_P(FuzzSeed, ControlFlowMainNeverCrashesUnderMutation) {
 // analyzer never crashes on a damaged trace.
 // ---------------------------------------------------------------------------
 
+// The transfer rows carry "coalesced" and "burst", as traces written before
+// every hop paid its full link price did: the reader still loads them.
 const char* const kSeedTrace = R"({
   "schema": "peppher-trace",
   "version": 1,

@@ -219,7 +219,7 @@ TEST_F(MemoryTest, FetchEstimateMatchesLinkModel) {
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
   const double est = decision_fetch(manager_, *h, 1, AccessMode::kRead);
-  EXPECT_NEAR(est, manager_.estimate_link_seconds(h->bytes()), 1e-12);
+  EXPECT_NEAR(est, sim::transfer_seconds(manager_.link(), h->bytes()), 1e-12);
   EXPECT_DOUBLE_EQ(decision_fetch(manager_, *h, 1, AccessMode::kWrite), 0.0);
   EXPECT_DOUBLE_EQ(decision_fetch(manager_, *h, kHostNode, AccessMode::kRead),
                    0.0);
@@ -243,7 +243,7 @@ TEST_F(MemoryTest, DuplexLanesDoNotContend) {
   EXPECT_DOUBLE_EQ(up1, up2);
   EXPECT_DOUBLE_EQ(up1, down1);
   EXPECT_DOUBLE_EQ(up1, down2);
-  EXPECT_NEAR(up1, manager_.estimate_link_seconds(8 << 20), 1e-12);
+  EXPECT_NEAR(up1, sim::transfer_seconds(manager_.link(), 8 << 20), 1e-12);
 }
 
 TEST_F(MemoryTest, SharedBusModeKeepsOneClockForEverything) {
@@ -252,37 +252,6 @@ TEST_F(MemoryTest, SharedBusModeKeepsOneClockForEverything) {
   const VirtualTime end2 = shared.charge_link(2, kHostNode, 8 << 20, 0.0);
   EXPECT_GT(end2, end1);  // opposite direction, other device: still queued
   EXPECT_NEAR(end2, 2.0 * end1, end1 * 0.01 + 2e-5);
-}
-
-TEST_F(MemoryTest, ContiguousChunksCoalesceIntoOneBurst) {
-  // Two contiguous 1 MiB chunks of one host array moving to the same device:
-  // the second charge continues the burst and pays no link latency.
-  std::vector<float> data(1 << 19, 0.0f);  // 2 MiB
-  const auto* base = reinterpret_cast<const std::byte*>(data.data());
-  const std::size_t half = (1 << 20);
-  const VirtualTime end1 = manager_.charge_link(kHostNode, 1, half, 0.0, base);
-  const VirtualTime end2 =
-      manager_.charge_link(kHostNode, 1, half, 0.0, base + half);
-  const double latency = manager_.estimate_link_seconds(0);
-  const double bandwidth_part = manager_.estimate_link_seconds(half) - latency;
-  EXPECT_NEAR(end2 - end1, bandwidth_part, 1e-12);  // no second latency
-  EXPECT_EQ(stats().coalesced_transfers, 1u);
-
-  // A non-contiguous follow-up starts a fresh burst and pays latency again.
-  const VirtualTime end3 = manager_.charge_link(kHostNode, 1, half, 0.0, base);
-  EXPECT_NEAR(end3 - end2, latency + bandwidth_part, 1e-12);
-  EXPECT_EQ(stats().coalesced_transfers, 1u);
-}
-
-TEST_F(MemoryTest, CoalescingRespectsTheIdleWindow) {
-  std::vector<float> data(1 << 19, 0.0f);
-  const auto* base = reinterpret_cast<const std::byte*>(data.data());
-  const std::size_t half = (1 << 20);
-  const VirtualTime end1 = manager_.charge_link(kHostNode, 1, half, 0.0, base);
-  // Ready long after the burst went idle: the DMA engine has moved on.
-  const double gap = manager_.link().coalesce_window_us * 1e-6 * 10.0;
-  manager_.charge_link(kHostNode, 1, half, end1 + gap, base + half);
-  EXPECT_EQ(stats().coalesced_transfers, 0u);
 }
 
 TEST_F(MemoryTest, PendingPrefetchZeroesTheFetchEstimate) {
@@ -496,9 +465,8 @@ TEST_F(MemoryTest, StatsTrackBytes) {
 // -- partition/unpartition transfer accounting (hybrid SpMV chunk pattern) ----
 
 // The hybrid SpMV upload: contiguous sibling chunks stream to one device.
-// Exact counts — every chunk is still one transfer, but all but the first
-// coalesce into the running burst (one link latency for the whole upload).
-TEST_F(MemoryTest, PartitionedChunkUploadsCoalesceExactly) {
+// Exact counts — every chunk is one transfer.
+TEST_F(MemoryTest, PartitionedChunkUploadsCountExactly) {
   std::vector<float> data(4096, 1.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
@@ -508,7 +476,6 @@ TEST_F(MemoryTest, PartitionedChunkUploadsCoalesceExactly) {
     child->release(1);
   }
   EXPECT_EQ(stats().host_to_device_count, 4u);
-  EXPECT_EQ(stats().coalesced_transfers, 3u);
   EXPECT_EQ(stats().device_to_host_count, 0u);
   // Read-shared children leave the host copy valid: gathering needs no
   // transfers at all.
@@ -516,8 +483,8 @@ TEST_F(MemoryTest, PartitionedChunkUploadsCoalesceExactly) {
   EXPECT_EQ(stats().device_to_host_count, 0u);
 }
 
-// Same pattern on the legacy shared bus: the single half-duplex clock still
-// serialises everything and never merges bursts.
+// Same pattern on the legacy shared bus: one transfer per chunk on the
+// single half-duplex clock.
 TEST(SharedBusAccounting, ChunkUploadsNeverCoalesce) {
   DataManager manager(2, sim::LinkProfile::pcie2_x16_shared());
   RecordedTraffic traffic(manager);
@@ -530,12 +497,9 @@ TEST(SharedBusAccounting, ChunkUploadsNeverCoalesce) {
     child->release(1);
   }
   EXPECT_EQ(traffic.transfers().host_to_device_count, 4u);
-  EXPECT_EQ(traffic.transfers().coalesced_transfers, 0u);
 }
 
-// Device-written chunks gathered by unpartition(): one download per chunk,
-// and the downloads land on contiguous host addresses so they coalesce on
-// the D2H lane too.
+// Device-written chunks gathered by unpartition(): one download per chunk.
 TEST_F(MemoryTest, UnpartitionWritebackCountsExactly) {
   std::vector<float> data(1024, 0.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
@@ -553,7 +517,6 @@ TEST_F(MemoryTest, UnpartitionWritebackCountsExactly) {
   EXPECT_EQ(stats().host_to_device_count, 0u);  // kWrite fetches nothing
   h->unpartition();
   EXPECT_EQ(stats().device_to_host_count, 4u);
-  EXPECT_EQ(stats().coalesced_transfers, 3u);
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_FLOAT_EQ(data[i], static_cast<float>(i / 256));
   }

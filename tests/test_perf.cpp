@@ -219,9 +219,9 @@ void expect_books_match_trace(Engine& engine, const std::string& scheduler) {
   for (const auto& [worker, count] : failed) failed_records += count;
   EXPECT_EQ(failed_records, engine.fault_stats().failed_attempts);
 
-  // Transfers: every DataManager hop emits exactly one record, so counts,
-  // bytes and coalesced joins re-derived from the trace must equal
-  // TransferStats to the last byte. Inter-node hops are the n2n rows.
+  // Transfers: every DataManager hop emits exactly one record, so counts
+  // and bytes re-derived from the trace must equal TransferStats to the
+  // last byte. Inter-node hops are the n2n rows.
   rt::TransferStats observed;
   for (const rt::TransferRecord& t : engine.trace().transfers()) {
     if (t.from_node != t.to_node) {
@@ -234,7 +234,6 @@ void expect_books_match_trace(Engine& engine, const std::string& scheduler) {
       ++observed.device_to_host_count;
       observed.device_to_host_bytes += t.bytes;
     }
-    if (t.coalesced) ++observed.coalesced_transfers;
   }
   const rt::TransferStats stats = engine.transfer_stats();
   EXPECT_EQ(observed.host_to_device_count, stats.host_to_device_count);
@@ -243,7 +242,6 @@ void expect_books_match_trace(Engine& engine, const std::string& scheduler) {
   EXPECT_EQ(observed.device_to_host_bytes, stats.device_to_host_bytes);
   EXPECT_EQ(observed.internode_count, stats.internode_count);
   EXPECT_EQ(observed.internode_bytes, stats.internode_bytes);
-  EXPECT_EQ(observed.coalesced_transfers, stats.coalesced_transfers);
 
   // Prefetch lifecycle: one enqueued record per queued operand, one
   // completed/skipped record per serviced request.
