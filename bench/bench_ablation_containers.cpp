@@ -38,7 +38,7 @@ rt::Codelet& touch_codelet() {
       }
     };
     // Roofline hint: one flop per element, each element read and written
-    // once. Without it the virtual time would be the kernel's wall time.
+    // once. Without it every call would take the neutral 1 ms.
     impl.cost = [](const std::vector<std::size_t>& bytes, const void*) {
       const auto n = static_cast<double>(bytes[0]);
       return sim::KernelCost{n / sizeof(float), 2.0 * n, 1.0};
@@ -69,12 +69,12 @@ std::uint64_t figure3_naive(rt::Engine& engine, std::vector<float>& data) {
                                          sizeof(float));
     if (mode != rt::AccessMode::kWrite) {
       // copy-in before the call (skipped only for pure writes)...
-      handle->acquire(1, rt::AccessMode::kRead, nullptr);
+      handle->acquire(1, rt::AccessMode::kRead);
       ++copies;
     }
     submit_touch(engine, handle, mode);
     // ...and unconditional copy-out after it, every single call.
-    handle->acquire(rt::kHostNode, rt::AccessMode::kRead, nullptr);
+    handle->acquire(rt::kHostNode, rt::AccessMode::kRead);
     ++copies;
     engine.unregister(handle);
   };

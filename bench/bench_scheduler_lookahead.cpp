@@ -3,15 +3,15 @@
 // static-composition replay overhead (docs/runtime.md "lookahead").
 //
 // Four rows:
-//   adversarial     A ping-pong DAG built to defeat per-task greedy
-//                   placement: every round a host producer writes a fresh
-//                   large matrix, then a wide batch of GPU-friendly readers
-//                   becomes ready at once. At push time the matrix has no
-//                   device replica and no reuse history, so dmda charges
-//                   every reader the full host-to-device fetch and spills
-//                   most of the batch onto the slow CPU cores; the window
-//                   planner simulates replicas across the batch, prices the
-//                   fetch once, and consolidates the readers on the GPU.
+//   adversarial     Rounds built so that greedy earliest-finish order is
+//                   wrong: each round a producer releases a small-speedup
+//                   task (1 ms on the core, 0.8 ms on the GPU) ahead of a
+//                   large-speedup one (10 ms on the core, 1 ms on the
+//                   GPU). dmda places them one at a time, in that order:
+//                   the first takes the one GPU because it finishes there
+//                   first, and the second queues behind it (1.8 ms a
+//                   round). The window plans the pair jointly and sends
+//                   the first to the core (about 1 ms a round).
 //   fig5_parity     hybrid SpMV (Figure 5 workload): lookahead must never
 //                   be worse than dmda beyond noise.
 //   fig7_parity     ODE solver chain (Figure 7 workload): tight sequential
@@ -30,7 +30,6 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,49 +59,53 @@ double flops_for(const sim::DeviceProfile& device, double seconds) {
   return compute * device.peak_gflops * device.compute_efficiency * 1e9;
 }
 
-// -- adversarial ping-pong DAG ----------------------------------------------
+// -- adversarial: greedy order is wrong by construction ---------------------
 
-constexpr int kReadersPerRound = 10;
-constexpr std::size_t kMatrixBytes = std::size_t{8} << 20;  // ~1.06 ms fetch
-
-/// 2 slow CPU cores + 1 Tesla C2050: little host capacity, so spilling the
-/// reader batch onto the CPUs is the wrong call the planner must avoid.
-sim::MachineConfig pingpong_machine() {
+/// One CPU core + 1 Tesla C2050: the two tasks of a round want the one GPU.
+sim::MachineConfig pair_machine() {
   sim::MachineConfig machine;
-  machine.name = "pingpong-2core-c2050";
-  machine.cpu_cores = 2;
+  machine.name = "pair-1core-c2050";
+  machine.cpu_cores = 1;
   machine.accelerators = {sim::DeviceProfile::tesla_c2050()};
   return machine;
 }
 
-double run_pingpong(const std::string& scheduler, int rounds) {
-  const sim::MachineConfig machine = pingpong_machine();
+/// A codelet whose CPU variant runs `cpu_seconds` and whose CUDA variant
+/// runs `gpu_seconds` on `machine`.
+rt::Codelet make_pair_task(const std::string& name,
+                           const sim::MachineConfig& machine,
+                           double cpu_seconds, double gpu_seconds) {
+  const double cpu_flops = flops_for(machine.cpu_core, cpu_seconds);
+  const double gpu_flops = flops_for(machine.accelerators[0], gpu_seconds);
+  rt::Codelet codelet(name);
+  codelet.add_impl({rt::Arch::kCpu, name + "_cpu", [](rt::ExecContext&) {},
+                    [cpu_flops](const std::vector<std::size_t>&, const void*) {
+                      return sim::KernelCost{cpu_flops, 0.0, 1.0};
+                    }});
+  codelet.add_impl({rt::Arch::kCuda, name + "_cuda", [](rt::ExecContext&) {},
+                    [gpu_flops](const std::vector<std::size_t>&, const void*) {
+                      return sim::KernelCost{gpu_flops, 0.0, 1.0};
+                    }});
+  return codelet;
+}
+
+double run_pairs(const std::string& scheduler, int rounds) {
+  const sim::MachineConfig machine = pair_machine();
   rt::EngineConfig config;
   config.machine = machine;
   config.scheduler = scheduler;
   config.use_history_models = false;  // cost hints only: isolate the policy
-  config.enable_prefetch = false;     // prefetch would hide the fetch race
-  config.window_size = kReadersPerRound;
+  config.enable_prefetch = false;
+  config.window_size = 2;  // one round's pair
 
-  // Per-implementation cost declarations: the reader kernel is clearly
-  // GPU-friendly (0.05 ms vs 0.6 ms), but one full matrix fetch (~1.06 ms)
-  // looks more expensive than a CPU run — unless it is amortised over the
-  // whole batch.
-  const double cpu_flops = flops_for(machine.cpu_core, 0.6e-3);
-  const double gpu_flops = flops_for(machine.accelerators[0], 0.05e-3);
-  rt::Codelet reader("pingpong_reader");
-  reader.add_impl({rt::Arch::kCpu, "reader_cpu", [](rt::ExecContext&) {},
-                   [cpu_flops](const std::vector<std::size_t>&, const void*) {
-                     return sim::KernelCost{cpu_flops, 0.0, 1.0};
-                   }});
-  reader.add_impl({rt::Arch::kCuda, "reader_cuda", [](rt::ExecContext&) {},
-                   [gpu_flops](const std::vector<std::size_t>&, const void*) {
-                     return sim::KernelCost{gpu_flops, 0.0, 1.0};
-                   }});
-  const double producer_flops = flops_for(machine.cpu_core, 0.01e-3);
-  rt::Codelet producer("pingpong_producer");
+  const rt::Codelet small = make_pair_task("pair_small", machine, 1e-3, 0.8e-3);
+  const rt::Codelet large = make_pair_task("pair_large", machine, 10e-3, 1e-3);
+  // The producer runs on the GPU worker, which therefore stages the pair
+  // itself: the core is parked by then and cannot close a window of one.
+  const double producer_flops = flops_for(machine.accelerators[0], 0.01e-3);
+  rt::Codelet producer("pair_producer");
   producer.add_impl(
-      {rt::Arch::kCpu, "producer_cpu", [](rt::ExecContext&) {},
+      {rt::Arch::kCuda, "pair_producer_cuda", [](rt::ExecContext&) {},
        [producer_flops](const std::vector<std::size_t>&, const void*) {
          return sim::KernelCost{producer_flops, 0.0, 1.0};
        }});
@@ -111,34 +114,27 @@ double run_pingpong(const std::string& scheduler, int rounds) {
   float token = 0.0f;
   const auto token_handle =
       engine.register_buffer(&token, sizeof(float), sizeof(float));
-  std::vector<float> outs(kReadersPerRound, 0.0f);
+  std::vector<float> outs(2, 0.0f);
   std::vector<rt::DataHandlePtr> out_handles;
   for (float& out : outs) {
     out_handles.push_back(
         engine.register_buffer(&out, sizeof(float), sizeof(float)));
   }
-  // One fresh matrix per round: no reuse history, no surviving replica —
-  // every round replays the cold-start mispricing.
-  std::vector<std::unique_ptr<std::vector<float>>> matrices;
+  // Each round's producer writes the token both tasks read, so a round
+  // starts when the previous one ended and its pair is ready at once, the
+  // small-speedup task first.
   for (int round = 0; round < rounds; ++round) {
-    matrices.push_back(
-        std::make_unique<std::vector<float>>(kMatrixBytes / sizeof(float)));
-    const auto matrix = engine.register_buffer(
-        matrices.back()->data(), kMatrixBytes, sizeof(float));
     rt::TaskSpec produce;
     produce.codelet = &producer;
-    produce.operands = {{matrix, rt::AccessMode::kWrite},
-                        {token_handle, rt::AccessMode::kWrite}};
-    produce.forced_arch = rt::Arch::kCpu;
+    produce.operands = {{token_handle, rt::AccessMode::kWrite}};
     engine.submit(std::move(produce));
-    for (int i = 0; i < kReadersPerRound; ++i) {
-      rt::TaskSpec read;
-      read.codelet = &reader;
-      read.operands = {{token_handle, rt::AccessMode::kRead},
-                       {matrix, rt::AccessMode::kRead},
-                       {out_handles[static_cast<std::size_t>(i)],
+    for (const rt::Codelet* codelet : {&small, &large}) {
+      rt::TaskSpec spec;
+      spec.codelet = codelet;
+      spec.operands = {{token_handle, rt::AccessMode::kRead},
+                       {out_handles[codelet == &small ? 0 : 1],
                         rt::AccessMode::kWrite}};
-      engine.submit(std::move(read));
+      engine.submit(std::move(spec));
     }
   }
   engine.wait_for_all();
@@ -272,8 +268,8 @@ int main(int argc, char** argv) {
   // the order of function-argument evaluation is unspecified.
   {
     const int rounds = smoke ? 4 : 16;
-    const double dmda = run_pingpong("dmda", rounds);
-    virtual_row("adversarial", dmda, run_pingpong("lookahead", rounds));
+    const double dmda = run_pairs("dmda", rounds);
+    virtual_row("adversarial", dmda, run_pairs("lookahead", rounds));
   }
   {
     const double scale = smoke ? 0.05 : 0.1;

@@ -69,20 +69,16 @@ struct WalkState {
   std::vector<PointAccum> points;
 
   /// Moves this state — `from` repeated `delta` seconds later — `times`
-  /// repeats on: every clock and container time the repeat moved goes
+  /// repeats on: every clock, lane and container time the repeat moved goes
   /// `times` shifts later, every accumulator grows `times` repeats.
-  void repeat(const WalkState& from, double times, double delta,
-              std::size_t workers) {
+  void repeat(const WalkState& from, double times, double delta) {
     const auto shift = [&](double& field, double before) {
       if (field != before) field += times * delta;
     };
     const auto grow = [times](double& field, double before) {
       field += (field - before) * times;
     };
-    for (std::size_t w = 0; w < workers; ++w) {
-      const auto id = static_cast<rt::WorkerId>(w);
-      if (plan.clock(id) != from.plan.clock(id)) plan.advance(id, times * delta);
-    }
+    plan.advance_from(from.plan, times * delta);
     for (auto& [name, cs] : containers) {
       const ContainerState& before = from.containers.at(name);
       shift(cs.avail, before.avail);
@@ -329,8 +325,9 @@ class Predictor {
         case desc::CallNode::Kind::kUnpartition:
         // The distributed forms gather/scatter through the hosts; the cost
         // model stays single-node (the distributed verifier owns the n2n
-        // semantics), so they cost one step and reclaim to the host like a
-        // classic (un)partition.
+        // semantics), so they cost one step and flush to the host like a
+        // classic (un)partition, which the engine commits as a readwrite
+        // host access.
         case desc::CallNode::Kind::kPartitioned:
         case desc::CallNode::Kind::kRepartition:
         case desc::CallNode::Kind::kGather: {
@@ -342,7 +339,10 @@ class Predictor {
             next.insert(std::move(w));
           }
           cs.worlds = std::move(next);
-          s.plan.reclaim(cs.data);
+          rt::Plan::Hops hops;
+          s.plan.access(cs.data, rt::kHostNode, rt::AccessMode::kReadWrite,
+                        cs.bytes, &hops);
+          charge(hops, s);
           break;
         }
         case desc::CallNode::Kind::kExchange:
@@ -380,9 +380,10 @@ class Predictor {
   }
 
   /// The interval's worst case pays a hop whenever some world lacks the
-  /// replica; the trajectory copies only when the plan's state lacks it.
-  /// The copy starts when the data was last written, and the data counts
-  /// as available once it lands.
+  /// replica; the trajectory copies only when the plan's state lacks it,
+  /// on the lanes as the engine commits an explicit prefetch: the copy
+  /// starts when its lane and its source allow, and a consumer on that
+  /// node starts once it lands.
   void eval_prefetch(const desc::CallNode& node, WalkState& s) {
     if (!charge_step()) return;
     ContainerState& cs = container(s, node.data);
@@ -400,16 +401,25 @@ class Predictor {
     cs.worlds = std::move(next);
 
     if (node.prefetch_to_device && net_.topo.device_count() == 0) return;
-    const double seconds = s.plan.fetch(
+    rt::Plan::Hops hops;
+    s.plan.access(
         cs.data,
         node.prefetch_to_device ? net_.topo.device_node(0) : rt::kHostNode,
-        cs.bytes);
-    if (seconds == 0.0) return;
+        rt::AccessMode::kRead, cs.bytes, &hops);
+    charge(hops, s);
+  }
+
+  /// Adds `hops` to the trajectory's transfer time and bytes (d2h when
+  /// they land on a host); returns their seconds.
+  double charge(const rt::Plan::Hops& hops, WalkState& s) const {
+    double seconds = 0.0;
+    for (const rt::Plan::Hop& hop : hops) {
+      seconds += hop.end - hop.start;
+      (net_.topo.is_host(hop.to) ? s.d2h_bytes : s.h2d_bytes) +=
+          static_cast<double>(hop.bytes);
+    }
     s.transfer_time += seconds;
-    (node.prefetch_to_device ? s.h2d_bytes : s.d2h_bytes) +=
-        static_cast<double>(cs.bytes);
-    cs.avail += seconds;
-    cs.read_end = std::max(cs.read_end, cs.avail);
+    return seconds;
   }
 
   /// The containers `call` binds, each once.
@@ -535,14 +545,14 @@ class Predictor {
 
     // The trajectory: the plan's placement (dmda's choice), committed.
     const rt::WorkerId chosen = s.plan.place(task).worker;
-    const rt::Plan::Commit done = s.plan.commit(task, chosen);
+    rt::Plan::Hops hops;
+    const rt::Plan::Commit done = s.plan.commit(
+        task, chosen, task.exec[static_cast<std::size_t>(chosen)], &hops);
+    const double fetch = charge(hops, s);
     const rt::WorkerDesc& worker = workers_[static_cast<std::size_t>(chosen)];
     const int side = side_of(worker);
     const CostEvaluator::Exec& exec = execs.at(worker.archs.front());
-    s.transfer_time += done.fetch;
     (side == kHostSide ? s.host_exec : s.device_exec) += exec.seconds;
-    (side == kHostSide ? s.d2h_bytes : s.h2d_bytes) +=
-        static_cast<double>(done.fetched_bytes);
     s.executions += 1.0;
 
     for (const Binding& binding : bindings) {
@@ -569,7 +579,7 @@ class Predictor {
       PointAccum& point = s.points[static_cast<std::size_t>(index_it->second)];
       point.executions += 1.0;
       point.exec_seconds += exec.seconds;
-      point.transfer_seconds += done.fetch;
+      point.transfer_seconds += fetch;
       point.lo += lo_point;
       point.hi += hi_point;
       point.chosen = worker.archs.front();
@@ -758,8 +768,7 @@ class Predictor {
       period = seen.size() - 1 - from;
       const long long repeats = (count - done) / static_cast<long long>(period);
       if (repeats > 0) {
-        s.repeat(seen[from], static_cast<double>(repeats), *delta,
-                 workers_.size());
+        s.repeat(seen[from], static_cast<double>(repeats), *delta);
         done += repeats * static_cast<long long>(period);
       }
     }

@@ -192,12 +192,13 @@ class Vector {
   /// hybrid execution (§IV-F); the whole-vector handle is unusable until
   /// unpartition().
   std::vector<rt::DataHandlePtr> partition(std::size_t parts) {
+    storage_.sync_host(rt::AccessMode::kReadWrite);
     return storage_.handle()->partition(parts);
   }
 
   /// Gathers the blocks back and revalidates the whole-vector view.
   void unpartition() {
-    if (managed()) storage_.handle()->unpartition();
+    if (managed()) storage_.engine().unpartition(storage_.handle());
   }
 
   bool managed() const noexcept { return storage_.managed(); }
@@ -268,13 +269,14 @@ class Matrix {
                                             cols_ * sizeof(T));
       h->keep_home_at_shutdown(true);
     }
+    storage_.engine().acquire_host(h, rt::AccessMode::kReadWrite);
     return h->partition(parts);
   }
 
   /// Ends row-block mode and revalidates the whole-matrix view.
   void unpartition_rows() {
     if (row_handle_ != nullptr) {
-      row_handle_->unpartition();
+      storage_.engine().unpartition(row_handle_);
       row_handle_.reset();
     }
   }

@@ -103,8 +103,8 @@ using ImplFn = std::function<void(ExecContext&)>;
 
 /// Work estimate used by the roofline cost model: given the operand sizes
 /// (bytes, in operand order) and the argument blob, report flops/bytes/
-/// regularity for one execution. Optional — without it, virtual execution
-/// time falls back to measured wall time.
+/// regularity for one execution. Optional — without it, an execution is
+/// committed for kNeutralExecSeconds of virtual time.
 using CostFn = std::function<sim::KernelCost(const std::vector<std::size_t>&,
                                              const void*)>;
 

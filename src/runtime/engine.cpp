@@ -1,7 +1,6 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -61,14 +60,11 @@ Engine::Engine(EngineConfig config)
   data_.set_engine(this);
 
   // The cluster's worker table (rt::worker_table, which peppher-predict
-  // plans over too) and the plan of its clocks, plus per device its memory
-  // capacity from its profile (§IV-D eviction) and its fault injector
-  // (accelerator_faults is aligned with the global device ordinals).
+  // plans over too), plus per device its memory capacity from its profile
+  // (§IV-D eviction) and its fault injector (accelerator_faults is aligned
+  // with the global device ordinals).
   descs_ = worker_table(cluster_);
-  clocks_.reset(descs_, nullptr);
-  for (std::size_t k = 0; k < cluster_.nodes.size(); ++k) {
-    node_rt_.push_back(std::make_unique<NodeRuntime>());
-  }
+  node_dead_ = std::make_unique<std::atomic<bool>[]>(cluster_.nodes.size());
   injectors_.resize(static_cast<std::size_t>(topo.device_count()));
   bool any_faults = false;
   for (const WorkerDesc& desc : descs_) {
@@ -89,7 +85,8 @@ Engine::Engine(EngineConfig config)
   blacklisted_ = std::make_unique<std::atomic<bool>[]>(descs_.size());
 
   // The recorder: one counter shard per worker. It hooks into the data
-  // manager before any worker (or transfer) exists.
+  // manager (evictions, overcommits) and the scheduler (committed hops)
+  // before any worker exists.
   std::vector<double> worker_watts;
   for (const WorkerDesc& desc : descs_) {
     worker_watts.push_back(desc.profile.busy_watts);
@@ -125,6 +122,7 @@ Engine::Engine(EngineConfig config)
   env.workers = &descs_;
   env.eligible = [this](const Task& t, WorkerId id) { return worker_eligible(t, id); };
   env.exec = [this](const Task& t, WorkerId id) { return exec_estimate(t, id); };
+  env.cost = [this](const Task& t, WorkerId id) { return exec_cost(t, id); };
   env.sample_count = [this](const Task& t, WorkerId id) {
     return exploration_sample_count(t, id);
   };
@@ -136,6 +134,7 @@ Engine::Engine(EngineConfig config)
                         ? 1
                         : std::max(1, config_.window_size);
   env.interconnect = &data_.interconnect();
+  env.recorder = &tracer_;
   env.commit = [this](const TaskPtr& t, WorkerId id,
                       const DecisionRecord& decision) {
     commit_window_task(t, id, decision);
@@ -199,8 +198,8 @@ Engine::~Engine() {
     // Destructor must not throw; drain what we can.
   }
   // Stop the prefetch thread before the workers: after wait_for_all no task
-  // dispatch can enqueue new requests, and the thread drains its queue
-  // (clearing the pending flags) on the way out.
+  // dispatch can enqueue new requests, and the thread drains its queue on
+  // the way out.
   stop_prefetch_thread();
   stopping_.store(true, std::memory_order_seq_cst);
   for (auto& worker : workers_) worker->slot.poke();
@@ -260,10 +259,9 @@ void Engine::acquire_host(const DataHandlePtr& handle, AccessMode mode) {
   // concurrent prefetch only makes an extra coherent copy).
   if (mode != AccessMode::kRead) drain_prefetches();
 
-  VirtualTime ready = 0.0;
-  handle->acquire(kHostNode, mode, &ready);
+  handle->acquire(kHostNode, mode);
+  scheduler_->commit_access(*handle, kHostNode, mode);
   if (mode != AccessMode::kRead) {
-    handle->mark_written(kHostNode, ready);
     std::lock_guard<std::mutex> lock(graph_mutex_);
     handle->last_writer.reset();
     handle->readers_since_last_write.clear();
@@ -281,7 +279,17 @@ void Engine::unregister(const DataHandlePtr& handle) {
 
 bool Engine::prefetch(const DataHandlePtr& handle, MemoryNodeId node) {
   check(handle != nullptr, "prefetch: null handle");
-  return handle->prefetch(node) == PrefetchSkipReason::kNone;
+  if (handle->prefetch(node) != PrefetchSkipReason::kNone) return false;
+  scheduler_->commit_access(*handle, node, AccessMode::kRead);
+  return true;
+}
+
+void Engine::unpartition(const DataHandlePtr& handle) {
+  check(handle != nullptr, "unpartition: null handle");
+  // Each child flushes home as a readwrite host access would.
+  for (const DataHandlePtr& child : handle->unpartition()) {
+    scheduler_->commit_access(*child, kHostNode, AccessMode::kReadWrite);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -299,10 +307,6 @@ void Engine::enqueue_prefetches(const Task& task, WorkerId hint) {
     for (const TaskOperand& op : task.spec.operands) {
       if (op.mode != AccessMode::kRead) continue;
       if (op.handle->replica_state(node) != ReplicaState::kInvalid) continue;
-      // Flag first, then queue: every scheduling estimate issued after this
-      // point sees the transfer as already in flight. The push that chose
-      // `hint` has already run, so its own estimate charged the fetch.
-      op.handle->note_prefetch_queued(node);
       prefetch_queue_.push_back(PrefetchRequest{op.handle, node, task.sequence});
       tracer_.record_prefetch(PrefetchEvent::kEnqueued,
                               PrefetchSkipReason::kNone, task.sequence,
@@ -326,12 +330,11 @@ void Engine::prefetch_main() {
     ++prefetch_busy_;
     lock.unlock();
 
-    // On shutdown the remaining requests are only drained for their flags.
+    // On shutdown the remaining requests are only drained.
     const PrefetchSkipReason outcome =
         prefetch_stop_.load(std::memory_order_relaxed)
             ? PrefetchSkipReason::kShutdown
             : service_prefetch(request);
-    request.handle->note_prefetch_done(request.node);
     tracer_.record_prefetch(outcome == PrefetchSkipReason::kNone
                                 ? PrefetchEvent::kCompleted
                                 : PrefetchEvent::kSkipped,
@@ -717,7 +720,8 @@ void Engine::dispatch_ready(const TaskPtr& task, bool* self_claim) {
     tracer_.record_decision(task->sequence, hint, decision);
   }
   // The scheduler has committed the task to a worker: warm its read
-  // operands on that worker's node while the task waits in the queue.
+  // operands' bytes on that worker's node while the task waits in the
+  // queue.
   if (prefetch_enabled_) enqueue_prefetches(*task, hint);
   wake_workers(eligible_mask, hint, self_claim);
 }
@@ -764,20 +768,8 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   const Implementation* impl = select_impl(*task, worker.desc);
   check(impl != nullptr, "scheduler routed a task to an incapable worker");
   sim::FaultInjector* injector = injector_for_node(worker.desc.node);
-  NodeRuntime& node_rt =
-      *node_rt_[static_cast<std::size_t>(worker.desc.sim_node)];
-
-  // The combined-CPU worker needs all of its node's cores; the node's
-  // per-core workers share them. Held through completion so combined and
-  // per-core attempts book on clocks_ in the order they run.
-  std::unique_lock<std::shared_mutex> exclusive_cores;
-  std::shared_lock<std::shared_mutex> shared_cores;
-  if (worker.desc.is_combined_cpu) {
-    exclusive_cores =
-        std::unique_lock<std::shared_mutex>(node_rt.cpu_group_mutex);
-  } else if (data_.topo().is_host(worker.desc.node)) {
-    shared_cores = std::shared_lock<std::shared_mutex>(node_rt.cpu_group_mutex);
-  }
+  std::atomic<bool>& node_dead =
+      node_dead_[static_cast<std::size_t>(worker.desc.sim_node)];
 
   // Make every operand coherent on this worker's memory node. A transfer
   // fault (injected or real) fails the attempt, not the worker thread; only
@@ -812,15 +804,12 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   buffers.assign(n_ops, nullptr);
   buffer_bytes.assign(n_ops, 0);
   element_sizes.assign(n_ops, 0);
-  VirtualTime data_ready = 0.0;
   std::size_t acquired = 0;
   try {
     for (std::size_t i = 0; i < n_ops; ++i) {
       const TaskOperand& op = task->spec.operands[i];
-      VirtualTime ready = 0.0;
-      buffers[i] = op.handle->acquire(worker.desc.node, op.mode, &ready);
+      buffers[i] = op.handle->acquire(worker.desc.node, op.mode);
       ++acquired;
-      data_ready = std::max(data_ready, ready);
       buffer_bytes[i] = op.handle->bytes();
       element_sizes[i] = op.handle->element_size();
     }
@@ -848,14 +837,13 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     }
   }
 
-  // Really run the kernel (numerics), measuring wall time as the fallback
-  // virtual cost when no cost hint exists.
+  // Really run the kernel (numerics). Its virtual time is the commit's,
+  // failed attempts included: the device spent it before the failure was
+  // noticed.
   bool injected_kernel_fault = false;
-  double wall_seconds = 0.0;
   if (!task->failed()) {
     ExecContext ctx(impl->arch, worker.desc.id, worker.team.get(), buffers,
                     buffer_bytes, element_sizes, task->spec.arg.get());
-    const auto wall_start = std::chrono::steady_clock::now();
     try {
       if (injector != nullptr && injector->next_kernel_fails()) {
         injected_kernel_fault = true;
@@ -869,35 +857,16 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
       // as failed (or is retried), waiters observe the final outcome.
       task->error = std::current_exception();
     }
-    const auto wall_end = std::chrono::steady_clock::now();
-    wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
-  }
-
-  double exec_seconds = wall_seconds;
-  // An injected transient fault still charges the cost model: the device
-  // spent the kernel's time before the failure was noticed.
-  if (impl->cost && (!task->failed() || injected_kernel_fault)) {
-    exec_seconds =
-        sim::execution_seconds(worker.desc.profile, impl->cost(buffer_bytes,
-                                                               task->spec.arg.get()));
   }
 
   // -- completion ------------------------------------------------------------
   //
   // The task is owned by this worker until it is re-pushed (retry) or its
-  // kDone state is published, so its fields are written plainly. Every
-  // attempt, failed ones included, books on clocks_ (the leaf clock_mutex_)
-  // and the counters sit in this worker's own recorder shard; only the
-  // dependency-graph release at the end takes graph_mutex_.
+  // kDone state is published, so its fields are written plainly. Its
+  // vstart, vend and exec_seconds are the attempt's commit; the counters
+  // sit in this worker's own recorder shard; only the dependency-graph
+  // release at the end takes graph_mutex_.
   const int attempt_index = task->attempts;
-  {
-    // vend is the worker's clock as booked, which the death checks read.
-    std::lock_guard<std::mutex> lock(clock_mutex_);
-    task->vstart = clocks_.book(worker.desc.id,
-                                std::max(task->max_pred_end, data_ready),
-                                exec_seconds);
-    task->vend = clocks_.clock(worker.desc.id);
-  }
 
   // A device scheduled to die at virtual time T kills the attempt that
   // crosses T (its result would never have made it back).
@@ -914,7 +883,6 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     }
   }
 
-  task->exec_seconds = exec_seconds;
   task->executed_on = worker.desc.id;
   task->executed_arch = impl->arch;
   task->executed_impl = impl->name;
@@ -950,11 +918,11 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
               .get();
       node_injector != nullptr) {
     if (!task->failed()) node_injector->record_kernel_success();
-    if (!node_rt.dead.load(std::memory_order_acquire) &&
+    if (!node_dead.load(std::memory_order_acquire) &&
         node_injector->death_due(task->vend)) {
       std::lock_guard<std::mutex> lock(graph_mutex_);
-      if (!node_rt.dead.load(std::memory_order_relaxed)) {
-        node_rt.dead.store(true, std::memory_order_release);
+      if (!node_dead.load(std::memory_order_relaxed)) {
+        node_dead.store(true, std::memory_order_release);
         log::warn("runtime", "simulated node {} died; blacklisting {} workers",
                   worker.desc.sim_node,
                   std::count_if(workers_.begin(), workers_.end(),
@@ -999,15 +967,9 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     }
   }
 
+  // Unpin: the replicas stay resident (§IV-H) but become evictable.
   for (std::size_t i = 0; i < acquired; ++i) {
-    const TaskOperand& op = task->spec.operands[i];
-    if (op.mode != AccessMode::kRead) {
-      // For terminally failed tasks the written data is undefined, but
-      // the replica bookkeeping must stay consistent.
-      op.handle->mark_written(worker.desc.node, task->vend);
-    }
-    // Unpin: the replica stays resident (§IV-H) but becomes evictable.
-    op.handle->release(worker.desc.node);
+    task->spec.operands[i].handle->release(worker.desc.node);
   }
 
   if (!task->failed() &&
@@ -1015,7 +977,7 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     // Nothing reads the history when neither history scheduling nor sample
     // persistence is on — skip the registry write on the hot path.
     perf_.record(task->spec.codelet->name(), impl->arch, task->footprint,
-                 task->total_bytes, exec_seconds);
+                 task->total_bytes, task->exec_seconds);
   }
 
   if (!task->failed() && !config_.dispatch_out.empty()) {
@@ -1200,21 +1162,25 @@ double Engine::exec_estimate(const Task& task, WorkerId id) const {
   if (!worker_eligible(task, id)) {
     return std::numeric_limits<double>::infinity();
   }
+  if (config_.use_history_models) {
+    const Implementation* impl =
+        select_impl(task, descs_[static_cast<std::size_t>(id)]);
+    if (const std::optional<double> exec = perf_.estimate_exec(
+            task.spec.codelet->name(), impl->arch, task.footprint,
+            task.total_bytes,
+            static_cast<std::uint64_t>(config_.calibration_samples))) {
+      return *exec;
+    }
+  }
+  return exec_cost(task, id);
+}
+
+double Engine::exec_cost(const Task& task, WorkerId id) const {
   const WorkerDesc& worker = descs_[static_cast<std::size_t>(id)];
   const Implementation* impl = select_impl(task, worker);
-  check(impl != nullptr, "eligible worker without implementation");
-  std::optional<double> exec;
-  if (config_.use_history_models) {
-    exec = perf_.estimate_exec(
-        task.spec.codelet->name(), impl->arch, task.footprint,
-        task.total_bytes,
-        static_cast<std::uint64_t>(config_.calibration_samples));
-  }
-  if (!exec && impl->cost) {
-    exec = sim::execution_seconds(
-        worker.profile, impl->cost(task.operand_bytes, task.spec.arg.get()));
-  }
-  return exec.value_or(kNeutralExecSeconds);
+  if (impl == nullptr || !impl->cost) return kNeutralExecSeconds;
+  return sim::execution_seconds(
+      worker.profile, impl->cost(task.operand_bytes, task.spec.arg.get()));
 }
 
 void Engine::commit_window_task(const TaskPtr& task, WorkerId worker,
@@ -1252,25 +1218,16 @@ std::uint64_t Engine::exploration_sample_count(const Task& task, WorkerId id) co
 
 VirtualTime Engine::virtual_makespan() const {
   // Clocks never move back between resets, so the latest clock is the
-  // latest completion.
-  std::lock_guard<std::mutex> lock(clock_mutex_);
-  return clocks_.makespan();
+  // latest committed completion.
+  return scheduler_->makespan();
 }
 
 void Engine::reset_virtual_time() {
   // Quiesce first: resetting clocks under running tasks would corrupt the
   // timeline. (Completion bookkeeping may lag wait() by a callback, so
-  // draining here instead of throwing keeps the API race-free.) In-flight
-  // prefetches must also finish — a straggler would charge a lane after
-  // the reset.
+  // draining here instead of throwing keeps the API race-free.)
   wait_for_all();
-  drain_prefetches();
   std::lock_guard<std::mutex> lock(graph_mutex_);
-  {
-    std::lock_guard<std::mutex> clock_lock(clock_mutex_);
-    clocks_.reset(descs_, nullptr);
-  }
-  data_.reset_virtual_time();
   scheduler_->reset_virtual_time();
   std::lock_guard<std::mutex> baseline_lock(baseline_mutex_);
   interval_start_ = tracer_.books();

@@ -11,12 +11,12 @@
 // concurrently; writes order against everything), exactly the mechanism the
 // paper's §IV-E inter-component-parallelism discussion relies on.
 //
-// Time model: tasks really execute on worker threads (numerics are real);
-// the engine additionally books every attempt on an rt::Plan of virtual
-// worker clocks using the sim cost models, and all performance accounting
-// (history models, scheduling estimates, makespan) is in virtual time. The
-// plan's core-sharing rule is the one dmda, the lookahead window and
-// peppher-predict place by. See DESIGN.md §5.
+// Time model: tasks really execute on worker threads (numerics are real),
+// each against the commit the scheduler made when it placed the attempt on
+// its rt::Plan, the engine's one virtual timeline (the host events commit
+// there too). All performance accounting is in that virtual time, by the
+// rules dmda, the lookahead window and peppher-predict place by. See
+// DESIGN.md §5.
 //
 // Concurrency architecture (see docs/runtime.md "Concurrency architecture &
 // overhead"): the task hot path — pop, execute, account, release successors
@@ -24,12 +24,12 @@
 // dependency graph (Task::successors/unmet_dependencies/max_pred_end and
 // DataHandle::last_writer/readers_since_last_write) and is taken at submit
 // and completion. Scheduler queues carry their own per-worker locks; each
-// worker sleeps on its own ParkSlot and is woken individually. The worker
-// clocks are one rt::Plan behind clock_mutex_; every counter lives in the
-// recorder (runtime/trace.hpp), in a shard only its worker writes. Lock
-// hierarchy (outer to inner): graph_mutex_ → scheduler queue locks →
-// ParkSlot/done_mutex_ → handle mutexes are taken on their own, never under
-// graph_mutex_. clock_mutex_ is a leaf: nothing is taken under it.
+// worker sleeps on its own ParkSlot and is woken individually. The
+// timeline sits behind the scheduler's own lock; every counter lives in
+// the recorder (runtime/trace.hpp), in a shard only its worker writes.
+// Lock hierarchy (outer to inner): graph_mutex_ → the scheduler's locks →
+// handle mutexes; ParkSlot/done_mutex_ are taken on their own. A handle
+// mutex is never held while taking an engine or scheduler lock.
 #pragma once
 
 #include <array>
@@ -41,7 +41,6 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,12 +126,12 @@ struct EngineConfig {
 
   /// Scheduler-driven automatic prefetch (StarPU's prefetch-on-commit,
   /// §IV-H): when the scheduler commits a queued task to a device worker,
-  /// the engine enqueues asynchronous prefetches of the task's read
-  /// operands to that worker's memory node on a background transfer
-  /// thread, so the replica is typically resident by the time the task
-  /// pops. Automatically disabled when any fault plan is active — a
-  /// background transfer path would consume per-device fault draws
-  /// nondeterministically — and on machines without accelerators.
+  /// a background thread copies the task's read operands to that worker's
+  /// memory node, so the bytes are typically resident by the time the task
+  /// pops. Real bytes only: the commit already timed the fetch. Automatically
+  /// disabled when any fault plan is active — a background transfer path
+  /// would consume per-device fault draws nondeterministically — and on
+  /// machines without accelerators.
   bool enable_prefetch = true;
 
   /// Debug counterpart of the static lint check PL030: submit() rejects a
@@ -217,6 +216,10 @@ class Engine {
   /// no-op on a handle an engine shutdown already detached.
   void unregister(const DataHandlePtr& handle);
 
+  /// DataHandle::unpartition, committed on the timeline (each child flushes
+  /// home on the lanes); partition after acquire_host(handle, kReadWrite).
+  void unpartition(const DataHandlePtr& handle);
+
   // -- task submission -------------------------------------------------------
 
   /// Submits a task. Asynchronous unless spec.synchronous; returns the task
@@ -272,8 +275,10 @@ class Engine {
   std::string trace_json() const;
 
   /// Hint: make `handle` valid on `node` ahead of time so a task scheduled
-  /// there finds its data resident (StarPU's data prefetch). Skipped
-  /// silently while a writer task submitted on the handle has not completed
+  /// there finds its data resident (StarPU's data prefetch). A prefetch
+  /// that copies commits its fetch on the timeline, where it starts as
+  /// soon as its lane and its source allow. Skipped silently, committing
+  /// nothing, while a writer task submitted on the handle has not completed
   /// (DataHandle::prefetch). Returns true if a replica is valid on the node
   /// afterwards.
   bool prefetch(const DataHandlePtr& handle, MemoryNodeId node);
@@ -375,11 +380,10 @@ class Engine {
     std::uint64_t task_sequence = 0;  ///< committing task (trace records)
   };
 
-  /// Queues background prefetches of `task`'s read operands to the node of
+  /// Queues background copies of `task`'s read operands to the node of
   /// the worker the scheduler committed it to (`hint`); no-op for central
-  /// queues (hint < 0) and host workers. Called from dispatch_ready after
-  /// the scheduler's push so the committing push's own estimate still saw
-  /// the full fetch cost, while every later push sees it in flight.
+  /// queues (hint < 0) and host workers. Real bytes only: the commit
+  /// already put the fetches on the timeline.
   void enqueue_prefetches(const Task& task, WorkerId hint);
 
   /// Background-prefetch thread body: pops requests and warms replicas.
@@ -457,6 +461,10 @@ class Engine {
   /// (history models, cost hint, neutral guess); +inf when ineligible.
   double exec_estimate(const Task& task, WorkerId id) const;
 
+  /// SchedEnv::cost — the seconds an attempt on worker `id` is committed
+  /// for: the cost model's, else kNeutralExecSeconds.
+  double exec_cost(const Task& task, WorkerId id) const;
+
   /// SchedEnv::commit — the lookahead scheduler announces each planned
   /// task it placed on a worker other than the push/pop trigger: record the
   /// decision, warm the operands on the worker's node, wake the worker.
@@ -484,24 +492,8 @@ class Engine {
   std::vector<WorkerDesc> descs_;  ///< immutable after construction
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  /// The executed timeline: every attempt, failed ones included, is booked
-  /// on this plan of descs_ (no interconnect: transfers run on the data
-  /// manager's lanes), so the engine advances its clocks by the plan's
-  /// core-sharing rule. Guarded by clock_mutex_, a leaf lock.
-  mutable std::mutex clock_mutex_;
-  Plan clocks_;
-
-  /// Per-simulated-node shared state: the per-node CPU-group lock (the
-  /// combined worker of node k only contends with node k's cores) and the
-  /// node's death flag.
-  struct NodeRuntime {
-    /// Serialises real execution of the node's combined-CPU worker against
-    /// its per-core CPU workers (they share the same physical cores), so
-    /// a combined attempt and a core attempt book in the order they run.
-    std::shared_mutex cpu_group_mutex;
-    std::atomic<bool> dead{false};  ///< whole-node death already handled
-  };
-  std::vector<std::unique_ptr<NodeRuntime>> node_rt_;  ///< per sim node
+  /// Per simulated node: whole-node death already handled.
+  std::unique_ptr<std::atomic<bool>[]> node_dead_;
 
   /// One fault injector per accelerator, index-aligned with the global
   /// device ordinals (nullptr = fault-free device). Immutable after

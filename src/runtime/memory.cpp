@@ -30,12 +30,14 @@ DataHandle::DataHandle(DataManager* manager, void* host_ptr, std::size_t bytes,
       element_size_(element_size),
       id_(manager->allocate_data_id()),
       replicas_(static_cast<std::size_t>(manager->node_count())),
-      states_(replicas_.size(), ReplicaState::kInvalid) {
+      states_(replicas_.size(), ReplicaState::kInvalid),
+      plan_valid_at_(replicas_.size(), 0.0) {
   check(bytes > 0, "cannot register an empty buffer");
   check(element_size > 0 && bytes % element_size == 0,
         "buffer size must be a multiple of the element size");
   replicas_[kHostNode].ptr = host_ptr_;
   msi::apply_host_reclaim(states_);  // valid on the host, nowhere else
+  plan_states_ = states_;
 }
 
 DataHandle::~DataHandle() {
@@ -116,7 +118,7 @@ void DataHandle::ensure_allocated(MemoryNodeId node) {
   replica.ptr = replica.storage.get();
 }
 
-VirtualTime DataHandle::fetch_locked(MemoryNodeId node, AccessMode mode) {
+void DataHandle::fetch_locked(MemoryNodeId node, AccessMode mode) {
   const MemTopology& topo = manager_->topo();
   if (mode == AccessMode::kWrite) ensure_allocated(node);
   msi::apply_acquire(states_, node, mode, topo,
@@ -125,18 +127,12 @@ VirtualTime DataHandle::fetch_locked(MemoryNodeId node, AccessMode mode) {
     // then records only the hops that already landed.
     manager_->notify_transfer_attempt(from, to, bytes_);
     ensure_allocated(to);
-    const Replica& src = replicas_[static_cast<std::size_t>(from)];
-    Replica& dst = replicas_[static_cast<std::size_t>(to)];
-    std::memcpy(dst.ptr, src.ptr, bytes_);
-    dst.valid_at = manager_->charge_link(from, to, bytes_, src.valid_at, id_);
+    std::memcpy(replicas_[static_cast<std::size_t>(to)].ptr,
+                replicas_[static_cast<std::size_t>(from)].ptr, bytes_);
   });
-  return mode == AccessMode::kWrite
-             ? 0.0
-             : replicas_[static_cast<std::size_t>(node)].valid_at;
 }
 
-void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
-                          VirtualTime* data_ready) {
+void* DataHandle::acquire(MemoryNodeId node, AccessMode mode) {
   std::lock_guard<std::mutex> lock(mutex_);
   check_attached_locked("acquire");
   if (detached_) {
@@ -149,11 +145,9 @@ void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
   }
   check(node >= 0 && node < static_cast<int>(replicas_.size()),
         "acquire: bad memory node");
-  const VirtualTime ready = fetch_locked(node, mode);
-  if (mode == AccessMode::kRead) ++read_uses_;
+  fetch_locked(node, mode);
   Replica& replica = replicas_[static_cast<std::size_t>(node)];
   if (node != kHostNode) ++replica.pins;  // released by release(node)
-  if (data_ready != nullptr) *data_ready = ready;
   return replica.ptr;
 }
 
@@ -169,7 +163,6 @@ PrefetchSkipReason DataHandle::prefetch(MemoryNodeId node) {
   check(node >= 0 && node < static_cast<int>(replicas_.size()),
         "prefetch: bad memory node");
   fetch_locked(node, AccessMode::kRead);
-  ++read_uses_;  // a read like any other: it feeds the plan's reuse
   return PrefetchSkipReason::kNone;
 }
 
@@ -206,50 +199,19 @@ bool DataHandle::try_evict(MemoryNodeId node) {
   return true;
 }
 
-void DataHandle::mark_written(MemoryNodeId node, VirtualTime vend) {
+void DataHandle::note_read() {
   std::lock_guard<std::mutex> lock(mutex_);
-  check_attached_locked("mark_written");
-  check(states_[static_cast<std::size_t>(node)] == ReplicaState::kOwned,
-        "mark_written on a non-owned replica");
-  replicas_[static_cast<std::size_t>(node)].valid_at = vend;
-}
-
-void DataHandle::reset_virtual_time() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (Replica& replica : replicas_) replica.valid_at = 0.0;
-}
-
-void DataHandle::plan_states(std::vector<ReplicaState>& out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t n = 0; n < replicas_.size(); ++n) {
-    out.push_back(replicas_[n].prefetch_pending > 0 &&
-                          states_[n] == ReplicaState::kInvalid
-                      ? ReplicaState::kShared
-                      : states_[n]);
-  }
+  ++plan_reads_;
 }
 
 std::uint64_t DataHandle::reads() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return read_uses_;
+  return plan_reads_;
 }
 
 ReplicaState DataHandle::replica_state(MemoryNodeId node) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return states_[static_cast<std::size_t>(node)];
-}
-
-void DataHandle::note_prefetch_queued(MemoryNodeId node) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++replicas_[static_cast<std::size_t>(node)].prefetch_pending;
-}
-
-void DataHandle::note_prefetch_done(MemoryNodeId node) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Replica& replica = replicas_[static_cast<std::size_t>(node)];
-  check(replica.prefetch_pending > 0,
-        "note_prefetch_done without matching note_prefetch_queued");
-  --replica.prefetch_pending;
 }
 
 std::vector<DataHandlePtr> DataHandle::partition(std::size_t parts) {
@@ -295,11 +257,12 @@ std::vector<DataHandlePtr> DataHandle::partition(std::size_t parts) {
   return out;
 }
 
-void DataHandle::unpartition() {
+std::vector<DataHandlePtr> DataHandle::unpartition() {
   std::lock_guard<std::mutex> lock(mutex_);
   check_attached_locked("unpartition");
   // Flush each child home into the parent's memory; the child's host copy
   // is then the only one, so no stale replica of it can be written back.
+  std::vector<DataHandlePtr> gathered;
   for (auto& weak_child : children_) {
     DataHandlePtr child = weak_child.lock();
     if (child == nullptr) continue;
@@ -307,9 +270,11 @@ void DataHandle::unpartition() {
     child->fetch_locked(kHostNode, AccessMode::kRead);
     msi::apply_host_reclaim(child->states_);
     child->detached_ = true;
+    gathered.push_back(std::move(child));
   }
   children_.clear();
   msi::apply_host_reclaim(states_);
+  return gathered;
 }
 
 // ---------------------------------------------------------------------------
@@ -326,46 +291,6 @@ DataManager::DataManager(MemTopology topo, sim::LinkProfile link,
       capacities_(static_cast<std::size_t>(node_count_), 0),
       allocated_(static_cast<std::size_t>(node_count_), 0) {
   check(node_count_ >= 1, "need at least the host memory node");
-  intra_lane_count_ =
-      (net_.pcie.shared_bus || net_.topo.device_count() == 0)
-          ? 1
-          : 2 * static_cast<std::size_t>(net_.topo.device_count());
-  // Two directed inter-node lanes per unordered pair of simulated nodes
-  // (duplex, like the per-device PCIe lanes), appended after the intra
-  // lanes.
-  const std::size_t sims = static_cast<std::size_t>(net_.topo.sim_node_count());
-  const std::size_t lane_count = intra_lane_count_ + sims * (sims - 1);
-  lanes_.reserve(lane_count);
-  for (std::size_t i = 0; i < lane_count; ++i) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
-}
-
-std::size_t DataManager::lane_index(MemoryNodeId from, MemoryNodeId to) const {
-  const int from_sim = net_.topo.sim_node(from);
-  const int to_sim = net_.topo.sim_node(to);
-  if (from_sim == to_sim) {
-    if (intra_lane_count_ == 1) return 0;  // shared bus (or no devices)
-    const MemoryNodeId device = net_.topo.is_host(from) ? to : from;
-    const int ordinal = net_.topo.device_ordinal(device);
-    check(ordinal >= 0, "charge_link: bad device node");
-    return 2 * static_cast<std::size_t>(ordinal) +
-           (net_.topo.is_host(to) ? 1 : 0);
-  }
-  // Inter-node hops are host-to-host only (route_via splits everything
-  // else). Unordered pair (i, j), i < j, in lexicographic order; the i->j
-  // direction gets the even lane of the pair.
-  check(net_.topo.is_host(from) && net_.topo.is_host(to),
-        "charge_link: inter-node hop must be host to host");
-  const std::size_t i = static_cast<std::size_t>(std::min(from_sim, to_sim));
-  const std::size_t j = static_cast<std::size_t>(std::max(from_sim, to_sim));
-  const std::size_t sims = static_cast<std::size_t>(net_.topo.sim_node_count());
-  const std::size_t pair = i * (2 * sims - i - 1) / 2 + (j - i - 1);
-  return intra_lane_count_ + 2 * pair + (from_sim < to_sim ? 0 : 1);
-}
-
-DataManager::Lane& DataManager::lane_for(MemoryNodeId from, MemoryNodeId to) {
-  return *lanes_[lane_index(from, to)];
 }
 
 void DataManager::set_node_capacity(MemoryNodeId node, std::size_t bytes) {
@@ -398,8 +323,8 @@ void DataManager::on_allocate(MemoryNodeId node, std::size_t bytes,
       }
     }
   }
-  // Evict (outside the manager lock: eviction flushes may charge the link)
-  // oldest-resident first until the node fits again.
+  // Evict (outside the manager lock: an eviction flush takes the evicted
+  // handle's mutex) oldest-resident first until the node fits again.
   for (const auto& candidate : candidates) {
     if (node_allocated(node) <= capacity) return;
     candidate->try_evict(node);
@@ -441,7 +366,7 @@ DataHandlePtr DataManager::register_buffer(void* host_ptr, std::size_t bytes,
 
 void DataManager::detach_all() {
   // Collect under the manager lock, detach outside it: handle mutexes are
-  // taken before the manager's (see reset_virtual_time).
+  // taken before the manager's on the allocation path, never after.
   std::vector<DataHandlePtr> live;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -465,43 +390,6 @@ void DataManager::note_handle(const DataHandlePtr& handle) {
     handles_compact_at_ = std::max<std::size_t>(16, all_handles_.size() * 2);
   }
   all_handles_.push_back(handle);
-}
-
-VirtualTime DataManager::charge_link(MemoryNodeId from, MemoryNodeId to,
-                                     std::size_t bytes, VirtualTime ready,
-                                     std::uint64_t data_id) {
-  const std::size_t lane_idx = lane_index(from, to);
-  Lane& lane = *lanes_[lane_idx];
-  std::lock_guard<std::mutex> lock(lane.mutex);
-  const VirtualTime start = std::max(lane.free_at, ready);
-  lane.free_at = start + sim::transfer_seconds(lane_profile(lane_idx), bytes);
-  if (recorder_ != nullptr) {
-    // Still under the lane mutex: lane order is the recording order.
-    recorder_->record_transfer(static_cast<int>(lane_idx), lane.next_seq++,
-                               from, to, bytes, start, lane.free_at, data_id);
-  }
-  return lane.free_at;
-}
-
-void DataManager::reset_virtual_time() {
-  for (const std::unique_ptr<Lane>& lane : lanes_) {
-    std::lock_guard<std::mutex> lock(lane->mutex);
-    lane->free_at = 0.0;
-  }
-  // Replica validity timestamps are virtual times too: a replica staged
-  // before the reset would otherwise appear to arrive at its stale (now
-  // future) vtime and stall its first post-reset consumer. Collect the
-  // live handles under the manager lock, then sweep them outside it —
-  // handle mutexes are taken before the manager's on the allocation path,
-  // never the other way around.
-  std::vector<DataHandlePtr> live;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& weak : all_handles_) {
-      if (DataHandlePtr handle = weak.lock()) live.push_back(std::move(handle));
-    }
-  }
-  for (const DataHandlePtr& handle : live) handle->reset_virtual_time();
 }
 
 }  // namespace peppher::rt

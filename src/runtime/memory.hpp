@@ -1,12 +1,18 @@
 // Data management of the PEPPHER runtime: registered data handles with
 // MSI-style coherence over multiple memory nodes (host RAM + one node per
-// simulated accelerator), lazy transfers over a contended PCIe link, and
-// StarPU-style partitioning into sub-handles for hybrid execution.
+// simulated accelerator), lazy copies, and StarPU-style partitioning into
+// sub-handles for hybrid execution.
 //
 // This is the machinery behind the paper's "smart containers" discussion
 // (§IV-D/E/H and Figure 3): multiple copies of the same data may exist on
 // different memory units; transfers are delayed until actually necessary;
 // copies are invalidated, not discarded, on writes elsewhere.
+//
+// A handle keeps two views of its replicas: its real states, which its
+// acquires move as tasks run, and the plan view of the scheduler's
+// rt::Plan (runtime/placement.hpp) — a state and a valid-at time per
+// memory node, and the reads committed so far — which only commits and
+// the host events sequenced there change.
 #pragma once
 
 #include <atomic>
@@ -56,8 +62,6 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   /// Stable per-manager id (children get their own); keys trace events.
   std::uint64_t id() const noexcept { return id_; }
 
-  /// True for a sub-handle created by partition().
-  bool is_child() const noexcept { return parent_ != nullptr; }
   /// True while this handle has live children (it must not be accessed).
   bool is_partitioned() const noexcept;
 
@@ -83,15 +87,13 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   void detach();
 
   /// Ensures a valid replica on `node` for the given access and returns its
-  /// pointer. Performs any needed allocation and (real) copy, moves the MSI
-  /// states through msi::apply_acquire, charges each hop to its link lane
-  /// in virtual time, and returns via `data_ready` the virtual time at
-  /// which the data is valid on `node`. Device replicas are *pinned* until
+  /// pointer: allocates and copies as needed and moves the real MSI states
+  /// through msi::apply_acquire. Device replicas are *pinned* until
   /// release(node) — pinned replicas are never evicted under memory
   /// pressure. Thread safe per handle.
-  void* acquire(MemoryNodeId node, AccessMode mode, VirtualTime* data_ready);
+  void* acquire(MemoryNodeId node, AccessMode mode);
 
-  /// Warms an unpinned read replica on `node` (Engine::prefetch and the
+  /// Copies an unpinned read replica to `node` (Engine::prefetch and the
   /// background prefetch thread). Skipped while a writer task submitted on
   /// the handle has not completed (its data is still being produced), and
   /// on a partitioned or unpartitioned-child handle; a failed transfer
@@ -117,38 +119,17 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   /// DataManager under memory pressure.
   bool try_evict(MemoryNodeId node);
 
-  /// Records that a task finished writing this handle on `node` at virtual
-  /// time `vend` (refreshes the replica's validity timestamp).
-  void mark_written(MemoryNodeId node, VirtualTime vend);
+  /// Counts one committed read-mode access.
+  void note_read();
 
-  /// Zeroes every replica's validity timestamp. Called by the manager's
-  /// reset_virtual_time(): `valid_at` is a virtual time, so pre-staged data
-  /// must not appear to arrive *after* the reset epoch.
-  void reset_virtual_time();
-
-  /// Appends the handle's coherence state as a plan seeds it
-  /// (runtime/placement.hpp) to `out`: one state per memory node, where a
-  /// replica with a queued background prefetch counts as valid — the lane
-  /// already pays for that transfer, so no placement may charge it again.
-  void plan_states(std::vector<ReplicaState>& out) const;
-
-  /// Read-mode acquires so far: the reuse a plan amortises this handle's
-  /// read fetches over. A handle read by many tasks is expected to be read
-  /// by many more, which is what lets dmda move a heavily reused operand
-  /// (the ODE solver's Jacobian, §IV-H) to the device where its consumers
-  /// run fastest.
+  /// Read-mode accesses committed so far: the reuse a plan amortises this
+  /// handle's read fetches over. A handle read by many tasks is expected to
+  /// be read by many more, which is what lets dmda move a heavily reused
+  /// operand (the ODE solver's Jacobian, §IV-H) to the device where its
+  /// consumers run fastest.
   std::uint64_t reads() const;
 
-  ReplicaState replica_state(MemoryNodeId node) const;
-
-  // -- prefetch accounting (scheduler-driven prefetch, §IV-H) ---------------
-
-  /// Marks a background prefetch of this handle to `node` as queued. Until
-  /// the matching note_prefetch_done(), plan_states() reports the replica
-  /// valid — the transfer is already paid for by the prefetch path, so dmda
-  /// must not double-charge it.
-  void note_prefetch_queued(MemoryNodeId node);
-  void note_prefetch_done(MemoryNodeId node);
+  ReplicaState replica_state(MemoryNodeId node) const;  ///< the real one
 
   // -- partitioning (hybrid execution, §IV-F) -------------------------------
 
@@ -158,8 +139,9 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   std::vector<std::shared_ptr<DataHandle>> partition(std::size_t parts);
 
   /// Gathers children back: flushes each child to host and revalidates the
-  /// parent. All child handles become permanently invalid.
-  void unpartition();
+  /// parent. All child handles become permanently invalid; returns the ones
+  /// still alive.
+  std::vector<std::shared_ptr<DataHandle>> unpartition();
 
   // -- dependency metadata (used by the Engine under its submission lock) ---
 
@@ -168,23 +150,21 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
 
  private:
   friend class DataManager;
+  friend class Plan;  ///< seeds its data from the plan view and stores them
   DataHandle(DataManager* manager, void* host_ptr, std::size_t bytes,
              std::size_t element_size);
 
   struct Replica {
     std::unique_ptr<std::byte[]> storage;  ///< device nodes only
     void* ptr = nullptr;
-    VirtualTime valid_at = 0.0;
     int pins = 0;  ///< active acquires; pinned replicas are not evictable
-    int prefetch_pending = 0;  ///< queued background prefetches targeting here
   };
 
-  /// The one fetch routine: moves the states through msi::apply_acquire,
-  /// copying each hop of its route and charging the hop on its lane before
-  /// the hop is recorded (a failing hop throws with the earlier hops
-  /// recorded). Allocates `node` for a write. Caller holds mutex_. Returns
-  /// the vtime at which the data is valid on `node` (0 for a write).
-  VirtualTime fetch_locked(MemoryNodeId node, AccessMode mode);
+  /// The one fetch routine: moves the real states through
+  /// msi::apply_acquire, copying each hop of its route before the hop is
+  /// recorded (a failing hop throws with the earlier hops recorded).
+  /// Allocates `node` for a write. Caller holds mutex_.
+  void fetch_locked(MemoryNodeId node, AccessMode mode);
 
   void ensure_allocated(MemoryNodeId node);
 
@@ -206,7 +186,14 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   /// Coherence state per memory node; changed only through rt::msi.
   std::vector<ReplicaState> states_;
 
-  std::uint64_t read_uses_ = 0;  ///< guarded by mutex_
+  // The plan view, guarded by mutex_ (see the file comment): per memory
+  // node the replica's state and when it became valid, in the virtual
+  // time of the plan reset that stored them (Plan::add_data).
+  std::vector<ReplicaState> plan_states_;
+  std::vector<double> plan_valid_at_;
+  std::uint64_t plan_epoch_ = 0;
+  std::uint64_t plan_reads_ = 0;
+
   std::atomic<int> writers_in_flight_{0};
 
   DataHandle* parent_ = nullptr;
@@ -218,15 +205,9 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
 
 using DataHandlePtr = std::shared_ptr<DataHandle>;
 
-/// Owns the memory-node table and the PCIe link lanes; reports every hop,
+/// Owns the memory-node table and the links between the nodes (the
+/// Interconnect the plan prices and reserves lanes on); reports every
 /// eviction and overcommit to the attached recorder. One per Engine.
-///
-/// Link contention model: unless LinkProfile::shared_bus is set, every
-/// device node gets two independent *lanes* — host-to-device and
-/// device-to-host — each with its own mutex and virtual clock, so
-/// concurrent transfers to different devices (or in opposite directions)
-/// never contend, in code or in virtual time. shared_bus collapses all
-/// traffic onto one lane: the legacy half-duplex model.
 class DataManager {
  public:
   /// Single-host manager: @param node_count host + one per accelerator.
@@ -234,9 +215,8 @@ class DataManager {
 
   /// Cluster manager: `topo` lays out the memory nodes (hosts + devices of
   /// every simulated node), `link` prices intra-node (PCIe) hops and
-  /// `internode` prices host(i) <-> host(j) hops. Each direction of each
-  /// node pair gets its own inter-node lane clock (duplex, like PCIe). A
-  /// single-node topology is identical to the single-host constructor.
+  /// `internode` prices host(i) <-> host(j) hops. A single-node topology
+  /// is identical to the single-host constructor.
   DataManager(MemTopology topo, sim::LinkProfile link,
               sim::LinkProfile internode);
 
@@ -277,21 +257,11 @@ class DataManager {
     return next_data_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  const sim::LinkProfile& link() const noexcept { return net_.pcie; }
-
   /// The memory-hierarchy map (hosts, devices, routes).
   const MemTopology& topo() const noexcept { return net_.topo; }
 
   /// Topology plus the links its hops are priced over.
   const Interconnect& interconnect() const noexcept { return net_; }
-
-  /// Advances the `from`→`to` lane clock by a transfer of `bytes` starting
-  /// no earlier than `ready`, priced by sim::transfer_seconds on the lane's
-  /// link, and records the hop; returns completion vtime. `data_id`
-  /// identifies the transferred handle in trace records (0 = untracked).
-  VirtualTime charge_link(MemoryNodeId from, MemoryNodeId to,
-                          std::size_t bytes, VirtualTime ready,
-                          std::uint64_t data_id = 0);
 
   /// Fault-injection hook, invoked once per single-hop replica copy before
   /// any state changes; may throw to simulate a failed transfer. Called
@@ -307,20 +277,13 @@ class DataManager {
     if (transfer_hook_) transfer_hook_(from, to, bytes);
   }
 
-  /// Resets the link lane clocks and every live handle's replica validity
-  /// timestamps (benchmark repetition: measured sweeps start at vtime 0
-  /// even when their inputs were pre-staged before the reset). Lane
-  /// sequence counters stay monotonic across resets.
-  void reset_virtual_time();
-
-  /// Tracks a live handle for whole-manager sweeps such as
-  /// reset_virtual_time(). Called on registration and for partition
-  /// children; entries are weak and compacted amortised.
+  /// Tracks a live handle for detach_all(). Called on registration and for
+  /// partition children; entries are weak and compacted amortised.
   void note_handle(const DataHandlePtr& handle);
 
-  /// Attaches the recorder that counts (and traces) every hop, eviction and
-  /// overcommit; without one the manager keeps no books.
-  /// Set once before any transfer, like the fault hook.
+  /// Attaches the recorder that counts every eviction and overcommit;
+  /// without one the manager keeps no books. Set once before any
+  /// transfer, like the fault hook.
   void set_recorder(Tracer* recorder) noexcept { recorder_ = recorder; }
 
   /// Reports a counted event to the recorder, if one is attached.
@@ -328,40 +291,13 @@ class DataManager {
     if (recorder_ != nullptr) recorder_->count(event);
   }
 
-  /// Lane-table index for a `from`→`to` transfer (the `lane` field of
-  /// TransferRecord and the per-lane rows of the Chrome export).
-  std::size_t lane_index(MemoryNodeId from, MemoryNodeId to) const;
-
  private:
-  /// One directed transfer lane and its own clock.
-  struct Lane {
-    std::mutex mutex;
-    VirtualTime free_at = 0.0;
-    std::uint64_t next_seq = 0;  ///< per-lane hop order
-  };
-
-  Lane& lane_for(MemoryNodeId from, MemoryNodeId to);
-
-  /// Link profile of a lane-table entry: intra lanes price PCIe, appended
-  /// inter-node lanes price the cluster link.
-  const sim::LinkProfile& lane_profile(std::size_t lane) const noexcept {
-    return lane < intra_lane_count_ ? net_.pcie : net_.internode;
-  }
-
   Interconnect net_;
   int node_count_;
   Engine* engine_ = nullptr;  ///< immutable once handles exist
-  std::size_t intra_lane_count_ = 1;
   TransferHook transfer_hook_;  ///< immutable once workers run
   Tracer* recorder_ = nullptr;    ///< immutable once workers run
   std::atomic<std::uint64_t> next_data_id_{1};  ///< DataHandle::id allocator
-
-  /// Lane table, fixed at construction: index 0 in shared-bus mode, else
-  /// 2*ordinal for H2D and 2*ordinal+1 for D2H of the device with that
-  /// global ordinal (= node-1 on a single host). Clusters append two
-  /// directed inter-node lanes per node pair after the intra lanes.
-  /// unique_ptr because a mutex is immovable.
-  std::vector<std::unique_ptr<Lane>> lanes_;
 
   /// Amortised compaction of resident_handles_: compact when the list
   /// reaches this size, then re-arm at 2x the surviving entries.

@@ -1,6 +1,8 @@
 #include "runtime/placement.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <utility>
 
 #include "runtime/memory.hpp"
@@ -83,6 +85,43 @@ double Interconnect::fetch_seconds(std::span<const ReplicaState> states,
   return fetch_seconds(topo.nearest_valid(dest, valid), dest, bytes, reuse);
 }
 
+std::size_t Interconnect::intra_lanes() const {
+  return pcie.shared_bus || topo.device_count() == 0
+             ? 1
+             : 2 * static_cast<std::size_t>(topo.device_count());
+}
+
+std::size_t Interconnect::lane_count() const {
+  const auto sims = static_cast<std::size_t>(topo.sim_node_count());
+  return intra_lanes() + sims * (sims - 1);
+}
+
+std::size_t Interconnect::lane(MemoryNodeId from, MemoryNodeId to) const {
+  const int from_sim = topo.sim_node(from);
+  const int to_sim = topo.sim_node(to);
+  if (from_sim == to_sim) {
+    if (intra_lanes() == 1) return 0;  // shared bus (or no devices)
+    const MemoryNodeId device = topo.is_host(from) ? to : from;
+    const int ordinal = topo.device_ordinal(device);
+    check(ordinal >= 0, "Interconnect::lane: bad device node");
+    return 2 * static_cast<std::size_t>(ordinal) + (topo.is_host(to) ? 1 : 0);
+  }
+  // Inter-node hops are host to host only (route_via splits everything
+  // else). Unordered pair (i, j), i < j, in lexicographic order; the i->j
+  // direction gets the even lane of the pair.
+  check(topo.is_host(from) && topo.is_host(to),
+        "Interconnect::lane: inter-node hop must be host to host");
+  const auto i = static_cast<std::size_t>(std::min(from_sim, to_sim));
+  const auto j = static_cast<std::size_t>(std::max(from_sim, to_sim));
+  const auto sims = static_cast<std::size_t>(topo.sim_node_count());
+  const std::size_t pair = i * (2 * sims - i - 1) / 2 + (j - i - 1);
+  return intra_lanes() + 2 * pair + (from_sim < to_sim ? 0 : 1);
+}
+
+const sim::LinkProfile& Interconnect::lane_link(std::size_t lane) const {
+  return lane < intra_lanes() ? pcie : internode;
+}
+
 void Plan::reset(const std::vector<WorkerDesc>& workers,
                  const Interconnect* net, Objective objective) {
   workers_ = &workers;
@@ -90,30 +129,61 @@ void Plan::reset(const std::vector<WorkerDesc>& workers,
   objective_ = objective;
   nodes_ = net != nullptr ? static_cast<std::size_t>(net->topo.node_count()) : 0;
   clocks_.assign(workers.size(), 0.0);
-  states_.clear();
+  lanes_.assign(net != nullptr ? net->lane_count() : 0, 0.0);
+  clear_data();
+  static std::atomic<std::uint64_t> resets{0};
+  epoch_ = ++resets;
 }
 
-int Plan::add_data(std::span<const ReplicaState> states) {
+int Plan::add_data(std::span<const ReplicaState> states,
+                   std::span<const double> valid_at) {
   check(states.size() >= nodes_, "Plan::add_data: too few replica states");
   states_.insert(states_.end(), states.begin(), states.begin() + nodes_);
+  valid_at_.resize(states_.size(), 0.0);
+  if (!valid_at.empty()) {
+    std::copy_n(valid_at.begin(), nodes_, valid_at_.end() - nodes_);
+  }
   return nodes_ > 0 ? static_cast<int>(states_.size() / nodes_) - 1 : 0;
 }
 
 int Plan::add_data(const DataHandle& handle) {
-  if (nodes_ > 0) handle.plan_states(states_);
-  return nodes_ > 0 ? static_cast<int>(states_.size() / nodes_) - 1 : 0;
+  std::lock_guard<std::mutex> lock(handle.mutex_);
+  // Times stored before this plan's reset: the data are there at time 0.
+  return add_data(handle.plan_states_,
+                  handle.plan_epoch_ == epoch_
+                      ? std::span<const double>(handle.plan_valid_at_)
+                      : std::span<const double>());
 }
 
-double Plan::fetch(int data, MemoryNodeId node, std::size_t bytes) {
+void Plan::store_data(int data, DataHandle& handle) const {
+  if (nodes_ == 0) return;
+  std::lock_guard<std::mutex> lock(handle.mutex_);
+  const std::size_t first = static_cast<std::size_t>(data) * nodes_;
+  std::copy_n(states_.begin() + first, nodes_, handle.plan_states_.begin());
+  std::copy_n(valid_at_.begin() + first, nodes_, handle.plan_valid_at_.begin());
+  handle.plan_epoch_ = epoch_;
+}
+
+double Plan::access(int data, MemoryNodeId node, AccessMode mode,
+                    std::size_t bytes, Hops* hops) {
   if (net_ == nullptr) return 0.0;
-  const std::span<ReplicaState> states = slot(data);
-  const double seconds = net_->fetch_seconds(states, node, bytes, 1.0);
-  msi::apply_acquire(states, node, AccessMode::kRead, net_->topo);
-  return seconds;
+  const double ready = arrive(data, node, mode, bytes, hops);
+  if (mode != AccessMode::kRead) {
+    valid_slot(data)[static_cast<std::size_t>(node)] = ready;
+  }
+  return ready;
 }
 
-void Plan::reclaim(int data) {
-  if (net_ != nullptr) msi::apply_host_reclaim(slot(data));
+void Plan::advance_from(const Plan& from, double seconds) {
+  const auto shift = [seconds](std::vector<double>& now,
+                               const std::vector<double>& before) {
+    for (std::size_t i = 0; i < now.size(); ++i) {
+      if (now[i] != (i < before.size() ? before[i] : 0.0)) now[i] += seconds;
+    }
+  };
+  shift(clocks_, from.clocks_);
+  shift(lanes_, from.lanes_);
+  shift(valid_at_, from.valid_at_);
 }
 
 double Plan::makespan() const {
@@ -181,42 +251,63 @@ void Plan::finish(WorkerId worker, double end) {
   }
 }
 
-double Plan::book(WorkerId worker, double deps, double work) {
-  const double start = std::max(clock(worker), deps);
-  finish(worker, start + work);
-  return start;
+double Plan::arrive(int data, MemoryNodeId node, AccessMode mode,
+                    std::size_t bytes, Hops* hops) {
+  const std::span<double> valid = valid_slot(data);
+  msi::apply_acquire(slot(data), node, mode, net_->topo,
+                     [&](MemoryNodeId from, MemoryNodeId to) {
+    const std::size_t lane = net_->lane(from, to);
+    const double start =
+        std::max(lanes_[lane], valid[static_cast<std::size_t>(from)]);
+    const double end =
+        start + sim::transfer_seconds(net_->lane_link(lane), bytes);
+    lanes_[lane] = valid[static_cast<std::size_t>(to)] = end;
+    if (hops != nullptr) {
+      hops->push_back({data, lane, from, to, bytes, start, end});
+    }
+  });
+  return mode == AccessMode::kWrite ? 0.0
+                                    : valid[static_cast<std::size_t>(node)];
 }
 
-Plan::Commit Plan::commit(const Task& task, WorkerId worker) {
+Plan::Commit Plan::commit(const Task& task, WorkerId worker, double exec,
+                          Hops* hops) {
   const auto w = static_cast<std::size_t>(worker);
   const MemoryNodeId node = (*workers_)[w].node;
   Commit out;
   out.start = std::max(clocks_[w], task.deps);
-  out.work = price(task, worker).work;
-  for (const Operand& op : task.operands) {
-    if (net_ == nullptr) break;
-    const std::span<ReplicaState> states = slot(op.data);
-    if (op.mode != AccessMode::kWrite &&
-        states[static_cast<std::size_t>(node)] == ReplicaState::kInvalid) {
-      out.fetch += net_->fetch_seconds(states, node, op.bytes, 1.0);
-      out.fetched_bytes += op.bytes;
+  if (net_ != nullptr) {
+    for (const Operand& op : task.operands) {
+      out.start =
+          std::max(out.start, arrive(op.data, node, op.mode, op.bytes, hops));
     }
-    msi::apply_acquire(states, node, op.mode, net_->topo);
   }
-  out.end = out.start + out.fetch + task.exec[w];
+  out.end = out.start + exec;
+  if (net_ != nullptr) {
+    for (const Operand& op : task.operands) {
+      if (op.mode != AccessMode::kRead) {
+        valid_slot(op.data)[static_cast<std::size_t>(node)] = out.end;
+      }
+    }
+  }
   finish(worker, out.end);
   return out;
 }
 
 void Plan::restore(const State& state) {
   clocks_ = state.clocks;
+  lanes_ = state.lanes;
   states_ = state.states;
+  valid_at_ = state.valid_at;
 }
 
 Plan::Window Plan::place_window(const std::vector<Task>& tasks,
                                 std::uint64_t budget) {
   const std::size_t count = tasks.size();
-  const State base{clocks_, states_};
+  const State base{clocks_, lanes_, states_, valid_at_};
+  const auto exec_on = [](const Task& task, WorkerId worker) {
+    return task.exec[static_cast<std::size_t>(worker)];
+  };
 
   // Greedy start: each task to its best decision in window order.
   Window best;
@@ -224,7 +315,8 @@ Plan::Window Plan::place_window(const std::vector<Task>& tasks,
     const WorkerId worker = place(task).worker;
     check(worker >= 0, "Plan::place_window: task has no eligible worker");
     best.workers.push_back(worker);
-    best.makespan = std::max(best.makespan, commit(task, worker).end);
+    const double end = commit(task, worker, exec_on(task, worker)).end;
+    best.makespan = std::max(best.makespan, end);
   }
 
   // Branch and bound over assignments in window order: a partial plan whose
@@ -240,7 +332,8 @@ Plan::Window Plan::place_window(const std::vector<Task>& tasks,
   // Replay the winner: the plan ends in its state.
   restore(base);
   for (std::size_t i = 0; i < count; ++i) {
-    best.commits.push_back(commit(tasks[i], best.workers[i]));
+    best.commits.push_back(
+        commit(tasks[i], best.workers[i], exec_on(tasks[i], best.workers[i])));
   }
   return best;
 }
@@ -259,8 +352,9 @@ void Plan::search(const std::vector<Task>& tasks, std::size_t depth,
   }
   if (best.explored >= budget) return;
   const Task& task = tasks[depth];
-  // Candidates cheapest committed end first, so the first descent is
-  // near-greedy and tightens the bound early.
+  // Candidates by start + full fetch + exec, so the first descent is
+  // near-greedy and tightens the bound early; one whose start + exec (a
+  // lower bound on its committed end) reaches the incumbent is cut.
   std::vector<std::pair<double, WorkerId>> candidates;
   for (const WorkerDesc& w : *workers_) {
     const auto wi = static_cast<std::size_t>(w.id);
@@ -271,15 +365,24 @@ void Plan::search(const std::vector<Task>& tasks, std::size_t depth,
                             w.id);
   }
   std::sort(candidates.begin(), candidates.end());
-  saved[depth].clocks = clocks_;
-  saved[depth].states = states_;
-  for (const auto& [end, worker] : candidates) {
-    if (end >= best.makespan) break;  // sorted: the rest are no better
+  // Assigned field by field: the saved vectors keep their storage.
+  State& keep = saved[depth];
+  keep.clocks = clocks_;
+  keep.lanes = lanes_;
+  keep.states = states_;
+  keep.valid_at = valid_at_;
+  for (const auto& [estimate, worker] : candidates) {
+    const auto wi = static_cast<std::size_t>(worker);
+    if (std::max(clocks_[wi], task.deps) + task.exec[wi] >= best.makespan) {
+      continue;
+    }
     if (++best.explored > budget) return;
-    const double committed = commit(task, worker).end;
-    assign[depth] = worker;
-    search(tasks, depth + 1, std::max(makespan, committed), assign, saved,
-           best, budget);
+    const double committed = commit(task, worker, task.exec[wi]).end;
+    if (committed < best.makespan) {
+      assign[depth] = worker;
+      search(tasks, depth + 1, std::max(makespan, committed), assign, saved,
+             best, budget);
+    }
     restore(saved[depth]);
   }
 }

@@ -1,27 +1,27 @@
-// Placement: rt::Plan, the one schedule simulator (DESIGN.md §5). It holds
-// a clock per worker of one worker table and a replica state per datum, and
-// every placement decision runs on it — dmda places one task on the clocks
-// its own earlier decisions booked, the lookahead window a batch on a copy
-// of them, peppher-predict every call of its static trajectory — and the
-// Engine books every executed attempt on one, so their timelines agree
-// because they share this code:
+// Placement: rt::Plan, the one schedule simulator and the engine's one
+// virtual timeline (DESIGN.md §5): a clock per worker of one worker table,
+// a free time per link lane, and per datum a replica state and a valid-at
+// time per memory node. dmda places and commits each task on the
+// scheduler's plan, the lookahead window a batch on a copy of it,
+// peppher-predict every call of its static trajectory, so they agree:
 //
-//   start = max(worker clock, predecessors' end)
-//   time    score = start + fetch + exec
-//   energy  score = exec x worker busy watts + fetch x kLinkWatts
-//           (equal joules go to the earlier start + fetch + exec)
+//   decision  start = max(worker clock, predecessors' end)
+//   time      score = start + fetch + exec
+//   energy    score = exec x worker busy watts + fetch x kLinkWatts
+//             (equal joules go to the earlier start + fetch + exec)
+//   commit    each hop of each fetch runs on its link lane from
+//             max(lane free, source valid-at); the kernel starts at
+//             max(worker clock, predecessors' end, data ready) and ends
+//             exec later, where the written replicas become valid.
 //
-// fetch sums, over the read operands without a valid replica at the
-// worker's node, the hops of MemTopology's route from the nearest valid
-// replica. A decision prices each hop at its link latency in full (a
-// ping-pong of chained fine-grained tasks is never free) plus its volume
-// divided by a read-only operand's reuse, min(reads, kReuseCap); a written
-// operand, and every operand of a commit, pays the full volume. A commit
-// also moves the replica states through msi::apply_acquire, a booking only
-// the clocks; both advance the clocks by one core-sharing rule (see
-// commit).
-// exec is the caller's estimate: the history models, else the variant's
-// cost hint, else kNeutralExecSeconds.
+// A decision's fetch sums, over the read operands without a valid replica
+// at the worker's node, the hops of MemTopology's route from the nearest
+// valid replica: each hop's link latency in full (a ping-pong of chained
+// fine-grained tasks is never free) plus its volume divided by a read-only
+// operand's reuse, min(reads, kReuseCap); a written operand pays the full
+// volume. A commit moves the replica states through msi::apply_acquire and
+// the clocks by one core-sharing rule (see commit). exec is the caller's:
+// a decision's estimate, or the cost model's time for the engine's commit.
 #pragma once
 
 #include <cstddef>
@@ -99,10 +99,25 @@ struct Interconnect {
   double fetch_seconds(std::span<const ReplicaState> states,
                        MemoryNodeId dest, std::size_t bytes,
                        double reuse) const;
+
+  /// The link lanes hops queue on: one for every PCIe hop with
+  /// LinkProfile::shared_bus (or no device), else per device 2*ordinal
+  /// host-to-device and 2*ordinal+1 device-to-host; then one per direction
+  /// of each pair of simulated nodes.
+  std::size_t lane_count() const;
+
+  /// Lane of the single hop `from` -> `to` (a route step).
+  std::size_t lane(MemoryNodeId from, MemoryNodeId to) const;
+
+  /// The link a lane prices its hops on.
+  const sim::LinkProfile& lane_link(std::size_t lane) const;
+
+ private:
+  std::size_t intra_lanes() const;
 };
 
-/// A simulated schedule over one worker table: price, place, book and
-/// commit tasks on it.
+/// A simulated schedule over one worker table: price, place and commit
+/// tasks on it.
 class Plan {
  public:
   struct Operand {
@@ -113,10 +128,22 @@ class Plan {
   };
 
   struct Task {
-    std::vector<double> exec;  ///< seconds per worker; +inf = ineligible
+    std::vector<double> exec;  ///< estimate per worker; +inf = ineligible
     std::vector<Operand> operands;
     double deps = 0.0;  ///< end of the task's latest predecessor
   };
+
+  /// One hop a commit reserved on a link lane.
+  struct Hop {
+    int data = -1;  ///< add_data() id
+    std::size_t lane = 0;
+    MemoryNodeId from = kHostNode;
+    MemoryNodeId to = kHostNode;
+    std::size_t bytes = 0;
+    double start = 0.0;
+    double end = 0.0;
+  };
+  using Hops = std::vector<Hop>;
 
   /// One priced decision; worker -1 when no worker is eligible.
   struct Choice {
@@ -131,13 +158,8 @@ class Plan {
   };
 
   struct Commit {
-    double start = 0.0;
-    double fetch = 0.0;  ///< full volume
-    double end = 0.0;
-    std::size_t fetched_bytes = 0;
-    /// Choice::work of the committed worker, priced before the commit
-    /// moved the plan.
-    double work = 0.0;
+    double start = 0.0;  ///< max(worker clock, deps, data ready)
+    double end = 0.0;    ///< start + exec
   };
 
   /// A jointly placed window, per task in order.
@@ -156,25 +178,32 @@ class Plan {
   }
   Plan() = default;
 
-  /// Starts over on an empty plan, keeping the storage.
+  /// Starts over on an empty plan at time 0, keeping the storage.
   void reset(const std::vector<WorkerDesc>& workers, const Interconnect* net,
              Objective objective = Objective::kTime);
 
-  /// Drops every datum; the clocks stay.
-  void clear_data() { states_.clear(); }
+  /// Drops every datum; the clocks and lanes stay.
+  void clear_data() {
+    states_.clear();
+    valid_at_.clear();
+  }
 
-  /// Adds a datum with one replica state per memory node; returns its id.
-  int add_data(std::span<const ReplicaState> states);
-  /// Adds a datum seeded from a live handle (DataHandle::plan_states).
+  /// Adds a datum with one replica state per memory node, valid from
+  /// `valid_at` (time 0 when empty); returns its id.
+  int add_data(std::span<const ReplicaState> states,
+               std::span<const double> valid_at = {});
+  /// Adds a datum seeded from the plan's view of a handle.
   int add_data(const DataHandle& handle);
+  /// Stores a datum back into the plan's view of `handle`.
+  void store_data(int data, DataHandle& handle) const;
 
   double clock(WorkerId worker) const {
     return clocks_[static_cast<std::size_t>(worker)];
   }
-  /// Moves a worker's clock `seconds` later (loop extrapolation).
-  void advance(WorkerId worker, double seconds) {
-    clocks_[static_cast<std::size_t>(worker)] += seconds;
-  }
+  /// Loop extrapolation: every clock, lane and valid-at time that differs
+  /// from `from`'s (this plan some iterations earlier; a datum added since
+  /// counts from 0) moves `seconds` later.
+  void advance_from(const Plan& from, double seconds);
   std::span<const ReplicaState> states(int data) const {
     return {states_.data() + static_cast<std::size_t>(data) * nodes_, nodes_};
   }
@@ -187,45 +216,47 @@ class Plan {
   /// (start + work), then to the lowest worker id.
   Choice place(const Task& task) const;
 
-  /// Books `work` seconds on `worker` after `deps` and returns the start,
-  /// max(clock, deps): the task ends at start + work, and the clocks move
-  /// as a commit's do. Unlike a commit it moves no replica state.
-  double book(WorkerId worker, double deps, double work);
+  /// Runs `task` on `worker` for `exec` seconds by the commit rule (file
+  /// comment), appending the hops to `hops` when given. A node's
+  /// combined-CPU worker and its per-core workers share the cores: an end
+  /// on one kind raises the other kind's clocks to at least it; per-core
+  /// workers do not wait for each other.
+  Commit commit(const Task& task, WorkerId worker, double exec,
+                Hops* hops = nullptr);
 
-  /// Runs `task` on `worker`: its clock advances to start + full fetch +
-  /// exec and the operands' states move as the live handles' would.
-  /// A commit or a booking treats a node's combined-CPU worker and its
-  /// per-core workers as sharing the cores: the combined worker's end
-  /// raises each per-core clock to at least it, and a per-core worker's end
-  /// raises the combined clock; per-core workers do not wait for each
-  /// other.
-  Commit commit(const Task& task, WorkerId worker);
+  /// A host-side access of `data` on `node`: fetches as a commit does, and
+  /// a write mode owns `node` from the arrival it returns (0 for kWrite).
+  double access(int data, MemoryNodeId node, AccessMode mode,
+                std::size_t bytes, Hops* hops = nullptr);
 
-  /// Makes `data` valid on `node` as a read would (an explicit prefetch);
-  /// returns the full seconds of the copy, 0 when already valid.
-  double fetch(int data, MemoryNodeId node, std::size_t bytes);
-
-  /// Makes the primary host's copy of `data` the only one (partitioning).
-  void reclaim(int data);
-
-  /// Places and commits `tasks` jointly: a greedy start (place, commit, in
-  /// order), then a depth-first branch and bound that minimises the latest
-  /// committed end within `budget` expanded nodes. Every task must have an
-  /// eligible worker.
+  /// Places and commits `tasks` jointly, each at its decision estimate: a
+  /// greedy start (place, commit, in order), then a depth-first branch and
+  /// bound that minimises the latest committed end within `budget`
+  /// expanded nodes. Every task must have an eligible worker.
   Window place_window(const std::vector<Task>& tasks, std::uint64_t budget);
 
  private:
   struct State {
     std::vector<double> clocks;
+    std::vector<double> lanes;
     std::vector<ReplicaState> states;
+    std::vector<double> valid_at;
   };
 
   std::span<ReplicaState> slot(int data) {
     return {states_.data() + static_cast<std::size_t>(data) * nodes_, nodes_};
   }
+  std::span<double> valid_slot(int data) {
+    return {valid_at_.data() + static_cast<std::size_t>(data) * nodes_,
+            nodes_};
+  }
   double fetch_seconds(const Task& task, WorkerId worker, bool decision) const;
+  /// Walks a `mode` acquire's fetch over the lanes; returns when the data
+  /// is on `node` (0 for a kWrite).
+  double arrive(int data, MemoryNodeId node, AccessMode mode,
+                std::size_t bytes, Hops* hops);
   /// Ends `worker`'s clock at `end` and raises the workers sharing its
-  /// cores (the one core-sharing rule of commit and book).
+  /// cores (the one core-sharing rule of commit).
   void finish(WorkerId worker, double end);
   void restore(const State& state);
   void search(const std::vector<Task>& tasks, std::size_t depth,
@@ -237,7 +268,10 @@ class Plan {
   Objective objective_ = Objective::kTime;
   std::size_t nodes_ = 0;  ///< replica states per datum (0 without `net`)
   std::vector<double> clocks_;
+  std::vector<double> lanes_;  ///< per Interconnect lane, when it is free
   std::vector<ReplicaState> states_;  ///< per datum, nodes_ states each
+  std::vector<double> valid_at_;      ///< per datum, nodes_ times each
+  std::uint64_t epoch_ = 0;  ///< unique per reset of any plan
 };
 
 }  // namespace peppher::rt

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <mutex>
@@ -29,13 +28,97 @@ struct LockedDeque {
   std::atomic<std::size_t> approx_size{0};
 };
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// Eager: one central FIFO; each worker takes the first task it can run.
-// Highest priority wins, submission order breaks ties.
+// The timeline every policy commits on.
+// ---------------------------------------------------------------------------
+
+Scheduler::Scheduler(SchedEnv env)
+    : env_(std::move(env)),
+      plan_(*env_.workers, env_.interconnect, env_.objective) {
+  if (!env_.cost) env_.cost = env_.exec;
+}
+
+VirtualTime Scheduler::makespan() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return plan_.makespan();
+}
+
+void Scheduler::reset_virtual_time() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  plan_.reset(*env_.workers, env_.interconnect, env_.objective);
+}
+
+void Scheduler::commit_access(DataHandle& handle, MemoryNodeId node,
+                              AccessMode mode) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  plan_.clear_data();
+  seen_.assign(1, &handle);
+  plan_.access(plan_.add_data(handle), node, mode, handle.bytes(), &hops_);
+  if (mode == AccessMode::kRead) handle.note_read();
+  settle_locked();
+}
+
+void Scheduler::plan_operands(const Task& task, Plan& plan, Seen& seen,
+                              Plan::Task& out) const {
+  out.deps = task.max_pred_end;
+  out.operands.clear();
+  for (std::size_t i = 0; i < task.spec.operands.size(); ++i) {
+    const TaskOperand& op = task.spec.operands[i];
+    DataHandle* handle = op.handle.get();
+    auto found = std::find(seen.begin(), seen.end(), handle);
+    if (found == seen.end()) {
+      plan.add_data(*handle);
+      found = seen.insert(seen.end(), handle);
+    }
+    out.operands.push_back(
+        {static_cast<int>(found - seen.begin()), op.mode,
+         task.operand_bytes[i],
+         op.mode == AccessMode::kRead ? static_cast<double>(handle->reads())
+                                      : 1.0});
+  }
+}
+
+void Scheduler::commit_locked(Task& task, WorkerId worker) {
+  plan_operands(task, plan_, seen_, task_);
+  const double exec = env_.cost(task, worker);
+  const Plan::Commit done = plan_.commit(task_, worker, exec, &hops_);
+  task.vstart = done.start;
+  task.vend = done.end;
+  task.exec_seconds = exec;
+  for (const TaskOperand& op : task.spec.operands) {
+    if (op.mode == AccessMode::kRead) op.handle->note_read();
+  }
+  settle_locked();
+}
+
+void Scheduler::settle_locked() {
+  for (std::size_t data = 0; data < seen_.size(); ++data) {
+    plan_.store_data(static_cast<int>(data), *seen_[data]);
+  }
+  if (env_.recorder != nullptr) {
+    for (const Plan::Hop& hop : hops_) {
+      if (hop.lane >= lane_hops_.size()) lane_hops_.resize(hop.lane + 1);
+      env_.recorder->record_transfer(
+          static_cast<int>(hop.lane), lane_hops_[hop.lane]++, hop.from,
+          hop.to, hop.bytes, hop.start, hop.end,
+          seen_[static_cast<std::size_t>(hop.data)]->id());
+    }
+  }
+  hops_.clear();
+}
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Eager: one central FIFO; each worker takes the first task it can run and
+// commits it on the timeline. Highest priority wins, submission order
+// breaks ties.
 // ---------------------------------------------------------------------------
 class EagerScheduler final : public Scheduler {
  public:
-  explicit EagerScheduler(SchedEnv env) : env_(std::move(env)) {}
+  explicit EagerScheduler(SchedEnv env) : Scheduler(std::move(env)) {}
 
   WorkerId push(const TaskPtr& task, DecisionRecord*) override {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -56,6 +139,9 @@ class EagerScheduler final : public Scheduler {
     if (best == queue_.end()) return nullptr;
     TaskPtr task = *best;
     queue_.erase(best);
+    plan_.clear_data();
+    seen_.clear();
+    commit_locked(*task, worker);
     return task;
   }
 
@@ -83,22 +169,17 @@ class EagerScheduler final : public Scheduler {
   }
 
  private:
-  SchedEnv env_;
-  std::mutex mutex_;
-  std::deque<TaskPtr> queue_;
+  std::deque<TaskPtr> queue_;  ///< guarded by mutex_
 };
 
 // ---------------------------------------------------------------------------
 // Shared core of the model-based policies (dmda and lookahead): per-worker
-// priority queues, the calibration/exploration rule, and the plan both
-// policies place on. Its clocks are the policy's own books: every placement
-// — a decision, or a replayed table entry — books its task on its worker
-// (Plan::book: start + fetch + exec, by the core-sharing rule the Engine
-// books by too), and nothing else moves them — not a pop, not the engine's
-// execution — so a placement depends on the placements before it, not on
-// thread timing. The data states come from the live handles. Dmda places
-// one task on the plan (Plan::place); lookahead places a window
-// (Plan::place_window) on a copy.
+// priority queues and the calibration/exploration rule. Every placement —
+// a decision, or a replayed table entry — commits its task on the
+// timeline, and nothing else moves it — not a pop, not the engine's
+// execution — so a placement depends on the placements and host events
+// before it, not on thread timing. Dmda places one task on the plan
+// (Plan::place); lookahead places a window (Plan::place_window) on a copy.
 // ---------------------------------------------------------------------------
 class ModelSchedulerBase : public Scheduler {
  public:
@@ -122,16 +203,9 @@ class ModelSchedulerBase : public Scheduler {
     return out;
   }
 
-  void reset_virtual_time() override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    plan_.reset(*env_.workers, env_.interconnect, env_.objective);
-  }
-
  protected:
   explicit ModelSchedulerBase(SchedEnv env)
-      : queues_(env.workers->size()),
-        env_(std::move(env)),
-        plan_(*env_.workers, env_.interconnect, env_.objective) {}
+      : Scheduler(std::move(env)), queues_(env_.workers->size()) {}
 
   /// Inserts behind every queued task of at least its priority (FIFO among
   /// equal priorities).
@@ -147,35 +221,14 @@ class ModelSchedulerBase : public Scheduler {
     q.approx_size.store(q.items.size(), std::memory_order_relaxed);
   }
 
-  using Seen = std::vector<std::pair<const DataHandle*, int>>;
-
-  /// `task` as `plan` prices it, into `out`: per-worker execution
-  /// estimates, its predecessors' end, and its operands over the plan's
-  /// data — one datum per distinct handle, seeded from the handle's live
-  /// state (`seen` maps the handles already added). A read operand's reuse
-  /// is the reads its handle has seen.
+  /// `task` as `plan` prices it, into `out`: plan_operands plus the
+  /// per-worker execution estimates.
   void plan_task(const Task& task, Plan& plan, Seen& seen,
                  Plan::Task& out) const {
-    out.deps = task.max_pred_end;
+    plan_operands(task, plan, seen, out);
     out.exec.clear();
-    out.operands.clear();
     for (const WorkerDesc& w : *env_.workers) {
       out.exec.push_back(env_.exec(task, w.id));
-    }
-    for (std::size_t i = 0; i < task.spec.operands.size(); ++i) {
-      const TaskOperand& op = task.spec.operands[i];
-      const DataHandle* handle = op.handle.get();
-      auto found = std::find_if(seen.begin(), seen.end(), [&](const auto& s) {
-        return s.first == handle;
-      });
-      if (found == seen.end()) {
-        seen.emplace_back(handle, plan.add_data(*handle));
-        found = std::prev(seen.end());
-      }
-      out.operands.push_back(
-          {found->second, op.mode, task.operand_bytes[i],
-           op.mode == AccessMode::kRead ? static_cast<double>(handle->reads())
-                                        : 1.0});
     }
   }
 
@@ -199,10 +252,8 @@ class ModelSchedulerBase : public Scheduler {
   /// The dmda placement; mutex_ must be held. `explore` (an
   /// exploration_target) forces the task onto an uncalibrated variant so
   /// the history model learns about it; otherwise the task goes to the
-  /// plan's best placement. Either way the decision is booked on the clocks
-  /// and queued. The estimate charges this task's own fetch in full: the
-  /// engine marks the operands as prefetch-in-flight only after this push
-  /// returns, so the discount applies to *later* tasks reusing them.
+  /// plan's best placement. Either way the task is committed there and
+  /// queued.
   WorkerId decide_locked(const TaskPtr& task, WorkerId explore,
                          DecisionRecord* decision) {
     plan_.clear_data();
@@ -225,19 +276,12 @@ class ModelSchedulerBase : public Scheduler {
         decision->chosen_estimate = choice.score;
       }
     }
-    plan_.book(choice.worker, task_.deps, choice.work);
+    commit_locked(*task, choice.worker);
     enqueue_by_priority(choice.worker, task);
     return choice.worker;
   }
 
   std::vector<LockedDeque> queues_;  ///< one per worker
-  SchedEnv env_;
-  /// Guards the plan and the decision scratch below. Decisions serialise on
-  /// it, so each one sees every earlier booking.
-  std::mutex mutex_;
-  Plan plan_;  ///< the booked clocks, and the current decision's data
-  Seen seen_;
-  Plan::Task task_;
 };
 
 // ---------------------------------------------------------------------------
@@ -260,18 +304,13 @@ class DmdaScheduler final : public ModelSchedulerBase {
 //
 // Ready tasks are staged until window_size of them accumulate (or a worker
 // runs dry), then placed *jointly* by Plan::place_window: a greedy start,
-// then a branch-and-bound search over the per-task worker assignments that
-// minimises the window's makespan, pricing data transfers against the
-// replica states the plan itself evolves — so a window of tasks reading the
-// same operand pays for one fetch, where dmda's per-task estimate charges
-// every task and flees the accelerator. The search is bounded, falling back
-// to the greedy plan when the budget runs out. The calibration phase skips
-// the window.
+// then a bounded branch-and-bound search over the per-task worker
+// assignments that minimises the window's makespan where greedy
+// earliest-finish order is wrong. The calibration phase skips the window.
 //
 // With a dispatch table loaded (EngineConfig::dispatch_table), placement is
 // replayed per program point with one precomputed-key hash probe: no
-// pricing, no staging, no search on the hot path, only the one execution
-// estimate its booking needs.
+// pricing, no staging, no search on the hot path, only the commit.
 // ---------------------------------------------------------------------------
 class LookaheadScheduler final : public ModelSchedulerBase {
  public:
@@ -287,15 +326,15 @@ class LookaheadScheduler final : public ModelSchedulerBase {
   }
 
   WorkerId push(const TaskPtr& task, DecisionRecord* decision) override {
-    // Static-composition replay: table placements bypass the planning; they
-    // are booked so that tasks planned dynamically beside them see the work.
+    // Static-composition replay: table placements bypass the planning and
+    // commit like any other, so tasks planned dynamically beside them see
+    // the work.
     if (env_.dispatch != nullptr && task->has_dispatch_keys) {
       if (const WorkerId worker = replay_target(*task); worker >= 0) {
-        const double exec = env_.exec(*task, worker);
         std::lock_guard<std::mutex> lock(mutex_);
-        // +inf when the worker was blacklisted after the task's eligibility
-        // snapshot; booking it would hold the cores it shares forever.
-        if (std::isfinite(exec)) plan_.book(worker, task->max_pred_end, exec);
+        plan_.clear_data();
+        seen_.clear();
+        commit_locked(*task, worker);
         enqueue_by_priority(worker, task);
         return worker;
       }
@@ -403,8 +442,9 @@ class LookaheadScheduler final : public ModelSchedulerBase {
   }
 
   /// Plans (at most) one window out of the staging buffer on a copy of the
-  /// booked clocks; mutex_ must be held. Returns the number of tasks
-  /// planned and committed. `trigger`/`decision`/`trigger_worker` report
+  /// timeline and commits it there; mutex_ must be held. Returns the number
+  /// of tasks planned and committed. `trigger`/`decision`/`trigger_worker`
+  /// report
   /// the placement of the pushing task so push() can return a normal worker
   /// hint for it; every other planned task is announced through env_.commit.
   std::size_t plan_window_locked(const TaskPtr& trigger,
@@ -438,9 +478,11 @@ class LookaheadScheduler final : public ModelSchedulerBase {
 
     const Plan::Window result = plan.place_window(planned, kSearchBudget);
 
-    // Commit the plan: each task booked on the clocks as dmda books its
-    // decision (so a window of one is dmda), real queue insertions, engine
-    // notifications.
+    // Commit the plan in window order, each task as dmda commits its
+    // decision (so a window of one is dmda), then real queue insertions and
+    // engine notifications.
+    plan_.clear_data();
+    seen_.clear();
     for (std::size_t i = 0; i < window.size(); ++i) {
       const WorkerId worker = result.workers[i];
       const Plan::Commit& committed = result.commits[i];
@@ -450,7 +492,7 @@ class LookaheadScheduler final : public ModelSchedulerBase {
       record.arch_estimate[static_cast<std::size_t>(
           (*env_.workers)[static_cast<std::size_t>(worker)].archs.front())] =
           committed.end;
-      plan_.book(worker, planned[i].deps, committed.work);
+      commit_locked(*window[i], worker);
       enqueue_by_priority(worker, window[i]);
       if (trigger != nullptr && window[i] == trigger) {
         if (decision != nullptr) *decision = record;

@@ -5,31 +5,33 @@
 //   max(worker clock, predecessors' end) + fetch + exec,
 // priced by rt::Plan (runtime/placement.hpp) with expected execution time
 // coming from the history-based performance models, and falls back to
-// forced exploration while a variant is uncalibrated. A worker's clock is
-// this runtime's own book: the end of the last task the policy placed
-// there (or on a worker sharing its cores), never the engine's execution
-// progress, so a push sees the same clocks however far the workers have
-// run. StarPU's dmda keeps a similar per-worker expected end but raises
-// its start to the current time on each push and before each execution,
-// so there it follows execution progress. "lookahead" plans a window of
-// ready tasks jointly on a copy of the same clocks.
+// forced exploration while a variant is uncalibrated. "lookahead" plans a
+// window of ready tasks jointly on a copy of the plan.
 //
-// Concurrency contract: schedulers are internally synchronized with
-// per-worker queue locks — push/pop/drain may be called from any
-// thread with NO engine lock held. This keeps the task hot path off the
-// engine's dependency-graph lock: workers pop from their own queue under
-// that queue's lock only. The model-based policies also serialise their
-// decisions on one lock of their own. The SchedEnv callbacks the policies
-// consult (eligibility, placement estimates, sample counts) are therefore
-// required to be thread-safe as well; the Engine implements them over
-// atomics, memoized per-task caches and the reader-writer performance
+// The plan is the engine's one virtual timeline: every policy commits each
+// attempt on it when it places it (dmda and lookahead at push, eager at
+// pop), and the host events commit there too (Plan::commit). A worker's
+// clock is the end of the last attempt committed there (or on a worker
+// sharing its cores), never the engine's execution progress, so a push
+// sees the same clocks however far the workers have run. StarPU's dmda
+// raises its expected start to the current time instead.
+//
+// Concurrency contract: push/pop/drain and the timeline calls may be made
+// from any thread with NO engine lock held; workers of the model-based
+// policies pop from their own queue under that queue's lock only. The
+// timeline (and eager's queue) sit behind one lock of the scheduler's own,
+// so every placement sees every earlier commit. The SchedEnv callbacks are
+// therefore required to be thread-safe as well; the Engine implements them
+// over atomics, memoized per-task caches and the reader-writer performance
 // registry.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/placement.hpp"
@@ -54,6 +56,9 @@ struct SchedEnv {
   /// cost hint or the neutral guess); +inf when the worker is ineligible.
   std::function<double(const Task&, WorkerId)> exec;
 
+  /// Seconds an attempt is committed for (finite); unset = exec.
+  std::function<double(const Task&, WorkerId)> cost;
+
   /// History sample count for (task footprint, worker's variant); used for
   /// the calibration/exploration phase. Returns UINT64_MAX if ineligible or
   /// if exploration is unnecessary (history models disabled).
@@ -64,15 +69,18 @@ struct SchedEnv {
   /// What the model-based policies' plans minimise.
   Objective objective = Objective::kTime;
 
-  /// The memory hierarchy plans price fetches over (nullptr = plans price
-  /// no transfers).
+  /// The memory hierarchy plans price fetches over and reserve lanes on
+  /// (nullptr = plans move no data).
   const Interconnect* interconnect = nullptr;
+
+  /// Counts and traces every committed hop (nullptr = no books).
+  Tracer* recorder = nullptr;
 
   // --- lookahead-policy services (unset for the other policies) ---
 
   /// Window-commit notification for every planned task except the one
   /// whose push/pop triggered the planning: the engine traces the
-  /// decision, enqueues prefetches toward the chosen worker and wakes it.
+  /// decision, warms the bytes on the chosen worker's node and wakes it.
   std::function<void(const TaskPtr&, WorkerId, const DecisionRecord&)> commit;
 
   /// Window-planning trace hook (unset = no window tracing).
@@ -96,11 +104,9 @@ class Scheduler {
   virtual ~Scheduler() = default;
 
   /// Accepts a task that has become ready (dependencies satisfied).
-  /// Returns the worker whose queue received it — the engine's wakeup
-  /// target — or kNoWorkerHint for centrally queued policies. A concrete
-  /// worker id is also the engine's prefetch commit signal: the task's
-  /// read operands are warmed on that worker's memory node while the task
-  /// waits in the queue (see EngineConfig::enable_prefetch). When
+  /// Returns the worker whose queue received it — committed there, the
+  /// engine's wakeup and prefetch target — or kNoWorkerHint for centrally
+  /// queued policies. When
   /// `decision` is non-null (tracing enabled), the policy reports how the
   /// placement was made: whether it explored, and model-based policies
   /// their candidate completion estimates, so the trace can hold
@@ -109,7 +115,8 @@ class Scheduler {
   virtual WorkerId push(const TaskPtr& task,
                         DecisionRecord* decision = nullptr) = 0;
 
-  /// Next task for `worker`, or nullptr if none available to it.
+  /// Next task for `worker`, committed there, or nullptr if none is
+  /// available to it.
   virtual TaskPtr pop(WorkerId worker) = 0;
 
   /// Removes and returns the tasks stranded by the death of `dead_worker`:
@@ -118,9 +125,51 @@ class Scheduler {
   /// are still runnable elsewhere and terminally fails the rest.
   virtual std::vector<TaskPtr> drain(WorkerId dead_worker) = 0;
 
-  /// Zeroes the policy's own worker clocks (Engine::reset_virtual_time,
-  /// with nothing queued); a no-op for the policies that keep none.
-  virtual void reset_virtual_time() {}
+  // -- the timeline -----------------------------------------------------------
+
+  /// Latest committed worker clock: the virtual makespan.
+  VirtualTime makespan() const;
+
+  /// Zeroes the plan's clocks and lanes (Engine::reset_virtual_time, with
+  /// nothing queued or staged).
+  void reset_virtual_time();
+
+  /// Commits a host-side access of `handle` on `node` (prefetch,
+  /// acquire_host, unregister, unpartition): its fetch on the lanes, a
+  /// write's ownership, a read's count.
+  void commit_access(DataHandle& handle, MemoryNodeId node, AccessMode mode);
+
+ protected:
+  explicit Scheduler(SchedEnv env);
+
+  /// Handles on the plan since its data were cleared, by data id.
+  using Seen = std::vector<DataHandle*>;
+
+  /// `task`'s predecessors' end and operands over `plan`'s data, into
+  /// `out`: one datum per distinct handle, seeded from its plan view
+  /// (`seen` maps the handles already added), a read's reuse its reads.
+  void plan_operands(const Task& task, Plan& plan, Seen& seen,
+                     Plan::Task& out) const;
+
+  /// Commits `task` on `worker` at SchedEnv::cost, its operands added to
+  /// the data of seen_: sets its vstart, vend and exec_seconds, and
+  /// settles. mutex_ must be held.
+  void commit_locked(Task& task, WorkerId worker);
+
+  SchedEnv env_;
+  /// Guards the timeline and the scratch below (and eager's queue).
+  mutable std::mutex mutex_;
+  Plan plan_;  ///< the timeline, and the current decision's data
+  Seen seen_;
+  Plan::Task task_;
+
+ private:
+  /// Stores every datum of seen_ back into its handle's plan view and
+  /// counts and traces hops_.
+  void settle_locked();
+
+  Plan::Hops hops_;
+  std::vector<std::uint64_t> lane_hops_;  ///< per lane, hops traced so far
 };
 
 /// Creates a scheduler by policy name, one of scheduler_names(): "eager"

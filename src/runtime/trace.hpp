@@ -115,12 +115,12 @@ struct TaskRecord {
   bool operator==(const TaskRecord&) const = default;
 };
 
-/// One link-lane occupancy interval charged by DataManager::charge_link:
-/// exactly one record per transferred hop (device<->device via host counts
-/// as two hops, and so do the transfer counters).
+/// One link-lane occupancy interval a commit on the scheduler's plan
+/// reserved: exactly one record per committed hop (device<->device via host
+/// counts as two hops, and so do the transfer counters).
 struct TransferRecord {
-  int lane = 0;                      ///< link lane index (see docs/perf.md)
-  std::uint64_t lane_sequence = 0;   ///< per-lane monotonic order
+  int lane = 0;                      ///< Interconnect::lane (docs/perf.md)
+  std::uint64_t lane_sequence = 0;   ///< commit order, monotonic per lane
   MemoryNodeId from = kHostNode;
   MemoryNodeId to = kHostNode;
   std::uint64_t bytes = 0;
@@ -301,7 +301,7 @@ class Tracer {
                    const Implementation* impl, int attempt,
                    bool injected_fault, bool retried);
 
-  /// One hop charged on link lane `lane` (DataManager::charge_link).
+  /// One hop committed on link lane `lane` (Scheduler's timeline).
   void record_transfer(int lane, std::uint64_t lane_sequence,
                        MemoryNodeId from, MemoryNodeId to, std::uint64_t bytes,
                        VirtualTime vstart, VirtualTime vend, std::uint64_t data);

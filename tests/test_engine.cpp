@@ -3,8 +3,12 @@
 // waiting semantics and error cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
+#include <thread>
 
 #include "runtime/engine.hpp"
 #include "sim/device.hpp"
@@ -408,6 +412,124 @@ TEST(EngineClocks, CombinedWorkerExcludesItsCores) {
     const TaskPtr combined1 = run_pinned(engine, codelet, 5, 4e6);
     EXPECT_EQ(combined1->vstart, core3->vend);
   }
+}
+
+// -- the timeline: every attempt commits on the scheduler's plan when it is
+// placed, whatever order the kernels then run in --------------------------
+
+/// Spins until `flag` is set, for at most ten seconds.
+void await(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+/// The id of the `ordinal`-th accelerator worker.
+WorkerId accelerator(const Engine& engine, int ordinal) {
+  for (const WorkerDesc& desc : engine.workers()) {
+    if (desc.archs.front() == Arch::kCuda && ordinal-- == 0) return desc.id;
+  }
+  ADD_FAILURE() << "no accelerator " << ordinal;
+  return -1;
+}
+
+/// A cuda-only codelet reading its one operand: `flops` of cost, and a
+/// body that runs `body` first.
+Codelet make_gpu_reader(double flops, std::function<void()> body) {
+  Codelet codelet("gpu_read");
+  codelet.add_impl({Arch::kCuda, "gpu_read_cuda",
+                    [body = std::move(body)](ExecContext&) { body(); },
+                    [flops](const std::vector<std::size_t>&, const void*) {
+                      return sim::KernelCost{flops, 0.0, 1.0};
+                    }});
+  return codelet;
+}
+
+// Two GPUs on one shared-bus lane. dmda commits a gated task and an upload
+// on GPU 0, then an upload on GPU 1; the gate holds GPU 0 until GPU 1's
+// kernel is done, so the task committed second runs first. The lane still
+// carries the uploads in commit order, and the makespan is the commits'.
+TEST(EngineTimeline, SharedBusHopsAndMakespanFollowCommitOrder) {
+  EngineConfig config = small_config();
+  config.machine.cpu_cores = 1;
+  config.machine.link = sim::LinkProfile::pcie2_x16_shared();
+  config.machine.accelerators = {sim::DeviceProfile::tesla_c2050(),
+                                 sim::DeviceProfile::tesla_c2050()};
+  config.enable_prefetch = false;
+  config.enable_trace = true;
+  Engine engine(config);
+  const WorkerId gpu0 = accelerator(engine, 0);
+  const WorkerId gpu1 = accelerator(engine, 1);
+
+  std::atomic<bool> second_done{false};
+  const Codelet gate = make_gpu_reader(1e6, [&] { await(second_done); });
+  const Codelet first = make_gpu_reader(1e6, [] {});
+  const Codelet second =
+      make_gpu_reader(1e6, [&] { second_done.store(true); });
+  std::vector<float> token(4, 0.0f);
+  std::vector<float> a(1 << 20, 1.0f);
+  std::vector<float> b(1 << 20, 2.0f);
+  const auto submit = [&](const Codelet& codelet, std::vector<float>& data,
+                          WorkerId worker) {
+    TaskSpec spec;
+    spec.codelet = &codelet;
+    spec.operands = {{engine.register_buffer(data.data(),
+                                             data.size() * sizeof(float),
+                                             sizeof(float)),
+                      AccessMode::kRead}};
+    spec.forced_worker = worker;
+    return engine.submit(std::move(spec));
+  };
+  const TaskPtr held = submit(gate, token, gpu0);
+  const TaskPtr t1 = submit(first, a, gpu0);
+  const TaskPtr t2 = submit(second, b, gpu1);
+  engine.wait_for_all();
+
+  std::vector<TransferRecord> hops = engine.trace().transfers();
+  std::sort(hops.begin(), hops.end(), [](const auto& x, const auto& y) {
+    return x.lane_sequence < y.lane_sequence;
+  });
+  ASSERT_EQ(hops.size(), 3u);  // the token's, a's and b's uploads
+  EXPECT_EQ(hops[1].data, t1->spec.operands[0].handle->id());
+  EXPECT_EQ(hops[2].data, t2->spec.operands[0].handle->id());
+  EXPECT_EQ(hops[2].vstart, hops[1].vend);  // one lane, commit order
+  EXPECT_EQ(t1->vstart, std::max(hops[1].vend, held->vend));
+  EXPECT_EQ(t2->vstart, hops[2].vend);
+  EXPECT_EQ(engine.virtual_makespan(), std::max(t1->vend, t2->vend));
+}
+
+// A host write between two GPU readers of one handle: the plan invalidates
+// the device replica, so the second reader pays its upload again.
+TEST(EngineTimeline, HostWriteMakesTheNextReaderUploadAgain) {
+  EngineConfig config = small_config();
+  config.enable_prefetch = false;
+  config.enable_trace = true;
+  Engine engine(config);
+  const Codelet reader = make_gpu_reader(1e3, [] {});
+  std::vector<float> data(1 << 20, 1.0f);
+  const DataHandlePtr handle = engine.register_buffer(
+      data.data(), data.size() * sizeof(float), sizeof(float));
+  const auto read = [&] {
+    TaskSpec spec;
+    spec.codelet = &reader;
+    spec.operands = {{handle, AccessMode::kRead}};
+    spec.synchronous = true;
+    return engine.submit(std::move(spec));
+  };
+  const TaskPtr r1 = read();
+  engine.acquire_host(handle, AccessMode::kWrite);
+  const TaskPtr r2 = read();
+
+  EXPECT_EQ(engine.transfer_stats().host_to_device_count, 2u);
+  const std::vector<TransferRecord> hops = engine.trace().transfers();
+  ASSERT_EQ(hops.size(), 2u);
+  const double upload = hops[0].vend - hops[0].vstart;
+  ASSERT_LT(r1->exec_seconds, upload);  // the premise: the upload shows
+  EXPECT_EQ(hops[1].vstart, hops[0].vend);  // the lane was busy until then
+  EXPECT_EQ(r2->vstart, hops[1].vend);
+  EXPECT_GT(r2->vstart, r1->vend);
 }
 
 }  // namespace

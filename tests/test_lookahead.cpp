@@ -193,8 +193,9 @@ TEST(DispatchTableFormat, SaveLoadIsReadyForReplay) {
 // -- window-1 differential: lookahead degenerates to dmda --------------------
 
 /// Mock world mirroring test_scheduler_unit: 3 workers (2 CPU + 1 GPU),
-/// table-driven eligibility and estimates. Both policies' worker clocks
-/// are their own books, so a test builds them with earlier pushes.
+/// table-driven eligibility and estimates (which the commits also take:
+/// SchedEnv::cost is unset). Both policies' worker clocks are their own
+/// plan's, so a test builds them with earlier pushes.
 class LookaheadDifferential : public ::testing::Test {
  protected:
   LookaheadDifferential() {
@@ -228,8 +229,9 @@ class LookaheadDifferential : public ::testing::Test {
     };
   }
 
-  /// A fresh `policy` with `ready[w]` seconds booked on each worker w: one
-  /// task only that worker may run, popped again before the test's pushes.
+  /// A fresh `policy` with `ready[w]` seconds committed on each worker w:
+  /// one task only that worker may run, popped again before the test's
+  /// pushes.
   std::unique_ptr<Scheduler> with_clocks(const std::string& policy,
                                          const std::vector<double>& ready) {
     auto scheduler = make_scheduler(policy, env_);
@@ -337,7 +339,7 @@ TEST_F(LookaheadDifferential, WindowOneQueuesJoulesLikeDmdaUnderEnergy) {
 
 TEST_F(LookaheadDifferential, EqualJoulesSpreadOverTheCoresUnderEnergy) {
   // Both cores spend the same joules on a task (1 s at 20 W; the GPU's
-  // 1 s at 238 W loses), so each placement goes to the core whose booked
+  // 1 s at 238 W loses), so each placement goes to the core whose committed
   // clock ends the task first: the 24 tasks alternate between the cores.
   env_.objective = Objective::kEnergy;
   auto dmda = make_scheduler("dmda", env_);
@@ -350,7 +352,7 @@ TEST_F(LookaheadDifferential, EqualJoulesSpreadOverTheCoresUnderEnergy) {
 }
 
 TEST_F(LookaheadDifferential, PopsBetweenPushesDoNotMoveThePlacement) {
-  // The clocks are the policy's own books: a pop (a worker starting a
+  // The clocks are the policy's own commits: a pop (a worker starting a
   // task) changes no later decision, in dmda and in a window of one.
   work_ = {3.0, 2.0, 5.0};
   for (const std::string policy : {"dmda", "lookahead"}) {
@@ -376,7 +378,7 @@ TEST_F(LookaheadDifferential, ReplayedPlacementsAreBookedForDynamicTasks) {
   // A partial dispatch table: six tasks replay onto the GPU, then a task
   // with no table entry is planned beside them. The GPU ends it first on
   // empty clocks (1 s against 3 s on a core), but the six replayed seconds
-  // booked there send it to a core.
+  // committed there send it to a core.
   DispatchTable table;
   table.finalize();
   env_.dispatch = &table;
@@ -397,30 +399,35 @@ TEST_F(LookaheadDifferential, ReplayedPlacementsAreBookedForDynamicTasks) {
 }
 
 TEST_F(LookaheadDifferential, WindowOneQueuesAmortisedFetchesLikeDmda) {
-  // Under kTime a decision books its fetch — amortised over the handle's
-  // 64 reads — plus exec: the GPU takes tasks until its clock passes a
-  // core's, many more than its full uploads would fit.
+  // Under kTime the first GPU decision prices the upload amortised over
+  // the handle's 64 committed reads and its commit pays it in full on the
+  // lane; the later ones find the replica there. The GPU takes tasks until
+  // its clock passes a core's, many more than full uploads would fit. Each
+  // policy gets a handle of its own: a commit moves the handle's plan view.
   DataManager data(2, sim::LinkProfile::pcie2_x16());
-  std::vector<float> buffer(1 << 20, 0.0f);
-  const DataHandlePtr handle = data.register_buffer(
-      buffer.data(), buffer.size() * sizeof(float), sizeof(float));
-  for (int i = 0; i < 64; ++i) {
-    handle->acquire(kHostNode, AccessMode::kRead, nullptr);
-  }
   env_.interconnect = &data.interconnect();
-  const double full = data.interconnect().fetch_seconds(kHostNode, 1,
-                                                        handle->bytes(), 1.0);
+  std::vector<float> buffer(1 << 20, 0.0f);
+  const auto run = [&](const std::string& policy) {
+    const DataHandlePtr handle = data.register_buffer(
+        buffer.data(), buffer.size() * sizeof(float), sizeof(float));
+    auto scheduler = make_scheduler(policy, env_);
+    for (int i = 0; i < 64; ++i) {
+      scheduler->commit_access(*handle, kHostNode, AccessMode::kRead);
+    }
+    return queued(*scheduler, 24, handle);
+  };
+  const double full = data.interconnect().fetch_seconds(
+      kHostNode, 1, buffer.size() * sizeof(float), 1.0);
   work_ = {full, full, full / 20.0};
-  auto dmda = make_scheduler("dmda", env_);
-  auto lookahead = make_scheduler("lookahead", env_);
-  const auto expected = queued(*dmda, 24, handle);
+  const auto expected = run("dmda");
   EXPECT_FALSE(expected[0].empty());
   EXPECT_GT(expected[2].size(), 2u);  // more than full uploads would allow
-  EXPECT_EQ(queued(*lookahead, 24, handle), expected);
+  EXPECT_EQ(run("lookahead"), expected);
 }
 
 /// Two cores (workers 0 and 1), their combined worker (2) and a GPU (3),
-/// with table-driven eligibility and estimates.
+/// with table-driven eligibility and estimates (which the commits take
+/// too, unless a test sets SchedEnv::cost).
 class BookedClocks : public ::testing::Test {
  protected:
   static constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -464,9 +471,9 @@ class BookedClocks : public ::testing::Test {
 };
 
 TEST_F(BookedClocks, ACoreAndTheCombinedWorkerShareTheirCores) {
-  // A booking moves the clocks by the Engine's core-sharing rule: a task on
-  // the combined worker holds both cores, a task on a core holds the
-  // combined worker, and the cores do not hold each other. A follow-up
+  // A commit moves the clocks by the one core-sharing rule: a task on the
+  // combined worker holds both cores, a task on a core holds the combined
+  // worker, and the cores do not hold each other. A follow-up
   // task takes 1 s on one CPU worker and 5 s on the GPU, after a 10-s task
   // pinned to `first`; it goes to the CPU worker if the rule leaves it
   // free, else to the GPU.
@@ -491,15 +498,17 @@ TEST_F(BookedClocks, ACoreAndTheCombinedWorkerShareTheirCores) {
   }
 }
 
-TEST_F(BookedClocks, AReplayWithoutAnEstimateBooksNothing) {
+TEST_F(BookedClocks, AReplayWithoutAnEstimateCommitsItsCost) {
   // A replayed task whose worker left between the task's eligibility
-  // snapshot and its push has no finite estimate there. Booking it would
-  // hold the combined worker forever; instead a follow-up task that takes
-  // 1 s on the combined worker and 5 s on the GPU still goes to the
+  // snapshot and its push has no finite estimate there, but its commit
+  // takes the cost model's seconds, which are: it holds core 0 and the
+  // combined worker for 2 s, not forever. A follow-up task that takes 1 s
+  // on the combined worker and 5 s on the GPU then still goes to the
   // combined worker.
   DispatchTable table;
   table.finalize();
   env_.dispatch = &table;
+  env_.cost = [](const Task&, WorkerId) { return 2.0; };
   auto lookahead = make_scheduler("lookahead", env_);
   const TaskPtr replayed = make_task();
   replayed->has_dispatch_keys = true;
@@ -507,6 +516,7 @@ TEST_F(BookedClocks, AReplayWithoutAnEstimateBooksNothing) {
   replayed->ready_eligible_mask = 0b0001;  // core 0, at the snapshot
   exec_ = {kInf, kInf, kInf, kInf};        // core 0 has since left
   EXPECT_EQ(lookahead->push(replayed), 0);
+  EXPECT_EQ(replayed->vend, 2.0);
   exec_ = {kInf, kInf, 1.0, 5.0};
   EXPECT_EQ(lookahead->push(make_task()), 2);
 }
@@ -856,19 +866,24 @@ TEST(LookaheadPlanCost, MultiHopFetchLeavesTheIntermediateHostValid) {
     task.operands = {{datum, AccessMode::kRead, bytes, 1.0}};
     return task;
   };
-  const Plan::Commit first = plan.commit(read_on(device), device);
-  EXPECT_EQ(first.fetch, data.interconnect().fetch_seconds(
-                             kHostNode, device_node, bytes, 1.0));
+  Plan::Hops hops;
+  plan.commit(read_on(device), device, 1e-3, &hops);
+  double fetch = 0.0;
+  for (const Plan::Hop& hop : hops) fetch += hop.end - hop.start;
+  EXPECT_DOUBLE_EQ(fetch, data.interconnect().fetch_seconds(
+                              kHostNode, device_node, bytes, 1.0));
   EXPECT_NE(plan.states(datum)[static_cast<std::size_t>(host1)],
             ReplicaState::kInvalid);
   EXPECT_EQ(plan.price(read_on(core), core).fetch, 0.0);
 
-  // The live handle leaves the same copy behind.
-  handle->acquire(device_node, AccessMode::kRead, nullptr);
+  // The real fetch leaves the same copy behind.
+  handle->acquire(device_node, AccessMode::kRead);
   handle->release(device_node);
-  std::vector<ReplicaState> live;
-  handle->plan_states(live);
-  EXPECT_TRUE(std::ranges::equal(live, plan.states(datum)));
+  for (int n = 0; n < data.node_count(); ++n) {
+    EXPECT_EQ(handle->replica_state(n),
+              plan.states(datum)[static_cast<std::size_t>(n)])
+        << "node " << n;
+  }
 }
 
 TEST(LookaheadPlanCost, WindowCouplesTheCombinedWorkerWithItsCores) {
@@ -934,6 +949,87 @@ TEST(LookaheadPlanCost, WindowCouplesTheCombinedWorkerWithItsCores) {
   EXPECT_EQ(tasks[0]->executed_arch, Arch::kCpu);
   EXPECT_EQ(tasks[1]->executed_arch, Arch::kCpu);
   EXPECT_NE(tasks[0]->executed_on, tasks[1]->executed_on);
+}
+
+TEST(LookaheadPlanCost, TheEngineRunsTheWindowsCommitsInAnyKernelOrder) {
+  // Figure 5's shape on two cores: a core chunk A, a combined-CPU chunk C
+  // and a core chunk B become ready together, in that order, and the
+  // window commits them so: C after A (it needs both cores), B after C.
+  // The kernels are gated to run in another order — B starts before A
+  // ends and C runs last — and the engine's virtual makespan is still the
+  // windows' plan, as every task carries its commit.
+  EngineConfig config;
+  config.machine = sim::MachineConfig::cpu_only(2);
+  config.scheduler = "lookahead";
+  config.window_size = 3;
+  config.use_history_models = false;
+  config.enable_prefetch = false;
+  config.enable_trace = true;
+  Engine engine(config);  // workers: cores 0 and 1, combined 2
+  ASSERT_TRUE(engine.workers()[2].is_combined_cpu);
+
+  const auto await = [](const std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  std::atomic<bool> open{false}, b_started{false}, a_done{false};
+  const auto flops = [](double count) {
+    return [count](const std::vector<std::size_t>&, const void*) {
+      return sim::KernelCost{count, 0.0, 1.0};
+    };
+  };
+  Codelet gate("gate");
+  gate.add_impl({Arch::kCpu, "gate_cpu", [&](ExecContext&) { await(open); },
+                 flops(0.0)});
+  Codelet chunk_a("chunk_a");
+  chunk_a.add_impl({Arch::kCpu, "chunk_a_cpu",
+                    [&](ExecContext&) {
+                      await(b_started);
+                      a_done.store(true);
+                    },
+                    flops(4e6)});
+  Codelet chunk_b("chunk_b");
+  chunk_b.add_impl({Arch::kCpu, "chunk_b_cpu",
+                    [&](ExecContext&) { b_started.store(true); },
+                    flops(3e6)});
+  Codelet chunk_c("chunk_c");
+  chunk_c.add_impl({Arch::kCpuOmp, "chunk_c_openmp",
+                    [&](ExecContext&) { await(a_done); }, flops(8e6)});
+
+  std::vector<float> buffer(16, 0.0f);
+  const DataHandlePtr handle = engine.register_buffer(
+      buffer.data(), buffer.size() * sizeof(float), sizeof(float));
+  TaskSpec opener;
+  opener.codelet = &gate;
+  opener.operands = {{handle, AccessMode::kWrite}};
+  engine.submit(std::move(opener));
+  std::vector<TaskPtr> chunks;
+  for (const auto& [codelet, worker] : {std::pair{&chunk_a, 0},
+                                        std::pair{&chunk_c, 2},
+                                        std::pair{&chunk_b, 1}}) {
+    TaskSpec spec;
+    spec.codelet = codelet;
+    spec.operands = {{handle, AccessMode::kRead}};
+    spec.forced_worker = worker;
+    chunks.push_back(engine.submit(std::move(spec)));
+  }
+  open.store(true);
+  engine.wait_for_all();
+
+  const TaskPtr& a = chunks[0];
+  const TaskPtr& c = chunks[1];
+  const TaskPtr& b = chunks[2];
+  EXPECT_EQ(c->vstart, a->vend);
+  EXPECT_EQ(b->vstart, c->vend);
+  EXPECT_EQ(engine.virtual_makespan(), b->vend);
+  double planned = 0.0;
+  for (const WindowRecord& window : engine.trace().windows()) {
+    planned = std::max(planned, window.estimate);
+  }
+  EXPECT_EQ(engine.virtual_makespan(), planned);
 }
 
 }  // namespace

@@ -15,27 +15,50 @@
 namespace peppher::rt {
 namespace {
 
-/// A recorder attached to a bare data manager keeps the books an Engine
-/// would keep; `transfers()` reads the traffic since `reset()`.
+/// The books of a bare data manager: its recorder counts evictions and
+/// overcommits as an Engine's would, and its transfer hook — called once
+/// per hop a handle copies — counts the copies (an Engine counts hops
+/// where the scheduler commits them); `transfers()` reads the traffic
+/// since `reset()`.
 class RecordedTraffic {
  public:
-  explicit RecordedTraffic(DataManager& manager) {
+  explicit RecordedTraffic(DataManager& manager) : topo_(&manager.topo()) {
     recorder_.configure(manager.topo(), {}, false);
     manager.set_recorder(&recorder_);
+    manager.set_transfer_fault_hook(
+        [this](MemoryNodeId from, MemoryNodeId to, std::size_t bytes) {
+          if (topo_->is_host(from) && !topo_->is_host(to)) {
+            ++copies_.host_to_device_count;
+            copies_.host_to_device_bytes += bytes;
+          } else if (!topo_->is_host(from) && topo_->is_host(to)) {
+            ++copies_.device_to_host_count;
+            copies_.device_to_host_bytes += bytes;
+          }
+        });
   }
   TransferStats transfers() const {
-    return recorder_.books().since(baseline_).transfers();
+    TransferStats stats = recorder_.books().since(baseline_).transfers();
+    stats.host_to_device_count = copies_.host_to_device_count;
+    stats.host_to_device_bytes = copies_.host_to_device_bytes;
+    stats.device_to_host_count = copies_.device_to_host_count;
+    stats.device_to_host_bytes = copies_.device_to_host_bytes;
+    return stats;
   }
-  void reset() { baseline_ = recorder_.books(); }
+  void reset() {
+    baseline_ = recorder_.books();
+    copies_ = {};
+  }
 
  private:
+  const MemTopology* topo_;
   Tracer recorder_;
   Books baseline_;
+  TransferStats copies_;
 };
 
 /// Seconds a placement decision on memory node `node` charges for `mode`
-/// access to `handle`: rt::Plan's fetch rule on the handle's live state, a
-/// read amortised over the handle's reads, as dmda prices it.
+/// access to `handle`: rt::Plan's fetch rule on the handle's plan view, a
+/// read amortised over the handle's committed reads, as dmda prices it.
 double decision_fetch(const DataManager& manager, const DataHandle& handle,
                       MemoryNodeId node, AccessMode mode) {
   std::vector<WorkerDesc> workers(1);
@@ -76,9 +99,7 @@ TEST_F(MemoryTest, ReadAcquireCopiesAndShares) {
   std::iota(data.begin(), data.end(), 0.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  VirtualTime ready = -1.0;
-  auto* device_ptr = static_cast<float*>(h->acquire(1, AccessMode::kRead, &ready));
-  EXPECT_GT(ready, 0.0);  // a transfer happened
+  auto* device_ptr = static_cast<float*>(h->acquire(1, AccessMode::kRead));
   EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kShared);
   EXPECT_EQ(h->replica_state(1), ReplicaState::kShared);
   for (int i = 0; i < 16; ++i) EXPECT_FLOAT_EQ(device_ptr[i], data[i]);
@@ -89,10 +110,9 @@ TEST_F(MemoryTest, SecondReadAcquireIsFree) {
   std::vector<float> data(16, 2.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  h->acquire(1, AccessMode::kRead, nullptr);
+  h->acquire(1, AccessMode::kRead);
   const auto before = stats().total_count();
-  VirtualTime ready = -1.0;
-  h->acquire(1, AccessMode::kRead, &ready);
+  h->acquire(1, AccessMode::kRead);
   EXPECT_EQ(stats().total_count(), before);
 }
 
@@ -100,7 +120,7 @@ TEST_F(MemoryTest, WriteAcquireInvalidatesOthersWithoutTransfer) {
   std::vector<float> data(16, 3.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  h->acquire(1, AccessMode::kWrite, nullptr);
+  h->acquire(1, AccessMode::kWrite);
   EXPECT_EQ(stats().total_count(), 0u);  // W needs no fetch
   EXPECT_EQ(h->replica_state(1), ReplicaState::kOwned);
   EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kInvalid);
@@ -110,7 +130,7 @@ TEST_F(MemoryTest, ReadWriteFetchesThenOwns) {
   std::vector<float> data(16, 4.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  auto* ptr = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite, nullptr));
+  auto* ptr = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite));
   EXPECT_FLOAT_EQ(ptr[0], 4.0f);
   EXPECT_EQ(h->replica_state(1), ReplicaState::kOwned);
   EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kInvalid);
@@ -121,10 +141,9 @@ TEST_F(MemoryTest, ModifiedDeviceDataFlowsBackToHost) {
   std::vector<float> data(8, 0.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  auto* device = static_cast<float*>(h->acquire(1, AccessMode::kWrite, nullptr));
+  auto* device = static_cast<float*>(h->acquire(1, AccessMode::kWrite));
   for (int i = 0; i < 8; ++i) device[i] = 9.0f;
-  h->mark_written(1, 1.0);
-  h->acquire(kHostNode, AccessMode::kRead, nullptr);
+  h->acquire(kHostNode, AccessMode::kRead);
   for (float v : data) EXPECT_FLOAT_EQ(v, 9.0f);
   EXPECT_EQ(stats().device_to_host_count, 1u);
 }
@@ -133,10 +152,9 @@ TEST_F(MemoryTest, DeviceToDeviceGoesThroughHost) {
   std::vector<float> data(8, 1.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  auto* d1 = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite, nullptr));
+  auto* d1 = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite));
   d1[0] = 42.0f;
-  h->mark_written(1, 1.0);
-  auto* d2 = static_cast<float*>(h->acquire(2, AccessMode::kRead, nullptr));
+  auto* d2 = static_cast<float*>(h->acquire(2, AccessMode::kRead));
   EXPECT_FLOAT_EQ(d2[0], 42.0f);
   // One d2h (to host) + one h2d (to device 2).
   EXPECT_EQ(stats().device_to_host_count, 1u);
@@ -150,29 +168,30 @@ TEST_F(MemoryTest, FailedSecondHopKeepsTheHopThatLanded) {
   std::vector<float> data(8, 1.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  auto* d1 = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite, nullptr));
+  auto* d1 = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite));
   d1[0] = 42.0f;
-  h->mark_written(1, 1.0);
   h->release(1);
   bool fail_upload_to_2 = true;
+  std::vector<std::pair<MemoryNodeId, MemoryNodeId>> hops;
   manager_.set_transfer_fault_hook(
       [&](MemoryNodeId from, MemoryNodeId to, std::size_t) {
         if (from == kHostNode && to == 2 && fail_upload_to_2) {
           throw Error(ErrorCode::kIoError, "injected hop fault");
         }
+        hops.emplace_back(from, to);
       });
-  EXPECT_THROW(h->acquire(2, AccessMode::kRead, nullptr), Error);
+  EXPECT_THROW(h->acquire(2, AccessMode::kRead), Error);
   EXPECT_EQ(h->replica_state(1), ReplicaState::kShared);
   EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kShared);
   EXPECT_EQ(h->replica_state(2), ReplicaState::kInvalid);
   EXPECT_FLOAT_EQ(data[0], 42.0f);
 
   fail_upload_to_2 = false;
-  traffic_.reset();
-  auto* d2 = static_cast<float*>(h->acquire(2, AccessMode::kRead, nullptr));
+  hops.clear();
+  auto* d2 = static_cast<float*>(h->acquire(2, AccessMode::kRead));
   EXPECT_FLOAT_EQ(d2[0], 42.0f);
-  EXPECT_EQ(stats().device_to_host_count, 0u);
-  EXPECT_EQ(stats().host_to_device_count, 1u);
+  EXPECT_EQ(hops, (std::vector<std::pair<MemoryNodeId, MemoryNodeId>>{
+                      {kHostNode, 2}}));
 }
 
 // The Figure 3 walk-through: 4 component calls on the GPU + 2 application
@@ -184,26 +203,24 @@ TEST_F(MemoryTest, Figure3ScenarioNeedsOnlyTwoCopies) {
   traffic_.reset();
 
   // line 4: comp1(v0, write) on GPU — allocation only, no copy.
-  auto* d = static_cast<float*>(h->acquire(1, AccessMode::kWrite, nullptr));
+  auto* d = static_cast<float*>(h->acquire(1, AccessMode::kWrite));
   for (int i = 0; i < 1024; ++i) d[i] = 1.0f;
-  h->mark_written(1, 1.0);
 
   // line 6: application reads an element — first copy (device -> host).
-  h->acquire(kHostNode, AccessMode::kRead, nullptr);
+  h->acquire(kHostNode, AccessMode::kRead);
   EXPECT_FLOAT_EQ(v0[7], 1.0f);
 
   // line 8: comp2(v0, readwrite) on GPU — device copy still valid, no copy.
-  d = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite, nullptr));
+  d = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite));
   for (int i = 0; i < 1024; ++i) d[i] += 1.0f;
-  h->mark_written(1, 2.0);
 
   // lines 10, 12: comp3/comp4 read on GPU — no copies.
-  h->acquire(1, AccessMode::kRead, nullptr);
-  h->acquire(1, AccessMode::kRead, nullptr);
+  h->acquire(1, AccessMode::kRead);
+  h->acquire(1, AccessMode::kRead);
 
   // line 14: application writes — second copy (device -> host), then the
   // device replica is outdated.
-  h->acquire(kHostNode, AccessMode::kReadWrite, nullptr);
+  h->acquire(kHostNode, AccessMode::kReadWrite);
   EXPECT_FLOAT_EQ(v0[7], 2.0f);
   v0[7] = 5.0f;
 
@@ -219,16 +236,42 @@ TEST_F(MemoryTest, FetchEstimateMatchesLinkModel) {
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
   const double est = decision_fetch(manager_, *h, 1, AccessMode::kRead);
-  EXPECT_NEAR(est, sim::transfer_seconds(manager_.link(), h->bytes()), 1e-12);
+  EXPECT_NEAR(est,
+              sim::transfer_seconds(manager_.interconnect().pcie, h->bytes()),
+              1e-12);
   EXPECT_DOUBLE_EQ(decision_fetch(manager_, *h, 1, AccessMode::kWrite), 0.0);
   EXPECT_DOUBLE_EQ(decision_fetch(manager_, *h, kHostNode, AccessMode::kRead),
                    0.0);
 }
 
+/// Lanes of `manager`'s interconnect, as the scheduler's plan reserves
+/// them: `copy(from, to)` fetches 8 MiB valid only on `from` to `to` and
+/// returns when they arrive.
+class Lanes {
+ public:
+  explicit Lanes(const DataManager& manager)
+      : workers_(1), plan_(workers_, &manager.interconnect()),
+        nodes_(static_cast<std::size_t>(manager.node_count())) {
+    workers_[0].id = 0;
+  }
+  VirtualTime copy(MemoryNodeId from, MemoryNodeId to) {
+    std::vector<ReplicaState> states(nodes_, ReplicaState::kInvalid);
+    states[static_cast<std::size_t>(from)] = ReplicaState::kOwned;
+    return plan_.access(plan_.add_data(states), to, AccessMode::kRead,
+                        8 << 20);
+  }
+
+ private:
+  std::vector<WorkerDesc> workers_;
+  Plan plan_;
+  std::size_t nodes_;
+};
+
 TEST_F(MemoryTest, LinkContentionSerialisesTransfers) {
   // Same direction, same device: the two transfers queue on one lane.
-  const VirtualTime end1 = manager_.charge_link(kHostNode, 1, 8 << 20, 0.0);
-  const VirtualTime end2 = manager_.charge_link(kHostNode, 1, 8 << 20, 0.0);
+  Lanes lanes(manager_);
+  const VirtualTime end1 = lanes.copy(kHostNode, 1);
+  const VirtualTime end2 = lanes.copy(kHostNode, 1);
   EXPECT_GT(end2, end1);
   EXPECT_NEAR(end2, 2.0 * end1, end1 * 0.01 + 2e-5);
 }
@@ -236,39 +279,26 @@ TEST_F(MemoryTest, LinkContentionSerialisesTransfers) {
 TEST_F(MemoryTest, DuplexLanesDoNotContend) {
   // Different devices and different directions each get their own lane, so
   // the four transfers all start at vtime 0 and finish together.
-  const VirtualTime up1 = manager_.charge_link(kHostNode, 1, 8 << 20, 0.0);
-  const VirtualTime up2 = manager_.charge_link(kHostNode, 2, 8 << 20, 0.0);
-  const VirtualTime down1 = manager_.charge_link(1, kHostNode, 8 << 20, 0.0);
-  const VirtualTime down2 = manager_.charge_link(2, kHostNode, 8 << 20, 0.0);
+  Lanes lanes(manager_);
+  const VirtualTime up1 = lanes.copy(kHostNode, 1);
+  const VirtualTime up2 = lanes.copy(kHostNode, 2);
+  const VirtualTime down1 = lanes.copy(1, kHostNode);
+  const VirtualTime down2 = lanes.copy(2, kHostNode);
   EXPECT_DOUBLE_EQ(up1, up2);
   EXPECT_DOUBLE_EQ(up1, down1);
   EXPECT_DOUBLE_EQ(up1, down2);
-  EXPECT_NEAR(up1, sim::transfer_seconds(manager_.link(), 8 << 20), 1e-12);
+  EXPECT_NEAR(up1,
+              sim::transfer_seconds(manager_.interconnect().pcie, 8 << 20),
+              1e-12);
 }
 
 TEST_F(MemoryTest, SharedBusModeKeepsOneClockForEverything) {
   DataManager shared(3, sim::LinkProfile::pcie2_x16_shared());
-  const VirtualTime end1 = shared.charge_link(kHostNode, 1, 8 << 20, 0.0);
-  const VirtualTime end2 = shared.charge_link(2, kHostNode, 8 << 20, 0.0);
+  Lanes lanes(shared);
+  const VirtualTime end1 = lanes.copy(kHostNode, 1);
+  const VirtualTime end2 = lanes.copy(2, kHostNode);
   EXPECT_GT(end2, end1);  // opposite direction, other device: still queued
   EXPECT_NEAR(end2, 2.0 * end1, end1 * 0.01 + 2e-5);
-}
-
-TEST_F(MemoryTest, PendingPrefetchZeroesTheFetchEstimate) {
-  std::vector<float> data(1 << 20, 0.0f);
-  auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
-                                    sizeof(float));
-  const auto fetch = [&](MemoryNodeId node) {
-    return decision_fetch(manager_, *h, node, AccessMode::kRead);
-  };
-  ASSERT_GT(fetch(1), 0.0);
-  h->note_prefetch_queued(1);
-  // In-flight prefetch: the transfer is already being paid for.
-  EXPECT_DOUBLE_EQ(fetch(1), 0.0);
-  // Other nodes still charge normally.
-  EXPECT_GT(fetch(2), 0.0);
-  h->note_prefetch_done(1);
-  EXPECT_GT(fetch(1), 0.0);
 }
 
 // -- partitioning ---------------------------------------------------------------
@@ -286,7 +316,7 @@ TEST_F(MemoryTest, PartitionSplitsElementsContiguously) {
   EXPECT_TRUE(h->is_partitioned());
 
   auto* c1 = static_cast<float*>(children[1]->acquire(kHostNode,
-                                                      AccessMode::kRead, nullptr));
+                                                      AccessMode::kRead));
   EXPECT_FLOAT_EQ(c1[0], 4.0f);  // second block starts at element 4
 }
 
@@ -295,7 +325,7 @@ TEST_F(MemoryTest, ParentUnusableWhilePartitioned) {
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
   auto children = h->partition(2);
-  EXPECT_THROW(h->acquire(kHostNode, AccessMode::kRead, nullptr), Error);
+  EXPECT_THROW(h->acquire(kHostNode, AccessMode::kRead), Error);
   EXPECT_THROW(h->partition(2), Error);
 }
 
@@ -308,19 +338,18 @@ TEST_F(MemoryTest, UnpartitionGathersChildDeviceData) {
   for (std::size_t c = 0; c < 2; ++c) {
     auto* p = static_cast<float*>(
         children[c]->acquire(static_cast<MemoryNodeId>(c + 1),
-                             AccessMode::kWrite, nullptr));
+                             AccessMode::kWrite));
     for (std::size_t i = 0; i < children[c]->elements(); ++i) {
       p[i] = static_cast<float>(c + 1);
     }
-    children[c]->mark_written(static_cast<MemoryNodeId>(c + 1), 1.0);
   }
   h->unpartition();
   for (int i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(data[i], 1.0f);
   for (int i = 4; i < 8; ++i) EXPECT_FLOAT_EQ(data[i], 2.0f);
   // Children are dead now.
-  EXPECT_THROW(children[0]->acquire(kHostNode, AccessMode::kRead, nullptr), Error);
+  EXPECT_THROW(children[0]->acquire(kHostNode, AccessMode::kRead), Error);
   // Parent works again.
-  EXPECT_NO_THROW(h->acquire(kHostNode, AccessMode::kRead, nullptr));
+  EXPECT_NO_THROW(h->acquire(kHostNode, AccessMode::kRead));
 }
 
 TEST_F(MemoryTest, PartitionMoreThanElementsThrows) {
@@ -371,18 +400,18 @@ TEST_F(EvictionTest, UnpinnedReplicaIsEvictedUnderPressure) {
   auto a = make_handle(a_data, 128);  // 512 B
   auto b = make_handle(b_data, 128);  // 512 B
 
-  a->acquire(1, AccessMode::kRead, nullptr);
+  a->acquire(1, AccessMode::kRead);
   a->release(1);
   EXPECT_EQ(manager_.node_allocated(1), 512u);
 
-  b->acquire(1, AccessMode::kRead, nullptr);
+  b->acquire(1, AccessMode::kRead);
   b->release(1);
   EXPECT_EQ(manager_.node_allocated(1), 1024u);  // exactly at capacity
 
   // A third 512 B allocation must evict the oldest resident (a).
   std::vector<float> c_data;
   auto c = make_handle(c_data, 128);
-  c->acquire(1, AccessMode::kRead, nullptr);
+  c->acquire(1, AccessMode::kRead);
   c->release(1);
   EXPECT_EQ(manager_.node_allocated(1), 1024u);
   EXPECT_EQ(a->replica_state(1), ReplicaState::kInvalid);
@@ -395,8 +424,8 @@ TEST_F(EvictionTest, PinnedReplicasAreNeverEvicted) {
   std::vector<float> a_data, b_data;
   auto a = make_handle(a_data, 192);  // 768 B, stays pinned
   auto b = make_handle(b_data, 128);  // 512 B -> exceeds capacity
-  a->acquire(1, AccessMode::kRead, nullptr);  // no release: pinned
-  b->acquire(1, AccessMode::kRead, nullptr);
+  a->acquire(1, AccessMode::kRead);  // no release: pinned
+  b->acquire(1, AccessMode::kRead);
   EXPECT_EQ(a->replica_state(1), ReplicaState::kShared);  // survived
   EXPECT_EQ(stats().evictions, 0u);
   EXPECT_EQ(stats().overcommits, 1u);  // nothing evictable
@@ -408,15 +437,14 @@ TEST_F(EvictionTest, PinnedReplicasAreNeverEvicted) {
 TEST_F(EvictionTest, OwnedReplicaIsFlushedHomeBeforeEviction) {
   std::vector<float> a_data, b_data;
   auto a = make_handle(a_data, 192);
-  auto* device = static_cast<float*>(a->acquire(1, AccessMode::kWrite, nullptr));
+  auto* device = static_cast<float*>(a->acquire(1, AccessMode::kWrite));
   for (int i = 0; i < 192; ++i) device[i] = 7.0f;
-  a->mark_written(1, 1.0);
   a->release(1);
 
   // Pressure from a second handle evicts a's Owned replica: the data must
   // land back on the host, not be lost.
   auto b = make_handle(b_data, 128);
-  b->acquire(1, AccessMode::kRead, nullptr);
+  b->acquire(1, AccessMode::kRead);
   b->release(1);
   EXPECT_EQ(a->replica_state(1), ReplicaState::kInvalid);
   EXPECT_EQ(a->replica_state(kHostNode), ReplicaState::kOwned);
@@ -427,15 +455,15 @@ TEST_F(EvictionTest, OwnedReplicaIsFlushedHomeBeforeEviction) {
 TEST_F(EvictionTest, EvictedDataIsRefetchedOnNextUse) {
   std::vector<float> a_data, b_data;
   auto a = make_handle(a_data, 192);
-  a->acquire(1, AccessMode::kRead, nullptr);
+  a->acquire(1, AccessMode::kRead);
   a->release(1);
   auto b = make_handle(b_data, 192);
-  b->acquire(1, AccessMode::kRead, nullptr);
+  b->acquire(1, AccessMode::kRead);
   b->release(1);
   ASSERT_EQ(a->replica_state(1), ReplicaState::kInvalid);  // evicted
   // Re-acquiring re-allocates and re-transfers (the §IV-D caveat).
   const auto before = stats().host_to_device_count;
-  auto* ptr = static_cast<float*>(a->acquire(1, AccessMode::kRead, nullptr));
+  auto* ptr = static_cast<float*>(a->acquire(1, AccessMode::kRead));
   EXPECT_FLOAT_EQ(ptr[0], 1.0f);
   EXPECT_EQ(stats().host_to_device_count, before + 1);
   a->release(1);
@@ -445,7 +473,7 @@ TEST_F(EvictionTest, DyingHandleReturnsItsAllocation) {
   std::vector<float> a_data;
   {
     auto a = make_handle(a_data, 128);
-    a->acquire(1, AccessMode::kRead, nullptr);
+    a->acquire(1, AccessMode::kRead);
     a->release(1);
     EXPECT_EQ(manager_.node_allocated(1), 512u);
   }
@@ -456,7 +484,7 @@ TEST_F(MemoryTest, StatsTrackBytes) {
   std::vector<float> data(256, 0.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  h->acquire(1, AccessMode::kRead, nullptr);
+  h->acquire(1, AccessMode::kRead);
   EXPECT_EQ(stats().host_to_device_bytes, 1024u);
   traffic_.reset();
   EXPECT_EQ(stats().total_count(), 0u);
@@ -472,7 +500,7 @@ TEST_F(MemoryTest, PartitionedChunkUploadsCountExactly) {
                                     sizeof(float));
   auto children = h->partition(4);
   for (auto& child : children) {
-    child->acquire(1, AccessMode::kRead, nullptr);
+    child->acquire(1, AccessMode::kRead);
     child->release(1);
   }
   EXPECT_EQ(stats().host_to_device_count, 4u);
@@ -493,7 +521,7 @@ TEST(SharedBusAccounting, ChunkUploadsNeverCoalesce) {
                                    sizeof(float));
   auto children = h->partition(4);
   for (auto& child : children) {
-    child->acquire(1, AccessMode::kRead, nullptr);
+    child->acquire(1, AccessMode::kRead);
     child->release(1);
   }
   EXPECT_EQ(traffic.transfers().host_to_device_count, 4u);
@@ -507,11 +535,10 @@ TEST_F(MemoryTest, UnpartitionWritebackCountsExactly) {
   auto children = h->partition(4);
   for (std::size_t c = 0; c < children.size(); ++c) {
     auto* p = static_cast<float*>(
-        children[c]->acquire(1, AccessMode::kWrite, nullptr));
+        children[c]->acquire(1, AccessMode::kWrite));
     for (std::size_t i = 0; i < children[c]->elements(); ++i) {
       p[i] = static_cast<float>(c);
     }
-    children[c]->mark_written(1, 1.0);
     children[c]->release(1);
   }
   EXPECT_EQ(stats().host_to_device_count, 0u);  // kWrite fetches nothing

@@ -320,7 +320,7 @@ TEST(CostEval, DecisionFetchIsTheRuntimeFetchEstimate) {
   const rt::WorkerId gpu = workers.back().id;
   ASSERT_EQ(workers.back().node, 1);
   for (int reads = 1; reads <= 100; ++reads) {
-    handle->acquire(rt::kHostNode, rt::AccessMode::kRead, nullptr);
+    handle->note_read();
     rt::Plan plan(workers, &data.interconnect());
     rt::Plan::Task task;
     task.exec.assign(workers.size(), 1e-3);
@@ -439,11 +439,67 @@ TEST(Predict, LoopIterationsExtrapolateLinearly) {
   EXPECT_NEAR(result.points[1].exec_seconds, 10 * 2e-3, 1e-12);
 }
 
+/// Two independent GPU calls reading data of their own: the second call's
+/// upload runs on the host-to-device lane while the first call's kernel
+/// runs, so the second kernel starts when the first ends. Predict commits
+/// the calls on the lanes as the engine does, to 1e-9.
+void expect_upload_beside_kernel_matches_the_engine() {
+  sim::MachineConfig machine = sim::MachineConfig::platform_c2050();
+  machine.cpu_cores = 1;
+  sim::DeviceProfile& gpu = machine.accelerators.front();
+  gpu.peak_gflops = 1.0;
+  gpu.compute_efficiency = 1.0;
+  gpu.launch_overhead_us = 0.0;
+  const std::size_t bytes = std::size_t{4} << 20;
+  const double upload = sim::transfer_seconds(machine.link, bytes);
+  const double kernel = 2e-3;
+  ASSERT_LT(upload, kernel);  // the premise: the upload hides
+  rt::PerfRegistry models;
+  calibrate(models, "consume", rt::Arch::kCuda, bytes, kernel);
+  PredictOptions options;
+  options.machine = machine;
+  options.sizes = {{"a", bytes}, {"b", bytes}};
+  const PredictResult predicted = analyze::predict_main(
+      make_repo(main_with_calls("<call interface=\"consume\">"
+                                "<arg param=\"x\" data=\"a\"/></call>\n"
+                                "<call interface=\"consume\">"
+                                "<arg param=\"x\" data=\"b\"/></call>\n"),
+                {{"consume", {"cuda"}}}),
+      models, options);
+  ASSERT_TRUE(predicted.completed);
+  EXPECT_NEAR(predicted.makespan.est, upload + 2 * kernel,
+              1e-9 * predicted.makespan.est);
+
+  rt::EngineConfig config;
+  config.machine = machine;
+  config.use_history_models = false;  // the cost hint is exact
+  rt::Engine engine(config);
+  rt::Codelet consume("consume");
+  consume.add_impl({rt::Arch::kCuda, "consume_cuda", [](rt::ExecContext&) {},
+                    [](const std::vector<std::size_t>&, const void*) {
+                      return sim::KernelCost{2e6, 0.0, 1.0};
+                    }});
+  std::vector<float> a(bytes / sizeof(float), 0.0f);
+  std::vector<float> b(bytes / sizeof(float), 0.0f);
+  for (std::vector<float>* data : {&a, &b}) {
+    rt::TaskSpec spec;
+    spec.codelet = &consume;
+    spec.operands = {
+        {engine.register_buffer(data->data(), bytes, sizeof(float)),
+         rt::AccessMode::kRead}};
+    engine.submit(std::move(spec));
+  }
+  engine.wait_for_all();
+  EXPECT_NEAR(engine.virtual_makespan(), predicted.makespan.est,
+              1e-9 * predicted.makespan.est);
+}
+
 TEST(Predict, TenReadersMatchTheEngineExactly) {
   // The loop above on a running Engine under dmda. On 1-GFLOP/s cores
   // without launch overhead, a 1e6-flop kernel runs exactly 1 ms, so the
   // Engine's virtual makespan must be predict's, bit for bit: three rounds
   // of readers after the init, however the workers' threads interleave.
+  // Then the same agreement where an upload overlaps a kernel.
   sim::MachineConfig machine = sim::MachineConfig::cpu_only(4);
   machine.cpu_core.peak_gflops = 1.0;
   machine.cpu_core.compute_efficiency = 1.0;
@@ -495,6 +551,7 @@ TEST(Predict, TenReadersMatchTheEngineExactly) {
   engine.wait_for_all();
   EXPECT_EQ(engine.virtual_makespan(), predicted.makespan.est);
   engine.unregister(handle);
+  expect_upload_beside_kernel_matches_the_engine();
 }
 
 TEST(Predict, LongLoopsSkipWholeRotationsOfTheWorkers) {
@@ -876,9 +933,7 @@ TEST(Predict, ReadWriteOperandPaysItsFetchOnceLikeTheRuntime) {
   std::vector<float> buffer(bytes / sizeof(float), 0.0f);
   const rt::DataHandlePtr handle =
       data.register_buffer(buffer.data(), bytes, sizeof(float));
-  for (int i = 0; i < 64; ++i) {
-    handle->acquire(rt::kHostNode, rt::AccessMode::kRead, nullptr);
-  }
+  for (int i = 0; i < 64; ++i) handle->note_read();
   rt::Plan plan(workers, &data.interconnect());
   rt::Plan::Task task;
   task.exec.assign(workers.size(), 1e-3);

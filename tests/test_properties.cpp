@@ -39,7 +39,6 @@ TEST_P(SeededProperty, CoherenceInvariantsUnderRandomAccesses) {
                                         payload.size() * sizeof(std::uint32_t),
                                         sizeof(std::uint32_t));
   std::uint32_t model = 0;  // what a correct reader must observe
-  double last_vtime = 0.0;
 
   for (int step = 0; step < 200; ++step) {
     const auto node = static_cast<rt::MemoryNodeId>(rng.next_below(nodes));
@@ -47,8 +46,7 @@ TEST_P(SeededProperty, CoherenceInvariantsUnderRandomAccesses) {
     const rt::AccessMode mode = mode_pick == 0   ? rt::AccessMode::kRead
                                 : mode_pick == 1 ? rt::AccessMode::kWrite
                                                  : rt::AccessMode::kReadWrite;
-    rt::VirtualTime ready = 0.0;
-    auto* data = static_cast<std::uint32_t*>(handle->acquire(node, mode, &ready));
+    auto* data = static_cast<std::uint32_t*>(handle->acquire(node, mode));
 
     // Invariant: fetched data matches the model (except pure writes, whose
     // incoming contents are unspecified).
@@ -56,13 +54,10 @@ TEST_P(SeededProperty, CoherenceInvariantsUnderRandomAccesses) {
       for (std::uint32_t v : std::vector<std::uint32_t>(data, data + 64)) {
         ASSERT_EQ(v, model) << "stale read at step " << step;
       }
-      ASSERT_GE(ready, 0.0);
     }
     if (mode != rt::AccessMode::kRead) {
       ++model;
       for (int i = 0; i < 64; ++i) data[i] = model;
-      last_vtime += 1.0;
-      handle->mark_written(node, last_vtime);
     }
 
     // Invariant: at most one Owned replica; Owned implies everyone else
@@ -254,9 +249,8 @@ TEST_P(SeededProperty, PartitionRoundTripPreservesData) {
   for (const auto& child : children) {
     const auto node = static_cast<rt::MemoryNodeId>(1 + rng.next_below(2));
     auto* p = static_cast<std::uint32_t*>(
-        child->acquire(node, rt::AccessMode::kReadWrite, nullptr));
+        child->acquire(node, rt::AccessMode::kReadWrite));
     for (std::size_t i = 0; i < child->elements(); ++i) p[i] *= 2;
-    child->mark_written(node, 1.0);
   }
   handle->unpartition();
   for (std::size_t i = 0; i < elements; ++i) {
@@ -292,7 +286,7 @@ TEST_P(SeededProperty, EvictionKeepsDataCorrectUnderPressure) {
     auto& handle = handles[static_cast<std::size_t>(h)];
     const bool write = rng.next_double() < 0.4;
     auto* data = static_cast<std::uint32_t*>(handle->acquire(
-        1, write ? rt::AccessMode::kReadWrite : rt::AccessMode::kRead, nullptr));
+        1, write ? rt::AccessMode::kReadWrite : rt::AccessMode::kRead));
     // Reads must always observe the model value, across any evictions.
     for (int i = 0; i < 128; ++i) {
       ASSERT_EQ(data[i], model[static_cast<std::size_t>(h)])
@@ -301,7 +295,6 @@ TEST_P(SeededProperty, EvictionKeepsDataCorrectUnderPressure) {
     if (write) {
       ++model[static_cast<std::size_t>(h)];
       for (int i = 0; i < 128; ++i) data[i] = model[static_cast<std::size_t>(h)];
-      handle->mark_written(1, static_cast<double>(step));
     }
     handle->release(1);
     // Capacity invariant: pins are all released, so the manager must have
@@ -313,8 +306,7 @@ TEST_P(SeededProperty, EvictionKeepsDataCorrectUnderPressure) {
   for (int h = 0; h < kHandles; ++h) {
     auto* host = static_cast<std::uint32_t*>(
         handles[static_cast<std::size_t>(h)]->acquire(rt::kHostNode,
-                                                      rt::AccessMode::kRead,
-                                                      nullptr));
+                                                      rt::AccessMode::kRead));
     ASSERT_EQ(host[0], model[static_cast<std::size_t>(h)]);
   }
 }

@@ -15,8 +15,9 @@ namespace peppher::rt {
 namespace {
 
 /// Mock world: 3 workers — two CPU cores and one GPU. Task eligibility and
-/// per-worker estimates are table-driven. The model policies' worker clocks
-/// are their own books, so a test builds them with earlier pushes.
+/// per-worker estimates are table-driven; with SchedEnv::cost unset a
+/// commit takes the estimate. Every policy's worker clocks are its plan's
+/// commits, so a test builds them with earlier pushes (or pops, for eager).
 class SchedulerUnit : public ::testing::Test {
  protected:
   SchedulerUnit() {
@@ -49,7 +50,7 @@ class SchedulerUnit : public ::testing::Test {
     };
   }
 
-  /// Books `ready[w]` seconds on each worker w of a fresh `policy`: one
+  /// Commits `ready[w]` seconds on each worker w of a fresh `policy`: one
   /// task only that worker may run, popped again before the test's pushes.
   std::unique_ptr<Scheduler> with_clocks(const std::string& policy,
                                          const std::vector<double>& ready) {
@@ -113,6 +114,9 @@ TEST_F(SchedulerUnit, EagerIsFifoAcrossWorkers) {
   EXPECT_EQ(scheduler->pop(2), t1);  // any worker takes the oldest
   EXPECT_EQ(scheduler->pop(0), t2);
   EXPECT_EQ(scheduler->pop(1), nullptr);
+  // A pop commits the task on the popping worker.
+  EXPECT_EQ(t1->vend, 1.0);
+  EXPECT_EQ(scheduler->makespan(), 1.0);
 }
 
 TEST_F(SchedulerUnit, EagerPrefersHigherPriority) {
@@ -140,6 +144,8 @@ TEST_F(SchedulerUnit, DmdaPicksMinimalCompletion) {
   auto task = make_task();
   scheduler->push(task);
   EXPECT_EQ(scheduler->pop(1), task);  // worker 1: completion 6.0
+  EXPECT_EQ(task->vstart, 5.0);        // committed there at push
+  EXPECT_EQ(task->vend, 6.0);
   EXPECT_EQ(scheduler->pop(0), nullptr);
   EXPECT_EQ(scheduler->pop(2), nullptr);
 }
@@ -147,13 +153,19 @@ TEST_F(SchedulerUnit, DmdaPicksMinimalCompletion) {
 TEST_F(SchedulerUnit, DmdaCountsQueuedWorkNotYetStarted) {
   auto scheduler = with_clocks("dmda", {0.0, 100.0, 100.0});
   work_ = {10.0, 10.0, 10.0};
-  // Twelve tasks pushed before any pops: each books its work on its
-  // worker's clock, so they cannot all pile up on worker 0. It takes
-  // eleven (completions 10 .. 110, the last a tie with worker 1's 110).
+  // Twelve tasks pushed before any pops: each is committed on its worker's
+  // clock when it is placed, so they cannot all pile up on worker 0. It
+  // takes eleven (completions 10 .. 110, the last a tie with worker 1's
+  // 110), and the queued tasks carry their committed times.
   for (int i = 0; i < 12; ++i) scheduler->push(make_task());
   int on_worker0 = 0;
-  while (scheduler->pop(0) != nullptr) ++on_worker0;
+  while (const TaskPtr task = scheduler->pop(0)) {
+    EXPECT_EQ(task->vstart, 10.0 * on_worker0);
+    EXPECT_EQ(task->vend, 10.0 * (on_worker0 + 1));
+    ++on_worker0;
+  }
   EXPECT_EQ(on_worker0, 11);
+  EXPECT_EQ(scheduler->makespan(), 110.0);
 }
 
 TEST_F(SchedulerUnit, DmdaExploresUncalibratedVariantsFirst) {
