@@ -64,36 +64,27 @@ rt::EngineConfig cluster_config(int nodes) {
 }
 
 Row run_jacobi_row(int nodes, bool overlap, std::size_t rows_per_node,
-                   std::size_t cols, int iterations, int reps) {
+                   std::size_t cols, int iterations) {
   apps::dist::JacobiConfig jacobi;
   jacobi.rows = rows_per_node * static_cast<std::size_t>(nodes);
   jacobi.cols = cols;
   jacobi.iterations = iterations;
   jacobi.overlap = overlap;
 
+  rt::Engine engine(cluster_config(nodes));
+  const auto wall_start = std::chrono::steady_clock::now();
+  const apps::dist::JacobiResult result = apps::dist::run_jacobi(engine, jacobi);
+  const auto wall_end = std::chrono::steady_clock::now();
+
   Row row;
   row.workload = "jacobi";
   row.nodes = nodes;
   row.exchange = overlap ? "overlapped" : "blocking";
-  // Best of `reps`: the virtual schedule depends on which ready task each
-  // worker thread dequeues first, so the makespan jitters a little from run
-  // to run; the minimum is the noise-free schedule for this shape.
-  for (int rep = 0; rep < reps; ++rep) {
-    rt::Engine engine(cluster_config(nodes));
-    const auto wall_start = std::chrono::steady_clock::now();
-    const apps::dist::JacobiResult result =
-        apps::dist::run_jacobi(engine, jacobi);
-    const auto wall_end = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(wall_end - wall_start)
-            .count();
-    if (rep == 0 || result.virtual_seconds < row.virtual_s) {
-      row.virtual_s = result.virtual_seconds;
-      row.wall_ms = wall_ms;
-      row.internode_transfers = result.transfers.internode_count;
-      row.internode_bytes = result.transfers.internode_bytes;
-    }
-  }
+  row.virtual_s = result.virtual_seconds;
+  row.wall_ms =
+      std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
+  row.internode_transfers = result.transfers.internode_count;
+  row.internode_bytes = result.transfers.internode_bytes;
   return row;
 }
 
@@ -128,7 +119,6 @@ int main(int argc, char** argv) {
   const std::size_t cols = smoke ? 64 : 2048;
   const int iterations = smoke ? 2 : 8;
   const double spmv_scale = smoke ? 0.02 : 0.10;
-  const int reps = smoke ? 1 : 3;
 
   apps::dist::register_components();
 
@@ -136,12 +126,12 @@ int main(int argc, char** argv) {
   for (const int nodes : {1, 2, 4}) {
     overlapped_s[nodes] =
         emit(run_jacobi_row(nodes, /*overlap=*/true, rows_per_node, cols,
-                            iterations, reps),
+                            iterations),
              report);
   }
   const double blocking_4node_s =
       emit(run_jacobi_row(4, /*overlap=*/false, rows_per_node, cols,
-                          iterations, reps),
+                          iterations),
            report);
   for (const int nodes : {1, 2, 4}) {
     emit(run_spmv_row(nodes, spmv_scale), report);

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -100,8 +99,8 @@ double run_pairs(const std::string& scheduler, int rounds) {
 
   const rt::Codelet small = make_pair_task("pair_small", machine, 1e-3, 0.8e-3);
   const rt::Codelet large = make_pair_task("pair_large", machine, 10e-3, 1e-3);
-  // The producer runs on the GPU worker, which therefore stages the pair
-  // itself: the core is parked by then and cannot close a window of one.
+  // The producer runs on the GPU. The pair depends on it, so the producer
+  // commits first and the pair fills a window of two.
   const double producer_flops = flops_for(machine.accelerators[0], 0.01e-3);
   rt::Codelet producer("pair_producer");
   producer.add_impl(
@@ -250,14 +249,6 @@ int main(int argc, char** argv) {
   bench::Report report("scheduler_lookahead", argc, argv);
   const bool smoke = report.smoke();
 
-  // Virtual makespans are deterministic given a schedule, but the schedule
-  // itself races real worker threads (partial windows close when a worker
-  // runs dry): median-of-3 screens out the rare degenerate interleaving.
-  const auto median3 = [](const std::function<double()>& run) {
-    std::vector<double> v = {run(), run(), run()};
-    std::sort(v.begin(), v.end());
-    return v[1];
-  };
   const auto virtual_row = [&report](const std::string& name, double dmda,
                                      double lookahead) {
     add_row(report, name, dmda, lookahead, dmda / lookahead, "s",
@@ -273,16 +264,14 @@ int main(int argc, char** argv) {
   }
   {
     const double scale = smoke ? 0.05 : 0.1;
-    const double dmda = median3([&] { return run_spmv("dmda", scale); });
-    virtual_row("fig5_parity", dmda,
-                median3([&] { return run_spmv("lookahead", scale); }));
+    const double dmda = run_spmv("dmda", scale);
+    virtual_row("fig5_parity", dmda, run_spmv("lookahead", scale));
   }
   {
     const unsigned n = smoke ? 64u : 250u;
     const int steps = smoke ? 24 : 200;
-    const double dmda = median3([&] { return run_ode("dmda", n, steps); });
-    virtual_row("fig7_parity", dmda,
-                median3([&] { return run_ode("lookahead", n, steps); }));
+    const double dmda = run_ode("dmda", n, steps);
+    virtual_row("fig7_parity", dmda, run_ode("lookahead", n, steps));
   }
   replay_overhead_row(smoke ? 4096 : 8192, report);
   return report.finish();

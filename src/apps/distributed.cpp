@@ -350,12 +350,9 @@ JacobiResult run_jacobi(rt::Engine& engine, const JacobiConfig& config) {
     }
   }
 
-  // Quiesce before collecting the result: gathering the distributed field
-  // back to the root host drains multi-megabyte regions over the same lanes
-  // the halo hops use, so doing it while sweeps are still in flight would
-  // let a one-time 4 MB drain cut in front of an 8 KB ghost exchange (and
-  // make the makespan depend on thread timing). The measured numbers are
-  // the iteration cost; the gather is charged after the snapshot.
+  // The measured numbers are the iteration cost: the snapshot is taken
+  // before the gather back to the root host (multi-megabyte regions over
+  // the lanes the halo hops use) is committed.
   engine.wait_for_all();
 
   JacobiResult result;

@@ -20,8 +20,13 @@ constexpr std::uint64_t kFaultSeed = 42;
 
 /// Id of the worker this thread runs, -1 on application threads — lets the
 /// dispatch path skip the wakeup when the dispatching worker itself will
-/// pick the task up (see Engine::wake_workers).
+/// pick the task up (see Engine::dispatch_ready).
 thread_local WorkerId t_worker_id = -1;
+
+/// `message` as a stored task error.
+std::exception_ptr failure(ErrorCode code, const std::string& message) {
+  return std::make_exception_ptr(Error(code, message));
+}
 
 /// The cluster the engine actually runs: the configured one, or a
 /// synthesized one-node cluster wrapping the configured machine.
@@ -64,7 +69,6 @@ Engine::Engine(EngineConfig config)
   // (§IV-D eviction) and its fault injector (accelerator_faults is aligned
   // with the global device ordinals).
   descs_ = worker_table(cluster_);
-  node_dead_ = std::make_unique<std::atomic<bool>[]>(cluster_.nodes.size());
   injectors_.resize(static_cast<std::size_t>(topo.device_count()));
   bool any_faults = false;
   for (const WorkerDesc& desc : descs_) {
@@ -95,8 +99,7 @@ Engine::Engine(EngineConfig config)
   data_.set_recorder(&tracer_);
   interval_start_ = transfers_start_ = tracer_.books();
 
-  // Whole-node death plans and the inter-node link plan. The transfer hook
-  // must be in place before worker threads exist.
+  // Whole-node death plans and the inter-node link plan.
   node_injectors_.resize(cluster_.nodes.size());
   for (std::size_t k = 0; k < cluster_.nodes.size(); ++k) {
     if (k < config_.node_faults.size() && config_.node_faults[k].any()) {
@@ -110,12 +113,6 @@ Engine::Engine(EngineConfig config)
     internode_injector_ = std::make_unique<sim::FaultInjector>(
         config_.internode_fault, kFaultSeed ^ 0x94D049BB133111EBULL);
     any_faults = true;
-  }
-  if (any_faults) {
-    data_.set_transfer_fault_hook(
-        [this](MemoryNodeId from, MemoryNodeId to, std::size_t bytes) {
-          on_transfer_attempt(from, to, bytes);
-        });
   }
 
   SchedEnv env;
@@ -135,16 +132,14 @@ Engine::Engine(EngineConfig config)
                         : std::max(1, config_.window_size);
   env.interconnect = &data_.interconnect();
   env.recorder = &tracer_;
-  env.commit = [this](const TaskPtr& t, WorkerId id,
-                      const DecisionRecord& decision) {
-    commit_window_task(t, id, decision);
-  };
-  // Window plans have no counters: without a trace the planner builds none.
-  if (tracer_.tracing()) {
-    env.record_window = [this](const WindowRecord& record) {
-      tracer_.record_window(record);
+  if (any_faults) {
+    env.hop_fails = [this](MemoryNodeId from, MemoryNodeId to, std::size_t) {
+      return transfer_fails(from, to);
     };
   }
+  env.settle = [this](const TaskPtr& t, bool hop_failed) {
+    return settle_attempt(t, hop_failed);
+  };
   if (!config_.dispatch_table.empty()) {
     if (config_.scheduler != "lookahead") {
       throw Error(ErrorCode::kInvalidArgument,
@@ -176,13 +171,11 @@ Engine::Engine(EngineConfig config)
     worker->thread = std::thread([this, id] { worker_main(id); });
   }
 
-  // Automatic prefetch rides a dedicated background transfer thread. Fault
-  // plans disable it: a background path would consume the per-device
-  // transfer-fault draws in a nondeterministic order, breaking replayable
-  // chaos runs. On a cluster the thread also warms remote-host replicas
-  // (halo slices travel the inter-node lanes while interior tasks run), so
-  // it exists whenever there is any non-primary memory node to warm.
-  prefetch_enabled_ = config_.enable_prefetch && !any_faults &&
+  // Automatic prefetch rides a dedicated background transfer thread. On a
+  // cluster the thread also warms remote-host replicas (halo slices travel
+  // the inter-node lanes while interior tasks run), so it exists whenever
+  // there is any non-primary memory node to warm.
+  prefetch_enabled_ = config_.enable_prefetch &&
                       (topo.device_count() > 0 || topo.multi_node());
   if (prefetch_enabled_) {
     prefetch_thread_ = std::thread([this] { prefetch_main(); });
@@ -238,6 +231,7 @@ DataHandlePtr Engine::register_buffer(void* host_ptr, std::size_t bytes,
 
 void Engine::acquire_host(const DataHandlePtr& handle, AccessMode mode) {
   check(handle != nullptr, "acquire_host: null handle");
+  flush();
   std::vector<TaskPtr> pending;
   {
     std::lock_guard<std::mutex> lock(graph_mutex_);
@@ -279,13 +273,19 @@ void Engine::unregister(const DataHandlePtr& handle) {
 
 bool Engine::prefetch(const DataHandlePtr& handle, MemoryNodeId node) {
   check(handle != nullptr, "prefetch: null handle");
-  if (handle->prefetch(node) != PrefetchSkipReason::kNone) return false;
+  flush();
+  const PrefetchSkipReason skipped = handle->prefetch(node);
+  if (skipped == PrefetchSkipReason::kPartitioned ||
+      skipped == PrefetchSkipReason::kDetached) {
+    return false;
+  }
   scheduler_->commit_access(*handle, node, AccessMode::kRead);
-  return true;
+  return skipped == PrefetchSkipReason::kNone;
 }
 
 void Engine::unpartition(const DataHandlePtr& handle) {
   check(handle != nullptr, "unpartition: null handle");
+  flush();
   // Each child flushes home as a readwrite host access would.
   for (const DataHandlePtr& child : handle->unpartition()) {
     scheduler_->commit_access(*child, kHostNode, AccessMode::kReadWrite);
@@ -296,9 +296,7 @@ void Engine::unpartition(const DataHandlePtr& handle) {
 // automatic (scheduler-driven) prefetch
 // ---------------------------------------------------------------------------
 
-void Engine::enqueue_prefetches(const Task& task, WorkerId hint) {
-  if (hint < 0) return;  // central queue: no committed destination yet
-  const MemoryNodeId node = descs_[static_cast<std::size_t>(hint)].node;
+void Engine::enqueue_prefetches(const Task& task, MemoryNodeId node) {
   if (node == kHostNode) return;  // host replicas are valid by construction
   std::size_t queued = 0;
   {
@@ -330,11 +328,13 @@ void Engine::prefetch_main() {
     ++prefetch_busy_;
     lock.unlock();
 
-    // On shutdown the remaining requests are only drained.
+    // On shutdown the remaining requests are only drained. A writer
+    // submitted since the enqueue skips the copy: its own invalidation
+    // must not be resurrected by a stale copy.
     const PrefetchSkipReason outcome =
         prefetch_stop_.load(std::memory_order_relaxed)
             ? PrefetchSkipReason::kShutdown
-            : service_prefetch(request);
+            : request.handle->prefetch(request.node);
     tracer_.record_prefetch(outcome == PrefetchSkipReason::kNone
                                 ? PrefetchEvent::kCompleted
                                 : PrefetchEvent::kSkipped,
@@ -346,17 +346,6 @@ void Engine::prefetch_main() {
     if (prefetch_queue_.empty() && prefetch_busy_ == 0) {
       prefetch_idle_cv_.notify_all();
     }
-  }
-}
-
-PrefetchSkipReason Engine::service_prefetch(const PrefetchRequest& request) {
-  // A writer submitted since the enqueue skips the prefetch: its own
-  // invalidation must not be resurrected by a stale copy.
-  try {
-    return request.handle->prefetch(request.node);
-  } catch (...) {
-    // A failed prefetch is a lost hint, never an error.
-    return PrefetchSkipReason::kTransferFailed;
   }
 }
 
@@ -497,12 +486,30 @@ TaskPtr Engine::submit(TaskSpec spec) {
     }
   }
 
-  bool dispatch = false;
-  std::vector<TaskPtr> cancelled_at_submit;
-  std::vector<TaskPtr> ready_at_submit;
+  std::vector<TaskPtr> completed;
+  std::vector<TaskPtr> ready;
   inflight_.fetch_add(1, std::memory_order_seq_cst);
   {
     std::lock_guard<std::mutex> lock(graph_mutex_);
+
+    // A predecessor staged in a lookahead window commits first: the task's
+    // start needs its end.
+    const auto staged = [](const TaskPtr& t) {
+      return t != nullptr && !t->committed;
+    };
+    bool staged_predecessor = false;
+    for (const auto& op : task->spec.operands) {
+      staged_predecessor |= staged(op.handle->last_writer);
+      if (op.mode == AccessMode::kRead) continue;
+      for (const auto& reader : op.handle->readers_since_last_write) {
+        staged_predecessor |= staged(reader);
+      }
+    }
+    std::vector<TaskPtr> committed;
+    if (staged_predecessor) {
+      scheduler_->flush(committed);
+      note_committed_locked(committed, completed, ready);
+    }
 
     // Implicit dependencies: sequential consistency per handle. Duplicate
     // edges (the same predecessor through several operands) are detected
@@ -511,18 +518,14 @@ TaskPtr Engine::submit(TaskSpec spec) {
       if (pred == nullptr || pred.get() == task.get()) return;
       if (pred->linking_successor == task->sequence) return;
       pred->linking_successor = task->sequence;
+      task->max_pred_end = std::max(task->max_pred_end, pred->vend);
       if (pred->state == TaskState::kDone) {
-        task->max_pred_end = std::max(task->max_pred_end, pred->vend);
         if (pred->failed() && !task->failed()) {
           // Depending on data whose producer already failed cancels this
           // task too (same rule as live failure propagation).
-          try {
-            throw Error(ErrorCode::kInvalidState, "predecessor task '" +
-                                                      pred->spec.name +
-                                                      "' failed");
-          } catch (...) {
-            task->error = std::current_exception();
-          }
+          task->error = failure(ErrorCode::kInvalidState,
+                                "predecessor task '" + pred->spec.name +
+                                    "' failed");
         }
       } else {
         pred->successors.push_back(task);
@@ -544,27 +547,48 @@ TaskPtr Engine::submit(TaskSpec spec) {
       }
     }
 
-    if (task->unmet_dependencies == 0) {
-      if (task->failed()) {
-        complete_locked(task, cancelled_at_submit, ready_at_submit);
-      } else {
-        dispatch = true;
-      }
-    }
+    // A cancelled task keeps its commit too: the timeline never depends on
+    // when a failure was observed.
+    scheduler_->submit(task, committed);
+    note_committed_locked(committed, completed, ready);
   }
-  if (dispatch) dispatch_ready(task);
-  for (const TaskPtr& ready : ready_at_submit) dispatch_ready(ready);
-  if (!cancelled_at_submit.empty()) {
-    notify_task_done();
-    for (const TaskPtr& done : cancelled_at_submit) {
-      if (done->spec.on_complete) done->spec.on_complete(*done);
-    }
-    inflight_.fetch_sub(cancelled_at_submit.size(), std::memory_order_seq_cst);
-    notify_idle();
-  }
+  finish_completed(completed, ready);
 
   if (synchronous) wait(task);
   return task;
+}
+
+void Engine::note_committed_locked(std::vector<TaskPtr>& committed,
+                                   std::vector<TaskPtr>& completed,
+                                   std::vector<TaskPtr>& ready) {
+  for (const TaskPtr& task : committed) {
+    task->committed = true;
+    if (task->unmet_dependencies == 0) release_locked(task, completed, ready);
+  }
+  committed.clear();
+}
+
+void Engine::flush() {
+  if (!scheduler_->windowed()) return;
+  std::vector<TaskPtr> committed;
+  std::vector<TaskPtr> completed;
+  std::vector<TaskPtr> ready;
+  {
+    std::lock_guard<std::mutex> lock(graph_mutex_);
+    scheduler_->flush(committed);
+    note_committed_locked(committed, completed, ready);
+  }
+  finish_completed(completed, ready);
+}
+
+void Engine::release_locked(const TaskPtr& task,
+                            std::vector<TaskPtr>& completed,
+                            std::vector<TaskPtr>& ready) {
+  if (task->failed()) {
+    complete_locked(task, completed, ready);
+  } else {
+    ready.push_back(task);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -582,6 +606,7 @@ TaskPtr Engine::submit(TaskSpec spec) {
 void Engine::wait(const TaskPtr& task) {
   check(task != nullptr, "wait: null task");
   if (task->state.load(std::memory_order_seq_cst) != TaskState::kDone) {
+    flush();
     task_waiters_.fetch_add(1, std::memory_order_seq_cst);
     {
       std::unique_lock<std::mutex> lock(done_mutex_);
@@ -598,6 +623,7 @@ void Engine::wait(const TaskPtr& task) {
 
 void Engine::wait_for_all() {
   if (inflight_.load(std::memory_order_seq_cst) == 0) return;
+  flush();
   all_waiters_.fetch_add(1, std::memory_order_seq_cst);
   {
     std::unique_lock<std::mutex> lock(done_mutex_);
@@ -634,59 +660,39 @@ void Engine::worker_main(WorkerId id) {
   tracer_.bind_worker(id);
   Worker& worker = *workers_[static_cast<std::size_t>(id)];
   while (true) {
-    TaskPtr task = scheduler_->pop(id);
+    TaskPtr task = pop(worker);
     if (task == nullptr) {
-      // Announce intent to park, then re-check the queues: a producer that
+      // Announce intent to park, then re-check the queue: a producer that
       // pushed before reading the parked flag is seen by this second pop; a
       // producer that pushed after delivers a wake token (see ParkSlot).
       worker.slot.announce();
-      task = scheduler_->pop(id);
+      task = pop(worker);
       if (task == nullptr) {
         if (!worker.slot.park([this] {
               return stopping_.load(std::memory_order_seq_cst);
             })) {
           return;  // stopped without a token
         }
-        continue;  // token consumed — re-check the queues
+        continue;  // token consumed — re-check the queue
       }
       worker.slot.cancel();
-    }
-    if (blacklisted_[static_cast<std::size_t>(id)].load(
-            std::memory_order_acquire)) {
-      // Pushed after the submitter's eligibility check but before this
-      // worker died and drained its queue: hand it to the survivors.
-      reroute_from_dead_worker(task);
-      continue;
     }
     task->state.store(TaskState::kRunning, std::memory_order_relaxed);
     execute(task, worker);
   }
 }
 
-void Engine::reroute_from_dead_worker(const TaskPtr& task) {
-  if (has_eligible_worker(*task)) {
-    dispatch_ready(task);
-    return;
-  }
-  std::vector<TaskPtr> completed;
-  std::vector<TaskPtr> ready;
-  {
-    std::lock_guard<std::mutex> lock(graph_mutex_);
-    try {
-      throw Error(ErrorCode::kUnsupported,
-                  "task '" + task->spec.name +
-                      "' lost its last eligible worker (device died)");
-    } catch (...) {
-      task->error = std::current_exception();
-    }
-    complete_locked(task, completed, ready);
-  }
-  finish_completed(completed, ready, nullptr);
+TaskPtr Engine::pop(Worker& worker) {
+  std::lock_guard<std::mutex> lock(worker.queue_mutex);
+  if (worker.queue.empty()) return nullptr;
+  TaskPtr task = std::move(worker.queue.front());
+  worker.queue.pop_front();
+  return task;
 }
 
 void Engine::finish_completed(std::vector<TaskPtr>& completed,
-                              std::vector<TaskPtr>& ready, bool* self_claim) {
-  for (const TaskPtr& next : ready) dispatch_ready(next, self_claim);
+                              std::vector<TaskPtr>& ready) {
+  for (const TaskPtr& next : ready) dispatch_ready(next);
   notify_task_done();  // wake wait(task) callers promptly, before callbacks
   for (const TaskPtr& done : completed) {
     if (done->spec.on_complete) done->spec.on_complete(*done);
@@ -699,82 +705,35 @@ void Engine::finish_completed(std::vector<TaskPtr>& completed,
   }
 }
 
-void Engine::dispatch_ready(const TaskPtr& task, bool* self_claim) {
-  // Snapshot the eligible-worker set BEFORE pushing: once queued, the task
-  // may be popped, executed and mutated (excluded_archs) by another worker,
-  // so the wake scan must not touch it.
-  std::uint64_t eligible_mask = 0;
-  const std::size_t n = std::min<std::size_t>(workers_.size(), 64);
-  for (std::size_t w = 0; w < n; ++w) {
-    if (worker_eligible(*task, static_cast<WorkerId>(w))) {
-      eligible_mask |= std::uint64_t{1} << w;
-    }
-  }
+void Engine::dispatch_ready(const TaskPtr& task) {
+  Worker& worker = *workers_[static_cast<std::size_t>(task->executed_on)];
   task->state.store(TaskState::kReady, std::memory_order_relaxed);
-  task->ready_eligible_mask = eligible_mask;
-  DecisionRecord decision;
-  const WorkerId hint =
-      scheduler_->push(task, tracer_.tracing() ? &decision : nullptr);
-  // Central queues (eager) place nothing at push time: no decision event.
-  if (hint != kNoWorkerHint) {
-    tracer_.record_decision(task->sequence, hint, decision);
-  }
-  // The scheduler has committed the task to a worker: warm its read
-  // operands' bytes on that worker's node while the task waits in the
-  // queue.
-  if (prefetch_enabled_) enqueue_prefetches(*task, hint);
-  wake_workers(eligible_mask, hint, self_claim);
-}
-
-void Engine::wake_workers(std::uint64_t eligible_mask, WorkerId hint,
-                          bool* self_claim) {
-  if (self_claim != nullptr && !*self_claim) {
-    // The dispatching worker re-checks the queues before it parks, so if it
-    // can run this task itself — it sits where this worker pops from and the
-    // worker is eligible — skip the wakeup entirely. One claim per
-    // execution: a second dispatched task could otherwise wait behind the
-    // first instead of running in parallel.
-    const WorkerId self = t_worker_id;
-    if (self >= 0 && self < 64 &&
-        ((eligible_mask >> static_cast<unsigned>(self)) & 1) &&
-        (hint == self || hint == kNoWorkerHint)) {
-      *self_claim = true;
-      return;
+  // Warm the read operands' bytes on the worker's node while the task
+  // waits in its queue; once queued, the task may run and change at once.
+  if (prefetch_enabled_) enqueue_prefetches(*task, worker.desc.node);
+  {
+    // Behind every queued task of at least its priority (FIFO among equal
+    // priorities).
+    std::lock_guard<std::mutex> lock(worker.queue_mutex);
+    auto it = worker.queue.end();
+    while (it != worker.queue.begin() &&
+           (*std::prev(it))->spec.priority < task->spec.priority) {
+      --it;
     }
+    worker.queue.insert(it, task);
   }
-  if (hint >= 0) {
-    // The task sits in one worker's own queue: wake that worker. If it is
-    // busy, it picks the task up when its current task finishes.
-    workers_[static_cast<std::size_t>(hint)]->slot.unpark();
-    return;
-  }
-  // A central queue (eager's, lookahead's staging): wake one parked
-  // eligible worker, probing round-robin.
-  const std::size_t n = workers_.size();
-  const std::size_t start = wake_rr_.fetch_add(1, std::memory_order_relaxed) % n;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t w = (start + k) % n;
-    if (w < 64 && !(eligible_mask & (std::uint64_t{1} << w))) continue;
-    // The mask predates the push: a worker that died since would take the
-    // wakeup and leave the task to nobody.
-    if (blacklisted_[w].load(std::memory_order_acquire)) continue;
-    if (workers_[w]->slot.unpark()) return;  // woke one parked worker
-  }
-  // Nobody parked: every eligible worker is mid-loop and re-checks the
-  // queues before parking, so the task cannot be stranded.
+  // A worker dispatching to itself re-checks its queue before parking.
+  if (worker.desc.id != t_worker_id) worker.slot.unpark();
 }
 
 void Engine::execute(const TaskPtr& task, Worker& worker) {
   const Implementation* impl = select_impl(*task, worker.desc);
   check(impl != nullptr, "scheduler routed a task to an incapable worker");
-  sim::FaultInjector* injector = injector_for_node(worker.desc.node);
-  std::atomic<bool>& node_dead =
-      node_dead_[static_cast<std::size_t>(worker.desc.sim_node)];
 
-  // Make every operand coherent on this worker's memory node. A transfer
-  // fault (injected or real) fails the attempt, not the worker thread; only
-  // the operands actually acquired are released afterwards. The buffer
-  // tables are per-worker scratch, reused across executions.
+  // Make every operand coherent on this worker's memory node. A failed
+  // acquire fails the attempt, not the worker thread; only the operands
+  // actually acquired are released afterwards. The buffer tables are
+  // per-worker scratch, reused across executions.
   const std::size_t n_ops = task->spec.operands.size();
 
   // Shadow checker: record each operand's concrete coherence state on this
@@ -837,114 +796,30 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     }
   }
 
-  // Really run the kernel (numerics). Its virtual time is the commit's,
-  // failed attempts included: the device spent it before the failure was
-  // noticed.
-  bool injected_kernel_fault = false;
+  // Really run the kernel (numerics); its virtual time is the commit's.
   if (!task->failed()) {
     ExecContext ctx(impl->arch, worker.desc.id, worker.team.get(), buffers,
                     buffer_bytes, element_sizes, task->spec.arg.get());
     try {
-      if (injector != nullptr && injector->next_kernel_fails()) {
-        injected_kernel_fault = true;
-        throw Error(ErrorCode::kIoError,
-                    "injected transient kernel fault on '" +
-                        worker.desc.profile.name + "'");
-      }
       impl->fn(ctx);
     } catch (...) {
-      // A failing variant must not take the worker down: the task completes
-      // as failed (or is retried), waiters observe the final outcome.
+      // A failing variant must not take the worker down: the task
+      // completes as failed (or is retried), waiters observe the outcome.
       task->error = std::current_exception();
     }
   }
 
   // -- completion ------------------------------------------------------------
   //
-  // The task is owned by this worker until it is re-pushed (retry) or its
-  // kDone state is published, so its fields are written plainly. Its
-  // vstart, vend and exec_seconds are the attempt's commit; the counters
-  // sit in this worker's own recorder shard; only the dependency-graph
-  // release at the end takes graph_mutex_.
+  // The task is owned by this worker until it commits a retry or its kDone
+  // state is published, so its fields are written plainly. Its vstart,
+  // vend and exec_seconds are the attempt's commit; the counters sit in
+  // the recorder; only the commit of a retry and the dependency-graph
+  // release take graph_mutex_.
   const int attempt_index = task->attempts;
 
-  // A device scheduled to die at virtual time T kills the attempt that
-  // crosses T (its result would never have made it back).
-  if (injector != nullptr && !task->failed() &&
-      injector->plan().die_at_vtime > 0.0 &&
-      task->vend >= injector->plan().die_at_vtime) {
-    try {
-      throw Error(ErrorCode::kIoError,
-                  "device '" + worker.desc.profile.name +
-                      "' died at virtual time " +
-                      std::to_string(injector->plan().die_at_vtime));
-    } catch (...) {
-      task->error = std::current_exception();
-    }
-  }
-
-  task->executed_on = worker.desc.id;
-  task->executed_arch = impl->arch;
-  task->executed_impl = impl->name;
-
-  std::vector<TaskPtr>& completed_now = worker.completed_scratch;
-  std::vector<TaskPtr>& ready_now = worker.ready_scratch;
-  completed_now.clear();
-  ready_now.clear();
-
-  // Device life cycle: successful kernels feed die_after_tasks; a dead
-  // device is blacklisted once (under the graph lock — it re-routes queued
-  // tasks) and its queued tasks drain back. Only this worker observes its
-  // own injector's death, so the double check is belt and braces.
-  if (injector != nullptr) {
-    if (!task->failed()) injector->record_kernel_success();
-    if (!blacklisted_[static_cast<std::size_t>(worker.desc.id)].load(
-            std::memory_order_acquire) &&
-        injector->death_due(task->vend)) {
-      std::lock_guard<std::mutex> lock(graph_mutex_);
-      if (!blacklisted_[static_cast<std::size_t>(worker.desc.id)].load(
-              std::memory_order_relaxed)) {
-        blacklist_worker_locked(worker, completed_now, ready_now);
-      }
-    }
-  }
-
-  // Whole-node life cycle (EngineConfig::node_faults): kernel successes on
-  // any of the node's workers feed the node's death condition; when it
-  // fires, every worker of the node is blacklisted at once and their queues
-  // drain to survivors.
-  if (sim::FaultInjector* node_injector =
-          node_injectors_[static_cast<std::size_t>(worker.desc.sim_node)]
-              .get();
-      node_injector != nullptr) {
-    if (!task->failed()) node_injector->record_kernel_success();
-    if (!node_dead.load(std::memory_order_acquire) &&
-        node_injector->death_due(task->vend)) {
-      std::lock_guard<std::mutex> lock(graph_mutex_);
-      if (!node_dead.load(std::memory_order_relaxed)) {
-        node_dead.store(true, std::memory_order_release);
-        log::warn("runtime", "simulated node {} died; blacklisting {} workers",
-                  worker.desc.sim_node,
-                  std::count_if(workers_.begin(), workers_.end(),
-                                [&](const std::unique_ptr<Worker>& w) {
-                                  return w->desc.sim_node ==
-                                         worker.desc.sim_node;
-                                }));
-        for (auto& w : workers_) {
-          if (w->desc.sim_node != worker.desc.sim_node) continue;
-          if (blacklisted_[static_cast<std::size_t>(w->desc.id)].load(
-                  std::memory_order_relaxed)) {
-            continue;
-          }
-          blacklist_worker_locked(*w, completed_now, ready_now);
-        }
-      }
-    }
-  }
-
-  // Retry decision: exclude the failing architecture, then re-push if an
-  // eligible variant remains and the retry budget allows. Lock-free — the
-  // task is still owned by this worker and eligibility reads atomics.
+  // A real exception: exclude the failing architecture, then retry if an
+  // eligible variant remains and the retry budget allows.
   bool retrying = false;
   if (task->failed()) {
     if (!task->first_failed_arch) task->first_failed_arch = impl->arch;
@@ -955,8 +830,8 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
       retrying = true;
     }
   }
-  tracer_.record_task(task, impl, attempt_index, injected_kernel_fault,
-                      retrying);
+  tracer_.record_task(task, impl, attempt_index, task->failed(),
+                      /*injected_fault=*/false, retrying);
 
   // Restore read-write pre-images before unpinning so the retry attempt
   // reads the data the failed attempt saw.
@@ -972,14 +847,6 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     task->spec.operands[i].handle->release(worker.desc.node);
   }
 
-  if (!task->failed() &&
-      (config_.use_history_models || !config_.sampling_dir.empty())) {
-    // Nothing reads the history when neither history scheduling nor sample
-    // persistence is on — skip the registry write on the hot path.
-    perf_.record(task->spec.codelet->name(), impl->arch, task->footprint,
-                 task->total_bytes, task->exec_seconds);
-  }
-
   if (!task->failed() && !config_.dispatch_out.empty()) {
     // Static-composition training: the placement that actually ran is the
     // per-program-point winner this run votes for (majority on finalize).
@@ -987,15 +854,23 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
                           task->spec.verify_point, impl->arch);
   }
 
-  bool self_claim = false;
-  if (retrying) {
-    task->error = nullptr;
-    dispatch_ready(task, &self_claim);
-  } else {
+  std::vector<TaskPtr>& completed_now = worker.completed_scratch;
+  std::vector<TaskPtr>& ready_now = worker.ready_scratch;
+  completed_now.clear();
+  ready_now.clear();
+  {
     std::lock_guard<std::mutex> lock(graph_mutex_);
-    complete_locked(task, completed_now, ready_now);
+    if (retrying) {
+      // The one decision made in execution order: the retry of a real
+      // failure is placed and committed now.
+      task->error = nullptr;
+      scheduler_->retry(task);
+      release_locked(task, completed_now, ready_now);
+    } else {
+      complete_locked(task, completed_now, ready_now);
+    }
   }
-  finish_completed(completed_now, ready_now, &self_claim);
+  finish_completed(completed_now, ready_now);
   completed_now.clear();
   ready_now.clear();
 }
@@ -1027,33 +902,14 @@ void Engine::complete_locked(const TaskPtr& task,
       tracer_.count(Counted::kFallback);
     }
     for (const auto& successor : current->successors) {
-      successor->max_pred_end =
-          std::max(successor->max_pred_end, current->vend);
       if (current->failed() && !successor->failed()) {
-        try {
-          throw Error(ErrorCode::kInvalidState,
-                      "predecessor task '" + current->spec.name + "' failed");
-        } catch (...) {
-          successor->error = std::current_exception();
-        }
+        successor->error = failure(
+            ErrorCode::kInvalidState,
+            "predecessor task '" + current->spec.name + "' failed");
       }
-      if (--successor->unmet_dependencies == 0 &&
-          successor->state.load(std::memory_order_relaxed) ==
-              TaskState::kBlocked) {
+      if (--successor->unmet_dependencies == 0 && successor->committed) {
         if (successor->failed()) {
           finishing.push_back(successor);  // cancel: complete without running
-        } else if (!has_eligible_worker(*successor)) {
-          // A device death since submission can strand a ready successor
-          // (e.g. forced to the dead worker); fail it instead of pushing a
-          // task no one may pop.
-          try {
-            throw Error(ErrorCode::kUnsupported,
-                        "task '" + successor->spec.name +
-                            "' has no eligible worker left (device died)");
-          } catch (...) {
-            successor->error = std::current_exception();
-          }
-          finishing.push_back(successor);
         } else {
           ready.push_back(successor);
         }
@@ -1109,53 +965,92 @@ sim::FaultInjector* Engine::injector_for_node(MemoryNodeId node) const {
   return idx < injectors_.size() ? injectors_[idx].get() : nullptr;
 }
 
-void Engine::on_transfer_attempt(MemoryNodeId from, MemoryNodeId to,
-                                 std::size_t bytes) {
-  // Called under the handle's mutex, outside every engine lock.
-  if (internode_injector_ != nullptr &&
-      data_.topo().sim_node(from) != data_.topo().sim_node(to) &&
-      internode_injector_->next_transfer_fails()) {
-    tracer_.count(Counted::kInjectedTransferFault);
-    throw Error(ErrorCode::kIoError,
-                "injected inter-node link fault on hop " +
-                    std::to_string(from) + "->" + std::to_string(to) + " (" +
-                    std::to_string(bytes) + " B)");
-  }
+bool Engine::transfer_fails(MemoryNodeId from, MemoryNodeId to) {
+  bool fails = internode_injector_ != nullptr &&
+               data_.topo().sim_node(from) != data_.topo().sim_node(to) &&
+               internode_injector_->next_transfer_fails();
   for (MemoryNodeId node : {from, to}) {
+    if (fails) break;
     sim::FaultInjector* injector = injector_for_node(node);
-    if (injector != nullptr && injector->next_transfer_fails()) {
-      tracer_.count(Counted::kInjectedTransferFault);
-      throw Error(ErrorCode::kIoError,
-                  "injected transfer fault on hop " + std::to_string(from) +
-                      "->" + std::to_string(to) + " (" +
-                      std::to_string(bytes) + " B)");
-    }
+    fails = injector != nullptr && injector->next_transfer_fails();
   }
+  if (fails) tracer_.count(Counted::kInjectedTransferFault);
+  return fails;
 }
 
-void Engine::blacklist_worker_locked(Worker& worker,
-                                     std::vector<TaskPtr>& completed,
-                                     std::vector<TaskPtr>& ready) {
-  blacklisted_[static_cast<std::size_t>(worker.desc.id)].store(
-      true, std::memory_order_seq_cst);
-  tracer_.count(Counted::kWorkerBlacklisted);
-  log::warn("runtime", "worker {} ('{}') died; blacklisting and draining",
-            worker.desc.id, worker.desc.profile.name);
-  for (const TaskPtr& orphan : scheduler_->drain(worker.desc.id)) {
-    if (has_eligible_worker(*orphan)) {
-      ready.push_back(orphan);  // caller re-dispatches outside the lock
-    } else {
-      try {
-        throw Error(ErrorCode::kUnsupported,
-                    "task '" + orphan->spec.name +
-                        "' lost its last eligible worker (device '" +
-                        worker.desc.profile.name + "' died)");
-      } catch (...) {
-        orphan->error = std::current_exception();
+bool Engine::settle_attempt(const TaskPtr& task, bool hop_failed) {
+  const WorkerDesc& worker = descs_[static_cast<std::size_t>(task->executed_on)];
+  const Implementation* impl = select_impl(*task, worker);
+  task->executed_arch = impl->arch;
+  task->executed_impl = impl->name;
+
+  // The attempt's fate, drawn in commit order: a fetch hop failed, an
+  // injected kernel fault, or a device scheduled to die at virtual time T
+  // killing the attempt that crosses T (its result would never have made
+  // it back).
+  sim::FaultInjector* injector = injector_for_node(worker.node);
+  std::string failed;
+  bool kernel_fault = false;
+  if (hop_failed) {
+    failed = "injected transfer fault fetching the operands of '" +
+             task->spec.name + "' to '" + worker.profile.name + "'";
+  } else if (injector != nullptr && injector->next_kernel_fails()) {
+    kernel_fault = true;
+    failed = "injected transient kernel fault on '" + worker.profile.name + "'";
+  } else if (injector != nullptr && injector->plan().die_at_vtime > 0.0 &&
+             task->vend >= injector->plan().die_at_vtime) {
+    failed = "device '" + worker.profile.name + "' died at virtual time " +
+             std::to_string(injector->plan().die_at_vtime);
+  }
+
+  // Device and node life cycles: successful attempts feed die_after_tasks;
+  // a dead worker receives no further commits.
+  if (injector != nullptr) {
+    if (failed.empty()) injector->record_kernel_success();
+    if (injector->death_due(task->vend)) blacklist(worker.id);
+  }
+  if (sim::FaultInjector* node_injector =
+          node_injectors_[static_cast<std::size_t>(worker.sim_node)].get();
+      node_injector != nullptr) {
+    if (failed.empty()) node_injector->record_kernel_success();
+    if (node_injector->death_due(task->vend)) {
+      for (const WorkerDesc& w : descs_) {
+        if (w.sim_node == worker.sim_node) blacklist(w.id);
       }
-      complete_locked(orphan, completed, ready);
     }
   }
+
+  if (failed.empty()) {
+    if (config_.use_history_models || !config_.sampling_dir.empty()) {
+      // Nothing reads the history when neither history scheduling nor
+      // sample persistence is on — skip the registry write.
+      perf_.record(task->spec.codelet->name(), impl->arch, task->footprint,
+                   task->total_bytes, task->exec_seconds);
+    }
+    return false;
+  }
+  if (!task->first_failed_arch) task->first_failed_arch = impl->arch;
+  task->excluded_archs |= arch_bit(impl->arch);
+  const int attempt = task->attempts++;
+  const bool retrying = task->retries_left > 0 && has_eligible_worker(*task);
+  if (retrying) {
+    --task->retries_left;
+  } else if (task->error == nullptr) {
+    task->error = failure(ErrorCode::kIoError, failed);
+  }
+  tracer_.record_task(task, impl, attempt, /*failed=*/true, kernel_fault,
+                      retrying);
+  return retrying;
+}
+
+void Engine::blacklist(WorkerId id) {
+  if (blacklisted_[static_cast<std::size_t>(id)].exchange(
+          true, std::memory_order_seq_cst)) {
+    return;
+  }
+  tracer_.count(Counted::kWorkerBlacklisted);
+  log::warn("runtime", "worker {} ('{}') died; blacklisting it", id,
+            descs_[static_cast<std::size_t>(id)].profile.name);
 }
 
 double Engine::exec_estimate(const Task& task, WorkerId id) const {
@@ -1181,18 +1076,6 @@ double Engine::exec_cost(const Task& task, WorkerId id) const {
   if (impl == nullptr || !impl->cost) return kNeutralExecSeconds;
   return sim::execution_seconds(
       worker.profile, impl->cost(task.operand_bytes, task.spec.arg.get()));
-}
-
-void Engine::commit_window_task(const TaskPtr& task, WorkerId worker,
-                                const DecisionRecord& decision) {
-  tracer_.record_decision(task->sequence, worker, decision);
-  if (prefetch_enabled_) enqueue_prefetches(*task, worker);
-  // The planning thread may be the very worker the task landed on (a pop
-  // that closed a partial window); it re-checks its queue before parking,
-  // so waking it would be a wasted syscall.
-  if (worker != t_worker_id) {
-    workers_[static_cast<std::size_t>(worker)]->slot.unpark();
-  }
 }
 
 std::uint64_t Engine::exploration_sample_count(const Task& task, WorkerId id) const {

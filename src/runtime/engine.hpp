@@ -11,25 +11,29 @@
 // concurrently; writes order against everything), exactly the mechanism the
 // paper's §IV-E inter-component-parallelism discussion relies on.
 //
-// Time model: tasks really execute on worker threads (numerics are real),
-// each against the commit the scheduler made when it placed the attempt on
-// its rt::Plan, the engine's one virtual timeline (the host events commit
-// there too). All performance accounting is in that virtual time, by the
-// rules dmda, the lookahead window and peppher-predict place by. See
-// DESIGN.md §5.
+// Time model: every task is decided and committed on the scheduler's
+// rt::Plan, the engine's one virtual timeline, by the submitting thread in
+// submission order — before submit returns, or under lookahead at the flush
+// that commits its window — with its fault draws, the device deaths they
+// cause and its history sample (the host events commit there too). Tasks
+// then really execute on worker threads (numerics are real), each against
+// its commit, once its predecessors completed. All performance accounting
+// is in that virtual time, by the rules dmda, the lookahead window and
+// peppher-predict place by; a real kernel exception is the one thing
+// decided in execution order (its retry commits when it is thrown). See
+// DESIGN.md §5 and docs/runtime.md.
 //
 // Concurrency architecture (see docs/runtime.md "Concurrency architecture &
-// overhead"): the task hot path — pop, execute, account, release successors
-// — runs without the engine-wide lock. graph_mutex_ guards only the
-// dependency graph (Task::successors/unmet_dependencies/max_pred_end and
+// overhead"): graph_mutex_ guards the dependency graph
+// (Task::successors/unmet_dependencies/max_pred_end/committed and
 // DataHandle::last_writer/readers_since_last_write) and is taken at submit
-// and completion. Scheduler queues carry their own per-worker locks; each
-// worker sleeps on its own ParkSlot and is woken individually. The
-// timeline sits behind the scheduler's own lock; every counter lives in
-// the recorder (runtime/trace.hpp), in a shard only its worker writes.
-// Lock hierarchy (outer to inner): graph_mutex_ → the scheduler's locks →
-// handle mutexes; ParkSlot/done_mutex_ are taken on their own. A handle
-// mutex is never held while taking an engine or scheduler lock.
+// — where the commit happens under it — and at completion. Each worker
+// runs the committed tasks of its own queue, under that queue's lock, and
+// sleeps on its own ParkSlot. The timeline sits behind the scheduler's own
+// lock; every counter lives in the recorder (runtime/trace.hpp). Lock
+// hierarchy (outer to inner): graph_mutex_ → the scheduler's lock → handle
+// mutexes; worker queues, ParkSlot and done_mutex_ are taken on their own.
+// A handle mutex is never held while taking an engine or scheduler lock.
 #pragma once
 
 #include <array>
@@ -74,9 +78,9 @@ struct EngineConfig {
 
   /// Whole-node fault plans, index-aligned with cluster.nodes (missing or
   /// all-zero entries mean that node never fails). When a node's death
-  /// condition fires (die_after_tasks successful kernels on the node, or
-  /// die_at_vtime), every worker on it is blacklisted at once and its
-  /// queued tasks drain to survivors (CPU last resort on a live node).
+  /// condition fires at a commit (die_after_tasks successful attempts on
+  /// the node, or die_at_vtime), every worker on it is blacklisted at once
+  /// and receives no further commits.
   std::vector<sim::FaultPlan> node_faults;
 
   /// Fault plan of the inter-node link itself: transfer_failure_rate draws
@@ -86,7 +90,7 @@ struct EngineConfig {
   /// Scheduling policy, one of rt::scheduler_names(): "dmda" (default; the
   /// performance-aware policy the paper's TGPA code uses), "lookahead"
   /// (windowed joint placement + static-composition replay) or "eager"
-  /// (one central queue that ignores the models, the blind baseline).
+  /// (earliest committed start, ignoring the models: the blind baseline).
   std::string scheduler = "dmda";
 
   /// The paper's useHistoryModels flag: when true the dmda scheduler uses
@@ -113,6 +117,7 @@ struct EngineConfig {
 
   /// Fault-injection plans, index-aligned with machine.accelerators (missing
   /// or all-zero entries mean that device never fails). See sim::FaultPlan.
+  /// Every draw is made at a commit, in submission order.
   std::vector<sim::FaultPlan> accelerator_faults;
 
   /// How many times a task may be retried on an alternative variant after a
@@ -125,13 +130,12 @@ struct EngineConfig {
   int max_retries = 2;
 
   /// Scheduler-driven automatic prefetch (StarPU's prefetch-on-commit,
-  /// §IV-H): when the scheduler commits a queued task to a device worker,
-  /// a background thread copies the task's read operands to that worker's
-  /// memory node, so the bytes are typically resident by the time the task
-  /// pops. Real bytes only: the commit already timed the fetch. Automatically
-  /// disabled when any fault plan is active — a background transfer path
-  /// would consume per-device fault draws nondeterministically — and on
-  /// machines without accelerators.
+  /// §IV-H): when a task committed to a device worker becomes ready, a
+  /// background thread copies its read operands to that worker's memory
+  /// node, so the bytes are typically resident by the time the task runs.
+  /// Real bytes only: the commit already timed the fetch, and real copies
+  /// draw no faults. Disabled on machines with no memory node besides the
+  /// primary host.
   bool enable_prefetch = true;
 
   /// Debug counterpart of the static lint check PL030: submit() rejects a
@@ -149,11 +153,11 @@ struct EngineConfig {
   /// there is nothing else to cross-check. Works with fault injection.
   bool verify_shadow = false;
 
-  /// Ready-task batch size of the "lookahead" scheduler: how many ready
-  /// tasks it stages before planning their placements jointly. 1 makes
-  /// lookahead behave exactly like dmda, and so does Objective::kEnergy
-  /// (energy is additive: there is no window makespan to plan); other
-  /// policies ignore it.
+  /// Window size of the "lookahead" scheduler: how many submissions it
+  /// stages before planning their placements jointly. 1 makes lookahead
+  /// behave exactly like dmda, and so does Objective::kEnergy (energy is
+  /// additive: there is no window makespan to plan); other policies ignore
+  /// it.
   int window_size = 8;
 
   /// Static-composition replay: path to a ".dispatch" table recorded by a
@@ -206,9 +210,10 @@ class Engine {
   DataHandlePtr register_buffer(void* host_ptr, std::size_t bytes,
                                 std::size_t element_size);
 
-  /// Application-side access to registered data: blocks until conflicting
-  /// in-flight tasks complete, then makes the host replica valid (fetching
-  /// from a device if needed). Write modes invalidate device copies.
+  /// Application-side access to registered data: flushes the lookahead
+  /// window, blocks until conflicting in-flight tasks complete, then makes
+  /// the host replica valid (fetching from a device if needed). Write modes
+  /// invalidate device copies.
   void acquire_host(const DataHandlePtr& handle, AccessMode mode);
 
   /// Synchronises the handle to the host and forgets its dependency state;
@@ -222,19 +227,24 @@ class Engine {
 
   // -- task submission -------------------------------------------------------
 
-  /// Submits a task. Asynchronous unless spec.synchronous; returns the task
-  /// for wait()/inspection. Throws if the codelet has no enabled variant
-  /// runnable on this machine. Thread-safe: tasks may be submitted
-  /// concurrently from several threads (each submitter's per-handle
-  /// dependency order follows the graph-lock acquisition order).
+  /// Submits a task: links its dependencies and commits it on the
+  /// timeline (under lookahead: stages it, committing the window when it
+  /// fills or the task depends on a staged one). Asynchronous unless
+  /// spec.synchronous; returns the task for wait()/inspection. Throws if
+  /// the codelet has no enabled variant runnable on this machine.
+  /// Thread-safe: tasks may be submitted concurrently from several threads
+  /// (submission order, per handle and on the timeline, is the graph-lock
+  /// acquisition order).
   TaskPtr submit(TaskSpec spec);
 
-  /// Blocks until `task` completes. If the task's implementation threw (or
-  /// a predecessor failed, cancelling it), the stored exception is rethrown
-  /// here — a failing variant never takes a worker thread down.
+  /// Blocks until `task` completes, flushing the lookahead window first. If
+  /// the task failed (or a predecessor failed, cancelling it), the stored
+  /// exception is rethrown here — a failing variant never takes a worker
+  /// thread down.
   void wait(const TaskPtr& task);
 
-  /// Blocks until every submitted task has completed.
+  /// Flushes the lookahead window and blocks until every submitted task
+  /// has completed.
   void wait_for_all();
 
   // -- performance interface -------------------------------------------------
@@ -275,12 +285,12 @@ class Engine {
   std::string trace_json() const;
 
   /// Hint: make `handle` valid on `node` ahead of time so a task scheduled
-  /// there finds its data resident (StarPU's data prefetch). A prefetch
-  /// that copies commits its fetch on the timeline, where it starts as
-  /// soon as its lane and its source allow. Skipped silently, committing
-  /// nothing, while a writer task submitted on the handle has not completed
-  /// (DataHandle::prefetch). Returns true if a replica is valid on the node
-  /// afterwards.
+  /// there finds its data resident (StarPU's data prefetch). A host event:
+  /// it flushes the lookahead window and commits its fetch on the timeline,
+  /// where it starts as soon as its lane and its source allow. The real
+  /// copy is skipped while a writer task submitted on the handle has not
+  /// completed (DataHandle::prefetch); a partitioned or unpartitioned
+  /// handle is skipped altogether. Returns true if the real copy ran.
   bool prefetch(const DataHandlePtr& handle, MemoryNodeId node);
 
   /// Counters of the automatic (scheduler-driven) prefetch path.
@@ -322,7 +332,8 @@ class Engine {
   /// Fault-injection / retry / blacklist counters.
   FaultStats fault_stats() const { return tracer_.books().faults(); }
 
-  /// True once `id` was blacklisted after its simulated device died.
+  /// True once `id` was blacklisted after its simulated device died (at
+  /// the commit that killed it).
   bool worker_blacklisted(WorkerId id) const;
 
   /// Shadow-checker observations in task execution order (empty unless
@@ -340,8 +351,13 @@ class Engine {
     WorkerDesc desc;
     std::thread thread;
 
-    /// Targeted-wakeup parking spot (replaces the old engine-wide
-    /// condition variable broadcast on every submit/complete).
+    /// Its committed tasks whose dependencies are met, highest priority
+    /// first (FIFO among equal priorities); guarded by queue_mutex.
+    std::mutex queue_mutex;
+    std::deque<TaskPtr> queue;
+
+    /// Targeted-wakeup parking spot: the worker sleeps here while its queue
+    /// is empty.
     ParkSlot slot;
 
     // Per-worker scratch reused across executions so the task hot path is
@@ -361,17 +377,14 @@ class Engine {
   };
 
   void worker_main(WorkerId id);
+  TaskPtr pop(Worker& worker);
   void execute(const TaskPtr& task, Worker& worker);
-
-  /// A task popped by a blacklisted worker: re-dispatched to a survivor,
-  /// or failed when none is eligible any more.
-  void reroute_from_dead_worker(const TaskPtr& task);
 
   /// The tail of every completion, outside graph_mutex_: dispatches
   /// `ready`, wakes waiters, runs the callbacks of `completed` and then
   /// retires them from inflight_.
   void finish_completed(std::vector<TaskPtr>& completed,
-                        std::vector<TaskPtr>& ready, bool* self_claim);
+                        std::vector<TaskPtr>& ready);
 
   /// One queued automatic prefetch: warm `handle` on `node`.
   struct PrefetchRequest {
@@ -380,38 +393,20 @@ class Engine {
     std::uint64_t task_sequence = 0;  ///< committing task (trace records)
   };
 
-  /// Queues background copies of `task`'s read operands to the node of
-  /// the worker the scheduler committed it to (`hint`); no-op for central
-  /// queues (hint < 0) and host workers. Real bytes only: the commit
-  /// already put the fetches on the timeline.
-  void enqueue_prefetches(const Task& task, WorkerId hint);
+  /// Queues background copies of `task`'s read operands to `node`, the
+  /// memory node of its committed worker; no-op for host nodes. Real bytes
+  /// only: the commit already put the fetches on the timeline.
+  void enqueue_prefetches(const Task& task, MemoryNodeId node);
 
   /// Background-prefetch thread body: pops requests and warms replicas.
   void prefetch_main();
 
-  /// Services one request outside the queue lock. Returns kNone when the
-  /// prefetch warmed a replica, else why it was skipped (in-flight writer,
-  /// partitioned handle, transfer failure) — a prefetch is only a hint,
-  /// never an error.
-  PrefetchSkipReason service_prefetch(const PrefetchRequest& request);
-
   void stop_prefetch_thread();
 
-  /// Marks a dependency-free task ready, hands it to the scheduler and
-  /// wakes a worker that can run it. Caller must own the task (it must not
-  /// be visible to any queue yet). When called from a worker thread,
-  /// `self_claim` (false on entry) lets that worker claim ONE dispatched
-  /// task for itself instead of waking anyone: it re-checks the queues
-  /// before parking, so a chained successor runs without a condition-
-  /// variable round-trip.
-  void dispatch_ready(const TaskPtr& task, bool* self_claim = nullptr);
-
-  /// Wakes one parked worker out of `eligible_mask` (bit per WorkerId,
-  /// computed before the task was pushed), preferring `hint` — the queue
-  /// the scheduler chose. No-op when every candidate is already awake:
-  /// an awake worker re-checks its work sources before parking.
-  void wake_workers(std::uint64_t eligible_mask, WorkerId hint,
-                    bool* self_claim);
+  /// Hands a ready committed task to its worker's queue and wakes the
+  /// worker (unless the caller is that worker: it re-checks its queue
+  /// before parking).
+  void dispatch_ready(const TaskPtr& task);
 
   /// Wakes threads blocked in wait(task) if any are registered (Dekker
   /// handshake on task_waiters_; see wait()).
@@ -420,6 +415,22 @@ class Engine {
   /// actually reached zero, so a draining pipeline doesn't wake the waiter
   /// once per completed task.
   void notify_idle();
+
+  /// Marks the tasks the scheduler just committed and releases each whose
+  /// dependencies are met. Caller holds graph_mutex_.
+  void note_committed_locked(std::vector<TaskPtr>& committed,
+                             std::vector<TaskPtr>& completed,
+                             std::vector<TaskPtr>& ready);
+
+  /// Commits the lookahead window (nothing under the other policies):
+  /// every wait and host event calls this first.
+  void flush();
+
+  /// A committed task whose dependencies are met: completes it as failed
+  /// when it already failed (at its commit, or cancelled by a failed
+  /// predecessor), else appends it to `ready`. Caller holds graph_mutex_.
+  void release_locked(const TaskPtr& task, std::vector<TaskPtr>& completed,
+                      std::vector<TaskPtr>& ready);
 
   /// Finalizes a finished (or failed) task and releases its successors;
   /// successors of a failed task fail transitively without running.
@@ -433,20 +444,20 @@ class Engine {
   /// no fault plan).
   sim::FaultInjector* injector_for_node(MemoryNodeId node) const;
 
-  /// DataManager transfer hook: draws transfer-fault decisions for the
-  /// device endpoint(s) of a copy; throws Error(kIoError) on a fault.
-  /// Runs under the handle's mutex — must not take graph_mutex_.
-  void on_transfer_attempt(MemoryNodeId from, MemoryNodeId to,
-                           std::size_t bytes);
+  /// SchedEnv::hop_fails: draws the transfer-fault decisions of one
+  /// committed hop (the inter-node link's, then each device endpoint's)
+  /// and counts a fault.
+  bool transfer_fails(MemoryNodeId from, MemoryNodeId to);
+
+  /// SchedEnv::settle: the fault draws, deaths, history sample and
+  /// failed-attempt record of one committed attempt; true when it failed
+  /// and the task retries.
+  bool settle_attempt(const TaskPtr& task, bool hop_failed);
 
   bool has_eligible_worker(const Task& task) const;
 
-  /// Marks `worker` dead, drains its scheduler queue and collects what can
-  /// still run elsewhere into `ready`; tasks with no eligible worker left
-  /// complete as failed (appended to `completed`). Caller holds
-  /// graph_mutex_.
-  void blacklist_worker_locked(Worker& worker, std::vector<TaskPtr>& completed,
-                               std::vector<TaskPtr>& ready);
+  /// Marks worker `id` dead: it receives no further commits.
+  void blacklist(WorkerId id);
 
   /// Enabled implementation the worker would run for this task (respecting
   /// forced_arch and the task's excluded architectures); nullptr if none.
@@ -464,12 +475,6 @@ class Engine {
   /// SchedEnv::cost — the seconds an attempt on worker `id` is committed
   /// for: the cost model's, else kNeutralExecSeconds.
   double exec_cost(const Task& task, WorkerId id) const;
-
-  /// SchedEnv::commit — the lookahead scheduler announces each planned
-  /// task it placed on a worker other than the push/pop trigger: record the
-  /// decision, warm the operands on the worker's node, wake the worker.
-  void commit_window_task(const TaskPtr& task, WorkerId worker,
-                          const DecisionRecord& decision);
 
   std::uint64_t exploration_sample_count(const Task& task, WorkerId id) const;
 
@@ -492,33 +497,31 @@ class Engine {
   std::vector<WorkerDesc> descs_;  ///< immutable after construction
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  /// Per simulated node: whole-node death already handled.
-  std::unique_ptr<std::atomic<bool>[]> node_dead_;
-
   /// One fault injector per accelerator, index-aligned with the global
   /// device ordinals (nullptr = fault-free device). Immutable after
   /// construction; the injectors themselves are thread safe.
   std::vector<std::unique_ptr<sim::FaultInjector>> injectors_;
 
   /// Whole-node fault injectors (EngineConfig::node_faults), per sim node;
-  /// fed by kernel successes on any of the node's workers.
+  /// fed by successful attempts committed on any of the node's workers.
   std::vector<std::unique_ptr<sim::FaultInjector>> node_injectors_;
 
   /// Inter-node link fault injector (EngineConfig::internode_fault), drawn
   /// once per host(i) -> host(j) hop; nullptr when the plan is empty.
   std::unique_ptr<sim::FaultInjector> internode_injector_;
 
-  /// Protects ONLY the dependency graph: Task::successors /
-  /// unmet_dependencies / max_pred_end, DataHandle::last_writer /
-  /// readers_since_last_write, and the blacklist transition. Taken at
-  /// submit and completion — never while popping or executing.
+  /// Protects the dependency graph (Task::successors / unmet_dependencies /
+  /// max_pred_end / committed, DataHandle::last_writer /
+  /// readers_since_last_write) and orders the commits: taken at submit, at
+  /// flushes and host events, at completion and at a retry's commit —
+  /// never while popping or executing.
   mutable std::mutex graph_mutex_;
 
   std::unique_ptr<Scheduler> scheduler_;
   std::atomic<bool> stopping_{false};
 
   /// Automatic-prefetch state. The thread exists only when prefetch is
-  /// effectively enabled (config flag, no fault plans, has accelerators).
+  /// effectively enabled (config flag, more than one memory node).
   bool prefetch_enabled_ = false;
   std::thread prefetch_thread_;
   std::mutex prefetch_mutex_;
@@ -531,8 +534,8 @@ class Engine {
   std::atomic<std::uint64_t> next_sequence_{0};
   std::atomic<std::uint64_t> inflight_{0};
 
-  std::unique_ptr<std::atomic<bool>[]> blacklisted_;  ///< per worker
-  std::atomic<std::size_t> wake_rr_{0};  ///< round-robin wake start point
+  /// Per worker; set at the commit that killed it, under the graph lock.
+  std::unique_ptr<std::atomic<bool>[]> blacklisted_;
 
   /// The baselines the resets record instead of zeroing counters: the
   /// summary() interval starts at the last reset_virtual_time(), the
@@ -550,7 +553,9 @@ class Engine {
   // would futex-wake the waiter just for it to re-check and sleep again
   // (two context switches per task). See notify_task_done()/notify_idle().
   /// Shadow-checker observation log (config_.verify_shadow only); appended
-  /// by workers at task start, outside every other engine lock.
+  /// by workers at task start, outside every other engine lock. Only
+  /// attempts that run are observed: one that failed at its commit never
+  /// reaches a worker.
   mutable std::mutex shadow_mutex_;
   std::vector<ShadowRecord> shadow_log_;
 

@@ -123,9 +123,6 @@ void DataHandle::fetch_locked(MemoryNodeId node, AccessMode mode) {
   if (mode == AccessMode::kWrite) ensure_allocated(node);
   msi::apply_acquire(states_, node, mode, topo,
                      [&](MemoryNodeId from, MemoryNodeId to) {
-    // Fault injection: a failing hop throws before its copy, and rt::msi
-    // then records only the hops that already landed.
-    manager_->notify_transfer_attempt(from, to, bytes_);
     ensure_allocated(to);
     std::memcpy(replicas_[static_cast<std::size_t>(to)].ptr,
                 replicas_[static_cast<std::size_t>(from)].ptr, bytes_);
@@ -153,12 +150,12 @@ void* DataHandle::acquire(MemoryNodeId node, AccessMode mode) {
 
 PrefetchSkipReason DataHandle::prefetch(MemoryNodeId node) {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (partitioned_locked()) return PrefetchSkipReason::kPartitioned;
+  if (detached_) return PrefetchSkipReason::kDetached;
   // A writer's count rises at submit, before its acquire can take this
   // mutex, and falls only after its kernel and write mark: a zero here
   // means every writer either finished or acquires after this copy.
   if (writers_in_flight_ > 0) return PrefetchSkipReason::kWriterRace;
-  if (partitioned_locked()) return PrefetchSkipReason::kPartitioned;
-  if (detached_) return PrefetchSkipReason::kDetached;
   check_attached_locked("prefetch");
   check(node >= 0 && node < static_cast<int>(replicas_.size()),
         "prefetch: bad memory node");

@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -94,11 +93,11 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   void* acquire(MemoryNodeId node, AccessMode mode);
 
   /// Copies an unpinned read replica to `node` (Engine::prefetch and the
-  /// background prefetch thread). Skipped while a writer task submitted on
-  /// the handle has not completed (its data is still being produced), and
-  /// on a partitioned or unpartitioned-child handle; a failed transfer
-  /// throws. The check and the copy run under the handle's mutex, so a
-  /// writer submitted after the check acquires only once the copy landed.
+  /// background prefetch thread). Skipped on a partitioned or
+  /// unpartitioned-child handle, and while a writer task submitted on the
+  /// handle has not completed (its data is still being produced). The
+  /// check and the copy run under the handle's mutex, so a writer submitted
+  /// after the check acquires only once the copy landed.
   PrefetchSkipReason prefetch(MemoryNodeId node);
 
   /// Counts writer tasks submitted on this handle and not yet completed:
@@ -162,8 +161,7 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
 
   /// The one fetch routine: moves the real states through
   /// msi::apply_acquire, copying each hop of its route before the hop is
-  /// recorded (a failing hop throws with the earlier hops recorded).
-  /// Allocates `node` for a write. Caller holds mutex_.
+  /// recorded. Allocates `node` for a write. Caller holds mutex_.
   void fetch_locked(MemoryNodeId node, AccessMode mode);
 
   void ensure_allocated(MemoryNodeId node);
@@ -263,27 +261,13 @@ class DataManager {
   /// Topology plus the links its hops are priced over.
   const Interconnect& interconnect() const noexcept { return net_; }
 
-  /// Fault-injection hook, invoked once per single-hop replica copy before
-  /// any state changes; may throw to simulate a failed transfer. Called
-  /// under the handle's mutex, so the hook must not take engine locks. Set
-  /// once by the Engine before worker threads start.
-  using TransferHook =
-      std::function<void(MemoryNodeId from, MemoryNodeId to, std::size_t bytes)>;
-  void set_transfer_fault_hook(TransferHook hook) {
-    transfer_hook_ = std::move(hook);
-  }
-  void notify_transfer_attempt(MemoryNodeId from, MemoryNodeId to,
-                               std::size_t bytes) const {
-    if (transfer_hook_) transfer_hook_(from, to, bytes);
-  }
-
   /// Tracks a live handle for detach_all(). Called on registration and for
   /// partition children; entries are weak and compacted amortised.
   void note_handle(const DataHandlePtr& handle);
 
   /// Attaches the recorder that counts every eviction and overcommit;
   /// without one the manager keeps no books. Set once before any
-  /// transfer, like the fault hook.
+  /// transfer.
   void set_recorder(Tracer* recorder) noexcept { recorder_ = recorder; }
 
   /// Reports a counted event to the recorder, if one is attached.
@@ -295,7 +279,6 @@ class DataManager {
   Interconnect net_;
   int node_count_;
   Engine* engine_ = nullptr;  ///< immutable once handles exist
-  TransferHook transfer_hook_;  ///< immutable once workers run
   Tracer* recorder_ = nullptr;    ///< immutable once workers run
   std::atomic<std::uint64_t> next_data_id_{1};  ///< DataHandle::id allocator
 

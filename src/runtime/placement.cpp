@@ -14,6 +14,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Thrown out of msi::apply_acquire's walk by a failing hop.
+struct HopFailed {};
+
 Arch accelerator_arch(const sim::DeviceProfile& profile) {
   return profile.device_class == sim::DeviceClass::kOpenClGpu ? Arch::kOpenCl
                                                               : Arch::kCuda;
@@ -252,10 +255,11 @@ void Plan::finish(WorkerId worker, double end) {
 }
 
 double Plan::arrive(int data, MemoryNodeId node, AccessMode mode,
-                    std::size_t bytes, Hops* hops) {
+                    std::size_t bytes, Hops* hops, const HopFault* fails) {
   const std::span<double> valid = valid_slot(data);
   msi::apply_acquire(slot(data), node, mode, net_->topo,
                      [&](MemoryNodeId from, MemoryNodeId to) {
+    if (fails != nullptr && (*fails)(from, to, bytes)) throw HopFailed{};
     const std::size_t lane = net_->lane(from, to);
     const double start =
         std::max(lanes_[lane], valid[static_cast<std::size_t>(from)]);
@@ -271,23 +275,28 @@ double Plan::arrive(int data, MemoryNodeId node, AccessMode mode,
 }
 
 Plan::Commit Plan::commit(const Task& task, WorkerId worker, double exec,
-                          Hops* hops) {
+                          Hops* hops, const HopFault* fails) {
   const auto w = static_cast<std::size_t>(worker);
   const MemoryNodeId node = (*workers_)[w].node;
   Commit out;
   out.start = std::max(clocks_[w], task.deps);
+  std::size_t acquired = 0;
   if (net_ != nullptr) {
-    for (const Operand& op : task.operands) {
-      out.start =
-          std::max(out.start, arrive(op.data, node, op.mode, op.bytes, hops));
+    try {
+      for (const Operand& op : task.operands) {
+        out.start = std::max(
+            out.start, arrive(op.data, node, op.mode, op.bytes, hops, fails));
+        ++acquired;
+      }
+    } catch (const HopFailed&) {
+      out.failed = true;
     }
   }
   out.end = out.start + exec;
-  if (net_ != nullptr) {
-    for (const Operand& op : task.operands) {
-      if (op.mode != AccessMode::kRead) {
-        valid_slot(op.data)[static_cast<std::size_t>(node)] = out.end;
-      }
+  for (std::size_t i = 0; i < acquired; ++i) {
+    const Operand& op = task.operands[i];
+    if (op.mode != AccessMode::kRead) {
+      valid_slot(op.data)[static_cast<std::size_t>(node)] = out.end;
     }
   }
   finish(worker, out.end);

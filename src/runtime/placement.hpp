@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -145,6 +146,11 @@ class Plan {
   };
   using Hops = std::vector<Hop>;
 
+  /// Draws whether one hop `from` -> `to` of a committed fetch fails (an
+  /// injected transfer fault).
+  using HopFault =
+      std::function<bool(MemoryNodeId from, MemoryNodeId to, std::size_t bytes)>;
+
   /// One priced decision; worker -1 when no worker is eligible.
   struct Choice {
     WorkerId worker = -1;
@@ -160,6 +166,7 @@ class Plan {
   struct Commit {
     double start = 0.0;  ///< max(worker clock, deps, data ready)
     double end = 0.0;    ///< start + exec
+    bool failed = false;  ///< a hop of the fetch failed (HopFault)
   };
 
   /// A jointly placed window, per task in order.
@@ -220,9 +227,12 @@ class Plan {
   /// comment), appending the hops to `hops` when given. A node's
   /// combined-CPU worker and its per-core workers share the cores: an end
   /// on one kind raises the other kind's clocks to at least it; per-core
-  /// workers do not wait for each other.
+  /// workers do not wait for each other. With `fails`, every hop draws
+  /// it: a failing hop is not reserved, the operands from it on are not
+  /// acquired (the data keep the hops that landed), and the attempt still
+  /// holds its worker for `exec`.
   Commit commit(const Task& task, WorkerId worker, double exec,
-                Hops* hops = nullptr);
+                Hops* hops = nullptr, const HopFault* fails = nullptr);
 
   /// A host-side access of `data` on `node`: fetches as a commit does, and
   /// a write mode owns `node` from the arrival it returns (0 for kWrite).
@@ -252,9 +262,10 @@ class Plan {
   }
   double fetch_seconds(const Task& task, WorkerId worker, bool decision) const;
   /// Walks a `mode` acquire's fetch over the lanes; returns when the data
-  /// is on `node` (0 for a kWrite).
+  /// is on `node` (0 for a kWrite). A hop `fails` draws true for throws
+  /// HopFailed before it is reserved.
   double arrive(int data, MemoryNodeId node, AccessMode mode,
-                std::size_t bytes, Hops* hops);
+                std::size_t bytes, Hops* hops, const HopFault* fails = nullptr);
   /// Ends `worker`'s clock at `end` and raises the workers sharing its
   /// cores (the one core-sharing rule of commit).
   void finish(WorkerId worker, double end);

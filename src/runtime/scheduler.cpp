@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <deque>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -18,15 +16,6 @@ namespace peppher::rt {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// One worker's ready queue: its own lock plus an approximate size counter
-/// readable without the lock (lookahead's replay reads it to pick the
-/// least-loaded worker).
-struct LockedDeque {
-  std::mutex mutex;
-  std::deque<TaskPtr> items;
-  std::atomic<std::size_t> approx_size{0};
-};
 
 }  // namespace
 
@@ -60,6 +49,55 @@ void Scheduler::commit_access(DataHandle& handle, MemoryNodeId node,
   settle_locked();
 }
 
+void Scheduler::submit(const TaskPtr& task, std::vector<TaskPtr>& committed) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  commit_task_locked(task);
+  committed.push_back(task);
+}
+
+void Scheduler::flush(std::vector<TaskPtr>&) {}
+
+void Scheduler::retry(const TaskPtr& task) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  commit_task_locked(task);
+}
+
+DecisionRecord* Scheduler::traced(DecisionRecord& record) const {
+  if (env_.recorder == nullptr || !env_.recorder->tracing()) return nullptr;
+  record = DecisionRecord{};
+  record.arch_estimate.fill(kInf);
+  return &record;
+}
+
+void Scheduler::commit_task_locked(const TaskPtr& task) {
+  DecisionRecord record;
+  DecisionRecord* decision = traced(record);
+  plan_.clear_data();
+  seen_.clear();
+  commit_attempts_locked(task, decide_locked(*task, decision), decision);
+}
+
+void Scheduler::commit_attempts_locked(const TaskPtr& task, WorkerId worker,
+                                       DecisionRecord* decision) {
+  while (worker >= 0) {
+    if (decision != nullptr) {
+      env_.recorder->record_decision(task->sequence, worker, *decision);
+    }
+    const bool hop_failed = commit_locked(*task, worker);
+    if (!env_.settle || !env_.settle(task, hop_failed)) return;
+    if (decision != nullptr) traced(*decision);  // the retry's own record
+    plan_.clear_data();
+    seen_.clear();
+    worker = decide_locked(*task, decision);
+  }
+  if (task->error == nullptr) {
+    task->error = std::make_exception_ptr(
+        Error(ErrorCode::kUnsupported, "task '" + task->spec.name +
+                                           "' has no eligible worker left "
+                                           "(device died)"));
+  }
+}
+
 void Scheduler::plan_operands(const Task& task, Plan& plan, Seen& seen,
                               Plan::Task& out) const {
   out.deps = task.max_pred_end;
@@ -80,10 +118,12 @@ void Scheduler::plan_operands(const Task& task, Plan& plan, Seen& seen,
   }
 }
 
-void Scheduler::commit_locked(Task& task, WorkerId worker) {
+bool Scheduler::commit_locked(Task& task, WorkerId worker) {
   plan_operands(task, plan_, seen_, task_);
   const double exec = env_.cost(task, worker);
-  const Plan::Commit done = plan_.commit(task_, worker, exec, &hops_);
+  const Plan::Commit done = plan_.commit(
+      task_, worker, exec, &hops_, env_.hop_fails ? &env_.hop_fails : nullptr);
+  task.executed_on = worker;
   task.vstart = done.start;
   task.vend = done.end;
   task.exec_seconds = exec;
@@ -91,6 +131,7 @@ void Scheduler::commit_locked(Task& task, WorkerId worker) {
     if (op.mode == AccessMode::kRead) op.handle->note_read();
   }
   settle_locked();
+  return done.failed;
 }
 
 void Scheduler::settle_locked() {
@@ -111,116 +152,53 @@ void Scheduler::settle_locked() {
 
 namespace {
 
+/// The eligible worker among `candidates` with the earliest committed
+/// start, max(clock, predecessors' end); ties go to the lowest id. -1 when
+/// none is eligible.
+WorkerId earliest_start(const Plan& plan, const SchedEnv& env, const Task& task,
+                        const std::vector<WorkerId>& candidates) {
+  WorkerId best = -1;
+  double best_start = kInf;
+  for (const WorkerId id : candidates) {
+    if (!env.eligible(task, id)) continue;
+    const double start = std::max(plan.clock(id), task.max_pred_end);
+    if (start < best_start) {
+      best = id;
+      best_start = start;
+    }
+  }
+  return best;
+}
+
 // ---------------------------------------------------------------------------
-// Eager: one central FIFO; each worker takes the first task it can run and
-// commits it on the timeline. Highest priority wins, submission order
-// breaks ties.
+// Eager: the blind baseline. Each task goes to the eligible worker that
+// could start it first on the timeline; no model, no fetch price.
 // ---------------------------------------------------------------------------
 class EagerScheduler final : public Scheduler {
  public:
-  explicit EagerScheduler(SchedEnv env) : Scheduler(std::move(env)) {}
-
-  WorkerId push(const TaskPtr& task, DecisionRecord*) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(task);
-    return kNoWorkerHint;
-  }
-
-  TaskPtr pop(WorkerId worker) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto best = queue_.end();
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (!env_.eligible(**it, worker)) continue;
-      if (best == queue_.end() ||
-          (*it)->spec.priority > (*best)->spec.priority) {
-        best = it;
-      }
-    }
-    if (best == queue_.end()) return nullptr;
-    TaskPtr task = *best;
-    queue_.erase(best);
-    plan_.clear_data();
-    seen_.clear();
-    commit_locked(*task, worker);
-    return task;
-  }
-
-  std::vector<TaskPtr> drain(WorkerId) override {
-    // Central queue: nothing is bound to the dead worker, but tasks that
-    // just lost their only capable worker would otherwise sit forever.
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<TaskPtr> out;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      bool runnable = false;
-      for (const auto& w : *env_.workers) {
-        if (env_.eligible(**it, w.id)) {
-          runnable = true;
-          break;
-        }
-      }
-      if (runnable) {
-        ++it;
-      } else {
-        out.push_back(*it);
-        it = queue_.erase(it);
-      }
-    }
-    return out;
-  }
-
- private:
-  std::deque<TaskPtr> queue_;  ///< guarded by mutex_
-};
-
-// ---------------------------------------------------------------------------
-// Shared core of the model-based policies (dmda and lookahead): per-worker
-// priority queues and the calibration/exploration rule. Every placement —
-// a decision, or a replayed table entry — commits its task on the
-// timeline, and nothing else moves it — not a pop, not the engine's
-// execution — so a placement depends on the placements and host events
-// before it, not on thread timing. Dmda places one task on the plan
-// (Plan::place); lookahead places a window (Plan::place_window) on a copy.
-// ---------------------------------------------------------------------------
-class ModelSchedulerBase : public Scheduler {
- public:
-  TaskPtr pop(WorkerId worker) override {
-    auto& q = queues_[static_cast<std::size_t>(worker)];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (q.items.empty()) return nullptr;
-    TaskPtr task = std::move(q.items.front());
-    q.items.pop_front();
-    q.approx_size.store(q.items.size(), std::memory_order_relaxed);
-    return task;
-  }
-
-  /// Empties the dead worker's queue.
-  std::vector<TaskPtr> drain(WorkerId dead_worker) override {
-    auto& q = queues_[static_cast<std::size_t>(dead_worker)];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    std::vector<TaskPtr> out(q.items.begin(), q.items.end());
-    q.items.clear();
-    q.approx_size.store(0, std::memory_order_relaxed);
-    return out;
+  explicit EagerScheduler(SchedEnv env) : Scheduler(std::move(env)) {
+    for (const WorkerDesc& w : *env_.workers) ids_.push_back(w.id);
   }
 
  protected:
-  explicit ModelSchedulerBase(SchedEnv env)
-      : Scheduler(std::move(env)), queues_(env_.workers->size()) {}
-
-  /// Inserts behind every queued task of at least its priority (FIFO among
-  /// equal priorities).
-  void enqueue_by_priority(WorkerId worker, const TaskPtr& task) {
-    auto& q = queues_[static_cast<std::size_t>(worker)];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    auto it = q.items.end();
-    while (it != q.items.begin() &&
-           (*std::prev(it))->spec.priority < task->spec.priority) {
-      --it;
-    }
-    q.items.insert(it, task);
-    q.approx_size.store(q.items.size(), std::memory_order_relaxed);
+  WorkerId decide_locked(const Task& task, DecisionRecord*) override {
+    return earliest_start(plan_, env_, task, ids_);
   }
 
+ private:
+  std::vector<WorkerId> ids_;  ///< every worker, in id order
+};
+
+// ---------------------------------------------------------------------------
+// Dmda: performance-aware, data-aware list scheduling (the TGPA policy),
+// with the calibration/exploration rule. Dmda places one task on the plan
+// (Plan::place); lookahead places a window (Plan::place_window) on a copy.
+// ---------------------------------------------------------------------------
+class DmdaScheduler : public Scheduler {
+ public:
+  explicit DmdaScheduler(SchedEnv env) : Scheduler(std::move(env)) {}
+
+ protected:
   /// `task` as `plan` prices it, into `out`: plan_operands plus the
   /// per-worker execution estimates.
   void plan_task(const Task& task, Plan& plan, Seen& seen,
@@ -249,75 +227,52 @@ class ModelSchedulerBase : public Scheduler {
     return explore;
   }
 
-  /// The dmda placement; mutex_ must be held. `explore` (an
-  /// exploration_target) forces the task onto an uncalibrated variant so
-  /// the history model learns about it; otherwise the task goes to the
-  /// plan's best placement. Either way the task is committed there and
-  /// queued.
-  WorkerId decide_locked(const TaskPtr& task, WorkerId explore,
-                         DecisionRecord* decision) {
-    plan_.clear_data();
-    seen_.clear();
-    plan_task(*task, plan_, seen_, task_);
+  /// The dmda placement: an exploration_target forces the task onto an
+  /// uncalibrated variant so the history model learns about it; otherwise
+  /// the task goes to the plan's best placement.
+  WorkerId decide_locked(const Task& task, DecisionRecord* decision) override {
+    plan_task(task, plan_, seen_, task_);
+    const WorkerId explore = exploration_target(task);
     Plan::Choice choice;
     if (explore >= 0) choice = plan_.price(task_, explore);
     if (choice.eligible()) {
       if (decision != nullptr) decision->explored = true;
-    } else {
-      choice = plan_.place(task_);
-      check(choice.eligible(), "task has no eligible worker");
-      if (decision != nullptr) {
-        decision->arch_estimate.fill(kInf);
-        for (const WorkerDesc& w : *env_.workers) {
-          double& slot = decision->arch_estimate[static_cast<std::size_t>(
-              w.archs.front())];
-          slot = std::min(slot, plan_.price(task_, w.id).score);
-        }
-        decision->chosen_estimate = choice.score;
-      }
+      return choice.worker;
     }
-    commit_locked(*task, choice.worker);
-    enqueue_by_priority(choice.worker, task);
+    choice = plan_.place(task_);
+    if (decision != nullptr && choice.eligible()) {
+      for (const WorkerDesc& w : *env_.workers) {
+        double& slot =
+            decision->arch_estimate[static_cast<std::size_t>(w.archs.front())];
+        slot = std::min(slot, plan_.price(task_, w.id).score);
+      }
+      decision->chosen_estimate = choice.score;
+    }
     return choice.worker;
-  }
-
-  std::vector<LockedDeque> queues_;  ///< one per worker
-};
-
-// ---------------------------------------------------------------------------
-// Dmda: performance-aware, data-aware list scheduling (the TGPA policy).
-// ---------------------------------------------------------------------------
-class DmdaScheduler final : public ModelSchedulerBase {
- public:
-  explicit DmdaScheduler(SchedEnv env) : ModelSchedulerBase(std::move(env)) {}
-
-  WorkerId push(const TaskPtr& task, DecisionRecord* decision) override {
-    const WorkerId explore = exploration_target(*task);
-    std::lock_guard<std::mutex> lock(mutex_);
-    return decide_locked(task, explore, decision);
   }
 };
 
 // ---------------------------------------------------------------------------
 // Lookahead: windowed joint placement + static-composition replay (Kessler
-// & Dastgeer's optimized composition over task-DAG windows).
+// & Dastgeer's optimized composition over windows of the call sequence).
 //
-// Ready tasks are staged until window_size of them accumulate (or a worker
-// runs dry), then placed *jointly* by Plan::place_window: a greedy start,
-// then a bounded branch-and-bound search over the per-task worker
-// assignments that minimises the window's makespan where greedy
-// earliest-finish order is wrong. The calibration phase skips the window.
+// Submissions are staged until window_size of them accumulate, then placed
+// *jointly* by Plan::place_window: a greedy start, then a bounded
+// branch-and-bound search over the per-task worker assignments that
+// minimises the window's makespan where greedy earliest-finish order is
+// wrong. The window is flushed early before a submission that depends on a
+// staged task, before one that does not join a window (an exploring or a
+// replayed task), and at every host event and wait (the engine's flush).
 //
 // With a dispatch table loaded (EngineConfig::dispatch_table), placement is
-// replayed per program point with one precomputed-key hash probe: no
-// pricing, no staging, no search on the hot path, only the commit.
+// replayed per program point: the table's architecture, on its worker with
+// the earliest committed start — no pricing, no staging, no search.
 // ---------------------------------------------------------------------------
-class LookaheadScheduler final : public ModelSchedulerBase {
+class LookaheadScheduler final : public DmdaScheduler {
  public:
-  explicit LookaheadScheduler(SchedEnv env)
-      : ModelSchedulerBase(std::move(env)) {
-    // Replay-path acceleration: workers grouped by architecture, so a
-    // table hit scans only the few candidates that could serve it.
+  explicit LookaheadScheduler(SchedEnv env) : DmdaScheduler(std::move(env)) {
+    // Workers grouped by architecture, so a table hit scans only the few
+    // candidates that could serve it.
     for (const auto& w : *env_.workers) {
       for (const Arch arch : w.archs) {
         arch_workers_[static_cast<std::size_t>(arch)].push_back(w.id);
@@ -325,59 +280,35 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     }
   }
 
-  WorkerId push(const TaskPtr& task, DecisionRecord* decision) override {
-    // Static-composition replay: table placements bypass the planning and
-    // commit like any other, so tasks planned dynamically beside them see
-    // the work.
-    if (env_.dispatch != nullptr && task->has_dispatch_keys) {
-      if (const WorkerId worker = replay_target(*task); worker >= 0) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        plan_.clear_data();
-        seen_.clear();
-        commit_locked(*task, worker);
-        enqueue_by_priority(worker, task);
-        return worker;
-      }
-    }
-    // Calibration placements are per-variant by construction — batching
-    // them would only delay model convergence, so they skip the window.
-    const WorkerId explore = exploration_target(*task);
+  void submit(const TaskPtr& task, std::vector<TaskPtr>& committed) override {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (explore >= 0) return decide_locked(task, explore, decision);
+    if (replay_target(*task) >= 0 || exploration_target(*task) >= 0) {
+      // Calibration placements are per-variant by construction and table
+      // placements are given: neither joins a window.
+      flush_locked(committed);
+      commit_task_locked(task);
+      committed.push_back(task);
+      return;
+    }
     staging_.push_back(task);
-    if (static_cast<int>(staging_.size()) <
-        std::max(1, env_.window_size)) {
-      return kNoWorkerHint;
-    }
-    WorkerId trigger_worker = kNoWorkerHint;
-    plan_window_locked(task, decision, &trigger_worker);
-    return trigger_worker;
-  }
-
-  TaskPtr pop(WorkerId worker) override {
-    // A worker running dry closes the current (partial) window rather than
-    // idling until it fills: batching only forms while tasks queue up, so an
-    // idle system degenerates toward dmda-like immediacy by design.
-    while (true) {
-      if (TaskPtr task = ModelSchedulerBase::pop(worker)) return task;
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (staging_.empty()) return nullptr;
-      if (plan_window_locked(nullptr, nullptr, nullptr) == 0) return nullptr;
-      // Planned tasks may have landed on other workers; retry our queue
-      // until it yields or the staging buffer is exhausted.
+    if (static_cast<int>(staging_.size()) >= std::max(1, env_.window_size)) {
+      flush_locked(committed);
     }
   }
 
-  std::vector<TaskPtr> drain(WorkerId dead_worker) override {
-    // A dead device invalidates the plan assumptions for everything still
-    // staged: hand the whole staging buffer back along with the dead
-    // worker's queue. The engine re-pushes the survivors, which re-stages
-    // and re-plans them against the updated worker set.
-    std::vector<TaskPtr> out = ModelSchedulerBase::drain(dead_worker);
+  void flush(std::vector<TaskPtr>& committed) override {
     std::lock_guard<std::mutex> lock(mutex_);
-    out.insert(out.end(), staging_.begin(), staging_.end());
-    staging_.clear();
-    return out;
+    flush_locked(committed);
+  }
+
+  bool windowed() const override { return true; }
+
+ protected:
+  WorkerId decide_locked(const Task& task, DecisionRecord* decision) override {
+    if (const WorkerId worker = replay_target(task); worker >= 0) {
+      return worker;
+    }
+    return DmdaScheduler::decide_locked(task, decision);
   }
 
  private:
@@ -385,46 +316,18 @@ class LookaheadScheduler final : public ModelSchedulerBase {
   /// incumbent — at worst the greedy plan — stands).
   static constexpr std::uint64_t kSearchBudget = 20000;
 
-  /// Is `worker` allowed to run `task`? A bit-test against the engine's
-  /// pre-push eligibility snapshot when present; the SchedEnv callback
-  /// otherwise (direct unit-test pushes, workers beyond bit 63).
-  bool worker_allowed(const Task& task, WorkerId worker) const {
-    if (task.ready_eligible_mask != 0 && worker >= 0 && worker < 64) {
-      return (task.ready_eligible_mask >> static_cast<unsigned>(worker)) & 1;
-    }
-    return env_.eligible(task, worker);
-  }
-
-  /// Least-loaded eligible worker of one architecture, by the lock-free
-  /// queue-length approximations; -1 when the architecture has no eligible
-  /// worker.
-  WorkerId least_loaded(const Task& task, Arch arch) const {
-    WorkerId best = -1;
-    std::size_t best_len = 0;
-    for (const WorkerId id : arch_workers_[static_cast<std::size_t>(arch)]) {
-      if (!worker_allowed(task, id)) continue;
-      const std::size_t len =
-          queues_[static_cast<std::size_t>(id)].approx_size.load(
-              std::memory_order_relaxed);
-      if (best < 0 || len < best_len) {
-        best = id;
-        best_len = len;
-      }
-    }
-    return best;
-  }
-
-  /// Replay placement. Fast path: the submit thread already resolved the
-  /// table's architecture (Task::replay_arch), so the hot path only maps
-  /// arch -> least-loaded worker — no hashing, no table probe. Slow path
-  /// (resolved arch has no eligible worker, e.g. its device died): re-probe
-  /// the full key chain, most to least specific, in case a less specific
-  /// entry names a still-living architecture. Returns -1 when nothing in
-  /// the table can be honoured (caller falls back to dynamic planning).
+  /// Replay placement: the table's architecture resolved at submit
+  /// (Task::replay_arch), else — when it has no eligible worker any more —
+  /// the key chain re-probed, most to least specific, for an entry naming
+  /// a living architecture. -1 when the table cannot be honoured (the task
+  /// is then planned dynamically).
   WorkerId replay_target(const Task& task) const {
-    if (task.replay_arch < 0) return -1;
+    if (env_.dispatch == nullptr || !task.has_dispatch_keys ||
+        task.replay_arch < 0) {
+      return -1;
+    }
     const Arch resolved = static_cast<Arch>(task.replay_arch);
-    if (const WorkerId worker = least_loaded(task, resolved); worker >= 0) {
+    if (const WorkerId worker = on_arch(task, resolved); worker >= 0) {
       return worker;
     }
     std::uint64_t previous_key = ~std::uint64_t{0};
@@ -434,75 +337,65 @@ class LookaheadScheduler final : public ModelSchedulerBase {
       previous_key = key;
       const std::optional<Arch> arch = env_.dispatch->lookup(key);
       if (!arch || *arch == resolved) continue;
-      if (const WorkerId worker = least_loaded(task, *arch); worker >= 0) {
+      if (const WorkerId worker = on_arch(task, *arch); worker >= 0) {
         return worker;
       }
     }
     return -1;
   }
 
-  /// Plans (at most) one window out of the staging buffer on a copy of the
-  /// timeline and commits it there; mutex_ must be held. Returns the number
-  /// of tasks planned and committed. `trigger`/`decision`/`trigger_worker`
-  /// report
-  /// the placement of the pushing task so push() can return a normal worker
-  /// hint for it; every other planned task is announced through env_.commit.
-  std::size_t plan_window_locked(const TaskPtr& trigger,
-                                 DecisionRecord* decision,
-                                 WorkerId* trigger_worker) {
-    // Snapshot up to window_size plannable tasks, FIFO. Tasks with no
-    // eligible worker right now (mid-blacklist race) stay staged; the
-    // engine's drain pass will collect them.
+  /// The eligible worker of `arch` with the earliest committed start.
+  WorkerId on_arch(const Task& task, Arch arch) const {
+    return earliest_start(plan_, env_, task,
+                          arch_workers_[static_cast<std::size_t>(arch)]);
+  }
+
+  /// Plans the staged window on a copy of the timeline and commits it
+  /// there in submission order, each task as dmda commits its decision (so
+  /// a window of one is dmda); mutex_ must be held.
+  void flush_locked(std::vector<TaskPtr>& committed) {
+    if (staging_.empty()) return;
     Plan plan = plan_;
     plan.clear_data();
     Seen seen;
     std::vector<TaskPtr> window;
     std::vector<Plan::Task> planned;
-    std::deque<TaskPtr> unplannable;
-    while (!staging_.empty() &&
-           window.size() < static_cast<std::size_t>(
-                               std::max(1, env_.window_size))) {
-      TaskPtr task = std::move(staging_.front());
-      staging_.pop_front();
+    for (TaskPtr& task : staging_) {
       Plan::Task pt;
       plan_task(*task, plan, seen, pt);
       if (!plan.place(pt).eligible()) {
-        unplannable.push_back(std::move(task));
+        // A device died since it was staged and nothing else may run it.
+        commit_task_locked(task);
+        committed.push_back(std::move(task));
         continue;
       }
       window.push_back(std::move(task));
       planned.push_back(std::move(pt));
     }
-    for (auto& task : unplannable) staging_.push_back(std::move(task));
-    if (window.empty()) return 0;
+    staging_.clear();
+    if (window.empty()) return;
 
     const Plan::Window result = plan.place_window(planned, kSearchBudget);
-
-    // Commit the plan in window order, each task as dmda commits its
-    // decision (so a window of one is dmda), then real queue insertions and
-    // engine notifications.
-    plan_.clear_data();
-    seen_.clear();
     for (std::size_t i = 0; i < window.size(); ++i) {
-      const WorkerId worker = result.workers[i];
-      const Plan::Commit& committed = result.commits[i];
       DecisionRecord record;
-      record.chosen_estimate = committed.end;
-      record.arch_estimate.fill(kInf);
-      record.arch_estimate[static_cast<std::size_t>(
-          (*env_.workers)[static_cast<std::size_t>(worker)].archs.front())] =
-          committed.end;
-      commit_locked(*window[i], worker);
-      enqueue_by_priority(worker, window[i]);
-      if (trigger != nullptr && window[i] == trigger) {
-        if (decision != nullptr) *decision = record;
-        if (trigger_worker != nullptr) *trigger_worker = worker;
-      } else if (env_.commit) {
-        env_.commit(window[i], worker, record);
+      DecisionRecord* decision = traced(record);
+      WorkerId worker = result.workers[i];
+      plan_.clear_data();
+      seen_.clear();
+      if (!env_.eligible(*window[i], worker)) {
+        // Its worker died at a commit earlier in this window.
+        worker = decide_locked(*window[i], decision);
+      } else if (decision != nullptr) {
+        decision->chosen_estimate = result.commits[i].end;
+        decision->arch_estimate[static_cast<std::size_t>(
+            (*env_.workers)[static_cast<std::size_t>(worker)].archs.front())] =
+            result.commits[i].end;
       }
+      commit_attempts_locked(window[i], worker, decision);
+      committed.push_back(window[i]);
     }
 
-    if (env_.record_window) {
+    if (env_.recorder != nullptr && env_.recorder->tracing()) {
       WindowRecord record;
       record.id = window_counter_++;
       record.size = static_cast<int>(window.size());
@@ -511,12 +404,11 @@ class LookaheadScheduler final : public ModelSchedulerBase {
       record.explored = result.explored;
       record.tasks.reserve(window.size());
       for (const TaskPtr& task : window) record.tasks.push_back(task->sequence);
-      env_.record_window(record);
+      env_.recorder->record_window(record);
     }
-    return window.size();
   }
 
-  std::deque<TaskPtr> staging_;  ///< guarded by mutex_
+  std::vector<TaskPtr> staging_;  ///< guarded by mutex_, submission order
   std::uint64_t window_counter_ = 0;  ///< guarded by mutex_
   /// Worker ids per architecture (immutable after construction).
   std::array<std::vector<WorkerId>, kArchCount> arch_workers_{};

@@ -6,24 +6,25 @@
 // priced by rt::Plan (runtime/placement.hpp) with expected execution time
 // coming from the history-based performance models, and falls back to
 // forced exploration while a variant is uncalibrated. "lookahead" plans a
-// window of ready tasks jointly on a copy of the plan.
+// window of submissions jointly on a copy of the plan; "eager" takes the
+// eligible worker with the earliest committed start and no model.
 //
-// The plan is the engine's one virtual timeline: every policy commits each
-// attempt on it when it places it (dmda and lookahead at push, eager at
-// pop), and the host events commit there too (Plan::commit). A worker's
-// clock is the end of the last attempt committed there (or on a worker
-// sharing its cores), never the engine's execution progress, so a push
-// sees the same clocks however far the workers have run. StarPU's dmda
-// raises its expected start to the current time instead.
+// The plan is the engine's one virtual timeline, and every decision is
+// made where the program is sequential: at submit, in submission order.
+// A task is committed on the plan before submit returns (under lookahead,
+// at the flush that commits its window), every predecessor committed
+// first, so a decision sees every earlier commit and nothing of thread
+// timing. A commit settles each attempt — its fault draws, the deaths it
+// causes, its history sample — and a failed attempt's retries commit back
+// to back. A worker's clock is the end of the last attempt committed there
+// (or on a worker sharing its cores), never the engine's execution
+// progress. StarPU's dmda raises its expected start to the current time
+// instead.
 //
-// Concurrency contract: push/pop/drain and the timeline calls may be made
-// from any thread with NO engine lock held; workers of the model-based
-// policies pop from their own queue under that queue's lock only. The
-// timeline (and eager's queue) sit behind one lock of the scheduler's own,
-// so every placement sees every earlier commit. The SchedEnv callbacks are
-// therefore required to be thread-safe as well; the Engine implements them
-// over atomics, memoized per-task caches and the reader-writer performance
-// registry.
+// Concurrency contract: the engine commits under its graph lock, in
+// submission order; the timeline sits behind one lock of the scheduler's
+// own (taken after the graph lock, before any handle mutex), so the
+// SchedEnv callbacks run under it and must not take the engine's locks.
 #pragma once
 
 #include <cstdint>
@@ -73,20 +74,24 @@ struct SchedEnv {
   /// (nullptr = plans move no data).
   const Interconnect* interconnect = nullptr;
 
-  /// Counts and traces every committed hop (nullptr = no books).
+  /// Counts and traces every committed hop, and traces each placement and
+  /// window (nullptr = no books).
   Tracer* recorder = nullptr;
+
+  /// Draws whether one committed hop fails (unset = none fails).
+  Plan::HopFault hop_fails;
+
+  /// Settles one committed attempt of a task (its executed_on, vstart,
+  /// vend and exec_seconds set; `hop_failed` when a hop of its fetch
+  /// failed): draws its kernel fault and the deaths it causes, records a
+  /// failed attempt and a successful one's history sample. Returns true
+  /// when the attempt failed and the task retries (unset = every attempt
+  /// succeeds).
+  std::function<bool(const TaskPtr&, bool hop_failed)> settle;
 
   // --- lookahead-policy services (unset for the other policies) ---
 
-  /// Window-commit notification for every planned task except the one
-  /// whose push/pop triggered the planning: the engine traces the
-  /// decision, warms the bytes on the chosen worker's node and wakes it.
-  std::function<void(const TaskPtr&, WorkerId, const DecisionRecord&)> commit;
-
-  /// Window-planning trace hook (unset = no window tracing).
-  std::function<void(const WindowRecord&)> record_window;
-
-  /// Ready-task batch size of the "lookahead" policy (>= 1; a window of
+  /// Submissions the "lookahead" policy plans jointly (>= 1; a window of
   /// one is one Plan::place, which is dmda's placement).
   int window_size = 8;
 
@@ -94,36 +99,30 @@ struct SchedEnv {
   const DispatchTable* dispatch = nullptr;
 };
 
-/// Returned by Scheduler::push when the task went to a central queue any
-/// eligible worker may pop from (rather than one worker's own queue).
-inline constexpr WorkerId kNoWorkerHint = -1;
-
 /// Scheduler interface (internally synchronized; see file comment).
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  /// Accepts a task that has become ready (dependencies satisfied).
-  /// Returns the worker whose queue received it — committed there, the
-  /// engine's wakeup and prefetch target — or kNoWorkerHint for centrally
-  /// queued policies. When
-  /// `decision` is non-null (tracing enabled), the policy reports how the
-  /// placement was made: whether it explored, and model-based policies
-  /// their candidate completion estimates, so the trace can hold
-  /// predicted against actual (PF005). The caller fills in the task and
-  /// the chosen worker.
-  virtual WorkerId push(const TaskPtr& task,
-                        DecisionRecord* decision = nullptr) = 0;
+  /// Commits `task` — placed by the policy, a failed attempt's retries back
+  /// to back — or, under lookahead, stages it in the current window, and
+  /// appends every task this call committed to `committed`, in submission
+  /// order. A task no worker may run any more is committed nowhere and
+  /// fails. Called in submission order, after every predecessor of `task`
+  /// was committed (flush).
+  virtual void submit(const TaskPtr& task, std::vector<TaskPtr>& committed);
 
-  /// Next task for `worker`, committed there, or nullptr if none is
-  /// available to it.
-  virtual TaskPtr pop(WorkerId worker) = 0;
+  /// Commits every staged task (lookahead's window) into `committed`;
+  /// nothing is staged under the other policies.
+  virtual void flush(std::vector<TaskPtr>& committed);
 
-  /// Removes and returns the tasks stranded by the death of `dead_worker`:
-  /// everything queued on that worker plus (for centrally queued policies)
-  /// tasks with no eligible worker left. The engine re-pushes the ones that
-  /// are still runnable elsewhere and terminally fails the rest.
-  virtual std::vector<TaskPtr> drain(WorkerId dead_worker) = 0;
+  /// True when submit can stage tasks, so waits and host events must
+  /// flush first.
+  virtual bool windowed() const { return false; }
+
+  /// Commits a retry of `task` after a real failure of its committed
+  /// attempt, placed now: the one decision made in execution order.
+  void retry(const TaskPtr& task);
 
   // -- the timeline -----------------------------------------------------------
 
@@ -131,7 +130,7 @@ class Scheduler {
   VirtualTime makespan() const;
 
   /// Zeroes the plan's clocks and lanes (Engine::reset_virtual_time, with
-  /// nothing queued or staged).
+  /// nothing staged).
   void reset_virtual_time();
 
   /// Commits a host-side access of `handle` on `node` (prefetch,
@@ -145,25 +144,46 @@ class Scheduler {
   /// Handles on the plan since its data were cleared, by data id.
   using Seen = std::vector<DataHandle*>;
 
+  /// The policy's worker for one attempt of `task`, on plan_ with its data
+  /// cleared, or -1 when no worker is eligible. `decision` (tracing only)
+  /// reports how it was made. mutex_ must be held.
+  virtual WorkerId decide_locked(const Task& task,
+                                 DecisionRecord* decision) = 0;
+
+  /// decide_locked, then commit_attempts_locked. mutex_ must be held.
+  void commit_task_locked(const TaskPtr& task);
+
+  /// Commits `task`'s attempts from one on `worker`, each settled; a
+  /// failed attempt that retries is placed again by decide_locked and
+  /// committed right after it. `decision` is traced with each attempt.
+  /// mutex_ must be held.
+  void commit_attempts_locked(const TaskPtr& task, WorkerId worker,
+                              DecisionRecord* decision);
+
+  /// A fresh decision record when tracing, else nullptr.
+  DecisionRecord* traced(DecisionRecord& record) const;
+
   /// `task`'s predecessors' end and operands over `plan`'s data, into
   /// `out`: one datum per distinct handle, seeded from its plan view
   /// (`seen` maps the handles already added), a read's reuse its reads.
   void plan_operands(const Task& task, Plan& plan, Seen& seen,
                      Plan::Task& out) const;
 
-  /// Commits `task` on `worker` at SchedEnv::cost, its operands added to
-  /// the data of seen_: sets its vstart, vend and exec_seconds, and
-  /// settles. mutex_ must be held.
-  void commit_locked(Task& task, WorkerId worker);
-
   SchedEnv env_;
-  /// Guards the timeline and the scratch below (and eager's queue).
+  /// Guards the timeline and the scratch below (and lookahead's staging).
   mutable std::mutex mutex_;
   Plan plan_;  ///< the timeline, and the current decision's data
   Seen seen_;
   Plan::Task task_;
 
  private:
+  /// Commits one attempt of `task` on `worker` at SchedEnv::cost, its
+  /// operands added to the data of seen_ (each hop drawing
+  /// SchedEnv::hop_fails): sets its executed_on, vstart, vend and
+  /// exec_seconds, and settles the plan's data. Returns whether a hop
+  /// failed.
+  bool commit_locked(Task& task, WorkerId worker);
+
   /// Stores every datum of seen_ back into its handle's plan view and
   /// counts and traces hops_.
   void settle_locked();
@@ -173,7 +193,7 @@ class Scheduler {
 };
 
 /// Creates a scheduler by policy name, one of scheduler_names(): "eager"
-/// (one central queue, the blind baseline), "dmda" or "lookahead"
+/// (earliest committed start, the blind baseline), "dmda" or "lookahead"
 /// (windowed joint placement + static-composition replay). Throws
 /// Error(kInvalidArgument) listing the valid policies on unknown names.
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name, SchedEnv env);

@@ -29,7 +29,7 @@ struct TaskOperand {
 
 enum class TaskState : std::uint8_t {
   kBlocked,  ///< waiting on data dependencies
-  kReady,    ///< in a scheduler queue
+  kReady,    ///< committed, dependencies met: in its worker's queue
   kRunning,
   kDone,     ///< finished (successfully, or failed — see Task::error)
 };
@@ -112,17 +112,13 @@ class Task {
   /// when the resolved architecture has no eligible worker (blacklist).
   int replay_arch = -1;
 
-  /// Eligible-worker bitmask snapshotted by the engine immediately before
-  /// each scheduler push (bit w = worker w may run this task, workers 0-63).
-  /// 0 = not snapshotted (direct scheduler unit tests): callers fall back
-  /// to the SchedEnv eligibility callback. Refreshed on every re-push, so a
-  /// post-blacklist re-dispatch never sees the dead worker's bit.
-  std::uint64_t ready_eligible_mask = 0;
-
   // -- dependency bookkeeping (all guarded by the Engine's graph mutex) -----
   int unmet_dependencies = 0;
   std::vector<std::shared_ptr<Task>> successors;
-  VirtualTime max_pred_end = 0.0;  ///< latest vend among finished predecessors
+  VirtualTime max_pred_end = 0.0;  ///< latest committed end of a predecessor
+  /// Committed on the timeline (false while a lookahead window stages it).
+  /// A committed task with no unmet dependency runs on its worker.
+  bool committed = false;
 
   /// Sequence number of the successor task currently being linked against
   /// this one — O(1) duplicate-edge detection during submission without a
@@ -132,8 +128,9 @@ class Task {
 
   // -- retry bookkeeping ----------------------------------------------------
   //
-  // Written only by the worker currently executing the task (which owns it
-  // until it re-pushes or completes it); the scheduler-queue locks and the
+  // Written at each commit (under the graph lock), and after a real failure
+  // by the worker executing the task (which owns it until it commits the
+  // retry or completes it); the graph lock, the worker-queue locks and the
   // kDone publication order those writes for every later reader.
 
   /// Retries still allowed after a failed attempt (initialised from the
@@ -154,12 +151,15 @@ class Task {
   /// is what publishes the results below to waiters.
   std::atomic<TaskState> state{TaskState::kBlocked};
 
-  /// Set if the implementation threw or a predecessor failed; rethrown by
+  /// Set if the task's last attempt failed (at its commit or, for a real
+  /// exception, when it ran) or a predecessor failed; rethrown by
   /// Engine::wait(). Failed tasks complete (waiters wake) but their
   /// successors are failed transitively without running.
   std::exception_ptr error;
 
   bool failed() const noexcept { return error != nullptr; }
+
+  /// The latest committed attempt: set at its commit, before the task runs.
   WorkerId executed_on = -1;
   Arch executed_arch = Arch::kCpu;
   std::string executed_impl;

@@ -182,11 +182,11 @@ Books Tracer::books() const {
 // ---------------------------------------------------------------------------
 
 void Tracer::record_task(const std::shared_ptr<Task>& task,
-                         const Implementation* impl, int attempt,
+                         const Implementation* impl, int attempt, bool failed,
                          bool injected_fault, bool retried) {
-  const bool failed = task->failed();
   const WorkerId worker = task->executed_on;
   Shard& shard = *workers_[static_cast<std::size_t>(worker)];
+  std::lock_guard<std::mutex> lock(shard.task_mutex);
   if (failed) {
     bump(shard.n[Books::kFailedAttempts]);
     if (injected_fault) bump(shard.n[Books::kInjectedKernelFaults]);

@@ -14,10 +14,14 @@
 // schema back into these same record types. StarPU ships the equivalent
 // FxT/Vite tracing.
 //
-// Concurrency: counters live in one shard per worker, written only by that
-// worker's thread (a relaxed load and store, no read-modify-write), plus
-// one shared shard that every other thread (submitters, the prefetch
-// thread, the application) bumps with fetch_add. A snapshot merges them.
+// Concurrency: counters live in one shard per worker plus one shared shard.
+// A worker's thread bumps its own shard's event counters (a relaxed load
+// and store, no read-modify-write); every other thread (submitters, the
+// prefetch thread, the application) bumps the shared one with fetch_add.
+// A task attempt is recorded on the shard of the worker it was committed
+// to, under that shard's lock: by the committing thread when the attempt
+// failed at its commit, by the worker when it ran. A snapshot merges the
+// shards.
 // Events go to chunked append-only logs: a writer claims a slot with one
 // atomic fetch_add, fills it, and publishes it with a release store.
 // Chunks are recycled by clear(), so the steady state of the task hot path
@@ -141,7 +145,7 @@ enum class PrefetchSkipReason : std::uint8_t {
   kWriterRace,      ///< a writer claimed the data before the fetch ran
   kPartitioned,     ///< the handle was partitioned in the meantime
   kDetached,        ///< the handle was unregistered in the meantime
-  kTransferFailed,  ///< the fetch itself threw
+  kTransferFailed,  ///< the fetch threw (read from older traces only)
   kShutdown,        ///< engine drain stopped the prefetch thread
 };
 
@@ -185,7 +189,7 @@ struct PhaseRecord {
   bool operator==(const PhaseRecord&) const = default;
 };
 
-/// One lookahead window-planning decision: which ready tasks were batched
+/// One lookahead window-planning decision: which submissions were batched
 /// and what the joint plan predicted for them, so peppher-perf can
 /// diagnose mispredicted windows the same way PF005 checks per-task
 /// estimates. Other policies emit none.
@@ -291,14 +295,14 @@ class Tracer {
   /// True when events are appended to the trace.
   bool tracing() const noexcept { return trace_events_; }
 
-  /// One execution attempt of `task` on the worker it ran on
-  /// (Task::executed_on), recorded by that worker's thread after the
-  /// attempt's timing fields were set. Counts a success per architecture or
-  /// a failed attempt (`injected_fault`: the failure was injected;
-  /// `retried`: the task goes back to the scheduler), adds the busy time
-  /// and energy, and traces a TaskRecord.
+  /// One attempt of `task` on the worker it was committed to
+  /// (Task::executed_on), after the attempt's timing fields were set.
+  /// Counts a success per architecture or a failed attempt
+  /// (`injected_fault`: an injected kernel fault; `retried`: a retry is
+  /// committed next), adds the busy time and energy, and traces a
+  /// TaskRecord.
   void record_task(const std::shared_ptr<Task>& task,
-                   const Implementation* impl, int attempt,
+                   const Implementation* impl, int attempt, bool failed,
                    bool injected_fault, bool retried);
 
   /// One hop committed on link lane `lane` (Scheduler's timeline).
@@ -330,7 +334,9 @@ class Tracer {
   /// recording (each counter is read once, not all at one instant).
   Books books() const;
 
-  /// Snapshot of all task records so far, in completion order.
+  /// Snapshot of all task records so far, in recording order: an attempt
+  /// that failed at its commit when it was committed, any other when it
+  /// ran.
   std::vector<TaskRecord> records() const;
 
   /// Snapshots of the other event streams, in recording order.
@@ -483,6 +489,7 @@ class Tracer {
   /// One worker's (or the shared) counters. Cache-line aligned so
   /// neighbouring workers never share a line.
   struct alignas(64) Shard {
+    std::mutex task_mutex;  ///< serialises record_task: sums follow records
     std::array<std::atomic<std::uint64_t>, Books::kSlots> n{};
     std::atomic<double> busy{0.0};
     std::atomic<double> energy{0.0};

@@ -373,7 +373,7 @@ WorkerId accelerator_on(const Engine& engine, int sim_node) {
     }
   }
   ADD_FAILURE() << "no accelerator on sim node " << sim_node;
-  return kNoWorkerHint;
+  return -1;
 }
 
 TEST(MultiNode, RemoteDeviceTaskRoutesOverInternodeLink) {

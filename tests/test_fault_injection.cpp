@@ -1,7 +1,7 @@
-// Fault-injection tests: seeded FaultPlans, transient-failure retry on an
-// alternative variant, hard device death (task-count and virtual-time
-// triggered) with queue draining and blacklisting under every policy and
-// concurrent submitters, transfer faults,
+// Fault-injection tests: seeded FaultPlans drawn at the commits,
+// transient-failure retry on an alternative variant, hard device death
+// (task-count and virtual-time triggered) and blacklisting under every
+// policy and concurrent submitters, transfer faults,
 // retry-exhaustion semantics, the bitwise-correct CPU fallback of the
 // SpMV and ODE example workloads, and exceptions thrown from one chunk of an
 // OpenMP-style variant's fork.
@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "apps/ode.hpp"
@@ -161,8 +162,10 @@ TEST(FaultInjection, RetriesDisabledReproducesTerminalFailure) {
 
   EXPECT_THROW(engine.wait(task), Error);
   EXPECT_THROW(engine.wait(successor), Error);  // cancelled transitively
+  // The successor keeps its commit, made at its submit: its own GPU
+  // attempt drew an injected fault too.
   const FaultStats stats = engine.fault_stats();
-  EXPECT_EQ(stats.failed_attempts, 1u);
+  EXPECT_EQ(stats.failed_attempts, 2u);
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.fallbacks, 0u);
   EXPECT_EQ(stats.tasks_failed, 2u);
@@ -213,9 +216,9 @@ TEST(FaultInjection, DeadDeviceDrainsQueuedTasksToCpu) {
 class DeviceDeath : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DeviceDeath, DeadWorkerRunsExactlyItsQuotaUnderConcurrentSubmitters) {
-  // A submitter checks eligibility, then pushes; a device that dies in
-  // between drains its queue, and whatever lands there afterwards must be
-  // handed on to a survivor, never run by the dead worker.
+  // Two submitters commit in the order they take the graph lock; the
+  // device dies at the commit of its quota's last success, and no later
+  // commit lands on it.
   constexpr std::uint64_t kQuota = 3;
   constexpr int kRounds = 20;
   constexpr std::size_t kPerSubmitter = 12;
@@ -242,8 +245,8 @@ TEST_P(DeviceDeath, DeadWorkerRunsExactlyItsQuotaUnderConcurrentSubmitters) {
       return engine.submit(std::move(spec));
     };
 
-    // kQuota tasks only the device may run make sure it dies (some may
-    // fail instead, if free tasks used up its quota first)...
+    // kQuota tasks only the device may run, committed first, make it
+    // die...
     std::vector<std::vector<float>> pinned(kQuota, std::vector<float>(16, 1.0f));
     for (const DataHandlePtr& handle : register_all(pinned)) submit(handle, true);
     // ...while two threads submit tasks any worker may run.
@@ -335,9 +338,12 @@ TEST(FaultInjection, ExhaustedVariantsCancelSuccessorsAndRethrow) {
   engine.acquire_host(handle, AccessMode::kRead);
   for (float v : data) EXPECT_FLOAT_EQ(v, 1.0f);  // data untouched
 
+  // Each task's CUDA attempt failed at its commit, at submit, and a CPU
+  // retry was committed after it; only chain[0]'s retry ran (and threw),
+  // the cancelled successors keep their commits.
   const FaultStats stats = engine.fault_stats();
-  EXPECT_EQ(stats.failed_attempts, 2u);
-  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.failed_attempts, 4u);
+  EXPECT_EQ(stats.retries, 3u);
   EXPECT_EQ(stats.fallbacks, 0u);
   EXPECT_EQ(stats.tasks_failed, 3u);
 }
@@ -372,31 +378,47 @@ TEST(FaultInjection, SeededPlansReplayIdentically) {
   plan.kernel_failure_rate = 0.4;
   plan.seed = 2024;
 
+  struct Run {
+    FaultStats faults;
+    std::vector<std::tuple<WorkerId, int, double, double>> placements;
+    double makespan = 0.0;
+  };
   const auto run = [&] {
     Engine engine(fault_config(plan));
     Codelet codelet = make_add_one_codelet();
     std::vector<float> data(16, 0.0f);
     auto handle = engine.register_buffer(
         data.data(), data.size() * sizeof(float), sizeof(float));
+    std::vector<TaskPtr> tasks;
     for (int i = 0; i < 20; ++i) {
       TaskSpec spec;
       spec.codelet = &codelet;
       spec.operands = {{handle, AccessMode::kReadWrite}};
-      engine.submit(std::move(spec));
+      tasks.push_back(engine.submit(std::move(spec)));
     }
     engine.wait_for_all();
     engine.acquire_host(handle, AccessMode::kRead);
     for (float v : data) EXPECT_FLOAT_EQ(v, 20.0f);
-    return engine.fault_stats();
+    Run out{engine.fault_stats(), {}, engine.virtual_makespan()};
+    for (const TaskPtr& task : tasks) {
+      out.placements.emplace_back(task->executed_on, task->attempts,
+                                  task->vstart, task->vend);
+    }
+    return out;
   };
 
-  const FaultStats first = run();
-  const FaultStats second = run();
-  EXPECT_GT(first.failed_attempts, 0u);
-  EXPECT_EQ(first.failed_attempts, second.failed_attempts);
-  EXPECT_EQ(first.injected_kernel_faults, second.injected_kernel_faults);
-  EXPECT_EQ(first.retries, second.retries);
-  EXPECT_EQ(first.fallbacks, second.fallbacks);
+  const Run first = run();
+  const Run second = run();
+  EXPECT_GT(first.faults.failed_attempts, 0u);
+  EXPECT_EQ(first.faults.failed_attempts, second.faults.failed_attempts);
+  EXPECT_EQ(first.faults.injected_kernel_faults,
+            second.faults.injected_kernel_faults);
+  EXPECT_EQ(first.faults.retries, second.faults.retries);
+  EXPECT_EQ(first.faults.fallbacks, second.faults.fallbacks);
+  // The draws are made at the commits, so the placements and virtual
+  // times replay too.
+  EXPECT_EQ(first.placements, second.placements);
+  EXPECT_EQ(first.makespan, second.makespan);
 }
 
 TEST(FaultInjection, PerTaskMaxRetriesOverridesEngineDefault) {

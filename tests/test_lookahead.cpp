@@ -195,7 +195,7 @@ TEST(DispatchTableFormat, SaveLoadIsReadyForReplay) {
 /// Mock world mirroring test_scheduler_unit: 3 workers (2 CPU + 1 GPU),
 /// table-driven eligibility and estimates (which the commits also take:
 /// SchedEnv::cost is unset). Both policies' worker clocks are their own
-/// plan's, so a test builds them with earlier pushes.
+/// plan's, so a test builds them with earlier submissions.
 class LookaheadDifferential : public ::testing::Test {
  protected:
   LookaheadDifferential() {
@@ -230,8 +230,7 @@ class LookaheadDifferential : public ::testing::Test {
   }
 
   /// A fresh `policy` with `ready[w]` seconds committed on each worker w:
-  /// one task only that worker may run, popped again before the test's
-  /// pushes.
+  /// one task only that worker may run, submitted before the test's tasks.
   std::unique_ptr<Scheduler> with_clocks(const std::string& policy,
                                          const std::vector<double>& ready) {
     auto scheduler = make_scheduler(policy, env_);
@@ -240,9 +239,7 @@ class LookaheadDifferential : public ::testing::Test {
       if (ready[static_cast<std::size_t>(w)] == 0.0) continue;
       pinned_ = w;
       work_.assign(3, ready[static_cast<std::size_t>(w)]);
-      const TaskPtr task = make_task();
-      scheduler->push(task);
-      EXPECT_EQ(scheduler->pop(w), task);
+      EXPECT_EQ(placed_on(*scheduler), w);
     }
     pinned_ = -1;
     work_ = work;
@@ -259,30 +256,30 @@ class LookaheadDifferential : public ::testing::Test {
     return task;
   }
 
-  /// Pushes `count` tasks through `scheduler` with no pop in between, as
-  /// asynchronous submissions queue up, and returns each worker's queue as
-  /// push indices.
+  /// Submits `count` tasks through `scheduler` and returns, per worker,
+  /// the submission indices of the tasks committed there.
   std::vector<std::vector<std::uint64_t>> queued(
       Scheduler& scheduler, int count, const DataHandlePtr& read = nullptr) {
     const std::uint64_t first = next_seq_;
-    for (int i = 0; i < count; ++i) scheduler.push(make_task(read));
+    std::vector<TaskPtr> committed;
+    for (int i = 0; i < count; ++i) scheduler.submit(make_task(read), committed);
+    scheduler.flush(committed);
     std::vector<std::vector<std::uint64_t>> queues(3);
-    for (int w = 0; w < 3; ++w) {
-      while (TaskPtr task = scheduler.pop(w)) {
-        queues[static_cast<std::size_t>(w)].push_back(task->sequence - first);
-      }
+    for (const TaskPtr& task : committed) {
+      queues[static_cast<std::size_t>(task->executed_on)].push_back(
+          task->sequence - first);
     }
     return queues;
   }
 
-  /// Pushes one task through `scheduler` and returns the worker whose
-  /// queue received it.
-  WorkerId placed_on(Scheduler& scheduler) {
-    scheduler.push(make_task());
-    for (int w = 0; w < 3; ++w) {
-      if (scheduler.pop(w) != nullptr) return w;
-    }
-    return -1;
+  /// Submits `task` (a fresh one by default) through `scheduler`, commits
+  /// it and returns its worker.
+  WorkerId placed_on(Scheduler& scheduler, TaskPtr task = nullptr) {
+    if (task == nullptr) task = make_task();
+    std::vector<TaskPtr> committed;
+    scheduler.submit(task, committed);
+    scheduler.flush(committed);
+    return committed.empty() ? -1 : task->executed_on;
   }
 
   std::vector<WorkerDesc> workers_;
@@ -351,27 +348,22 @@ TEST_F(LookaheadDifferential, EqualJoulesSpreadOverTheCoresUnderEnergy) {
   EXPECT_EQ(queued(*lookahead, 24), expected);
 }
 
-TEST_F(LookaheadDifferential, PopsBetweenPushesDoNotMoveThePlacement) {
-  // The clocks are the policy's own commits: a pop (a worker starting a
-  // task) changes no later decision, in dmda and in a window of one.
+TEST_F(LookaheadDifferential, WindowOneCommitsEverySubmissionAtOnce) {
+  // A window of one commits each submission before the next is made, so
+  // the tasks land as dmda places them, spread over all three workers.
   work_ = {3.0, 2.0, 5.0};
-  for (const std::string policy : {"dmda", "lookahead"}) {
-    const auto placements = [&](bool pop_between) {
-      auto scheduler = make_scheduler(policy, env_);
-      std::vector<WorkerId> out;
-      for (int i = 0; i < 12; ++i) {
-        out.push_back(scheduler->push(make_task()));
-        if (pop_between) {
-          EXPECT_NE(scheduler->pop(out.back()), nullptr);
-        }
-      }
-      return out;
-    };
-    const std::vector<WorkerId> queued = placements(false);
-    EXPECT_EQ(placements(true), queued) << policy;
-    EXPECT_EQ(std::set<WorkerId>(queued.begin(), queued.end()).size(), 3u)
-        << policy;
+  auto dmda = make_scheduler("dmda", env_);
+  auto lookahead = make_scheduler("lookahead", env_);
+  std::set<WorkerId> used;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<TaskPtr> committed;
+    const TaskPtr task = make_task();
+    lookahead->submit(task, committed);
+    ASSERT_EQ(committed, std::vector<TaskPtr>{task});
+    EXPECT_EQ(task->executed_on, placed_on(*dmda));
+    used.insert(task->executed_on);
   }
+  EXPECT_EQ(used.size(), 3u);
 }
 
 TEST_F(LookaheadDifferential, ReplayedPlacementsAreBookedForDynamicTasks) {
@@ -388,14 +380,14 @@ TEST_F(LookaheadDifferential, ReplayedPlacementsAreBookedForDynamicTasks) {
     const TaskPtr task = make_task();
     task->has_dispatch_keys = true;
     task->replay_arch = static_cast<int>(Arch::kCuda);
-    EXPECT_EQ(lookahead->push(task), 2);
+    EXPECT_EQ(placed_on(*lookahead, task), 2);
   }
   const TaskPtr dynamic = make_task();
   dynamic->has_dispatch_keys = true;  // keys, but no entry: replay_arch -1
-  EXPECT_EQ(lookahead->push(dynamic), 0);
+  EXPECT_EQ(placed_on(*lookahead, dynamic), 0);
 
   auto fresh = make_scheduler("lookahead", env_);
-  EXPECT_EQ(fresh->push(make_task()), 2);  // the premise: empty clocks
+  EXPECT_EQ(placed_on(*fresh), 2);  // the premise: empty clocks
 }
 
 TEST_F(LookaheadDifferential, WindowOneQueuesAmortisedFetchesLikeDmda) {
@@ -462,6 +454,14 @@ class BookedClocks : public ::testing::Test {
     return std::make_shared<Task>(std::move(spec), sequence_++);
   }
 
+  /// Submits `task` through `scheduler`, commits it and returns its worker.
+  static WorkerId placed_on(Scheduler& scheduler, const TaskPtr& task) {
+    std::vector<TaskPtr> committed;
+    scheduler.submit(task, committed);
+    scheduler.flush(committed);
+    return committed.empty() ? -1 : task->executed_on;
+  }
+
   std::vector<WorkerDesc> workers_;
   Codelet codelet_{"booked"};
   SchedEnv env_;
@@ -488,23 +488,22 @@ TEST_F(BookedClocks, ACoreAndTheCombinedWorkerShareTheirCores) {
       auto scheduler = make_scheduler(policy, env_);
       pinned_ = first;
       exec_.assign(4, 10.0);
-      EXPECT_EQ(scheduler->push(make_task()), first);
+      EXPECT_EQ(placed_on(*scheduler, make_task()), first);
       pinned_ = -1;
       exec_ = {kInf, kInf, kInf, 5.0};
       exec_[static_cast<std::size_t>(cpu)] = 1.0;
-      EXPECT_EQ(scheduler->push(make_task()), expected)
+      EXPECT_EQ(placed_on(*scheduler, make_task()), expected)
           << policy << ": first " << first << ", follow-up CPU worker " << cpu;
     }
   }
 }
 
 TEST_F(BookedClocks, AReplayWithoutAnEstimateCommitsItsCost) {
-  // A replayed task whose worker left between the task's eligibility
-  // snapshot and its push has no finite estimate there, but its commit
-  // takes the cost model's seconds, which are: it holds core 0 and the
-  // combined worker for 2 s, not forever. A follow-up task that takes 1 s
-  // on the combined worker and 5 s on the GPU then still goes to the
-  // combined worker.
+  // A replayed task the models know no time for has no finite estimate on
+  // its worker, but its commit takes the cost model's seconds, which are:
+  // it holds core 0 and the combined worker for 2 s, not forever. A
+  // follow-up task that takes 1 s on the combined worker and 5 s on the
+  // GPU then still goes to the combined worker.
   DispatchTable table;
   table.finalize();
   env_.dispatch = &table;
@@ -513,12 +512,11 @@ TEST_F(BookedClocks, AReplayWithoutAnEstimateCommitsItsCost) {
   const TaskPtr replayed = make_task();
   replayed->has_dispatch_keys = true;
   replayed->replay_arch = static_cast<int>(Arch::kCpu);
-  replayed->ready_eligible_mask = 0b0001;  // core 0, at the snapshot
-  exec_ = {kInf, kInf, kInf, kInf};        // core 0 has since left
-  EXPECT_EQ(lookahead->push(replayed), 0);
+  exec_ = {kInf, kInf, kInf, kInf};
+  EXPECT_EQ(placed_on(*lookahead, replayed), 0);
   EXPECT_EQ(replayed->vend, 2.0);
   exec_ = {kInf, kInf, 1.0, 5.0};
-  EXPECT_EQ(lookahead->push(make_task()), 2);
+  EXPECT_EQ(placed_on(*lookahead, make_task()), 2);
 }
 
 // -- engine-level replay -----------------------------------------------------
@@ -902,8 +900,8 @@ TEST(LookaheadPlanCost, WindowCouplesTheCombinedWorkerWithItsCores) {
   config.enable_trace = true;
   Engine engine(config);
 
-  // A gate both tasks read: they become ready together when it completes,
-  // and the completing worker stages both before anyone plans.
+  // A gate both tasks read: it commits first (they depend on it), and the
+  // two tasks then fill a window of two.
   std::atomic<bool> open{false};
   Codelet gate("gate");
   gate.add_impl({Arch::kCpu, "gate_cpu",
@@ -934,7 +932,6 @@ TEST(LookaheadPlanCost, WindowCouplesTheCombinedWorkerWithItsCores) {
     spec.operands = {{handle, AccessMode::kRead}};
     tasks.push_back(engine.submit(std::move(spec)));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // idle parks
   open.store(true);
   engine.wait_for_all();
 

@@ -10,31 +10,37 @@
 
 #include "runtime/engine.hpp"
 #include "runtime/memory.hpp"
+#include "runtime/msi.hpp"
 #include "support/error.hpp"
 
 namespace peppher::rt {
 namespace {
 
 /// The books of a bare data manager: its recorder counts evictions and
-/// overcommits as an Engine's would, and its transfer hook — called once
-/// per hop a handle copies — counts the copies (an Engine counts hops
-/// where the scheduler commits them); `transfers()` reads the traffic
-/// since `reset()`.
+/// overcommits as an Engine's would, and `acquire` counts the copies a
+/// handle's acquire makes — the hops rt::msi walks over its real states,
+/// which DataHandle::acquire copies one by one (an Engine counts hops where
+/// the scheduler commits them); `transfers()` reads the traffic since
+/// `reset()`.
 class RecordedTraffic {
  public:
   explicit RecordedTraffic(DataManager& manager) : topo_(&manager.topo()) {
     recorder_.configure(manager.topo(), {}, false);
     manager.set_recorder(&recorder_);
-    manager.set_transfer_fault_hook(
-        [this](MemoryNodeId from, MemoryNodeId to, std::size_t bytes) {
-          if (topo_->is_host(from) && !topo_->is_host(to)) {
-            ++copies_.host_to_device_count;
-            copies_.host_to_device_bytes += bytes;
-          } else if (!topo_->is_host(from) && topo_->is_host(to)) {
-            ++copies_.device_to_host_count;
-            copies_.device_to_host_bytes += bytes;
-          }
-        });
+  }
+  /// DataHandle::acquire, counting its copies.
+  void* acquire(const DataHandlePtr& handle, MemoryNodeId node,
+                AccessMode mode) {
+    count_fetch(*handle, node, mode);
+    return handle->acquire(node, mode);
+  }
+  /// DataHandle::unpartition, counting each child's flush home.
+  void unpartition(const DataHandlePtr& parent,
+                   const std::vector<DataHandlePtr>& children) {
+    for (const DataHandlePtr& child : children) {
+      count_fetch(*child, kHostNode, AccessMode::kRead);
+    }
+    parent->unpartition();
   }
   TransferStats transfers() const {
     TransferStats stats = recorder_.books().since(baseline_).transfers();
@@ -50,6 +56,24 @@ class RecordedTraffic {
   }
 
  private:
+  void count_fetch(const DataHandle& handle, MemoryNodeId node,
+                   AccessMode mode) {
+    std::vector<ReplicaState> states;
+    for (MemoryNodeId n = 0; n < topo_->node_count(); ++n) {
+      states.push_back(handle.replica_state(n));
+    }
+    msi::apply_acquire(states, node, mode, *topo_,
+                       [&](MemoryNodeId from, MemoryNodeId to) {
+      if (topo_->is_host(from) && !topo_->is_host(to)) {
+        ++copies_.host_to_device_count;
+        copies_.host_to_device_bytes += handle.bytes();
+      } else if (!topo_->is_host(from) && topo_->is_host(to)) {
+        ++copies_.device_to_host_count;
+        copies_.device_to_host_bytes += handle.bytes();
+      }
+    });
+  }
+
   const MemTopology* topo_;
   Tracer recorder_;
   Books baseline_;
@@ -79,6 +103,10 @@ class MemoryTest : public ::testing::Test {
   MemoryTest() : manager_(3, sim::LinkProfile::pcie2_x16()) {}  // host + 2 GPUs
 
   TransferStats stats() const { return traffic_.transfers(); }
+  void* acquire(const DataHandlePtr& handle, MemoryNodeId node,
+                AccessMode mode) {
+    return traffic_.acquire(handle, node, mode);
+  }
 
   DataManager manager_;
   RecordedTraffic traffic_{manager_};
@@ -99,7 +127,7 @@ TEST_F(MemoryTest, ReadAcquireCopiesAndShares) {
   std::iota(data.begin(), data.end(), 0.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  auto* device_ptr = static_cast<float*>(h->acquire(1, AccessMode::kRead));
+  auto* device_ptr = static_cast<float*>(acquire(h, 1, AccessMode::kRead));
   EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kShared);
   EXPECT_EQ(h->replica_state(1), ReplicaState::kShared);
   for (int i = 0; i < 16; ++i) EXPECT_FLOAT_EQ(device_ptr[i], data[i]);
@@ -110,9 +138,9 @@ TEST_F(MemoryTest, SecondReadAcquireIsFree) {
   std::vector<float> data(16, 2.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  h->acquire(1, AccessMode::kRead);
+  acquire(h, 1, AccessMode::kRead);
   const auto before = stats().total_count();
-  h->acquire(1, AccessMode::kRead);
+  acquire(h, 1, AccessMode::kRead);
   EXPECT_EQ(stats().total_count(), before);
 }
 
@@ -120,7 +148,7 @@ TEST_F(MemoryTest, WriteAcquireInvalidatesOthersWithoutTransfer) {
   std::vector<float> data(16, 3.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  h->acquire(1, AccessMode::kWrite);
+  acquire(h, 1, AccessMode::kWrite);
   EXPECT_EQ(stats().total_count(), 0u);  // W needs no fetch
   EXPECT_EQ(h->replica_state(1), ReplicaState::kOwned);
   EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kInvalid);
@@ -130,7 +158,7 @@ TEST_F(MemoryTest, ReadWriteFetchesThenOwns) {
   std::vector<float> data(16, 4.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  auto* ptr = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite));
+  auto* ptr = static_cast<float*>(acquire(h, 1, AccessMode::kReadWrite));
   EXPECT_FLOAT_EQ(ptr[0], 4.0f);
   EXPECT_EQ(h->replica_state(1), ReplicaState::kOwned);
   EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kInvalid);
@@ -141,9 +169,9 @@ TEST_F(MemoryTest, ModifiedDeviceDataFlowsBackToHost) {
   std::vector<float> data(8, 0.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  auto* device = static_cast<float*>(h->acquire(1, AccessMode::kWrite));
+  auto* device = static_cast<float*>(acquire(h, 1, AccessMode::kWrite));
   for (int i = 0; i < 8; ++i) device[i] = 9.0f;
-  h->acquire(kHostNode, AccessMode::kRead);
+  acquire(h, kHostNode, AccessMode::kRead);
   for (float v : data) EXPECT_FLOAT_EQ(v, 9.0f);
   EXPECT_EQ(stats().device_to_host_count, 1u);
 }
@@ -152,46 +180,53 @@ TEST_F(MemoryTest, DeviceToDeviceGoesThroughHost) {
   std::vector<float> data(8, 1.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  auto* d1 = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite));
+  auto* d1 = static_cast<float*>(acquire(h, 1, AccessMode::kReadWrite));
   d1[0] = 42.0f;
-  auto* d2 = static_cast<float*>(h->acquire(2, AccessMode::kRead));
+  auto* d2 = static_cast<float*>(acquire(h, 2, AccessMode::kRead));
   EXPECT_FLOAT_EQ(d2[0], 42.0f);
   // One d2h (to host) + one h2d (to device 2).
   EXPECT_EQ(stats().device_to_host_count, 1u);
   EXPECT_EQ(stats().host_to_device_count, 2u);  // incl. first RW fetch
 }
 
-// A device-to-device fetch whose second hop fails keeps the first hop: the
-// host copy that landed is Shared, the source is demoted — a consistent
-// state the retry fetches from in one hop.
+// A committed device-to-device fetch whose second hop fails keeps the first
+// hop: the host copy that landed is Shared, the source is demoted — a
+// consistent state the retry fetches from in one hop.
 TEST_F(MemoryTest, FailedSecondHopKeepsTheHopThatLanded) {
-  std::vector<float> data(8, 1.0f);
-  auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
-                                    sizeof(float));
-  auto* d1 = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite));
-  d1[0] = 42.0f;
-  h->release(1);
+  std::vector<WorkerDesc> workers(1);
+  workers[0].id = 0;
+  workers[0].node = 2;
+  Plan plan(workers, &manager_.interconnect());
+  const std::vector<ReplicaState> owned_on_1 = {
+      ReplicaState::kInvalid, ReplicaState::kOwned, ReplicaState::kInvalid};
+  Plan::Task task;
+  task.exec = {1.0};
+  task.operands = {{plan.add_data(owned_on_1), AccessMode::kRead, 64, 1.0}};
   bool fail_upload_to_2 = true;
-  std::vector<std::pair<MemoryNodeId, MemoryNodeId>> hops;
-  manager_.set_transfer_fault_hook(
-      [&](MemoryNodeId from, MemoryNodeId to, std::size_t) {
-        if (from == kHostNode && to == 2 && fail_upload_to_2) {
-          throw Error(ErrorCode::kIoError, "injected hop fault");
-        }
-        hops.emplace_back(from, to);
-      });
-  EXPECT_THROW(h->acquire(2, AccessMode::kRead), Error);
-  EXPECT_EQ(h->replica_state(1), ReplicaState::kShared);
-  EXPECT_EQ(h->replica_state(kHostNode), ReplicaState::kShared);
-  EXPECT_EQ(h->replica_state(2), ReplicaState::kInvalid);
-  EXPECT_FLOAT_EQ(data[0], 42.0f);
+  const Plan::HopFault fails = [&](MemoryNodeId from, MemoryNodeId to,
+                                   std::size_t) {
+    return fail_upload_to_2 && from == kHostNode && to == 2;
+  };
+  Plan::Hops hops;
+  const Plan::Commit failed = plan.commit(task, 0, 1.0, &hops, &fails);
+  EXPECT_TRUE(failed.failed);
+  EXPECT_EQ(plan.states(0)[1], ReplicaState::kShared);
+  EXPECT_EQ(plan.states(0)[kHostNode], ReplicaState::kShared);
+  EXPECT_EQ(plan.states(0)[2], ReplicaState::kInvalid);
+  ASSERT_EQ(hops.size(), 1u);
+  EXPECT_EQ(hops[0].from, 1);
+  EXPECT_EQ(hops[0].to, kHostNode);
+  // The attempt still held its worker for its time, from its start on.
+  EXPECT_EQ(failed.start, 0.0);
+  EXPECT_EQ(failed.end, 1.0);
 
   fail_upload_to_2 = false;
   hops.clear();
-  auto* d2 = static_cast<float*>(h->acquire(2, AccessMode::kRead));
-  EXPECT_FLOAT_EQ(d2[0], 42.0f);
-  EXPECT_EQ(hops, (std::vector<std::pair<MemoryNodeId, MemoryNodeId>>{
-                      {kHostNode, 2}}));
+  EXPECT_FALSE(plan.commit(task, 0, 1.0, &hops, &fails).failed);
+  ASSERT_EQ(hops.size(), 1u);
+  EXPECT_EQ(hops[0].from, kHostNode);
+  EXPECT_EQ(hops[0].to, 2);
+  EXPECT_EQ(plan.states(0)[2], ReplicaState::kShared);
 }
 
 // The Figure 3 walk-through: 4 component calls on the GPU + 2 application
@@ -203,24 +238,24 @@ TEST_F(MemoryTest, Figure3ScenarioNeedsOnlyTwoCopies) {
   traffic_.reset();
 
   // line 4: comp1(v0, write) on GPU — allocation only, no copy.
-  auto* d = static_cast<float*>(h->acquire(1, AccessMode::kWrite));
+  auto* d = static_cast<float*>(acquire(h, 1, AccessMode::kWrite));
   for (int i = 0; i < 1024; ++i) d[i] = 1.0f;
 
   // line 6: application reads an element — first copy (device -> host).
-  h->acquire(kHostNode, AccessMode::kRead);
+  acquire(h, kHostNode, AccessMode::kRead);
   EXPECT_FLOAT_EQ(v0[7], 1.0f);
 
   // line 8: comp2(v0, readwrite) on GPU — device copy still valid, no copy.
-  d = static_cast<float*>(h->acquire(1, AccessMode::kReadWrite));
+  d = static_cast<float*>(acquire(h, 1, AccessMode::kReadWrite));
   for (int i = 0; i < 1024; ++i) d[i] += 1.0f;
 
   // lines 10, 12: comp3/comp4 read on GPU — no copies.
-  h->acquire(1, AccessMode::kRead);
-  h->acquire(1, AccessMode::kRead);
+  acquire(h, 1, AccessMode::kRead);
+  acquire(h, 1, AccessMode::kRead);
 
   // line 14: application writes — second copy (device -> host), then the
   // device replica is outdated.
-  h->acquire(kHostNode, AccessMode::kReadWrite);
+  acquire(h, kHostNode, AccessMode::kReadWrite);
   EXPECT_FLOAT_EQ(v0[7], 2.0f);
   v0[7] = 5.0f;
 
@@ -390,6 +425,10 @@ class EvictionTest : public ::testing::Test {
   }
 
   TransferStats stats() const { return traffic_.transfers(); }
+  void* acquire(const DataHandlePtr& handle, MemoryNodeId node,
+                AccessMode mode) {
+    return traffic_.acquire(handle, node, mode);
+  }
 
   DataManager manager_;
   RecordedTraffic traffic_{manager_};
@@ -455,15 +494,15 @@ TEST_F(EvictionTest, OwnedReplicaIsFlushedHomeBeforeEviction) {
 TEST_F(EvictionTest, EvictedDataIsRefetchedOnNextUse) {
   std::vector<float> a_data, b_data;
   auto a = make_handle(a_data, 192);
-  a->acquire(1, AccessMode::kRead);
+  acquire(a, 1, AccessMode::kRead);
   a->release(1);
   auto b = make_handle(b_data, 192);
-  b->acquire(1, AccessMode::kRead);
+  acquire(b, 1, AccessMode::kRead);
   b->release(1);
   ASSERT_EQ(a->replica_state(1), ReplicaState::kInvalid);  // evicted
   // Re-acquiring re-allocates and re-transfers (the §IV-D caveat).
   const auto before = stats().host_to_device_count;
-  auto* ptr = static_cast<float*>(a->acquire(1, AccessMode::kRead));
+  auto* ptr = static_cast<float*>(acquire(a, 1, AccessMode::kRead));
   EXPECT_FLOAT_EQ(ptr[0], 1.0f);
   EXPECT_EQ(stats().host_to_device_count, before + 1);
   a->release(1);
@@ -484,7 +523,7 @@ TEST_F(MemoryTest, StatsTrackBytes) {
   std::vector<float> data(256, 0.0f);
   auto h = manager_.register_buffer(data.data(), data.size() * sizeof(float),
                                     sizeof(float));
-  h->acquire(1, AccessMode::kRead);
+  acquire(h, 1, AccessMode::kRead);
   EXPECT_EQ(stats().host_to_device_bytes, 1024u);
   traffic_.reset();
   EXPECT_EQ(stats().total_count(), 0u);
@@ -500,14 +539,14 @@ TEST_F(MemoryTest, PartitionedChunkUploadsCountExactly) {
                                     sizeof(float));
   auto children = h->partition(4);
   for (auto& child : children) {
-    child->acquire(1, AccessMode::kRead);
+    acquire(child, 1, AccessMode::kRead);
     child->release(1);
   }
   EXPECT_EQ(stats().host_to_device_count, 4u);
   EXPECT_EQ(stats().device_to_host_count, 0u);
   // Read-shared children leave the host copy valid: gathering needs no
   // transfers at all.
-  h->unpartition();
+  traffic_.unpartition(h, children);
   EXPECT_EQ(stats().device_to_host_count, 0u);
 }
 
@@ -521,7 +560,7 @@ TEST(SharedBusAccounting, ChunkUploadsNeverCoalesce) {
                                    sizeof(float));
   auto children = h->partition(4);
   for (auto& child : children) {
-    child->acquire(1, AccessMode::kRead);
+    traffic.acquire(child, 1, AccessMode::kRead);
     child->release(1);
   }
   EXPECT_EQ(traffic.transfers().host_to_device_count, 4u);
@@ -535,14 +574,14 @@ TEST_F(MemoryTest, UnpartitionWritebackCountsExactly) {
   auto children = h->partition(4);
   for (std::size_t c = 0; c < children.size(); ++c) {
     auto* p = static_cast<float*>(
-        children[c]->acquire(1, AccessMode::kWrite));
+        acquire(children[c], 1, AccessMode::kWrite));
     for (std::size_t i = 0; i < children[c]->elements(); ++i) {
       p[i] = static_cast<float>(c);
     }
     children[c]->release(1);
   }
   EXPECT_EQ(stats().host_to_device_count, 0u);  // kWrite fetches nothing
-  h->unpartition();
+  traffic_.unpartition(h, children);
   EXPECT_EQ(stats().device_to_host_count, 4u);
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_FLOAT_EQ(data[i], static_cast<float>(i / 256));
@@ -624,8 +663,10 @@ TEST(PrefetchSemantics, PrefetchRacedByWriterIsSkippedNotResurrected) {
 }
 
 // A writer that is submitted but has not even started — it waits in its
-// worker's queue behind a gated task — already blocks a prefetch of its
-// handle: nothing is copied, and the write later finds no stale replica.
+// worker's queue behind a gated task — already blocks the real copy of a
+// prefetch of its handle: nothing is copied, and the write later finds no
+// stale replica. The prefetch still commits its fetch on the timeline,
+// after the writer's commit, which is when the written data can move.
 TEST(PrefetchSemantics, PrefetchSkipsWriterStillQueued) {
   Engine engine(prefetch_engine_config());
   WorkerId cpu = -1;
@@ -682,7 +723,7 @@ TEST(PrefetchSemantics, PrefetchSkipsWriterStillQueued) {
   EXPECT_FALSE(engine.prefetch(handle, 1));
   EXPECT_FALSE(writer_ran.load(std::memory_order_acquire));
   EXPECT_EQ(handle->replica_state(1), ReplicaState::kInvalid);
-  EXPECT_EQ(engine.transfer_stats().total_count(), 0u);
+  EXPECT_EQ(engine.transfer_stats().host_to_device_count, 1u);
 
   gate.store(true, std::memory_order_release);
   engine.wait_for_all();

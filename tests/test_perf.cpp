@@ -121,7 +121,7 @@ TEST(TraceGolden, ChromeExportIsPinned) {
          "PEPPHER_REGENERATE_GOLDEN=1";
 }
 
-/// First accelerator worker on `sim_node` (kNoWorkerHint + failure if none).
+/// First accelerator worker on `sim_node` (-1 + failure if none).
 WorkerId accelerator_on(const Engine& engine, int sim_node) {
   for (const rt::WorkerDesc& desc : engine.workers()) {
     if (desc.sim_node != sim_node || desc.archs.empty()) continue;
@@ -131,7 +131,7 @@ WorkerId accelerator_on(const Engine& engine, int sim_node) {
     }
   }
   ADD_FAILURE() << "no accelerator on sim node " << sim_node;
-  return rt::kNoWorkerHint;
+  return -1;
 }
 
 // A two-node cluster run, forced onto the remote accelerator so every
@@ -187,10 +187,10 @@ TEST(TraceGolden, ClusterChromeExportIsPinned) {
 /// Re-derives every counter the engine exposes from the trace records and
 /// expects exact equality. Call after wait_for_all() and drain_prefetches().
 void expect_books_match_trace(Engine& engine, const std::string& scheduler) {
-  // Per-worker books: a worker records its attempts in execution order and
-  // accumulates busy time and energy in that same order, so the re-summed
-  // doubles must be BITWISE equal — any tolerance would hide a dropped or
-  // double-counted record.
+  // Per-worker books: each attempt is recorded under its worker shard's
+  // lock, which adds its busy time and energy in record order, so the
+  // re-summed doubles must be BITWISE equal — any tolerance would hide a
+  // dropped or double-counted record.
   std::map<int, double> busy;
   std::map<int, double> energy;
   std::map<int, std::uint64_t> executed;
@@ -260,9 +260,8 @@ void expect_books_match_trace(Engine& engine, const std::string& scheduler) {
   EXPECT_EQ(completed, prefetch.completed);
   EXPECT_EQ(skipped, prefetch.skipped);
 
-  // Scheduler decisions: one record per placement on a concrete worker;
-  // the chosen worker must exist and dmda's steady-state decisions carry
-  // estimates.
+  // Scheduler decisions: one record per committed attempt; the chosen
+  // worker must exist and dmda's steady-state decisions carry estimates.
   for (const rt::DecisionRecord& d : engine.trace().decisions()) {
     ASSERT_GE(d.chosen, 0);
     ASSERT_LT(d.chosen, static_cast<int>(engine.workers().size()));
@@ -270,9 +269,7 @@ void expect_books_match_trace(Engine& engine, const std::string& scheduler) {
       EXPECT_GE(d.chosen_estimate, 0.0);
     }
   }
-  if (scheduler != "eager") {  // central FIFO places nothing at push time
-    EXPECT_FALSE(engine.trace().decisions().empty());
-  }
+  EXPECT_FALSE(engine.trace().decisions().empty());
 }
 
 class TraceDifferential : public ::testing::TestWithParam<std::string> {};

@@ -17,7 +17,7 @@ namespace {
 /// Mock world: 3 workers — two CPU cores and one GPU. Task eligibility and
 /// per-worker estimates are table-driven; with SchedEnv::cost unset a
 /// commit takes the estimate. Every policy's worker clocks are its plan's
-/// commits, so a test builds them with earlier pushes (or pops, for eager).
+/// commits, so a test builds them with earlier submissions.
 class SchedulerUnit : public ::testing::Test {
  protected:
   SchedulerUnit() {
@@ -51,7 +51,7 @@ class SchedulerUnit : public ::testing::Test {
   }
 
   /// Commits `ready[w]` seconds on each worker w of a fresh `policy`: one
-  /// task only that worker may run, popped again before the test's pushes.
+  /// task only that worker may run, submitted before the test's tasks.
   std::unique_ptr<Scheduler> with_clocks(const std::string& policy,
                                          const std::vector<double>& ready) {
     auto scheduler = make_scheduler(policy, env_);
@@ -60,20 +60,25 @@ class SchedulerUnit : public ::testing::Test {
       if (ready[static_cast<std::size_t>(w)] == 0.0) continue;
       pinned_ = w;
       work_.assign(3, ready[static_cast<std::size_t>(w)]);
-      const TaskPtr task = make_task();
-      scheduler->push(task);
-      EXPECT_EQ(scheduler->pop(w), task);
+      EXPECT_EQ(submit(*scheduler, make_task()), w);
     }
     pinned_ = -1;
     work_ = work;
     return scheduler;
   }
 
-  TaskPtr make_task(int priority = 0) {
+  TaskPtr make_task() {
     TaskSpec spec;
     spec.codelet = &codelet_;
-    spec.priority = priority;
     return std::make_shared<Task>(std::move(spec), next_seq_++);
+  }
+
+  /// Submits `task` and returns the worker it was committed to (-1 when it
+  /// was staged or committed nowhere).
+  WorkerId submit(Scheduler& scheduler, const TaskPtr& task) {
+    std::vector<TaskPtr> committed;
+    scheduler.submit(task, committed);
+    return committed.empty() ? -1 : task->executed_on;
   }
 
   std::vector<WorkerDesc> workers_;
@@ -92,7 +97,7 @@ TEST_F(SchedulerUnit, FactoryKnowsAllPolicies) {
   for (const std::string& name : scheduler_names()) {
     auto scheduler = make_scheduler(name, env_);
     ASSERT_NE(scheduler, nullptr);
-    EXPECT_EQ(scheduler->pop(0), nullptr);  // starts empty
+    EXPECT_EQ(scheduler->makespan(), 0.0);  // starts on empty clocks
   }
   try {
     make_scheduler("nope", env_);
@@ -105,61 +110,58 @@ TEST_F(SchedulerUnit, FactoryKnowsAllPolicies) {
   }
 }
 
-TEST_F(SchedulerUnit, EagerIsFifoAcrossWorkers) {
-  auto scheduler = make_scheduler("eager", env_);
-  auto t1 = make_task();
-  auto t2 = make_task();
-  scheduler->push(t1);
-  scheduler->push(t2);
-  EXPECT_EQ(scheduler->pop(2), t1);  // any worker takes the oldest
-  EXPECT_EQ(scheduler->pop(0), t2);
-  EXPECT_EQ(scheduler->pop(1), nullptr);
-  // A pop commits the task on the popping worker.
-  EXPECT_EQ(t1->vend, 1.0);
-  EXPECT_EQ(scheduler->makespan(), 1.0);
+TEST_F(SchedulerUnit, EagerTakesTheEarliestCommittedStart) {
+  // The GPU would end the task first, but eager reads no model: the task
+  // goes to the worker that can start it first, and is committed there at
+  // submit for its cost.
+  auto scheduler = with_clocks("eager", {10.0, 5.0, 20.0});
+  work_ = {1.0, 1.0, 0.1};
+  const TaskPtr task = make_task();
+  EXPECT_EQ(submit(*scheduler, task), 1);
+  EXPECT_EQ(task->vstart, 5.0);
+  EXPECT_EQ(task->vend, 6.0);
+  EXPECT_EQ(scheduler->makespan(), 20.0);
 }
 
-TEST_F(SchedulerUnit, EagerPrefersHigherPriority) {
+TEST_F(SchedulerUnit, EagerBreaksTiesOnTheStartTowardTheLowestId) {
+  // Two independent tasks spread over the idle cores; a task whose
+  // predecessor ends at 1 s can start at 1 s anywhere, so it stays on the
+  // lowest id (a worker's earlier clock is no reason to move it).
   auto scheduler = make_scheduler("eager", env_);
-  auto low = make_task(0);
-  auto high = make_task(5);
-  scheduler->push(low);
-  scheduler->push(high);
-  EXPECT_EQ(scheduler->pop(0), high);
-  EXPECT_EQ(scheduler->pop(0), low);
+  EXPECT_EQ(submit(*scheduler, make_task()), 0);
+  EXPECT_EQ(submit(*scheduler, make_task()), 1);
+  const TaskPtr successor = make_task();
+  successor->max_pred_end = 1.0;
+  EXPECT_EQ(submit(*scheduler, successor), 0);
+  EXPECT_EQ(successor->vstart, 1.0);
 }
 
 TEST_F(SchedulerUnit, EagerSkipsIneligibleWorker) {
-  auto scheduler = make_scheduler("eager", env_);
+  auto scheduler = with_clocks("eager", {5.0, 6.0, 0.0});
   cpu_only_task_ = true;
-  auto task = make_task();
-  scheduler->push(task);
-  EXPECT_EQ(scheduler->pop(2), nullptr);  // GPU cannot take it
-  EXPECT_EQ(scheduler->pop(1), task);
+  EXPECT_EQ(submit(*scheduler, make_task()), 0);  // the idle GPU cannot
 }
 
 TEST_F(SchedulerUnit, DmdaPicksMinimalCompletion) {
   auto scheduler = with_clocks("dmda", {10.0, 5.0, 20.0});
   work_ = {1.0, 1.0, 1.0};
-  auto task = make_task();
-  scheduler->push(task);
-  EXPECT_EQ(scheduler->pop(1), task);  // worker 1: completion 6.0
-  EXPECT_EQ(task->vstart, 5.0);        // committed there at push
+  const TaskPtr task = make_task();
+  EXPECT_EQ(submit(*scheduler, task), 1);  // worker 1: completion 6.0
+  EXPECT_EQ(task->vstart, 5.0);            // committed there at submit
   EXPECT_EQ(task->vend, 6.0);
-  EXPECT_EQ(scheduler->pop(0), nullptr);
-  EXPECT_EQ(scheduler->pop(2), nullptr);
 }
 
 TEST_F(SchedulerUnit, DmdaCountsQueuedWorkNotYetStarted) {
   auto scheduler = with_clocks("dmda", {0.0, 100.0, 100.0});
   work_ = {10.0, 10.0, 10.0};
-  // Twelve tasks pushed before any pops: each is committed on its worker's
-  // clock when it is placed, so they cannot all pile up on worker 0. It
-  // takes eleven (completions 10 .. 110, the last a tie with worker 1's
-  // 110), and the queued tasks carry their committed times.
-  for (int i = 0; i < 12; ++i) scheduler->push(make_task());
+  // Twelve tasks submitted before any runs: each is committed on its
+  // worker's clock when it is placed, so they cannot all pile up on worker
+  // 0. It takes eleven (completions 10 .. 110, the last a tie with worker
+  // 1's 110), and the tasks carry their committed times.
   int on_worker0 = 0;
-  while (const TaskPtr task = scheduler->pop(0)) {
+  for (int i = 0; i < 12; ++i) {
+    const TaskPtr task = make_task();
+    if (submit(*scheduler, task) != 0) continue;
     EXPECT_EQ(task->vstart, 10.0 * on_worker0);
     EXPECT_EQ(task->vend, 10.0 * (on_worker0 + 1));
     ++on_worker0;
@@ -171,17 +173,66 @@ TEST_F(SchedulerUnit, DmdaCountsQueuedWorkNotYetStarted) {
 TEST_F(SchedulerUnit, DmdaExploresUncalibratedVariantsFirst) {
   auto scheduler = with_clocks("dmda", {0.0, 0.0, 1000.0});  // GPU far off
   samples_ = {100, 100, 0};  // and its variant never sampled
-  auto task = make_task();
-  scheduler->push(task);
-  EXPECT_EQ(scheduler->pop(2), task);  // exploration overrides estimates
+  EXPECT_EQ(submit(*scheduler, make_task()), 2);  // exploration wins
 }
 
 TEST_F(SchedulerUnit, DmdaStopsExploringAtCalibrationMin) {
   auto scheduler = with_clocks("dmda", {1.0, 3.0, 2.0});
   samples_ = {2, 2, 2};  // exactly calibration_min
-  auto task = make_task();
-  scheduler->push(task);
-  EXPECT_EQ(scheduler->pop(0), task);  // min completion, no exploration
+  EXPECT_EQ(submit(*scheduler, make_task()), 0);  // min completion
+}
+
+TEST_F(SchedulerUnit, AFailedAttemptsRetryCommitsRightAfterIt) {
+  // The settle hook fails the GPU attempt and excludes the GPU: every
+  // policy commits the retry in the same call, on a core.
+  work_ = {4.0, 4.0, 2.0};
+  env_.settle = [this](const TaskPtr& task, bool hop_failed) {
+    EXPECT_FALSE(hop_failed);
+    if (task->executed_on != 2) return false;
+    cpu_only_task_ = true;
+    ++task->attempts;
+    return true;
+  };
+  for (const std::string& policy : scheduler_names()) {
+    cpu_only_task_ = false;
+    auto scheduler = make_scheduler(policy, env_);
+    if (policy == "eager") {
+      // eager reads no model: two tasks first take the idle cores.
+      EXPECT_EQ(submit(*scheduler, make_task()), 0);
+      EXPECT_EQ(submit(*scheduler, make_task()), 1);
+    }
+    const TaskPtr task = make_task();
+    std::vector<TaskPtr> committed;
+    scheduler->submit(task, committed);
+    scheduler->flush(committed);
+    ASSERT_EQ(committed.back(), task) << policy;
+    EXPECT_EQ(task->attempts, 1) << policy;
+    EXPECT_EQ(task->executed_on, 0) << policy;
+    EXPECT_EQ(task->vend, task->vstart + 4.0) << policy;
+  }
+}
+
+TEST_F(SchedulerUnit, LookaheadCommitsAWindowOfSubmissionsWhenItFills) {
+  env_.window_size = 3;
+  auto scheduler = make_scheduler("lookahead", env_);
+  std::vector<TaskPtr> tasks;
+  std::vector<TaskPtr> committed;
+  for (int i = 0; i < 2; ++i) {
+    tasks.push_back(make_task());
+    scheduler->submit(tasks.back(), committed);
+  }
+  EXPECT_TRUE(committed.empty());  // staged
+  tasks.push_back(make_task());
+  scheduler->submit(tasks.back(), committed);
+  EXPECT_EQ(committed, tasks);  // the full window, in submission order
+
+  // A flush commits a partial window.
+  committed.clear();
+  const TaskPtr last = make_task();
+  scheduler->submit(last, committed);
+  EXPECT_TRUE(committed.empty());
+  scheduler->flush(committed);
+  EXPECT_EQ(committed, std::vector<TaskPtr>{last});
 }
 
 }  // namespace
