@@ -2,9 +2,10 @@
 // paper cites Augonnet's measurement that StarPU's task overhead is below
 // two microseconds; this google-benchmark binary measures the *real*
 // wall-clock cost of this reproduction's task path (submit + schedule +
-// dependency handling + completion) with an empty kernel, the same path
-// with an OpenMP-style kernel that forks on the combined-CPU worker's team,
-// plus the cost of the data-coherence path.
+// dependency handling + completion) with an empty kernel — synchronous,
+// pipelined on one worker and alternating between two — the same path with
+// an OpenMP-style kernel that forks on the combined-CPU worker's team, plus
+// the cost of the data-coherence path.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -71,6 +72,31 @@ void BM_TaskOverheadPipelined(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_TaskOverheadPipelined)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+/// The pipelined chain with every task forced onto the other per-core
+/// worker than the one before — ode_chain's shape, where dmda commits
+/// successive tasks to different workers. The thread that completes a task
+/// runs its successor, so this costs what the one-worker chain does.
+void BM_TaskOverheadAlternatingChain(benchmark::State& state) {
+  rt::Engine engine(cpu_config());
+  float payload = 0.0f;
+  auto handle = engine.register_buffer(&payload, sizeof(float), sizeof(float));
+  const int batch = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    for (int i = 0; i < batch; ++i) {
+      rt::TaskSpec spec;
+      spec.codelet = &empty_codelet();
+      spec.operands = {{handle, rt::AccessMode::kReadWrite}};
+      spec.forced_worker = i % 2;
+      engine.submit(std::move(spec));
+    }
+    engine.wait_for_all();
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_TaskOverheadAlternatingChain)
+    ->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Same pipeline with full tracing on: the trace hot path must stay within
 /// a few percent of the traced-off baseline above.

@@ -18,7 +18,7 @@ namespace peppher::rt {
 /// operand buffers (already coherent on the executing memory node), the raw
 /// argument blob, and the parallel width granted to it.
 ///
-/// Holds *references* to the operand vectors (the engine reuses per-worker
+/// Holds *references* to the operand vectors (the engine reuses per-thread
 /// scratch buffers across executions so the task hot path stays
 /// allocation-free); the vectors must outlive the context, which a kernel
 /// body never observes — the context only lives for the duration of one

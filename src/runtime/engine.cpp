@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/log.hpp"
@@ -17,11 +18,6 @@ namespace {
 /// and for the inter-node link: every run of a fault plan draws the same
 /// faults.
 constexpr std::uint64_t kFaultSeed = 42;
-
-/// Id of the worker this thread runs, -1 on application threads — lets the
-/// dispatch path skip the wakeup when the dispatching worker itself will
-/// pick the task up (see Engine::dispatch_ready).
-thread_local WorkerId t_worker_id = -1;
 
 /// `message` as a stored task error.
 std::exception_ptr failure(ErrorCode code, const std::string& message) {
@@ -165,10 +161,10 @@ Engine::Engine(EngineConfig config)
               .machine.cpu_cores);
     }
     workers_.push_back(std::move(worker));
+    executors_.push_back(std::make_unique<Executor>());
   }
-  for (auto& worker : workers_) {
-    const WorkerId id = worker->desc.id;
-    worker->thread = std::thread([this, id] { worker_main(id); });
+  for (std::size_t i = 0; i < executors_.size(); ++i) {
+    executors_[i]->thread = std::thread([this, i] { executor_main(i); });
   }
 
   // Automatic prefetch rides a dedicated background transfer thread. On a
@@ -194,11 +190,14 @@ Engine::~Engine() {
   // dispatch can enqueue new requests, and the thread drains its queue on
   // the way out.
   stop_prefetch_thread();
-  stopping_.store(true, std::memory_order_seq_cst);
-  for (auto& worker : workers_) worker->slot.poke();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
+  {
+    // A thread not on idle_ sees stopping_ at its next re-check.
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    stopping_ = true;
+    for (Executor* idle : idle_) idle->slot.unpark();
+    idle_.clear();
   }
+  for (auto& executor : executors_) executor->thread.join();
   // Containers may outlive the engine: hand their data back to its host
   // memory and cut every handle loose (later use throws, unregistering is
   // a no-op).
@@ -548,11 +547,38 @@ TaskPtr Engine::submit(TaskSpec spec) {
     }
 
     // A cancelled task keeps its commit too: the timeline never depends on
-    // when a failure was observed.
+    // when a failure was observed. A synchronous task commits now: its
+    // wait would flush the window first anyway.
     scheduler_->submit(task, committed);
+    if (synchronous) scheduler_->flush(committed);
     note_committed_locked(committed, completed, ready);
   }
-  finish_completed(completed, ready);
+
+  // A synchronous task whose dependencies are met runs here when its
+  // worker is idle: no task running, none queued.
+  const auto here = synchronous ? std::find(ready.begin(), ready.end(), task)
+                                : ready.end();
+  const bool ready_here = here != ready.end();
+  if (ready_here) ready.erase(here);
+  hand_off(ready, nullptr, /*take_next=*/false);
+  finish_completed(completed);
+  if (ready_here) {
+    Worker& worker = *workers_[static_cast<std::size_t>(task->executed_on)];
+    bool idle = false;
+    {
+      std::lock_guard<std::mutex> lock(worker.queue_mutex);
+      idle = !worker.running && worker.queue.empty();
+      if (idle) worker.running = true;
+    }
+    if (idle) {
+      if (prefetch_enabled_) enqueue_prefetches(*task, worker.desc.node);
+      Scratch scratch;
+      run(task, scratch, /*take_next=*/false);
+    } else {
+      ready.assign(1, task);
+      hand_off(ready, nullptr, /*take_next=*/false);
+    }
+  }
 
   if (synchronous) wait(task);
   return task;
@@ -578,7 +604,8 @@ void Engine::flush() {
     scheduler_->flush(committed);
     note_committed_locked(committed, completed, ready);
   }
-  finish_completed(completed, ready);
+  hand_off(ready, nullptr, /*take_next=*/false);
+  finish_completed(completed);
 }
 
 void Engine::release_locked(const TaskPtr& task,
@@ -652,47 +679,145 @@ void Engine::notify_idle() {
 }
 
 // ---------------------------------------------------------------------------
-// worker loop & execution
+// executor threads & execution
+//
+// A worker is a queue and a claim, not a thread: any thread runs a worker's
+// task once it claims the worker (under its queue lock), so each worker
+// runs one task at a time, and a thread runs as one worker at a time.
 // ---------------------------------------------------------------------------
 
-void Engine::worker_main(WorkerId id) {
-  t_worker_id = id;
-  tracer_.bind_worker(id);
-  Worker& worker = *workers_[static_cast<std::size_t>(id)];
-  while (true) {
-    TaskPtr task = pop(worker);
-    if (task == nullptr) {
-      // Announce intent to park, then re-check the queue: a producer that
-      // pushed before reading the parked flag is seen by this second pop; a
-      // producer that pushed after delivers a wake token (see ParkSlot).
-      worker.slot.announce();
-      task = pop(worker);
-      if (task == nullptr) {
-        if (!worker.slot.park([this] {
-              return stopping_.load(std::memory_order_seq_cst);
-            })) {
-          return;  // stopped without a token
-        }
-        continue;  // token consumed — re-check the queue
-      }
-      worker.slot.cancel();
-    }
-    task->state.store(TaskState::kRunning, std::memory_order_relaxed);
-    execute(task, worker);
-  }
-}
+namespace {
 
-TaskPtr Engine::pop(Worker& worker) {
-  std::lock_guard<std::mutex> lock(worker.queue_mutex);
-  if (worker.queue.empty()) return nullptr;
+/// Pops the worker's next task; its queue lock is held and the queue is not
+/// empty.
+template <typename Worker>
+TaskPtr pop_locked(Worker& worker) {
   TaskPtr task = std::move(worker.queue.front());
   worker.queue.pop_front();
   return task;
 }
 
-void Engine::finish_completed(std::vector<TaskPtr>& completed,
-                              std::vector<TaskPtr>& ready) {
-  for (const TaskPtr& next : ready) dispatch_ready(next);
+}  // namespace
+
+void Engine::executor_main(std::size_t index) {
+  tracer_.bind_shard(index);
+  Executor& self = *executors_[index];
+  Worker* kept = nullptr;  // still claimed, its queue empty when last seen
+  while (true) {
+    TaskPtr task;
+    {
+      // Re-check, announce, park: the scan and the announce (joining idle_)
+      // share idle_mutex_, which a thread leaving work behind takes after
+      // queueing it — so either this scan sees the work or that thread sees
+      // this one on idle_ and wakes it (a token unpark() leaves before
+      // park() is kept). The kept worker is released only here, so work
+      // queued on it since needed no wake.
+      std::lock_guard<std::mutex> lock(idle_mutex_);
+      if (kept != nullptr) {
+        std::lock_guard<std::mutex> queue_lock(kept->queue_mutex);
+        if (kept->queue.empty()) {
+          kept->running = false;
+        } else {
+          task = pop_locked(*kept);
+        }
+      }
+      if (task == nullptr) task = claim_any();
+      if (task == nullptr) {
+        if (stopping_) return;
+        idle_.push_back(&self);
+      }
+    }
+    if (task == nullptr) {
+      self.slot.park();
+      // The waker claimed a worker with a queued task for this thread
+      // (none when the engine stops).
+      kept = std::exchange(self.handed, nullptr);
+      if (kept == nullptr) continue;
+      std::lock_guard<std::mutex> queue_lock(kept->queue_mutex);
+      task = pop_locked(*kept);
+    }
+    while (task != nullptr) {
+      kept = workers_[static_cast<std::size_t>(task->executed_on)].get();
+      task = run(task, self.scratch, /*take_next=*/true);
+    }
+  }
+}
+
+TaskPtr Engine::claim_any() {
+  for (const std::unique_ptr<Worker>& entry : workers_) {
+    Worker& worker = *entry;
+    std::lock_guard<std::mutex> lock(worker.queue_mutex);
+    if (worker.running || worker.queue.empty()) continue;
+    worker.running = true;
+    return pop_locked(worker);
+  }
+  return nullptr;
+}
+
+TaskPtr Engine::hand_off(std::vector<TaskPtr>& ready, Worker* own,
+                         bool take_next) {
+  TaskPtr next;
+  for (const TaskPtr& task : ready) {
+    Worker& worker = *workers_[static_cast<std::size_t>(task->executed_on)];
+    task->state.store(TaskState::kReady, std::memory_order_relaxed);
+    // Warm the read operands' bytes on the worker's node while the task
+    // waits in its queue; once queued, the task may run and change at once.
+    if (prefetch_enabled_) enqueue_prefetches(*task, worker.desc.node);
+    bool left_behind = false;
+    {
+      std::lock_guard<std::mutex> lock(worker.queue_mutex);
+      // Behind every queued task of at least its priority (FIFO among
+      // equal priorities).
+      auto it = worker.queue.end();
+      while (it != worker.queue.begin() &&
+             (*std::prev(it))->spec.priority < task->spec.priority) {
+        --it;
+      }
+      worker.queue.insert(it, task);
+      if (!worker.running && take_next && next == nullptr) {
+        worker.running = true;
+        next = pop_locked(worker);
+      } else {
+        // A running worker's thread (maybe the caller) goes on to it.
+        left_behind = !worker.running;
+      }
+    }
+    if (left_behind) wake(worker);
+  }
+  if (own != nullptr) {
+    bool left_behind = false;
+    {
+      std::lock_guard<std::mutex> lock(own->queue_mutex);
+      if (take_next && next == nullptr) {
+        // The claim carries over, to own's next task or, with none queued,
+        // to the caller's re-check (executor_main).
+        if (!own->queue.empty()) next = pop_locked(*own);
+      } else {
+        own->running = false;
+        left_behind = !own->queue.empty();
+      }
+    }
+    if (left_behind) wake(*own);
+  }
+  return next;
+}
+
+void Engine::wake(Worker& worker) {
+  Executor* idle = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    if (idle_.empty()) return;  // every thread is awake and re-checks
+    std::lock_guard<std::mutex> queue_lock(worker.queue_mutex);
+    if (worker.running || worker.queue.empty()) return;  // claimed meanwhile
+    worker.running = true;
+    idle = idle_.back();
+    idle_.pop_back();
+    idle->handed = &worker;
+  }
+  idle->slot.unpark();
+}
+
+void Engine::finish_completed(std::vector<TaskPtr>& completed) {
   notify_task_done();  // wake wait(task) callers promptly, before callbacks
   for (const TaskPtr& done : completed) {
     if (done->spec.on_complete) done->spec.on_complete(*done);
@@ -705,35 +830,16 @@ void Engine::finish_completed(std::vector<TaskPtr>& completed,
   }
 }
 
-void Engine::dispatch_ready(const TaskPtr& task) {
+TaskPtr Engine::run(const TaskPtr& task, Scratch& scratch, bool take_next) {
   Worker& worker = *workers_[static_cast<std::size_t>(task->executed_on)];
-  task->state.store(TaskState::kReady, std::memory_order_relaxed);
-  // Warm the read operands' bytes on the worker's node while the task
-  // waits in its queue; once queued, the task may run and change at once.
-  if (prefetch_enabled_) enqueue_prefetches(*task, worker.desc.node);
-  {
-    // Behind every queued task of at least its priority (FIFO among equal
-    // priorities).
-    std::lock_guard<std::mutex> lock(worker.queue_mutex);
-    auto it = worker.queue.end();
-    while (it != worker.queue.begin() &&
-           (*std::prev(it))->spec.priority < task->spec.priority) {
-      --it;
-    }
-    worker.queue.insert(it, task);
-  }
-  // A worker dispatching to itself re-checks its queue before parking.
-  if (worker.desc.id != t_worker_id) worker.slot.unpark();
-}
-
-void Engine::execute(const TaskPtr& task, Worker& worker) {
+  task->state.store(TaskState::kRunning, std::memory_order_relaxed);
   const Implementation* impl = select_impl(*task, worker.desc);
   check(impl != nullptr, "scheduler routed a task to an incapable worker");
 
   // Make every operand coherent on this worker's memory node. A failed
-  // acquire fails the attempt, not the worker thread; only the operands
-  // actually acquired are released afterwards. The buffer tables are
-  // per-worker scratch, reused across executions.
+  // acquire fails the attempt, not the thread; only the operands actually
+  // acquired are released afterwards. The buffer tables are the thread's
+  // scratch, reused across executions.
   const std::size_t n_ops = task->spec.operands.size();
 
   // Shadow checker: record each operand's concrete coherence state on this
@@ -757,9 +863,9 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     }
   }
 
-  std::vector<void*>& buffers = worker.buffers;
-  std::vector<std::size_t>& buffer_bytes = worker.buffer_bytes;
-  std::vector<std::size_t>& element_sizes = worker.element_sizes;
+  std::vector<void*>& buffers = scratch.buffers;
+  std::vector<std::size_t>& buffer_bytes = scratch.buffer_bytes;
+  std::vector<std::size_t>& element_sizes = scratch.element_sizes;
   buffers.assign(n_ops, nullptr);
   buffer_bytes.assign(n_ops, 0);
   element_sizes.assign(n_ops, 0);
@@ -780,18 +886,18 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   // write-mode acquire above invalidated every other replica, so a failed
   // kernel would leave the only "valid" copy holding garbage. (kWrite
   // operands are fully overwritten, kRead ones unmodified — no snapshot.)
-  // The snapshot buffers are pooled per worker.
-  worker.preimage_ops.clear();
+  // The snapshot buffers are pooled per thread.
+  scratch.preimage_ops.clear();
   std::size_t preimage_count = 0;
   if (!task->failed() && task->retries_left > 0) {
     for (std::size_t i = 0; i < n_ops; ++i) {
       if (task->spec.operands[i].mode != AccessMode::kReadWrite) continue;
-      if (preimage_count == worker.preimage_data.size()) {
-        worker.preimage_data.emplace_back();
+      if (preimage_count == scratch.preimage_data.size()) {
+        scratch.preimage_data.emplace_back();
       }
       const auto* p = static_cast<const std::byte*>(buffers[i]);
-      worker.preimage_data[preimage_count].assign(p, p + buffer_bytes[i]);
-      worker.preimage_ops.push_back(i);
+      scratch.preimage_data[preimage_count].assign(p, p + buffer_bytes[i]);
+      scratch.preimage_ops.push_back(i);
       ++preimage_count;
     }
   }
@@ -803,7 +909,7 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     try {
       impl->fn(ctx);
     } catch (...) {
-      // A failing variant must not take the worker down: the task
+      // A failing variant must not take the thread down: the task
       // completes as failed (or is retried), waiters observe the outcome.
       task->error = std::current_exception();
     }
@@ -811,7 +917,7 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
 
   // -- completion ------------------------------------------------------------
   //
-  // The task is owned by this worker until it commits a retry or its kDone
+  // The task is owned by this thread until it commits a retry or its kDone
   // state is published, so its fields are written plainly. Its vstart,
   // vend and exec_seconds are the attempt's commit; the counters sit in
   // the recorder; only the commit of a retry and the dependency-graph
@@ -837,8 +943,8 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   // reads the data the failed attempt saw.
   if (retrying) {
     for (std::size_t s = 0; s < preimage_count; ++s) {
-      const std::vector<std::byte>& snap = worker.preimage_data[s];
-      std::memcpy(buffers[worker.preimage_ops[s]], snap.data(), snap.size());
+      const std::vector<std::byte>& snap = scratch.preimage_data[s];
+      std::memcpy(buffers[scratch.preimage_ops[s]], snap.data(), snap.size());
     }
   }
 
@@ -854,10 +960,8 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
                           task->spec.verify_point, impl->arch);
   }
 
-  std::vector<TaskPtr>& completed_now = worker.completed_scratch;
-  std::vector<TaskPtr>& ready_now = worker.ready_scratch;
-  completed_now.clear();
-  ready_now.clear();
+  std::vector<TaskPtr>& completed = scratch.completed;
+  std::vector<TaskPtr>& ready = scratch.ready;
   {
     std::lock_guard<std::mutex> lock(graph_mutex_);
     if (retrying) {
@@ -865,14 +969,16 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
       // failure is placed and committed now.
       task->error = nullptr;
       scheduler_->retry(task);
-      release_locked(task, completed_now, ready_now);
+      release_locked(task, completed, ready);
     } else {
-      complete_locked(task, completed_now, ready_now);
+      complete_locked(task, completed, ready);
     }
   }
-  finish_completed(completed_now, ready_now);
-  completed_now.clear();
-  ready_now.clear();
+  TaskPtr next = hand_off(ready, &worker, take_next);
+  finish_completed(completed);
+  completed.clear();
+  ready.clear();
+  return next;
 }
 
 void Engine::complete_locked(const TaskPtr& task,

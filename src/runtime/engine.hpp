@@ -1,9 +1,11 @@
 // The PEPPHER runtime engine — this reproduction's stand-in for StarPU.
 //
-// One Engine owns: worker threads (one per CPU core, one combined
+// One Engine owns: the simulated workers (one per CPU core, one combined
 // all-CPU-cores worker with its fork-join team for OpenMP-style parallel
-// variants, one per simulated accelerator), the data manager (coherent handles over host + device memory
-// nodes), the scheduler, and the performance-model registry.
+// variants, one per simulated accelerator), a pool of interchangeable
+// threads that runs their tasks, the data manager (coherent handles over
+// host + device memory nodes), the scheduler, and the performance-model
+// registry.
 //
 // Component invocations become Tasks. Dependencies between tasks are
 // inferred implicitly from the access modes of shared data handles, giving
@@ -16,24 +18,30 @@
 // submission order — before submit returns, or under lookahead at the flush
 // that commits its window — with its fault draws, the device deaths they
 // cause and its history sample (the host events commit there too). Tasks
-// then really execute on worker threads (numerics are real), each against
-// its commit, once its predecessors completed. All performance accounting
-// is in that virtual time, by the rules dmda, the lookahead window and
-// peppher-predict place by; a real kernel exception is the one thing
-// decided in execution order (its retry commits when it is thrown). See
-// DESIGN.md §5 and docs/runtime.md.
+// then really execute (numerics are real), each as its committed worker
+// and against its commit, once its predecessors completed. All performance
+// accounting is in that virtual time, by the rules dmda, the lookahead
+// window and peppher-predict place by; a real kernel exception is the one
+// thing decided in execution order (its retry commits when it is thrown).
+// See DESIGN.md §5 and docs/runtime.md.
 //
 // Concurrency architecture (see docs/runtime.md "Concurrency architecture &
 // overhead"): graph_mutex_ guards the dependency graph
 // (Task::successors/unmet_dependencies/max_pred_end/committed and
 // DataHandle::last_writer/readers_since_last_write) and is taken at submit
-// — where the commit happens under it — and at completion. Each worker
-// runs the committed tasks of its own queue, under that queue's lock, and
-// sleeps on its own ParkSlot. The timeline sits behind the scheduler's own
-// lock; every counter lives in the recorder (runtime/trace.hpp). Lock
-// hierarchy (outer to inner): graph_mutex_ → the scheduler's lock → handle
-// mutexes; worker queues, ParkSlot and done_mutex_ are taken on their own.
-// A handle mutex is never held while taking an engine or scheduler lock.
+// — where the commit happens under it — and at completion. Threads do not
+// belong to workers: a thread claims a worker that has a ready task and is
+// not running one, under that worker's queue lock, and runs the task as
+// that worker (its memory node, its variant, its team), so a worker runs
+// one task at a time. The thread that completes a task continues with a
+// successor it released onto an idle worker, else with its own worker's
+// next task, and wakes a parked thread only for work it leaves behind; idle
+// threads park on their own ParkSlot. The timeline sits behind the
+// scheduler's own lock; every counter lives in the recorder
+// (runtime/trace.hpp). Lock hierarchy (outer to inner): graph_mutex_ → the
+// scheduler's lock → handle mutexes, and idle_mutex_ → worker queue locks;
+// ParkSlot and done_mutex_ are taken on their own. A handle mutex is never
+// held while taking an engine or scheduler lock.
 #pragma once
 
 #include <array>
@@ -230,8 +238,10 @@ class Engine {
   /// Submits a task: links its dependencies and commits it on the
   /// timeline (under lookahead: stages it, committing the window when it
   /// fills or the task depends on a staged one). Asynchronous unless
-  /// spec.synchronous; returns the task for wait()/inspection. Throws if
-  /// the codelet has no enabled variant runnable on this machine.
+  /// spec.synchronous: a synchronous task commits at once (its window
+  /// flushed) and, when its dependencies are met and its worker is idle,
+  /// runs on the calling thread. Returns the task for wait()/inspection.
+  /// Throws if the codelet has no enabled variant runnable on this machine.
   /// Thread-safe: tasks may be submitted concurrently from several threads
   /// (submission order, per handle and on the timeline, is the graph-lock
   /// acquisition order).
@@ -239,8 +249,8 @@ class Engine {
 
   /// Blocks until `task` completes, flushing the lookahead window first. If
   /// the task failed (or a predecessor failed, cancelling it), the stored
-  /// exception is rethrown here — a failing variant never takes a worker
-  /// thread down.
+  /// exception is rethrown here — a failing variant never takes a thread
+  /// down.
   void wait(const TaskPtr& task);
 
   /// Flushes the lookahead window and blocks until every submitted task
@@ -347,44 +357,83 @@ class Engine {
   std::string summary() const;
 
  private:
+  /// A simulated worker: its queue of committed, ready tasks and whether a
+  /// thread is running one of them. Any thread may run its tasks, one at a
+  /// time.
   struct Worker {
     WorkerDesc desc;
-    std::thread thread;
 
-    /// Its committed tasks whose dependencies are met, highest priority
-    /// first (FIFO among equal priorities); guarded by queue_mutex.
+    /// Guards `queue` and `running`; the claim it orders also orders the
+    /// forks on `team`.
     std::mutex queue_mutex;
+    /// Its committed tasks whose dependencies are met, highest priority
+    /// first (FIFO among equal priorities).
     std::deque<TaskPtr> queue;
+    /// A thread claimed the worker and runs (or is about to run) a task as
+    /// it.
+    bool running = false;
 
-    /// Targeted-wakeup parking spot: the worker sleeps here while its queue
-    /// is empty.
-    ParkSlot slot;
+    /// The combined-CPU worker's fork-join team, as wide as its node's
+    /// cores (nullptr on every other worker), forked by whichever thread
+    /// runs the worker. Its helpers start on the first fork and are joined
+    /// when the engine is destroyed.
+    std::unique_ptr<ForkJoinTeam> team;
+  };
 
-    // Per-worker scratch reused across executions so the task hot path is
-    // allocation-free in steady state. Touched only by the owning thread.
+  /// What a thread reuses across the tasks it runs, so the task hot path
+  /// is allocation-free in steady state.
+  struct Scratch {
     std::vector<void*> buffers;
     std::vector<std::size_t> buffer_bytes;
     std::vector<std::size_t> element_sizes;
     std::vector<std::size_t> preimage_ops;              ///< operand indices
     std::vector<std::vector<std::byte>> preimage_data;  ///< pooled snapshots
-    std::vector<TaskPtr> completed_scratch;
-    std::vector<TaskPtr> ready_scratch;
-
-    /// The combined-CPU worker's fork-join team, as wide as its node's
-    /// cores (nullptr on every other worker). Its helpers start on the
-    /// worker's first fork and are joined when the engine is destroyed.
-    std::unique_ptr<ForkJoinTeam> team;
+    std::vector<TaskPtr> completed;
+    std::vector<TaskPtr> ready;
   };
 
-  void worker_main(WorkerId id);
-  TaskPtr pop(Worker& worker);
-  void execute(const TaskPtr& task, Worker& worker);
+  /// One of the engine's threads: not tied to any worker.
+  struct Executor {
+    std::thread thread;
+    ParkSlot slot;  ///< where it sleeps while on idle_
+    /// The worker its waker claimed for it, with a queued task; written
+    /// under idle_mutex_ before the unpark, read after the park.
+    Worker* handed = nullptr;
+    Scratch scratch;
+  };
 
-  /// The tail of every completion, outside graph_mutex_: dispatches
-  /// `ready`, wakes waiters, runs the callbacks of `completed` and then
-  /// retires them from inflight_.
-  void finish_completed(std::vector<TaskPtr>& completed,
-                        std::vector<TaskPtr>& ready);
+  /// Body of executor thread `index`: claims workers with ready tasks and
+  /// runs them, parking while there are none.
+  void executor_main(std::size_t index);
+
+  /// Claims the first worker that has a ready task and is not running one,
+  /// and pops its next task; nullptr when none. Called under idle_mutex_.
+  TaskPtr claim_any();
+
+  /// Runs `task` on the calling thread as its committed worker, which the
+  /// caller claimed, then completes it and hands off what it released.
+  /// Returns hand_off's continuation (nullptr unless `take_next`).
+  TaskPtr run(const TaskPtr& task, Scratch& scratch, bool take_next);
+
+  /// Queues each task of `ready` on its committed worker. `own` (or
+  /// nullptr) is the worker the caller just ran a task as: it is released
+  /// here unless the caller keeps it. With `take_next` the caller continues
+  /// as the first of those tasks' workers that is idle (claiming it and
+  /// taking its next task), else with `own`'s next queued task, and gets
+  /// that task back; with none, it keeps `own` claimed. Wakes a parked
+  /// thread for each worker it leaves with queued tasks and no claim.
+  TaskPtr hand_off(std::vector<TaskPtr>& ready, Worker* own, bool take_next);
+
+  /// Hands `worker`, left with queued tasks and no claim, to a parked
+  /// thread: claims it for that thread and wakes it. Does nothing when
+  /// another thread claimed it meanwhile, or when no thread is parked (an
+  /// awake thread re-checks every queue before it parks).
+  void wake(Worker& worker);
+
+  /// The tail of every completion and commit, outside graph_mutex_: wakes
+  /// waiters, runs the callbacks of `completed` and then retires them from
+  /// inflight_.
+  void finish_completed(std::vector<TaskPtr>& completed);
 
   /// One queued automatic prefetch: warm `handle` on `node`.
   struct PrefetchRequest {
@@ -402,11 +451,6 @@ class Engine {
   void prefetch_main();
 
   void stop_prefetch_thread();
-
-  /// Hands a ready committed task to its worker's queue and wakes the
-  /// worker (unless the caller is that worker: it re-checks its queue
-  /// before parking).
-  void dispatch_ready(const TaskPtr& task);
 
   /// Wakes threads blocked in wait(task) if any are registered (Dekker
   /// handshake on task_waiters_; see wait()).
@@ -490,12 +534,22 @@ class Engine {
   DataManager data_;
   PerfRegistry perf_;
   DispatchTable dispatch_replay_;  ///< finalized at construction, then const
-  DispatchTable dispatch_train_;   ///< filled by execute(), saved at shutdown
+  DispatchTable dispatch_train_;   ///< filled by run(), saved at shutdown
   bool dispatch_replay_active_ = false;
   Tracer tracer_;
 
   std::vector<WorkerDesc> descs_;  ///< immutable after construction
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::unique_ptr<Worker>> workers_;  ///< index = WorkerId
+  /// As many threads as workers; thread i writes the recorder's shard i.
+  std::vector<std::unique_ptr<Executor>> executors_;
+
+  /// Guards idle_ and stopping_. A thread announces that it parks by
+  /// joining idle_ after re-checking every queue under this lock; a thread
+  /// that leaves work behind takes it after queueing the work, and pops
+  /// the thread it wakes, so each wake reaches a distinct thread.
+  std::mutex idle_mutex_;
+  std::vector<Executor*> idle_;
+  bool stopping_ = false;
 
   /// One fault injector per accelerator, index-aligned with the global
   /// device ordinals (nullptr = fault-free device). Immutable after
@@ -514,11 +568,10 @@ class Engine {
   /// max_pred_end / committed, DataHandle::last_writer /
   /// readers_since_last_write) and orders the commits: taken at submit, at
   /// flushes and host events, at completion and at a retry's commit —
-  /// never while popping or executing.
+  /// never while claiming or executing.
   mutable std::mutex graph_mutex_;
 
   std::unique_ptr<Scheduler> scheduler_;
-  std::atomic<bool> stopping_{false};
 
   /// Automatic-prefetch state. The thread exists only when prefetch is
   /// effectively enabled (config flag, more than one memory node).
@@ -553,9 +606,8 @@ class Engine {
   // would futex-wake the waiter just for it to re-check and sleep again
   // (two context switches per task). See notify_task_done()/notify_idle().
   /// Shadow-checker observation log (config_.verify_shadow only); appended
-  /// by workers at task start, outside every other engine lock. Only
-  /// attempts that run are observed: one that failed at its commit never
-  /// reaches a worker.
+  /// at task start, outside every other engine lock. Only attempts that
+  /// run are observed: one that failed at its commit never runs.
   mutable std::mutex shadow_mutex_;
   std::vector<ShadowRecord> shadow_log_;
 

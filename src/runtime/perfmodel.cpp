@@ -215,6 +215,9 @@ std::uint64_t HistoryModel::sample_count(std::uint64_t footprint) const {
 
 std::optional<double> HistoryModel::regression_estimate(
     std::size_t total_bytes) const {
+  // Fewer entries than the fit needs distinct sizes: skip building them
+  // (every dmda decision asks, for every worker).
+  if (entries_.size() < 4) return std::nullopt;
   // Collect distinct (bytes, mean) pairs with positive values.
   std::map<std::size_t, double> points;
   for (const auto& [footprint, entry] : entries_) {

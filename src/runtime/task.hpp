@@ -66,7 +66,7 @@ struct TaskSpec {
   int verify_point = -1;
 
   /// Invoked once after the task completes (successfully or failed), from
-  /// the completing worker thread, outside engine locks. Must not block on
+  /// the thread that completed it, outside engine locks. Must not block on
   /// other tasks of the same engine.
   std::function<void(const Task&)> on_complete;
 };
@@ -117,7 +117,7 @@ class Task {
   std::vector<std::shared_ptr<Task>> successors;
   VirtualTime max_pred_end = 0.0;  ///< latest committed end of a predecessor
   /// Committed on the timeline (false while a lookahead window stages it).
-  /// A committed task with no unmet dependency runs on its worker.
+  /// A committed task with no unmet dependency runs as its worker.
   bool committed = false;
 
   /// Sequence number of the successor task currently being linked against
@@ -129,7 +129,7 @@ class Task {
   // -- retry bookkeeping ----------------------------------------------------
   //
   // Written at each commit (under the graph lock), and after a real failure
-  // by the worker executing the task (which owns it until it commits the
+  // by the thread executing the task (which owns it until it commits the
   // retry or completes it); the graph lock, the worker-queue locks and the
   // kDone publication order those writes for every later reader.
 

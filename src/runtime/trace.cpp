@@ -117,8 +117,8 @@ double Books::energy_joules() const { return total().energy; }
 
 namespace {
 
-/// The recorder and worker shard the calling thread writes (bind_worker);
-/// a thread bound to no recorder, or to another one, uses the shared shard.
+/// The recorder and shard the calling thread writes (bind_shard); a thread
+/// bound to no recorder, or to another one, uses the shared shard.
 thread_local const Tracer* t_recorder = nullptr;
 thread_local std::size_t t_shard = 0;
 
@@ -143,11 +143,10 @@ void Tracer::configure(const MemTopology& topo,
   }
 }
 
-void Tracer::bind_worker(WorkerId id) {
-  check(id >= 0 && static_cast<std::size_t>(id) < workers_.size(),
-        "bind_worker: bad worker id");
+void Tracer::bind_shard(std::size_t index) {
+  check(index < workers_.size(), "bind_shard: bad shard index");
   t_recorder = this;
-  t_shard = static_cast<std::size_t>(id);
+  t_shard = index;
 }
 
 void Tracer::add(std::size_t slot, std::uint64_t amount) {

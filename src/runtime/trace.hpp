@@ -15,13 +15,14 @@
 // FxT/Vite tracing.
 //
 // Concurrency: counters live in one shard per worker plus one shared shard.
-// A worker's thread bumps its own shard's event counters (a relaxed load
-// and store, no read-modify-write); every other thread (submitters, the
-// prefetch thread, the application) bumps the shared one with fetch_add.
-// A task attempt is recorded on the shard of the worker it was committed
-// to, under that shard's lock: by the committing thread when the attempt
-// failed at its commit, by the worker when it ran. A snapshot merges the
-// shards.
+// Engine thread i is the single writer of shard i's event counters (a
+// relaxed load and store, no read-modify-write); every other thread
+// (submitters, the prefetch thread, the application) bumps the shared one
+// with fetch_add. A task attempt is recorded on the shard of the worker it
+// was committed to, under that shard's lock: by the committing thread when
+// the attempt failed at its commit, by the thread that ran it otherwise.
+// So a worker's task counts and busy time are the same whichever thread
+// ran its tasks. A snapshot merges the shards.
 // Events go to chunked append-only logs: a writer claims a slot with one
 // atomic fetch_add, fills it, and publishes it with a release store.
 // Chunks are recycled by clear(), so the steady state of the task hot path
@@ -288,9 +289,10 @@ class Tracer {
   void configure(const MemTopology& topo, std::vector<double> worker_watts,
                  bool trace_events);
 
-  /// Makes the calling thread the single writer of worker `id`'s shard;
-  /// events recorded on other threads go to the shared shard.
-  void bind_worker(WorkerId id);
+  /// Makes the calling thread the single writer of shard `index`'s event
+  /// counters (one shard per worker); events recorded on other threads go
+  /// to the shared shard.
+  void bind_shard(std::size_t index);
 
   /// True when events are appended to the trace.
   bool tracing() const noexcept { return trace_events_; }
@@ -496,8 +498,8 @@ class Tracer {
     double watts = 0.0;  ///< worker shards: busy power draw
   };
 
-  /// The calling thread's shard writer: single-writer stores on its own
-  /// worker shard, fetch_add on the shared one.
+  /// The calling thread's shard writer: single-writer stores on its bound
+  /// shard, fetch_add on the shared one.
   void add(std::size_t slot, std::uint64_t amount = 1);
 
   const MemTopology* topo_ = nullptr;

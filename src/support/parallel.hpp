@@ -2,10 +2,10 @@
 // evaluation kernels. The paper's OpenMP variants are multi-core CPU codes;
 // this reproduction runs them on a team of persistent std::threads so no
 // OpenMP runtime dependency is needed (see DESIGN.md §6). Each simulated
-// node's combined-CPU worker owns one team; its helpers start on the
-// worker's first fork and park between forks, so a fork creates no thread
-// and makes no heap allocation (docs/runtime.md "Concurrency architecture &
-// overhead").
+// node's combined-CPU worker owns one team, forked by whichever thread runs
+// the worker; its helpers start on the first fork and park between forks,
+// so a fork creates no thread and makes no heap allocation (docs/runtime.md
+// "Concurrency architecture & overhead").
 #pragma once
 
 #include <algorithm>
@@ -66,22 +66,24 @@ constexpr ChunkRange chunk_range(std::size_t count, std::size_t chunks,
 }
 
 /// A fork-join team `threads` wide: the forking thread plus `threads - 1`
-/// parked helper threads. Only one thread (the owner) forks, one fork at a
-/// time.
+/// parked helper threads. One fork at a time: any thread may fork, as long
+/// as each fork happens-before the next one (the runtime orders them by the
+/// combined worker's claim).
 ///
-/// A fork publishes its job and wakes one parked helper. The owner and
-/// every helper that is awake claim chunks from one atomic counter; a
+/// A fork publishes its job and wakes one parked helper. The forking thread
+/// and every helper that is awake claim chunks from one atomic counter; a
 /// helper that claims a chunk while more remain wakes the next helper, and
 /// a helper that finds every chunk claimed parks again without touching
-/// the job. The owner runs chunks too and then waits only for the chunks a
-/// helper claimed. An exception thrown by a chunk is recorded (the first
-/// one wins) and rethrown on the owner once every claimed chunk finished.
+/// the job. The forking thread runs chunks too and then waits only for the
+/// chunks a helper claimed. An exception thrown by a chunk is recorded (the
+/// first one wins) and rethrown on the forking thread once every claimed
+/// chunk finished.
 class ForkJoinTeam {
  public:
   /// No thread starts here: the helpers start on the first fork that
   /// splits its range.
   explicit ForkJoinTeam(int threads) : threads_(std::max(threads, 1)) {}
-  /// Stops and joins the helpers; the owner must not be forking.
+  /// Stops and joins the helpers; no thread may be forking.
   ~ForkJoinTeam();
 
   ForkJoinTeam(const ForkJoinTeam&) = delete;
@@ -105,8 +107,8 @@ class ForkJoinTeam {
 
   const int threads_;
 
-  // The current job: written by the owner before it publishes claim_,
-  // read by a claimer only after a successful claim.
+  // The current job: written by the forking thread before it publishes
+  // claim_, read by a claimer only after a successful claim.
   const ChunkFn* body_ = nullptr;
   std::size_t begin_ = 0;
   std::size_t count_ = 0;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -530,6 +531,176 @@ TEST(EngineTimeline, HostWriteMakesTheNextReaderUploadAgain) {
   EXPECT_EQ(hops[1].vstart, hops[0].vend);  // the lane was busy until then
   EXPECT_EQ(r2->vstart, hops[1].vend);
   EXPECT_GT(r2->vstart, r1->vend);
+}
+
+
+// ---------------------------------------------------------------------------
+// The executor: threads are not tied to workers. A thread runs a task as its
+// committed worker, a worker runs one task at a time, the thread that
+// completes a task continues with the successor it released, and a
+// synchronous call whose worker is idle runs on the calling thread.
+// ---------------------------------------------------------------------------
+
+EngineConfig two_core_config() {
+  EngineConfig config;
+  config.machine = sim::MachineConfig::cpu_only(2);
+  config.scheduler = "eager";
+  config.use_history_models = false;
+  return config;
+}
+
+/// Spins (yielding) until `flag` is set or ten seconds passed; returns
+/// whether it was set.
+bool await_flag(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(Executor, ChainAcrossWorkersRunsOnOneThread) {
+  Engine engine(two_core_config());
+  float step = 0.0f;
+  auto handle = engine.register_buffer(&step, sizeof step, sizeof step);
+  constexpr int kTasks = 64;
+  std::vector<std::thread::id> ran_on(kTasks);
+  std::atomic<bool> gate{false};
+  Codelet chained("chained");
+  chained.add_impl({Arch::kCpu, "chained_cpu", [&](ExecContext& ctx) {
+                      float& index = *ctx.buffer_as<float>(0);
+                      if (index == 0.0f) await_flag(gate);
+                      ran_on[static_cast<std::size_t>(index)] =
+                          std::this_thread::get_id();
+                      index += 1.0f;
+                    }});
+  // Every task commits before the gated first one lets the chain run.
+  for (int i = 0; i < kTasks; ++i) {
+    TaskSpec spec;
+    spec.codelet = &chained;
+    spec.operands = {{handle, AccessMode::kReadWrite}};
+    spec.forced_worker = i % 2;
+    engine.submit(std::move(spec));
+  }
+  gate.store(true, std::memory_order_release);
+  engine.wait_for_all();
+  engine.acquire_host(handle, AccessMode::kRead);
+  ASSERT_EQ(step, static_cast<float>(kTasks));
+  for (int i = 1; i < kTasks; ++i) {
+    EXPECT_EQ(ran_on[static_cast<std::size_t>(i)], ran_on[0]) << "task " << i;
+  }
+  EXPECT_EQ(engine.worker_stats(0).tasks_executed, kTasks / 2u);
+  EXPECT_EQ(engine.worker_stats(1).tasks_executed, kTasks / 2u);
+}
+
+TEST(Executor, OneTaskPerWorkerAtATime) {
+  Engine engine(two_core_config());
+  constexpr int kTasks = 24;
+  std::vector<float> data(kTasks, 0.0f);
+  std::vector<DataHandlePtr> handles;
+  for (float& value : data) {
+    handles.push_back(
+        engine.register_buffer(&value, sizeof value, sizeof value));
+  }
+  std::array<std::atomic<int>, 2> running{};
+  std::array<std::atomic<int>, 2> most{};
+  Codelet busy("busy");
+  busy.add_impl({Arch::kCpu, "busy_cpu", [&](ExecContext& ctx) {
+                   const auto worker = static_cast<std::size_t>(ctx.worker());
+                   const int now = running[worker].fetch_add(1) + 1;
+                   int seen = most[worker].load();
+                   while (seen < now &&
+                          !most[worker].compare_exchange_weak(seen, now)) {
+                   }
+                   std::this_thread::sleep_for(std::chrono::microseconds(200));
+                   running[worker].fetch_sub(1);
+                 }});
+  // Independent tasks, all forced onto worker 0: they never overlap.
+  for (const DataHandlePtr& handle : handles) {
+    TaskSpec spec;
+    spec.codelet = &busy;
+    spec.operands = {{handle, AccessMode::kReadWrite}};
+    spec.forced_worker = 0;
+    engine.submit(std::move(spec));
+  }
+  engine.wait_for_all();
+  EXPECT_EQ(most[0].load(), 1);
+  EXPECT_EQ(engine.worker_stats(0).tasks_executed,
+            static_cast<std::uint64_t>(kTasks));
+
+  // Tasks on two workers may: each waits until the other has started.
+  std::array<std::atomic<bool>, 2> arrived{};
+  std::array<bool, 2> met{};
+  Codelet meet("meet");
+  meet.add_impl({Arch::kCpu, "meet_cpu", [&](ExecContext& ctx) {
+                   const auto worker = static_cast<std::size_t>(ctx.worker());
+                   arrived[worker].store(true, std::memory_order_release);
+                   met[worker] = await_flag(arrived[1 - worker]);
+                 }});
+  for (WorkerId worker : {0, 1}) {
+    TaskSpec spec;
+    spec.codelet = &meet;
+    spec.operands = {{handles[static_cast<std::size_t>(worker)],
+                      AccessMode::kReadWrite}};
+    spec.forced_worker = worker;
+    engine.submit(std::move(spec));
+  }
+  engine.wait_for_all();
+  EXPECT_TRUE(met[0]);
+  EXPECT_TRUE(met[1]);
+}
+
+TEST(Executor, SynchronousCallRunsOnTheCallingThread) {
+  Engine engine(two_core_config());
+  float value = 0.0f;
+  float held = 0.0f;
+  auto handle = engine.register_buffer(&value, sizeof value, sizeof value);
+  auto held_handle = engine.register_buffer(&held, sizeof held, sizeof held);
+  std::thread::id ran_on;
+  Codelet probe("probe");
+  probe.add_impl({Arch::kCpu, "probe_cpu", [&](ExecContext& ctx) {
+                    ran_on = std::this_thread::get_id();
+                    *ctx.buffer_as<float>(0) += 1.0f;
+                  }});
+  const auto call = [&] {
+    TaskSpec spec;
+    spec.codelet = &probe;
+    spec.operands = {{handle, AccessMode::kReadWrite}};
+    spec.forced_worker = 0;
+    spec.synchronous = true;
+    return engine.submit(std::move(spec));
+  };
+
+  // Dependencies met, worker idle: the calling thread runs it.
+  const TaskPtr first = call();
+  EXPECT_EQ(first->state, TaskState::kDone);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  // Its worker busy with a held task: the call still completes.
+  std::atomic<bool> started{false};
+  std::atomic<bool> gate{false};
+  Codelet hold("hold");
+  hold.add_impl({Arch::kCpu, "hold_cpu", [&](ExecContext&) {
+                   started.store(true, std::memory_order_release);
+                   await_flag(gate);
+                 }});
+  TaskSpec hold_spec;
+  hold_spec.codelet = &hold;
+  hold_spec.operands = {{held_handle, AccessMode::kReadWrite}};
+  hold_spec.forced_worker = 0;
+  engine.submit(std::move(hold_spec));
+  ASSERT_TRUE(await_flag(started));
+  std::thread opener([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gate.store(true, std::memory_order_release);
+  });
+  const TaskPtr second = call();
+  opener.join();
+  EXPECT_EQ(second->state, TaskState::kDone);
+  engine.acquire_host(handle, AccessMode::kRead);
+  EXPECT_EQ(value, 2.0f);
 }
 
 }  // namespace

@@ -45,6 +45,7 @@ import math
 import os
 import re
 import sys
+from statistics import median
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = "peppher-bench v1"
@@ -72,23 +73,35 @@ def record_key(record):
 # -- documents ---------------------------------------------------------------
 
 def from_google_benchmark(doc, path):
-    """Records of a google-benchmark JSON document (wall clock)."""
+    """Records of a google-benchmark JSON document (wall clock). A benchmark
+    run with --benchmark_repetitions records the median of its repetitions,
+    plus real_time_min and real_time_max, their spread; google-benchmark's
+    own aggregates are dropped."""
     context = doc.get("context", {})
     executable = os.path.basename(context.get("executable", ""))
     bench = executable[len("bench_"):] if executable.startswith("bench_") else executable
-    records = []
+    runs = {}  # run name -> its repetitions, in order
     for i, entry in enumerate(doc["benchmarks"]):
         if not isinstance(entry, dict) or "name" not in entry:
             raise Malformed(f"{path}: benchmark {i}: no name")
-        labels = {"benchmark": entry["name"]}
-        unit = entry.get("time_unit", "ns")
+        if entry.get("run_type") != "aggregate":
+            runs.setdefault(entry.get("run_name", entry["name"]), []).append(entry)
+    records = []
+    for name, entries in runs.items():
+        labels = {"benchmark": name}
+        unit = entries[0].get("time_unit", "ns")
         for metric in ("real_time", "cpu_time"):
             records.append({"metric": metric, "labels": labels,
-                            "value": entry.get(metric), "unit": unit,
-                            "clock": "wall"})
-        if "items_per_second" in entry:
+                            "value": median(e.get(metric) for e in entries),
+                            "unit": unit, "clock": "wall"})
+        if len(entries) > 1:
+            for metric, pick in (("real_time_min", min), ("real_time_max", max)):
+                records.append({"metric": metric, "labels": labels,
+                                "value": pick(e.get("real_time") for e in entries),
+                                "unit": unit, "clock": "wall"})
+        if "items_per_second" in entries[0]:
             records.append({"metric": "items_per_second", "labels": labels,
-                            "value": entry["items_per_second"],
+                            "value": median(e.get("items_per_second") for e in entries),
                             "unit": "items/s", "clock": "wall"})
     return {"schema": SCHEMA, "bench": bench,
             "smoke": context.get("smoke") == "true", "records": records}

@@ -46,7 +46,9 @@ else
   mkdir -p "$OUT_DIR"
   rm -f "$OUT_DIR"/BENCH_*.json
   FLAGS=()
-  GBENCH_FLAGS=(--benchmark_min_time=0.5)
+  # Five repetitions: check_bench.py records each benchmark's median and
+  # the spread between its fastest and slowest repetition.
+  GBENCH_FLAGS=(--benchmark_min_time=0.5 --benchmark_repetitions=5)
 fi
 
 for bench in "${BENCHES[@]}"; do

@@ -142,6 +142,29 @@ class CheckBenchTest(unittest.TestCase):
         self.assertIn({"metric": "items_per_second", "labels": {"benchmark": "BM_Sync"},
                        "value": 1.0e6, "unit": "items/s", "clock": "wall"}, doc["records"])
 
+    def test_google_benchmark_repetitions_fold_into_median_and_spread(self):
+        reps = [{"name": "BM_Chain/256", "run_name": "BM_Chain/256", "run_type": "iteration",
+                 "repetitions": 5, "repetition_index": i, "real_time": t,
+                 "cpu_time": t / 2, "time_unit": "us", "items_per_second": 256e6 / t}
+                for i, t in enumerate([5.0, 1.0, 3.0, 4.0, 2.0])]
+        mean = dict(reps[0], name="BM_Chain/256_mean", run_type="aggregate",
+                    aggregate_name="mean", real_time=3.0)
+        gbench = {"context": {"executable": "build/bench/bench_task_overhead"},
+                  "benchmarks": reps + [mean]}
+        path = self.write(os.path.join(self.run_dir, "BENCH_task_overhead.json"), gbench)
+        proc = subprocess.run(
+            [sys.executable, CHECKER, "--gates", os.path.join(self.dir, "gates.json"),
+             "--baselines", self.baselines, "--build-dir", self.dir, path],
+            capture_output=True, text=True, check=False)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        values = {r["metric"]: r["value"] for r in doc["records"]}
+        self.assertEqual(values, {"real_time": 3.0, "cpu_time": 1.5, "real_time_min": 1.0,
+                                  "real_time_max": 5.0, "items_per_second": 256e6 / 3.0})
+        self.assertTrue(all(r["labels"] == {"benchmark": "BM_Chain/256"}
+                            for r in doc["records"]))
+
     def test_experiments_tables_must_agree_with_the_committed_records(self):
         self.commit(document([record("ratio", 1.234, case="a"),
                               record("ratio", 1.5, case="b")], host_id="000000000000"))
